@@ -154,8 +154,8 @@ def _run_prop31(cfg: ExperimentConfig, jobs, seed):
         _criterion(crit, f"sup-norm slope <= {p['criterion_max_slope']}",
                    (not res.fit.degenerate) and res.fit.slope <= p["criterion_max_slope"],
                    f"slope = {res.fit.slope:.3f}")
-    header = ["h", "t", "norm", "chebyshev_terms", "seconds"]
-    rows = [[r["h"], r["t"], r["norm"], r["chebyshev_terms"], r["seconds"]]
+    header = ["h", "t", "norm", "chebyshev_terms", "seconds", "columns"]
+    rows = [[r["h"], r["t"], r["norm"], r["chebyshev_terms"], r["seconds"], r["columns"]]
             for r in res.rows]
     return header, rows, crit, {"fit": {"slope": res.fit.slope,
                                         "max_residual": res.fit.max_residual},

@@ -1,12 +1,14 @@
 """Lattice model: finite-difference H0, long-range potentials, boxes, CAP,
-and matrix-free assembly of the truncated Hamiltonian."""
+and sparse assembly of the truncated Hamiltonian."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from .symbols import Symbol
 from .util import rng
@@ -86,6 +88,24 @@ class Stencil:
 
     def coeff_abs_sum(self) -> float:
         return float(sum(abs(g) for g in self.coeffs))
+
+    @cached_property
+    def symbol_range(self) -> tuple:
+        """Interval [lo, hi] that contains the range of p0 (computed once).
+
+        The extrema are taken on a momentum grid of step s and padded by
+        s * sum_m |m|_1 |gamma_m|, which bounds how far p0 moves between
+        grid points.
+        """
+        n = max(16, int(round(2.0 ** (14.0 / self.dim))))
+        step = 2.0 * np.pi / n
+        ax = step * np.arange(n)
+        xi = ax if self.dim == 1 else np.stack(np.meshgrid(*([ax] * self.dim), indexing="ij"),
+                                               axis=-1)
+        p = np.real(self.p0(xi))
+        pad = step * sum(abs(g) * sum(abs(m) for m in o)
+                         for o, g in zip(self.offsets, self.coeffs))
+        return float(np.min(p) - pad), float(np.max(p) + pad)
 
 
 def laplacian_stencil(dim: int = 1) -> Stencil:
@@ -367,7 +387,14 @@ def verify_adjoint(A: LinearMap, n_checks: int = 20, seed=None) -> float:
 
 
 class LatticeHamiltonian(LinearMap):
-    """H = H0 + V (- iW with a CAP). Keeps assembly data for direct solvers."""
+    """H = H0 + V (- iW with a CAP), assembled once, on first use, as a sparse
+    CSR matrix.
+
+    Hops that leave the box are dropped (Dirichlet truncation). The hop part
+    is self-adjoint by the stencil symmetry invariant, so the adjoint differs
+    from H only in the sign of the CAP term. Products are complex for real
+    input.
+    """
 
     def __init__(self, stencil: Stencil, potential: Potential, box: Box,
                  cap: Optional[CAPProfile] = None):
@@ -381,7 +408,6 @@ class LatticeHamiltonian(LinearMap):
         self.v_diag = potential.values(sites)
         self.decay_constant = potential.decay_constant(sites)
         self.cap_diag = cap.values(box) if cap is not None else np.zeros(box.site_count)
-        self._shape = box.shape
         onsite = 0.0 + 0.0j
         hops = []
         for o, g in zip(stencil.offsets, stencil.coeffs):
@@ -393,49 +419,46 @@ class LatticeHamiltonian(LinearMap):
             raise ValueError("onsite coefficient must be real")
         self.onsite = onsite.real
         self.hops = hops
-        diag = self.onsite + self.v_diag
-        cap_d = self.cap_diag
-
-        def fwd(u):
-            return self._stencil_apply(u, diag - 1j * cap_d)
-
-        def adj(u):
-            # the hop part is self-adjoint by the stencil symmetry invariant;
-            # only the (complex) diagonal flips
-            return self._stencil_apply(u, diag + 1j * cap_d)
-
-        super().__init__(box.site_count, fwd, adj, hermitian=cap is None,
+        self._herm_part = None
+        self._csr = {}
+        super().__init__(box.site_count, lambda u: self._matrix(+1) @ np.asarray(u),
+                         lambda u: self._matrix(-1) @ np.asarray(u), hermitian=cap is None,
                          bandwidth=stencil.bandwidth, label="H")
 
-    def _stencil_apply(self, u, diag):
-        """Apply to a vector (N,) or a block of columns (N, m)."""
-        u = np.asarray(u)
-        trail = u.shape[1:]
-        grid = u.reshape(self._shape + trail)
-        dshape = self._shape + (1,) * len(trail)
-        out = (diag.reshape(dshape) * grid).astype(complex)
+    def _matrix(self, cap_sign: int) -> sp.csr_array:
+        """H0 + V - i cap_sign W as CSR, assembled on first use: the d=1
+        banded solves never need it. cap_sign 0 is the hermitian part."""
+        if self.cap is None:
+            cap_sign = 0
+        if cap_sign not in self._csr:
+            self._csr[cap_sign] = self._assemble(self.onsite + self.v_diag
+                                                 - 1j * cap_sign * self.cap_diag)
+        return self._csr[cap_sign]
+
+    def _assemble(self, diag) -> sp.csr_array:
+        """The hops plus `diag` on the diagonal, as a complex CSR matrix."""
         n = self.box.n_per_axis
-        tail_slices = (slice(None),) * len(trail)
+        index = np.arange(self.box.site_count).reshape(self.box.shape)
+        rows = [index.ravel()]
+        cols = [index.ravel()]
+        vals = [np.asarray(diag, dtype=complex)]
         for o, g in self.hops:
-            src = []
-            dst = []
-            ok = True
-            for m in o:
-                if abs(m) >= n:
-                    ok = False
-                    break
-                dst.append(slice(max(0, m), n + min(0, m)))
-                src.append(slice(max(0, -m), n + min(0, -m)))
-            if not ok:
+            if any(abs(m) >= n for m in o):
                 continue
-            out[tuple(dst) + tail_slices] += g * grid[tuple(src) + tail_slices]
-        return out.reshape(u.shape)
+            # (H u)(n) gets g u(n - m): row n, column n - m
+            rows.append(index[tuple(slice(max(0, m), n + min(0, m)) for m in o)].ravel())
+            cols.append(index[tuple(slice(max(0, -m), n + min(0, -m)) for m in o)].ravel())
+            vals.append(np.full(rows[-1].size, g, dtype=complex))
+        return sp.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                            shape=(self.box.site_count,) * 2)
 
     def hermitian_part_map(self) -> "LatticeHamiltonian":
-        """The CAP-free operator H0 + V on the same box."""
+        """The CAP-free operator H0 + V on the same box (built once, then cached)."""
         if self.cap is None:
             return self
-        return LatticeHamiltonian(self.stencil, self.potential, self.box, cap=None)
+        if self._herm_part is None:
+            self._herm_part = LatticeHamiltonian(self.stencil, self.potential, self.box, cap=None)
+        return self._herm_part
 
     def inner_mask(self) -> np.ndarray:
         """Sites where the CAP vanishes."""
@@ -471,19 +494,28 @@ class LatticeHamiltonian(LinearMap):
         n = self.box.site_count
         if n > 4200:
             raise ValueError("box too large to densify")
-        herm = self.hermitian_part_map()
-        out = np.empty((n, n), dtype=complex)
-        e = np.zeros(n, dtype=complex)
-        for j in range(n):
-            e[:] = 0.0
-            e[j] = 1.0
-            out[:, j] = herm(e)
+        out = self._matrix(0).toarray()
         s = 1.0 if branch_sign >= 0 else -1.0
         np.fill_diagonal(out, np.diag(out) - shift - 1j * s * (self.cap_diag + eps))
         return out
 
+    def spectral_interval(self) -> tuple:
+        """Interval [lo, hi] that contains the spectrum of H0 + V (the CAP is
+        not included).
+
+        Rigorous: the Dirichlet truncation compresses H0 on l2(Z^d), whose
+        numerical range is the range of p0, and Weyl's inequality adds
+        [min V, max V].
+        """
+        lo, hi = self.stencil.symbol_range
+        return lo + float(np.min(self.v_diag)), hi + float(np.max(self.v_diag))
+
     def spectral_bound(self) -> float:
-        """|H| <= sum|gamma_m| + max|V| + CAP strength (crude, safe)."""
+        """|H| <= sum|gamma_m| + max|V| + CAP strength (crude, safe).
+
+        About twice the half-width of spectral_interval(), which is what the
+        Chebyshev plans use.
+        """
         capmax = float(np.max(self.cap_diag)) if self.cap is not None else 0.0
         vmax = float(np.max(np.abs(self.v_diag))) if len(self.v_diag) else 0.0
         return self.stencil.coeff_abs_sum() + vmax + capmax

@@ -15,7 +15,7 @@ from scipy.special import jv
 from .escape import CutoffPhi
 from .geometry import KernelPoint, classify, make_bump_pair
 from .model import LatticeHamiltonian, LinearMap, ModelConfig, compose_maps
-from .quantize import op_h, operator_norm, position_weight
+from .quantize import operator_norm, position_weight
 from .resolvent import DecayFit
 from .symbols import Symbol
 
@@ -52,8 +52,11 @@ class EnergyCutoff:
 class ChebyshevPlan:
     """First-kind Chebyshev series of a function on [center-radius, center+radius].
 
-    The enclosure radius is the crude stencil bound sum|gamma| + max|V| + CAP
-    strength, so the spectrum is covered with slack.
+    The enclosure is H.spectral_interval(), a rigorous interval for the
+    spectrum of the hermitian H0 + V, widened by a relative 1e-9. It is
+    about half as wide as the crude norm bound spectral_bound(), so plans
+    need about half the terms. A CAP spectrum leaves the real axis, so plans
+    refuse non-hermitian H.
     """
 
     center: float
@@ -63,7 +66,11 @@ class ChebyshevPlan:
 
     @classmethod
     def enclosure_for(cls, H: LatticeHamiltonian):
-        return 0.0, H.spectral_bound() * (1.0 + 1e-9) + 1e-12
+        """(center, radius) of the interval the series is built on."""
+        if not H.hermitian:
+            raise ValueError("Chebyshev plans need a hermitian (CAP-free) Hamiltonian")
+        lo, hi = H.spectral_interval()
+        return 0.5 * (lo + hi), 0.5 * (hi - lo) * (1.0 + 1e-9) + 1e-12
 
     @classmethod
     def for_function(cls, H: LatticeHamiltonian, f: Callable, tol: float = 1e-12,
@@ -101,7 +108,12 @@ class ChebyshevPlan:
         return len(self.coeffs)
 
     def apply(self, H: LinearMap, u, adjoint: bool = False):
-        """Sum c_k T_k((H-c)/r) u with a divergence monitor on the iterates."""
+        """Sum c_k T_k((H-c)/r) u with a divergence monitor on the iterates.
+
+        The three-term recurrence runs in place on preallocated buffers; the
+        only allocation per term is the matvec output, which H must return
+        as a new array.
+        """
         u = np.asarray(u, dtype=complex)
         co = np.conj(self.coeffs) if adjoint else self.coeffs
         c, r = self.center, self.radius
@@ -110,12 +122,19 @@ class ChebyshevPlan:
         acc = co[0] * T0
         if len(co) == 1:
             return acc
-        T1 = (Hap(u) - c * u) / r
-        acc = acc + co[1] * T1
+        scratch = np.empty_like(acc)
+        T1 = Hap(u)
+        T1 -= np.multiply(u, c, out=scratch)
+        T1 /= r
+        acc += np.multiply(T1, co[1], out=scratch)
         cap = 50.0 * np.linalg.norm(u) + 1e-300
+        two_r, two_c_r = 2.0 / r, 2.0 * c / r
         for k in range(2, len(co)):
-            T2 = 2.0 * (Hap(T1) - c * T1) / r - T0
-            acc = acc + co[k] * T2
+            T2 = Hap(T1)
+            T2 *= two_r
+            T2 -= np.multiply(T1, two_c_r, out=scratch)
+            T2 -= T0
+            acc += np.multiply(T2, co[k], out=scratch)
             T0, T1 = T1, T2
             if k % 64 == 0 and np.linalg.norm(T2) > cap:
                 raise EnclosureError("Chebyshev iterates grow: enclosure violated")
@@ -158,9 +177,8 @@ def evolve(H: LatticeHamiltonian, u, t: float, tol: float = 1e-12):
 
 
 def evolve_map(H: LatticeHamiltonian, t: float, tol: float = 1e-12) -> LinearMap:
-    """e^{-itH} as a LinearMap (adjoint is backward evolution)."""
-    if not H.hermitian:
-        raise ValueError("evolve_map needs a hermitian (CAP-free) Hamiltonian")
+    """e^{-itH} as a LinearMap (adjoint is backward evolution); H must be
+    hermitian (CAP-free)."""
     plan = ChebyshevPlan.for_evolution(H, t, tol=min(tol, 1e-13))
 
     def fwd(u):
@@ -173,12 +191,16 @@ def evolve_map(H: LatticeHamiltonian, t: float, tol: float = 1e-12) -> LinearMap
 
 
 def apply_f_of_H(H: LatticeHamiltonian, cutoff: EnergyCutoff, u, tol: float = 1e-12):
-    """f(H) u by Chebyshev interpolation of the cutoff profile."""
+    """f(H) u by Chebyshev interpolation of the cutoff profile.
+
+    H must be hermitian (CAP-free); a CAP raises ValueError.
+    """
     plan = _function_plan(H, cutoff, tol)
     return plan.apply(H, u)
 
 
 def f_of_H_map(H: LatticeHamiltonian, cutoff: EnergyCutoff, tol: float = 1e-12) -> LinearMap:
+    """f(H) as a LinearMap; H must be hermitian (CAP-free)."""
     plan = _function_plan(H, cutoff, tol)
     return LinearMap(H.dim, lambda u: plan.apply(H, u),
                      lambda u: plan.apply(H, u, adjoint=True),
@@ -355,63 +377,54 @@ def propagation_probe(model_cfg: ModelConfig, kp: KernelPoint, lam: float,
 def _propagation_sup(H: LatticeHamiltonian, a1: Symbol, a2: Symbol, h: float,
                      cutoff: EnergyCutoff, t_grid: np.ndarray, norm_tol: float,
                      seed=None):
-    """Exact finite-rank norms via evolved columns when the right symbol has
-    finite x-support; power iteration otherwise."""
+    """Exact finite-rank norms of Op^h(a1) e^{-itH} f(H) Op^h(a2) on t_grid.
+
+    Both symbols must be separable with finite x-support. With E the
+    injection of the support S2 of the right symbol and G = Q Lam Q* the
+    gram of Op^h(a2) on S2, the norm at t is sigma_max of
+    Op^h(a1) e^{-itH} f(H) E Q_k Lam_k^{1/2}, where k keeps the eigenvalues
+    above 1e-13 * max Lam. Only those k columns are evolved, incrementally
+    across the grid. The column route is exact, so norm_tol and seed are
+    unused; they keep the signature of the other norm probes.
+    """
+    if not (a1.separable and a2.separable):
+        raise NotImplementedError("the propagation probe needs separable symbols")
     box = H.box
     sites = box.sites()[:, 0].astype(float)
-    if a1.separable and a2.separable:
-        b1 = np.asarray(a1.x_part(h * sites), dtype=complex)
-        c1 = np.asarray(a1.xi_part(box.xi_axis()), dtype=complex)
-        b2 = np.asarray(a2.x_part(h * sites), dtype=complex)
-        c2 = np.asarray(a2.xi_part(box.xi_axis()), dtype=complex)
-        S1 = _sites_of_support(b1)
-        S2 = _sites_of_support(b2)
-        if len(S2) == 0 or len(S1) == 0:
-            return 0.0, [{"t": t, "norm": 0.0, "chebyshev_terms": 0, "seconds": 0.0}
-                         for t in t_grid]
-        N = box.site_count
-        cols = np.zeros((N, len(S2)), dtype=complex)
-        cols[S2, np.arange(len(S2))] = 1.0
-        plan_f = _function_plan(H, cutoff, 1e-12)
-        Z = plan_f.apply(H, cols)
-        K2 = np.fft.ifft(np.abs(c2) ** 2)
-        gram = (b2[S2, None] * np.conj(b2[S2][None, :])) * K2[(S2[:, None] - S2[None, :]) % N]
-        gram = (gram + gram.conj().T) / 2.0
-        sup = 0.0
-        rows = []
-        t_prev = 0.0
-        terms_total = 0
-        for t in t_grid:
-            t0 = time.perf_counter()
-            dt = t - t_prev
-            terms = 0
-            if dt > 0:
-                plan = ChebyshevPlan.for_evolution(H, dt)
-                Z = plan.apply(H, Z)
-                terms = plan.n_terms
-                terms_total += terms
-            t_prev = t
-            Y = (b1[:, None] * np.fft.ifft(c1[:, None] * np.fft.fft(Z, axis=0), axis=0))[S1, :]
-            small = Y @ gram @ Y.conj().T
-            val = float(np.sqrt(max(np.linalg.eigvalsh(small)[-1].real, 0.0)))
-            sup = max(sup, val)
-            rows.append({"t": float(t), "norm": val, "chebyshev_terms": terms,
-                         "seconds": time.perf_counter() - t0})
-        return sup, rows
-    # generic fallback: one power iteration per grid time
-    A1 = op_h(a1, h, box)
-    A2 = op_h(a2, h, box)
-    f_map = f_of_H_map(H, cutoff)
+    b1 = np.asarray(a1.x_part(h * sites), dtype=complex)
+    c1 = np.asarray(a1.xi_part(box.xi_axis()), dtype=complex)
+    b2 = np.asarray(a2.x_part(h * sites), dtype=complex)
+    c2 = np.asarray(a2.xi_part(box.xi_axis()), dtype=complex)
+    S1 = _sites_of_support(b1)
+    S2 = _sites_of_support(b2)
+    N = box.site_count
+    K2 = np.fft.ifft(np.abs(c2) ** 2)
+    gram = (b2[S2, None] * np.conj(b2[S2][None, :])) * K2[(S2[:, None] - S2[None, :]) % N]
+    g_vals, Q = np.linalg.eigh((gram + gram.conj().T) / 2.0)
+    keep = g_vals > 1e-13 * g_vals.max(initial=0.0)
+    k = int(np.count_nonzero(keep))
+    if len(S1) == 0 or k == 0:
+        return 0.0, [{"t": float(t), "norm": 0.0, "chebyshev_terms": 0, "columns": 0,
+                      "seconds": 0.0} for t in t_grid]
+    Z = np.zeros((N, k), dtype=complex)
+    Z[S2, :] = Q[:, keep] * np.sqrt(g_vals[keep])
+    Z = _function_plan(H, cutoff, 1e-12).apply(H, Z)
     sup = 0.0
     rows = []
+    t_prev = 0.0
     for t in t_grid:
         t0 = time.perf_counter()
-        U = evolve_map(H, t)
-        val, _ = operator_norm(compose_maps(A1, U, f_map, A2), tol=norm_tol,
-                               return_info=True, seed=seed)
+        dt = t - t_prev
+        terms = 0
+        if dt > 0:
+            plan = ChebyshevPlan.for_evolution(H, dt)
+            Z = plan.apply(H, Z)
+            terms = plan.n_terms
+        t_prev = t
+        Y = (b1[:, None] * np.fft.ifft(c1[:, None] * np.fft.fft(Z, axis=0), axis=0))[S1, :]
+        val = float(np.sqrt(max(np.linalg.eigvalsh(Y.conj().T @ Y)[-1], 0.0)))
         sup = max(sup, val)
-        rows.append({"t": float(t), "norm": val,
-                     "chebyshev_terms": ChebyshevPlan.for_evolution(H, t).n_terms,
+        rows.append({"t": float(t), "norm": val, "chebyshev_terms": terms, "columns": k,
                      "seconds": time.perf_counter() - t0})
     return sup, rows
 

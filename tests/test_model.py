@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latscat.model import (Box, CAPProfile, CriticalValueError, EmptyShellError,
-                           Potential, Stencil, assemble_hamiltonian, build_p0,
-                           check_energy_window, laplacian_stencil, velocity,
+                           ModelConfig, Potential, Stencil, assemble_hamiltonian, build_p0,
+                           check_energy_window, laplacian_stencil, to_dense, velocity,
                            verify_adjoint)
 
 
@@ -175,3 +175,69 @@ def test_model_config_assemble(longrange_model):
     Hh = longrange_model.assemble(32, with_cap=False)
     assert Hh.hermitian
     assert H.spectral_bound() >= 2.0 + 0.5
+
+
+def _slice_loop_apply(H, u, diag):
+    """Reference matvec: one shifted-slice update per stencil hop."""
+    u = np.asarray(u)
+    trail = u.shape[1:]
+    grid = u.reshape(H.box.shape + trail)
+    out = (diag.reshape(H.box.shape + (1,) * len(trail)) * grid).astype(complex)
+    n = H.box.n_per_axis
+    for o, g in H.hops:
+        if any(abs(m) >= n for m in o):
+            continue
+        dst = tuple(slice(max(0, m), n + min(0, m)) for m in o)
+        src = tuple(slice(max(0, -m), n + min(0, -m)) for m in o)
+        out[dst] += g * grid[src]
+    return out.reshape(u.shape)
+
+
+def _longrange(dim):
+    return ModelConfig(stencil=laplacian_stencil(dim),
+                       potential=Potential(mu=0.5, amplitude=0.5, form="power_law"))
+
+
+@pytest.mark.parametrize("dim,radius", [(1, 40), (2, 9)])
+@pytest.mark.parametrize("with_cap", [False, True])
+def test_sparse_matvec_matches_slice_loop(dim, radius, with_cap, rng):
+    H = _longrange(dim).assemble(radius, with_cap=with_cap)
+    diag = H.onsite + H.v_diag
+    fwd_diag, adj_diag = diag - 1j * H.cap_diag, diag + 1j * H.cap_diag
+    block = rng.standard_normal((H.dim, 5)) + 1j * rng.standard_normal((H.dim, 5))
+    for u in (block, block[:, 0].copy(), block.real.copy(), block[:, 1].real.copy()):
+        for got, want in ((H(u), _slice_loop_apply(H, u, fwd_diag)),
+                          (H.adjoint_apply(u), _slice_loop_apply(H, u, adj_diag))):
+            assert got.shape == u.shape and got.dtype == np.complex128
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(u))
+    # dense() is the hermitian part with the branch diagonal added
+    herm = H.hermitian_part_map()
+    assert herm is H.hermitian_part_map() and herm.hermitian
+    M = H.dense(branch_sign=-1, eps=0.25, shift=1.0)
+    oracle = to_dense(herm) - np.diag(1.0 - 1j * (H.cap_diag + 0.25))
+    assert np.max(np.abs(M - oracle)) <= 1e-15
+
+
+@pytest.mark.parametrize("dim,radius", [(1, 64), (2, 10)])
+@pytest.mark.parametrize("amplitude", [0.0, 0.5])
+def test_spectral_interval_encloses_dense_spectrum(dim, radius, amplitude):
+    form = "power_law" if amplitude else "none"
+    model = ModelConfig(stencil=laplacian_stencil(dim),
+                        potential=Potential(mu=0.5, amplitude=amplitude, form=form))
+    H = model.assemble(radius, with_cap=False)
+    lo, hi = H.spectral_interval()
+    evals = np.linalg.eigvalsh(H.dense())
+    slack = 1e-13 * H.spectral_bound()  # rounding of the dense eigensolver
+    assert lo - slack <= evals[0] and evals[-1] <= hi + slack
+    assert (hi - lo) / 2.0 <= 0.55 * H.spectral_bound()
+
+
+@given(symmetric_stencils(), st.floats(-1.0, 1.0))
+@settings(max_examples=25, deadline=None)
+def test_spectral_interval_encloses_random_stencils(stn, amplitude):
+    H = assemble_hamiltonian(stn, Potential(mu=0.5, amplitude=amplitude, form="dipole"),
+                             Box(1, 8))
+    lo, hi = H.spectral_interval()
+    evals = np.linalg.eigvalsh(H.dense())
+    slack = 1e-13 * H.spectral_bound()  # rounding of the dense eigensolver
+    assert lo - slack <= evals[0] and evals[-1] <= hi + slack

@@ -9,6 +9,7 @@ from latscat.propagate import (ChebyshevPlan, EnclosureError, EnergyCutoff,
                                _propagation_sup)
 from latscat.quantize import op_h, operator_norm
 from latscat.resolvent import DecayFit
+from latscat.symbols import Symbol
 
 
 @pytest.fixture()
@@ -146,11 +147,24 @@ def test_propagation_offshell_case(free_model):
     oracle_t4 = np.linalg.svd(A1 @ U4 @ fH @ A2, compute_uv=False)[0]
     got_t4 = [r["norm"] for r in rows if r["t"] == 4.0][0]
     assert got_t4 == pytest.approx(oracle_t4, rel=1e-9)
+    # every t row, not only t = 4
+    for r in rows:
+        Ut = Q @ (np.exp(-1j * r["t"] * evals)[:, None] * Q.conj().T)
+        oracle = np.linalg.svd(A1 @ Ut @ fH @ A2, compute_uv=False)[0]
+        assert abs(r["norm"] - oracle) <= 1e-11
     # rapid shrink: two h-halvings gain a factor >= 30 (frozen: 9.7e-3 -> 1.6e-4)
     H32 = free_model.assemble(256, with_cap=False)
     sup32, _ = _propagation_sup(H32, a1, a2, 0.03125, cutoff,
                                 np.r_[0.0, np.geomspace(0.5, 200.0, 15)], norm_tol=1e-2)
     assert sup32 <= sup / 30.0
+
+
+def test_propagation_sup_rejects_non_separable(small_H):
+    cutoff = EnergyCutoff(lam=1.0, eps_f=0.25)
+    a1, a2 = make_bump_pair((2.0, np.pi / 2), (-1.5, -np.pi / 2), 0.5, 0.4)
+    joint = Symbol(dim=1, eval=a2.eval)
+    with pytest.raises(NotImplementedError, match="separable"):
+        _propagation_sup(small_H, a1, joint, 0.25, cutoff, np.array([0.0]), norm_tol=1e-2)
 
 
 def test_propagation_probe_modes(free_model):
@@ -221,6 +235,16 @@ def test_evolve_cap_dense_fallback(longrange_model, rng):
     u = rng.standard_normal(H.dim) + 1j * rng.standard_normal(H.dim)
     v = evolve(H, u, 30.0)
     assert np.linalg.norm(v) < np.linalg.norm(u)
+
+
+def test_f_of_h_rejects_cap(longrange_model, rng):
+    # a real-interval Chebyshev series does not enclose a CAP spectrum
+    H = longrange_model.assemble(24)
+    cutoff = EnergyCutoff(lam=1.0, eps_f=0.25)
+    with pytest.raises(ValueError, match="hermitian"):
+        apply_f_of_H(H, cutoff, rng.standard_normal(H.dim))
+    with pytest.raises(ValueError, match="hermitian"):
+        f_of_H_map(H, cutoff)
 
 
 def test_f_of_h_flat_cutoff_is_identity(small_H, rng):
