@@ -27,16 +27,14 @@ from .quantize import (NormConvergenceError, ResolutionError, fourier_multiplier
                        op_h, operator_norm, position_weight)
 from .propagate import EnclosureError, EnergyCutoff, evolve, local_decay_probe, propagation_probe
 from .recipes import RECIPES, recipe_config, recipe_lines
-from .resolvent import (LAPConfig, LAPConvergenceError, SolverBreakdownError,
-                        default_epsilon_sequence, free_kernel_1d, ik_probe, lap_solve,
-                        one_sided_probe, wf_probe)
+from .resolvent import (LAPConfig, LAPConvergenceError, default_epsilon_sequence,
+                        free_kernel_1d, ik_probe, lap_solve, one_sided_probe, wf_probe)
 from .util import rng
 
 EXIT_OK, EXIT_CRITERION, EXIT_SCHEMA, EXIT_NUMERICAL = 0, 1, 2, 3
 
-NUMERICAL_ERRORS = (LAPConvergenceError, SolverBreakdownError, NormConvergenceError,
-                    EnclosureError, ResolutionError, FloatingPointError,
-                    np.linalg.LinAlgError)
+NUMERICAL_ERRORS = (LAPConvergenceError, NormConvergenceError, EnclosureError,
+                    ResolutionError, FloatingPointError, np.linalg.LinAlgError)
 
 
 def _lap_from(cfg: ExperimentConfig, lam: float, sign: int = +1) -> LAPConfig:
@@ -246,8 +244,8 @@ def _run_calculus(cfg: ExperimentConfig, jobs, seed):
     H = model.assemble(48, with_cap=True)
     eps1, eps2 = 1e-2, 2e-2
     from .resolvent import _ShiftedSolver
-    s1 = _ShiftedSolver(H, lam, +1, eps1, "banded-direct")
-    s2 = _ShiftedSolver(H, lam, +1, eps2, "banded-direct")
+    s1 = _ShiftedSolver(H, lam, +1, eps1)
+    s2 = _ShiftedSolver(H, lam, +1, eps2)
     v = g.standard_normal(H.dim) + 1j * g.standard_normal(H.dim)
     lhs = s1.solve(v) - s2.solve(v)
     rhs = (1j * eps1 - 1j * eps2) * s1.solve(s2.solve(v))
@@ -360,13 +358,17 @@ def main(argv=None) -> int:
         return EXIT_OK
     try:
         if args.recipe:
-            cfg = parse_config(recipe_config(args.recipe))
+            try:
+                text = recipe_config(args.recipe)
+            except KeyError as exc:
+                raise ConfigError(str(exc)) from exc
+            cfg = parse_config(text)
         elif args.config:
             cfg = parse_config_file(args.config)
         else:
             raise ConfigError("run needs a config path or --recipe")
         return run(cfg, out_dir=args.out, jobs=args.jobs, seed=args.seed)
-    except (ConfigError, KeyError, FileNotFoundError) as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"CONFIG ERROR: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
 

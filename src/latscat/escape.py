@@ -205,8 +205,7 @@ def build_phi0(ladder: EscapeLadder, t: float) -> Symbol:
         return np.asarray(phi(angle_diff(xi, xi2) / d2))
 
     meta = SupportMeta(np.atleast_1d(y), ell, np.atleast_1d(xi2), d2)
-    return separable_symbol(1, b, c, class_tag="S_ht", order=0, support_meta=meta,
-                            params={"h": ladder.h, "t": t})
+    return separable_symbol(1, b, c, support_meta=meta)
 
 
 def build_psi0(ladder: EscapeLadder, t: float) -> Symbol:
@@ -221,8 +220,7 @@ def build_psi0(ladder: EscapeLadder, t: float) -> Symbol:
         return np.asarray(phi.psi(angle_diff(xi, xi2) / d2))
 
     meta = SupportMeta(np.atleast_1d(y), ell, np.atleast_1d(xi2), d2)
-    return separable_symbol(1, b, c, class_tag="S_ht", order=0, support_meta=meta,
-                            params={"h": ladder.h, "t": t})
+    return separable_symbol(1, b, c, support_meta=meta)
 
 
 def build_psi_j(ladder: EscapeLadder, j: int, t: float) -> Symbol:
@@ -245,8 +243,7 @@ def build_psi_j(ladder: EscapeLadder, j: int, t: float) -> Symbol:
         return np.asarray(phi.psi(angle_diff(xi, xi2) / rj))
 
     meta = SupportMeta(np.atleast_1d(y), ellj, np.atleast_1d(xi2), rj)
-    return separable_symbol(1, b, c, class_tag="S_ht", order=0, support_meta=meta,
-                            params={"h": ladder.h, "t": t, "j": j})
+    return separable_symbol(1, b, c, support_meta=meta)
 
 
 @dataclass(frozen=True)
@@ -311,8 +308,7 @@ def build_phi0_rate(ladder: EscapeLadder, t: float) -> Symbol:
     def c(xi):
         return np.asarray(phi(angle_diff(xi, xi2) / d2))
 
-    return separable_symbol(1, b, c, class_tag="S_ht", order=-1,
-                            params={"h": ladder.h, "t": t})
+    return separable_symbol(1, b, c)
 
 
 def build_psi_j_rate(ladder: EscapeLadder, j: int, t: float) -> Symbol:
@@ -335,8 +331,7 @@ def build_psi_j_rate(ladder: EscapeLadder, j: int, t: float) -> Symbol:
     def c(xi):
         return np.asarray(phi.psi(angle_diff(xi, xi2) / rj))
 
-    return separable_symbol(1, b, c, class_tag="S_ht", order=-1,
-                            params={"h": ladder.h, "t": t, "j": j})
+    return separable_symbol(1, b, c)
 
 
 @dataclass

@@ -217,7 +217,7 @@ def make_bump_pair(p1, p2, delta1: float, delta2: float,
             return np.asarray(phi(r / delta2))
 
         meta = SupportMeta(xc_arr, delta1, xic_arr, delta2)
-        return separable_symbol(dim, b, c, class_tag="S_h", order=0, support_meta=meta)
+        return separable_symbol(dim, b, c, support_meta=meta)
 
     return one(p1), one(p2)
 
@@ -265,9 +265,7 @@ def make_cone_symbol(sign: int, gamma: float, energy_window, r0: float,
             rad = rad * np.asarray(phi(absx / r_out))
         return rad * fE * gfac
 
-    return Symbol(dim=d, eval=ev, class_tag="S", order=0,
-                  params={"sign": int(np.sign(sgn)), "gamma": gamma, "r0": r0,
-                          "r_out": r_out, "window": (lo, hi)})
+    return Symbol(dim=d, eval=ev)
 
 
 @dataclass(frozen=True)

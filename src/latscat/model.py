@@ -139,8 +139,7 @@ def build_p0(stencil: Stencil) -> Symbol:
     def ev(x, xi):
         return ones_x(x) * c(xi)
 
-    return Symbol(dim=stencil.dim, eval=ev, class_tag="S", order=0,
-                  x_part=ones_x, xi_part=c)
+    return Symbol(dim=stencil.dim, eval=ev, x_part=ones_x, xi_part=c)
 
 
 def velocity(stencil: Stencil, xi):
@@ -419,7 +418,6 @@ class LatticeHamiltonian(LinearMap):
             raise ValueError("onsite coefficient must be real")
         self.onsite = onsite.real
         self.hops = hops
-        self._herm_part = None
         self._csr = {}
         super().__init__(box.site_count, lambda u: self._matrix(+1) @ np.asarray(u),
                          lambda u: self._matrix(-1) @ np.asarray(u), hermitian=cap is None,
@@ -427,13 +425,18 @@ class LatticeHamiltonian(LinearMap):
 
     def _matrix(self, cap_sign: int) -> sp.csr_array:
         """H0 + V - i cap_sign W as CSR, assembled on first use: the d=1
-        banded solves never need it. cap_sign 0 is the hermitian part."""
+        banded solves never need it."""
         if self.cap is None:
             cap_sign = 0
         if cap_sign not in self._csr:
-            self._csr[cap_sign] = self._assemble(self.onsite + self.v_diag
-                                                 - 1j * cap_sign * self.cap_diag)
+            self._csr[cap_sign] = self._assemble(self._shifted_diag(0.0, cap_sign, 0.0))
         return self._csr[cap_sign]
+
+    def _shifted_diag(self, shift: complex, branch_sign: int, eps: float) -> np.ndarray:
+        """Diagonal of H0 + V - shift -/+ i(eps + W): branch_sign=+1 gives
+        - i(eps + W), -1 flips both CAP and eps to +i (incoming branch)."""
+        s = 1.0 if branch_sign >= 0 else -1.0
+        return self.onsite + self.v_diag - shift - 1j * s * (self.cap_diag + eps)
 
     def _assemble(self, diag) -> sp.csr_array:
         """The hops plus `diag` on the diagonal, as a complex CSR matrix."""
@@ -452,33 +455,23 @@ class LatticeHamiltonian(LinearMap):
         return sp.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                             shape=(self.box.site_count,) * 2)
 
-    def hermitian_part_map(self) -> "LatticeHamiltonian":
-        """The CAP-free operator H0 + V on the same box (built once, then cached)."""
-        if self.cap is None:
-            return self
-        if self._herm_part is None:
-            self._herm_part = LatticeHamiltonian(self.stencil, self.potential, self.box, cap=None)
-        return self._herm_part
-
     def inner_mask(self) -> np.ndarray:
         """Sites where the CAP vanishes."""
         return self.cap_diag == 0.0
 
-    def banded(self, shift: complex = 0.0, branch_sign: int = +1, eps: float = 0.0):
-        """(d=1) LAPACK band storage of H - shift -/+ i(eps + W) per branch.
+    def shifted(self, shift: complex, branch_sign: int = +1, eps: float = 0.0) -> sp.csc_array:
+        """H0 + V - shift -/+ i(eps + W) per branch as a CSC matrix, the
+        format of the sparse LU the d >= 2 solves use."""
+        return self._assemble(self._shifted_diag(shift, branch_sign, eps)).tocsc()
 
-        branch_sign=+1 gives H - shift - i(eps + W); -1 flips both CAP and
-        eps to +i (incoming branch).
-        """
+    def banded(self, shift: complex = 0.0, branch_sign: int = +1, eps: float = 0.0):
+        """(d=1) LAPACK band storage of H0 + V - shift -/+ i(eps + W) per branch."""
         if self.box.dim != 1:
             raise ValueError("banded storage only for d=1")
         b = self.stencil.bandwidth
         N = self.box.site_count
         ab = np.zeros((2 * b + 1, N), dtype=complex)
-        s = 1.0 if branch_sign >= 0 else -1.0
-        diag = (self.onsite + self.v_diag - shift
-                - 1j * s * (self.cap_diag + eps))
-        ab[b, :] = diag
+        ab[b, :] = self._shifted_diag(shift, branch_sign, eps)
         for o, g in self.hops:
             m = o[0]
             # entry H[i, j] with j = i - m lives in ab[b + (i - j), j] = ab[b + m, j]
@@ -489,15 +482,11 @@ class LatticeHamiltonian(LinearMap):
                 ab[row, -m:] = g
         return ab
 
-    def dense(self, branch_sign: int = +1, eps: float = 0.0, shift: complex = 0.0):
-        """Dense matrix of H_herm - shift -/+ i(eps + W) per branch (small boxes)."""
-        n = self.box.site_count
-        if n > 4200:
+    def dense(self) -> np.ndarray:
+        """Dense matrix of H (small boxes only)."""
+        if self.box.site_count > 4200:
             raise ValueError("box too large to densify")
-        out = self._matrix(0).toarray()
-        s = 1.0 if branch_sign >= 0 else -1.0
-        np.fill_diagonal(out, np.diag(out) - shift - 1j * s * (self.cap_diag + eps))
-        return out
+        return self._matrix(+1).toarray()
 
     def spectral_interval(self) -> tuple:
         """Interval [lo, hi] that contains the spectrum of H0 + V (the CAP is

@@ -31,10 +31,6 @@ class LAPConvergenceError(RuntimeError):
     """No epsilon in the sequence stabilized the inner-region solution."""
 
 
-class SolverBreakdownError(RuntimeError):
-    pass
-
-
 def default_epsilon_sequence(k_min: int = 3, k_max: int = 20) -> tuple:
     return tuple(2.0 ** (-k) for k in range(k_min, k_max + 1))
 
@@ -51,7 +47,6 @@ class LAPConfig:
     lam: float
     epsilon_sequence: tuple = field(default_factory=default_epsilon_sequence)
     sign: int = +1
-    solver: str = "auto"            # banded-direct | dense-direct | iterative | auto
     convergence_tol: float = 1e-3
 
     def __post_init__(self):
@@ -61,8 +56,6 @@ class LAPConfig:
         object.__setattr__(self, "epsilon_sequence", eps)
         if self.sign not in (+1, -1):
             raise ValueError("sign must be +1 or -1")
-        if self.solver not in ("auto", "banded-direct", "dense-direct", "iterative"):
-            raise ValueError(f"unknown solver {self.solver!r}")
 
 
 @dataclass
@@ -91,78 +84,40 @@ class DecayFit:
                    intercept=intercept, max_residual=resid)
 
 
-def _solver_kind(H: LatticeHamiltonian, solver: str) -> str:
-    if solver != "auto":
-        return solver
-    if H.box.dim == 1:
-        return "banded-direct"
-    if H.box.site_count <= 2048:
-        return "dense-direct"
-    return "iterative"
-
-
 class _ShiftedSolver:
-    """Factorized solver for (H_herm - lam -/+ i(eps + W)) and its adjoint."""
+    """(H0 + V - lam -/+ i(eps + W))^(-1) and its adjoint, factored once:
+    LAPACK band solves for d=1, one sparse LU for d >= 2 whose adjoint is a
+    conjugate-transpose solve on the same factors."""
 
-    def __init__(self, H: LatticeHamiltonian, lam: float, sign: int, eps: float,
-                 kind: str, gmres_maxiter: int = 2000, gmres_tol: float = 1e-10):
-        self.H, self.lam, self.sign, self.eps, self.kind = H, lam, sign, eps, kind
-        b = H.stencil.bandwidth
-        if kind == "banded-direct":
+    def __init__(self, H: LatticeHamiltonian, lam: float, sign: int, eps: float):
+        self.H = H
+        if H.box.dim == 1:
             self._ab_f = H.banded(shift=lam, branch_sign=sign, eps=eps)
             self._ab_a = H.banded(shift=lam, branch_sign=-sign, eps=eps)
-            self._b = b
-        elif kind == "dense-direct":
-            M = H.dense(branch_sign=sign, eps=eps, shift=lam)
-            self._lu_f = sla.lu_factor(M)
-            self._lu_a = sla.lu_factor(M.conj().T)
-        elif kind == "iterative":
-            self._gm = (gmres_maxiter, gmres_tol)
+            self._b = H.stencil.bandwidth
         else:
-            raise ValueError(kind)
-
-    def _mat_apply(self, u, sign):
-        s = 1.0 if sign >= 0 else -1.0
-        herm = self.H.hermitian_part_map()
-        return herm(u) - self.lam * u - 1j * s * (self.H.cap_diag + self.eps) * np.asarray(u)
-
-    def _gmres(self, rhs, sign):
-        n = self.H.dim
-        maxiter, tol = self._gm
-        diag = (self.H.onsite + self.H.v_diag - self.lam
-                - 1j * (1.0 if sign >= 0 else -1.0) * (self.H.cap_diag + self.eps))
-        A = spla.LinearOperator((n, n), matvec=lambda u: self._mat_apply(u, sign), dtype=complex)
-        M = spla.LinearOperator((n, n), matvec=lambda u: u / diag, dtype=complex)
-        u, info = spla.gmres(A, rhs, rtol=tol, atol=0.0, maxiter=maxiter, M=M)
-        if info != 0:
-            raise SolverBreakdownError(f"gmres failed (info={info}, eps={self.eps:g})")
-        return u
+            self._lu = spla.splu(H.shifted(lam, sign, eps))
 
     def solve(self, rhs):
         rhs = np.asarray(rhs, dtype=complex)
-        if self.kind == "banded-direct":
+        if self.H.box.dim == 1:
             return sla.solve_banded((self._b, self._b), self._ab_f, rhs)
-        if self.kind == "dense-direct":
-            return sla.lu_solve(self._lu_f, rhs)
-        return self._gmres(rhs, self.sign)
+        return self._lu.solve(rhs)
 
     def solve_adjoint(self, rhs):
         rhs = np.asarray(rhs, dtype=complex)
-        if self.kind == "banded-direct":
+        if self.H.box.dim == 1:
             return sla.solve_banded((self._b, self._b), self._ab_a, rhs)
-        if self.kind == "dense-direct":
-            return sla.lu_solve(self._lu_a, rhs)
-        return self._gmres(rhs, -self.sign)
+        return self._lu.solve(rhs, trans="H")
 
 
 def _lap_iterate(H: LatticeHamiltonian, cfg: LAPConfig, rhs):
     """Walk the epsilon ladder until inner-region stabilization."""
-    kind = _solver_kind(H, cfg.solver)
     inner = H.inner_mask()
     prev = None
     diffs = []
     for k, eps in enumerate(cfg.epsilon_sequence):
-        sol = _ShiftedSolver(H, cfg.lam, cfg.sign, eps, kind)
+        sol = _ShiftedSolver(H, cfg.lam, cfg.sign, eps)
         u = sol.solve(rhs)
         if prev is not None:
             denom = np.linalg.norm(prev[inner])

@@ -1,16 +1,13 @@
-"""Phase-space symbols a(x, xi) on R^d x T^d with class tags and support metadata."""
+"""Phase-space symbols a(x, xi) on R^d x T^d with support metadata."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .util import torus_distance
-
-# Recognized symbol-class tags: "S0", "Sm", "S0_h", "Sm_h", "S0_ht", ...
-CLASS_TAGS = ("S", "S_h", "S_ht")
 
 
 @dataclass(frozen=True)
@@ -39,9 +36,6 @@ class Symbol:
 
     dim: int
     eval: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    class_tag: str = "S"
-    order: int = 0
-    params: dict = field(default_factory=dict)
     support_meta: Optional[SupportMeta] = None
     x_part: Optional[Callable[[np.ndarray], np.ndarray]] = None
     xi_part: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -54,27 +48,13 @@ class Symbol:
         return self.eval(x, xi)
 
 
-def separable_symbol(dim, b, c, class_tag="S", order=0, support_meta=None, params=None):
+def separable_symbol(dim, b, c, support_meta=None):
     """Symbol a(x, xi) = b(x) c(xi)."""
 
     def ev(x, xi):
         return np.asarray(b(x)) * np.asarray(c(xi))
 
-    return Symbol(dim=dim, eval=ev, class_tag=class_tag, order=order,
-                  params=params or {}, support_meta=support_meta,
-                  x_part=b, xi_part=c)
-
-
-def multiplier_symbol(dim, c, class_tag="S", order=0):
-    """xi-only symbol a(x, xi) = c(xi)."""
-    return separable_symbol(dim, lambda x: np.ones(np.shape(x)[:-1] if dim > 1 else np.shape(x)), c,
-                            class_tag=class_tag, order=order)
-
-
-def position_symbol(dim, b, class_tag="S", order=0, support_meta=None):
-    """x-only symbol a(x, xi) = b(x)."""
-    return separable_symbol(dim, b, lambda xi: np.ones(np.shape(xi)[:-1] if dim > 1 else np.shape(xi)),
-                            class_tag=class_tag, order=order, support_meta=support_meta)
+    return Symbol(dim=dim, eval=ev, support_meta=support_meta, x_part=b, xi_part=c)
 
 
 def constant_symbol(dim, value=1.0):
@@ -83,7 +63,7 @@ def constant_symbol(dim, value=1.0):
 
 
 def check_bounded(symbol: Symbol, x_samples, xi_samples, bound=None):
-    """Grid check that an S^0-tagged symbol is finite (and below `bound`)."""
+    """Grid check that a symbol is finite (and below `bound`)."""
     vals = symbol(x_samples, xi_samples)
     if not np.all(np.isfinite(vals)):
         raise ValueError("symbol evaluates non-finite on sample grid")

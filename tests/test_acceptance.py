@@ -160,8 +160,8 @@ def test_criterion_9_calculus_suite(free_model, longrange_model):
     checks["disjoint-support slope >= 3"] = slope >= 3.0
     H = longrange_model.assemble(128)
     from latscat.resolvent import _ShiftedSolver
-    s1 = _ShiftedSolver(H, LAM, +1, 1e-2, "banded-direct")
-    s2 = _ShiftedSolver(H, LAM, +1, 2e-2, "banded-direct")
+    s1 = _ShiftedSolver(H, LAM, +1, 1e-2)
+    s2 = _ShiftedSolver(H, LAM, +1, 2e-2)
     v = g.standard_normal(H.dim) + 1j * g.standard_normal(H.dim)
     lhs = s1.solve(v) - s2.solve(v)
     rhs = (1j * 1e-2 - 1j * 2e-2) * s1.solve(s2.solve(v))

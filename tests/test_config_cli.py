@@ -56,6 +56,18 @@ def test_cli_exit_codes(tmp_path):
     assert main(["list-recipes"]) == EXIT_OK
 
 
+def test_probe_key_error_is_not_a_config_error(tmp_path, monkeypatch):
+    # a KeyError from a bug inside a probe must not exit 2 as a config mistake
+    import latscat.cli as cli
+
+    def broken(cfg, jobs, seed):
+        raise KeyError("bug inside the probe")
+
+    monkeypatch.setitem(cli._RUNNERS, "calculus", broken)
+    with pytest.raises(KeyError, match="bug inside the probe"):
+        main(["run", "--recipe", "calculus-invariants", "--out", str(tmp_path)])
+
+
 def test_numerical_error_exit(tmp_path):
     # an epsilon ladder too shallow to stabilize raises a numerical error
     cfg = parse_config("""

@@ -210,12 +210,14 @@ def test_sparse_matvec_matches_slice_loop(dim, radius, with_cap, rng):
                           (H.adjoint_apply(u), _slice_loop_apply(H, u, adj_diag))):
             assert got.shape == u.shape and got.dtype == np.complex128
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(u))
-    # dense() is the hermitian part with the branch diagonal added
-    herm = H.hermitian_part_map()
-    assert herm is H.hermitian_part_map() and herm.hermitian
-    M = H.dense(branch_sign=-1, eps=0.25, shift=1.0)
-    oracle = to_dense(herm) - np.diag(1.0 - 1j * (H.cap_diag + 0.25))
-    assert np.max(np.abs(M - oracle)) <= 1e-15
+    # dense() is H itself; shifted() is H0 + V - shift -/+ i(eps + W)
+    assert np.max(np.abs(H.dense() - to_dense(H))) <= 1e-15
+    for sign in (+1, -1):
+        M = H.shifted(1.0, branch_sign=sign, eps=0.25)
+        assert M.format == "csc"
+        shifted_diag = diag - 1.0 - 1j * sign * (H.cap_diag + 0.25)
+        oracle = _slice_loop_apply(H, np.eye(H.dim), shifted_diag)
+        assert np.max(np.abs(M.toarray() - oracle)) <= 1e-15
 
 
 @pytest.mark.parametrize("dim,radius", [(1, 64), (2, 10)])

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from latscat.geometry import KernelPoint, make_bump_pair
-from latscat.model import identity_map, scale_map
+from latscat.model import ModelConfig, Potential, identity_map, laplacian_stencil, scale_map
 from latscat.quantize import op_h
-from latscat.resolvent import (DecayFit, LAPConfig, LAPConvergenceError,
+from latscat.resolvent import (DecayFit, LAPConfig, LAPConvergenceError, _ShiftedSolver,
                                default_epsilon_sequence, free_kernel_1d, ik_probe,
                                lap_solve, one_sided_probe, resolvent_map,
                                sandwich_norm, wf_probe)
@@ -192,28 +192,42 @@ def test_one_sided_empty_cone(free_model):
     assert max(r.norm for r in res.rows) <= 1e-280
 
 
-def test_iterative_solver_d2_matches_dense():
-    # 2d box: GMRES with diagonal-shift preconditioning against the dense LU
-    from latscat.model import ModelConfig, Potential, laplacian_stencil
-    from latscat.resolvent import _ShiftedSolver
-    model = ModelConfig(stencil=laplacian_stencil(2), potential=Potential())
-    H = model.assemble(8)
+def _longrange(dim):
+    return ModelConfig(stencil=laplacian_stencil(dim),
+                       potential=Potential(mu=0.5, amplitude=0.5, form="power_law"))
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("dim,radius", [(1, 40), (2, 8)])
+def test_shifted_solver_matches_dense(dim, radius, sign):
+    # band solves (d=1) and the sparse LU (d>=2) against the assembled matrix
+    H = _longrange(dim).assemble(radius)
+    sol = _ShiftedSolver(H, 1.0, sign, 1e-2)
+    M = H.shifted(1.0, sign, 1e-2).toarray()
     g = np.random.default_rng(3)
-    rhs = g.standard_normal(H.dim) + 1j * g.standard_normal(H.dim)
-    it = _ShiftedSolver(H, 1.0, +1, 1e-2, "iterative")
-    de = _ShiftedSolver(H, 1.0, +1, 1e-2, "dense-direct")
-    u1, u2 = it.solve(rhs), de.solve(rhs)
-    assert np.linalg.norm(u1 - u2) <= 1e-7 * np.linalg.norm(u2)
-    a1, a2 = it.solve_adjoint(rhs), de.solve_adjoint(rhs)
-    assert np.linalg.norm(a1 - a2) <= 1e-7 * np.linalg.norm(a2)
+    b = g.standard_normal(H.dim) + 1j * g.standard_normal(H.dim)
+    assert np.linalg.norm(M @ sol.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
+    assert np.linalg.norm(M.conj().T @ sol.solve_adjoint(b) - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_resolvent_identity_d2():
+    # R(e1) - R(e2) = i(e1 - e2) R(e1) R(e2) on a 4,225-site box
+    H = _longrange(2).assemble(32)
+    eps1, eps2 = 1e-2, 2e-2
+    s1 = _ShiftedSolver(H, 1.0, +1, eps1)
+    s2 = _ShiftedSolver(H, 1.0, +1, eps2)
+    g = np.random.default_rng(5)
+    v = g.standard_normal(H.dim) + 1j * g.standard_normal(H.dim)
+    lhs = s1.solve(v) - s2.solve(v)
+    rhs = 1j * (eps1 - eps2) * s1.solve(s2.solve(v))
+    assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(lhs)
 
 
 def test_sandwich_d2_smoke():
-    # d=2 plumbing composes: classify, op_h on the 2d grid, gmres solves.
+    # d=2 plumbing composes: classify, op_h on the 2d grid, sparse LU solves.
     # Phi bumps cannot resolve on a 25-point-per-axis grid, so the smoke
     # symbols are trigonometric polynomials (entire in xi).
     from latscat.geometry import classify
-    from latscat.model import ModelConfig, Potential, laplacian_stencil
     from latscat.quantize import op_h
     from latscat.symbols import separable_symbol
     model = ModelConfig(stencil=laplacian_stencil(2), potential=Potential())
@@ -223,7 +237,7 @@ def test_sandwich_d2_smoke():
                                   "sigma_prime_plus", "sigma_prime_minus"}
     H = model.assemble(10)
     lap = LAPConfig(lam=1.0, epsilon_sequence=tuple(2.0**-k for k in range(2, 13)),
-                    convergence_tol=0.05, solver="iterative")
+                    convergence_tol=0.05)
 
     def b(x):
         x = np.asarray(x)
