@@ -121,16 +121,14 @@ def _run_local_decay(cfg: ExperimentConfig, jobs, seed):
     cutoff = EnergyCutoff(lam=p["lambda"], eps_f=p["eps_f"])
     tg = np.geomspace(p["t_min"], p["t_max"], p["n_t"])
     res = local_decay_probe(model, cutoff, p["nu"], tg,
-                            box_radius=cfg.model["box_radius"] or 512,
-                            norm_tol=cfg.numerics["norm_tol"], seed=seed)
+                            box_radius=cfg.model["box_radius"] or 512)
     crit = []
     if p["criterion_kappa"] is not None:
         _criterion(crit, f"fitted kappa >= {p['criterion_kappa']}",
                    np.isfinite(res.kappa_hat) and res.kappa_hat >= p["criterion_kappa"],
                    f"kappa_hat = {res.kappa_hat:.3f}")
-    header = ["h", "t", "norm", "chebyshev_terms", "seconds"]
-    rows = [[r["h"], r["t"], r["norm"], r["chebyshev_terms"], r["seconds"]]
-            for r in res.rows]
+    header = ["h", "t", "norm", "chebyshev_terms", "seconds", "rank", "eig_residual"]
+    rows = [[r[k] for k in header] for r in res.rows]
     return header, rows, crit, {"kappa_hat": res.kappa_hat}
 
 

@@ -150,6 +150,20 @@ def velocity(stencil: Stencil, xi):
     return v
 
 
+def momentum_grid_scan(stencil: Stencil, grid_n: int):
+    """p0 and |v| on the torus grid with `grid_n` points per axis, as two
+    arrays of shape (grid_n,) * d."""
+    ax = np.linspace(0.0, 2.0 * np.pi, grid_n, endpoint=False)
+    if stencil.dim == 1:
+        p = np.asarray(stencil.p0(ax), dtype=float)
+        speeds = np.abs(np.asarray(stencil.gradient(ax), dtype=float))
+    else:
+        xi = np.stack(np.meshgrid(*([ax] * stencil.dim), indexing="ij"), axis=-1)
+        p = np.asarray(stencil.p0(xi), dtype=float)
+        speeds = np.linalg.norm(np.asarray(stencil.gradient(xi), dtype=float), axis=-1)
+    return p, speeds
+
+
 def check_energy_window(stencil: Stencil, window, grid_n: int = 256, floor: float = 1e-6):
     """Min of |v(xi)| over the sampled shell {p0(xi) in window}.
 
@@ -162,16 +176,7 @@ def check_energy_window(stencil: Stencil, window, grid_n: int = 256, floor: floa
     lo, hi = float(window[0]), float(window[1])
     if not lo <= hi:
         raise ValueError("empty interval")
-    axes = [np.linspace(0.0, 2.0 * np.pi, grid_n, endpoint=False)] * stencil.dim
-    if stencil.dim == 1:
-        xi = axes[0]
-        p = np.asarray(stencil.p0(xi), dtype=float)
-        speeds = np.abs(np.asarray(stencil.gradient(xi), dtype=float))
-    else:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        xi = np.stack(mesh, axis=-1)
-        p = np.asarray(stencil.p0(xi), dtype=float)
-        speeds = np.linalg.norm(np.asarray(stencil.gradient(xi), dtype=float), axis=-1)
+    p, speeds = momentum_grid_scan(stencil, grid_n)
     mask = (p >= lo) & (p <= hi)
     if not np.any(mask):
         raise EmptyShellError(f"no momenta with p0 in [{lo}, {hi}]")
@@ -423,14 +428,17 @@ class LatticeHamiltonian(LinearMap):
                          lambda u: self._matrix(-1) @ np.asarray(u), hermitian=cap is None,
                          bandwidth=stencil.bandwidth, label="H")
 
-    def _matrix(self, cap_sign: int) -> sp.csr_array:
-        """H0 + V - i cap_sign W as CSR, assembled on first use: the d=1
-        banded solves never need it."""
+    def _matrix(self, cap_sign: int, center: float = 0.0, scale: float = 1.0) -> sp.csr_array:
+        """scale * (H0 + V - center - i cap_sign W) as CSR, assembled on first
+        use and cached per argument: the d=1 banded solves never need it, and
+        the Chebyshev recurrence applies (2/r)(H - c) in one product."""
         if self.cap is None:
             cap_sign = 0
-        if cap_sign not in self._csr:
-            self._csr[cap_sign] = self._assemble(self._shifted_diag(0.0, cap_sign, 0.0))
-        return self._csr[cap_sign]
+        key = (cap_sign, center, scale)
+        if key not in self._csr:
+            M = self._assemble(self._shifted_diag(center, cap_sign, 0.0))
+            self._csr[key] = M if scale == 1.0 else scale * M
+        return self._csr[key]
 
     def _shifted_diag(self, shift: complex, branch_sign: int, eps: float) -> np.ndarray:
         """Diagonal of H0 + V - shift -/+ i(eps + W): branch_sign=+1 gives

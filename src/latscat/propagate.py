@@ -14,8 +14,7 @@ from scipy.special import jv
 
 from .escape import CutoffPhi
 from .geometry import KernelPoint, classify, make_bump_pair
-from .model import LatticeHamiltonian, LinearMap, ModelConfig, compose_maps
-from .quantize import operator_norm, position_weight
+from .model import LatticeHamiltonian, LinearMap, ModelConfig, momentum_grid_scan
 from .resolvent import DecayFit
 from .symbols import Symbol
 
@@ -110,35 +109,39 @@ class ChebyshevPlan:
     def apply(self, H: LinearMap, u, adjoint: bool = False):
         """Sum c_k T_k((H-c)/r) u with a divergence monitor on the iterates.
 
-        The three-term recurrence runs in place on preallocated buffers; the
-        only allocation per term is the matvec output, which H must return
-        as a new array.
+        Each term applies A = (2/r)(H - c) once (a LatticeHamiltonian keeps
+        A as a cached CSR matrix) and updates the three-term recurrence and
+        the sum in place; the only allocation per term is the product.
         """
         u = np.asarray(u, dtype=complex)
         co = np.conj(self.coeffs) if adjoint else self.coeffs
-        c, r = self.center, self.radius
-        Hap = H.adjoint_apply if adjoint else H
+        A = _recurrence_operator(H, self.center, self.radius, adjoint)
         T0 = u
         acc = co[0] * T0
         if len(co) == 1:
             return acc
         scratch = np.empty_like(acc)
-        T1 = Hap(u)
-        T1 -= np.multiply(u, c, out=scratch)
-        T1 /= r
+        T1 = A(u)
+        T1 *= 0.5
         acc += np.multiply(T1, co[1], out=scratch)
         cap = 50.0 * np.linalg.norm(u) + 1e-300
-        two_r, two_c_r = 2.0 / r, 2.0 * c / r
         for k in range(2, len(co)):
-            T2 = Hap(T1)
-            T2 *= two_r
-            T2 -= np.multiply(T1, two_c_r, out=scratch)
+            T2 = A(T1)
             T2 -= T0
             acc += np.multiply(T2, co[k], out=scratch)
             T0, T1 = T1, T2
             if k % 64 == 0 and np.linalg.norm(T2) > cap:
                 raise EnclosureError("Chebyshev iterates grow: enclosure violated")
         return acc
+
+
+def _recurrence_operator(H: LinearMap, c: float, r: float, adjoint: bool) -> Callable:
+    """u -> (2/r)(H - c) u (H* for the adjoint), returned as a new array."""
+    if isinstance(H, LatticeHamiltonian):
+        A = H._matrix(-1 if adjoint else +1, center=c, scale=2.0 / r)
+        return lambda u: A @ u
+    Hap = H.adjoint_apply if adjoint else H
+    return lambda u: (2.0 / r) * (Hap(u) - c * u)
 
 
 def _plan_cache(H: LatticeHamiltonian) -> dict:
@@ -176,20 +179,6 @@ def evolve(H: LatticeHamiltonian, u, t: float, tol: float = 1e-12):
     return plan.apply(H, u)
 
 
-def evolve_map(H: LatticeHamiltonian, t: float, tol: float = 1e-12) -> LinearMap:
-    """e^{-itH} as a LinearMap (adjoint is backward evolution); H must be
-    hermitian (CAP-free)."""
-    plan = ChebyshevPlan.for_evolution(H, t, tol=min(tol, 1e-13))
-
-    def fwd(u):
-        return plan.apply(H, u)
-
-    def adj(u):
-        return plan.apply(H, u, adjoint=True)
-
-    return LinearMap(H.dim, fwd, adj, label=f"U({t})")
-
-
 def apply_f_of_H(H: LatticeHamiltonian, cutoff: EnergyCutoff, u, tol: float = 1e-12):
     """f(H) u by Chebyshev interpolation of the cutoff profile.
 
@@ -208,17 +197,10 @@ def f_of_H_map(H: LatticeHamiltonian, cutoff: EnergyCutoff, tol: float = 1e-12) 
 
 
 def shell_speed_max(model_cfg: ModelConfig, cutoff: EnergyCutoff, grid_n: int = 4096) -> float:
-    """max |v| over momenta with p0 inside supp f (reflection-window speed)."""
+    """max |v| over momenta with p0 inside supp f (reflection-window speed),
+    sampled on about grid_n momenta: round(grid_n ** (1/d)) per axis."""
     st = model_cfg.stencil
-    ax = np.linspace(0.0, 2.0 * np.pi, grid_n, endpoint=False)
-    if st.dim == 1:
-        p = np.asarray(st.p0(ax), dtype=float)
-        sp = np.abs(np.asarray(st.gradient(ax), dtype=float))
-    else:
-        mesh = np.meshgrid(*([ax] * st.dim), indexing="ij")
-        xi = np.stack(mesh, axis=-1)
-        p = np.asarray(st.p0(xi), dtype=float)
-        sp = np.linalg.norm(np.asarray(st.gradient(xi), dtype=float), axis=-1)
+    p, sp = momentum_grid_scan(st, int(round(grid_n ** (1.0 / st.dim))))
     lo, hi = cutoff.support
     mask = (p >= lo) & (p <= hi)
     if not np.any(mask):
@@ -244,14 +226,18 @@ class LocalDecayResult:
 
 
 def local_decay_probe(model_cfg: ModelConfig, cutoff: EnergyCutoff, nu: float,
-                      t_grid: Sequence[float], box_radius: Optional[int] = None,
-                      dense_cap: int = 1400, norm_tol: float = 1e-2,
-                      seed=None) -> LocalDecayResult:
+                      t_grid: Sequence[float],
+                      box_radius: Optional[int] = None) -> LocalDecayResult:
     """Weighted propagator norms ||<n>^-nu e^{-itH} f(H) <n>^-nu|| over t_grid.
 
-    The grid must stay inside the pre-reflection window 0.8 L / v_max.
-    Boxes up to `dense_cap` sites use the exact eigendecomposition route;
-    larger boxes fall back to power iteration on the Chebyshev propagator.
+    The grid must stay inside the pre-reflection window 0.8 L / v_max. The
+    norms are exact and use only the eigenpairs (lam_j, q_j) of H with
+    f(lam_j) != 0: with W Q_S = Q_A R a thin QR of the weighted eigenvectors,
+    the norm at t is sigma_max(R diag(e^{-it lam} f(lam)) R*). For d = 1 the
+    eigenpairs come from a banded eigensolver restricted to supp f; for
+    d >= 2 from a dense one, so boxes beyond dense()'s site guard raise
+    ValueError. Each row reports the rank |S| and the eigen-residual
+    max_j ||H q_j - lam_j q_j||.
     """
     L = box_radius if box_radius is not None else (model_cfg.box_radius or 512)
     H = model_cfg.assemble(L, with_cap=False)
@@ -260,32 +246,29 @@ def local_decay_probe(model_cfg: ModelConfig, cutoff: EnergyCutoff, nu: float,
     window = 0.8 * L / max(vmax, 1e-12)
     if t_grid[-1] > window:
         raise ValueError(f"t_grid exceeds the reflection window {window:.1f}")
-    W = position_weight(-nu, H.box)
+    if H.box.dim == 1:
+        b = H.stencil.bandwidth
+        band = H.banded()[: b + 1]
+        if not np.any(band.imag):
+            band = band.real
+        evals, Q = sla.eig_banded(band, select="v", select_range=cutoff.support)
+    else:
+        evals, Q = sla.eigh(H.dense(), subset_by_value=cutoff.support)
+    f_ev = cutoff.profile(evals)
+    keep = f_ev != 0.0
+    evals, Q, f_ev = evals[keep], Q[:, keep], f_ev[keep]
+    eig_residual = float(np.linalg.norm(H(Q) - Q * evals, axis=0).max(initial=0.0))
+    wdiag = (1.0 + np.sum(H.box.sites().astype(float) ** 2, axis=1)) ** (-nu / 2.0)
+    R = np.linalg.qr(wdiag[:, None] * Q, mode="r")
     rows = []
     norms = np.zeros(len(t_grid))
-    if H.dim <= dense_cap:
-        Hd = H.dense()
-        Hd = (Hd + Hd.conj().T) / 2.0
-        evals, Q = np.linalg.eigh(Hd)
-        f_ev = cutoff.profile(evals)
-        wdiag = (1.0 + np.sum(H.box.sites().astype(float) ** 2, axis=1)) ** (-nu / 2.0)
-        WQ = wdiag[:, None] * Q
-        for i, t in enumerate(t_grid):
-            t0 = time.perf_counter()
-            M = (WQ * (np.exp(-1j * t * evals) * f_ev)) @ WQ.conj().T
-            norms[i] = sla.svdvals(M)[0] if M.shape[0] <= 600 else np.linalg.svd(M, compute_uv=False)[0]
-            rows.append({"h": 0.0, "t": t, "norm": norms[i], "chebyshev_terms": 0,
-                         "seconds": time.perf_counter() - t0})
-    else:
-        f_map = f_of_H_map(H, cutoff)
-        for i, t in enumerate(t_grid):
-            t0 = time.perf_counter()
-            U = evolve_map(H, t)
-            M = compose_maps(W, U, f_map, W)
-            norms[i], info = operator_norm(M, tol=norm_tol, return_info=True, seed=seed)
-            rows.append({"h": 0.0, "t": t, "norm": norms[i],
-                         "chebyshev_terms": ChebyshevPlan.for_evolution(H, t).n_terms,
-                         "seconds": time.perf_counter() - t0})
+    for i, t in enumerate(t_grid):
+        t0 = time.perf_counter()
+        M = (R * (np.exp(-1j * t * evals) * f_ev)) @ R.conj().T
+        norms[i] = sla.svdvals(M).max(initial=0.0)
+        rows.append({"h": 0.0, "t": t, "norm": norms[i], "chebyshev_terms": 0,
+                     "seconds": time.perf_counter() - t0, "rank": len(evals),
+                     "eig_residual": eig_residual})
     tail = slice(len(t_grid) // 2, None)
     fit = DecayFit.from_values(np.sqrt(1.0 + t_grid[tail] ** 2), norms[tail])
     kappa = -fit.slope if not fit.degenerate else float("nan")

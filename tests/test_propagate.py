@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from latscat.geometry import KernelPoint, make_bump_pair
-from latscat.model import LinearMap, compose_maps, to_dense
+from latscat.model import LinearMap, ModelConfig, Potential, compose_maps, laplacian_stencil, to_dense
 from latscat.propagate import (ChebyshevPlan, EnclosureError, EnergyCutoff,
                                apply_f_of_H, evolve, f_of_H_map, local_decay_probe,
                                propagation_probe, shell_speed_max, t_splitting_bound,
@@ -123,6 +123,66 @@ def test_local_decay_box_consistency(longrange_model):
     r1 = local_decay_probe(longrange_model, cutoff, nu=3.0, t_grid=tg, box_radius=160)
     r2 = local_decay_probe(longrange_model, cutoff, nu=3.0, t_grid=tg, box_radius=256)
     assert np.allclose(r1.norms, r2.norms, rtol=5e-2)
+
+
+def _full_eigh_local_decay(H, cutoff, nu, t_grid):
+    # reference: every eigenpair of the dense H, one N x N product and SVD per t
+    Hd = H.dense()
+    evals, Q = np.linalg.eigh((Hd + Hd.conj().T) / 2.0)
+    wdiag = (1.0 + np.sum(H.box.sites().astype(float) ** 2, axis=1)) ** (-nu / 2.0)
+    WQ = wdiag[:, None] * Q
+    f_ev = cutoff.profile(evals)
+    return np.array([np.linalg.svd((WQ * (np.exp(-1j * t * evals) * f_ev)) @ WQ.conj().T,
+                                   compute_uv=False)[0] for t in t_grid])
+
+
+D2_LONGRANGE = ModelConfig(stencil=laplacian_stencil(2),
+                           potential=Potential(mu=0.5, amplitude=0.5, form="power_law"))
+
+
+@pytest.mark.parametrize("model, radius, t_grid", [
+    ("free_model", 96, np.r_[0.0, np.geomspace(1.0, 60.0, 11)]),
+    ("longrange_model", 96, np.r_[0.0, np.geomspace(1.0, 60.0, 11)]),
+    (D2_LONGRANGE, 12, np.r_[0.0, np.geomspace(0.5, 6.0, 6)]),
+])
+def test_local_decay_matches_full_eigh(request, model, radius, t_grid):
+    if isinstance(model, str):
+        model = request.getfixturevalue(model)
+    cutoff = EnergyCutoff(lam=1.0, eps_f=0.25)
+    res = local_decay_probe(model, cutoff, nu=3.0, t_grid=t_grid, box_radius=radius)
+    H = model.assemble(radius, with_cap=False)
+    oracle = _full_eigh_local_decay(H, cutoff, 3.0, res.t_grid)
+    assert np.max(np.abs(res.norms - oracle) / oracle) <= 1e-9
+    evals = np.linalg.eigvalsh(H.dense())
+    assert res.rows[0]["rank"] == np.count_nonzero(cutoff.profile(evals))
+    assert all(r["eig_residual"] <= 1e-12 for r in res.rows)
+
+
+def test_local_decay_kappa_box_independent(longrange_model):
+    cutoff = EnergyCutoff(lam=1.0, eps_f=0.25)
+    tg = np.geomspace(10.0, 200.0, 8)
+    k256 = local_decay_probe(longrange_model, cutoff, nu=3.0, t_grid=tg, box_radius=256)
+    k1024 = local_decay_probe(longrange_model, cutoff, nu=3.0, t_grid=tg, box_radius=1024)
+    assert k256.kappa_hat == pytest.approx(k1024.kappa_hat, abs=1e-3)
+
+
+def test_local_decay_d2_guard():
+    # 67^2 = 4,489 sites: beyond the dense eigensolver's 4,200-site guard
+    cutoff = EnergyCutoff(lam=1.0, eps_f=0.25)
+    with pytest.raises(ValueError, match="too large"):
+        local_decay_probe(D2_LONGRANGE, cutoff, nu=3.0, t_grid=[1.0], box_radius=33)
+
+
+def test_prescaled_recurrence_matches_generic_map(small_H, rng):
+    # the cached (2/r)(H - c) CSR against the same plan through a plain LinearMap
+    plain = LinearMap(small_H.dim, small_H, small_H.adjoint_apply, hermitian=True)
+    u = rng.standard_normal((small_H.dim, 3)) + 1j * rng.standard_normal((small_H.dim, 3))
+    for plan in (ChebyshevPlan.for_evolution(small_H, 12.0),
+                 ChebyshevPlan.for_function(small_H, EnergyCutoff(lam=1.0, eps_f=0.25))):
+        for adjoint in (False, True):
+            got = plan.apply(small_H, u, adjoint=adjoint)
+            ref = plan.apply(plain, u, adjoint=adjoint)
+            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(u)
 
 
 def test_propagation_offshell_case(free_model):
