@@ -1,0 +1,62 @@
+#!/usr/bin/env python3
+"""Compare the manifest `results` and `criteria` of two recipe output trees.
+
+    python scripts/compare_manifests.py out_a out_b
+
+Each tree is what scripts/run_all_recipes.py writes: one directory per
+recipe holding manifest.json. Values must match exactly. Prints one line
+per recipe and one per difference; exits 1 on any difference or on a recipe
+present in only one tree.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+KEYS = ("results", "criteria")
+
+
+def _diff(a, b, path):
+    """Paths (with both values) at which two JSON values differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        out = []
+        for k in sorted(set(a) | set(b)):
+            if k not in a or k not in b:
+                out.append((f"{path}.{k}", a.get(k, "<missing>"), b.get(k, "<missing>")))
+            else:
+                out += _diff(a[k], b[k], f"{path}.{k}")
+        return out
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [d for i, (x, y) in enumerate(zip(a, b)) for d in _diff(x, y, f"{path}[{i}]")]
+    return [] if a == b else [(path, a, b)]
+
+
+def _manifests(root: Path) -> dict:
+    return {p.parent.name: json.loads(p.read_text(encoding="utf-8"))
+            for p in sorted(root.glob("*/manifest.json"))}
+
+
+def main(argv):
+    if len(argv) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    left, right = (_manifests(Path(a)) for a in argv)
+    if not left and not right:
+        print("no manifests found", file=sys.stderr)
+        return 1
+    failed = False
+    for name in sorted(set(left) | set(right)):
+        if name not in left or name not in right:
+            print(f"{name:24s} only in {argv[0] if name in left else argv[1]}")
+            failed = True
+            continue
+        diffs = [d for k in KEYS for d in _diff(left[name].get(k), right[name].get(k), k)]
+        print(f"{name:24s} {'same' if not diffs else f'{len(diffs)} difference(s)'}")
+        for path, a, b in diffs:
+            print(f"    {path}: {a!r} != {b!r}")
+        failed |= bool(diffs)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

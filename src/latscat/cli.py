@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import operator
 import sys
 import time
 from pathlib import Path
@@ -48,6 +49,34 @@ def _criterion(lines, name, passed, detail):
     lines.append((name, bool(passed), detail))
 
 
+def _fit_criteria(crit, p, fit, what):
+    """One criterion per declared bound on a log-log fit; a degenerate fit
+    fails them all."""
+    for key, name, value, label, compare in (
+            ("criterion_slope", f"{what} >=", fit.slope, "slope", operator.ge),
+            ("criterion_residual", "max log10 residual <=", fit.max_residual, "residual",
+             operator.le),
+            ("criterion_max_slope", f"{what} <=", fit.slope, "slope", operator.le)):
+        if p.get(key) is not None:
+            _criterion(crit, f"{name} {p[key]}", (not fit.degenerate) and compare(value, p[key]),
+                       f"{label} = {value:.3f}")
+
+
+def _lap_table(key, res):
+    """CSV header and rows of a probe whose rows are resolvent ProbeRows."""
+    return ([key, "epsilon_used", "norm", "iterations", "seconds"],
+            [[r.key, r.epsilon or 0.0, r.norm, r.iterations, r.seconds] for r in res.rows])
+
+
+def _box_sweep(p, res):
+    """CSV header, rows and the bounded-factor criterion of an L sweep."""
+    crit = []
+    _criterion(crit, f"norms bounded within factor {p['criterion_factor']} across L",
+               res.bound_factor <= p["criterion_factor"],
+               f"max/min = {res.bound_factor:.3f}")
+    return (*_lap_table("L", res), crit)
+
+
 # --------------------------------------------------------------------------
 # per-kind runners: return (csv_header, csv_rows, criteria, extras)
 
@@ -64,20 +93,8 @@ def _run_wf(cfg: ExperimentConfig, jobs, seed):
     _criterion(crit, "classification matches expectation",
                res.decay_expected == want_decay,
                f"classify distances {res.report.distances}")
-    if p["criterion_slope"] is not None:
-        _criterion(crit, f"fitted slope >= {p['criterion_slope']}",
-                   (not res.fit.degenerate) and res.fit.slope >= p["criterion_slope"],
-                   f"slope = {res.fit.slope:.3f}")
-    if p["criterion_residual"] is not None:
-        _criterion(crit, f"max log10 residual <= {p['criterion_residual']}",
-                   (not res.fit.degenerate) and res.fit.max_residual <= p["criterion_residual"],
-                   f"residual = {res.fit.max_residual:.3f}")
-    if p["criterion_max_slope"] is not None:
-        _criterion(crit, f"fitted slope <= {p['criterion_max_slope']}",
-                   (not res.fit.degenerate) and res.fit.slope <= p["criterion_max_slope"],
-                   f"slope = {res.fit.slope:.3f}")
-    header = ["h", "epsilon_used", "norm", "iterations", "seconds"]
-    rows = [[r.key, r.epsilon or 0.0, r.norm, r.iterations, r.seconds] for r in res.rows]
+    _fit_criteria(crit, p, res.fit, "fitted slope")
+    header, rows = _lap_table("h", res)
     extras = {"fit": {"slope": res.fit.slope, "intercept": res.fit.intercept,
                       "max_residual": res.fit.max_residual},
               "box_radius": res.box_radius,
@@ -90,14 +107,8 @@ def _run_ik(cfg: ExperimentConfig, jobs, seed):
     res = ik_probe(cfg.model_config(), p["lambda"], p["gamma_minus"], p["gamma_plus"],
                    p["weight_n"], p["l_list"], norm_tol=cfg.numerics["norm_tol"],
                    lap=_lap_from(cfg, p["lambda"]), jobs=jobs, seed=seed)
-    crit = []
-    _criterion(crit, f"norms bounded within factor {p['criterion_factor']} across L",
-               res.bound_factor <= p["criterion_factor"],
-               f"max/min = {res.bound_factor:.3f}")
-    header = ["L", "epsilon_used", "norm", "iterations", "seconds"]
-    rows = [[r.key, r.epsilon or 0.0, r.norm, r.iterations, r.seconds] for r in res.rows]
-    extras = {"bound_factor": res.bound_factor, "control_norm": res.control_norm}
-    return header, rows, crit, extras
+    return (*_box_sweep(p, res),
+            {"bound_factor": res.bound_factor, "control_norm": res.control_norm})
 
 
 def _run_one_sided(cfg: ExperimentConfig, jobs, seed):
@@ -106,13 +117,7 @@ def _run_one_sided(cfg: ExperimentConfig, jobs, seed):
                           p["nu"], p["s"], p["l_list"], norm_tol=cfg.numerics["norm_tol"],
                           lap=_lap_from(cfg, p["lambda"], sign=p["sign"]),
                           jobs=jobs, seed=seed)
-    crit = []
-    _criterion(crit, f"norms bounded within factor {p['criterion_factor']} across L",
-               res.bound_factor <= p["criterion_factor"],
-               f"max/min = {res.bound_factor:.3f}")
-    header = ["L", "epsilon_used", "norm", "iterations", "seconds"]
-    rows = [[r.key, r.epsilon or 0.0, r.norm, r.iterations, r.seconds] for r in res.rows]
-    return header, rows, crit, {"bound_factor": res.bound_factor}
+    return (*_box_sweep(p, res), {"bound_factor": res.bound_factor})
 
 
 def _run_local_decay(cfg: ExperimentConfig, jobs, seed):
@@ -140,16 +145,9 @@ def _run_prop31(cfg: ExperimentConfig, jobs, seed):
     res = propagation_probe(model, kp, p["lambda"], p["h_list"],
                             delta1=p["delta1"], delta2=p["delta2"], cutoff=cutoff,
                             mode=p["expect"], classify_grid=cfg.numerics["classify_grid"],
-                            norm_tol=cfg.numerics["norm_tol"], jobs=jobs, seed=seed)
+                            jobs=jobs)
     crit = []
-    if p["criterion_slope"] is not None:
-        _criterion(crit, f"sup-norm slope >= {p['criterion_slope']}",
-                   (not res.fit.degenerate) and res.fit.slope >= p["criterion_slope"],
-                   f"slope = {res.fit.slope:.3f}")
-    if p["criterion_max_slope"] is not None:
-        _criterion(crit, f"sup-norm slope <= {p['criterion_max_slope']}",
-                   (not res.fit.degenerate) and res.fit.slope <= p["criterion_max_slope"],
-                   f"slope = {res.fit.slope:.3f}")
+    _fit_criteria(crit, p, res.fit, "sup-norm slope")
     header = ["h", "t", "norm", "chebyshev_terms", "seconds", "columns"]
     rows = [[r["h"], r["t"], r["norm"], r["chebyshev_terms"], r["seconds"], r["columns"]]
             for r in res.rows]
@@ -229,10 +227,10 @@ def _run_calculus(cfg: ExperimentConfig, jobs, seed):
         _criterion(crit, name, value <= tol, f"value = {value:.2e} (tol {tol:g})")
         rows.append([name, value, tol, int(value <= tol)])
 
-    ident = fourier_multiplier(lambda xi: np.ones_like(np.asarray(xi)), box)
+    ident = fourier_multiplier(lambda xi: np.ones(np.shape(xi)[:-1]), box)
     check("unit multiplier is the identity", float(np.linalg.norm(ident(u) - u)
                                                    / np.linalg.norm(u)), 1e-13)
-    shift = fourier_multiplier(lambda xi: np.exp(1j * np.asarray(xi)), box)
+    shift = fourier_multiplier(lambda xi: np.exp(1j * xi[..., 0]), box)
     check("e^{i xi} multiplier is the +n cyclic shift",
           float(np.linalg.norm(shift(u) - np.roll(u, -1)) / np.linalg.norm(u)), 1e-12)
     wplus = position_weight(1.5, box)

@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import Box, ModelConfig, Stencil, velocity, to_dense
-from .quantize import fourier_multiplier
+from .quantize import _sampled_kernel, fourier_multiplier
 from .symbols import Symbol, SupportMeta, separable_symbol
 from .util import angle_diff, lstsq_loglog, rng
 
@@ -158,14 +158,18 @@ class EscapeLadder:
                     f"separation fails at t={t}: |y|={abs(self.y(t)):.3f} < "
                     f"{3.0 * self.delta1 * (1.0 / self.h + t):.3f}")
         xi = self.xi2 + np.linspace(-2.0 * self.delta2, 2.0 * self.delta2, 513)
-        dv = np.abs(np.asarray(velocity(self.stencil, xi)) - self.v2)
+        dv = np.abs(self.v(xi) - self.v2)
         if np.max(dv) >= self.delta1 / 2.0:
             raise LadderInvariantError(
                 f"velocity pinning fails: max|v-v2|={np.max(dv):.4f} >= delta1/2")
 
+    def v(self, xi):
+        """Group velocity at an array of d = 1 momenta, same shape."""
+        return np.asarray(velocity(self.stencil, np.asarray(xi, dtype=float)[..., None]))[..., 0]
+
     @property
     def v2(self) -> float:
-        return float(velocity(self.stencil, self.xi2))
+        return float(self.v(self.xi2))
 
     def y(self, t: float) -> float:
         return self.x2 / self.h + t * self.v2
@@ -193,34 +197,29 @@ class EscapeLadder:
             (1.0 / self.h + t) ** (-1.0 - self.mu))
 
 
-def build_phi0(ladder: EscapeLadder, t: float) -> Symbol:
-    """phi0(t,.,.) = Phi(|x-y(t)|/ell(t)) Phi(dist(xi,xi2)/delta2)."""
-    y, ell = ladder.y(t), ladder.ell(t)
-    phi, d2, xi2 = ladder.phi, ladder.delta2, ladder.xi2
+def _ladder_bump(ladder: EscapeLadder, t: float, j: int, profile, pref: float = 1.0) -> Symbol:
+    """pref * profile(|x-y(t)|/ell_j(t)) profile(dist(xi,xi2)/(gamma_j delta2))
+    on d = 1 points of shape (..., 1)."""
+    y, ell, r, xi2 = ladder.y(t), ladder.ell(t, j), ladder.xi_radius(j), ladder.xi2
 
     def b(x):
-        return np.asarray(phi(np.abs(np.asarray(x, dtype=float) - y) / ell))
+        return pref * np.asarray(profile(np.abs(np.asarray(x, dtype=float)[..., 0] - y) / ell))
 
     def c(xi):
-        return np.asarray(phi(angle_diff(xi, xi2) / d2))
+        return np.asarray(profile(angle_diff(np.asarray(xi, dtype=float)[..., 0], xi2) / r))
 
-    meta = SupportMeta(np.atleast_1d(y), ell, np.atleast_1d(xi2), d2)
+    meta = SupportMeta(np.atleast_1d(y), ell, np.atleast_1d(xi2), r)
     return separable_symbol(1, b, c, support_meta=meta)
+
+
+def build_phi0(ladder: EscapeLadder, t: float) -> Symbol:
+    """phi0(t,.,.) = Phi(|x-y(t)|/ell(t)) Phi(dist(xi,xi2)/delta2)."""
+    return _ladder_bump(ladder, t, 0, ladder.phi)
 
 
 def build_psi0(ladder: EscapeLadder, t: float) -> Symbol:
     """Principal symbol of |Op(phi0)|^2: Psi(|x-y(t)|/ell) Psi(dist(xi,xi2)/delta2)."""
-    y, ell = ladder.y(t), ladder.ell(t)
-    phi, d2, xi2 = ladder.phi, ladder.delta2, ladder.xi2
-
-    def b(x):
-        return np.asarray(phi.psi(np.abs(np.asarray(x, dtype=float) - y) / ell))
-
-    def c(xi):
-        return np.asarray(phi.psi(angle_diff(xi, xi2) / d2))
-
-    meta = SupportMeta(np.atleast_1d(y), ell, np.atleast_1d(xi2), d2)
-    return separable_symbol(1, b, c, support_meta=meta)
+    return _ladder_bump(ladder, t, 0, ladder.phi.psi)
 
 
 def build_psi_j(ladder: EscapeLadder, j: int, t: float) -> Symbol:
@@ -230,20 +229,7 @@ def build_psi_j(ladder: EscapeLadder, j: int, t: float) -> Symbol:
     """
     if not 1 <= j <= ladder.depth:
         raise ValueError("j out of range")
-    y = ladder.y(t)
-    ellj = ladder.ell(t, j)
-    rj = ladder.xi_radius(j)
-    pref = float(ladder.prefactor(j, t))
-    phi, xi2 = ladder.phi, ladder.xi2
-
-    def b(x):
-        return pref * np.asarray(phi.psi(np.abs(np.asarray(x, dtype=float) - y) / ellj))
-
-    def c(xi):
-        return np.asarray(phi.psi(angle_diff(xi, xi2) / rj))
-
-    meta = SupportMeta(np.atleast_1d(y), ellj, np.atleast_1d(xi2), rj)
-    return separable_symbol(1, b, c, support_meta=meta)
+    return _ladder_bump(ladder, t, j, ladder.phi.psi, pref=float(ladder.prefactor(j, t)))
 
 
 @dataclass(frozen=True)
@@ -267,7 +253,7 @@ def _transport_fields(ladder: EscapeLadder, j: int, t: float, x, xi):
     diff = x - y
     rho = np.abs(diff) / ellj
     sgn = np.sign(diff)
-    v = np.asarray(velocity(ladder.stencil, xi), dtype=float)
+    v = ladder.v(xi)
     W = np.asarray(phi.psi(angle_diff(xi, ladder.xi2) / rj))
     dPsi = np.asarray(phi.psi_derivative(rho))
     # rho_dot along the transport field; Psi'(rho)=0 near rho=0 kills the kink
@@ -285,53 +271,45 @@ def _transport_fields(ladder: EscapeLadder, j: int, t: float, x, xi):
 
 
 def _psi_value(ladder, j, t, x, xi):
+    """psi_j(t) at the paired points (x[k], xi[k]) of two plain arrays."""
     if j == 0:
         sym = build_psi0(ladder, t)
     else:
         sym = build_psi_j(ladder, j, t)
-    return np.asarray(sym(x, xi))
+    return np.asarray(sym(np.asarray(x)[:, None], np.asarray(xi)[:, None]))
 
 
 def build_phi0_rate(ladder: EscapeLadder, t: float) -> Symbol:
     """Analytic d/dt of phi0(t,.,.), separable like phi0 itself."""
     y, ell = ladder.y(t), ladder.ell(t)
-    phi, d2, xi2, v2 = ladder.phi, ladder.delta2, ladder.xi2, ladder.v2
+    phi, v2 = ladder.phi, ladder.v2
     scale = 1.0 / ladder.h + t
 
     def b(x):
-        x = np.asarray(x, dtype=float)
-        diff = x - y
+        diff = np.asarray(x, dtype=float)[..., 0] - y
         rho = np.abs(diff) / ell
         rho_t = -np.sign(diff) * v2 / ell - rho / scale
         return np.asarray(phi.derivative(rho)) * rho_t
 
-    def c(xi):
-        return np.asarray(phi(angle_diff(xi, xi2) / d2))
-
-    return separable_symbol(1, b, c)
+    return separable_symbol(1, b, build_phi0(ladder, t).xi_part)
 
 
 def build_psi_j_rate(ladder: EscapeLadder, j: int, t: float) -> Symbol:
     """Analytic d/dt of psi_j (product rule through prefactor and bump)."""
     y = ladder.y(t)
     ellj = ladder.ell(t, j)
-    rj = ladder.xi_radius(j)
     pref = float(ladder.prefactor(j, t))
     rate = float(ladder.prefactor_rate(j, t))
-    phi, xi2, v2 = ladder.phi, ladder.xi2, ladder.v2
+    phi, v2 = ladder.phi, ladder.v2
     scale = 1.0 / ladder.h + t
 
     def b(x):
-        x = np.asarray(x, dtype=float)
-        diff = x - y
+        diff = np.asarray(x, dtype=float)[..., 0] - y
         rho = np.abs(diff) / ellj
         rho_t = -np.sign(diff) * v2 / ellj - rho / scale
         return rate * np.asarray(phi.psi(rho)) + pref * np.asarray(phi.psi_derivative(rho)) * rho_t
 
-    def c(xi):
-        return np.asarray(phi.psi(angle_diff(xi, xi2) / rj))
-
-    return separable_symbol(1, b, c)
+    return separable_symbol(1, b, build_psi_j(ladder, j, t).xi_part)
 
 
 @dataclass
@@ -374,7 +352,7 @@ def verify_transport(ladder: EscapeLadder, j: int, grid: TransportGrid = Transpo
         tr, _ = _transport_fields(ladder, j, t, xs, xis)
         an = np.diag(tr)
         eps_t, eps_x = 1e-5, 1e-5
-        vv = np.asarray(velocity(ladder.stencil, xis), dtype=float)
+        vv = ladder.v(xis)
 
         def paired(tt, xv):
             return np.asarray(_psi_value(ladder, j, tt, xv, xis))
@@ -445,19 +423,15 @@ def periodic_dense_h(model_cfg: ModelConfig, box: Box) -> np.ndarray:
 def _dense_op(symbol: Symbol, box: Box) -> np.ndarray:
     """Dense left quantization of the grid-sampled symbol (d=1).
 
-    M[i,j] = (1/N) sum_k a(n_i, xi_k) e^{i(n_i-n_j) xi_k}. Same convention as
-    quantize.op_h but without the xi-tail guard: on the small escape boxes the
-    Phi/Psi bumps' slow Gevrey tails trip it, and the object measured here is
-    the operator of the sampled symbol itself.
+    M[i,j] = (1/N) sum_k a(n_i, xi_k) e^{i(n_i-n_j) xi_k}, the matrix of
+    quantize.op_h at h = 1 but without the xi-tail guard: on the small
+    escape boxes the Phi/Psi bumps' slow Gevrey tails trip it, and the object
+    measured here is the operator of the sampled symbol itself.
     """
     if box.dim != 1:
         raise NotImplementedError("dense escape checks are d=1")
-    n = box.sites()[:, 0].astype(float)
-    xi = box.xi_axis()
-    N = box.site_count
-    vals = np.asarray(symbol(n[:, None], xi[None, :]), dtype=complex)
-    C = vals * np.exp(1j * np.outer(n, xi)) * np.exp(1j * box.radius * xi)[None, :]
-    return np.fft.fft(C, axis=1) / N
+    K = _sampled_kernel(symbol, 1.0, box, check_resolution=False)
+    return np.fft.fft(K, axis=1) / box.site_count
 
 
 def _escape_F(ladder: EscapeLadder, t: float, box: Box) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 from .escape import DEFAULT_PHI, CutoffPhi
 from .model import CriticalValueError, EmptyShellError, Stencil, check_energy_window, velocity
 from .symbols import Symbol, SupportMeta, separable_symbol
-from .util import angle_diff, reduce_torus, torus_distance
+from .util import product_grid, reduce_torus, torus_distance
 
 SET_NAMES = ("sigma0", "sigma_plus", "sigma_minus", "sigma_prime_plus", "sigma_prime_minus")
 
@@ -70,7 +70,7 @@ def shell_points(stencil: Stencil, lam: float, grid_n: int = 4096,
     d = stencil.dim
     ax = np.linspace(0.0, 2.0 * np.pi, grid_n, endpoint=False)
     if d == 1:
-        p = np.asarray(stencil.p0(ax), dtype=float) - lam
+        p = np.asarray(stencil.p0(ax[:, None]), dtype=float) - lam
         roots = []
         sgn = np.signbit(p)
         for i in range(grid_n):
@@ -82,7 +82,7 @@ def shell_points(stencil: Stencil, lam: float, grid_n: int = 4096,
                 fa = p[i]
                 for _ in range(60):
                     m = 0.5 * (a + b)
-                    fm = float(stencil.p0(np.array([m]))[0]) - lam
+                    fm = float(stencil.p0(np.array([m]))) - lam
                     if fa * fm <= 0:
                         b = m
                     else:
@@ -92,8 +92,7 @@ def shell_points(stencil: Stencil, lam: float, grid_n: int = 4096,
             raise EmptyShellError(f"p0 never reaches {lam}")
         pts = np.asarray(roots)[:, None]
     else:
-        mesh = np.meshgrid(*([ax] * d), indexing="ij")
-        xi = np.stack([m.ravel() for m in mesh], axis=-1)
+        xi = product_grid(ax, d).reshape(-1, d)
         p = np.asarray(stencil.p0(xi), dtype=float) - lam
         step = 2.0 * np.pi / grid_n
         grad = np.asarray(stencil.gradient(xi), dtype=float)
@@ -113,8 +112,7 @@ def shell_points(stencil: Stencil, lam: float, grid_n: int = 4096,
         if len(cand) == 0:
             raise EmptyShellError(f"no shell points converged for {lam}")
         pts = reduce_torus(cand)
-    speeds = np.linalg.norm(np.atleast_2d(np.asarray(stencil.gradient(pts if d > 1 else pts[:, 0]),
-                                                     dtype=float).reshape(len(pts), -1)), axis=1)
+    speeds = np.linalg.norm(np.asarray(stencil.gradient(pts), dtype=float), axis=-1)
     if np.any(speeds < speed_floor):
         raise CriticalValueError("velocity vanishes on the energy shell")
     return pts
@@ -148,8 +146,7 @@ def classify(kp: KernelPoint, stencil: Stencil, lam: float, tol: float,
     if stencil.dim >= 2:
         grid_n = min(grid_n, 256)  # the d>=2 scan is a full grid per axis
     shell = shell_points(stencil, lam, grid_n=grid_n)
-    vels = np.atleast_2d(np.asarray(stencil.gradient(shell if stencil.dim > 1 else shell[:, 0]),
-                                    dtype=float).reshape(len(shell), -1))
+    vels = np.asarray(stencil.gradient(shell), dtype=float)
 
     d0 = float(np.sqrt(np.sum((kp.x + kp.y) ** 2) + torus_distance(kp.xi, kp.eta) ** 2))
 
@@ -190,7 +187,9 @@ def classify(kp: KernelPoint, stencil: Stencil, lam: float, tol: float,
 
 def make_bump_pair(p1, p2, delta1: float, delta2: float,
                    phi: CutoffPhi = DEFAULT_PHI):
-    """Product bumps a_j(x, xi) = Phi(|x-x_j|/delta1) Phi(dist(xi,xi_j)/delta2)."""
+    """Product bumps a_j(x, xi) = Phi(|x-x_j|/delta1) Phi(dist(xi,xi_j)/delta2).
+
+    The centres p_j = (x_j, xi_j) may be scalars for d = 1."""
     if delta1 <= 0 or delta2 <= 0:
         raise ValueError("bump radii must be positive")
 
@@ -198,26 +197,16 @@ def make_bump_pair(p1, p2, delta1: float, delta2: float,
         xc, xic = center
         xc_arr = np.atleast_1d(np.asarray(xc, dtype=float))
         xic_arr = reduce_torus(np.atleast_1d(xic))
-        dim = len(xc_arr)
 
         def b(x):
-            x = np.asarray(x, dtype=float)
-            if dim == 1:
-                r = np.abs(x - xc_arr[0])
-            else:
-                r = np.linalg.norm(x - xc_arr, axis=-1)
-            return np.asarray(phi(r / delta1))
+            return np.asarray(phi(np.linalg.norm(np.asarray(x, dtype=float) - xc_arr, axis=-1)
+                                  / delta1))
 
         def c(xi):
-            xi = np.asarray(xi, dtype=float)
-            if dim == 1:
-                r = angle_diff(xi, xic_arr[0])
-            else:
-                r = np.sqrt(np.sum(angle_diff(xi, xic_arr) ** 2, axis=-1))
-            return np.asarray(phi(r / delta2))
+            return np.asarray(phi(torus_distance(xi, xic_arr) / delta2))
 
         meta = SupportMeta(xc_arr, delta1, xic_arr, delta2)
-        return separable_symbol(dim, b, c, support_meta=meta)
+        return separable_symbol(len(xc_arr), b, c, support_meta=meta)
 
     return one(p1), one(p2)
 
@@ -240,7 +229,6 @@ def make_cone_symbol(sign: int, gamma: float, energy_window, r0: float,
     mid, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
     sgn = 1.0 if sign >= 0 else -1.0
     gcut = 0.5 * (1.0 - sgn * gamma)
-    d = stencil.dim
 
     def ev(x, xi):
         x = np.asarray(x, dtype=float)
@@ -248,14 +236,9 @@ def make_cone_symbol(sign: int, gamma: float, energy_window, r0: float,
         p = np.asarray(stencil.p0(xi), dtype=float)
         v = np.asarray(stencil.gradient(xi), dtype=float)
         fE = np.asarray(phi(np.abs(p - mid) / hw))
-        if d == 1:
-            absx = np.abs(x)
-            absv = np.abs(v)
-            dot = x * v
-        else:
-            absx = np.linalg.norm(x, axis=-1)
-            absv = np.linalg.norm(v, axis=-1)
-            dot = np.sum(x * v, axis=-1)
+        absx = np.linalg.norm(x, axis=-1)
+        absv = np.linalg.norm(v, axis=-1)
+        dot = np.einsum("...i,...i->...", x, v)
         denom = absx * absv
         cosang = np.where(denom > 0, dot / np.where(denom > 0, denom, 1.0), 0.0)
         arg = (sgn * gamma + gcut - sgn * cosang) / gcut
@@ -265,7 +248,7 @@ def make_cone_symbol(sign: int, gamma: float, energy_window, r0: float,
             rad = rad * np.asarray(phi(absx / r_out))
         return rad * fE * gfac
 
-    return Symbol(dim=d, eval=ev)
+    return Symbol(dim=stencil.dim, eval=ev)
 
 
 @dataclass(frozen=True)
@@ -281,7 +264,7 @@ def cone_forward_invariance(x, xi, gamma: float, stencil: Stencil, t_list) -> Co
     When the precondition fails at t=0 the result is flagged vacuous.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    v = np.atleast_1d(np.asarray(velocity(stencil, xi), dtype=float))
+    v = np.asarray(velocity(stencil, np.atleast_1d(xi)), dtype=float)
     t_list = np.asarray(t_list, dtype=float)
     if np.any(t_list < 0):
         raise ValueError("t_list must be nonnegative")

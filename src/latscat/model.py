@@ -10,8 +10,8 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .symbols import Symbol
-from .util import rng
+from .symbols import Symbol, separable_symbol
+from .util import product_grid, rng
 
 
 class EmptyShellError(ValueError):
@@ -28,7 +28,8 @@ class Stencil:
 
     Offsets are integer vectors in Z^d. Symmetry (offset -m present with
     conjugate coefficient) is enforced at construction; it makes H0 symmetric
-    and the torus symbol real.
+    and the torus symbol real. Momenta are arrays of shape (..., d), d = 1
+    included.
     """
 
     dim: int
@@ -59,30 +60,22 @@ class Stencil:
         return max(max(abs(c) for c in o) for o in self.offsets)
 
     def p0(self, xi):
-        """Torus symbol p0(xi) = sum_m gamma_m e^{i xi.m}; real by symmetry."""
+        """Torus symbol p0(xi) = sum_m gamma_m e^{i xi.m} on momenta of shape
+        (..., d); real by symmetry. Returns shape (...)."""
         xi = np.asarray(xi, dtype=float)
-        if self.dim == 1:
-            acc = np.zeros(np.shape(xi), dtype=complex)
-            for o, g in zip(self.offsets, self.coeffs):
-                acc = acc + g * np.exp(1j * xi * o[0])
-        else:
-            acc = np.zeros(np.shape(xi)[:-1], dtype=complex)
-            for o, g in zip(self.offsets, self.coeffs):
-                acc = acc + g * np.exp(1j * np.tensordot(xi, np.asarray(o, dtype=float), axes=([-1], [0])))
+        acc = np.zeros(xi.shape[:-1], dtype=complex)
+        for o, g in zip(self.offsets, self.coeffs):
+            acc = acc + g * np.exp(1j * (xi @ np.asarray(o, dtype=float)))
         return np.real_if_close(acc, tol=100)
 
     def gradient(self, xi):
-        """v(xi) = dp0(xi), real by symmetry. Shape (..., d) (scalar ok, d=1)."""
+        """v(xi) = dp0(xi) on momenta of shape (..., d), real by symmetry.
+        Returns shape (..., d)."""
         xi = np.asarray(xi, dtype=float)
-        if self.dim == 1:
-            acc = np.zeros(np.shape(xi), dtype=complex)
-            for o, g in zip(self.offsets, self.coeffs):
-                acc = acc + g * (1j * o[0]) * np.exp(1j * xi * o[0])
-            return np.real_if_close(acc, tol=100)
-        acc = np.zeros(np.shape(xi)[:-1] + (self.dim,), dtype=complex)
+        acc = np.zeros(xi.shape, dtype=complex)
         for o, g in zip(self.offsets, self.coeffs):
             ov = np.asarray(o, dtype=float)
-            phase = np.exp(1j * np.tensordot(xi, ov, axes=([-1], [0])))
+            phase = np.exp(1j * (xi @ ov))
             acc = acc + g * 1j * phase[..., None] * ov
         return np.real_if_close(acc, tol=100)
 
@@ -99,10 +92,7 @@ class Stencil:
         """
         n = max(16, int(round(2.0 ** (14.0 / self.dim))))
         step = 2.0 * np.pi / n
-        ax = step * np.arange(n)
-        xi = ax if self.dim == 1 else np.stack(np.meshgrid(*([ax] * self.dim), indexing="ij"),
-                                               axis=-1)
-        p = np.real(self.p0(xi))
+        p = np.real(self.p0(product_grid(step * np.arange(n), self.dim)))
         pad = step * sum(abs(g) * sum(abs(m) for m in o)
                          for o, g in zip(self.offsets, self.coeffs))
         return float(np.min(p) - pad), float(np.max(p) + pad)
@@ -130,20 +120,11 @@ def build_p0(stencil: Stencil) -> Symbol:
             raise ValueError("stencil symbol is not numerically real")
         return val
 
-    def ones_x(x):
-        shape = np.shape(np.asarray(x))
-        if stencil.dim > 1:
-            shape = shape[:-1]
-        return np.ones(shape)
-
-    def ev(x, xi):
-        return ones_x(x) * c(xi)
-
-    return Symbol(dim=stencil.dim, eval=ev, x_part=ones_x, xi_part=c)
+    return separable_symbol(stencil.dim, lambda x: np.ones(np.shape(x)[:-1]), c)
 
 
 def velocity(stencil: Stencil, xi):
-    """Group velocity v(xi) = dp0(xi) as a real vector (scalar for d=1)."""
+    """Group velocity v(xi) = dp0(xi) as a real array of shape (..., d)."""
     v = stencil.gradient(xi)
     if np.iscomplexobj(v):
         raise ValueError("velocity is not numerically real; check stencil symmetry")
@@ -153,14 +134,9 @@ def velocity(stencil: Stencil, xi):
 def momentum_grid_scan(stencil: Stencil, grid_n: int):
     """p0 and |v| on the torus grid with `grid_n` points per axis, as two
     arrays of shape (grid_n,) * d."""
-    ax = np.linspace(0.0, 2.0 * np.pi, grid_n, endpoint=False)
-    if stencil.dim == 1:
-        p = np.asarray(stencil.p0(ax), dtype=float)
-        speeds = np.abs(np.asarray(stencil.gradient(ax), dtype=float))
-    else:
-        xi = np.stack(np.meshgrid(*([ax] * stencil.dim), indexing="ij"), axis=-1)
-        p = np.asarray(stencil.p0(xi), dtype=float)
-        speeds = np.linalg.norm(np.asarray(stencil.gradient(xi), dtype=float), axis=-1)
+    xi = product_grid(np.linspace(0.0, 2.0 * np.pi, grid_n, endpoint=False), stencil.dim)
+    p = np.asarray(stencil.p0(xi), dtype=float)
+    speeds = np.linalg.norm(np.asarray(stencil.gradient(xi), dtype=float), axis=-1)
     return p, speeds
 
 
@@ -259,8 +235,7 @@ class Box:
     def sites(self) -> np.ndarray:
         """(site_count, dim) integer coordinates, row-major."""
         ax = np.arange(-self.radius, self.radius + 1)
-        mesh = np.meshgrid(*([ax] * self.dim), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        return product_grid(ax, self.dim).reshape(-1, self.dim)
 
     def index_of(self, site) -> int:
         site = np.atleast_1d(site)

@@ -15,6 +15,7 @@ from scipy.special import jv
 from .escape import CutoffPhi
 from .geometry import KernelPoint, classify, make_bump_pair
 from .model import LatticeHamiltonian, LinearMap, ModelConfig, momentum_grid_scan
+from .quantize import _xi_grid
 from .resolvent import DecayFit
 from .symbols import Symbol
 
@@ -220,10 +221,6 @@ class LocalDecayResult:
     kappa_hat: float
     rows: list
 
-    def csv_rows(self):
-        for r in self.rows:
-            yield r
-
 
 def local_decay_probe(model_cfg: ModelConfig, cutoff: EnergyCutoff, nu: float,
                       t_grid: Sequence[float],
@@ -291,18 +288,13 @@ class PropagationResult:
     rows: list
     decay_expected: bool
 
-    def csv_rows(self):
-        for r in self.rows:
-            yield r
-
 
 def propagation_probe(model_cfg: ModelConfig, kp: KernelPoint, lam: float,
                       h_list: Sequence[float], t_horizon_rule: Optional[Callable] = None,
                       delta1: float = 0.2, delta2: float = 0.2,
                       cutoff: Optional[EnergyCutoff] = None, n_t: int = 32,
                       mode: str = "decay", classify_grid: int = 4096,
-                      min_radius: int = 32, norm_tol: float = 1e-2,
-                      jobs: int = 1, seed=None) -> PropagationResult:
+                      min_radius: int = 32, jobs: int = 1) -> PropagationResult:
     """sup over t in [0, T(h)] of ||Op^h(a1) e^{-itH} f(H) Op^h(a2)|| per h.
 
     T(h) defaults to min(h^-2, 0.8 L(h)/v_max). mode="decay" requires the
@@ -318,8 +310,8 @@ def propagation_probe(model_cfg: ModelConfig, kp: KernelPoint, lam: float,
     if mode not in ("decay", "control", "offshell"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode != "offshell":
-        p1 = float(model_cfg.stencil.p0(np.atleast_1d(kp.xi))[0])
-        p2 = float(model_cfg.stencil.p0(np.atleast_1d(kp.eta))[0])
+        p1 = float(model_cfg.stencil.p0(kp.xi))
+        p2 = float(model_cfg.stencil.p0(kp.eta))
         if abs(p1 - lam) > 1e-9 or abs(p2 - lam) > 1e-9:
             raise ValueError("both momenta must sit on the energy shell")
         report = classify(kp, model_cfg.stencil, lam, tol=3.0 * delta1,
@@ -331,10 +323,8 @@ def propagation_probe(model_cfg: ModelConfig, kp: KernelPoint, lam: float,
         if mode == "control" and outside:
             raise ValueError("control mode expects an on-set kernel point")
     vmax = shell_speed_max(model_cfg, cutoff)
-    x1 = float(kp.x[0])
-    x2 = -float(kp.y[0])
-    span = max(abs(x1), abs(x2), 0.5)
-    a1, a2 = make_bump_pair((x1, float(kp.xi[0])), (x2, float(kp.eta[0])), delta1, delta2)
+    span = max(np.max(np.abs(kp.x)), np.max(np.abs(kp.y)), 0.5)
+    a1, a2 = make_bump_pair((kp.x, kp.xi), (-kp.y, kp.eta), delta1, delta2)
     def run_h(h):
         L = max(int(np.ceil(4.0 * span / h)), min_radius)
         H = model_cfg.assemble(L, with_cap=False)
@@ -342,7 +332,7 @@ def propagation_probe(model_cfg: ModelConfig, kp: KernelPoint, lam: float,
         if t_horizon_rule is not None:
             T = min(float(t_horizon_rule(h)), 0.8 * L / max(vmax, 1e-12))
         tg = np.concatenate([[0.0], np.geomspace(max(T / 512.0, 0.25), T, n_t - 1)])
-        return h, _propagation_sup(H, a1, a2, h, cutoff, tg, norm_tol, seed=seed)
+        return h, _propagation_sup(H, a1, a2, h, cutoff, tg)
 
     from .resolvent import _pmap
     results = _pmap(run_h, sorted(float(v) for v in h_list), jobs)
@@ -358,8 +348,7 @@ def propagation_probe(model_cfg: ModelConfig, kp: KernelPoint, lam: float,
 
 
 def _propagation_sup(H: LatticeHamiltonian, a1: Symbol, a2: Symbol, h: float,
-                     cutoff: EnergyCutoff, t_grid: np.ndarray, norm_tol: float,
-                     seed=None):
+                     cutoff: EnergyCutoff, t_grid: np.ndarray):
     """Exact finite-rank norms of Op^h(a1) e^{-itH} f(H) Op^h(a2) on t_grid.
 
     Both symbols must be separable with finite x-support. With E the
@@ -367,17 +356,17 @@ def _propagation_sup(H: LatticeHamiltonian, a1: Symbol, a2: Symbol, h: float,
     gram of Op^h(a2) on S2, the norm at t is sigma_max of
     Op^h(a1) e^{-itH} f(H) E Q_k Lam_k^{1/2}, where k keeps the eigenvalues
     above 1e-13 * max Lam. Only those k columns are evolved, incrementally
-    across the grid. The column route is exact, so norm_tol and seed are
-    unused; they keep the signature of the other norm probes.
+    across the grid.
     """
     if not (a1.separable and a2.separable):
         raise NotImplementedError("the propagation probe needs separable symbols")
     box = H.box
-    sites = box.sites()[:, 0].astype(float)
+    sites = box.sites().astype(float)
+    xi = _xi_grid(box)
     b1 = np.asarray(a1.x_part(h * sites), dtype=complex)
-    c1 = np.asarray(a1.xi_part(box.xi_axis()), dtype=complex)
+    c1 = np.asarray(a1.xi_part(xi), dtype=complex)
     b2 = np.asarray(a2.x_part(h * sites), dtype=complex)
-    c2 = np.asarray(a2.xi_part(box.xi_axis()), dtype=complex)
+    c2 = np.asarray(a2.xi_part(xi), dtype=complex)
     S1 = _sites_of_support(b1)
     S2 = _sites_of_support(b2)
     N = box.site_count

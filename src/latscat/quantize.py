@@ -10,7 +10,7 @@ import numpy as np
 
 from .model import Box, LinearMap
 from .symbols import Symbol
-from .util import rng
+from .util import product_grid, rng
 
 # Non-separable symbols materialize an N_tot^2 kernel; keep it bounded.
 GENERAL_PATH_MAX_DIM = 4200
@@ -31,14 +31,21 @@ class NormConvergenceError(RuntimeError):
 
 
 def _xi_grid(box: Box) -> np.ndarray:
-    """Momentum grid over the box, shape (N_tot,) for d=1, (N_tot, d) else.
+    """Momentum grid over the box, shape (N_tot, d).
 
     FFT bin ordering per axis so multipliers line up with fftn."""
-    ax = box.xi_axis()
-    if box.dim == 1:
-        return ax
-    mesh = np.meshgrid(*([ax] * box.dim), indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    return product_grid(box.xi_axis(), box.dim).reshape(-1, box.dim)
+
+
+def _on_grid(values, shape: tuple, what: str) -> np.ndarray:
+    """`values` as a complex array, which must have exactly `shape`: a
+    function written for bare d = 1 scalars would otherwise broadcast
+    silently into a larger array."""
+    values = np.asarray(values, dtype=complex)
+    if values.shape != shape:
+        raise ValueError(f"{what} returned shape {values.shape}, expected {shape}; "
+                         f"points are passed as (..., d) arrays, d = 1 included")
+    return values
 
 
 def _fftn_flat(u, box: Box):
@@ -53,9 +60,9 @@ def fourier_multiplier(c: Callable, box: Box) -> LinearMap:
     """Multiplier c(D): inverse-DFT . multiply . DFT on the periodic box.
 
     Exactly diagonal in the discrete plane-wave basis. `c` is evaluated on
-    the box momentum grid.
+    the box momentum grid of shape (N_tot, d) and must return shape (N_tot,).
     """
-    cv = np.asarray(c(_xi_grid(box)), dtype=complex)
+    cv = _on_grid(c(_xi_grid(box)), (box.site_count,), "multiplier")
     cbar = np.conj(cv)
     herm = bool(np.max(np.abs(cv.imag)) < 1e-15) if cv.size else True
 
@@ -87,22 +94,39 @@ def _xi_tail_of_row(row: np.ndarray, box: Box) -> float:
     mass = np.sum(np.abs(co))
     if mass == 0.0:
         return 0.0
-    k = np.fft.fftfreq(n1, d=1.0 / n1)
-    if box.dim == 1:
-        kinf = np.abs(k)
-    else:
-        mesh = np.meshgrid(*([k] * box.dim), indexing="ij")
-        kinf = np.max(np.abs(np.stack(mesh)), axis=0)
+    kinf = np.max(np.abs(product_grid(np.fft.fftfreq(n1, d=1.0 / n1), box.dim)), axis=-1)
     return float(np.sum(np.abs(co[kinf > tail_cut])) / mass)
 
 
-def _check_xi_tail(ratio: float):
+def _check_xi_tail(ratio: float, stacklevel: int = 3):
     if ratio > XI_TAIL_ERROR:
         raise ResolutionError(
             f"xi Fourier tail mass {ratio:.2e} exceeds {XI_TAIL_ERROR:.0e}; refine the box")
     if ratio > XI_TAIL_WARN:
         warnings.warn(f"op_h: xi Fourier tail mass {ratio:.2e} above {XI_TAIL_WARN:.0e}",
-                      RuntimeWarning, stacklevel=3)
+                      RuntimeWarning, stacklevel=stacklevel)
+
+
+def _sampled_kernel(a: Symbol, h: float, box: Box, check_resolution: bool) -> np.ndarray:
+    """K[i, k] = a(h n_i, xi_k) e^{i n_i.xi_k} e^{i L sum(xi_k)} on the box.
+
+    The phases pair the e^{+i n xi} reconstruction with the e^{-i n' xi}
+    analysis transform: op_h applies K / N to the DFT of u, and
+    escape._dense_op forms the matrix fft(K, axis=1) / N. check_resolution
+    runs the xi-tail guard on the heaviest row of the sampled symbol.
+    """
+    sites = box.sites().astype(float)
+    xi = _xi_grid(box)
+    N = box.site_count
+    vals = _on_grid(a(h * sites[:, None, :], xi[None, :, :]), (N, N), "symbol")
+    if check_resolution:
+        masses = np.sum(np.abs(vals), axis=1)
+        if np.max(masses) > 0.0:
+            # the warning names op_h's caller, one frame further out
+            _check_xi_tail(_xi_tail_of_row(vals[int(np.argmax(masses))], box), stacklevel=4)
+    phase = np.exp(1j * (sites @ xi.T))
+    corr = np.exp(1j * box.radius * np.sum(xi, axis=-1))
+    return vals * phase * corr[None, :]
 
 
 def op_h(a: Symbol, h: float, box: Box, check_resolution: bool = True) -> LinearMap:
@@ -110,6 +134,9 @@ def op_h(a: Symbol, h: float, box: Box, check_resolution: bool = True) -> Linear
 
     (A u)(n) = (1/N) sum_k a(h n, xi_k) e^{i n.xi_k} u^(xi_k).
     Separable symbols a = b(x) c(xi) use multiply-by-b(hn) o c(D).
+    The symbol sees sites and momenta as (..., d) arrays; a result of any
+    shape other than (N_tot,) per factor, or (N_tot, N_tot) for a general
+    symbol, raises ValueError.
 
     check_resolution=False quantizes the grid-sampled symbol without the
     xi-tail guard; the fixed-symbol cone probes use it on the small pinned
@@ -121,13 +148,12 @@ def op_h(a: Symbol, h: float, box: Box, check_resolution: bool = True) -> Linear
     if a.dim != box.dim:
         raise ValueError("symbol/box dimension mismatch")
 
-    sites = box.sites().astype(float)
+    N = box.site_count
     if a.separable:
-        x_arg = (h * sites[:, 0]) if box.dim == 1 else (h * sites)
-        bv = np.asarray(a.x_part(x_arg), dtype=complex)
+        bv = _on_grid(a.x_part(h * box.sites().astype(float)), (N,), "x_part")
         if check_resolution and np.max(np.abs(bv)) > 0.0:
-            _check_xi_tail(_xi_tail_of_row(np.asarray(a.xi_part(_xi_grid(box)),
-                                                      dtype=complex), box))
+            _check_xi_tail(_xi_tail_of_row(_on_grid(a.xi_part(_xi_grid(box)), (N,), "xi_part"),
+                                           box))
         mult = fourier_multiplier(a.xi_part, box)
         bbar = np.conj(bv)
 
@@ -137,29 +163,13 @@ def op_h(a: Symbol, h: float, box: Box, check_resolution: bool = True) -> Linear
         def adj(u):
             return mult.adjoint_apply(bbar * np.asarray(u))
 
-        return LinearMap(box.site_count, fwd, adj, label="Op^h(a)")
+        return LinearMap(N, fwd, adj, label="Op^h(a)")
 
-    if box.site_count > GENERAL_PATH_MAX_DIM:
+    if N > GENERAL_PATH_MAX_DIM:
         raise ValueError(
             f"general quantization path capped at {GENERAL_PATH_MAX_DIM} sites "
-            f"(got {box.site_count}); use a separable symbol or a smaller box")
-    xi = _xi_grid(box)
-    N = box.site_count
-    if box.dim == 1:
-        x_arg = h * sites[:, 0]
-        vals = np.asarray(a(x_arg[:, None], xi[None, :]), dtype=complex)
-        phase = np.exp(1j * np.outer(sites[:, 0], xi))
-        corr = np.exp(1j * xi * box.radius)
-    else:
-        vals = np.asarray(a(h * sites[:, None, :], xi[None, :, :]), dtype=complex)
-        phase = np.exp(1j * (sites @ np.asarray(xi).T))
-        corr = np.exp(1j * box.radius * np.sum(np.asarray(xi), axis=-1))
-    masses = np.sum(np.abs(vals), axis=1)
-    if check_resolution and np.max(masses) > 0.0:
-        _check_xi_tail(_xi_tail_of_row(vals[int(np.argmax(masses))], box))
-    # (A u)(n) = (1/N) sum_k a(h n, xi_k) e^{+i n xi_k} u^(xi_k), pairing the
-    # e^{+i n xi} reconstruction with the e^{-i n' xi} analysis transform
-    B = vals * phase * corr[None, :] / N
+            f"(got {N}); use a separable symbol or a smaller box")
+    B = _sampled_kernel(a, h, box, check_resolution) / N
     BH = B.conj().T
 
     def fwd(u):
@@ -168,7 +178,7 @@ def op_h(a: Symbol, h: float, box: Box, check_resolution: bool = True) -> Linear
     def adj(u):
         return _ifftn_flat(BH @ np.asarray(u), box) * N
 
-    return LinearMap(box.site_count, fwd, adj, label="Op^h(a)")
+    return LinearMap(N, fwd, adj, label="Op^h(a)")
 
 
 def operator_norm(A: LinearMap, tol: float = 1e-2, max_iter: int = 600,

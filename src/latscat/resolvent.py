@@ -214,11 +214,6 @@ class WfProbeResult:
     report: object
     box_radius: int
 
-    def csv_rows(self):
-        for r in self.rows:
-            yield {"h": r.key, "epsilon_used": r.epsilon if r.epsilon is not None else 0.0,
-                   "norm": r.norm, "iterations": r.iterations, "seconds": r.seconds}
-
 
 def wf_probe(model_cfg: ModelConfig, kp: KernelPoint, lam: float,
              h_list: Sequence[float], delta1: float, delta2: float,
@@ -245,11 +240,7 @@ def wf_probe(model_cfg: ModelConfig, kp: KernelPoint, lam: float,
     report = classify(kp, model_cfg.stencil, lam, tol=3.0 * delta1, grid_n=classify_grid)
     decay_expected = report.outside_all(sign=+1)
     H = model_cfg.assemble(box_radius, with_cap=True)
-    a1, a2 = make_bump_pair((kp.x if kp.dim > 1 else float(kp.x[0]),
-                             kp.xi if kp.dim > 1 else float(kp.xi[0])),
-                            (-kp.y if kp.dim > 1 else -float(kp.y[0]),
-                             kp.eta if kp.dim > 1 else float(kp.eta[0])),
-                            delta1, delta2)
+    a1, a2 = make_bump_pair((kp.x, kp.xi), (-kp.y, kp.eta), delta1, delta2)
     cfg = lap if lap is not None else LAPConfig(lam=lam)
 
     def run_h(h):
@@ -275,11 +266,6 @@ class BoxSweepResult:
     bounded: bool
     bound_factor: float
     control_norm: Optional[float] = None
-
-    def csv_rows(self):
-        for r in self.rows:
-            yield {"L": r.key, "epsilon_used": r.epsilon if r.epsilon is not None else 0.0,
-                   "norm": r.norm, "iterations": r.iterations, "seconds": r.seconds}
 
 
 def _bounded(rows, factor=1.2):

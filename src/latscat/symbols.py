@@ -29,9 +29,10 @@ class SupportMeta:
 class Symbol:
     """A function a(x, xi), x in R^d, xi in T^d.
 
-    eval takes arrays with the coordinate dimension on the last axis (scalars
-    fine for d=1) and broadcasts. Separable symbols a(x, xi) = b(x) c(xi)
-    carry their factors so quantization can use the fast multiplier path.
+    eval, x_part and xi_part take points of shape (..., d), d = 1 included,
+    broadcast over the leading axes, and return an array of the leading
+    shape. Separable symbols a(x, xi) = b(x) c(xi) carry their factors so
+    quantization can use the fast multiplier path.
     """
 
     dim: int
@@ -58,12 +59,13 @@ def separable_symbol(dim, b, c, support_meta=None):
 
 
 def constant_symbol(dim, value=1.0):
-    return separable_symbol(dim, lambda x: np.full(np.shape(x)[:-1] if dim > 1 else np.shape(x), value),
-                            lambda xi: np.ones(np.shape(xi)[:-1] if dim > 1 else np.shape(xi)))
+    return separable_symbol(dim, lambda x: np.full(np.shape(x)[:-1], value),
+                            lambda xi: np.ones(np.shape(xi)[:-1]))
 
 
 def check_bounded(symbol: Symbol, x_samples, xi_samples, bound=None):
-    """Grid check that a symbol is finite (and below `bound`)."""
+    """Grid check that a symbol is finite (and below `bound`) on samples of
+    shape (..., d)."""
     vals = symbol(x_samples, xi_samples)
     if not np.all(np.isfinite(vals)):
         raise ValueError("symbol evaluates non-finite on sample grid")
@@ -74,18 +76,15 @@ def check_bounded(symbol: Symbol, x_samples, xi_samples, bound=None):
 
 
 def check_support(symbol: Symbol, x_samples, xi_samples, tol=1e-14):
-    """Grid check that |a| < tol outside support_meta (if present)."""
+    """Grid check that |a| < tol outside support_meta (if present) on samples
+    of shape (..., d)."""
     meta = symbol.support_meta
     if meta is None:
         return True
     x = np.asarray(x_samples, dtype=float)
     xi = np.asarray(xi_samples, dtype=float)
-    if symbol.dim == 1:
-        dx = np.abs(x - float(np.asarray(meta.x_center).ravel()[0]))
-        dxi = torus_distance(xi, float(np.asarray(meta.xi_center).ravel()[0]))
-    else:
-        dx = np.linalg.norm(x - np.asarray(meta.x_center), axis=-1)
-        dxi = torus_distance(xi, np.asarray(meta.xi_center))
+    dx = np.linalg.norm(x - np.asarray(meta.x_center), axis=-1)
+    dxi = torus_distance(xi, np.asarray(meta.xi_center))
     outside = (dx > meta.x_radius) | (dxi > meta.xi_radius)
     vals = np.abs(symbol(x, xi))
     return bool(np.all(vals[outside] < tol)) if np.any(outside) else True

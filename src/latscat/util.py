@@ -20,15 +20,16 @@ def angle_diff(xi, eta):
 
 
 def torus_distance(xi, eta):
-    """Euclidean distance on the flat torus (R/2pi Z)^d.
+    """Euclidean distance on the flat torus (R/2pi Z)^d between points of
+    shape (..., d): componentwise min(|d|, 2pi-|d|), combined in quadrature
+    over the last axis."""
+    return np.sqrt(np.sum(angle_diff(xi, eta) ** 2, axis=-1))
 
-    Inputs are points with the torus dimension on the last axis; scalars work
-    for d=1. Componentwise min(|d|, 2pi-|d|), combined in quadrature.
-    """
-    diff = angle_diff(xi, eta)
-    if diff.ndim == 0:
-        return float(diff)
-    return np.sqrt(np.sum(diff**2, axis=-1))
+
+def product_grid(ax, dim: int) -> np.ndarray:
+    """The points of ax^dim, shape (len(ax),) * dim + (dim,), first axis
+    slowest; reshape(-1, dim) lists them row-major."""
+    return np.stack(np.meshgrid(*([ax] * dim), indexing="ij"), axis=-1)
 
 
 def reduce_torus(xi):

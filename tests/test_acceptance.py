@@ -147,7 +147,7 @@ def test_criterion_9_calculus_suite(free_model, longrange_model):
     u = g.standard_normal(box.site_count) + 1j * g.standard_normal(box.site_count)
     u /= np.linalg.norm(u)
     checks = {}
-    ident = fourier_multiplier(lambda xi: np.ones(np.shape(xi)), box)
+    ident = fourier_multiplier(lambda xi: np.ones(np.shape(xi)[:-1]), box)
     checks["identity multiplier 1e-13"] = np.linalg.norm(ident(u) - u) <= 1e-13
     W = compose_maps(position_weight(2.0, box), position_weight(-2.0, box))
     checks["diagonal weights exact 1e-13"] = np.linalg.norm(W(u) - u) <= 1e-13

@@ -53,22 +53,23 @@ def test_psi0_values(ladder):
     t = 2.0
     sym = build_psi0(ladder, t)
     y = ladder.y(t)
-    assert sym(np.array(y), np.array(ladder.xi2)) == pytest.approx(1.0)
+    assert sym(np.array([y]), np.array([ladder.xi2])) == pytest.approx(1.0)
     r = ladder.ell(t)
-    assert sym(np.array(y + 1.01 * r), np.array(ladder.xi2)) == 0.0
+    assert sym(np.array([y + 1.01 * r]), np.array([ladder.xi2])) == 0.0
     # t = 0 equals the squared symbol bump a2(h x, xi)^2
     sym0 = build_psi0(ladder, 0.0)
     _, a2 = make_bump_pair((0.0, 0.0), (ladder.x2, ladder.xi2), ladder.delta1,
                            ladder.delta2, phi=ladder.phi)
     x = np.linspace(ladder.y(0.0) - 2 * ladder.ell(0.0), ladder.y(0.0) + 2 * ladder.ell(0.0), 101)
     xi = np.full_like(x, ladder.xi2 - 0.1)
-    assert np.allclose(sym0(x, xi), np.asarray(a2(ladder.h * x, xi)) ** 2, atol=1e-13)
+    assert np.allclose(sym0(x[:, None], xi[:, None]),
+                       np.asarray(a2(ladder.h * x[:, None], xi[:, None])) ** 2, atol=1e-13)
 
 
 def test_psi_j_prefactor_and_support(ladder):
     sym0 = build_psi_j(ladder, 1, 0.0)
     x = np.linspace(0, 60, 301)
-    assert np.max(np.abs(sym0(x, np.full_like(x, ladder.xi2)))) == 0.0
+    assert np.max(np.abs(sym0(x[:, None], np.full_like(x, ladder.xi2)[:, None]))) == 0.0
     # prefactor limit t -> infinity is C_j h^(j mu)
     big = float(ladder.prefactor(1, 1e9))
     assert big == pytest.approx(1.0 * ladder.h**ladder.mu, rel=1e-6)
@@ -249,7 +250,7 @@ def test_psi0_support_sandwich(energy_ladder):
         scale = 1.0 / lad.h + t
         y, ell = lad.y(t), lad.ell(t)
         x = np.linspace(y - 1.5 * ell, y + 1.5 * ell, 2001)
-        vals = np.asarray(build_psi0(lad, t)(x, np.full_like(x, lad.xi2)))
+        vals = np.asarray(build_psi0(lad, t)(x[:, None], np.full_like(x, lad.xi2)[:, None]))
         on = vals > 0
         assert np.min(np.abs(x[on])) >= 2.0 * lad.delta1 * scale - 1e-9
         C_rec = max(C_rec, np.max(np.abs(x[on])) / scale)

@@ -195,7 +195,7 @@ def test_propagation_offshell_case(free_model):
     H = free_model.assemble(64, with_cap=False)
     a1, a2 = make_bump_pair((4.0, np.pi / 2), (-3.0, 0.0), 1.5, 0.3)
     tg = np.r_[0.0, 1.0, 4.0, np.geomspace(8.0, 50.0, 12)]
-    sup, rows = _propagation_sup(H, a1, a2, 0.125, cutoff, tg, norm_tol=1e-2)
+    sup, rows = _propagation_sup(H, a1, a2, 0.125, cutoff, tg)
     assert sup <= 2e-2
     # dual route: the finite-rank column path equals the dense oracle
     A1 = to_dense(op_h(a1, 0.125, H.box, check_resolution=False))
@@ -215,7 +215,7 @@ def test_propagation_offshell_case(free_model):
     # rapid shrink: two h-halvings gain a factor >= 30 (frozen: 9.7e-3 -> 1.6e-4)
     H32 = free_model.assemble(256, with_cap=False)
     sup32, _ = _propagation_sup(H32, a1, a2, 0.03125, cutoff,
-                                np.r_[0.0, np.geomspace(0.5, 200.0, 15)], norm_tol=1e-2)
+                                np.r_[0.0, np.geomspace(0.5, 200.0, 15)])
     assert sup32 <= sup / 30.0
 
 
@@ -224,7 +224,7 @@ def test_propagation_sup_rejects_non_separable(small_H):
     a1, a2 = make_bump_pair((2.0, np.pi / 2), (-1.5, -np.pi / 2), 0.5, 0.4)
     joint = Symbol(dim=1, eval=a2.eval)
     with pytest.raises(NotImplementedError, match="separable"):
-        _propagation_sup(small_H, a1, joint, 0.25, cutoff, np.array([0.0]), norm_tol=1e-2)
+        _propagation_sup(small_H, a1, joint, 0.25, cutoff, np.array([0.0]))
 
 
 def test_propagation_probe_modes(free_model):
@@ -247,7 +247,7 @@ def test_propagation_t0_matches_static_sandwich(free_model):
     cutoff = EnergyCutoff(lam=1.0, eps_f=0.25)
     H = free_model.assemble(48, with_cap=False)
     a1, a2 = make_bump_pair((2.0, np.pi / 2), (-1.5, -np.pi / 2), 0.5, 0.4)
-    _, rows = _propagation_sup(H, a1, a2, 0.25, cutoff, np.array([0.0]), norm_tol=1e-2)
+    _, rows = _propagation_sup(H, a1, a2, 0.25, cutoff, np.array([0.0]))
     A1 = op_h(a1, 0.25, H.box, check_resolution=False)
     A2 = op_h(a2, 0.25, H.box, check_resolution=False)
     f_map = f_of_H_map(H, cutoff)

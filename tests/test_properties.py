@@ -17,18 +17,18 @@ finite = dict(allow_nan=False, allow_infinity=False)
 @given(st.floats(-50, 50), st.floats(-50, 50))
 @settings(max_examples=80, deadline=None)
 def test_torus_distance_symmetry_and_range(a, b):
-    d = torus_distance(a, b)
+    d = torus_distance([a], [b])
     assert 0.0 <= d <= np.pi + 1e-12
-    assert d == pytest.approx(torus_distance(b, a), abs=1e-12)
-    assert torus_distance(a, a) == 0.0
+    assert d == pytest.approx(torus_distance([b], [a]), abs=1e-12)
+    assert torus_distance([a], [a]) == 0.0
     # invariant under 2 pi shifts
-    assert d == pytest.approx(torus_distance(a + 2 * np.pi, b), abs=1e-9)
+    assert d == pytest.approx(torus_distance([a + 2 * np.pi], [b]), abs=1e-9)
 
 
 @given(st.floats(-50, 50), st.floats(-50, 50), st.floats(-50, 50))
 @settings(max_examples=60, deadline=None)
 def test_torus_triangle_inequality(a, b, c):
-    assert torus_distance(a, c) <= torus_distance(a, b) + torus_distance(b, c) + 1e-9
+    assert torus_distance([a], [c]) <= torus_distance([a], [b]) + torus_distance([b], [c]) + 1e-9
 
 
 @given(st.floats(-100, 100))

@@ -23,7 +23,7 @@ def vec(box, rng):
 
 
 def test_multiplier_identity(box, vec):
-    A = fourier_multiplier(lambda xi: np.ones(np.shape(xi)), box)
+    A = fourier_multiplier(lambda xi: np.ones(np.shape(xi)[:-1]), box)
     assert np.linalg.norm(A(vec) - vec) <= 1e-13
 
 
@@ -35,13 +35,13 @@ def test_multiplier_matches_hamiltonian(box, vec, stencil1d):
     n = box.sites()[:, 0]
     xi0 = 2 * np.pi * 5 / box.n_per_axis
     pw = np.exp(1j * xi0 * n)
-    assert np.linalg.norm(A(pw) - stencil1d.p0(xi0) * pw) <= 1e-12 * np.linalg.norm(pw)
+    assert np.linalg.norm(A(pw) - stencil1d.p0([xi0]) * pw) <= 1e-12 * np.linalg.norm(pw)
 
 
 def test_multiplier_shift_convention(box, vec):
     # mode label xi tags e^{+i n xi}, so e^{i xi} translates along +n
     # (the flow-geometry convention; see the decisions notes)
-    A = fourier_multiplier(lambda xi: np.exp(1j * np.asarray(xi)), box)
+    A = fourier_multiplier(lambda xi: np.exp(1j * xi[..., 0]), box)
     assert np.linalg.norm(A(vec) - np.roll(vec, -1)) <= 1e-12
 
 
@@ -60,34 +60,49 @@ def test_op_h_identity_and_multiplier(box, vec, stencil1d):
     A = op_h(constant_symbol(1), 0.5, box)
     assert np.linalg.norm(A(vec) - vec) <= 1e-13
     c = stencil1d.p0
-    sym = separable_symbol(1, lambda x: np.ones(np.shape(x)), c)
+    sym = separable_symbol(1, lambda x: np.ones(np.shape(x)[:-1]), c)
     A1 = op_h(sym, 0.25, box)
     A2 = fourier_multiplier(c, box)
     assert np.linalg.norm(A1(vec) - A2(vec)) <= 1e-13
 
 
 def test_op_h_position_only(box):
-    b = lambda x: np.exp(-np.asarray(x) ** 2)
-    sym = separable_symbol(1, b, lambda xi: np.ones(np.shape(xi)))
+    b = lambda x: np.exp(-np.asarray(x)[..., 0] ** 2)
+    sym = separable_symbol(1, b, lambda xi: np.ones(np.shape(xi)[:-1]))
     h = 0.25
     A = op_h(sym, h, box)
     e = np.zeros(box.site_count)
     n0 = 7
     e[box.index_of([n0])] = 1.0
     out = A(e)
-    assert out[box.index_of([n0])] == pytest.approx(b(h * n0))
+    assert out[box.index_of([n0])] == pytest.approx(b(np.array([h * n0])))
     out[box.index_of([n0])] = 0.0
     assert np.max(np.abs(out)) <= 1e-14
 
 
 def test_op_h_general_vs_separable(box, vec):
-    b = lambda x: np.exp(-0.5 * np.asarray(x) ** 2)
-    c = lambda xi: np.exp(1j * np.sin(np.asarray(xi)))
+    b = lambda x: np.exp(-0.5 * np.asarray(x)[..., 0] ** 2)
+    c = lambda xi: np.exp(1j * np.sin(np.asarray(xi)[..., 0]))
     A_sep = op_h(separable_symbol(1, b, c), 0.5, box)
     A_gen = op_h(Symbol(dim=1, eval=lambda x, xi: b(x) * c(xi)), 0.5, box)
     assert np.linalg.norm(A_sep(vec) - A_gen(vec)) <= 1e-12
     assert verify_adjoint(A_sep) <= 1e-11
     assert verify_adjoint(A_gen) <= 1e-11
+
+
+def test_op_h_rejects_scalar_layout_symbols(box):
+    # factors written for bare d = 1 scalars return (N, 1) on (N, 1) points;
+    # without the shape check bv * mult(u) would broadcast into an N x N array
+    old_b = lambda x: np.exp(-np.asarray(x) ** 2)
+    ones_x = lambda x: np.ones(np.shape(x)[:-1])
+    ones_xi = lambda xi: np.ones(np.shape(xi)[:-1])
+    with pytest.raises(ValueError, match=r"x_part returned shape \(49, 1\), expected \(49,\)"):
+        op_h(separable_symbol(1, old_b, ones_xi), 0.5, box)
+    with pytest.raises(ValueError, match=r"xi_part returned shape \(49, 1\), expected \(49,\)"):
+        op_h(separable_symbol(1, ones_x, lambda xi: np.cos(np.asarray(xi))), 0.5, box)
+    with pytest.raises(ValueError, match=r"symbol returned shape \(49, 49, 1\), "
+                                         r"expected \(49, 49\)"):
+        op_h(Symbol(dim=1, eval=lambda x, xi: np.cos(x) * np.sin(xi)), 0.5, box)
 
 
 def test_op_h_resolution_guard():
@@ -115,13 +130,14 @@ def test_operator_norm_examples(box):
 def test_operator_norm_against_dense_svd():
     # dense SVD oracle on a small box
     box = Box(1, 30)
-    b = lambda x: np.exp(-np.asarray(x) ** 2) * (1 + 0.5 * np.sin(3 * np.asarray(x)))
-    sym = separable_symbol(1, b, lambda xi: np.ones(np.shape(xi)))
+    b = lambda x: (np.exp(-np.asarray(x)[..., 0] ** 2)
+                   * (1 + 0.5 * np.sin(3 * np.asarray(x)[..., 0])))
+    sym = separable_symbol(1, b, lambda xi: np.ones(np.shape(xi)[:-1]))
     A = op_h(sym, 0.125, box)
     sigma = operator_norm(A, tol=5e-3)
     oracle = np.linalg.svd(to_dense(A), compute_uv=False)[0]
     assert sigma == pytest.approx(oracle, rel=6e-3)
-    assert oracle == pytest.approx(np.max(np.abs(b(0.125 * box.sites()[:, 0]))), rel=1e-10)
+    assert oracle == pytest.approx(np.max(np.abs(b(0.125 * box.sites()))), rel=1e-10)
 
 
 def test_operator_norm_nonconvergence():
@@ -145,7 +161,7 @@ def test_commutator_trivial_cases(box, vec):
 
 def test_commutator_dense_oracle(vec):
     box = Box(1, 24)
-    A = fourier_multiplier(lambda xi: np.exp(1j * np.asarray(xi)), box)
+    A = fourier_multiplier(lambda xi: np.exp(1j * xi[..., 0]), box)
     nvals = box.sites()[:, 0].astype(float)
     B = LinearMap(box.site_count, lambda u: nvals * u, lambda u: nvals * u, hermitian=True)
     C = commutator_action(A, B)
@@ -172,8 +188,8 @@ def test_disjoint_support_composition_decay():
 def test_left_vs_right_quantization_order_h():
     # left and right quantizations of a real S^0 symbol differ at O(h)
     box = Box(1, 512)
-    b = lambda x: np.exp(-np.asarray(x) ** 2)
-    c = lambda xi: 1.0 + 0.5 * np.cos(np.asarray(xi))
+    b = lambda x: np.exp(-np.asarray(x)[..., 0] ** 2)
+    c = lambda xi: 1.0 + 0.5 * np.cos(np.asarray(xi)[..., 0])
     sym = separable_symbol(1, b, c)
     hs = [2.0 ** (-k) for k in range(3, 8)]
     norms = []

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,25 +9,43 @@ from latscat.symbols import SupportMeta, check_bounded, check_support, separable
 
 def test_bounded_check():
     a, _ = make_bump_pair((0.0, np.pi), (1.0, 0.0), 0.5, 0.5)
-    x = np.linspace(-3, 3, 201)
-    xi = np.linspace(0, 2 * np.pi, 201)
+    x = np.linspace(-3, 3, 201)[:, None]
+    xi = np.linspace(0, 2 * np.pi, 201)[:, None]
     m = check_bounded(a, x, xi, bound=1.0 + 1e-12)
     assert 0.0 <= m <= 1.0
     def inv(x):
         with np.errstate(divide="ignore"):
-            return 1.0 / np.asarray(x)
+            return 1.0 / np.asarray(x)[..., 0]
 
-    bad = separable_symbol(1, inv, lambda xi: np.ones(np.shape(xi)))
+    bad = separable_symbol(1, inv, lambda xi: np.ones(np.shape(xi)[:-1]))
     with pytest.raises(ValueError, match="finite"):
-        check_bounded(bad, np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+        check_bounded(bad, np.array([[0.0], [1.0]]), np.array([[0.0], [1.0]]))
+
+
+def _phase_plane(n):
+    """An n x n (x, xi) grid as two (n, n, 1) arrays of d = 1 points."""
+    x, xi = np.meshgrid(np.linspace(-6, 6, n), np.linspace(0, 2 * np.pi, n), indexing="ij")
+    return x[..., None], xi[..., None]
 
 
 def test_support_meta_is_honest():
     a, b = make_bump_pair((2.0, np.pi / 2), (-1.0, 0.0), 0.4, 0.3)
-    x = np.linspace(-6, 6, 401)
-    xi = np.linspace(0, 2 * np.pi, 401)
+    x, xi = _phase_plane(401)
     assert check_support(a, x, xi)
     assert check_support(b, x, xi)
+
+
+def test_support_check_catches_moved_centre():
+    # the grid meets the bump, so an honest pass is not vacuous and metadata
+    # whose centre misses the bump fails
+    a, _ = make_bump_pair((2.0, np.pi / 2), (-1.0, 0.0), 0.4, 0.3)
+    x, xi = _phase_plane(101)
+    assert np.max(a(x, xi)) == 1.0
+    assert check_support(a, x, xi)
+    moved = dataclasses.replace(a.support_meta, x_center=np.array([3.0]))
+    assert not check_support(dataclasses.replace(a, support_meta=moved), x, xi)
+    moved = dataclasses.replace(a.support_meta, xi_center=np.array([np.pi]))
+    assert not check_support(dataclasses.replace(a, support_meta=moved), x, xi)
 
 
 def test_support_disjointness_helper():
@@ -40,5 +60,6 @@ def test_separable_flag():
     a, _ = make_bump_pair((0.0, 0.0), (1.0, 1.0), 0.5, 0.5)
     assert a.separable
     from latscat.symbols import Symbol
-    g = Symbol(dim=1, eval=lambda x, xi: np.cos(np.asarray(x)) * np.sin(np.asarray(xi)))
+    g = Symbol(dim=1, eval=lambda x, xi: np.cos(np.asarray(x)[..., 0])
+               * np.sin(np.asarray(xi)[..., 0]))
     assert not g.separable
