@@ -1,19 +1,22 @@
 #!/usr/bin/env python3
-"""Compare the manifest `results` and `criteria` of two recipe output trees.
+"""Compare two recipe output trees: each recipe's manifest `results` and
+`criteria`, and its results.csv without the `seconds` column.
 
     python scripts/compare_manifests.py out_a out_b
 
 Each tree is what scripts/run_all_recipes.py writes: one directory per
-recipe holding manifest.json. Values must match exactly. Prints one line
-per recipe and one per difference; exits 1 on any difference or on a recipe
-present in only one tree.
+recipe holding manifest.json and results.csv. Values and CSV cells must
+match exactly. Prints one line per recipe and one per difference; exits 1
+on any difference or on a recipe present in only one tree.
 """
 
+import csv
 import json
 import sys
 from pathlib import Path
 
 KEYS = ("results", "criteria")
+CSV = "results.csv"
 
 
 def _diff(a, b, path):
@@ -31,16 +34,33 @@ def _diff(a, b, path):
     return [] if a == b else [(path, a, b)]
 
 
-def _manifests(root: Path) -> dict:
-    return {p.parent.name: json.loads(p.read_text(encoding="utf-8"))
-            for p in sorted(root.glob("*/manifest.json"))}
+def _csv_rows(path: Path):
+    """The rows of a results.csv with its `seconds` column dropped (None if
+    the file is absent)."""
+    if not path.exists():
+        return None
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    if rows and "seconds" in rows[0]:
+        k = rows[0].index("seconds")
+        rows = [r[:k] + r[k + 1:] for r in rows]
+    return rows
+
+
+def _recipes(root: Path) -> dict:
+    out = {}
+    for p in sorted(root.glob("*/manifest.json")):
+        manifest = json.loads(p.read_text(encoding="utf-8"))
+        out[p.parent.name] = {**{k: manifest.get(k) for k in KEYS},
+                              CSV: _csv_rows(p.parent / CSV)}
+    return out
 
 
 def main(argv):
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    left, right = (_manifests(Path(a)) for a in argv)
+    left, right = (_recipes(Path(a)) for a in argv)
     if not left and not right:
         print("no manifests found", file=sys.stderr)
         return 1
@@ -50,7 +70,7 @@ def main(argv):
             print(f"{name:24s} only in {argv[0] if name in left else argv[1]}")
             failed = True
             continue
-        diffs = [d for k in KEYS for d in _diff(left[name].get(k), right[name].get(k), k)]
+        diffs = [d for k in (*KEYS, CSV) for d in _diff(left[name][k], right[name][k], k)]
         print(f"{name:24s} {'same' if not diffs else f'{len(diffs)} difference(s)'}")
         for path, a, b in diffs:
             print(f"    {path}: {a!r} != {b!r}")

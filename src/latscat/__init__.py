@@ -2,17 +2,16 @@
 of lattice Schrodinger operators."""
 
 from .model import (Box, CAPProfile, LatticeHamiltonian, LinearMap, ModelConfig,
-                    Potential, Stencil, assemble_hamiltonian, build_p0,
-                    check_energy_window, laplacian_stencil, velocity)
+                    Potential, Stencil, check_energy_window, laplacian_stencil, velocity)
 from .symbols import Symbol, SupportMeta, separable_symbol
-from .quantize import commutator_action, fourier_multiplier, op_h, operator_norm, position_weight
+from .quantize import fourier_multiplier, op_h, operator_norm, position_weight
 from .geometry import (KernelPoint, MembershipReport, classify, cone_forward_invariance,
                        make_bump_pair, make_cone_symbol)
 from .resolvent import (DecayFit, LAPConfig, free_kernel_1d, ik_probe, lap_solve,
                         one_sided_probe, sandwich_norm, wf_probe)
 from .propagate import (ChebyshevPlan, EnergyCutoff, apply_f_of_H, evolve,
-                        local_decay_probe, propagation_probe, t_splitting_bound)
-from .escape import (CutoffPhi, EscapeLadder, build_psi0, build_psi_j, choose_constants,
+                        local_decay_probe, propagation_probe)
+from .escape import (CutoffPhi, EscapeLadder, build_psi0, build_psi_j,
                      energy_inequality_check, monotonicity_check, verify_transport)
 
 __version__ = "0.1.0"

@@ -191,8 +191,6 @@ def _run_escape(cfg: ExperimentConfig, jobs, seed):
 
 def _run_free_kernel(cfg: ExperimentConfig, jobs, seed):
     p = cfg.probe
-    if cfg.model["potential"] != "none":
-        raise ConfigError("free-kernel probe requires potential = none")
     model = cfg.model_config()
     lam = p["lambda"]
     L = p["box_radius"]

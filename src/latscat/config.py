@@ -226,6 +226,9 @@ def _validate_preconditions(cfg: ExperimentConfig):
             raise ConfigError("h_list needs at least 4 entries")
         if p["expect"] not in ("decay", "control"):
             raise ConfigError("expect must be decay or control")
+    if k == "free-kernel" and (cfg.model["potential"] != "none" or cfg.model["dim"] != 1):
+        raise ConfigError("free-kernel probe compares with the closed-form 1-d free kernel: "
+                          "it needs potential = none and dim = 1")
     if k == "local-decay":
         if not 0 < p["t_min"] < p["t_max"]:
             raise ConfigError("need 0 < t_min < t_max")

@@ -9,8 +9,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import Box, ModelConfig, Stencil, velocity, to_dense
-from .quantize import _sampled_kernel, fourier_multiplier
+from .model import Box, ModelConfig, Stencil, velocity
+from .quantize import _sampled_kernel, _xi_grid
 from .symbols import Symbol, SupportMeta, separable_symbol
 from .util import angle_diff, lstsq_loglog, rng
 
@@ -366,45 +366,12 @@ def verify_transport(ladder: EscapeLadder, j: int, grid: TransportGrid = Transpo
                            passed=best >= -tol)
 
 
-def choose_constants(ladder: EscapeLadder, remainder_estimates: Sequence[float],
-                     safety_factor: float = 2.0, grid_n: int = 801):
-    """Pick C_j = safety * sup|r_(j-1)| / (mu kappa_j) rung by rung.
-
-    remainder_estimates[j-1] is the grid-measured sup of
-    |r_(j-1)| / (h^((j-1)mu) (1/h+t)^(-1-mu)) over O_(j-1)(t).
-    kappa_j is the measured min of Psi(.)Psi(.) of rung j over O_(j-1)(t).
-    """
-    if len(remainder_estimates) != ladder.depth:
-        raise ValueError("need one remainder estimate per rung")
-    C_out = []
-    kappas = []
-    phi = ladder.phi
-    for j in range(1, ladder.depth + 1):
-        kmin = np.inf
-        for t in ladder.t_grid:
-            # O_(j-1)(t) in the bump variables: rho_(j-1) <= 1, torus ball
-            ell_prev = ladder.ell(t, j - 1)
-            ellj = ladder.ell(t, j)
-            x = np.linspace(ladder.y(t) - ell_prev, ladder.y(t) + ell_prev, grid_n)
-            rho_j = np.abs(x - ladder.y(t)) / ellj
-            xi = ladder.xi2 + np.linspace(-ladder.xi_radius(j - 1),
-                                          ladder.xi_radius(j - 1), grid_n)
-            w_j = angle_diff(xi, ladder.xi2) / ladder.xi_radius(j)
-            val = np.min(phi.psi(rho_j)) * np.min(phi.psi(w_j))
-            kmin = min(kmin, float(val))
-        if kmin <= 0.0:
-            raise LadderInvariantError(f"kappa_{j} <= 0: support nesting broken")
-        kappas.append(kmin)
-        C_out.append(safety_factor * remainder_estimates[j - 1] / (ladder.mu * kmin))
-    return tuple(C_out), tuple(kappas)
-
-
 # ---------------------------------------------------------------------------
 # dense spectral checks
 
 
 def periodic_dense_h(model_cfg: ModelConfig, box: Box) -> np.ndarray:
-    """Dense periodic H = p0(D) + V on the box.
+    """Dense periodic H = p0(D) + V on a d = 1 box.
 
     The DFT quantization is periodic; pairing it with the Dirichlet-truncated
     H0 leaks an O(1) commutator artifact through the box seam, so the dense
@@ -413,8 +380,8 @@ def periodic_dense_h(model_cfg: ModelConfig, box: Box) -> np.ndarray:
     N = box.site_count
     if N > 4200:
         raise ValueError("box too large for the dense route")
-    mult = fourier_multiplier(model_cfg.stencil.p0, box)
-    H = to_dense(mult)
+    p0 = np.asarray(model_cfg.stencil.p0(_xi_grid(box)), dtype=complex)
+    H = np.fft.ifft(p0[:, None] * np.fft.fft(np.eye(N), axis=0), axis=0)
     H = (H + H.conj().T) / 2.0
     H[np.diag_indices(N)] += model_cfg.potential.values(box.sites())
     return H

@@ -14,8 +14,6 @@ from .model import CriticalValueError, EmptyShellError, Stencil, check_energy_wi
 from .symbols import Symbol, SupportMeta, separable_symbol
 from .util import product_grid, reduce_torus, torus_distance
 
-SET_NAMES = ("sigma0", "sigma_plus", "sigma_minus", "sigma_prime_plus", "sigma_prime_minus")
-
 
 @dataclass(frozen=True)
 class KernelPoint:

@@ -10,8 +10,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .symbols import Symbol, separable_symbol
-from .util import product_grid, rng
+from .util import product_grid
 
 
 class EmptyShellError(ValueError):
@@ -111,18 +110,6 @@ def laplacian_stencil(dim: int = 1) -> Stencil:
     return Stencil(dim=dim, offsets=tuple(offsets), coeffs=tuple(coeffs))
 
 
-def build_p0(stencil: Stencil) -> Symbol:
-    """The symbol of H0 as a Symbol object (xi-only, class S^0)."""
-
-    def c(xi):
-        val = np.asarray(stencil.p0(xi))
-        if np.iscomplexobj(val):
-            raise ValueError("stencil symbol is not numerically real")
-        return val
-
-    return separable_symbol(stencil.dim, lambda x: np.ones(np.shape(x)[:-1]), c)
-
-
 def velocity(stencil: Stencil, xi):
     """Group velocity v(xi) = dp0(xi) as a real array of shape (..., d)."""
     v = stencil.gradient(xi)
@@ -167,25 +154,19 @@ def check_energy_window(stencil: Stencil, window, grid_n: int = 256, floor: floa
 class Potential:
     """Real multiplication potential V(n) with decay exponent mu.
 
-    form: "none", "power_law" (c (1+|n|^2)^(-mu/2)),
-    "dipole" (c n_1 (1+|n|^2)^(-(mu+1)/2)), or "table" (values on a box).
+    form: "none", "power_law" (c (1+|n|^2)^(-mu/2)) or
+    "dipole" (c n_1 (1+|n|^2)^(-(mu+1)/2)).
     """
 
     mu: float = 0.5
     amplitude: float = 0.0
     form: str = "none"
-    table: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.form not in ("none", "power_law", "dipole", "table"):
+        if self.form not in ("none", "power_law", "dipole"):
             raise ValueError(f"unknown potential form {self.form!r}")
         if not (0.0 < self.mu <= 1.0) and self.form != "none":
             raise ValueError("mu must lie in (0, 1]")
-        if self.form == "table":
-            if self.table is None:
-                raise ValueError("table form needs values")
-            if np.iscomplexobj(self.table):
-                raise ValueError("potential must be real-valued")
 
     def values(self, sites: np.ndarray) -> np.ndarray:
         """Evaluate on integer sites, shape (N,) from sites of shape (N, d)."""
@@ -195,18 +176,7 @@ class Potential:
             return np.zeros(len(sites))
         if self.form == "power_law":
             return self.amplitude * (1.0 + r2) ** (-self.mu / 2.0)
-        if self.form == "dipole":
-            return self.amplitude * sites[:, 0] * (1.0 + r2) ** (-(self.mu + 1.0) / 2.0)
-        vals = np.asarray(self.table, dtype=float).ravel()
-        if len(vals) != len(sites):
-            raise ValueError("table size does not match box")
-        return vals
-
-    def decay_constant(self, sites: np.ndarray) -> float:
-        """Measured C with |V(n)| <= C (1+|n|)^(-mu) on the given sites."""
-        v = np.abs(self.values(sites))
-        r = np.linalg.norm(np.atleast_2d(sites).astype(float), axis=1)
-        return float(np.max(v * (1.0 + r) ** self.mu)) if len(v) else 0.0
+        return self.amplitude * sites[:, 0] * (1.0 + r2) ** (-(self.mu + 1.0) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -245,13 +215,6 @@ class Box:
                 raise ValueError("site outside box")
             idx = idx * self.n_per_axis + (int(c) + self.radius)
         return int(idx)
-
-    def site_of(self, index: int) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=int)
-        for a in range(self.dim - 1, -1, -1):
-            out[a] = index % self.n_per_axis - self.radius
-            index //= self.n_per_axis
-        return out
 
     def xi_axis(self) -> np.ndarray:
         """Momentum grid per axis in FFT bin order, values in [-pi, pi)."""
@@ -303,17 +266,6 @@ class LinearMap:
         return self._adjoint(u)
 
 
-def identity_map(dim: int) -> LinearMap:
-    return LinearMap(dim, lambda u: np.array(u, copy=True), lambda u: np.array(u, copy=True),
-                     hermitian=True, bandwidth=0, label="I")
-
-
-def scale_map(c: complex, A: LinearMap) -> LinearMap:
-    c = complex(c)
-    return LinearMap(A.dim, lambda u: c * A(u), lambda u: np.conj(c) * A.adjoint_apply(u),
-                     hermitian=A.hermitian and c.imag == 0.0, label=f"{c}*{A.label}")
-
-
 def compose_maps(*maps: LinearMap) -> LinearMap:
     """compose_maps(A, B, C) is the operator u -> A(B(C(u)))."""
     if not maps:
@@ -352,19 +304,6 @@ def to_dense(A: LinearMap, max_dim: int = 4200) -> np.ndarray:
     return out
 
 
-def verify_adjoint(A: LinearMap, n_checks: int = 20, seed=None) -> float:
-    """Max relative defect of <Au, v> = <u, A* v> over random pairs."""
-    g = rng(seed)
-    worst = 0.0
-    for _ in range(n_checks):
-        u = g.standard_normal(A.dim) + 1j * g.standard_normal(A.dim)
-        v = g.standard_normal(A.dim) + 1j * g.standard_normal(A.dim)
-        lhs = np.vdot(v, A(u))
-        rhs = np.vdot(A.adjoint_apply(v), u)
-        worst = max(worst, abs(lhs - rhs) / (np.linalg.norm(u) * np.linalg.norm(v)))
-    return worst
-
-
 class LatticeHamiltonian(LinearMap):
     """H = H0 + V (- iW with a CAP), assembled once, on first use, as a sparse
     CSR matrix.
@@ -383,9 +322,7 @@ class LatticeHamiltonian(LinearMap):
         self.potential = potential
         self.box = box
         self.cap = cap
-        sites = box.sites()
-        self.v_diag = potential.values(sites)
-        self.decay_constant = potential.decay_constant(sites)
+        self.v_diag = potential.values(box.sites())
         self.cap_diag = cap.values(box) if cap is not None else np.zeros(box.site_count)
         onsite = 0.0 + 0.0j
         hops = []
@@ -493,15 +430,6 @@ class LatticeHamiltonian(LinearMap):
         return self.stencil.coeff_abs_sum() + vmax + capmax
 
 
-def assemble_hamiltonian(stencil: Stencil, potential: Potential, box: Box,
-                         cap: Optional[CAPProfile] = None) -> LatticeHamiltonian:
-    """Truncated Hamiltonian on the box; hermitian iff no CAP.
-
-    Hopping terms that leave the box are dropped (Dirichlet truncation).
-    """
-    return LatticeHamiltonian(stencil, potential, box, cap)
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     """Model block shared by the probes: stencil + potential + CAP rule."""
@@ -519,4 +447,4 @@ class ModelConfig:
     def assemble(self, radius: int, with_cap: bool = True) -> LatticeHamiltonian:
         box = Box(self.stencil.dim, radius)
         cap = self.cap_for(box) if with_cap else None
-        return assemble_hamiltonian(self.stencil, self.potential, box, cap)
+        return LatticeHamiltonian(self.stencil, self.potential, box, cap)

@@ -62,7 +62,6 @@ class ChebyshevPlan:
     center: float
     radius: float
     coeffs: np.ndarray
-    truncation_tol: float
 
     @classmethod
     def enclosure_for(cls, H: LatticeHamiltonian):
@@ -87,7 +86,7 @@ class ChebyshevPlan:
         top = mags.max() if mags.size else 0.0
         keep = np.nonzero(mags > tol * max(top, 1.0))[0]
         k_last = int(keep[-1]) + 1 if len(keep) else 1
-        return cls(center=c, radius=r, coeffs=np.asarray(co[:k_last]), truncation_tol=tol)
+        return cls(center=c, radius=r, coeffs=np.asarray(co[:k_last]))
 
     @classmethod
     def for_evolution(cls, H: LatticeHamiltonian, t: float, tol: float = 1e-13) -> "ChebyshevPlan":
@@ -101,7 +100,7 @@ class ChebyshevPlan:
         k_last = int(keep[-1]) + 1 if len(keep) else 1
         k = k[:k_last]
         co = (2.0 - (k == 0)) * (-1j) ** k * bes[:k_last] * np.exp(-1j * c * t)
-        return cls(center=c, radius=r, coeffs=co, truncation_tol=tol)
+        return cls(center=c, radius=r, coeffs=co)
 
     @property
     def n_terms(self) -> int:
@@ -164,18 +163,12 @@ def _function_plan(H: LatticeHamiltonian, cutoff: EnergyCutoff, tol: float) -> C
 def evolve(H: LatticeHamiltonian, u, t: float, tol: float = 1e-12):
     """e^{-itH} u for hermitian H via the Chebyshev/Bessel expansion.
 
-    t < 0 is rejected (evolve with the adjoint instead). A CAP Hamiltonian
-    falls back to the dense exponential on small boxes.
+    t < 0 is rejected (evolve with the adjoint instead), and so is a CAP
+    Hamiltonian: its spectrum leaves the real interval the series is built
+    on (ValueError from ChebyshevPlan.enclosure_for).
     """
     if t < 0:
         raise ValueError("t must be >= 0; use the adjoint for backward evolution")
-    if not H.hermitian:
-        if H.dim > 2048:
-            raise NotImplementedError("CAP evolution only on dense-size boxes")
-        M = H.dense()
-        return sla.expm(-1j * t * M) @ np.asarray(u, dtype=complex)
-    if t == 0.0:
-        return np.array(u, dtype=complex, copy=True)
     plan = ChebyshevPlan.for_evolution(H, t, tol=min(tol, 1e-13))
     return plan.apply(H, u)
 
@@ -400,65 +393,3 @@ def _propagation_sup(H: LatticeHamiltonian, a1: Symbol, a2: Symbol, h: float,
                      "seconds": time.perf_counter() - t0})
     return sup, rows
 
-
-# ---------------------------------------------------------------------------
-# splitting arithmetic
-
-
-@dataclass
-class SplittingReport:
-    n_hat: float
-    kappa_hat: float
-    nu: float
-    M: float
-    T_exponent: float
-    first_exponent: float
-    tail_exponent: float
-    implied_exponent: float
-    optimal_T_exponent: Optional[float]
-    optimal_exponent: Optional[float]
-    inconclusive: bool
-    nonpositive: bool
-    target_met: bool
-
-
-def t_splitting_bound(C_N_fit: DecayFit, nu_decay_fit, M: float, nu: float = 3.0) -> SplittingReport:
-    """Arithmetic combination of the propagation fit and the local-decay fit.
-
-    With T = h^(-(M+2nu)) the two pieces of the time integral carry
-    exponents n_hat - (M+2nu) and -2nu + (M+2nu)(kappa-1); the optimal-T
-    variant maximizes min of the two. kappa <= 1 makes the tail integral
-    divergent (inconclusive flag).
-    """
-    if C_N_fit is None or getattr(C_N_fit, "degenerate", False):
-        raise ValueError("missing or degenerate propagation fit")
-    if nu_decay_fit is None:
-        raise ValueError("missing local-decay fit")
-    n_hat = float(C_N_fit.slope)
-    if hasattr(nu_decay_fit, "kappa_hat"):
-        kappa = float(nu_decay_fit.kappa_hat)
-    elif hasattr(nu_decay_fit, "slope"):
-        kappa = -float(nu_decay_fit.slope)
-    else:
-        kappa = float(nu_decay_fit)
-    if not np.isfinite(n_hat) or not np.isfinite(kappa):
-        raise ValueError("fits carry non-finite exponents")
-    beta = M + 2.0 * nu
-    first = n_hat - beta
-    tail = -2.0 * nu + beta * (kappa - 1.0)
-    inconclusive = kappa <= 1.0
-    if inconclusive:
-        implied = float("-inf")
-        opt_beta = None
-        opt = None
-    else:
-        implied = min(first, tail)
-        opt_beta = (n_hat + 2.0 * nu) / kappa
-        opt = n_hat - opt_beta
-    nonpositive = (n_hat <= 0.0) or (not inconclusive and implied <= 0.0)
-    return SplittingReport(n_hat=n_hat, kappa_hat=kappa, nu=nu, M=M,
-                           T_exponent=beta, first_exponent=first, tail_exponent=tail,
-                           implied_exponent=implied, optimal_T_exponent=opt_beta,
-                           optimal_exponent=opt, inconclusive=inconclusive,
-                           nonpositive=nonpositive,
-                           target_met=(not inconclusive) and implied >= M)

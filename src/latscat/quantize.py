@@ -222,17 +222,3 @@ def operator_norm(A: LinearMap, tol: float = 1e-2, max_iter: int = 600,
         f"(last sigma ~ {np.sqrt(max(lam, 0.0)):.6e}, residual {resid:.2e})",
         last_estimate=float(np.sqrt(max(lam, 0.0))), residual=resid)
 
-
-def commutator_action(A: LinearMap, B: LinearMap) -> LinearMap:
-    """The map i(AB - BA); hermitian when A and B are."""
-    if A.dim != B.dim:
-        raise ValueError("dimension mismatch")
-
-    def fwd(u):
-        return 1j * (A(B(u)) - B(A(u)))
-
-    def adj(u):
-        return 1j * (A.adjoint_apply(B.adjoint_apply(u)) - B.adjoint_apply(A.adjoint_apply(u)))
-
-    return LinearMap(A.dim, fwd, adj, hermitian=A.hermitian and B.hermitian,
-                     label=f"i[{A.label},{B.label}]")

@@ -2,88 +2,63 @@
 
 from __future__ import annotations
 
+import math
+
+_FREE = "potential = none"
+_LONG_RANGE = "potential = power_law\namplitude = 0.5\nmu = 0.5"
+# the deep epsilon ladder the wf resolvent solves need
+_NUMERICS = "\n[numerics]\nconvergence_tol = 2.5e-4\neps_k_max = 24\n"
+
+# (x1, xi1, x2, xi2), the centres of the bumps a1 and a2: off Sigma_0,
+# Sigma_+ and Sigma'_+, and with a1 on the outgoing flow ray from a2
+_OFF_SET = (4.0, math.pi / 2, -3.0, -math.pi / 2)
+_ON_RAY = (4.0, math.pi / 2, 2.0, math.pi / 2)
+
+
+def _kernel_point(kind: str, model: str, point: tuple, **criteria) -> str:
+    """Config of a wf or prop31 probe at the kernel point `point` with the
+    shared bumps and h list; `criteria` are the expect/criterion_* keys in
+    order, and wf probes get the shared [numerics] block."""
+    x1, xi1, x2, xi2 = point
+    checks = "".join(f"{key} = {value}\n" for key, value in criteria.items())
+    return f"""
+[model]
+{model}
+
+[probe]
+kind = {kind}
+lambda = 1.0
+x1 = {x1}
+xi1 = {xi1}
+x2 = {x2}
+xi2 = {xi2}
+delta1 = 0.6
+delta2 = 0.3
+h_list = 0.125,0.0625,0.03125,0.015625
+{checks}{_NUMERICS if kind == "wf" else ""}"""
+
+
+_DECAY = dict(expect="decay", criterion_slope=3.0, criterion_residual=0.3)
+
 RECIPES = {
     "free-wf-offset": {
         "claim": "Theorem 2.1 (wave front set upper bound), free model",
         "description": "h-decay of the bump-sandwiched outgoing resolvent at an "
                        "off-set kernel point; fitted slope >= 3.",
-        "config": """
-[model]
-potential = none
-
-[probe]
-kind = wf
-lambda = 1.0
-x1 = 4.0
-xi1 = 1.5707963267948966
-x2 = -3.0
-xi2 = -1.5707963267948966
-delta1 = 0.6
-delta2 = 0.3
-h_list = 0.125,0.0625,0.03125,0.015625
-expect = decay
-criterion_slope = 3.0
-criterion_residual = 0.3
-
-[numerics]
-convergence_tol = 2.5e-4
-eps_k_max = 24
-""",
+        "config": _kernel_point("wf", _FREE, _OFF_SET, **_DECAY),
     },
     "longrange-wf-offset": {
         "claim": "Theorem 2.1 (wave front set upper bound), long-range potential",
         "description": "Same probe with V(n) = 0.5 (1+n^2)^(-1/4); slope >= 3 "
                        "survives the mu = 0.5 tail.",
-        "config": """
-[model]
-potential = power_law
-amplitude = 0.5
-mu = 0.5
-
-[probe]
-kind = wf
-lambda = 1.0
-x1 = 4.0
-xi1 = 1.5707963267948966
-x2 = -3.0
-xi2 = -1.5707963267948966
-delta1 = 0.6
-delta2 = 0.3
-h_list = 0.125,0.0625,0.03125,0.015625
-expect = decay
-criterion_slope = 3.0
-criterion_residual = 0.3
-
-[numerics]
-convergence_tol = 2.5e-4
-eps_k_max = 24
-""",
+        "config": _kernel_point("wf", _LONG_RANGE, _OFF_SET, **_DECAY),
     },
     "wf-onset-control": {
         "claim": "Theorem 2.1 dichotomy (free propagation set is sharp)",
         "description": "Control run with the kernel point on the outgoing flow "
                        "ray: no rapid decay (slope <= 1).",
-        "config": """
-[model]
-potential = none
-
-[probe]
-kind = wf
-lambda = 1.0
-x1 = 4.0
-xi1 = 1.5707963267948966
-x2 = 2.0
-xi2 = 1.5707963267948966
-delta1 = 0.6
-delta2 = 0.3
-h_list = 0.125,0.0625,0.03125,0.015625
-expect = control
-criterion_max_slope = 1.0
-
-[numerics]
-convergence_tol = 2.5e-4
-eps_k_max = 24
-""",
+        "config": _kernel_point("wf", _FREE, _ON_RAY, expect="control",
+                                criterion_max_slope=1.0),
     },
     "free-resolvent-oracle": {
         "claim": "Limiting absorption principle, closed-form check",
@@ -129,25 +104,8 @@ criterion_factor = 1.2
         "claim": "Proposition 3.1 (uniform-in-time propagation estimate)",
         "description": "sup_t of the sandwiched propagator decays with slope >= 3 "
                        "for an off-set on-shell kernel point.",
-        "config": """
-[model]
-potential = power_law
-amplitude = 0.5
-mu = 0.5
-
-[probe]
-kind = prop31
-lambda = 1.0
-x1 = 4.0
-xi1 = 1.5707963267948966
-x2 = -3.0
-xi2 = -1.5707963267948966
-delta1 = 0.6
-delta2 = 0.3
-h_list = 0.125,0.0625,0.03125,0.015625
-expect = decay
-criterion_slope = 3.0
-""",
+        "config": _kernel_point("prop31", _LONG_RANGE, _OFF_SET, expect="decay",
+                                criterion_slope=3.0),
     },
     "local-decay": {
         "claim": "Local decay estimate (3.4)",

@@ -20,10 +20,6 @@ class SupportMeta:
     xi_center: np.ndarray
     xi_radius: float
 
-    def x_disjoint_from(self, other: "SupportMeta") -> bool:
-        gap = np.linalg.norm(np.asarray(self.x_center) - np.asarray(other.x_center))
-        return gap > self.x_radius + other.x_radius
-
 
 @dataclass
 class Symbol:
@@ -31,7 +27,8 @@ class Symbol:
 
     eval, x_part and xi_part take points of shape (..., d), d = 1 included,
     broadcast over the leading axes, and return an array of the leading
-    shape. Separable symbols a(x, xi) = b(x) c(xi) carry their factors so
+    shape; calling the symbol with points whose last axis is not d raises
+    ValueError. Separable symbols a(x, xi) = b(x) c(xi) carry their factors so
     quantization can use the fast multiplier path.
     """
 
@@ -46,6 +43,10 @@ class Symbol:
         return self.x_part is not None and self.xi_part is not None
 
     def __call__(self, x, xi):
+        for name, pts in (("x", x), ("xi", xi)):
+            if np.shape(pts)[-1:] != (self.dim,):
+                raise ValueError(f"symbol got {name} of shape {np.shape(pts)}; points are "
+                                 f"(..., {self.dim}) arrays, d = 1 included")
         return self.eval(x, xi)
 
 
@@ -56,11 +57,6 @@ def separable_symbol(dim, b, c, support_meta=None):
         return np.asarray(b(x)) * np.asarray(c(xi))
 
     return Symbol(dim=dim, eval=ev, support_meta=support_meta, x_part=b, xi_part=c)
-
-
-def constant_symbol(dim, value=1.0):
-    return separable_symbol(dim, lambda x: np.full(np.shape(x)[:-1], value),
-                            lambda xi: np.ones(np.shape(xi)[:-1]))
 
 
 def check_bounded(symbol: Symbol, x_samples, xi_samples, bound=None):

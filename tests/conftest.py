@@ -5,6 +5,7 @@ import pytest
 
 from latscat.model import ModelConfig, Potential, laplacian_stencil
 from latscat.resolvent import LAPConfig, default_epsilon_sequence
+from latscat.util import SEED
 
 
 @pytest.fixture(autouse=True)
@@ -42,3 +43,22 @@ def deep_lap():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(7)
+
+
+@pytest.fixture(scope="session")
+def verify_adjoint():
+    """The oracle A -> max relative defect of <Au, v> = <u, A* v> over
+    `n_checks` random pairs."""
+
+    def defect(A, n_checks=20, seed=SEED):
+        g = np.random.default_rng(seed)
+        worst = 0.0
+        for _ in range(n_checks):
+            u = g.standard_normal(A.dim) + 1j * g.standard_normal(A.dim)
+            v = g.standard_normal(A.dim) + 1j * g.standard_normal(A.dim)
+            lhs = np.vdot(v, A(u))
+            rhs = np.vdot(A.adjoint_apply(v), u)
+            worst = max(worst, abs(lhs - rhs) / (np.linalg.norm(u) * np.linalg.norm(v)))
+        return worst
+
+    return defect

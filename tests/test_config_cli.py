@@ -34,8 +34,12 @@ def test_parse_minimal_and_resolved_echo():
     ("[probe]\nkind = ik\ngamma_minus = 0.5\ngamma_plus = -0.5", "gamma"),
     ("[probe]\nkind = wf\nx1 = 1.0\nxi1 = 1.0\nx2 = 1.0\nxi2 = 1.0\nh_list = 0.5,0.25",
      "at least 4"),
+    # the closed-form free kernel is the 1-d one
+    ("[model]\ndim = 2\n[probe]\nkind = free-kernel", "dim = 1"),
+    ("[model]\npotential = power_law\n[probe]\nkind = free-kernel", "potential = none"),
 ], ids=["unknown-key", "unknown-kind", "empty-kind", "unknown-section",
-        "one-sided-s", "ik-gammas", "short-h-list"])
+        "one-sided-s", "ik-gammas", "short-h-list", "free-kernel-dim",
+        "free-kernel-potential"])
 def test_schema_rejections(mutation, match):
     with pytest.raises(ConfigError, match=match):
         parse_config(mutation)

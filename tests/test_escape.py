@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from latscat.escape import (CutoffPhi, EscapeLadder, LadderInvariantError,
-                            build_psi0, build_psi_j, choose_constants,
-                            energy_inequality_check, monotonicity_check,
+                            build_psi0, build_psi_j, energy_inequality_check, monotonicity_check,
                             periodic_dense_h, verify_transport, _escape_F)
 from latscat.geometry import make_bump_pair
 from latscat.model import Box
@@ -101,17 +100,6 @@ def test_transport_vanishes_off_support(ladder):
     assert np.max(np.abs(tr)) == 0.0 and np.max(np.abs(bound)) == 0.0
 
 
-def test_choose_constants(ladder):
-    zeros, kappas = choose_constants(ladder, [0.0, 0.0])
-    assert zeros == (0.0, 0.0)
-    assert all(k > 0 for k in kappas)
-    c1, _ = choose_constants(ladder, [0.3, 0.1], safety_factor=2.0)
-    c2, _ = choose_constants(ladder, [0.3, 0.1], safety_factor=4.0)
-    assert np.allclose(np.asarray(c2), 2.0 * np.asarray(c1))
-    with pytest.raises(ValueError):
-        choose_constants(ladder, [0.3])
-
-
 @pytest.fixture()
 def energy_ladder(stencil1d):
     # delta1 = 1/3 makes the separation invariant t-uniform (coefficient
@@ -205,14 +193,14 @@ def test_ladder_sum_class_bounds(energy_ladder, stencil1d):
         for t in (0.0, 1.0, 4.0, 16.0):
             y, ell = ladh.y(t), ladh.ell(t, 2)
             x = np.linspace(y - 1.2 * ell, y + 1.2 * ell, 257)
-            xi = np.full_like(x, ladh.xi2 + 0.05)
+            xi = np.full_like(x, ladh.xi2 + 0.05)[:, None]
             tot = np.zeros_like(x)
             grad = np.zeros_like(x)
             for j in range(0, 3):
                 sym = build_psi0(ladh, t) if j == 0 else build_psi_j(ladh, j, t)
-                tot += np.asarray(sym(x, xi)).real
-                grad += (np.asarray(sym(x + eps, xi)).real
-                         - np.asarray(sym(x - eps, xi)).real) / (2 * eps)
+                tot += np.asarray(sym(x[:, None], xi)).real
+                grad += (np.asarray(sym((x + eps)[:, None], xi)).real
+                         - np.asarray(sym((x - eps)[:, None], xi)).real) / (2 * eps)
             assert np.max(np.abs(tot)) <= C_bound + 1e-9
             scaled = (1.0 / h + t) * np.abs(grad)
             # |d_x Psi| <= sup|Psi'| / (delta1 (1/h + t)) per factor
@@ -228,7 +216,7 @@ def test_zeta_support_disjoint_from_ladder(energy_ladder):
         scale = lad.delta1 * (1.0 / lad.h + t)
         x = np.linspace(-3 * scale, 3 * scale + lad.y(t) + 3 * scale, 801)
         zeta = np.asarray(phi.psi(2.0 * np.abs(x) / scale))
-        psi0 = np.asarray(build_psi0(lad, t)(x, np.full_like(x, lad.xi2)))
+        psi0 = np.asarray(build_psi0(lad, t)(x[:, None], np.full_like(x, lad.xi2)[:, None]))
         assert np.max(zeta * psi0) == 0.0
         # supports separated: zeta lives in |x| <= scale/2, tube starts at 3 scale
         assert np.max(np.abs(x[zeta > 0])) <= scale / 2 + 1e-9

@@ -4,20 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latscat.model import (Box, CAPProfile, CriticalValueError, EmptyShellError,
-                           ModelConfig, Potential, Stencil, assemble_hamiltonian, build_p0,
-                           check_energy_window, laplacian_stencil, to_dense, velocity,
-                           verify_adjoint)
+                           LatticeHamiltonian, ModelConfig, Potential, Stencil,
+                           check_energy_window, laplacian_stencil, to_dense, velocity)
 
 
 def test_p0_examples(stencil1d):
-    p0 = build_p0(stencil1d)
     assert np.isclose(stencil1d.p0([0.0]), 0.0)
     assert np.isclose(stencil1d.p0([np.pi]), 2.0)
     st2 = laplacian_stencil(2)
     assert np.isclose(st2.p0(np.array([np.pi / 2, np.pi / 2])), 2.0)
     xi = np.linspace(0, 2 * np.pi, 97)
-    vals = p0(np.zeros_like(xi)[:, None], xi[:, None])
-    assert np.max(np.abs(np.imag(vals))) <= 1e-14
+    assert np.max(np.abs(np.imag(stencil1d.p0(xi[:, None])))) <= 1e-14
 
 
 def test_symmetry_violation_rejected():
@@ -53,7 +50,7 @@ def test_energy_window(stencil1d):
 
 def test_assemble_delta_and_constant(stencil1d):
     box = Box(1, 16)
-    H = assemble_hamiltonian(stencil1d, Potential(), box)
+    H = LatticeHamiltonian(stencil1d, Potential(), box)
     u = np.zeros(box.site_count)
     u[box.index_of([0])] = 1.0
     out = H(u)
@@ -68,15 +65,15 @@ def test_assemble_delta_and_constant(stencil1d):
 
 def test_assemble_with_potential(stencil1d):
     box = Box(1, 16)
-    H = assemble_hamiltonian(stencil1d, Potential(mu=0.5, amplitude=1.0, form="power_law"), box)
+    H = LatticeHamiltonian(stencil1d, Potential(mu=0.5, amplitude=1.0, form="power_law"), box)
     u = np.zeros(box.site_count)
     u[box.index_of([5])] = 1.0
     assert H(u)[box.index_of([5])] == pytest.approx(1.0 + 26.0 ** (-0.25))
 
 
-def test_hermiticity_and_spectral_range(stencil1d, rng):
+def test_hermiticity_and_spectral_range(stencil1d, rng, verify_adjoint):
     box = Box(1, 24)
-    H = assemble_hamiltonian(stencil1d, Potential(), box)
+    H = LatticeHamiltonian(stencil1d, Potential(), box)
     assert verify_adjoint(H, n_checks=20) <= 1e-12
     xi = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
     lo, hi = np.min(stencil1d.p0(xi[:, None])), np.max(stencil1d.p0(xi[:, None]))
@@ -89,7 +86,7 @@ def test_hermiticity_and_spectral_range(stencil1d, rng):
 def test_plane_wave_diagonalization(stencil1d):
     # H0 multiplies box-commensurate plane waves by p0 exactly on interior sites
     box = Box(1, 20)
-    H = assemble_hamiltonian(stencil1d, Potential(), box)
+    H = LatticeHamiltonian(stencil1d, Potential(), box)
     n = box.sites()[:, 0]
     for k in (3, 7, 11):
         xi = 2 * np.pi * k / box.n_per_axis
@@ -104,7 +101,7 @@ def test_cap_profile_and_dissipativity(stencil1d, rng):
     W = cap.values(box)
     assert np.all(W >= 0)
     assert np.all(W[np.abs(box.sites()[:, 0]) <= 28] == 0.0)
-    H = assemble_hamiltonian(stencil1d, Potential(), box, cap)
+    H = LatticeHamiltonian(stencil1d, Potential(), box, cap)
     for _ in range(10):
         u = rng.standard_normal(H.dim) + 1j * rng.standard_normal(H.dim)
         assert np.imag(np.vdot(u, H(u))) <= 1e-12
@@ -114,15 +111,14 @@ def test_box_index_maps():
     box = Box(2, 3)
     assert box.site_count == 49
     for idx in range(box.site_count):
-        assert box.index_of(box.site_of(idx)) == idx
+        assert box.index_of(box.sites()[idx]) == idx
     with pytest.raises(ValueError):
         box.index_of([5, 0])
 
 
 def test_box_radius_vs_cap():
     with pytest.raises(ValueError, match="radius"):
-        assemble_hamiltonian(laplacian_stencil(1), Potential(), Box(1, 5),
-                             CAPProfile(width=5))
+        LatticeHamiltonian(laplacian_stencil(1), Potential(), Box(1, 5), CAPProfile(width=5))
 
 
 def test_potential_forms():
@@ -135,9 +131,6 @@ def test_potential_forms():
         Potential(mu=1.5, amplitude=1.0, form="power_law")
     with pytest.raises(ValueError):
         Potential(form="table")
-    tab = Potential(form="table", table=np.arange(17, dtype=float), mu=1.0)
-    assert tab.values(sites)[0] == 0.0
-    assert Potential(mu=0.5, amplitude=0.5, form="power_law").decay_constant(sites) > 0
 
 
 @st.composite
@@ -164,8 +157,8 @@ def test_symbol_real_for_symmetric_stencils(stn, xi):
 
 @given(symmetric_stencils())
 @settings(max_examples=25, deadline=None)
-def test_assembled_hermitian_for_symmetric_stencils(stn):
-    H = assemble_hamiltonian(stn, Potential(), Box(1, 8))
+def test_assembled_hermitian_for_symmetric_stencils(verify_adjoint, stn):
+    H = LatticeHamiltonian(stn, Potential(), Box(1, 8))
     assert verify_adjoint(H, n_checks=5) <= 1e-12
 
 
@@ -237,8 +230,8 @@ def test_spectral_interval_encloses_dense_spectrum(dim, radius, amplitude):
 @given(symmetric_stencils(), st.floats(-1.0, 1.0))
 @settings(max_examples=25, deadline=None)
 def test_spectral_interval_encloses_random_stencils(stn, amplitude):
-    H = assemble_hamiltonian(stn, Potential(mu=0.5, amplitude=amplitude, form="dipole"),
-                             Box(1, 8))
+    H = LatticeHamiltonian(stn, Potential(mu=0.5, amplitude=amplitude, form="dipole"),
+                           Box(1, 8))
     lo, hi = H.spectral_interval()
     evals = np.linalg.eigvalsh(H.dense())
     slack = 1e-13 * H.spectral_bound()  # rounding of the dense eigensolver

@@ -5,10 +5,8 @@ from latscat.geometry import KernelPoint, make_bump_pair
 from latscat.model import LinearMap, ModelConfig, Potential, compose_maps, laplacian_stencil, to_dense
 from latscat.propagate import (ChebyshevPlan, EnclosureError, EnergyCutoff,
                                apply_f_of_H, evolve, f_of_H_map, local_decay_probe,
-                               propagation_probe, shell_speed_max, t_splitting_bound,
-                               _propagation_sup)
+                               propagation_probe, shell_speed_max, _propagation_sup)
 from latscat.quantize import op_h, operator_norm
-from latscat.resolvent import DecayFit
 from latscat.symbols import Symbol
 
 
@@ -264,47 +262,25 @@ def test_propagation_onset_control_no_decay(free_model):
     assert res.fit is not None and res.fit.slope <= 1.0
 
 
-def test_splitting_report():
-    prop = DecayFit.from_values([0.5, 0.25, 0.125, 0.0625],
-                                [0.5**8, 0.25**8, 0.125**8, 0.0625**8])
-    assert prop.slope == pytest.approx(8.0, abs=1e-9)
-    rep = t_splitting_bound(prop, 2.0, M=1.0, nu=3.0)
-    # with n_hat = 2M + 2 nu and kappa = 2 the split reproduces exponent M
-    assert rep.implied_exponent == pytest.approx(1.0, abs=1e-9)
-    assert rep.target_met and not rep.inconclusive
-    rep2 = t_splitting_bound(prop, 0.8, M=1.0)
-    assert rep2.inconclusive
-    flat = DecayFit.from_values([0.5, 0.25, 0.125, 0.0625], [1.0, 1.0, 1.0, 1.0])
-    rep3 = t_splitting_bound(flat, 2.0, M=1.0)
-    assert rep3.nonpositive
-    with pytest.raises(ValueError):
-        t_splitting_bound(None, 2.0, M=1.0)
-
-
 def test_shell_speed(free_model):
     cutoff = EnergyCutoff(lam=1.0, eps_f=0.25)
     v = shell_speed_max(free_model, cutoff)
     assert 0.85 <= v <= 1.0 + 1e-9
 
 
-def test_evolve_cap_dense_fallback(longrange_model, rng):
-    # non-hermitian (CAP) evolution falls back to the dense exponential and
-    # the norm decays
-    H = longrange_model.assemble(24)
-    assert not H.hermitian
-    u = rng.standard_normal(H.dim) + 1j * rng.standard_normal(H.dim)
-    v = evolve(H, u, 30.0)
-    assert np.linalg.norm(v) < np.linalg.norm(u)
-
-
 def test_f_of_h_rejects_cap(longrange_model, rng):
-    # a real-interval Chebyshev series does not enclose a CAP spectrum
+    # a real-interval Chebyshev series does not enclose a CAP spectrum, so
+    # f(H) and e^{-itH} both refuse a CAP Hamiltonian, at t = 0 too
     H = longrange_model.assemble(24)
     cutoff = EnergyCutoff(lam=1.0, eps_f=0.25)
+    u = rng.standard_normal(H.dim)
     with pytest.raises(ValueError, match="hermitian"):
-        apply_f_of_H(H, cutoff, rng.standard_normal(H.dim))
+        apply_f_of_H(H, cutoff, u)
     with pytest.raises(ValueError, match="hermitian"):
         f_of_H_map(H, cutoff)
+    for t in (0.0, 30.0):
+        with pytest.raises(ValueError, match="hermitian"):
+            evolve(H, u, t)
 
 
 def test_f_of_h_flat_cutoff_is_identity(small_H, rng):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latscat.model import Box, Potential, assemble_hamiltonian, laplacian_stencil, verify_adjoint
+from latscat.model import Box, LatticeHamiltonian, Potential, laplacian_stencil
 from latscat.quantize import fourier_multiplier, op_h, position_weight
 from latscat.resolvent import DecayFit
 from latscat.symbols import Symbol, separable_symbol
@@ -67,7 +67,7 @@ def test_decay_fit_exact_line():
     assert fit.max_residual <= 1e-12
 
 
-def test_quantize_d2_paths_agree():
+def test_quantize_d2_paths_agree(verify_adjoint):
     box = Box(2, 6)
     g = np.random.default_rng(5)
     u = g.standard_normal(box.site_count) + 1j * g.standard_normal(box.site_count)
@@ -90,7 +90,7 @@ def test_quantize_d2_paths_agree():
 def test_d2_multiplier_diagonalizes_h0():
     st2 = laplacian_stencil(2)
     box = Box(2, 6)
-    H = assemble_hamiltonian(st2, Potential(), box)
+    H = LatticeHamiltonian(st2, Potential(), box)
     A = fourier_multiplier(st2.p0, box)
     n = box.sites()
     for k in ((2, 3), (5, 1)):

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from latscat.geometry import make_bump_pair
-from latscat.model import (Box, LinearMap, Potential, assemble_hamiltonian,
-                           compose_maps, identity_map, scale_map, to_dense,
-                           verify_adjoint)
-from latscat.quantize import (NormConvergenceError, ResolutionError, commutator_action,
-                              fourier_multiplier, op_h, operator_norm, position_weight)
-from latscat.symbols import Symbol, constant_symbol, separable_symbol
+from latscat.model import Box, LatticeHamiltonian, LinearMap, Potential, compose_maps, to_dense
+from latscat.quantize import (NormConvergenceError, ResolutionError, fourier_multiplier, op_h,
+                              operator_norm, position_weight)
+from latscat.symbols import Symbol, separable_symbol
 from latscat.util import lstsq_loglog
 
 
@@ -29,7 +27,7 @@ def test_multiplier_identity(box, vec):
 
 def test_multiplier_matches_hamiltonian(box, vec, stencil1d):
     A = fourier_multiplier(stencil1d.p0, box)
-    H = assemble_hamiltonian(stencil1d, Potential(), box)
+    H = LatticeHamiltonian(stencil1d, Potential(), box)
     diff = np.abs(A(vec) - H(vec))
     assert np.max(diff[1:-1]) <= 1e-12
     n = box.sites()[:, 0]
@@ -57,11 +55,11 @@ def test_position_weight(box, vec):
 
 
 def test_op_h_identity_and_multiplier(box, vec, stencil1d):
-    A = op_h(constant_symbol(1), 0.5, box)
+    ones = lambda pts: np.ones(np.shape(pts)[:-1])
+    A = op_h(separable_symbol(1, ones, ones), 0.5, box)
     assert np.linalg.norm(A(vec) - vec) <= 1e-13
     c = stencil1d.p0
-    sym = separable_symbol(1, lambda x: np.ones(np.shape(x)[:-1]), c)
-    A1 = op_h(sym, 0.25, box)
+    A1 = op_h(separable_symbol(1, ones, c), 0.25, box)
     A2 = fourier_multiplier(c, box)
     assert np.linalg.norm(A1(vec) - A2(vec)) <= 1e-13
 
@@ -80,7 +78,7 @@ def test_op_h_position_only(box):
     assert np.max(np.abs(out)) <= 1e-14
 
 
-def test_op_h_general_vs_separable(box, vec):
+def test_op_h_general_vs_separable(box, vec, verify_adjoint):
     b = lambda x: np.exp(-0.5 * np.asarray(x)[..., 0] ** 2)
     c = lambda xi: np.exp(1j * np.sin(np.asarray(xi)[..., 0]))
     A_sep = op_h(separable_symbol(1, b, c), 0.5, box)
@@ -121,9 +119,9 @@ def test_op_h_resolution_guard():
 def test_operator_norm_examples(box):
     W = position_weight(-2.0, Box(1, 10))
     assert operator_norm(W, tol=1e-3) == pytest.approx(1.0, rel=1e-3)
-    A = scale_map(3.0, identity_map(box.site_count))
+    A = LinearMap(box.site_count, lambda u: 3.0 * u, lambda u: 3.0 * u, hermitian=True)
     assert operator_norm(A, tol=1e-3) == pytest.approx(3.0, rel=1e-3)
-    zero = scale_map(0.0, identity_map(box.site_count))
+    zero = LinearMap(box.site_count, np.zeros_like, np.zeros_like, hermitian=True)
     assert operator_norm(zero) == 0.0
 
 
@@ -147,28 +145,6 @@ def test_operator_norm_nonconvergence():
     with pytest.raises(NormConvergenceError) as exc:
         operator_norm(A, tol=1e-3, max_iter=4)
     assert exc.value.last_estimate > 0
-
-
-def test_commutator_trivial_cases(box, vec):
-    I = identity_map(box.site_count)
-    W = position_weight(1.0, box)
-    Z = commutator_action(W, I)
-    assert np.linalg.norm(Z(vec)) <= 1e-13
-    W2 = position_weight(-0.5, box)
-    Z2 = commutator_action(W, W2)
-    assert np.linalg.norm(Z2(vec)) <= 1e-13
-
-
-def test_commutator_dense_oracle(vec):
-    box = Box(1, 24)
-    A = fourier_multiplier(lambda xi: np.exp(1j * xi[..., 0]), box)
-    nvals = box.sites()[:, 0].astype(float)
-    B = LinearMap(box.site_count, lambda u: nvals * u, lambda u: nvals * u, hermitian=True)
-    C = commutator_action(A, B)
-    Ad, Bd = to_dense(A), to_dense(B)
-    oracle = 1j * (Ad @ Bd - Bd @ Ad)
-    assert np.linalg.norm(C(vec) - oracle @ vec) <= 1e-12
-    assert verify_adjoint(C) <= 1e-12
 
 
 def test_disjoint_support_composition_decay():

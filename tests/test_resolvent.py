@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from latscat.geometry import KernelPoint, make_bump_pair
-from latscat.model import ModelConfig, Potential, identity_map, laplacian_stencil, scale_map
-from latscat.quantize import op_h
+from latscat.model import LinearMap, ModelConfig, Potential, laplacian_stencil
+from latscat.quantize import op_h, position_weight
 from latscat.resolvent import (DecayFit, LAPConfig, LAPConvergenceError, _ShiftedSolver,
                                default_epsilon_sequence, free_kernel_1d, ik_probe,
                                lap_solve, one_sided_probe, resolvent_map,
@@ -102,14 +102,14 @@ def test_sandwich_identity_off_spectrum(free_model):
     H = free_model.assemble(256)
     cfg = LAPConfig(lam=3.0, epsilon_sequence=default_epsilon_sequence(3, 24),
                     convergence_tol=1e-6)
-    I = identity_map(H.dim)
+    I = position_weight(0.0, H.box)
     val = sandwich_norm(I, H, cfg, I, tol=5e-3)
     assert val == pytest.approx(1.0, rel=2e-2)
 
 
 def test_sandwich_zero_left(free_model, deep_lap):
     H = free_model.assemble(64)
-    Z = scale_map(0.0, identity_map(H.dim))
+    Z = LinearMap(H.dim, np.zeros_like, np.zeros_like, hermitian=True)
     assert sandwich_norm(Z, H, deep_lap, Z) == 0.0
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from latscat.geometry import make_bump_pair
-from latscat.symbols import SupportMeta, check_bounded, check_support, separable_symbol
+from latscat.symbols import Symbol, check_bounded, check_support, separable_symbol
 
 
 def test_bounded_check():
@@ -48,18 +48,25 @@ def test_support_check_catches_moved_centre():
     assert not check_support(dataclasses.replace(a, support_meta=moved), x, xi)
 
 
-def test_support_disjointness_helper():
-    m1 = SupportMeta(np.array([0.0]), 1.0, np.array([0.0]), 1.0)
-    m2 = SupportMeta(np.array([3.0]), 1.0, np.array([0.0]), 1.0)
-    m3 = SupportMeta(np.array([1.5]), 1.0, np.array([0.0]), 1.0)
-    assert m1.x_disjoint_from(m2)
-    assert not m1.x_disjoint_from(m3)
-
-
 def test_separable_flag():
     a, _ = make_bump_pair((0.0, 0.0), (1.0, 1.0), 0.5, 0.5)
     assert a.separable
-    from latscat.symbols import Symbol
     g = Symbol(dim=1, eval=lambda x, xi: np.cos(np.asarray(x)[..., 0])
                * np.sin(np.asarray(xi)[..., 0]))
     assert not g.separable
+
+
+def test_symbol_rejects_points_without_coordinate_axis():
+    # a plain (n,) array is n scalars, not n points of R^1: a d = 1 symbol
+    # reading x[..., 0] would see only x[0] and return one 0-d value
+    a, _ = make_bump_pair((0.0, np.pi / 2), (1.0, 0.0), 0.5, 0.5)
+    x = np.linspace(-1.0, 1.0, 9)
+    xi = np.full_like(x, np.pi / 2)
+    assert a(x[:, None], xi[:, None]).shape == (9,)
+    for args in ((x, xi), (x[:, None], xi), (x, xi[:, None]), (0.0, np.pi / 2)):
+        with pytest.raises(ValueError, match=r"points are \(\.\.\., 1\) arrays"):
+            a(*args)
+    with pytest.raises(ValueError, match="points are"):
+        check_support(a, x, xi)
+    with pytest.raises(ValueError, match="points are"):
+        check_bounded(a, x, xi)
