@@ -6,8 +6,10 @@
 
 Each tree is what scripts/run_all_recipes.py writes: one directory per
 recipe holding manifest.json and results.csv. Values and CSV cells must
-match exactly. Prints one line per recipe and one per difference; exits 1
-on any difference or on a recipe present in only one tree.
+match exactly. Prints one line per recipe and one per difference; a
+difference between two numbers (CSV cells that parse as numbers included)
+shows |a - b| / max(|a|, |b|), and a recipe's line shows the largest. Exits
+1 on any difference or on a recipe present in only one tree.
 """
 
 import csv
@@ -32,6 +34,19 @@ def _diff(a, b, path):
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         return [d for i, (x, y) in enumerate(zip(a, b)) for d in _diff(x, y, f"{path}[{i}]")]
     return [] if a == b else [(path, a, b)]
+
+
+def _rel(a, b):
+    """|a - b| / max(|a|, |b|) if a and b are both numbers (or CSV cells that
+    parse as numbers), else None."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return None
+    try:
+        x, y = float(a), float(b)
+    except (TypeError, ValueError):
+        return None
+    scale = max(abs(x), abs(y))
+    return abs(x - y) / scale if scale else 0.0
 
 
 def _csv_rows(path: Path):
@@ -70,10 +85,13 @@ def main(argv):
             print(f"{name:24s} only in {argv[0] if name in left else argv[1]}")
             failed = True
             continue
-        diffs = [d for k in (*KEYS, CSV) for d in _diff(left[name][k], right[name][k], k)]
-        print(f"{name:24s} {'same' if not diffs else f'{len(diffs)} difference(s)'}")
-        for path, a, b in diffs:
-            print(f"    {path}: {a!r} != {b!r}")
+        diffs = [(*d, _rel(*d[1:])) for k in (*KEYS, CSV)
+                 for d in _diff(left[name][k], right[name][k], k)]
+        rels = [r for *_, r in diffs if r is not None]
+        summary = f"{len(diffs)} difference(s)" if diffs else "same"
+        print(f"{name:24s} {summary}" + (f", max rel {max(rels):.1e}" if rels else ""))
+        for path, a, b, r in diffs:
+            print(f"    {path}: {a!r} != {b!r}" + (f" (rel {r:.1e})" if r is not None else ""))
         failed |= bool(diffs)
     return 1 if failed else 0
 

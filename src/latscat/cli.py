@@ -23,9 +23,8 @@ from . import __version__
 from .config import ConfigError, ExperimentConfig, parse_config, parse_config_file
 from .escape import EscapeLadder, energy_inequality_check, monotonicity_check, verify_transport
 from .geometry import KernelPoint
-from .model import Box, compose_maps
-from .quantize import (NormConvergenceError, ResolutionError, fourier_multiplier,
-                       op_h, operator_norm, position_weight)
+from .model import Box
+from .quantize import NormConvergenceError, ResolutionError, fourier_multiplier, position_weight
 from .propagate import EnclosureError, EnergyCutoff, evolve, local_decay_probe, propagation_probe
 from .recipes import RECIPES, recipe_config, recipe_lines
 from .resolvent import (LAPConfig, LAPConvergenceError, default_epsilon_sequence,

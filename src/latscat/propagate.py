@@ -10,6 +10,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.fft
 import scipy.linalg as sla
+from scipy.sparse import _sparsetools
 from scipy.special import jv
 
 from .escape import CutoffPhi
@@ -109,39 +110,69 @@ class ChebyshevPlan:
     def apply(self, H: LinearMap, u, adjoint: bool = False):
         """Sum c_k T_k((H-c)/r) u with a divergence monitor on the iterates.
 
-        Each term applies A = (2/r)(H - c) once (a LatticeHamiltonian keeps
-        A as a cached CSR matrix) and updates the three-term recurrence and
-        the sum in place; the only allocation per term is the product.
+        The recurrence runs on U_k = s_k T_k with s_k = (-1)^floor(k/2), for
+        which T_{k+1} = A T_k - T_{k-1}, A = (2/r)(H - c), becomes
+        U_{k+1} = U_{k-1} + (-1)^k A U_k, and the sum takes s_k c_k U_k. Each
+        term accumulates A U_k in place into the buffer that holds U_{k-1}
+        (a LatticeHamiltonian keeps A as a cached CSR matrix, applied as a
+        real matrix when its entries are real) and adds one scaled iterate to
+        the sum; no term allocates. u is left unchanged.
         """
-        u = np.asarray(u, dtype=complex)
         co = np.conj(self.coeffs) if adjoint else self.coeffs
-        A = _recurrence_operator(H, self.center, self.radius, adjoint)
-        T0 = u
-        acc = co[0] * T0
+        co = co * np.array([1, 1, -1, -1])[np.arange(len(co)) % 4]
+        accumulate = _recurrence_operator(H, self.center, self.radius, adjoint)
+        # a C-contiguous copy: the recurrence overwrites it, and the CSR kernel
+        # reads and writes its buffers as flat arrays
+        U0 = np.array(u, dtype=complex, order="C")
+        acc = co[0] * U0
         if len(co) == 1:
             return acc
+        U1 = np.zeros_like(U0)
+        accumulate(U0, U1, +1)
+        U1 *= 0.5
         scratch = np.empty_like(acc)
-        T1 = A(u)
-        T1 *= 0.5
-        acc += np.multiply(T1, co[1], out=scratch)
-        cap = 50.0 * np.linalg.norm(u) + 1e-300
+        acc += np.multiply(U1, co[1], out=scratch)
+        cap = 50.0 * np.linalg.norm(U0) + 1e-300
         for k in range(2, len(co)):
-            T2 = A(T1)
-            T2 -= T0
-            acc += np.multiply(T2, co[k], out=scratch)
-            T0, T1 = T1, T2
-            if k % 64 == 0 and np.linalg.norm(T2) > cap:
+            accumulate(U1, U0, -1 if k % 2 == 0 else +1)
+            U0, U1 = U1, U0
+            acc += np.multiply(U1, co[k], out=scratch)
+            if k % 64 == 0 and np.linalg.norm(U1) > cap:
                 raise EnclosureError("Chebyshev iterates grow: enclosure violated")
         return acc
 
 
 def _recurrence_operator(H: LinearMap, c: float, r: float, adjoint: bool) -> Callable:
-    """u -> (2/r)(H - c) u (H* for the adjoint), returned as a new array."""
+    """(X, Y, sign) -> Y += sign (2/r)(H - c) X in place (H* for the adjoint)."""
     if isinstance(H, LatticeHamiltonian):
         A = H._matrix(-1 if adjoint else +1, center=c, scale=2.0 / r)
-        return lambda u: A @ u
+        data = A.data if np.any(A.data.imag) else A.data.real.copy()
+        signed = {+1: data, -1: -data}
+        return lambda X, Y, sign: _csr_accumulate(A, signed[sign], X, Y)
     Hap = H.adjoint_apply if adjoint else H
-    return lambda u: (2.0 / r) * (Hap(u) - c * u)
+
+    def accumulate(X, Y, sign):
+        Y += (sign * 2.0 / r) * (Hap(X) - c * X)
+    return accumulate
+
+
+def _csr_accumulate(A, data, X: np.ndarray, Y: np.ndarray) -> None:
+    """Y += A X in place, with `data` standing in for A.data.
+
+    scipy's own A @ X runs this kernel (csr_matvecs) on a freshly zeroed
+    result; calling it directly accumulates into Y and allocates nothing.
+    The kernel reads X and writes Y as flat C-ordered arrays and ignores
+    strides, so both must be C-contiguous complex blocks of N rows. Real
+    data runs on their float64 views, each complex column being two real
+    columns, which halves the arithmetic.
+    """
+    if not (X.flags.c_contiguous and Y.flags.c_contiguous and X.dtype == Y.dtype == complex):
+        raise ValueError("the CSR accumulate needs C-contiguous complex blocks")
+    if data.dtype.kind == "f":
+        X, Y = X.view(np.float64), Y.view(np.float64)
+    n = A.shape[0]
+    _sparsetools.csr_matvecs(n, A.shape[1], X.size // n, A.indptr, A.indices, data,
+                             X.reshape(-1), Y.reshape(-1))
 
 
 def _plan_cache(H: LatticeHamiltonian) -> dict:

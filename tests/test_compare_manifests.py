@@ -48,3 +48,18 @@ def test_any_difference_exits_1(tmp_path, changed):
     code, out = _compare(_tree(tmp_path / "a"), _tree(tmp_path / "b", **changed))
     assert code == 1
     assert "difference" in out or "only in" in out
+
+
+def test_numeric_differences_show_relative_size(tmp_path):
+    changed = {**MANIFEST, "results": {"fit": {"slope": 3.0800001}},
+               "criteria": [{**MANIFEST["criteria"][0], "passed": False}]}
+    code, out = _compare(_tree(tmp_path / "a", names=("one-sided",)),
+                         _tree(tmp_path / "b", manifest=changed, names=("one-sided",),
+                               csv_text=CSV.replace("0.25,", "0.2500001,")))
+    assert code == 1
+    assert out.splitlines() == [
+        "one-sided                3 difference(s), max rel 4.0e-07",
+        "    results.fit.slope: 3.08 != 3.0800001 (rel 3.2e-08)",
+        "    criteria[0].passed: True != False",
+        "    results.csv[1][2]: '0.25' != '0.2500001' (rel 4.0e-07)",
+    ]

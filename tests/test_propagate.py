@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from latscat.geometry import KernelPoint, make_bump_pair
-from latscat.model import LinearMap, ModelConfig, Potential, compose_maps, laplacian_stencil, to_dense
+from latscat.model import (LinearMap, ModelConfig, Potential, Stencil, compose_maps,
+                           laplacian_stencil, to_dense)
 from latscat.propagate import (ChebyshevPlan, EnclosureError, EnergyCutoff,
                                apply_f_of_H, evolve, f_of_H_map, local_decay_probe,
                                propagation_probe, shell_speed_max, _propagation_sup)
@@ -172,15 +173,33 @@ def test_local_decay_d2_guard():
 
 
 def test_prescaled_recurrence_matches_generic_map(small_H, rng):
-    # the cached (2/r)(H - c) CSR against the same plan through a plain LinearMap
-    plain = LinearMap(small_H.dim, small_H, small_H.adjoint_apply, hermitian=True)
-    u = rng.standard_normal((small_H.dim, 3)) + 1j * rng.standard_normal((small_H.dim, 3))
-    for plan in (ChebyshevPlan.for_evolution(small_H, 12.0),
-                 ChebyshevPlan.for_function(small_H, EnergyCutoff(lam=1.0, eps_f=0.25))):
-        for adjoint in (False, True):
-            got = plan.apply(small_H, u, adjoint=adjoint)
-            ref = plan.apply(plain, u, adjoint=adjoint)
-            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(u)
+    # the in-place CSR accumulate on the cached (2/r)(H - c) against the same
+    # plan through a plain LinearMap: real entries (free model) and complex
+    # hops (the real and complex views of the kernel), vector and block
+    # inputs in C order, Fortran order and as a strided column slice
+    twisted = Stencil(1, [(0,), (1,), (-1,)], [1.0, -0.5 * np.exp(0.3j), -0.5 * np.exp(-0.3j)])
+    H_twisted = ModelConfig(stencil=twisted).assemble(24, with_cap=False)
+    assert np.any(H_twisted._matrix(+1).data.imag)
+    for H in (small_H, H_twisted):
+        plain = LinearMap(H.dim, H, H.adjoint_apply, hermitian=True)
+        wide = rng.standard_normal((H.dim, 6)) + 1j * rng.standard_normal((H.dim, 6))
+        block = np.ascontiguousarray(wide[:, :3])
+        inputs = (block[:, 0].copy(), block, np.asfortranarray(block), wide[:, ::2])
+        c, r = ChebyshevPlan.enclosure_for(H)
+        plans = (ChebyshevPlan.for_evolution(H, 0.0),
+                 ChebyshevPlan(center=c, radius=r, coeffs=np.array([0.3, 0.7 - 0.2j])),
+                 ChebyshevPlan.for_evolution(H, 60.0),
+                 ChebyshevPlan.for_function(H, EnergyCutoff(lam=1.0, eps_f=0.25)))
+        assert [p.n_terms for p in plans[:2]] == [1, 2] and plans[2].n_terms > 64
+        for u in inputs:
+            before = u.copy()
+            for plan in plans:
+                for adjoint in (False, True):
+                    got = plan.apply(H, u, adjoint=adjoint)
+                    ref = plan.apply(plain, u, adjoint=adjoint)
+                    assert got.shape == u.shape
+                    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(u)
+            assert np.array_equal(u, before)
 
 
 def test_propagation_offshell_case(free_model):
