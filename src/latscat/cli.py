@@ -170,7 +170,7 @@ def _run_escape(cfg: ExperimentConfig, jobs, seed):
     rep_bad = verify_transport(bad, 0)
     _criterion(crit, "negative control (oversized delta2) fails", rep_bad.min_value < -1e-6,
                f"min = {rep_bad.min_value:.2e}")
-    base = dataclasses.replace(ladder, depth=0, gammas=(), C_list=None)
+    base = dataclasses.replace(ladder, depth=0, gammas=())
     energy = energy_inequality_check(model, base, p["t_samples"], p["n_target"],
                                      h_list=p["h_list"], box_radius=p["box_radius"])
     if p["criterion_exponent"] is not None:
@@ -318,11 +318,10 @@ def run(cfg: ExperimentConfig, out_dir=None, jobs: int = 1, seed=None, quiet=Fal
     return EXIT_OK if all_ok else EXIT_CRITERION
 
 
-def list_recipes(stream=None):
-    stream = stream or sys.stdout
+def list_recipes():
     for line in recipe_lines():
-        print(line, file=stream)
-    print(f"{len(RECIPES)} recipes", file=stream)
+        print(line)
+    print(f"{len(RECIPES)} recipes")
 
 
 def main(argv=None) -> int:

@@ -146,8 +146,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown potential form {form!r}")
         return ModelConfig(stencil=stencil, potential=pot,
                            cap_width_frac=m["cap_width_frac"],
-                           cap_strength=m["cap_strength"],
-                           box_radius=m["box_radius"])
+                           cap_strength=m["cap_strength"])
 
 
 def _read_section(cp, name, schema):
@@ -229,6 +228,10 @@ def _validate_preconditions(cfg: ExperimentConfig):
     if k == "free-kernel" and (cfg.model["potential"] != "none" or cfg.model["dim"] != 1):
         raise ConfigError("free-kernel probe compares with the closed-form 1-d free kernel: "
                           "it needs potential = none and dim = 1")
+    if k in ("prop31", "escape") and cfg.model["dim"] != 1:
+        raise ConfigError(f"the {k} probe is implemented for dim = 1 only")
+    if k != "local-decay" and cfg.model["box_radius"] is not None:
+        raise ConfigError(f"[model] box_radius is read only by local-decay, not by {k}")
     if k == "local-decay":
         if not 0 < p["t_min"] < p["t_max"]:
             raise ConfigError("need 0 < t_min < t_max")

@@ -9,8 +9,8 @@ from typing import Optional
 
 import numpy as np
 
-from .escape import DEFAULT_PHI, CutoffPhi
-from .model import CriticalValueError, EmptyShellError, Stencil, check_energy_window, velocity
+from .escape import DEFAULT_PHI
+from .model import CriticalValueError, EmptyShellError, Stencil, check_energy_window
 from .symbols import Symbol, SupportMeta, separable_symbol
 from .util import product_grid, reduce_torus, torus_distance
 
@@ -48,22 +48,19 @@ class MembershipReport:
     in_sigma_prime_plus: bool
     in_sigma_prime_minus: bool
     distances: dict
-    lam: float
-    tol: float
 
-    def outside_all(self, sign: int = +1) -> bool:
-        if sign >= 0:
-            return not (self.in_sigma0 or self.in_sigma_plus or self.in_sigma_prime_plus)
-        return not (self.in_sigma0 or self.in_sigma_minus or self.in_sigma_prime_minus)
+    def outside_all(self) -> bool:
+        """Off Sigma_0, Sigma_+ and Sigma'_+, the sets of the outgoing resolvent."""
+        return not (self.in_sigma0 or self.in_sigma_plus or self.in_sigma_prime_plus)
 
 
-def shell_points(stencil: Stencil, lam: float, grid_n: int = 4096,
-                 newton_iters: int = 12, speed_floor: float = 1e-8) -> np.ndarray:
-    """Momenta with p0(xi) = lam, by dense grid plus Newton projection.
+def shell_points(stencil: Stencil, lam: float, grid_n: int = 4096) -> np.ndarray:
+    """Momenta with p0(xi) = lam, by dense grid plus bisection (d = 1) or 12
+    Newton steps (d >= 2).
 
     Returns an array of shape (n_pts, d). Raises EmptyShellError when the
-    level set is empty and CriticalValueError when the projected shell meets
-    a (numerically) critical point.
+    level set is empty and CriticalValueError when |v| < 1e-8 at a shell
+    point.
     """
     d = stencil.dim
     ax = np.linspace(0.0, 2.0 * np.pi, grid_n, endpoint=False)
@@ -99,7 +96,7 @@ def shell_points(stencil: Stencil, lam: float, grid_n: int = 4096,
         if not np.any(near):
             raise EmptyShellError(f"p0 never reaches {lam}")
         cand = xi[near]
-        for _ in range(newton_iters):
+        for _ in range(12):
             pv = np.asarray(stencil.p0(cand), dtype=float) - lam
             gv = np.asarray(stencil.gradient(cand), dtype=float)
             g2 = np.sum(gv**2, axis=-1)
@@ -111,7 +108,7 @@ def shell_points(stencil: Stencil, lam: float, grid_n: int = 4096,
             raise EmptyShellError(f"no shell points converged for {lam}")
         pts = reduce_torus(cand)
     speeds = np.linalg.norm(np.asarray(stencil.gradient(pts), dtype=float), axis=-1)
-    if np.any(speeds < speed_floor):
+    if np.any(speeds < 1e-8):
         raise CriticalValueError("velocity vanishes on the energy shell")
     return pts
 
@@ -180,11 +177,10 @@ def classify(kp: KernelPoint, stencil: Stencil, lam: float, tol: float,
         in_sigma_minus=dist["sigma_minus"] <= tol,
         in_sigma_prime_plus=dist["sigma_prime_plus"] <= tol,
         in_sigma_prime_minus=dist["sigma_prime_minus"] <= tol,
-        distances=dist, lam=lam, tol=tol)
+        distances=dist)
 
 
-def make_bump_pair(p1, p2, delta1: float, delta2: float,
-                   phi: CutoffPhi = DEFAULT_PHI):
+def make_bump_pair(p1, p2, delta1: float, delta2: float):
     """Product bumps a_j(x, xi) = Phi(|x-x_j|/delta1) Phi(dist(xi,xi_j)/delta2).
 
     The centres p_j = (x_j, xi_j) may be scalars for d = 1."""
@@ -197,11 +193,11 @@ def make_bump_pair(p1, p2, delta1: float, delta2: float,
         xic_arr = reduce_torus(np.atleast_1d(xic))
 
         def b(x):
-            return np.asarray(phi(np.linalg.norm(np.asarray(x, dtype=float) - xc_arr, axis=-1)
-                                  / delta1))
+            return np.asarray(DEFAULT_PHI(
+                np.linalg.norm(np.asarray(x, dtype=float) - xc_arr, axis=-1) / delta1))
 
         def c(xi):
-            return np.asarray(phi(torus_distance(xi, xic_arr) / delta2))
+            return np.asarray(DEFAULT_PHI(torus_distance(xi, xic_arr) / delta2))
 
         meta = SupportMeta(xc_arr, delta1, xic_arr, delta2)
         return separable_symbol(len(xc_arr), b, c, support_meta=meta)
@@ -210,8 +206,7 @@ def make_bump_pair(p1, p2, delta1: float, delta2: float,
 
 
 def make_cone_symbol(sign: int, gamma: float, energy_window, r0: float,
-                     stencil: Stencil, r_out: Optional[float] = None,
-                     phi: CutoffPhi = DEFAULT_PHI, window_grid: int = 256) -> Symbol:
+                     stencil: Stencil, r_out: Optional[float] = None) -> Symbol:
     """Smooth S^0 symbol supported in the cone
     {+-x.v(xi)/(|x||v(xi)|) >= +-gamma, p0(xi) in window, |x| >= r0}.
 
@@ -222,7 +217,7 @@ def make_cone_symbol(sign: int, gamma: float, energy_window, r0: float,
         raise ValueError("gamma must lie in (-1, 1)")
     if r0 <= 0:
         raise ValueError("r0 must be positive")
-    check_energy_window(stencil, energy_window, grid_n=window_grid)
+    check_energy_window(stencil, energy_window)
     lo, hi = float(energy_window[0]), float(energy_window[1])
     mid, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
     sgn = 1.0 if sign >= 0 else -1.0
@@ -233,45 +228,17 @@ def make_cone_symbol(sign: int, gamma: float, energy_window, r0: float,
         xi = np.asarray(xi, dtype=float)
         p = np.asarray(stencil.p0(xi), dtype=float)
         v = np.asarray(stencil.gradient(xi), dtype=float)
-        fE = np.asarray(phi(np.abs(p - mid) / hw))
+        fE = np.asarray(DEFAULT_PHI(np.abs(p - mid) / hw))
         absx = np.linalg.norm(x, axis=-1)
         absv = np.linalg.norm(v, axis=-1)
         dot = np.einsum("...i,...i->...", x, v)
         denom = absx * absv
         cosang = np.where(denom > 0, dot / np.where(denom > 0, denom, 1.0), 0.0)
         arg = (sgn * gamma + gcut - sgn * cosang) / gcut
-        gfac = np.asarray(phi(np.maximum(arg, 0.0)))
-        rad = 1.0 - np.asarray(phi(absx / (2.0 * r0)))
+        gfac = np.asarray(DEFAULT_PHI(np.maximum(arg, 0.0)))
+        rad = 1.0 - np.asarray(DEFAULT_PHI(absx / (2.0 * r0)))
         if r_out is not None:
-            rad = rad * np.asarray(phi(absx / r_out))
+            rad = rad * np.asarray(DEFAULT_PHI(absx / r_out))
         return rad * fE * gfac
 
     return Symbol(dim=stencil.dim, eval=ev)
-
-
-@dataclass(frozen=True)
-class ConeInvariance:
-    holds: bool
-    vacuous: bool
-
-
-def cone_forward_invariance(x, xi, gamma: float, stencil: Stencil, t_list) -> ConeInvariance:
-    """Exact check that the cone x.v >= gamma|x||v| is forward invariant:
-    (x + t v).v >= gamma |x + t v| |v| for the listed t >= 0.
-
-    When the precondition fails at t=0 the result is flagged vacuous.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    v = np.asarray(velocity(stencil, np.atleast_1d(xi)), dtype=float)
-    t_list = np.asarray(t_list, dtype=float)
-    if np.any(t_list < 0):
-        raise ValueError("t_list must be nonnegative")
-    nv = np.linalg.norm(v)
-    nx = np.linalg.norm(x)
-    if float(np.dot(x, v)) < gamma * nx * nv:
-        return ConeInvariance(holds=True, vacuous=True)
-    for t in t_list:
-        xt = x + t * v
-        if float(np.dot(xt, v)) < gamma * np.linalg.norm(xt) * nv:
-            return ConeInvariance(holds=False, vacuous=False)
-    return ConeInvariance(holds=True, vacuous=False)

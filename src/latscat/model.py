@@ -78,9 +78,6 @@ class Stencil:
             acc = acc + g * 1j * phase[..., None] * ov
         return np.real_if_close(acc, tol=100)
 
-    def coeff_abs_sum(self) -> float:
-        return float(sum(abs(g) for g in self.coeffs))
-
     @cached_property
     def symbol_range(self) -> tuple:
         """Interval [lo, hi] that contains the range of p0 (computed once).
@@ -127,12 +124,11 @@ def momentum_grid_scan(stencil: Stencil, grid_n: int):
     return p, speeds
 
 
-def check_energy_window(stencil: Stencil, window, grid_n: int = 256, floor: float = 1e-6):
+def check_energy_window(stencil: Stencil, window, grid_n: int = 256):
     """Min of |v(xi)| over the sampled shell {p0(xi) in window}.
 
     Raises EmptyShellError when no sampled momentum lands in the window and
-    CriticalValueError when the sampled minimum falls below `floor`
-    (pass floor=None to skip the rejection).
+    CriticalValueError when the sampled minimum falls below 1e-6.
     """
     if grid_n < 64:
         raise ValueError("grid_n must be >= 64 per dimension")
@@ -144,7 +140,7 @@ def check_energy_window(stencil: Stencil, window, grid_n: int = 256, floor: floa
     if not np.any(mask):
         raise EmptyShellError(f"no momenta with p0 in [{lo}, {hi}]")
     vmin = float(np.min(speeds[mask]))
-    if floor is not None and vmin < floor:
+    if vmin < 1e-6:
         raise CriticalValueError(
             f"window [{lo}, {hi}] reaches a critical region: min|v| = {vmin:.3e}")
     return vmin
@@ -292,18 +288,6 @@ def adjoint_map(A: LinearMap) -> LinearMap:
                      bandwidth=A.bandwidth, label=A.label + "*")
 
 
-def to_dense(A: LinearMap, max_dim: int = 4200) -> np.ndarray:
-    """Materialize a LinearMap column by column (oracle / small boxes only)."""
-    if A.dim > max_dim:
-        raise ValueError(f"refusing to densify dimension {A.dim} > {max_dim}")
-    out = np.zeros((A.dim, A.dim), dtype=complex)
-    for j in range(A.dim):
-        e = np.zeros(A.dim, dtype=complex)
-        e[j] = 1.0
-        out[:, j] = A(e)
-    return out
-
-
 class LatticeHamiltonian(LinearMap):
     """H = H0 + V (- iW with a CAP), assembled once, on first use, as a sparse
     CSR matrix.
@@ -419,16 +403,6 @@ class LatticeHamiltonian(LinearMap):
         lo, hi = self.stencil.symbol_range
         return lo + float(np.min(self.v_diag)), hi + float(np.max(self.v_diag))
 
-    def spectral_bound(self) -> float:
-        """|H| <= sum|gamma_m| + max|V| + CAP strength (crude, safe).
-
-        About twice the half-width of spectral_interval(), which is what the
-        Chebyshev plans use.
-        """
-        capmax = float(np.max(self.cap_diag)) if self.cap is not None else 0.0
-        vmax = float(np.max(np.abs(self.v_diag))) if len(self.v_diag) else 0.0
-        return self.stencil.coeff_abs_sum() + vmax + capmax
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -438,7 +412,6 @@ class ModelConfig:
     potential: Potential = field(default_factory=Potential)
     cap_width_frac: float = 0.125
     cap_strength: float = 1.0
-    box_radius: Optional[int] = None
 
     def cap_for(self, box: Box) -> CAPProfile:
         w = max(int(round(self.cap_width_frac * box.radius)), 4)

@@ -4,7 +4,7 @@ calculus f(H), the local-decay probe, and the propagation-estimate probe."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -13,7 +13,7 @@ import scipy.linalg as sla
 from scipy.sparse import _sparsetools
 from scipy.special import jv
 
-from .escape import CutoffPhi
+from .escape import DEFAULT_PHI
 from .geometry import KernelPoint, classify, make_bump_pair
 from .model import LatticeHamiltonian, LinearMap, ModelConfig, momentum_grid_scan
 from .quantize import _xi_grid
@@ -32,15 +32,14 @@ class EnergyCutoff:
 
     lam: float
     eps_f: float
-    phi: CutoffPhi = field(default_factory=CutoffPhi)
 
     def __post_init__(self):
         if self.eps_f <= 0:
             raise ValueError("eps_f must be positive")
 
     def profile(self, z):
-        return np.asarray(self.phi(np.abs(np.asarray(z, dtype=float) - self.lam)
-                                   / (2.0 * self.eps_f)))
+        return np.asarray(DEFAULT_PHI(np.abs(np.asarray(z, dtype=float) - self.lam)
+                                      / (2.0 * self.eps_f)))
 
     __call__ = profile
 
@@ -54,10 +53,8 @@ class ChebyshevPlan:
     """First-kind Chebyshev series of a function on [center-radius, center+radius].
 
     The enclosure is H.spectral_interval(), a rigorous interval for the
-    spectrum of the hermitian H0 + V, widened by a relative 1e-9. It is
-    about half as wide as the crude norm bound spectral_bound(), so plans
-    need about half the terms. A CAP spectrum leaves the real axis, so plans
-    refuse non-hermitian H.
+    spectrum of the hermitian H0 + V, widened by a relative 1e-9. A CAP
+    spectrum leaves the real axis, so plans refuse non-hermitian H.
     """
 
     center: float
@@ -73,11 +70,12 @@ class ChebyshevPlan:
         return 0.5 * (lo + hi), 0.5 * (hi - lo) * (1.0 + 1e-9) + 1e-12
 
     @classmethod
-    def for_function(cls, H: LatticeHamiltonian, f: Callable, tol: float = 1e-12,
-                     n_nodes: int = 4096) -> "ChebyshevPlan":
+    def for_function(cls, H: LatticeHamiltonian, f: Callable) -> "ChebyshevPlan":
+        """Interpolant of f at 4096 Chebyshev nodes, cut after the last
+        coefficient above 1e-12 max(max|c_k|, 1)."""
         c, r = cls.enclosure_for(H)
-        j = np.arange(n_nodes)
-        nodes = np.cos(np.pi * (j + 0.5) / n_nodes)
+        n_nodes = 4096
+        nodes = np.cos(np.pi * (np.arange(n_nodes) + 0.5) / n_nodes)
         fv = np.asarray(f(c + r * nodes), dtype=complex)
         if np.max(np.abs(fv.imag)) == 0.0:
             fv = fv.real
@@ -85,7 +83,7 @@ class ChebyshevPlan:
         co[0] *= 0.5
         mags = np.abs(co)
         top = mags.max() if mags.size else 0.0
-        keep = np.nonzero(mags > tol * max(top, 1.0))[0]
+        keep = np.nonzero(mags > 1e-12 * max(top, 1.0))[0]
         k_last = int(keep[-1]) + 1 if len(keep) else 1
         return cls(center=c, radius=r, coeffs=np.asarray(co[:k_last]))
 
@@ -175,23 +173,16 @@ def _csr_accumulate(A, data, X: np.ndarray, Y: np.ndarray) -> None:
                              X.reshape(-1), Y.reshape(-1))
 
 
-def _plan_cache(H: LatticeHamiltonian) -> dict:
-    cache = getattr(H, "_cheb_plans", None)
-    if cache is None:
-        cache = {}
-        setattr(H, "_cheb_plans", cache)
-    return cache
-
-
-def _function_plan(H: LatticeHamiltonian, cutoff: EnergyCutoff, tol: float) -> ChebyshevPlan:
-    key = ("f", cutoff.lam, cutoff.eps_f, cutoff.phi.steepness, tol)
-    cache = _plan_cache(H)
+def _function_plan(H: LatticeHamiltonian, cutoff: EnergyCutoff) -> ChebyshevPlan:
+    """The plan of f(H), cached on H per (lam, eps_f)."""
+    cache = H.__dict__.setdefault("_cheb_plans", {})
+    key = (cutoff.lam, cutoff.eps_f)
     if key not in cache:
-        cache[key] = ChebyshevPlan.for_function(H, cutoff.profile, tol=tol)
+        cache[key] = ChebyshevPlan.for_function(H, cutoff.profile)
     return cache[key]
 
 
-def evolve(H: LatticeHamiltonian, u, t: float, tol: float = 1e-12):
+def evolve(H: LatticeHamiltonian, u, t: float):
     """e^{-itH} u for hermitian H via the Chebyshev/Bessel expansion.
 
     t < 0 is rejected (evolve with the adjoint instead), and so is a CAP
@@ -200,32 +191,14 @@ def evolve(H: LatticeHamiltonian, u, t: float, tol: float = 1e-12):
     """
     if t < 0:
         raise ValueError("t must be >= 0; use the adjoint for backward evolution")
-    plan = ChebyshevPlan.for_evolution(H, t, tol=min(tol, 1e-13))
-    return plan.apply(H, u)
+    return ChebyshevPlan.for_evolution(H, t).apply(H, u)
 
 
-def apply_f_of_H(H: LatticeHamiltonian, cutoff: EnergyCutoff, u, tol: float = 1e-12):
-    """f(H) u by Chebyshev interpolation of the cutoff profile.
-
-    H must be hermitian (CAP-free); a CAP raises ValueError.
-    """
-    plan = _function_plan(H, cutoff, tol)
-    return plan.apply(H, u)
-
-
-def f_of_H_map(H: LatticeHamiltonian, cutoff: EnergyCutoff, tol: float = 1e-12) -> LinearMap:
-    """f(H) as a LinearMap; H must be hermitian (CAP-free)."""
-    plan = _function_plan(H, cutoff, tol)
-    return LinearMap(H.dim, lambda u: plan.apply(H, u),
-                     lambda u: plan.apply(H, u, adjoint=True),
-                     hermitian=H.hermitian, label="f(H)")
-
-
-def shell_speed_max(model_cfg: ModelConfig, cutoff: EnergyCutoff, grid_n: int = 4096) -> float:
+def shell_speed_max(model_cfg: ModelConfig, cutoff: EnergyCutoff) -> float:
     """max |v| over momenta with p0 inside supp f (reflection-window speed),
-    sampled on about grid_n momenta: round(grid_n ** (1/d)) per axis."""
+    sampled on about 4096 momenta: round(4096 ** (1/d)) per axis."""
     st = model_cfg.stencil
-    p, sp = momentum_grid_scan(st, int(round(grid_n ** (1.0 / st.dim))))
+    p, sp = momentum_grid_scan(st, int(round(4096 ** (1.0 / st.dim))))
     lo, hi = cutoff.support
     mask = (p >= lo) & (p <= hi)
     if not np.any(mask):
@@ -241,14 +214,13 @@ def shell_speed_max(model_cfg: ModelConfig, cutoff: EnergyCutoff, grid_n: int = 
 class LocalDecayResult:
     t_grid: np.ndarray
     norms: np.ndarray
-    fit: DecayFit             # log norm vs log <t> over the tail half
-    kappa_hat: float
+    kappa_hat: float          # -slope of log norm vs log <t> over the tail half
     rows: list
 
 
 def local_decay_probe(model_cfg: ModelConfig, cutoff: EnergyCutoff, nu: float,
                       t_grid: Sequence[float],
-                      box_radius: Optional[int] = None) -> LocalDecayResult:
+                      box_radius: int = 512) -> LocalDecayResult:
     """Weighted propagator norms ||<n>^-nu e^{-itH} f(H) <n>^-nu|| over t_grid.
 
     The grid must stay inside the pre-reflection window 0.8 L / v_max. The
@@ -260,7 +232,7 @@ def local_decay_probe(model_cfg: ModelConfig, cutoff: EnergyCutoff, nu: float,
     ValueError. Each row reports the rank |S| and the eigen-residual
     max_j ||H q_j - lam_j q_j||.
     """
-    L = box_radius if box_radius is not None else (model_cfg.box_radius or 512)
+    L = box_radius
     H = model_cfg.assemble(L, with_cap=False)
     vmax = shell_speed_max(model_cfg, cutoff)
     t_grid = np.asarray(sorted(float(t) for t in t_grid))
@@ -293,68 +265,57 @@ def local_decay_probe(model_cfg: ModelConfig, cutoff: EnergyCutoff, nu: float,
     tail = slice(len(t_grid) // 2, None)
     fit = DecayFit.from_values(np.sqrt(1.0 + t_grid[tail] ** 2), norms[tail])
     kappa = -fit.slope if not fit.degenerate else float("nan")
-    return LocalDecayResult(t_grid=t_grid, norms=norms, fit=fit, kappa_hat=kappa, rows=rows)
+    return LocalDecayResult(t_grid=t_grid, norms=norms, kappa_hat=kappa, rows=rows)
 
 
 # ---------------------------------------------------------------------------
 # propagation estimate
 
 
-def _sites_of_support(values: np.ndarray, threshold: float = 0.0) -> np.ndarray:
-    return np.nonzero(np.abs(values) > threshold)[0]
-
-
 @dataclass
 class PropagationResult:
-    h_list: tuple
     sup_norms: dict
     fit: DecayFit
     rows: list
-    decay_expected: bool
 
 
 def propagation_probe(model_cfg: ModelConfig, kp: KernelPoint, lam: float,
-                      h_list: Sequence[float], t_horizon_rule: Optional[Callable] = None,
-                      delta1: float = 0.2, delta2: float = 0.2,
+                      h_list: Sequence[float], delta1: float = 0.2, delta2: float = 0.2,
                       cutoff: Optional[EnergyCutoff] = None, n_t: int = 32,
                       mode: str = "decay", classify_grid: int = 4096,
-                      min_radius: int = 32, jobs: int = 1) -> PropagationResult:
+                      jobs: int = 1) -> PropagationResult:
     """sup over t in [0, T(h)] of ||Op^h(a1) e^{-itH} f(H) Op^h(a2)|| per h.
 
-    T(h) defaults to min(h^-2, 0.8 L(h)/v_max). mode="decay" requires the
-    kernel point off Sigma_0 u Sigma_+ u Sigma'_+ with both momenta on shell
-    (error otherwise); mode="control" requires it on one of the sets;
-    mode="offshell" skips both checks (the easy functional-calculus case
-    where one momentum misses the cutoff support).
+    The box radius is L(h) = max(4 max(|x|, |y|) / h, 32) and the horizon
+    T(h) = min(h^-2, 0.8 L(h)/v_max). Both momenta must sit on the energy
+    shell. mode="decay" requires the kernel point off
+    Sigma_0 u Sigma_+ u Sigma'_+ and mode="control" on one of those sets;
+    either violation raises ValueError.
     """
     if model_cfg.stencil.dim != 1:
         raise NotImplementedError("propagation probe implemented for d=1")
     if cutoff is None:
         cutoff = EnergyCutoff(lam=lam, eps_f=0.25)
-    if mode not in ("decay", "control", "offshell"):
+    if mode not in ("decay", "control"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode != "offshell":
-        p1 = float(model_cfg.stencil.p0(kp.xi))
-        p2 = float(model_cfg.stencil.p0(kp.eta))
-        if abs(p1 - lam) > 1e-9 or abs(p2 - lam) > 1e-9:
-            raise ValueError("both momenta must sit on the energy shell")
-        report = classify(kp, model_cfg.stencil, lam, tol=3.0 * delta1,
-                          grid_n=classify_grid)
-        outside = report.outside_all(sign=+1)
-        if mode == "decay" and not outside:
-            raise ValueError(f"hypothesis violation: classify puts the point inside "
-                             f"{[k for k, v in report.distances.items() if v <= 3 * delta1]}")
-        if mode == "control" and outside:
-            raise ValueError("control mode expects an on-set kernel point")
+    p1 = float(model_cfg.stencil.p0(kp.xi))
+    p2 = float(model_cfg.stencil.p0(kp.eta))
+    if abs(p1 - lam) > 1e-9 or abs(p2 - lam) > 1e-9:
+        raise ValueError("both momenta must sit on the energy shell")
+    report = classify(kp, model_cfg.stencil, lam, tol=3.0 * delta1, grid_n=classify_grid)
+    outside = report.outside_all()
+    if mode == "decay" and not outside:
+        raise ValueError(f"hypothesis violation: classify puts the point inside "
+                         f"{[k for k, v in report.distances.items() if v <= 3 * delta1]}")
+    if mode == "control" and outside:
+        raise ValueError("control mode expects an on-set kernel point")
     vmax = shell_speed_max(model_cfg, cutoff)
     span = max(np.max(np.abs(kp.x)), np.max(np.abs(kp.y)), 0.5)
     a1, a2 = make_bump_pair((kp.x, kp.xi), (-kp.y, kp.eta), delta1, delta2)
     def run_h(h):
-        L = max(int(np.ceil(4.0 * span / h)), min_radius)
+        L = max(int(np.ceil(4.0 * span / h)), 32)
         H = model_cfg.assemble(L, with_cap=False)
         T = min(h**-2.0, 0.8 * L / max(vmax, 1e-12))
-        if t_horizon_rule is not None:
-            T = min(float(t_horizon_rule(h)), 0.8 * L / max(vmax, 1e-12))
         tg = np.concatenate([[0.0], np.geomspace(max(T / 512.0, 0.25), T, n_t - 1)])
         return h, _propagation_sup(H, a1, a2, h, cutoff, tg)
 
@@ -367,8 +328,7 @@ def propagation_probe(model_cfg: ModelConfig, kp: KernelPoint, lam: float,
         sups[h] = sup_h
     hs = sorted(sups)
     fit = DecayFit.from_values(hs, [sups[h] for h in hs]) if len(hs) >= 4 else None
-    return PropagationResult(h_list=tuple(hs), sup_norms=sups, fit=fit, rows=rows,
-                             decay_expected=(mode == "decay"))
+    return PropagationResult(sup_norms=sups, fit=fit, rows=rows)
 
 
 def _propagation_sup(H: LatticeHamiltonian, a1: Symbol, a2: Symbol, h: float,
@@ -391,8 +351,8 @@ def _propagation_sup(H: LatticeHamiltonian, a1: Symbol, a2: Symbol, h: float,
     c1 = np.asarray(a1.xi_part(xi), dtype=complex)
     b2 = np.asarray(a2.x_part(h * sites), dtype=complex)
     c2 = np.asarray(a2.xi_part(xi), dtype=complex)
-    S1 = _sites_of_support(b1)
-    S2 = _sites_of_support(b2)
+    S1 = np.nonzero(np.abs(b1) > 0.0)[0]
+    S2 = np.nonzero(np.abs(b2) > 0.0)[0]
     N = box.site_count
     K2 = np.fft.ifft(np.abs(c2) ** 2)
     gram = (b2[S2, None] * np.conj(b2[S2][None, :])) * K2[(S2[:, None] - S2[None, :]) % N]
@@ -404,7 +364,7 @@ def _propagation_sup(H: LatticeHamiltonian, a1: Symbol, a2: Symbol, h: float,
                       "seconds": 0.0} for t in t_grid]
     Z = np.zeros((N, k), dtype=complex)
     Z[S2, :] = Q[:, keep] * np.sqrt(g_vals[keep])
-    Z = _function_plan(H, cutoff, 1e-12).apply(H, Z)
+    Z = _function_plan(H, cutoff).apply(H, Z)
     sup = 0.0
     rows = []
     t_prev = 0.0

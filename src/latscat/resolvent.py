@@ -62,8 +62,6 @@ class LAPConfig:
 class DecayFit:
     """Least-squares fit of log10(norm) against log10(h or t)."""
 
-    abscissae: np.ndarray       # log10 of h or t
-    ordinates: np.ndarray       # log10 of norms
     slope: float
     intercept: float
     max_residual: float
@@ -76,12 +74,9 @@ class DecayFit:
         if len(xs) < 4:
             raise ValueError("DecayFit needs at least 4 points")
         if np.any(ys <= 0.0) or not np.all(np.isfinite(ys)):
-            return cls(abscissae=np.log10(xs), ordinates=np.full_like(xs, np.nan),
-                       slope=float("nan"), intercept=float("nan"),
+            return cls(slope=float("nan"), intercept=float("nan"),
                        max_residual=float("nan"), degenerate=True)
-        slope, intercept, resid = lstsq_loglog(xs, ys)
-        return cls(abscissae=np.log10(xs), ordinates=np.log10(ys), slope=slope,
-                   intercept=intercept, max_residual=resid)
+        return cls(*lstsq_loglog(xs, ys))
 
 
 class _ShiftedSolver:
@@ -156,8 +151,8 @@ def resolvent_map(H: LatticeHamiltonian, cfg: LAPConfig, probe_rhs=None, seed=No
 
 
 def sandwich_norm(A_left: LinearMap, H: LatticeHamiltonian, cfg: LAPConfig,
-                  A_right: LinearMap, tol: float = 1e-2, max_iter: int = 600,
-                  return_info: bool = False, seed=None):
+                  A_right: LinearMap, tol: float = 1e-2, return_info: bool = False,
+                  seed=None):
     """Operator norm of A_left o R o A_right at the converged epsilon.
 
     Every application of the composition performs one shifted solve.
@@ -171,7 +166,7 @@ def sandwich_norm(A_left: LinearMap, H: LatticeHamiltonian, cfg: LAPConfig,
         return (0.0, info) if return_info else 0.0
     R, eps = resolvent_map(H, cfg, probe_rhs=probe, seed=seed)
     M = compose_maps(A_left, R, A_right)
-    sigma, ninfo = operator_norm(M, tol=tol, max_iter=max_iter, return_info=True, seed=seed)
+    sigma, ninfo = operator_norm(M, tol=tol, return_info=True, seed=seed)
     info = {"epsilon": eps, **ninfo}
     return (sigma, info) if return_info else sigma
 
@@ -219,13 +214,14 @@ def wf_probe(model_cfg: ModelConfig, kp: KernelPoint, lam: float,
              h_list: Sequence[float], delta1: float, delta2: float,
              box_radius: Optional[int] = None, norm_tol: float = 1e-2,
              lap: Optional[LAPConfig] = None, classify_grid: int = 4096,
-             min_radius: int = 32, jobs: int = 1, seed=None) -> WfProbeResult:
+             jobs: int = 1, seed=None) -> WfProbeResult:
     """h-decay of ||Op^h(a1) R^+ Op^h(a2)|| for bumps centered on the kernel
     point: a1 at (x, xi), a2 at (-y, eta).
 
-    The box radius follows L >= 4 max(|x|,|y|) / min(h); smaller explicit
-    boxes are rejected. classify() at tolerance 3*delta1 decides whether this
-    is a decay run (point off all singular sets) or a control run.
+    The box radius defaults to max(4 max(|x|,|y|) / min(h), 32); explicit
+    boxes below the first term are rejected. classify() at tolerance
+    3*delta1 decides whether this is a decay run (point off all singular
+    sets) or a control run.
     """
     if kp.dim != model_cfg.stencil.dim:
         raise ValueError("kernel point dimension mismatch")
@@ -234,11 +230,11 @@ def wf_probe(model_cfg: ModelConfig, kp: KernelPoint, lam: float,
     span = max(np.max(np.abs(kp.x)), np.max(np.abs(kp.y)), 0.5)
     need = int(np.ceil(4.0 * span / hmin))
     if box_radius is None:
-        box_radius = max(need, min_radius)
+        box_radius = max(need, 32)
     elif box_radius < need:
         raise ValueError(f"box radius {box_radius} below the rule 4*max(|x|,|y|)/h_min = {need}")
     report = classify(kp, model_cfg.stencil, lam, tol=3.0 * delta1, grid_n=classify_grid)
-    decay_expected = report.outside_all(sign=+1)
+    decay_expected = report.outside_all()
     H = model_cfg.assemble(box_radius, with_cap=True)
     a1, a2 = make_bump_pair((kp.x, kp.xi), (-kp.y, kp.eta), delta1, delta2)
     cfg = lap if lap is not None else LAPConfig(lam=lam)
@@ -268,30 +264,29 @@ class BoxSweepResult:
     control_norm: Optional[float] = None
 
 
-def _bounded(rows, factor=1.2):
+def _bounded(rows):
     vals = [r.norm for r in rows]
     if max(vals) < 1e-280:
         return True, 1.0
     if min(vals) <= 0.0:
         return False, float("inf")
-    return max(vals) <= factor * min(vals), max(vals) / min(vals)
+    return max(vals) <= 1.2 * min(vals), max(vals) / min(vals)
 
 
 def ik_probe(model_cfg: ModelConfig, lam: float, gamma_minus: float, gamma_plus: float,
-             N: float, L_list: Sequence[int], window=None, r0: float = 1.0,
-             norm_tol: float = 1e-2, lap: Optional[LAPConfig] = None,
-             r_out_frac: float = 0.85, with_control: bool = True,
-             jobs: int = 1, seed=None) -> BoxSweepResult:
+             N: float, L_list: Sequence[int], norm_tol: float = 1e-2,
+             lap: Optional[LAPConfig] = None, jobs: int = 1, seed=None) -> BoxSweepResult:
     """Two-sided cone estimate: ||<n>^N A_- R^+ A_+^* <n>^N|| across box sizes.
 
-    Bounded iff the largest value stays within factor 1.2 of the smallest.
-    The control row is the reversed, unweighted order ||A_+ R^+ A_-^*||
-    at the largest box (no smallness claimed there).
+    The cone symbols take the energy window lam +- 0.3, r0 = 1 and an outer
+    cutoff at 0.85 of the CAP-free radius. Bounded iff the largest value
+    stays within factor 1.2 of the smallest. The control row is the
+    reversed, unweighted order ||A_+ R^+ A_-^*|| at the largest box (no
+    smallness claimed there).
     """
     if not -1.0 < gamma_minus < gamma_plus < 1.0:
         raise ValueError("need -1 < gamma_- < gamma_+ < 1")
-    if window is None:
-        window = (lam - 0.3, lam + 0.3)
+    window = (lam - 0.3, lam + 0.3)
     check_energy_window(model_cfg.stencil, window)
     cfg = lap if lap is not None else LAPConfig(lam=lam)
     L_sorted = sorted(int(v) for v in L_list)
@@ -300,9 +295,9 @@ def ik_probe(model_cfg: ModelConfig, lam: float, gamma_minus: float, gamma_plus:
     def run_L(L):
         t0 = time.perf_counter()
         H = model_cfg.assemble(L, with_cap=True)
-        r_out = r_out_frac * (L - model_cfg.cap_for(H.box).width)
-        a_m = make_cone_symbol(-1, gamma_minus, window, r0, model_cfg.stencil, r_out=r_out)
-        a_p = make_cone_symbol(+1, gamma_plus, window, r0, model_cfg.stencil, r_out=r_out)
+        r_out = 0.85 * (L - model_cfg.cap_for(H.box).width)
+        a_m = make_cone_symbol(-1, gamma_minus, window, 1.0, model_cfg.stencil, r_out=r_out)
+        a_p = make_cone_symbol(+1, gamma_plus, window, 1.0, model_cfg.stencil, r_out=r_out)
         # fixed symbols on pinned small boxes: quantize the sampled symbol
         Am = op_h(a_m, 1.0, H.box, check_resolution=False)
         Ap = op_h(a_p, 1.0, H.box, check_resolution=False)
@@ -311,7 +306,7 @@ def ik_probe(model_cfg: ModelConfig, lam: float, gamma_minus: float, gamma_plus:
         M_right = compose_maps(adjoint_map(Ap), W)
         sigma, info = sandwich_norm(M_left, H, cfg, M_right, tol=norm_tol,
                                     return_info=True, seed=seed)
-        if with_control and L == L_sorted[-1]:
+        if L == L_sorted[-1]:
             control_box["value"], _ = sandwich_norm(Ap, H, cfg, adjoint_map(Am),
                                                     tol=norm_tol, return_info=True,
                                                     seed=seed)
@@ -326,17 +321,16 @@ def ik_probe(model_cfg: ModelConfig, lam: float, gamma_minus: float, gamma_plus:
 
 
 def one_sided_probe(model_cfg: ModelConfig, lam: float, sign: int, gamma: float,
-                    nu: float, s: float, L_list: Sequence[int], window=None,
-                    r0: float = 1.0, norm_tol: float = 1e-2,
-                    lap: Optional[LAPConfig] = None,
-                    r_out_frac: float = 0.85, jobs: int = 1, seed=None) -> BoxSweepResult:
-    """One-sided estimate: ||<n>^(-nu) R^sign Op(a_sign) <n>^s|| across boxes."""
+                    nu: float, s: float, L_list: Sequence[int], r0: float = 1.0,
+                    norm_tol: float = 1e-2, lap: Optional[LAPConfig] = None,
+                    jobs: int = 1, seed=None) -> BoxSweepResult:
+    """One-sided estimate: ||<n>^(-nu) R^sign Op(a_sign) <n>^s|| across boxes,
+    with the cone window and outer cutoff of ik_probe."""
     if not nu > 1.0:
         raise ValueError("need nu > 1")
     if not 0.0 < s < nu - 1.0:
         raise ValueError("need 0 < s < nu - 1")
-    if window is None:
-        window = (lam - 0.3, lam + 0.3)
+    window = (lam - 0.3, lam + 0.3)
     check_energy_window(model_cfg.stencil, window)
     cfg = lap if lap is not None else LAPConfig(lam=lam, sign=sign)
     if cfg.sign != sign:
@@ -345,7 +339,7 @@ def one_sided_probe(model_cfg: ModelConfig, lam: float, sign: int, gamma: float,
     def run_L(L):
         t0 = time.perf_counter()
         H = model_cfg.assemble(L, with_cap=True)
-        r_out = r_out_frac * (L - model_cfg.cap_for(H.box).width)
+        r_out = 0.85 * (L - model_cfg.cap_for(H.box).width)
         a = make_cone_symbol(sign, gamma, window, r0, model_cfg.stencil, r_out=r_out)
         A = op_h(a, 1.0, H.box, check_resolution=False)
         W_out = position_weight(-nu, H.box)

@@ -7,8 +7,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .util import torus_distance
-
 
 @dataclass(frozen=True)
 class SupportMeta:
@@ -58,29 +56,3 @@ def separable_symbol(dim, b, c, support_meta=None):
 
     return Symbol(dim=dim, eval=ev, support_meta=support_meta, x_part=b, xi_part=c)
 
-
-def check_bounded(symbol: Symbol, x_samples, xi_samples, bound=None):
-    """Grid check that a symbol is finite (and below `bound`) on samples of
-    shape (..., d)."""
-    vals = symbol(x_samples, xi_samples)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("symbol evaluates non-finite on sample grid")
-    m = float(np.max(np.abs(vals)))
-    if bound is not None and m > bound:
-        raise ValueError(f"symbol exceeds recorded bound: {m} > {bound}")
-    return m
-
-
-def check_support(symbol: Symbol, x_samples, xi_samples, tol=1e-14):
-    """Grid check that |a| < tol outside support_meta (if present) on samples
-    of shape (..., d)."""
-    meta = symbol.support_meta
-    if meta is None:
-        return True
-    x = np.asarray(x_samples, dtype=float)
-    xi = np.asarray(xi_samples, dtype=float)
-    dx = np.linalg.norm(x - np.asarray(meta.x_center), axis=-1)
-    dxi = torus_distance(xi, np.asarray(meta.xi_center))
-    outside = (dx > meta.x_radius) | (dxi > meta.xi_radius)
-    vals = np.abs(symbol(x, xi))
-    return bool(np.all(vals[outside] < tol)) if np.any(outside) else True

@@ -62,3 +62,19 @@ def verify_adjoint():
         return worst
 
     return defect
+
+
+@pytest.fixture(scope="session")
+def to_dense():
+    """The oracle A -> its matrix, materialized column by column (small
+    boxes only)."""
+
+    def dense(A):
+        out = np.zeros((A.dim, A.dim), dtype=complex)
+        for j in range(A.dim):
+            e = np.zeros(A.dim, dtype=complex)
+            e[j] = 1.0
+            out[:, j] = A(e)
+        return out
+
+    return dense

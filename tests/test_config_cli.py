@@ -37,9 +37,15 @@ def test_parse_minimal_and_resolved_echo():
     # the closed-form free kernel is the 1-d one
     ("[model]\ndim = 2\n[probe]\nkind = free-kernel", "dim = 1"),
     ("[model]\npotential = power_law\n[probe]\nkind = free-kernel", "potential = none"),
+    # the propagation probe and the escape ladder are d = 1 constructions
+    ("[model]\ndim = 2\n[probe]\nkind = prop31\nx1 = 4.0\nxi1 = 1.57\nx2 = 3.0\n"
+     "xi2 = -1.57", "dim = 1"),
+    ("[model]\ndim = 2\n[probe]\nkind = escape", "dim = 1"),
+    # only local-decay reads [model] box_radius; the other kinds size their boxes
+    ("[model]\nbox_radius = 64\n[probe]\nkind = calculus", "box_radius"),
 ], ids=["unknown-key", "unknown-kind", "empty-kind", "unknown-section",
         "one-sided-s", "ik-gammas", "short-h-list", "free-kernel-dim",
-        "free-kernel-potential"])
+        "free-kernel-potential", "prop31-dim", "escape-dim", "model-box-radius"])
 def test_schema_rejections(mutation, match):
     with pytest.raises(ConfigError, match=match):
         parse_config(mutation)

@@ -55,10 +55,9 @@ def test_psi0_values(ladder):
     assert sym(np.array([y]), np.array([ladder.xi2])) == pytest.approx(1.0)
     r = ladder.ell(t)
     assert sym(np.array([y + 1.01 * r]), np.array([ladder.xi2])) == 0.0
-    # t = 0 equals the squared symbol bump a2(h x, xi)^2
+    # t = 0 equals the squared symbol bump a2(h x, xi)^2 (both use the default ramp)
     sym0 = build_psi0(ladder, 0.0)
-    _, a2 = make_bump_pair((0.0, 0.0), (ladder.x2, ladder.xi2), ladder.delta1,
-                           ladder.delta2, phi=ladder.phi)
+    _, a2 = make_bump_pair((0.0, 0.0), (ladder.x2, ladder.xi2), ladder.delta1, ladder.delta2)
     x = np.linspace(ladder.y(0.0) - 2 * ladder.ell(0.0), ladder.y(0.0) + 2 * ladder.ell(0.0), 101)
     xi = np.full_like(x, ladder.xi2 - 0.1)
     assert np.allclose(sym0(x[:, None], xi[:, None]),

@@ -3,9 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latscat.geometry import (ConeInvariance, KernelPoint, classify,
-                              cone_forward_invariance, make_bump_pair,
-                              make_cone_symbol, shell_points)
+from latscat.geometry import KernelPoint, classify, make_bump_pair, make_cone_symbol, shell_points
 from latscat.model import CriticalValueError, EmptyShellError, laplacian_stencil
 
 
@@ -108,40 +106,6 @@ def test_cone_symbol_minus_side(stencil1d):
     # support in {cos <= -0.3}: incoming region x v < 0
     assert a(np.array([-5.0]), np.array([np.pi / 2])) > 0.0
     assert a(np.array([5.0]), np.array([np.pi / 2])) == 0.0
-
-
-def test_cone_forward_invariance_examples(stencil1d):
-    res = cone_forward_invariance(1.0, np.pi / 2, 0.5, stencil1d, [0.0, 1.0, 7.0])
-    assert res == ConeInvariance(holds=True, vacuous=False)
-    st2 = laplacian_stencil(2)
-    # v(0, pi/2) = (0, 1); x = (1, 0): cos angle 0 >= -0.1
-    res2 = cone_forward_invariance([1.0, 0.0], [0.0, np.pi / 2], -0.1, st2, [5.0])
-    assert res2.holds and not res2.vacuous
-    res3 = cone_forward_invariance([1.0, 0.0], [0.0, np.pi / 2], 0.9, st2, [5.0])
-    assert res3.vacuous
-    with pytest.raises(ValueError):
-        cone_forward_invariance(1.0, np.pi / 2, 0.5, stencil1d, [-1.0])
-
-
-def test_cone_invariance_random_samples(stencil1d):
-    # exact inequality, no tolerance, for samples satisfying the precondition
-    st2 = laplacian_stencil(2)
-    g = np.random.default_rng(11)
-    checked = 0
-    while checked < 1000:
-        x = g.uniform(-5, 5, size=2)
-        xi = g.uniform(0, 2 * np.pi, size=2)
-        gamma = g.uniform(-0.95, 0.95)
-        v = np.array([np.sin(xi[0]), np.sin(xi[1])])
-        nv = np.linalg.norm(v)
-        if nv < 1e-3 or np.linalg.norm(x) < 1e-6:
-            continue
-        if np.dot(x, v) < gamma * np.linalg.norm(x) * nv:
-            continue
-        t_list = g.uniform(0, 20, size=3)
-        res = cone_forward_invariance(x, xi, gamma, st2, t_list)
-        assert res.holds and not res.vacuous
-        checked += 1
 
 
 def test_kernel_point_reduces_torus():

@@ -3,10 +3,10 @@ import pytest
 
 from latscat.geometry import KernelPoint, make_bump_pair
 from latscat.model import (LinearMap, ModelConfig, Potential, Stencil, compose_maps,
-                           laplacian_stencil, to_dense)
-from latscat.propagate import (ChebyshevPlan, EnclosureError, EnergyCutoff,
-                               apply_f_of_H, evolve, f_of_H_map, local_decay_probe,
-                               propagation_probe, shell_speed_max, _propagation_sup)
+                           laplacian_stencil)
+from latscat.propagate import (ChebyshevPlan, EnclosureError, EnergyCutoff, evolve,
+                               local_decay_probe, propagation_probe, shell_speed_max,
+                               _propagation_sup)
 from latscat.quantize import op_h, operator_norm
 from latscat.symbols import Symbol
 
@@ -14,6 +14,11 @@ from latscat.symbols import Symbol
 @pytest.fixture()
 def small_H(free_model):
     return free_model.assemble(24, with_cap=False)
+
+
+def f_of_H(H, cutoff, u):
+    """f(H) u through the plan the propagation probe applies."""
+    return ChebyshevPlan.for_function(H, cutoff.profile).apply(H, u)
 
 
 def test_cutoff_profile():
@@ -38,7 +43,7 @@ def test_evolve_identity_unitarity_group(small_H, rng):
         evolve(small_H, u, -1.0)
 
 
-def test_evolve_dense_oracle(free_model, rng):
+def test_evolve_dense_oracle(free_model, rng, to_dense):
     # 16-site dense eigendecomposition oracle
     H = free_model.assemble(8, with_cap=False)
     u = rng.standard_normal(H.dim) + 1j * rng.standard_normal(H.dim)
@@ -67,7 +72,7 @@ def test_enclosure_violation_detected(small_H, rng):
         plan.apply(bad, u)
 
 
-def test_f_of_h_idempotence_and_eigvec(free_model, rng):
+def test_f_of_h_idempotence_and_eigvec(free_model, rng, to_dense):
     H = free_model.assemble(24, with_cap=False)
     cutoff = EnergyCutoff(lam=1.0, eps_f=0.25)
     Hd = to_dense(H)
@@ -75,24 +80,24 @@ def test_f_of_h_idempotence_and_eigvec(free_model, rng):
     # eigenvector with eigenvalue in the f = 1 plateau
     i_in = int(np.argmin(np.abs(evals - 1.0)))
     u = Q[:, i_in].astype(complex)
-    assert np.linalg.norm(apply_f_of_H(H, cutoff, u) - u) <= 1e-8
+    assert np.linalg.norm(f_of_H(H, cutoff, u) - u) <= 1e-8
     # eigenvector outside supp f
     i_out = int(np.argmin(np.abs(evals - 0.05)))
     assert abs(evals[i_out] - 1.0) > 0.5
     v = Q[:, i_out].astype(complex)
-    assert np.linalg.norm(apply_f_of_H(H, cutoff, v)) <= 1e-8
+    assert np.linalg.norm(f_of_H(H, cutoff, v)) <= 1e-8
     # (1 - f)(H) then a strictly inner cutoff annihilates
     w = rng.standard_normal(H.dim) + 1j * rng.standard_normal(H.dim)
     inner = EnergyCutoff(lam=1.0, eps_f=0.125)
-    left = w - apply_f_of_H(H, cutoff, w)
-    assert np.linalg.norm(apply_f_of_H(H, inner, left)) <= 1e-8 * np.linalg.norm(w)
+    left = w - f_of_H(H, cutoff, w)
+    assert np.linalg.norm(f_of_H(H, inner, left)) <= 1e-8 * np.linalg.norm(w)
 
 
 def test_f_commutes_with_evolution(small_H, rng):
     cutoff = EnergyCutoff(lam=1.0, eps_f=0.25)
     u = rng.standard_normal(small_H.dim) + 1j * rng.standard_normal(small_H.dim)
-    a = evolve(small_H, apply_f_of_H(small_H, cutoff, u), 3.0)
-    b = apply_f_of_H(small_H, cutoff, evolve(small_H, u, 3.0))
+    a = evolve(small_H, f_of_H(small_H, cutoff, u), 3.0)
+    b = f_of_H(small_H, cutoff, evolve(small_H, u, 3.0))
     assert np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(u)
 
 
@@ -202,7 +207,7 @@ def test_prescaled_recurrence_matches_generic_map(small_H, rng):
             assert np.array_equal(u, before)
 
 
-def test_propagation_offshell_case(free_model):
+def test_propagation_offshell_case(free_model, to_dense):
     # a2 localized off the cutoff support (p0(0) = 0, supp f = [0.5, 1.5]):
     # the functional-calculus sandwich is small and shrinks fast in h.
     # Expected values frozen from the dense eigendecomposition oracle; the
@@ -257,6 +262,10 @@ def test_propagation_probe_modes(free_model):
     with pytest.raises(ValueError, match="energy shell"):
         propagation_probe(free_model, kp_offshell, 1.0, (0.25, 0.125, 0.0625, 0.03125),
                           delta1=0.4, delta2=0.3, mode="decay")
+    # the off-shell case has no probe mode: _propagation_sup covers it directly
+    with pytest.raises(ValueError, match="unknown mode"):
+        propagation_probe(free_model, kp_offshell, 1.0, (0.25, 0.125, 0.0625, 0.03125),
+                          delta1=0.4, delta2=0.3, mode="offshell")
 
 
 def test_propagation_t0_matches_static_sandwich(free_model):
@@ -267,7 +276,9 @@ def test_propagation_t0_matches_static_sandwich(free_model):
     _, rows = _propagation_sup(H, a1, a2, 0.25, cutoff, np.array([0.0]))
     A1 = op_h(a1, 0.25, H.box, check_resolution=False)
     A2 = op_h(a2, 0.25, H.box, check_resolution=False)
-    f_map = f_of_H_map(H, cutoff)
+    plan = ChebyshevPlan.for_function(H, cutoff.profile)
+    f_map = LinearMap(H.dim, lambda u: plan.apply(H, u),
+                      lambda u: plan.apply(H, u, adjoint=True), hermitian=True)
     direct = operator_norm(compose_maps(A1, f_map, A2), tol=1e-3, max_iter=3000)
     assert rows[0]["norm"] == pytest.approx(direct, rel=5e-3)
 
@@ -294,9 +305,7 @@ def test_f_of_h_rejects_cap(longrange_model, rng):
     cutoff = EnergyCutoff(lam=1.0, eps_f=0.25)
     u = rng.standard_normal(H.dim)
     with pytest.raises(ValueError, match="hermitian"):
-        apply_f_of_H(H, cutoff, u)
-    with pytest.raises(ValueError, match="hermitian"):
-        f_of_H_map(H, cutoff)
+        f_of_H(H, cutoff, u)
     for t in (0.0, 30.0):
         with pytest.raises(ValueError, match="hermitian"):
             evolve(H, u, t)
@@ -306,4 +315,4 @@ def test_f_of_h_flat_cutoff_is_identity(small_H, rng):
     # f = 1 across the whole spectral enclosure acts as the identity
     flat = EnergyCutoff(lam=1.0, eps_f=10.0)
     u = rng.standard_normal(small_H.dim) + 1j * rng.standard_normal(small_H.dim)
-    assert np.linalg.norm(apply_f_of_H(small_H, flat, u) - u) <= 1e-10 * np.linalg.norm(u)
+    assert np.linalg.norm(f_of_H(small_H, flat, u) - u) <= 1e-10 * np.linalg.norm(u)

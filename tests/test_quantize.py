@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from latscat.geometry import make_bump_pair
-from latscat.model import Box, LatticeHamiltonian, LinearMap, Potential, compose_maps, to_dense
+from latscat.model import Box, LatticeHamiltonian, LinearMap, Potential, compose_maps
 from latscat.quantize import (NormConvergenceError, ResolutionError, fourier_multiplier, op_h,
                               operator_norm, position_weight)
 from latscat.symbols import Symbol, separable_symbol
@@ -125,7 +125,7 @@ def test_operator_norm_examples(box):
     assert operator_norm(zero) == 0.0
 
 
-def test_operator_norm_against_dense_svd():
+def test_operator_norm_against_dense_svd(to_dense):
     # dense SVD oracle on a small box
     box = Box(1, 30)
     b = lambda x: (np.exp(-np.asarray(x)[..., 0] ** 2)

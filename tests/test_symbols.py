@@ -4,7 +4,35 @@ import numpy as np
 import pytest
 
 from latscat.geometry import make_bump_pair
-from latscat.symbols import Symbol, check_bounded, check_support, separable_symbol
+from latscat.symbols import Symbol, separable_symbol
+from latscat.util import torus_distance
+
+
+def check_bounded(symbol: Symbol, x_samples, xi_samples, bound=None):
+    """Grid check that a symbol is finite (and below `bound`) on samples of
+    shape (..., d); returns max |a|."""
+    vals = symbol(x_samples, xi_samples)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("symbol evaluates non-finite on sample grid")
+    m = float(np.max(np.abs(vals)))
+    if bound is not None and m > bound:
+        raise ValueError(f"symbol exceeds recorded bound: {m} > {bound}")
+    return m
+
+
+def check_support(symbol: Symbol, x_samples, xi_samples, tol=1e-14):
+    """Grid check that |a| < tol outside support_meta (if present) on samples
+    of shape (..., d)."""
+    meta = symbol.support_meta
+    if meta is None:
+        return True
+    x = np.asarray(x_samples, dtype=float)
+    xi = np.asarray(xi_samples, dtype=float)
+    dx = np.linalg.norm(x - np.asarray(meta.x_center), axis=-1)
+    dxi = torus_distance(xi, np.asarray(meta.xi_center))
+    outside = (dx > meta.x_radius) | (dxi > meta.xi_radius)
+    vals = np.abs(symbol(x, xi))
+    return bool(np.all(vals[outside] < tol)) if np.any(outside) else True
 
 
 def test_bounded_check():
