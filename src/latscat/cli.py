@@ -124,8 +124,8 @@ def _run_local_decay(cfg: ExperimentConfig, jobs, seed):
     model = cfg.model_config()
     cutoff = EnergyCutoff(lam=p["lambda"], eps_f=p["eps_f"])
     tg = np.geomspace(p["t_min"], p["t_max"], p["n_t"])
-    res = local_decay_probe(model, cutoff, p["nu"], tg,
-                            box_radius=cfg.model["box_radius"] or 512)
+    L = cfg.model["box_radius"]
+    res = local_decay_probe(model, cutoff, p["nu"], tg, box_radius=512 if L is None else L)
     crit = []
     if p["criterion_kappa"] is not None:
         _criterion(crit, f"fitted kappa >= {p['criterion_kappa']}",

@@ -233,6 +233,8 @@ def _validate_preconditions(cfg: ExperimentConfig):
     if k != "local-decay" and cfg.model["box_radius"] is not None:
         raise ConfigError(f"[model] box_radius is read only by local-decay, not by {k}")
     if k == "local-decay":
+        if cfg.model["box_radius"] is not None and cfg.model["box_radius"] <= 0:
+            raise ConfigError("[model] box_radius must be positive")
         if not 0 < p["t_min"] < p["t_max"]:
             raise ConfigError("need 0 < t_min < t_max")
         if p["n_t"] < 8:

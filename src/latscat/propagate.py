@@ -10,6 +10,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.fft
 import scipy.linalg as sla
+from scipy.linalg.blas import ztrmm
 from scipy.sparse import _sparsetools
 from scipy.special import jv
 
@@ -226,11 +227,12 @@ def local_decay_probe(model_cfg: ModelConfig, cutoff: EnergyCutoff, nu: float,
     The grid must stay inside the pre-reflection window 0.8 L / v_max. The
     norms are exact and use only the eigenpairs (lam_j, q_j) of H with
     f(lam_j) != 0: with W Q_S = Q_A R a thin QR of the weighted eigenvectors,
-    the norm at t is sigma_max(R diag(e^{-it lam} f(lam)) R*). For d = 1 the
-    eigenpairs come from a banded eigensolver restricted to supp f; for
-    d >= 2 from a dense one, so boxes beyond dense()'s site guard raise
-    ValueError. Each row reports the rank |S| and the eigen-residual
-    max_j ||H q_j - lam_j q_j||.
+    the norm at t is sigma_max(R diag(e^{-it lam} f(lam)) R*), formed with one
+    triangular product. For a real tridiagonal H (d = 1, nearest-neighbour
+    hops) the eigenpairs come from the MRRR tridiagonal eigensolver (LAPACK
+    stemr) restricted to supp f; otherwise from a dense one, so boxes beyond
+    dense()'s site guard raise ValueError. Each row reports the rank |S| and
+    the eigen-residual max_j ||H q_j - lam_j q_j||.
     """
     L = box_radius
     H = model_cfg.assemble(L, with_cap=False)
@@ -239,12 +241,10 @@ def local_decay_probe(model_cfg: ModelConfig, cutoff: EnergyCutoff, nu: float,
     window = 0.8 * L / max(vmax, 1e-12)
     if t_grid[-1] > window:
         raise ValueError(f"t_grid exceeds the reflection window {window:.1f}")
-    if H.box.dim == 1:
-        b = H.stencil.bandwidth
-        band = H.banded()[: b + 1]
-        if not np.any(band.imag):
-            band = band.real
-        evals, Q = sla.eig_banded(band, select="v", select_range=cutoff.support)
+    if H.box.dim == 1 and H.stencil.bandwidth == 1 and not np.any(np.imag(H.stencil.coeffs)):
+        ab = H.banded().real
+        evals, Q = sla.eigh_tridiagonal(ab[1], ab[0, 1:], select="v",
+                                        select_range=cutoff.support, lapack_driver="stemr")
     else:
         evals, Q = sla.eigh(H.dense(), subset_by_value=cutoff.support)
     f_ev = cutoff.profile(evals)
@@ -252,12 +252,15 @@ def local_decay_probe(model_cfg: ModelConfig, cutoff: EnergyCutoff, nu: float,
     evals, Q, f_ev = evals[keep], Q[:, keep], f_ev[keep]
     eig_residual = float(np.linalg.norm(H(Q) - Q * evals, axis=0).max(initial=0.0))
     wdiag = (1.0 + np.sum(H.box.sites().astype(float) ** 2, axis=1)) ** (-nu / 2.0)
-    R = np.linalg.qr(wdiag[:, None] * Q, mode="r")
+    R = np.asfortranarray(np.linalg.qr(wdiag[:, None] * Q, mode="r"), dtype=complex)
     rows = []
     norms = np.zeros(len(t_grid))
     for i, t in enumerate(t_grid):
         t0 = time.perf_counter()
-        M = (R * (np.exp(-1j * t * evals) * f_ev)) @ R.conj().T
+        # (R D) R* with R triangular is one ztrmm; after a threaded zgemm here
+        # the next svdvals ran 2-3x slower at two OpenBLAS threads
+        M = ztrmm(1.0, R, R * (np.exp(-1j * t * evals) * f_ev), side=1, trans_a=2,
+                  overwrite_b=1)
         norms[i] = sla.svdvals(M).max(initial=0.0)
         rows.append({"h": 0.0, "t": t, "norm": norms[i], "chebyshev_terms": 0,
                      "seconds": time.perf_counter() - t0, "rank": len(evals),

@@ -43,9 +43,11 @@ def test_parse_minimal_and_resolved_echo():
     ("[model]\ndim = 2\n[probe]\nkind = escape", "dim = 1"),
     # only local-decay reads [model] box_radius; the other kinds size their boxes
     ("[model]\nbox_radius = 64\n[probe]\nkind = calculus", "box_radius"),
+    ("[model]\nbox_radius = 0\n[probe]\nkind = local-decay", "box_radius must be positive"),
 ], ids=["unknown-key", "unknown-kind", "empty-kind", "unknown-section",
         "one-sided-s", "ik-gammas", "short-h-list", "free-kernel-dim",
-        "free-kernel-potential", "prop31-dim", "escape-dim", "model-box-radius"])
+        "free-kernel-potential", "prop31-dim", "escape-dim", "model-box-radius",
+        "local-decay-box-radius"])
 def test_schema_rejections(mutation, match):
     with pytest.raises(ConfigError, match=match):
         parse_config(mutation)

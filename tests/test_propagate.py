@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from latscat.geometry import KernelPoint, make_bump_pair
 from latscat.model import (LinearMap, ModelConfig, Potential, Stencil, compose_maps,
@@ -142,12 +143,26 @@ def _full_eigh_local_decay(H, cutoff, nu, t_grid):
 
 D2_LONGRANGE = ModelConfig(stencil=laplacian_stencil(2),
                            potential=Potential(mu=0.5, amplitude=0.5, form="power_law"))
+# three d = 1 models that local decay must send to the dense eigensolver:
+# bandwidth 2 (the p0 = (1 - cos xi) + (1 - cos 2 xi) / 2 stencil); complex
+# hops that stay tridiagonal; and complex hops with a flux (phases 0.3 per
+# step, 0.2 per double step) that no gauge removes, so that R is complex
+D1_BANDWIDTH2 = ModelConfig(stencil=Stencil(1, [(0,), (1,), (-1,), (2,), (-2,)],
+                                            [1.5, -0.5, -0.5, -0.25, -0.25]))
+D1_TWISTED = ModelConfig(stencil=Stencil(1, [(0,), (1,), (-1,)],
+                                         [1.0, -0.5 * np.exp(0.3j), -0.5 * np.exp(-0.3j)]))
+D1_FLUX = ModelConfig(stencil=Stencil(1, [(0,), (1,), (-1,), (2,), (-2,)],
+                                      [1.25, -0.5 * np.exp(0.3j), -0.5 * np.exp(-0.3j),
+                                       -0.125 * np.exp(0.2j), -0.125 * np.exp(-0.2j)]))
 
 
 @pytest.mark.parametrize("model, radius, t_grid", [
     ("free_model", 96, np.r_[0.0, np.geomspace(1.0, 60.0, 11)]),
     ("longrange_model", 96, np.r_[0.0, np.geomspace(1.0, 60.0, 11)]),
     (D2_LONGRANGE, 12, np.r_[0.0, np.geomspace(0.5, 6.0, 6)]),
+    (D1_BANDWIDTH2, 96, np.r_[0.0, np.geomspace(1.0, 40.0, 11)]),
+    (D1_TWISTED, 96, np.r_[0.0, np.geomspace(1.0, 40.0, 11)]),
+    (D1_FLUX, 96, np.r_[0.0, np.geomspace(1.0, 40.0, 11)]),
 ])
 def test_local_decay_matches_full_eigh(request, model, radius, t_grid):
     if isinstance(model, str):
@@ -160,6 +175,21 @@ def test_local_decay_matches_full_eigh(request, model, radius, t_grid):
     evals = np.linalg.eigvalsh(H.dense())
     assert res.rows[0]["rank"] == np.count_nonzero(cutoff.profile(evals))
     assert all(r["eig_residual"] <= 1e-12 for r in res.rows)
+
+
+def test_local_decay_mrrr_eigenvector_certificate(longrange_model):
+    # MRRR (LAPACK stemr) is weaker on clustered spectra than inverse
+    # iteration: certify rank, residual and orthogonality at the recipe box
+    cutoff = EnergyCutoff(lam=1.0, eps_f=0.25)
+    res = local_decay_probe(longrange_model, cutoff, nu=3.0,
+                            t_grid=np.geomspace(10.0, 200.0, 8), box_radius=512)
+    H = longrange_model.assemble(512, with_cap=False)
+    assert res.rows[0]["rank"] == np.count_nonzero(cutoff.profile(np.linalg.eigvalsh(H.dense())))
+    assert res.rows[0]["eig_residual"] <= 1e-12
+    ab = H.banded().real
+    _, Q = sla.eigh_tridiagonal(ab[1], ab[0, 1:], select="v", select_range=cutoff.support,
+                                lapack_driver="stemr")
+    assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max() <= 1e-12
 
 
 def test_local_decay_kappa_box_independent(longrange_model):
@@ -182,8 +212,7 @@ def test_prescaled_recurrence_matches_generic_map(small_H, rng):
     # plan through a plain LinearMap: real entries (free model) and complex
     # hops (the real and complex views of the kernel), vector and block
     # inputs in C order, Fortran order and as a strided column slice
-    twisted = Stencil(1, [(0,), (1,), (-1,)], [1.0, -0.5 * np.exp(0.3j), -0.5 * np.exp(-0.3j)])
-    H_twisted = ModelConfig(stencil=twisted).assemble(24, with_cap=False)
+    H_twisted = D1_TWISTED.assemble(24, with_cap=False)
     assert np.any(H_twisted._matrix(+1).data.imag)
     for H in (small_H, H_twisted):
         plain = LinearMap(H.dim, H, H.adjoint_apply, hermitian=True)
