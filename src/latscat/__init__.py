@@ -2,10 +2,11 @@
 of lattice Schrodinger operators."""
 
 from .model import (Box, CAPProfile, LatticeHamiltonian, LinearMap, ModelConfig,
-                    Potential, Stencil, check_energy_window, laplacian_stencil, velocity)
+                    Potential, Stencil, check_energy_window, laplacian_stencil)
 from .symbols import Symbol, SupportMeta, separable_symbol
 from .quantize import fourier_multiplier, op_h, operator_norm, position_weight
-from .geometry import KernelPoint, MembershipReport, classify, make_bump_pair, make_cone_symbol
+from .geometry import (KernelPoint, MembershipReport, classify, kernel_point_setup,
+                       make_bump_pair, make_cone_symbol)
 from .resolvent import (DecayFit, LAPConfig, free_kernel_1d, ik_probe, lap_solve,
                         one_sided_probe, sandwich_norm, wf_probe)
 from .propagate import (ChebyshevPlan, EnergyCutoff, evolve, local_decay_probe,

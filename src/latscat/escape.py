@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import Box, ModelConfig, Stencil, velocity
+from .model import Box, ModelConfig, Stencil
 from .quantize import _sampled_kernel, _xi_grid
 from .symbols import Symbol, SupportMeta, separable_symbol
 from .util import angle_diff, lstsq_loglog, rng
@@ -164,7 +164,7 @@ class EscapeLadder:
 
     def v(self, xi):
         """Group velocity at an array of d = 1 momenta, same shape."""
-        return np.asarray(velocity(self.stencil, np.asarray(xi, dtype=float)[..., None]))[..., 0]
+        return self.stencil.gradient(np.asarray(xi)[..., None])[..., 0]
 
     @property
     def v2(self) -> float:
@@ -375,7 +375,7 @@ def periodic_dense_h(model_cfg: ModelConfig, box: Box) -> np.ndarray:
     N = box.site_count
     if N > 4200:
         raise ValueError("box too large for the dense route")
-    p0 = np.asarray(model_cfg.stencil.p0(_xi_grid(box)), dtype=complex)
+    p0 = model_cfg.stencil.p0(_xi_grid(box))
     H = np.fft.ifft(p0[:, None] * np.fft.fft(np.eye(N), axis=0), axis=0)
     H = (H + H.conj().T) / 2.0
     H[np.diag_indices(N)] += model_cfg.potential.values(box.sites())

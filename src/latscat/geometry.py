@@ -55,73 +55,42 @@ class MembershipReport:
 
 
 def shell_points(stencil: Stencil, lam: float, grid_n: int = 4096) -> np.ndarray:
-    """Momenta with p0(xi) = lam, by dense grid plus bisection (d = 1) or 12
-    Newton steps (d >= 2).
+    """Momenta with p0(xi) = lam, for every d: the points of the torus grid
+    with grid_n points per axis that lie within about one grid step of the
+    level set, each polished by 12 Newton steps along v(xi).
 
-    Returns an array of shape (n_pts, d). Raises EmptyShellError when the
-    level set is empty and CriticalValueError when |v| < 1e-8 at a shell
-    point.
+    Returns an array of shape (n_pts, d); a point may repeat. Raises
+    EmptyShellError when the level set is empty and CriticalValueError when
+    |v| < 1e-8 at a shell point.
     """
     d = stencil.dim
-    ax = np.linspace(0.0, 2.0 * np.pi, grid_n, endpoint=False)
-    if d == 1:
-        p = np.asarray(stencil.p0(ax[:, None]), dtype=float) - lam
-        roots = []
-        sgn = np.signbit(p)
-        for i in range(grid_n):
-            j = (i + 1) % grid_n
-            if p[i] == 0.0:
-                roots.append(ax[i])
-            elif sgn[i] != sgn[j]:
-                a, b = ax[i], ax[i] + (ax[1] - ax[0])
-                fa = p[i]
-                for _ in range(60):
-                    m = 0.5 * (a + b)
-                    fm = float(stencil.p0(np.array([m]))) - lam
-                    if fa * fm <= 0:
-                        b = m
-                    else:
-                        a, fa = m, fm
-                roots.append(0.5 * (a + b))
-        if not roots:
-            raise EmptyShellError(f"p0 never reaches {lam}")
-        pts = np.asarray(roots)[:, None]
-    else:
-        xi = product_grid(ax, d).reshape(-1, d)
-        p = np.asarray(stencil.p0(xi), dtype=float) - lam
-        step = 2.0 * np.pi / grid_n
-        grad = np.asarray(stencil.gradient(xi), dtype=float)
-        gnorm = np.linalg.norm(grad, axis=-1)
-        near = np.abs(p) <= step * np.sqrt(d) * np.maximum(gnorm, 1e-12)
-        if not np.any(near):
-            raise EmptyShellError(f"p0 never reaches {lam}")
-        cand = xi[near]
-        for _ in range(12):
-            pv = np.asarray(stencil.p0(cand), dtype=float) - lam
-            gv = np.asarray(stencil.gradient(cand), dtype=float)
-            g2 = np.sum(gv**2, axis=-1)
-            g2 = np.where(g2 > 0, g2, 1.0)
-            cand = cand - (pv / g2)[:, None] * gv
-        pv = np.asarray(stencil.p0(cand), dtype=float) - lam
-        cand = cand[np.abs(pv) < 1e-9]
-        if len(cand) == 0:
-            raise EmptyShellError(f"no shell points converged for {lam}")
-        pts = reduce_torus(cand)
-    speeds = np.linalg.norm(np.asarray(stencil.gradient(pts), dtype=float), axis=-1)
-    if np.any(speeds < 1e-8):
+    xi = product_grid(np.linspace(0.0, 2.0 * np.pi, grid_n, endpoint=False), d).reshape(-1, d)
+    step = 2.0 * np.pi / grid_n
+    gnorm = np.linalg.norm(stencil.gradient(xi), axis=-1)
+    near = np.abs(stencil.p0(xi) - lam) <= step * np.sqrt(d) * np.maximum(gnorm, 1e-12)
+    if not np.any(near):
+        raise EmptyShellError(f"p0 never reaches {lam}")
+    cand = xi[near]
+    for _ in range(12):
+        gv = stencil.gradient(cand)
+        g2 = np.sum(gv**2, axis=-1)
+        cand = cand - ((stencil.p0(cand) - lam) / np.where(g2 > 0, g2, 1.0))[:, None] * gv
+    cand = cand[np.abs(stencil.p0(cand) - lam) < 1e-9]
+    if len(cand) == 0:
+        raise EmptyShellError(f"no shell points converged for {lam}")
+    pts = reduce_torus(cand)
+    if np.any(np.linalg.norm(stencil.gradient(pts), axis=-1) < 1e-8):
         raise CriticalValueError("velocity vanishes on the energy shell")
     return pts
 
 
-def _ray_distance_sq(p: np.ndarray, w: np.ndarray, forward: bool) -> float:
-    """Squared distance from p to the ray {t w : t >= 0} (or t <= 0)."""
-    w2 = float(np.dot(w, w))
-    if w2 == 0.0:
-        return float(np.dot(p, p))
-    t = float(np.dot(p, w)) / w2
-    t = max(t, 0.0) if forward else min(t, 0.0)
-    diff = p - t * w
-    return float(np.dot(diff, diff))
+def _ray_distance_sq(p: np.ndarray, w: np.ndarray, forward: bool) -> np.ndarray:
+    """Squared distances from p, shape (d,), to the rays {t w_k : t >= 0}
+    (t <= 0 if not forward) of the nonzero velocities w, shape (k, d)."""
+    t = (w @ p) / np.sum(w * w, axis=-1)
+    t = np.maximum(t, 0.0) if forward else np.minimum(t, 0.0)
+    diff = p - t[:, None] * w
+    return np.sum(diff * diff, axis=-1)
 
 
 def classify(kp: KernelPoint, stencil: Stencil, lam: float, tol: float,
@@ -141,43 +110,43 @@ def classify(kp: KernelPoint, stencil: Stencil, lam: float, tol: float,
     if stencil.dim >= 2:
         grid_n = min(grid_n, 256)  # the d>=2 scan is a full grid per axis
     shell = shell_points(stencil, lam, grid_n=grid_n)
-    vels = np.asarray(stencil.gradient(shell), dtype=float)
-
-    d0 = float(np.sqrt(np.sum((kp.x + kp.y) ** 2) + torus_distance(kp.xi, kp.eta) ** 2))
-
-    xsum = kp.x + kp.y
-    dxi = np.array([torus_distance(kp.xi, s) for s in shell])
-    deta = np.array([torus_distance(kp.eta, s) for s in shell])
+    vels = stencil.gradient(shell)
+    dxi2 = torus_distance(kp.xi, shell) ** 2
+    deta2 = torus_distance(kp.eta, shell) ** 2
 
     def sigma_ray(forward: bool) -> float:
-        best = np.inf
-        for i in range(len(shell)):
-            r2 = _ray_distance_sq(xsum, vels[i], forward)
-            best = min(best, r2 + dxi[i] ** 2 + deta[i] ** 2)
-        return float(np.sqrt(best))
+        return float(np.sqrt(np.min(
+            _ray_distance_sq(kp.x + kp.y, vels, forward) + dxi2 + deta2)))
 
     def sigma_prime(forward: bool) -> float:
-        f1 = np.inf
-        f2 = np.inf
-        for i in range(len(shell)):
-            f1 = min(f1, _ray_distance_sq(kp.x, vels[i], forward) + dxi[i] ** 2)
-            f2 = min(f2, _ray_distance_sq(kp.y, vels[i], forward) + deta[i] ** 2)
+        f1 = np.min(_ray_distance_sq(kp.x, vels, forward) + dxi2)
+        f2 = np.min(_ray_distance_sq(kp.y, vels, forward) + deta2)
         return float(np.sqrt(f1 + f2))
 
     dist = {
-        "sigma0": d0,
+        "sigma0": float(np.sqrt(np.sum((kp.x + kp.y) ** 2)
+                                + torus_distance(kp.xi, kp.eta) ** 2)),
         "sigma_plus": sigma_ray(True),
         "sigma_minus": sigma_ray(False),
         "sigma_prime_plus": sigma_prime(True),
         "sigma_prime_minus": sigma_prime(False),
     }
-    return MembershipReport(
-        in_sigma0=dist["sigma0"] <= tol,
-        in_sigma_plus=dist["sigma_plus"] <= tol,
-        in_sigma_minus=dist["sigma_minus"] <= tol,
-        in_sigma_prime_plus=dist["sigma_prime_plus"] <= tol,
-        in_sigma_prime_minus=dist["sigma_prime_minus"] <= tol,
-        distances=dist)
+    return MembershipReport(**{f"in_{k}": v <= tol for k, v in dist.items()}, distances=dist)
+
+
+def kernel_point_setup(kp: KernelPoint, stencil: Stencil, lam: float, delta1: float,
+                       delta2: float, grid_n: int):
+    """What the wf and propagation probes share for a kernel point:
+    (span, report, a1, a2).
+
+    span = max(|x|, |y|, 1/2) sets their box rule 4 span / h; report is
+    classify() at tolerance 3 delta1; a1 and a2 are the bumps centred at
+    (x, xi) and (-y, eta).
+    """
+    span = max(np.max(np.abs(kp.x)), np.max(np.abs(kp.y)), 0.5)
+    report = classify(kp, stencil, lam, tol=3.0 * delta1, grid_n=grid_n)
+    a1, a2 = make_bump_pair((kp.x, kp.xi), (-kp.y, kp.eta), delta1, delta2)
+    return span, report, a1, a2
 
 
 def make_bump_pair(p1, p2, delta1: float, delta2: float):
@@ -226,8 +195,8 @@ def make_cone_symbol(sign: int, gamma: float, energy_window, r0: float,
     def ev(x, xi):
         x = np.asarray(x, dtype=float)
         xi = np.asarray(xi, dtype=float)
-        p = np.asarray(stencil.p0(xi), dtype=float)
-        v = np.asarray(stencil.gradient(xi), dtype=float)
+        p = stencil.p0(xi)
+        v = stencil.gradient(xi)
         fE = np.asarray(DEFAULT_PHI(np.abs(p - mid) / hw))
         absx = np.linalg.norm(x, axis=-1)
         absv = np.linalg.norm(v, axis=-1)

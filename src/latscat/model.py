@@ -60,23 +60,24 @@ class Stencil:
 
     def p0(self, xi):
         """Torus symbol p0(xi) = sum_m gamma_m e^{i xi.m} on momenta of shape
-        (..., d); real by symmetry. Returns shape (...)."""
+        (..., d). Real: the symmetry enforced at construction leaves only
+        roundoff in the imaginary part, which is dropped. Returns shape (...)."""
         xi = np.asarray(xi, dtype=float)
         acc = np.zeros(xi.shape[:-1], dtype=complex)
         for o, g in zip(self.offsets, self.coeffs):
             acc = acc + g * np.exp(1j * (xi @ np.asarray(o, dtype=float)))
-        return np.real_if_close(acc, tol=100)
+        return acc.real
 
     def gradient(self, xi):
-        """v(xi) = dp0(xi) on momenta of shape (..., d), real by symmetry.
-        Returns shape (..., d)."""
+        """Group velocity v(xi) = dp0(xi) on momenta of shape (..., d), real
+        as p0 is. Returns shape (..., d)."""
         xi = np.asarray(xi, dtype=float)
         acc = np.zeros(xi.shape, dtype=complex)
         for o, g in zip(self.offsets, self.coeffs):
             ov = np.asarray(o, dtype=float)
             phase = np.exp(1j * (xi @ ov))
             acc = acc + g * 1j * phase[..., None] * ov
-        return np.real_if_close(acc, tol=100)
+        return acc.real
 
     @cached_property
     def symbol_range(self) -> tuple:
@@ -88,7 +89,7 @@ class Stencil:
         """
         n = max(16, int(round(2.0 ** (14.0 / self.dim))))
         step = 2.0 * np.pi / n
-        p = np.real(self.p0(product_grid(step * np.arange(n), self.dim)))
+        p = self.p0(product_grid(step * np.arange(n), self.dim))
         pad = step * sum(abs(g) * sum(abs(m) for m in o)
                          for o, g in zip(self.offsets, self.coeffs))
         return float(np.min(p) - pad), float(np.max(p) + pad)
@@ -107,21 +108,11 @@ def laplacian_stencil(dim: int = 1) -> Stencil:
     return Stencil(dim=dim, offsets=tuple(offsets), coeffs=tuple(coeffs))
 
 
-def velocity(stencil: Stencil, xi):
-    """Group velocity v(xi) = dp0(xi) as a real array of shape (..., d)."""
-    v = stencil.gradient(xi)
-    if np.iscomplexobj(v):
-        raise ValueError("velocity is not numerically real; check stencil symmetry")
-    return v
-
-
 def momentum_grid_scan(stencil: Stencil, grid_n: int):
     """p0 and |v| on the torus grid with `grid_n` points per axis, as two
     arrays of shape (grid_n,) * d."""
     xi = product_grid(np.linspace(0.0, 2.0 * np.pi, grid_n, endpoint=False), stencil.dim)
-    p = np.asarray(stencil.p0(xi), dtype=float)
-    speeds = np.linalg.norm(np.asarray(stencil.gradient(xi), dtype=float), axis=-1)
-    return p, speeds
+    return stencil.p0(xi), np.linalg.norm(stencil.gradient(xi), axis=-1)
 
 
 def check_energy_window(stencil: Stencil, window, grid_n: int = 256):

@@ -15,10 +15,11 @@ from scipy.sparse import _sparsetools
 from scipy.special import jv
 
 from .escape import DEFAULT_PHI
-from .geometry import KernelPoint, classify, make_bump_pair
-from .model import LatticeHamiltonian, LinearMap, ModelConfig, momentum_grid_scan
+from .geometry import KernelPoint, kernel_point_setup
+from .model import (EmptyShellError, LatticeHamiltonian, LinearMap, ModelConfig,
+                    momentum_grid_scan)
 from .quantize import _xi_grid
-from .resolvent import DecayFit
+from .resolvent import DecayFit, _pmap
 from .symbols import Symbol
 
 
@@ -197,13 +198,14 @@ def evolve(H: LatticeHamiltonian, u, t: float):
 
 def shell_speed_max(model_cfg: ModelConfig, cutoff: EnergyCutoff) -> float:
     """max |v| over momenta with p0 inside supp f (reflection-window speed),
-    sampled on about 4096 momenta: round(4096 ** (1/d)) per axis."""
+    sampled on about 4096 momenta: round(4096 ** (1/d)) per axis. Raises
+    EmptyShellError when no sampled momentum has p0 in supp f."""
     st = model_cfg.stencil
     p, sp = momentum_grid_scan(st, int(round(4096 ** (1.0 / st.dim))))
     lo, hi = cutoff.support
     mask = (p >= lo) & (p <= hi)
     if not np.any(mask):
-        return float(np.max(sp))
+        raise EmptyShellError(f"no momenta with p0 in supp f = [{lo}, {hi}]")
     return float(np.max(sp[mask]))
 
 
@@ -305,16 +307,16 @@ def propagation_probe(model_cfg: ModelConfig, kp: KernelPoint, lam: float,
     p2 = float(model_cfg.stencil.p0(kp.eta))
     if abs(p1 - lam) > 1e-9 or abs(p2 - lam) > 1e-9:
         raise ValueError("both momenta must sit on the energy shell")
-    report = classify(kp, model_cfg.stencil, lam, tol=3.0 * delta1, grid_n=classify_grid)
+    span, report, a1, a2 = kernel_point_setup(kp, model_cfg.stencil, lam, delta1, delta2,
+                                              classify_grid)
     outside = report.outside_all()
     if mode == "decay" and not outside:
         raise ValueError(f"hypothesis violation: classify puts the point inside "
-                         f"{[k for k, v in report.distances.items() if v <= 3 * delta1]}")
+                         f"{[k for k in report.distances if getattr(report, f'in_{k}')]}")
     if mode == "control" and outside:
         raise ValueError("control mode expects an on-set kernel point")
     vmax = shell_speed_max(model_cfg, cutoff)
-    span = max(np.max(np.abs(kp.x)), np.max(np.abs(kp.y)), 0.5)
-    a1, a2 = make_bump_pair((kp.x, kp.xi), (-kp.y, kp.eta), delta1, delta2)
+
     def run_h(h):
         L = max(int(np.ceil(4.0 * span / h)), 32)
         H = model_cfg.assemble(L, with_cap=False)
@@ -322,7 +324,6 @@ def propagation_probe(model_cfg: ModelConfig, kp: KernelPoint, lam: float,
         tg = np.concatenate([[0.0], np.geomspace(max(T / 512.0, 0.25), T, n_t - 1)])
         return h, _propagation_sup(H, a1, a2, h, cutoff, tg)
 
-    from .resolvent import _pmap
     results = _pmap(run_h, sorted(float(v) for v in h_list), jobs)
     rows = []
     sups = {}

@@ -11,7 +11,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from .geometry import KernelPoint, classify, make_bump_pair, make_cone_symbol
+from .geometry import KernelPoint, kernel_point_setup, make_cone_symbol
 from .model import (LatticeHamiltonian, LinearMap, ModelConfig, compose_maps,
                     adjoint_map, check_energy_window)
 from .quantize import op_h, operator_norm, position_weight
@@ -223,20 +223,15 @@ def wf_probe(model_cfg: ModelConfig, kp: KernelPoint, lam: float,
     3*delta1 decides whether this is a decay run (point off all singular
     sets) or a control run.
     """
-    if kp.dim != model_cfg.stencil.dim:
-        raise ValueError("kernel point dimension mismatch")
-    h_list = sorted(float(h) for h in h_list)
-    hmin = min(h_list)
-    span = max(np.max(np.abs(kp.x)), np.max(np.abs(kp.y)), 0.5)
-    need = int(np.ceil(4.0 * span / hmin))
+    span, report, a1, a2 = kernel_point_setup(kp, model_cfg.stencil, lam, delta1, delta2,
+                                              classify_grid)
+    h_list = sorted((float(h) for h in h_list), reverse=True)
+    need = int(np.ceil(4.0 * span / h_list[-1]))
     if box_radius is None:
         box_radius = max(need, 32)
     elif box_radius < need:
         raise ValueError(f"box radius {box_radius} below the rule 4*max(|x|,|y|)/h_min = {need}")
-    report = classify(kp, model_cfg.stencil, lam, tol=3.0 * delta1, grid_n=classify_grid)
-    decay_expected = report.outside_all()
     H = model_cfg.assemble(box_radius, with_cap=True)
-    a1, a2 = make_bump_pair((kp.x, kp.xi), (-kp.y, kp.eta), delta1, delta2)
     cfg = lap if lap is not None else LAPConfig(lam=lam)
 
     def run_h(h):
@@ -249,28 +244,27 @@ def wf_probe(model_cfg: ModelConfig, kp: KernelPoint, lam: float,
                         iterations=info["iterations"],
                         seconds=time.perf_counter() - t0)
 
-    rows = _pmap(run_h, sorted(h_list, reverse=True), jobs)
+    rows = _pmap(run_h, h_list, jobs)
     rows.sort(key=lambda r: r.key)
     fit = DecayFit.from_values([r.key for r in rows], [r.norm for r in rows])
-    return WfProbeResult(rows=rows, fit=fit, decay_expected=decay_expected,
+    return WfProbeResult(rows=rows, fit=fit, decay_expected=report.outside_all(),
                          report=report, box_radius=box_radius)
 
 
 @dataclass
 class BoxSweepResult:
     rows: list
-    bounded: bool
-    bound_factor: float
+    bound_factor: float         # max/min norm across L
     control_norm: Optional[float] = None
 
 
-def _bounded(rows):
+def _bound_factor(rows):
     vals = [r.norm for r in rows]
     if max(vals) < 1e-280:
-        return True, 1.0
+        return 1.0
     if min(vals) <= 0.0:
-        return False, float("inf")
-    return max(vals) <= 1.2 * min(vals), max(vals) / min(vals)
+        return float("inf")
+    return max(vals) / min(vals)
 
 
 def ik_probe(model_cfg: ModelConfig, lam: float, gamma_minus: float, gamma_plus: float,
@@ -279,9 +273,9 @@ def ik_probe(model_cfg: ModelConfig, lam: float, gamma_minus: float, gamma_plus:
     """Two-sided cone estimate: ||<n>^N A_- R^+ A_+^* <n>^N|| across box sizes.
 
     The cone symbols take the energy window lam +- 0.3, r0 = 1 and an outer
-    cutoff at 0.85 of the CAP-free radius. Bounded iff the largest value
-    stays within factor 1.2 of the smallest. The control row is the
-    reversed, unweighted order ||A_+ R^+ A_-^*|| at the largest box (no
+    cutoff at 0.85 of the CAP-free radius. bound_factor is the largest norm
+    over the smallest (cli gates it on criterion_factor). The control row is
+    the reversed, unweighted order ||A_+ R^+ A_-^*|| at the largest box (no
     smallness claimed there).
     """
     if not -1.0 < gamma_minus < gamma_plus < 1.0:
@@ -315,8 +309,7 @@ def ik_probe(model_cfg: ModelConfig, lam: float, gamma_minus: float, gamma_plus:
                         seconds=time.perf_counter() - t0)
 
     rows = _pmap(run_L, L_sorted, jobs)
-    ok, factor = _bounded(rows)
-    return BoxSweepResult(rows=rows, bounded=ok, bound_factor=factor,
+    return BoxSweepResult(rows=rows, bound_factor=_bound_factor(rows),
                           control_norm=control_box["value"])
 
 
@@ -351,5 +344,4 @@ def one_sided_probe(model_cfg: ModelConfig, lam: float, sign: int, gamma: float,
                         seconds=time.perf_counter() - t0)
 
     rows = _pmap(run_L, sorted(int(v) for v in L_list), jobs)
-    ok, factor = _bounded(rows)
-    return BoxSweepResult(rows=rows, bounded=ok, bound_factor=factor)
+    return BoxSweepResult(rows=rows, bound_factor=_bound_factor(rows))

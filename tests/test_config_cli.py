@@ -99,6 +99,16 @@ convergence_tol = 1e-9
     assert run(cfg, out_dir=tmp_path, quiet=True) == EXIT_NUMERICAL
 
 
+def test_local_decay_outside_the_band_is_a_config_error(tmp_path):
+    # supp f = [4.5, 5.5] misses the band [0, 2]: no shell speed, no run
+    cfg = tmp_path / "outside.ini"
+    cfg.write_text("[model]\nbox_radius = 128\n\n[probe]\nkind = local-decay\n"
+                   "lambda = 5.0\nnu = 3.0\neps_f = 0.25\nt_min = 10\nt_max = 50\n"
+                   "n_t = 8\ncriterion_kappa = 1.5\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 def test_criterion_failure_exit(tmp_path):
     cfg = parse_config(MINIMAL_WF.replace("criterion_slope = 3.0",
                                           "criterion_slope = 99"))

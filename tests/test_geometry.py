@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latscat.geometry import KernelPoint, classify, make_bump_pair, make_cone_symbol, shell_points
-from latscat.model import CriticalValueError, EmptyShellError, laplacian_stencil
+from latscat.model import CriticalValueError, EmptyShellError, Stencil, laplacian_stencil
 
 
 LAM = 1.0
@@ -74,6 +74,32 @@ def test_shell_points_d2():
     pts = shell_points(st2, 1.0, grid_n=96)
     assert len(pts) > 0
     assert np.max(np.abs(st2.p0(pts) - 1.0)) < 1e-8
+
+
+def test_shell_points_bandwidth2_four_points():
+    # p0 = (1 - cos xi) + beta (1 - cos 2 xi), beta = 0.5: v = sin xi (1 + 2 cos xi)
+    # has an interior critical value 2.25 at 2 pi / 3, so the shell at 2.12
+    # has four points, two of them with v pointing against sign(pi - xi)
+    beta = 0.5
+    st2 = Stencil(dim=1, offsets=((0,), (1,), (-1,), (2,), (-2,)),
+                  coeffs=(1.0 + beta, -0.5, -0.5, -beta / 2, -beta / 2))
+    pts = shell_points(st2, 2.12)
+    want = np.array([1.7107, 2.6072, 3.6760, 4.5725])
+    nearest = np.argmin(np.abs(pts - want), axis=1)
+    assert np.all(np.abs(pts[:, 0] - want[nearest]) < 1e-4)
+    assert set(nearest) == {0, 1, 2, 3}
+    v = st2.gradient(pts)[:, 0]
+    assert np.allclose(v, np.array([0.714, -0.367, 0.367, -0.714])[nearest], atol=1e-3)
+    assert np.max(np.abs(st2.p0(pts) - 2.12)) < 1e-9
+
+
+def test_classify_d2_diagonal_on_shell():
+    st2 = laplacian_stencil(2)
+    x, xi = np.array([1.0, 0.5]), np.array([np.pi / 2, np.pi / 3])
+    rep = classify(KernelPoint(x, xi, -x, xi), st2, 1.5, tol=0.5)
+    assert rep.in_sigma0 and rep.distances["sigma0"] == 0.0
+    assert rep.distances["sigma_prime_plus"] == pytest.approx(1.1499, abs=1e-4)
+    assert rep.distances["sigma_prime_minus"] == pytest.approx(1.1499, abs=1e-4)
 
 
 def test_bump_pair_values():

@@ -1,6 +1,7 @@
-"""Source hygiene: no unused imports, and every script still matches the API.
+"""Source hygiene: no unused imports, every script still matches the API, and
+the benchmark still binds what it uses.
 
-No linter is a dependency, so both checks use `ast` and `importlib`.
+No linter is a dependency, so the checks use `ast` and `importlib`.
 """
 
 import ast
@@ -87,3 +88,17 @@ def test_script_call_check_flags_an_unknown_keyword(tmp_path):
                    "                 h=0.5, no_such_field=1)\n")
     bad = _bad_calls(src, _load_script(src))
     assert len(bad) == 1 and "no_such_field" in bad[0]
+
+
+def test_benchmark_bindings(tmp_path, monkeypatch):
+    # perfbench/ builds its workloads from latscat's API and wraps its layers
+    # by name; a renamed function or method fails here with AttributeError
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench import DEFAULT_SEED, WORKLOADS, checks, instrument, spans, workloads
+
+    reference = checks.load_json()
+    for name in WORKLOADS:
+        ops = workloads.build(name, DEFAULT_SEED, tmp_path, reference)
+        assert ops and all(callable(fn) for _, fn in ops)
+    with instrument.Instrumentation(spans.Tracer()):
+        pass

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from latscat.model import (Box, CAPProfile, CriticalValueError, EmptyShellError,
                            LatticeHamiltonian, ModelConfig, Potential, Stencil,
-                           check_energy_window, laplacian_stencil, velocity)
+                           check_energy_window, laplacian_stencil)
 
 
 def test_p0_examples(stencil1d):
@@ -27,9 +27,15 @@ def test_symmetry_violation_rejected():
 
 
 def test_velocity_examples(stencil1d):
-    assert np.isclose(velocity(stencil1d, [np.pi / 2]), 1.0)
-    assert np.isclose(velocity(stencil1d, [0.0]), 0.0)
-    assert np.isclose(velocity(stencil1d, [-np.pi / 2]), -1.0)
+    assert np.isclose(stencil1d.gradient([np.pi / 2]), 1.0)
+    assert np.isclose(stencil1d.gradient([0.0]), 0.0)
+    assert np.isclose(stencil1d.gradient([-np.pi / 2]), -1.0)
+    # complex hoppings: p0 = -sin xi and v = -cos xi come back as real arrays
+    hop = Stencil(dim=1, offsets=((1,), (-1,)), coeffs=(0.5j, -0.5j))
+    xi = np.linspace(0.0, 2.0 * np.pi, 9)[:, None]
+    assert hop.p0(xi).dtype == hop.gradient(xi).dtype == np.float64
+    assert np.allclose(hop.p0(xi), -np.sin(xi[:, 0]), atol=1e-15)
+    assert np.allclose(hop.gradient(xi), -np.cos(xi), atol=1e-15)
 
 
 def test_energy_window(stencil1d):
