@@ -3,7 +3,7 @@ of lattice Schrodinger operators."""
 
 from .model import (Box, CAPProfile, LatticeHamiltonian, LinearMap, ModelConfig,
                     Potential, Stencil, check_energy_window, laplacian_stencil)
-from .symbols import Symbol, SupportMeta, separable_symbol
+from .symbols import Symbol, separable_symbol
 from .quantize import fourier_multiplier, op_h, operator_norm, position_weight
 from .geometry import (KernelPoint, MembershipReport, classify, kernel_point_setup,
                        make_bump_pair, make_cone_symbol)

@@ -37,9 +37,10 @@ NUMERICAL_ERRORS = (LAPConvergenceError, NormConvergenceError, EnclosureError,
                     ResolutionError, FloatingPointError, np.linalg.LinAlgError)
 
 
-def _lap_from(cfg: ExperimentConfig, lam: float, sign: int = +1) -> LAPConfig:
+def _lap_from(cfg: ExperimentConfig) -> LAPConfig:
+    """The LAP setup at the probe's lambda and, where the kind has one, sign."""
     n = cfg.numerics
-    return LAPConfig(lam=lam, sign=sign,
+    return LAPConfig(lam=cfg.probe["lambda"], sign=cfg.probe.get("sign", +1),
                      epsilon_sequence=default_epsilon_sequence(n["eps_k_min"], n["eps_k_max"]),
                      convergence_tol=n["convergence_tol"])
 
@@ -84,8 +85,8 @@ def _run_wf(cfg: ExperimentConfig, jobs, seed):
     p = cfg.probe
     model = cfg.model_config()
     kp = KernelPoint(p["x1"], p["xi1"], -p["x2"], p["xi2"])
-    res = wf_probe(model, kp, p["lambda"], p["h_list"], p["delta1"], p["delta2"],
-                   norm_tol=cfg.numerics["norm_tol"], lap=_lap_from(cfg, p["lambda"]),
+    res = wf_probe(model, kp, _lap_from(cfg), p["h_list"], p["delta1"], p["delta2"],
+                   norm_tol=cfg.numerics["norm_tol"],
                    classify_grid=cfg.numerics["classify_grid"], jobs=jobs, seed=seed)
     crit = []
     want_decay = p["expect"] == "decay"
@@ -103,19 +104,17 @@ def _run_wf(cfg: ExperimentConfig, jobs, seed):
 
 def _run_ik(cfg: ExperimentConfig, jobs, seed):
     p = cfg.probe
-    res = ik_probe(cfg.model_config(), p["lambda"], p["gamma_minus"], p["gamma_plus"],
-                   p["weight_n"], p["l_list"], norm_tol=cfg.numerics["norm_tol"],
-                   lap=_lap_from(cfg, p["lambda"]), jobs=jobs, seed=seed)
+    res = ik_probe(cfg.model_config(), _lap_from(cfg), p["gamma_minus"], p["gamma_plus"],
+                   p["weight_n"], p["l_list"], norm_tol=cfg.numerics["norm_tol"], jobs=jobs,
+                   seed=seed)
     return (*_box_sweep(p, res),
             {"bound_factor": res.bound_factor, "control_norm": res.control_norm})
 
 
 def _run_one_sided(cfg: ExperimentConfig, jobs, seed):
     p = cfg.probe
-    res = one_sided_probe(cfg.model_config(), p["lambda"], p["sign"], p["gamma"],
-                          p["nu"], p["s"], p["l_list"], norm_tol=cfg.numerics["norm_tol"],
-                          lap=_lap_from(cfg, p["lambda"], sign=p["sign"]),
-                          jobs=jobs, seed=seed)
+    res = one_sided_probe(cfg.model_config(), _lap_from(cfg), p["gamma"], p["nu"], p["s"],
+                          p["l_list"], norm_tol=cfg.numerics["norm_tol"], jobs=jobs, seed=seed)
     return (*_box_sweep(p, res), {"bound_factor": res.bound_factor})
 
 
@@ -124,8 +123,7 @@ def _run_local_decay(cfg: ExperimentConfig, jobs, seed):
     model = cfg.model_config()
     cutoff = EnergyCutoff(lam=p["lambda"], eps_f=p["eps_f"])
     tg = np.geomspace(p["t_min"], p["t_max"], p["n_t"])
-    L = cfg.model["box_radius"]
-    res = local_decay_probe(model, cutoff, p["nu"], tg, box_radius=512 if L is None else L)
+    res = local_decay_probe(model, cutoff, p["nu"], tg, box_radius=p["box_radius"])
     crit = []
     if p["criterion_kappa"] is not None:
         _criterion(crit, f"fitted kappa >= {p['criterion_kappa']}",
@@ -140,9 +138,8 @@ def _run_prop31(cfg: ExperimentConfig, jobs, seed):
     p = cfg.probe
     model = cfg.model_config()
     kp = KernelPoint(p["x1"], p["xi1"], -p["x2"], p["xi2"])
-    cutoff = EnergyCutoff(lam=p["lambda"], eps_f=p["eps_f"])
-    res = propagation_probe(model, kp, p["lambda"], p["h_list"],
-                            delta1=p["delta1"], delta2=p["delta2"], cutoff=cutoff,
+    res = propagation_probe(model, kp, EnergyCutoff(lam=p["lambda"], eps_f=p["eps_f"]),
+                            p["h_list"], delta1=p["delta1"], delta2=p["delta2"],
                             mode=p["expect"], classify_grid=cfg.numerics["classify_grid"],
                             jobs=jobs)
     crit = []
@@ -197,7 +194,7 @@ def _run_free_kernel(cfg: ExperimentConfig, jobs, seed):
     rhs = np.zeros(H.dim, dtype=complex)
     rhs[H.box.index_of([0])] = 1.0
     t0 = time.perf_counter()
-    u, info = lap_solve(H, _lap_from(cfg, lam), rhs, return_info=True)
+    u, info = lap_solve(H, _lap_from(cfg), rhs, return_info=True)
     secs = time.perf_counter() - t0
     n = H.box.sites()[:, 0]
     inner = np.abs(n) <= int(p["inner_frac"] * L)

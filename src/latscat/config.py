@@ -21,7 +21,6 @@ _MODEL_KEYS = {
     "mu": (float, 0.5),
     "cap_width_frac": (float, 0.125),
     "cap_strength": (float, 1.0),
-    "box_radius": (int, None),
 }
 
 _NUMERICS_KEYS = {
@@ -64,7 +63,7 @@ _PROBE_KEYS = {
     "local-decay": {
         "lambda": (float, 1.0), "nu": (float, 3.0), "eps_f": (float, 0.25),
         "t_min": (float, 10.0), "t_max": (float, 200.0), "n_t": (int, 16),
-        "criterion_kappa": (float, None),
+        "box_radius": (int, 512), "criterion_kappa": (float, None),
     },
     "prop31": {
         "lambda": (float, 1.0), "x1": (float, None), "xi1": (float, None),
@@ -217,6 +216,9 @@ def _validate_preconditions(cfg: ExperimentConfig):
             raise ConfigError("sign must be 1 or -1")
     if k == "ik" and not (-1.0 < p["gamma_minus"] < p["gamma_plus"] < 1.0):
         raise ConfigError("ik probe needs -1 < gamma_- < gamma_+ < 1")
+    if k in ("ik", "one-sided") and len(set(p["l_list"])) < 2:
+        raise ConfigError(f"the {k} probe compares boxes: l_list needs at least 2 "
+                          "distinct radii")
     if k in ("wf", "prop31"):
         for key in ("x1", "xi1", "x2", "xi2"):
             if p[key] is None:
@@ -230,11 +232,9 @@ def _validate_preconditions(cfg: ExperimentConfig):
                           "it needs potential = none and dim = 1")
     if k in ("prop31", "escape") and cfg.model["dim"] != 1:
         raise ConfigError(f"the {k} probe is implemented for dim = 1 only")
-    if k != "local-decay" and cfg.model["box_radius"] is not None:
-        raise ConfigError(f"[model] box_radius is read only by local-decay, not by {k}")
     if k == "local-decay":
-        if cfg.model["box_radius"] is not None and cfg.model["box_radius"] <= 0:
-            raise ConfigError("[model] box_radius must be positive")
+        if p["box_radius"] <= 0:
+            raise ConfigError("[probe] box_radius must be positive")
         if not 0 < p["t_min"] < p["t_max"]:
             raise ConfigError("need 0 < t_min < t_max")
         if p["n_t"] < 8:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .model import Box, ModelConfig, Stencil
 from .quantize import _sampled_kernel, _xi_grid
-from .symbols import Symbol, SupportMeta, separable_symbol
+from .symbols import Symbol, separable_symbol
 from .util import angle_diff, lstsq_loglog, rng
 
 
@@ -205,8 +205,7 @@ def _ladder_bump(ladder: EscapeLadder, t: float, j: int, profile, pref: float = 
     def c(xi):
         return np.asarray(profile(angle_diff(np.asarray(xi, dtype=float)[..., 0], xi2) / r))
 
-    meta = SupportMeta(np.atleast_1d(y), ell, np.atleast_1d(xi2), r)
-    return separable_symbol(1, b, c, support_meta=meta)
+    return separable_symbol(1, b, c)
 
 
 def build_phi0(ladder: EscapeLadder, t: float) -> Symbol:

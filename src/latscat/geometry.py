@@ -11,7 +11,7 @@ import numpy as np
 
 from .escape import DEFAULT_PHI
 from .model import CriticalValueError, EmptyShellError, Stencil, check_energy_window
-from .symbols import Symbol, SupportMeta, separable_symbol
+from .symbols import Symbol, separable_symbol
 from .util import product_grid, reduce_torus, torus_distance
 
 
@@ -168,8 +168,7 @@ def make_bump_pair(p1, p2, delta1: float, delta2: float):
         def c(xi):
             return np.asarray(DEFAULT_PHI(torus_distance(xi, xic_arr) / delta2))
 
-        meta = SupportMeta(xc_arr, delta1, xic_arr, delta2)
-        return separable_symbol(len(xc_arr), b, c, support_meta=meta)
+        return separable_symbol(len(xc_arr), b, c)
 
     return one(p1), one(p2)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.fft
@@ -222,8 +222,7 @@ class LocalDecayResult:
 
 
 def local_decay_probe(model_cfg: ModelConfig, cutoff: EnergyCutoff, nu: float,
-                      t_grid: Sequence[float],
-                      box_radius: int = 512) -> LocalDecayResult:
+                      t_grid: Sequence[float], box_radius: int) -> LocalDecayResult:
     """Weighted propagator norms ||<n>^-nu e^{-itH} f(H) <n>^-nu|| over t_grid.
 
     The grid must stay inside the pre-reflection window 0.8 L / v_max. The
@@ -284,25 +283,24 @@ class PropagationResult:
     rows: list
 
 
-def propagation_probe(model_cfg: ModelConfig, kp: KernelPoint, lam: float,
+def propagation_probe(model_cfg: ModelConfig, kp: KernelPoint, cutoff: EnergyCutoff,
                       h_list: Sequence[float], delta1: float = 0.2, delta2: float = 0.2,
-                      cutoff: Optional[EnergyCutoff] = None, n_t: int = 32,
-                      mode: str = "decay", classify_grid: int = 4096,
+                      n_t: int = 32, mode: str = "decay", classify_grid: int = 4096,
                       jobs: int = 1) -> PropagationResult:
-    """sup over t in [0, T(h)] of ||Op^h(a1) e^{-itH} f(H) Op^h(a2)|| per h.
+    """sup over t in [0, T(h)] of ||Op^h(a1) e^{-itH} f(H) Op^h(a2)|| per h,
+    with f the cutoff at cutoff.lam.
 
     The box radius is L(h) = max(4 max(|x|, |y|) / h, 32) and the horizon
     T(h) = min(h^-2, 0.8 L(h)/v_max). Both momenta must sit on the energy
-    shell. mode="decay" requires the kernel point off
+    shell, and the fit needs at least 4 h. mode="decay" requires the kernel point off
     Sigma_0 u Sigma_+ u Sigma'_+ and mode="control" on one of those sets;
     either violation raises ValueError.
     """
     if model_cfg.stencil.dim != 1:
         raise NotImplementedError("propagation probe implemented for d=1")
-    if cutoff is None:
-        cutoff = EnergyCutoff(lam=lam, eps_f=0.25)
     if mode not in ("decay", "control"):
         raise ValueError(f"unknown mode {mode!r}")
+    lam = cutoff.lam
     p1 = float(model_cfg.stencil.p0(kp.xi))
     p2 = float(model_cfg.stencil.p0(kp.eta))
     if abs(p1 - lam) > 1e-9 or abs(p2 - lam) > 1e-9:
@@ -331,7 +329,7 @@ def propagation_probe(model_cfg: ModelConfig, kp: KernelPoint, lam: float,
         rows.extend({"h": h, **r} for r in h_rows)
         sups[h] = sup_h
     hs = sorted(sups)
-    fit = DecayFit.from_values(hs, [sups[h] for h in hs]) if len(hs) >= 4 else None
+    fit = DecayFit.from_values(hs, [sups[h] for h in hs])
     return PropagationResult(sup_norms=sups, fit=fit, rows=rows)
 
 

@@ -116,7 +116,6 @@ criterion_factor = 1.2
 potential = power_law
 amplitude = 0.5
 mu = 0.5
-box_radius = 512
 
 [probe]
 kind = local-decay
@@ -126,6 +125,7 @@ eps_f = 0.25
 t_min = 10
 t_max = 200
 n_t = 16
+box_radius = 512
 criterion_kappa = 1.5
 """,
     },

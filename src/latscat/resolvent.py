@@ -201,6 +201,14 @@ class ProbeRow:
     seconds: float
 
 
+def _sandwich_row(key, t0, A_left, H, lap, A_right, norm_tol, seed) -> ProbeRow:
+    """The row of ||A_left R A_right|| at `key` (h or L), timed from t0."""
+    sigma, info = sandwich_norm(A_left, H, lap, A_right, tol=norm_tol, return_info=True,
+                                seed=seed)
+    return ProbeRow(key=key, epsilon=info["epsilon"], norm=sigma,
+                    iterations=info["iterations"], seconds=time.perf_counter() - t0)
+
+
 @dataclass
 class WfProbeResult:
     rows: list
@@ -210,20 +218,19 @@ class WfProbeResult:
     box_radius: int
 
 
-def wf_probe(model_cfg: ModelConfig, kp: KernelPoint, lam: float,
+def wf_probe(model_cfg: ModelConfig, kp: KernelPoint, lap: LAPConfig,
              h_list: Sequence[float], delta1: float, delta2: float,
              box_radius: Optional[int] = None, norm_tol: float = 1e-2,
-             lap: Optional[LAPConfig] = None, classify_grid: int = 4096,
-             jobs: int = 1, seed=None) -> WfProbeResult:
-    """h-decay of ||Op^h(a1) R^+ Op^h(a2)|| for bumps centered on the kernel
-    point: a1 at (x, xi), a2 at (-y, eta).
+             classify_grid: int = 4096, jobs: int = 1, seed=None) -> WfProbeResult:
+    """h-decay of ||Op^h(a1) R Op^h(a2)|| at lap.lam for bumps centered on
+    the kernel point: a1 at (x, xi), a2 at (-y, eta).
 
     The box radius defaults to max(4 max(|x|,|y|) / min(h), 32); explicit
     boxes below the first term are rejected. classify() at tolerance
     3*delta1 decides whether this is a decay run (point off all singular
-    sets) or a control run.
+    sets of R^+) or a control run.
     """
-    span, report, a1, a2 = kernel_point_setup(kp, model_cfg.stencil, lam, delta1, delta2,
+    span, report, a1, a2 = kernel_point_setup(kp, model_cfg.stencil, lap.lam, delta1, delta2,
                                               classify_grid)
     h_list = sorted((float(h) for h in h_list), reverse=True)
     need = int(np.ceil(4.0 * span / h_list[-1]))
@@ -232,17 +239,12 @@ def wf_probe(model_cfg: ModelConfig, kp: KernelPoint, lam: float,
     elif box_radius < need:
         raise ValueError(f"box radius {box_radius} below the rule 4*max(|x|,|y|)/h_min = {need}")
     H = model_cfg.assemble(box_radius, with_cap=True)
-    cfg = lap if lap is not None else LAPConfig(lam=lam)
 
     def run_h(h):
         t0 = time.perf_counter()
         A1 = op_h(a1, h, H.box)
         A2 = op_h(a2, h, H.box)
-        sigma, info = sandwich_norm(A1, H, cfg, A2, tol=norm_tol, return_info=True,
-                                    seed=seed)
-        return ProbeRow(key=h, epsilon=info["epsilon"], norm=sigma,
-                        iterations=info["iterations"],
-                        seconds=time.perf_counter() - t0)
+        return _sandwich_row(h, t0, A1, H, lap, A2, norm_tol, seed)
 
     rows = _pmap(run_h, h_list, jobs)
     rows.sort(key=lambda r: r.key)
@@ -258,90 +260,78 @@ class BoxSweepResult:
     control_norm: Optional[float] = None
 
 
-def _bound_factor(rows):
-    vals = [r.norm for r in rows]
-    if max(vals) < 1e-280:
-        return 1.0
-    if min(vals) <= 0.0:
-        return float("inf")
-    return max(vals) / min(vals)
+def _cone_sweep(model_cfg: ModelConfig, lap: LAPConfig, cones, weighted,
+                L_list: Sequence[int], norm_tol: float, jobs: int, seed):
+    """||A_left R A_right|| on each box of L_list, (A_left, A_right) =
+    weighted(H, *ops), where ops quantize at h = 1 the cone symbols of
+    `cones`, (sign, gamma, r0) triples.
 
-
-def ik_probe(model_cfg: ModelConfig, lam: float, gamma_minus: float, gamma_plus: float,
-             N: float, L_list: Sequence[int], norm_tol: float = 1e-2,
-             lap: Optional[LAPConfig] = None, jobs: int = 1, seed=None) -> BoxSweepResult:
-    """Two-sided cone estimate: ||<n>^N A_- R^+ A_+^* <n>^N|| across box sizes.
-
-    The cone symbols take the energy window lam +- 0.3, r0 = 1 and an outer
-    cutoff at 0.85 of the CAP-free radius. bound_factor is the largest norm
-    over the smallest (cli gates it on criterion_factor). The control row is
-    the reversed, unweighted order ||A_+ R^+ A_-^*|| at the largest box (no
-    smallness claimed there).
+    The cones take the energy window lap.lam +- 0.3 and an outer cutoff at
+    0.85 of the CAP-free radius. Returns the BoxSweepResult, whose
+    bound_factor is the largest norm over the smallest, and (H, ops) of the
+    largest box.
     """
-    if not -1.0 < gamma_minus < gamma_plus < 1.0:
-        raise ValueError("need -1 < gamma_- < gamma_+ < 1")
-    window = (lam - 0.3, lam + 0.3)
+    window = (lap.lam - 0.3, lap.lam + 0.3)
     check_energy_window(model_cfg.stencil, window)
-    cfg = lap if lap is not None else LAPConfig(lam=lam)
     L_sorted = sorted(int(v) for v in L_list)
-    control_box = {"value": None}
 
     def run_L(L):
         t0 = time.perf_counter()
         H = model_cfg.assemble(L, with_cap=True)
         r_out = 0.85 * (L - model_cfg.cap_for(H.box).width)
-        a_m = make_cone_symbol(-1, gamma_minus, window, 1.0, model_cfg.stencil, r_out=r_out)
-        a_p = make_cone_symbol(+1, gamma_plus, window, 1.0, model_cfg.stencil, r_out=r_out)
         # fixed symbols on pinned small boxes: quantize the sampled symbol
-        Am = op_h(a_m, 1.0, H.box, check_resolution=False)
-        Ap = op_h(a_p, 1.0, H.box, check_resolution=False)
+        ops = [op_h(make_cone_symbol(sign, gamma, window, r0, model_cfg.stencil, r_out=r_out),
+                    1.0, H.box, check_resolution=False) for sign, gamma, r0 in cones]
+        A_left, A_right = weighted(H, *ops)
+        row = _sandwich_row(L, t0, A_left, H, lap, A_right, norm_tol, seed)
+        return row, ((H, ops) if L == L_sorted[-1] else None)
+
+    out = _pmap(run_L, L_sorted, jobs)
+    norms = [row.norm for row, _ in out]
+    if max(norms) < 1e-280:
+        factor = 1.0
+    elif min(norms) <= 0.0:
+        factor = float("inf")
+    else:
+        factor = max(norms) / min(norms)
+    return BoxSweepResult(rows=[row for row, _ in out], bound_factor=factor), out[-1][1]
+
+
+def ik_probe(model_cfg: ModelConfig, lap: LAPConfig, gamma_minus: float, gamma_plus: float,
+             N: float, L_list: Sequence[int], norm_tol: float = 1e-2, jobs: int = 1,
+             seed=None) -> BoxSweepResult:
+    """Two-sided cone estimate: ||<n>^N A_- R A_+^* <n>^N|| across box sizes,
+    with r0 = 1 for both cones (cli gates bound_factor on criterion_factor).
+    The control norm is the reversed, unweighted order ||A_+ R A_-^*|| at the
+    largest box (no smallness claimed there).
+    """
+    if not -1.0 < gamma_minus < gamma_plus < 1.0:
+        raise ValueError("need -1 < gamma_- < gamma_+ < 1")
+
+    def weighted(H, Am, Ap):
         W = position_weight(N, H.box)
-        M_left = compose_maps(W, Am)
-        M_right = compose_maps(adjoint_map(Ap), W)
-        sigma, info = sandwich_norm(M_left, H, cfg, M_right, tol=norm_tol,
-                                    return_info=True, seed=seed)
-        if L == L_sorted[-1]:
-            control_box["value"], _ = sandwich_norm(Ap, H, cfg, adjoint_map(Am),
-                                                    tol=norm_tol, return_info=True,
-                                                    seed=seed)
-        return ProbeRow(key=L, epsilon=info["epsilon"], norm=sigma,
-                        iterations=info["iterations"],
-                        seconds=time.perf_counter() - t0)
+        return compose_maps(W, Am), compose_maps(adjoint_map(Ap), W)
 
-    rows = _pmap(run_L, L_sorted, jobs)
-    return BoxSweepResult(rows=rows, bound_factor=_bound_factor(rows),
-                          control_norm=control_box["value"])
+    res, (H, (Am, Ap)) = _cone_sweep(model_cfg, lap, ((-1, gamma_minus, 1.0),
+                                                      (+1, gamma_plus, 1.0)),
+                                     weighted, L_list, norm_tol, jobs, seed)
+    res.control_norm = sandwich_norm(Ap, H, lap, adjoint_map(Am), tol=norm_tol, seed=seed)
+    return res
 
 
-def one_sided_probe(model_cfg: ModelConfig, lam: float, sign: int, gamma: float,
-                    nu: float, s: float, L_list: Sequence[int], r0: float = 1.0,
-                    norm_tol: float = 1e-2, lap: Optional[LAPConfig] = None,
-                    jobs: int = 1, seed=None) -> BoxSweepResult:
-    """One-sided estimate: ||<n>^(-nu) R^sign Op(a_sign) <n>^s|| across boxes,
-    with the cone window and outer cutoff of ik_probe."""
+def one_sided_probe(model_cfg: ModelConfig, lap: LAPConfig, gamma: float, nu: float,
+                    s: float, L_list: Sequence[int], r0: float = 1.0,
+                    norm_tol: float = 1e-2, jobs: int = 1, seed=None) -> BoxSweepResult:
+    """One-sided estimate: ||<n>^(-nu) R Op(a) <n>^s|| across box sizes, with
+    R and the cone a on the side lap.sign."""
     if not nu > 1.0:
         raise ValueError("need nu > 1")
     if not 0.0 < s < nu - 1.0:
         raise ValueError("need 0 < s < nu - 1")
-    window = (lam - 0.3, lam + 0.3)
-    check_energy_window(model_cfg.stencil, window)
-    cfg = lap if lap is not None else LAPConfig(lam=lam, sign=sign)
-    if cfg.sign != sign:
-        raise ValueError("lap.sign disagrees with the probe sign")
 
-    def run_L(L):
-        t0 = time.perf_counter()
-        H = model_cfg.assemble(L, with_cap=True)
-        r_out = 0.85 * (L - model_cfg.cap_for(H.box).width)
-        a = make_cone_symbol(sign, gamma, window, r0, model_cfg.stencil, r_out=r_out)
-        A = op_h(a, 1.0, H.box, check_resolution=False)
-        W_out = position_weight(-nu, H.box)
-        W_in = position_weight(s, H.box)
-        sigma, info = sandwich_norm(W_out, H, cfg, compose_maps(A, W_in),
-                                    tol=norm_tol, return_info=True, seed=seed)
-        return ProbeRow(key=L, epsilon=info["epsilon"], norm=sigma,
-                        iterations=info["iterations"],
-                        seconds=time.perf_counter() - t0)
+    def weighted(H, A):
+        return position_weight(-nu, H.box), compose_maps(A, position_weight(s, H.box))
 
-    rows = _pmap(run_L, sorted(int(v) for v in L_list), jobs)
-    return BoxSweepResult(rows=rows, bound_factor=_bound_factor(rows))
+    res, _ = _cone_sweep(model_cfg, lap, ((lap.sign, gamma, r0),), weighted, L_list,
+                         norm_tol, jobs, seed)
+    return res

@@ -1,4 +1,4 @@
-"""Phase-space symbols a(x, xi) on R^d x T^d with support metadata."""
+"""Phase-space symbols a(x, xi) on R^d x T^d."""
 
 from __future__ import annotations
 
@@ -6,17 +6,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class SupportMeta:
-    """Ball-shaped numerical support: |x - x_center| <= x_radius and
-    torus_distance(xi, xi_center) <= xi_radius."""
-
-    x_center: np.ndarray
-    x_radius: float
-    xi_center: np.ndarray
-    xi_radius: float
 
 
 @dataclass
@@ -32,7 +21,6 @@ class Symbol:
 
     dim: int
     eval: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    support_meta: Optional[SupportMeta] = None
     x_part: Optional[Callable[[np.ndarray], np.ndarray]] = None
     xi_part: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
@@ -48,11 +36,11 @@ class Symbol:
         return self.eval(x, xi)
 
 
-def separable_symbol(dim, b, c, support_meta=None):
+def separable_symbol(dim, b, c):
     """Symbol a(x, xi) = b(x) c(xi)."""
 
     def ev(x, xi):
         return np.asarray(b(x)) * np.asarray(c(xi))
 
-    return Symbol(dim=dim, eval=ev, support_meta=support_meta, x_part=b, xi_part=c)
+    return Symbol(dim=dim, eval=ev, x_part=b, xi_part=c)
 

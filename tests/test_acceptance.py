@@ -31,7 +31,7 @@ def report(num, ok, detail):
 def test_criterion_1_wf_upper_bound(longrange_model, deep_lap):
     t0 = time.time()
     kp = KernelPoint(4.0, np.pi / 2, 3.0, -np.pi / 2)
-    res = wf_probe(longrange_model, kp, LAM, H_LIST, DELTA1, DELTA2, lap=deep_lap)
+    res = wf_probe(longrange_model, kp, deep_lap, H_LIST, DELTA1, DELTA2)
     elapsed = time.time() - t0
     ok = (res.decay_expected and not res.fit.degenerate
           and res.fit.slope >= 3.0 and res.fit.max_residual <= 0.3
@@ -45,12 +45,11 @@ def test_criterion_1_wf_upper_bound(longrange_model, deep_lap):
 
 def test_criterion_2_free_dichotomy(free_model, deep_lap):
     kp_on = KernelPoint(4.0, np.pi / 2, -2.0, np.pi / 2)  # x + y on the forward ray
-    res = wf_probe(free_model, kp_on, LAM, H_LIST, DELTA1, DELTA2, lap=deep_lap)
+    res = wf_probe(free_model, kp_on, deep_lap, H_LIST, DELTA1, DELTA2)
     slope_off = getattr(test_criterion_1_wf_upper_bound, "slope", None)
     if slope_off is None:  # criterion 1 did not run first
         kp_off = KernelPoint(4.0, np.pi / 2, 3.0, -np.pi / 2)
-        slope_off = wf_probe(free_model, kp_off, LAM, H_LIST, DELTA1, DELTA2,
-                             lap=deep_lap).fit.slope
+        slope_off = wf_probe(free_model, kp_off, deep_lap, H_LIST, DELTA1, DELTA2).fit.slope
     gap = slope_off - res.fit.slope
     ok = (not res.decay_expected) and res.fit.slope <= 1.0 and gap >= 2.0
     report(2, ok, f"on-set slope {res.fit.slope:.2f} (<=1), gap {gap:.2f} (>=2)")
@@ -75,7 +74,7 @@ def test_criterion_4_ik_two_sided(free_model, longrange_model):
     details = []
     ok = True
     for name, model in (("free", free_model), ("mu=0.5", longrange_model)):
-        res = ik_probe(model, LAM, -0.3, 0.3, 1.0, (128, 256, 512), norm_tol=1e-2)
+        res = ik_probe(model, LAPConfig(lam=LAM), -0.3, 0.3, 1.0, (128, 256, 512), norm_tol=1e-2)
         ok &= res.bound_factor <= 1.2
         details.append(f"{name} max/min {res.bound_factor:.3f}")
     report(4, ok, "weighted cone sandwich bounded across L in {128,256,512}: "
@@ -84,9 +83,8 @@ def test_criterion_4_ik_two_sided(free_model, longrange_model):
 
 def test_criterion_5_propagation_estimate(longrange_model):
     kp = KernelPoint(4.0, np.pi / 2, 3.0, -np.pi / 2)
-    res = propagation_probe(longrange_model, kp, LAM, H_LIST,
-                            delta1=DELTA1, delta2=DELTA2,
-                            cutoff=EnergyCutoff(lam=LAM, eps_f=0.25))
+    res = propagation_probe(longrange_model, kp, EnergyCutoff(lam=LAM, eps_f=0.25), H_LIST,
+                            delta1=DELTA1, delta2=DELTA2)
     ok = (not res.fit.degenerate) and res.fit.slope >= 3.0
     report(5, ok, f"sup_t propagator sandwich slope {res.fit.slope:.2f} (>=3) "
                   f"over h in 2^-3..2^-6")
@@ -132,8 +130,8 @@ def test_criterion_7_escape_ladder(free_model, stencil1d):
 
 
 def test_criterion_8_one_sided(longrange_model):
-    res = one_sided_probe(longrange_model, LAM, +1, gamma=-0.5 + 0.1, nu=3.0, s=1.0,
-                          L_list=(128, 256, 512), norm_tol=1e-2)
+    res = one_sided_probe(longrange_model, LAPConfig(lam=LAM, sign=+1), gamma=-0.5 + 0.1,
+                          nu=3.0, s=1.0, L_list=(128, 256, 512), norm_tol=1e-2)
     ok = res.bound_factor <= 1.2
     report(8, ok, f"one-sided weighted norms max/min {res.bound_factor:.3f} "
                   f"(<=1.2) across L in {{128,256,512}}")

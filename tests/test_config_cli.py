@@ -41,13 +41,14 @@ def test_parse_minimal_and_resolved_echo():
     ("[model]\ndim = 2\n[probe]\nkind = prop31\nx1 = 4.0\nxi1 = 1.57\nx2 = 3.0\n"
      "xi2 = -1.57", "dim = 1"),
     ("[model]\ndim = 2\n[probe]\nkind = escape", "dim = 1"),
-    # only local-decay reads [model] box_radius; the other kinds size their boxes
-    ("[model]\nbox_radius = 64\n[probe]\nkind = calculus", "box_radius"),
-    ("[model]\nbox_radius = 0\n[probe]\nkind = local-decay", "box_radius must be positive"),
+    ("[probe]\nkind = local-decay\nbox_radius = 0", "box_radius must be positive"),
+    # the box sweeps compare norms across at least two box sizes
+    ("[probe]\nkind = one-sided\nl_list = 64", "at least 2 distinct radii"),
+    ("[probe]\nkind = ik\nl_list =", "at least 2 distinct radii"),
 ], ids=["unknown-key", "unknown-kind", "empty-kind", "unknown-section",
         "one-sided-s", "ik-gammas", "short-h-list", "free-kernel-dim",
-        "free-kernel-potential", "prop31-dim", "escape-dim", "model-box-radius",
-        "local-decay-box-radius"])
+        "free-kernel-potential", "prop31-dim", "escape-dim", "local-decay-box-radius",
+        "one-sided-single-box", "ik-empty-l-list"])
 def test_schema_rejections(mutation, match):
     with pytest.raises(ConfigError, match=match):
         parse_config(mutation)
@@ -102,7 +103,7 @@ convergence_tol = 1e-9
 def test_local_decay_outside_the_band_is_a_config_error(tmp_path):
     # supp f = [4.5, 5.5] misses the band [0, 2]: no shell speed, no run
     cfg = tmp_path / "outside.ini"
-    cfg.write_text("[model]\nbox_radius = 128\n\n[probe]\nkind = local-decay\n"
+    cfg.write_text("[probe]\nkind = local-decay\nbox_radius = 128\n"
                    "lambda = 5.0\nnu = 3.0\neps_f = 0.25\nt_min = 10\nt_max = 50\n"
                    "n_t = 8\ncriterion_kappa = 1.5\n")
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
@@ -177,19 +178,29 @@ def test_seed_override_changes_start(tmp_path):
 
 
 def test_jobs_flag_same_results(tmp_path):
-    cfg = parse_config(MINIMAL_WF)
-    run(cfg, out_dir=tmp_path / "j1", jobs=1, quiet=True)
-    run(cfg, out_dir=tmp_path / "j2", jobs=4, quiet=True)
-    a = json.loads((tmp_path / "j1" / "manifest.json").read_text())["results"]["fit"]
-    b = json.loads((tmp_path / "j2" / "manifest.json").read_text())["results"]["fit"]
-    assert a == b
+    # threads change no result: neither the wf h rows nor the ik box sweep,
+    # whose control norm is taken after the sweep
+    for name, jobs in (("free-wf-offset", 4), ("ik-two-sided", 3)):
+        cfg = parse_config(recipe_config(name))
+        run(cfg, out_dir=tmp_path / name / "j1", jobs=1, quiet=True)
+        run(cfg, out_dir=tmp_path / name / "jn", jobs=jobs, quiet=True)
+        a = json.loads((tmp_path / name / "j1" / "manifest.json").read_text())["results"]
+        b = json.loads((tmp_path / name / "jn" / "manifest.json").read_text())["results"]
+        assert a == b, name
 
 
-def test_all_recipes_exit_zero(tmp_path):
-    # every canned recipe reproduces its claim end to end
+def test_all_recipes_exit_zero(tmp_path, monkeypatch):
+    # every canned recipe reproduces its claim end to end, and its results
+    # pass the benchmark's correctness check: the same numeric leaves as the
+    # benchmark's reference, each within 1e-3
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench import checks
+
+    reference = checks.load_json()["recipes"]
     for name in sorted(RECIPES):
         cfg = parse_config(recipe_config(name))
         code = run(cfg, out_dir=tmp_path / name, quiet=True)
         assert code == EXIT_OK, f"recipe {name} exited {code}"
         assert (tmp_path / name / "results.csv").exists()
-        assert (tmp_path / name / "manifest.json").exists()
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert checks.check_manifest(manifest, reference[name]) == [], name

@@ -109,8 +109,10 @@ def test_bump_pair_values():
     assert a1(np.array([2.25]), np.array([np.pi / 2])) == pytest.approx(1.0)  # half radius
     assert a1(np.array([2.0]), np.array([np.pi / 2 + 0.2])) == pytest.approx(1.0)
     assert a2(np.array([-1.0]), np.array([0.0])) == pytest.approx(1.0)
-    meta = a1.support_meta
-    assert meta.x_radius == 0.5 and meta.xi_radius == 0.4
+    # the support is the ball of the radii passed in: positive inside, zero at them
+    assert a1(np.array([2.49]), np.array([np.pi / 2])) > 0.0
+    assert a1(np.array([2.0]), np.array([np.pi / 2 + 0.39])) > 0.0
+    assert a1(np.array([2.0]), np.array([np.pi / 2 + 0.4])) == 0.0
 
 
 def test_cone_symbol_support(stencil1d):

@@ -128,16 +128,16 @@ def test_sandwich_monotone_in_h(free_model, deep_lap):
 def test_wf_probe_degenerate_zero_bump(free_model, deep_lap):
     # bump radii so small no lattice site carries weight: all norms vanish
     kp = KernelPoint(4.0003717, np.pi / 2, 3.0001911, -np.pi / 2)
-    res = wf_probe(free_model, kp, 1.0, (0.5, 0.4, 0.3, 0.25), delta1=1e-9, delta2=0.3,
-                   box_radius=80, lap=deep_lap)
+    res = wf_probe(free_model, kp, deep_lap, (0.5, 0.4, 0.3, 0.25), delta1=1e-9, delta2=0.3,
+                   box_radius=80)
     assert res.fit.degenerate
 
 
 def test_wf_probe_box_rule(free_model, deep_lap):
     kp = KernelPoint(4.0, np.pi / 2, 3.0, -np.pi / 2)
     with pytest.raises(ValueError, match="box radius"):
-        wf_probe(free_model, kp, 1.0, (0.125, 0.0625, 0.05, 0.03125), 0.6, 0.3,
-                 box_radius=32, lap=deep_lap)
+        wf_probe(free_model, kp, deep_lap, (0.125, 0.0625, 0.05, 0.03125), 0.6, 0.3,
+                 box_radius=32)
 
 
 def test_wf_dichotomy_standard_deltas(free_model, deep_lap):
@@ -145,9 +145,9 @@ def test_wf_dichotomy_standard_deltas(free_model, deep_lap):
     # (box 2048 so the momentum grid resolves the delta2 = 0.2 bumps)
     hs = (0.125, 0.0625, 0.03125, 0.015625)
     kp_off = KernelPoint(4.0, np.pi / 2, 3.0, -np.pi / 2)
-    off = wf_probe(free_model, kp_off, 1.0, hs, 0.2, 0.2, box_radius=2048, lap=deep_lap)
+    off = wf_probe(free_model, kp_off, deep_lap, hs, 0.2, 0.2, box_radius=2048)
     kp_on = KernelPoint(4.0, np.pi / 2, -2.0, np.pi / 2)
-    on = wf_probe(free_model, kp_on, 1.0, hs, 0.2, 0.2, box_radius=2048, lap=deep_lap)
+    on = wf_probe(free_model, kp_on, deep_lap, hs, 0.2, 0.2, box_radius=2048)
     assert off.decay_expected and not on.decay_expected
     assert off.fit.slope - on.fit.slope >= 2.0
 
@@ -170,23 +170,23 @@ def test_resolvent_map_adjoint(free_model, deep_lap, rng):
 
 
 def test_ik_probe_small(longrange_model, free_model):
-    res = ik_probe(free_model, 1.0, -0.3, 0.3, 0.0, (48, 64, 96), norm_tol=2e-2)
+    res = ik_probe(free_model, LAPConfig(lam=1.0), -0.3, 0.3, 0.0, (48, 64, 96), norm_tol=2e-2)
     assert res.bound_factor <= 1.2
     assert res.control_norm is not None and np.isfinite(res.control_norm)
     with pytest.raises(ValueError):
-        ik_probe(free_model, 1.0, 0.3, -0.3, 0.0, (48, 64))
+        ik_probe(free_model, LAPConfig(lam=1.0), 0.3, -0.3, 0.0, (48, 64))
 
 
 def test_one_sided_preconditions(free_model):
     with pytest.raises(ValueError):
-        one_sided_probe(free_model, 1.0, +1, -0.4, nu=3.0, s=2.5, L_list=(48, 64))
+        one_sided_probe(free_model, LAPConfig(lam=1.0), -0.4, nu=3.0, s=2.5, L_list=(48, 64))
     with pytest.raises(ValueError):
-        one_sided_probe(free_model, 1.0, +1, -0.4, nu=0.5, s=0.2, L_list=(48, 64))
+        one_sided_probe(free_model, LAPConfig(lam=1.0), -0.4, nu=0.5, s=0.2, L_list=(48, 64))
 
 
 def test_one_sided_empty_cone(free_model):
     # r0 beyond the box kills the symbol; all norms vanish
-    res = one_sided_probe(free_model, 1.0, +1, -0.4, nu=3.0, s=1.0,
+    res = one_sided_probe(free_model, LAPConfig(lam=1.0), -0.4, nu=3.0, s=1.0,
                           L_list=(48, 64), r0=1000.0)
     assert res.bound_factor <= 1.2
     assert max(r.norm for r in res.rows) <= 1e-280

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -20,18 +18,15 @@ def check_bounded(symbol: Symbol, x_samples, xi_samples, bound=None):
     return m
 
 
-def check_support(symbol: Symbol, x_samples, xi_samples, tol=1e-14):
-    """Grid check that |a| < tol outside support_meta (if present) on samples
-    of shape (..., d)."""
-    meta = symbol.support_meta
-    if meta is None:
-        return True
-    x = np.asarray(x_samples, dtype=float)
-    xi = np.asarray(xi_samples, dtype=float)
-    dx = np.linalg.norm(x - np.asarray(meta.x_center), axis=-1)
-    dxi = torus_distance(xi, np.asarray(meta.xi_center))
-    outside = (dx > meta.x_radius) | (dxi > meta.xi_radius)
-    vals = np.abs(symbol(x, xi))
+def check_support(symbol: Symbol, x_samples, xi_samples, x_ball, xi_ball, tol=1e-14):
+    """Grid check on samples of shape (..., d) that |a| < tol outside the
+    support |x - x_c| <= x_r, torus_distance(xi, xi_c) <= xi_r, given as
+    x_ball = (x_c, x_r) and xi_ball = (xi_c, xi_r)."""
+    vals = np.abs(symbol(x_samples, xi_samples))
+    (xc, xr), (xic, xir) = x_ball, xi_ball
+    dx = np.linalg.norm(np.asarray(x_samples, dtype=float) - xc, axis=-1)
+    dxi = torus_distance(np.asarray(xi_samples, dtype=float), np.atleast_1d(xic))
+    outside = (dx > xr) | (dxi > xir)
     return bool(np.all(vals[outside] < tol)) if np.any(outside) else True
 
 
@@ -56,24 +51,23 @@ def _phase_plane(n):
     return x[..., None], xi[..., None]
 
 
-def test_support_meta_is_honest():
+def test_bump_support_is_honest():
+    # each bump vanishes outside the balls of the centres and radii passed in
     a, b = make_bump_pair((2.0, np.pi / 2), (-1.0, 0.0), 0.4, 0.3)
     x, xi = _phase_plane(401)
-    assert check_support(a, x, xi)
-    assert check_support(b, x, xi)
+    assert check_support(a, x, xi, (2.0, 0.4), (np.pi / 2, 0.3))
+    assert check_support(b, x, xi, (-1.0, 0.4), (0.0, 0.3))
 
 
 def test_support_check_catches_moved_centre():
-    # the grid meets the bump, so an honest pass is not vacuous and metadata
+    # the grid meets the bump, so an honest pass is not vacuous and a ball
     # whose centre misses the bump fails
     a, _ = make_bump_pair((2.0, np.pi / 2), (-1.0, 0.0), 0.4, 0.3)
     x, xi = _phase_plane(101)
     assert np.max(a(x, xi)) == 1.0
-    assert check_support(a, x, xi)
-    moved = dataclasses.replace(a.support_meta, x_center=np.array([3.0]))
-    assert not check_support(dataclasses.replace(a, support_meta=moved), x, xi)
-    moved = dataclasses.replace(a.support_meta, xi_center=np.array([np.pi]))
-    assert not check_support(dataclasses.replace(a, support_meta=moved), x, xi)
+    assert check_support(a, x, xi, (2.0, 0.4), (np.pi / 2, 0.3))
+    assert not check_support(a, x, xi, (3.0, 0.4), (np.pi / 2, 0.3))
+    assert not check_support(a, x, xi, (2.0, 0.4), (np.pi, 0.3))
 
 
 def test_separable_flag():
@@ -95,6 +89,6 @@ def test_symbol_rejects_points_without_coordinate_axis():
         with pytest.raises(ValueError, match=r"points are \(\.\.\., 1\) arrays"):
             a(*args)
     with pytest.raises(ValueError, match="points are"):
-        check_support(a, x, xi)
+        check_support(a, x, xi, (0.0, 0.5), (np.pi / 2, 0.5))
     with pytest.raises(ValueError, match="points are"):
         check_bounded(a, x, xi)
