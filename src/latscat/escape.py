@@ -5,12 +5,13 @@ the operator energy inequality on small boxes."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .model import Box, ModelConfig, Stencil
-from .quantize import _sampled_kernel, _xi_grid
+from .quantize import _xi_grid, sampled_terms
 from .symbols import Symbol, separable_symbol
 from .util import angle_diff, lstsq_loglog, rng
 
@@ -285,7 +286,8 @@ def build_phi0_rate(ladder: EscapeLadder, t: float) -> Symbol:
         rho_t = -np.sign(diff) * v2 / ell - rho / scale
         return np.asarray(phi.derivative(rho)) * rho_t
 
-    return separable_symbol(1, b, build_phi0(ladder, t).xi_part)
+    [(_, c)] = build_phi0(ladder, t).terms
+    return separable_symbol(1, b, c)
 
 
 def build_psi_j_rate(ladder: EscapeLadder, j: int, t: float) -> Symbol:
@@ -303,7 +305,8 @@ def build_psi_j_rate(ladder: EscapeLadder, j: int, t: float) -> Symbol:
         rho_t = -np.sign(diff) * v2 / ellj - rho / scale
         return rate * np.asarray(phi.psi(rho)) + pref * np.asarray(phi.psi_derivative(rho)) * rho_t
 
-    return separable_symbol(1, b, build_psi_j(ladder, j, t).xi_part)
+    [(_, c)] = build_psi_j(ladder, j, t).terms
+    return separable_symbol(1, b, c)
 
 
 @dataclass
@@ -382,17 +385,20 @@ def periodic_dense_h(model_cfg: ModelConfig, box: Box) -> np.ndarray:
 
 
 def _dense_op(symbol: Symbol, box: Box) -> np.ndarray:
-    """Dense left quantization of the grid-sampled symbol (d=1).
+    """Dense left quantization of the grid-sampled separable symbol (d=1).
 
-    M[i,j] = (1/N) sum_k a(n_i, xi_k) e^{i(n_i-n_j) xi_k}, the matrix of
-    quantize.op_h at h = 1 but without the xi-tail guard: on the small
-    escape boxes the Phi/Psi bumps' slow Gevrey tails trip it, and the object
-    measured here is the operator of the sampled symbol itself.
+    M[i,j] = (1/N) sum_k a(n_i, xi_k) e^{i(n_i-n_j) xi_k}
+           = sum over terms of b(n_i) ifft(c)[(i-j) mod N],
+    the matrix of quantize.op_h at h = 1 but without the xi-tail guard: on
+    the small escape boxes the Phi/Psi bumps' slow Gevrey tails trip it, and
+    the object measured here is the operator of the sampled symbol itself.
     """
     if box.dim != 1:
         raise NotImplementedError("dense escape checks are d=1")
-    K = _sampled_kernel(symbol, 1.0, box, check_resolution=False)
-    return np.fft.fft(K, axis=1) / box.site_count
+    N = box.site_count
+    lag = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
+    return reduce(np.add, (bv[:, None] * np.fft.ifft(cv)[lag]
+                           for bv, cv in sampled_terms(symbol, 1.0, box)))
 
 
 def _escape_F(ladder: EscapeLadder, t: float, box: Box) -> np.ndarray:

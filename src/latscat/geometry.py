@@ -49,9 +49,12 @@ class MembershipReport:
     in_sigma_prime_minus: bool
     distances: dict
 
-    def outside_all(self) -> bool:
-        """Off Sigma_0, Sigma_+ and Sigma'_+, the sets of the outgoing resolvent."""
-        return not (self.in_sigma0 or self.in_sigma_plus or self.in_sigma_prime_plus)
+    def outside_all(self, sign: int) -> bool:
+        """Off the singular sets of R^sign: Sigma_0, Sigma_+ and Sigma'_+ for
+        sign = +1, Sigma_0, Sigma_- and Sigma'_- for sign = -1."""
+        if sign >= 0:
+            return not (self.in_sigma0 or self.in_sigma_plus or self.in_sigma_prime_plus)
+        return not (self.in_sigma0 or self.in_sigma_minus or self.in_sigma_prime_minus)
 
 
 def shell_points(stencil: Stencil, lam: float, grid_n: int = 4096) -> np.ndarray:
@@ -178,8 +181,14 @@ def make_cone_symbol(sign: int, gamma: float, energy_window, r0: float,
     """Smooth S^0 symbol supported in the cone
     {+-x.v(xi)/(|x||v(xi)|) >= +-gamma, p0(xi) in window, |x| >= r0}.
 
-    An optional smooth outer cutoff at |x| <= r_out keeps box probes out of
-    the absorbing layer. Raises if the window touches critical values.
+    The symbol is radial(|x|) energy(p0(xi)) angle(cos), with cos the cosine
+    between x and v(xi). An optional smooth outer cutoff at |x| <= r_out keeps
+    box probes out of the absorbing layer. In d = 1, cos = sign(x) sign(v(xi))
+    and the radial factor vanishes for |x| <= r0, so the symbol is the
+    two-term separable sum over s = +-1 of 1[s x > 0] radial(|x|) times
+    energy(p0(xi)) angle(s sign v(xi)), which op_h applies as two Fourier
+    multipliers; for d >= 2 it is a general symbol. Raises if the window
+    touches critical values.
     """
     if not -1.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (-1, 1)")
@@ -191,22 +200,40 @@ def make_cone_symbol(sign: int, gamma: float, energy_window, r0: float,
     sgn = 1.0 if sign >= 0 else -1.0
     gcut = 0.5 * (1.0 - sgn * gamma)
 
-    def ev(x, xi):
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        p = stencil.p0(xi)
-        v = stencil.gradient(xi)
-        fE = np.asarray(DEFAULT_PHI(np.abs(p - mid) / hw))
-        absx = np.linalg.norm(x, axis=-1)
-        absv = np.linalg.norm(v, axis=-1)
-        dot = np.einsum("...i,...i->...", x, v)
-        denom = absx * absv
-        cosang = np.where(denom > 0, dot / np.where(denom > 0, denom, 1.0), 0.0)
-        arg = (sgn * gamma + gcut - sgn * cosang) / gcut
-        gfac = np.asarray(DEFAULT_PHI(np.maximum(arg, 0.0)))
+    def radial(x):
+        absx = np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
         rad = 1.0 - np.asarray(DEFAULT_PHI(absx / (2.0 * r0)))
         if r_out is not None:
             rad = rad * np.asarray(DEFAULT_PHI(absx / r_out))
-        return rad * fE * gfac
+        return rad
 
-    return Symbol(dim=stencil.dim, eval=ev)
+    def energy(xi):
+        return np.asarray(DEFAULT_PHI(np.abs(stencil.p0(xi) - mid) / hw))
+
+    def angle(cosang):
+        return np.asarray(DEFAULT_PHI(np.maximum((sgn * gamma + gcut - sgn * cosang) / gcut,
+                                                 0.0)))
+
+    def ev(x, xi):
+        x = np.asarray(x, dtype=float)
+        xi = np.asarray(xi, dtype=float)
+        v = stencil.gradient(xi)
+        denom = np.linalg.norm(x, axis=-1) * np.linalg.norm(v, axis=-1)
+        dot = np.einsum("...i,...i->...", x, v)
+        cosang = np.where(denom > 0, dot / np.where(denom > 0, denom, 1.0), 0.0)
+        return radial(x) * energy(xi) * angle(cosang)
+
+    if stencil.dim != 1:
+        return Symbol(dim=stencil.dim, eval=ev)
+
+    def term(s):
+        def b(x):
+            return np.where(s * np.asarray(x, dtype=float)[..., 0] > 0.0, radial(x), 0.0)
+
+        def c(xi):
+            xi = np.asarray(xi, dtype=float)
+            return energy(xi) * angle(s * np.sign(stencil.gradient(xi)[..., 0]))
+
+        return b, c
+
+    return Symbol(dim=1, eval=ev, terms=(term(1.0), term(-1.0)))

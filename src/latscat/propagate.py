@@ -18,7 +18,7 @@ from .escape import DEFAULT_PHI
 from .geometry import KernelPoint, kernel_point_setup
 from .model import (EmptyShellError, LatticeHamiltonian, LinearMap, ModelConfig,
                     momentum_grid_scan)
-from .quantize import _xi_grid
+from .quantize import sampled_terms
 from .resolvent import DecayFit, _pmap
 from .symbols import Symbol
 
@@ -307,7 +307,7 @@ def propagation_probe(model_cfg: ModelConfig, kp: KernelPoint, cutoff: EnergyCut
         raise ValueError("both momenta must sit on the energy shell")
     span, report, a1, a2 = kernel_point_setup(kp, model_cfg.stencil, lam, delta1, delta2,
                                               classify_grid)
-    outside = report.outside_all()
+    outside = report.outside_all(+1)
     if mode == "decay" and not outside:
         raise ValueError(f"hypothesis violation: classify puts the point inside "
                          f"{[k for k in report.distances if getattr(report, f'in_{k}')]}")
@@ -337,22 +337,18 @@ def _propagation_sup(H: LatticeHamiltonian, a1: Symbol, a2: Symbol, h: float,
                      cutoff: EnergyCutoff, t_grid: np.ndarray):
     """Exact finite-rank norms of Op^h(a1) e^{-itH} f(H) Op^h(a2) on t_grid.
 
-    Both symbols must be separable with finite x-support. With E the
+    Both symbols must be one-term separable with finite x-support. With E the
     injection of the support S2 of the right symbol and G = Q Lam Q* the
     gram of Op^h(a2) on S2, the norm at t is sigma_max of
     Op^h(a1) e^{-itH} f(H) E Q_k Lam_k^{1/2}, where k keeps the eigenvalues
     above 1e-13 * max Lam. Only those k columns are evolved, incrementally
     across the grid.
     """
-    if not (a1.separable and a2.separable):
-        raise NotImplementedError("the propagation probe needs separable symbols")
+    if len(a1.terms) != 1 or len(a2.terms) != 1:
+        raise NotImplementedError("the propagation probe needs one-term separable symbols")
     box = H.box
-    sites = box.sites().astype(float)
-    xi = _xi_grid(box)
-    b1 = np.asarray(a1.x_part(h * sites), dtype=complex)
-    c1 = np.asarray(a1.xi_part(xi), dtype=complex)
-    b2 = np.asarray(a2.x_part(h * sites), dtype=complex)
-    c2 = np.asarray(a2.xi_part(xi), dtype=complex)
+    [(b1, c1)] = sampled_terms(a1, h, box)
+    [(b2, c2)] = sampled_terms(a2, h, box)
     S1 = np.nonzero(np.abs(b1) > 0.0)[0]
     S2 = np.nonzero(np.abs(b2) > 0.0)[0]
     N = box.site_count

@@ -4,6 +4,7 @@ position weights, and matrix-free operator-norm estimation."""
 from __future__ import annotations
 
 import warnings
+from functools import reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -12,7 +13,7 @@ from .model import Box, LinearMap
 from .symbols import Symbol
 from .util import product_grid, rng
 
-# Non-separable symbols materialize an N_tot^2 kernel; keep it bounded.
+# Symbols without terms materialize an N_tot^2 kernel; keep it bounded.
 GENERAL_PATH_MAX_DIM = 4200
 
 XI_TAIL_WARN = 1e-10
@@ -111,8 +112,7 @@ def _sampled_kernel(a: Symbol, h: float, box: Box, check_resolution: bool) -> np
     """K[i, k] = a(h n_i, xi_k) e^{i n_i.xi_k} e^{i L sum(xi_k)} on the box.
 
     The phases pair the e^{+i n xi} reconstruction with the e^{-i n' xi}
-    analysis transform: op_h applies K / N to the DFT of u, and
-    escape._dense_op forms the matrix fft(K, axis=1) / N. check_resolution
+    analysis transform: op_h applies K / N to the DFT of u. check_resolution
     runs the xi-tail guard on the heaviest row of the sampled symbol.
     """
     sites = box.sites().astype(float)
@@ -129,14 +129,29 @@ def _sampled_kernel(a: Symbol, h: float, box: Box, check_resolution: bool) -> np
     return vals * phase * corr[None, :]
 
 
+def sampled_terms(a: Symbol, h: float, box: Box) -> list:
+    """The terms of a separable symbol on the box: (b_j(h n), c_j(xi_k)) for
+    each (b_j, c_j) of a.terms, as complex arrays of shape (N_tot,) over the
+    sites and over the momentum grid in FFT bin order."""
+    N = box.site_count
+    x = h * box.sites().astype(float)
+    xi = _xi_grid(box)
+    return [(_on_grid(b(x), (N,), "x factor"), _on_grid(c(xi), (N,), "xi factor"))
+            for b, c in a.terms]
+
+
 def op_h(a: Symbol, h: float, box: Box, check_resolution: bool = True) -> LinearMap:
     """Left quantization of a(h x, xi) on the box (periodic convolution).
 
     (A u)(n) = (1/N) sum_k a(h n, xi_k) e^{i n.xi_k} u^(xi_k).
-    Separable symbols a = b(x) c(xi) use multiply-by-b(hn) o c(D).
-    The symbol sees sites and momenta as (..., d) arrays; a result of any
-    shape other than (N_tot,) per factor, or (N_tot, N_tot) for a general
-    symbol, raises ValueError.
+    A separable symbol a = sum_j b_j(x) c_j(xi) applies as
+    sum_j multiply-by-b_j(hn) o c_j(D): one forward FFT and, per term, one
+    inverse FFT and one multiply (the adjoint mirrors it). Only symbols
+    without terms, the d >= 2 cones and general symbols, sample the
+    N_tot x N_tot kernel, capped at GENERAL_PATH_MAX_DIM sites. The symbol
+    sees sites and momenta as (..., d) arrays; a result of any shape other
+    than (N_tot,) per factor, or (N_tot, N_tot) for a general symbol, raises
+    ValueError.
 
     check_resolution=False quantizes the grid-sampled symbol without the
     xi-tail guard; the fixed-symbol cone probes use it on the small pinned
@@ -150,18 +165,21 @@ def op_h(a: Symbol, h: float, box: Box, check_resolution: bool = True) -> Linear
 
     N = box.site_count
     if a.separable:
-        bv = _on_grid(a.x_part(h * box.sites().astype(float)), (N,), "x_part")
-        if check_resolution and np.max(np.abs(bv)) > 0.0:
-            _check_xi_tail(_xi_tail_of_row(_on_grid(a.xi_part(_xi_grid(box)), (N,), "xi_part"),
-                                           box))
-        mult = fourier_multiplier(a.xi_part, box)
-        bbar = np.conj(bv)
+        terms = sampled_terms(a, h, box)
+        if check_resolution:
+            for bv, cv in terms:
+                if np.max(np.abs(bv)) > 0.0:
+                    _check_xi_tail(_xi_tail_of_row(cv, box))
+        conj = [(np.conj(bv), np.conj(cv)) for bv, cv in terms]
 
         def fwd(u):
-            return bv * mult(u)
+            U = _fftn_flat(u, box)
+            return reduce(np.add, (bv * _ifftn_flat(cv * U, box) for bv, cv in terms))
 
         def adj(u):
-            return mult.adjoint_apply(bbar * np.asarray(u))
+            u = np.asarray(u)
+            return _ifftn_flat(reduce(np.add, (cc * _fftn_flat(bc * u, box)
+                                               for bc, cc in conj)), box)
 
         return LinearMap(N, fwd, adj, label="Op^h(a)")
 

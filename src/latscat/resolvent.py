@@ -228,7 +228,7 @@ def wf_probe(model_cfg: ModelConfig, kp: KernelPoint, lap: LAPConfig,
     The box radius defaults to max(4 max(|x|,|y|) / min(h), 32); explicit
     boxes below the first term are rejected. classify() at tolerance
     3*delta1 decides whether this is a decay run (point off all singular
-    sets of R^+) or a control run.
+    sets of R^lap.sign) or a control run.
     """
     span, report, a1, a2 = kernel_point_setup(kp, model_cfg.stencil, lap.lam, delta1, delta2,
                                               classify_grid)
@@ -249,7 +249,7 @@ def wf_probe(model_cfg: ModelConfig, kp: KernelPoint, lap: LAPConfig,
     rows = _pmap(run_h, h_list, jobs)
     rows.sort(key=lambda r: r.key)
     fit = DecayFit.from_values([r.key for r in rows], [r.norm for r in rows])
-    return WfProbeResult(rows=rows, fit=fit, decay_expected=report.outside_all(),
+    return WfProbeResult(rows=rows, fit=fit, decay_expected=report.outside_all(lap.sign),
                          report=report, box_radius=box_radius)
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -12,21 +12,21 @@ import numpy as np
 class Symbol:
     """A function a(x, xi), x in R^d, xi in T^d.
 
-    eval, x_part and xi_part take points of shape (..., d), d = 1 included,
-    broadcast over the leading axes, and return an array of the leading
-    shape; calling the symbol with points whose last axis is not d raises
-    ValueError. Separable symbols a(x, xi) = b(x) c(xi) carry their factors so
-    quantization can use the fast multiplier path.
+    eval and the factors in `terms` take points of shape (..., d), d = 1
+    included, broadcast over the leading axes, and return an array of the
+    leading shape; calling the symbol with points whose last axis is not d
+    raises ValueError. A separable symbol a(x, xi) = sum_j b_j(x) c_j(xi)
+    carries its (b_j, c_j) pairs in `terms`, so quantization applies it as a
+    sum of Fourier multipliers; a symbol without terms is general.
     """
 
     dim: int
     eval: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    x_part: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    xi_part: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    terms: tuple = ()
 
     @property
     def separable(self) -> bool:
-        return self.x_part is not None and self.xi_part is not None
+        return bool(self.terms)
 
     def __call__(self, x, xi):
         for name, pts in (("x", x), ("xi", xi)):
@@ -37,10 +37,9 @@ class Symbol:
 
 
 def separable_symbol(dim, b, c):
-    """Symbol a(x, xi) = b(x) c(xi)."""
+    """Symbol a(x, xi) = b(x) c(xi), the one-term separable case."""
 
     def ev(x, xi):
         return np.asarray(b(x)) * np.asarray(c(xi))
 
-    return Symbol(dim=dim, eval=ev, x_part=b, xi_part=c)
-
+    return Symbol(dim=dim, eval=ev, terms=((b, c),))

@@ -117,8 +117,8 @@ def test_energy_f0_is_squared_bump(free_model, energy_ladder):
     h = energy_ladder.h
     _, a2 = make_bump_pair((0.0, 0.0), (energy_ladder.x2, energy_ladder.xi2),
                            energy_ladder.delta1, energy_ladder.delta2)
-    scaled = separable_symbol(1, lambda x: np.asarray(a2.x_part(h * np.asarray(x))),
-                              a2.xi_part)
+    [(b2, c2)] = a2.terms
+    scaled = separable_symbol(1, lambda x: np.asarray(b2(h * np.asarray(x))), c2)
     Q = _dense_op(scaled, box)
     ref = Q.conj().T @ Q
     assert np.linalg.norm(F0 - ref, 2) <= 1e-12
@@ -166,8 +166,8 @@ def test_disjoint_region_operator_smallness(free_model, energy_ladder):
         box = Box(1, int(24 / h))
         lad = dataclasses.replace(energy_ladder, h=h)
         a1, _ = make_bump_pair((-10.0, np.pi / 2), (0.0, 0.0), 0.5, 0.6)
-        scaled = separable_symbol(1, lambda x, h=h: np.asarray(a1.x_part(h * np.asarray(x))),
-                                  a1.xi_part)
+        [(b1, c1)] = a1.terms
+        scaled = separable_symbol(1, lambda x, h=h: np.asarray(b1(h * np.asarray(x))), c1)
         A1 = _dense_op(scaled, box)
         worst = 0.0
         for t in (0.5, 2.0):

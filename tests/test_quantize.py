@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from latscat.geometry import make_bump_pair
-from latscat.model import Box, LatticeHamiltonian, LinearMap, Potential, compose_maps
+from latscat.geometry import make_bump_pair, make_cone_symbol
+from latscat.model import (Box, LatticeHamiltonian, LinearMap, Potential, compose_maps,
+                           laplacian_stencil)
 from latscat.quantize import (NormConvergenceError, ResolutionError, fourier_multiplier, op_h,
                               operator_norm, position_weight)
 from latscat.symbols import Symbol, separable_symbol
@@ -88,15 +89,53 @@ def test_op_h_general_vs_separable(box, vec, verify_adjoint):
     assert verify_adjoint(A_gen) <= 1e-11
 
 
+# the (sign, gamma) pairs of the ik, one-sided and geometry cones
+@pytest.mark.parametrize("sign, gamma", [(-1, -0.3), (+1, 0.3), (+1, -0.4), (+1, 0.5)])
+def test_d1_cone_is_two_multipliers(stencil1d, sign, gamma):
+    # the two-term form of a d = 1 cone is the general-path symbol exactly:
+    # pointwise, and as an operator forward and adjoint
+    a = make_cone_symbol(sign, gamma, (0.7, 1.3), 1.0, stencil1d, r_out=100.0)
+    assert len(a.terms) == 2
+    x, xi = np.meshgrid(np.linspace(-120.0, 120.0, 481), np.linspace(0, 2 * np.pi, 257),
+                        indexing="ij")
+    x, xi = x[..., None], xi[..., None]
+    summed = sum(np.asarray(b(x)) * np.asarray(c(xi)) for b, c in a.terms)
+    assert np.max(np.abs(a(x, xi))) > 0.5
+    assert np.max(np.abs(a(x, xi) - summed)) <= 1e-15
+    box = Box(1, 128)
+    A = op_h(a, 1.0, box, check_resolution=False)
+    G = op_h(Symbol(dim=1, eval=a.eval), 1.0, box, check_resolution=False)
+    g = np.random.default_rng(11)
+    u, w = (g.standard_normal(box.site_count) + 1j * g.standard_normal(box.site_count)
+            for _ in range(2))
+    for fast, ref in ((A(u), G(u)), (A.adjoint_apply(w), G.adjoint_apply(w))):
+        assert np.linalg.norm(ref) > 0.0
+        assert np.linalg.norm(fast - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_d2_cone_takes_the_general_path():
+    box = Box(2, 16)
+    a = make_cone_symbol(+1, 0.3, (0.7, 1.3), 1.0, laplacian_stencil(2), r_out=14.0)
+    assert not a.separable
+    A = op_h(a, 1.0, box, check_resolution=False)
+    g = np.random.default_rng(5)
+    u, w = (g.standard_normal(box.site_count) + 1j * g.standard_normal(box.site_count)
+            for _ in range(2))
+    Au = A(u)
+    assert np.linalg.norm(Au) > 0.0
+    defect = abs(np.vdot(w, Au) - np.vdot(A.adjoint_apply(w), u))
+    assert defect <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(w)
+
+
 def test_op_h_rejects_scalar_layout_symbols(box):
     # factors written for bare d = 1 scalars return (N, 1) on (N, 1) points;
     # without the shape check bv * mult(u) would broadcast into an N x N array
     old_b = lambda x: np.exp(-np.asarray(x) ** 2)
     ones_x = lambda x: np.ones(np.shape(x)[:-1])
     ones_xi = lambda xi: np.ones(np.shape(xi)[:-1])
-    with pytest.raises(ValueError, match=r"x_part returned shape \(49, 1\), expected \(49,\)"):
+    with pytest.raises(ValueError, match=r"x factor returned shape \(49, 1\), expected \(49,\)"):
         op_h(separable_symbol(1, old_b, ones_xi), 0.5, box)
-    with pytest.raises(ValueError, match=r"xi_part returned shape \(49, 1\), expected \(49,\)"):
+    with pytest.raises(ValueError, match=r"xi factor returned shape \(49, 1\), expected \(49,\)"):
         op_h(separable_symbol(1, ones_x, lambda xi: np.cos(np.asarray(xi))), 0.5, box)
     with pytest.raises(ValueError, match=r"symbol returned shape \(49, 49, 1\), "
                                          r"expected \(49, 49\)"):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,18 @@ def test_wf_dichotomy_standard_deltas(free_model, deep_lap):
     assert off.fit.slope - on.fit.slope >= 2.0
 
 
+def test_wf_decay_expected_follows_the_branch_sign(free_model, deep_lap):
+    # the wf-onset-control point is on Sigma_+ but off Sigma_0, Sigma_- and
+    # Sigma'_- (distances 2, 2 and 3.14 against the tolerance 3 delta1 = 1.8):
+    # singular for R^+, off every set of R^-
+    kp = KernelPoint(4.0, np.pi / 2, 2.0, np.pi / 2)
+    hs = (0.125, 0.0625, 0.03125, 0.015625)
+    plus = wf_probe(free_model, kp, deep_lap, hs, 0.6, 0.3)
+    minus = wf_probe(free_model, kp, dataclasses.replace(deep_lap, sign=-1), hs, 0.6, 0.3)
+    assert not plus.decay_expected
+    assert minus.decay_expected
+
+
 def test_decay_fit_contract():
     with pytest.raises(ValueError):
         DecayFit.from_values([1, 2, 3], [1, 2, 3])
@@ -175,6 +189,18 @@ def test_ik_probe_small(longrange_model, free_model):
     assert res.control_norm is not None and np.isfinite(res.control_norm)
     with pytest.raises(ValueError):
         ik_probe(free_model, LAPConfig(lam=1.0), 0.3, -0.3, 0.0, (48, 64))
+
+
+def test_d1_cone_probes_sample_no_kernel(free_model, monkeypatch):
+    # d = 1 cones quantize as two Fourier multipliers, never as an N x N kernel
+    def no_kernel(*args):
+        raise AssertionError("d = 1 cone sampled an N x N kernel")
+
+    monkeypatch.setattr("latscat.quantize._sampled_kernel", no_kernel)
+    ik = ik_probe(free_model, LAPConfig(lam=1.0), -0.3, 0.3, 0.0, (48, 64), norm_tol=2e-2)
+    assert ik.control_norm > 0.0
+    one = one_sided_probe(free_model, LAPConfig(lam=1.0), 0.5, nu=3.0, s=1.0, L_list=(48, 64))
+    assert all(r.norm > 0.0 for r in ik.rows + one.rows)
 
 
 def test_one_sided_preconditions(free_model):
