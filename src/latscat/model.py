@@ -232,7 +232,11 @@ class CAPProfile:
 
 
 class LinearMap:
-    """Matrix-free linear operator on complex vectors over a finite box."""
+    """Matrix-free linear operator on complex vectors over a finite box.
+
+    A subclass that overrides __call__, apply and adjoint_apply passes None
+    for the two callables.
+    """
 
     def __init__(self, dim: int, apply: Callable, adjoint_apply: Callable,
                  hermitian: bool = False, bandwidth: Optional[int] = None, label: str = ""):
@@ -311,9 +315,19 @@ class LatticeHamiltonian(LinearMap):
         self.onsite = onsite.real
         self.hops = hops
         self._csr = {}
-        super().__init__(box.site_count, lambda u: self._matrix(+1) @ np.asarray(u),
-                         lambda u: self._matrix(-1) @ np.asarray(u), hermitian=cap is None,
+        super().__init__(box.site_count, None, None, hermitian=cap is None,
                          bandwidth=stencil.bandwidth, label="H")
+
+    # Methods, not closures handed to LinearMap: a closure over self is a
+    # reference cycle, which would keep H and its caches alive until the
+    # cyclic collector runs.
+    def apply(self, u):
+        return self._matrix(+1) @ np.asarray(u)
+
+    __call__ = apply
+
+    def adjoint_apply(self, u):
+        return self._matrix(-1) @ np.asarray(u)
 
     def _matrix(self, cap_sign: int, center: float = 0.0, scale: float = 1.0) -> sp.csr_array:
         """scale * (H0 + V - center - i cap_sign W) as CSR, assembled on first

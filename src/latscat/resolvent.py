@@ -80,40 +80,64 @@ class DecayFit:
 
 
 class _ShiftedSolver:
-    """(H0 + V - lam -/+ i(eps + W))^(-1) and its adjoint, factored once:
-    LAPACK band solves for d=1, one sparse LU for d >= 2 whose adjoint is a
-    conjugate-transpose solve on the same factors."""
+    """(H0 + V - lam -/+ i(eps + W))^(-1) and its adjoint.
+
+    d = 1: `matrix` is None, and each solve is one LAPACK band
+    factor-plus-solve with partial pivoting.
+    d >= 2: one sparse LU, factored here, of the complex symmetric CSC
+    `matrix`: SuperLU in symmetric mode, a minimum-degree ordering of
+    A^T + A, and a diagonal pivot kept unless it is below 0.01 of its
+    column's largest entry. Im M <= -eps (>= +eps on the incoming branch)
+    on the whole numerical range, so no symmetric principal submatrix is
+    singular and no diagonal pivot can vanish. The adjoint is a
+    conjugate-transpose solve on the same factors.
+
+    Holds no reference to H, so a resolvent map built on it does not keep
+    H alive.
+    """
 
     def __init__(self, H: LatticeHamiltonian, lam: float, sign: int, eps: float):
-        self.H = H
+        self.matrix = None
         if H.box.dim == 1:
             self._ab_f = H.banded(shift=lam, branch_sign=sign, eps=eps)
             self._ab_a = H.banded(shift=lam, branch_sign=-sign, eps=eps)
             self._b = H.stencil.bandwidth
         else:
-            self._lu = spla.splu(H.shifted(lam, sign, eps))
+            self.matrix = H.shifted(lam, sign, eps)
+            self._lu = spla.splu(self.matrix, permc_spec="MMD_AT_PLUS_A",
+                                 diag_pivot_thresh=0.01, options=dict(SymmetricMode=True))
 
     def solve(self, rhs):
         rhs = np.asarray(rhs, dtype=complex)
-        if self.H.box.dim == 1:
+        if self.matrix is None:
             return sla.solve_banded((self._b, self._b), self._ab_f, rhs)
         return self._lu.solve(rhs)
 
     def solve_adjoint(self, rhs):
         rhs = np.asarray(rhs, dtype=complex)
-        if self.H.box.dim == 1:
+        if self.matrix is None:
             return sla.solve_banded((self._b, self._b), self._ab_a, rhs)
         return self._lu.solve(rhs, trans="H")
 
 
 def _lap_iterate(H: LatticeHamiltonian, cfg: LAPConfig, rhs):
-    """Walk the epsilon ladder until inner-region stabilization."""
+    """Walk the epsilon ladder until inner-region stabilization.
+
+    Each d >= 2 rung's solve is checked against the matrix it factored:
+    ||M u - rhs|| > 1e-10 ||rhs|| raises np.linalg.LinAlgError, the guard
+    on the symmetric-mode LU's weak pivoting.
+    """
     inner = H.inner_mask()
     prev = None
     diffs = []
     for k, eps in enumerate(cfg.epsilon_sequence):
         sol = _ShiftedSolver(H, cfg.lam, cfg.sign, eps)
         u = sol.solve(rhs)
+        if sol.matrix is not None:
+            resid, size = np.linalg.norm(sol.matrix @ u - rhs), np.linalg.norm(rhs)
+            if not resid <= 1e-10 * size:
+                raise np.linalg.LinAlgError(f"sparse LU solve at eps = {eps:g} left residual "
+                                            f"{resid:.2e} against |rhs| = {size:.2e}")
         if prev is not None:
             denom = np.linalg.norm(prev[inner])
             diff = np.linalg.norm((u - prev)[inner]) / denom if denom > 0 else 0.0
