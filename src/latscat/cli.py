@@ -167,14 +167,13 @@ def _run_escape(cfg: ExperimentConfig, jobs, seed):
     rep_bad = verify_transport(bad, 0)
     _criterion(crit, "negative control (oversized delta2) fails", rep_bad.min_value < -1e-6,
                f"min = {rep_bad.min_value:.2e}")
-    base = dataclasses.replace(ladder, depth=0, gammas=())
-    energy = energy_inequality_check(model, base, p["t_samples"], p["n_target"],
-                                     h_list=p["h_list"], box_radius=p["box_radius"])
+    energy = energy_inequality_check(model, ladder, p["t_samples"], h_list=p["h_list"],
+                                     box_radius=p["box_radius"])
     if p["criterion_exponent"] is not None:
         _criterion(crit, f"energy-inequality exponent >= {p['criterion_exponent']}",
                    energy.exponent >= p["criterion_exponent"],
                    f"exponent = {energy.exponent:.2f}")
-    mono = monotonicity_check(model, base, p["mono_t_list"], energy_report=energy,
+    mono = monotonicity_check(model, ladder, p["mono_t_list"], energy_report=energy,
                               box_radius=p["mono_box_radius"])
     _criterion(crit, "monotonicity margins respect the fitted bound", mono.passed,
                f"margins = { {str(t): f'{m:.2e}' for t, m in mono.margins.items()} }")

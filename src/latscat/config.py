@@ -78,7 +78,6 @@ _PROBE_KEYS = {
         "delta1": (float, 0.333333333333333), "delta2": (float, 0.28), "h": (float, 0.125),
         "depth": (int, 0), "mu": (float, 1.0),
         "t_samples": (_FLOAT_LIST, (0.5, 2.0, 8.0)),
-        "n_target": (float, 1.0),
         "h_list": (_FLOAT_LIST, (0.25, 0.125, 0.0625)),
         "box_radius": (int, 48),
         "mono_t_list": (_FLOAT_LIST, (1.0, 5.0, 20.0)),

@@ -80,30 +80,6 @@ class CutoffPhi:
     def psi_derivative(self, s):
         return 2.0 * np.asarray(self(s)) * np.asarray(self.derivative(s))
 
-    def validate(self):
-        """Grid check of the contract; raises ValueError on violation."""
-        s = np.linspace(0.0, 2.0, 10_000)
-        v = np.asarray(self(s))
-        if not np.allclose(v[s <= 0.5], 1.0, atol=1e-12):
-            raise ValueError("Phi != 1 on s <= 1/2")
-        if np.any(v[s >= 1.0] != 0.0):
-            raise ValueError("Phi != 0 on s >= 1")
-        # e^(-k/r) underflows within ~1e-3 of s = 1; positivity is checkable
-        # only where the double range reaches
-        if np.any(v[s < 1.0 - 1e-3] <= 0.0):
-            raise ValueError("Phi not positive on s < 1")
-        d = np.asarray(self.derivative(s))
-        if np.any(d > 1e-12):
-            raise ValueError("Phi' > 0 somewhere")
-        # smoothness proxy: centered FD derivatives up to order 4 stay bounded
-        h = 1e-3
-        grid = np.linspace(0.05, 1.95, 2_000)
-        vals = [np.asarray(self(grid + j * h)) for j in range(-2, 3)]
-        d4 = (vals[0] - 4 * vals[1] + 6 * vals[2] - 4 * vals[3] + vals[4]) / h**4
-        if not np.all(np.isfinite(d4)) or np.max(np.abs(d4)) > 1e8:
-            raise ValueError("finite-difference 4th derivative unbounded")
-        return True
-
 
 DEFAULT_PHI = CutoffPhi()
 
@@ -195,28 +171,47 @@ class EscapeLadder:
             (1.0 / self.h + t) ** (-1.0 - self.mu))
 
 
-def _ladder_bump(ladder: EscapeLadder, t: float, j: int, profile, pref: float = 1.0) -> Symbol:
-    """pref * profile(|x-y(t)|/ell_j(t)) profile(dist(xi,xi2)/(gamma_j delta2))
-    on d = 1 points of shape (..., 1)."""
+def _moving_bump(ladder: EscapeLadder, t: float, j: int, squared: bool):
+    """Rung j's bump at time t, P(|x-y(t)|/ell_j(t)) P(dist(xi,xi2)/(gamma_j delta2))
+    with P = Psi if squared else Phi, as four functions of d = 1 points of
+    shape (..., 1): the x factor, its analytic d_t and d_x at fixed (x, xi),
+    and the xi factor."""
+    phi, v2 = ladder.phi, ladder.v2
+    P, dP = (phi.psi, phi.psi_derivative) if squared else (phi, phi.derivative)
     y, ell, r, xi2 = ladder.y(t), ladder.ell(t, j), ladder.xi_radius(j), ladder.xi2
+    scale = 1.0 / ladder.h + t
+
+    def diff_rho(x):
+        diff = np.asarray(x, dtype=float)[..., 0] - y
+        return diff, np.abs(diff) / ell
 
     def b(x):
-        return pref * np.asarray(profile(np.abs(np.asarray(x, dtype=float)[..., 0] - y) / ell))
+        return np.asarray(P(diff_rho(x)[1]))
+
+    def b_t(x):
+        diff, rho = diff_rho(x)
+        return np.asarray(dP(rho)) * (-np.sign(diff) * v2 / ell - rho / scale)
+
+    def b_x(x):
+        diff, rho = diff_rho(x)
+        return np.asarray(dP(rho)) * np.sign(diff) / ell
 
     def c(xi):
-        return np.asarray(profile(angle_diff(np.asarray(xi, dtype=float)[..., 0], xi2) / r))
+        return np.asarray(P(angle_diff(np.asarray(xi, dtype=float)[..., 0], xi2) / r))
 
-    return separable_symbol(1, b, c)
+    return b, b_t, b_x, c
 
 
 def build_phi0(ladder: EscapeLadder, t: float) -> Symbol:
     """phi0(t,.,.) = Phi(|x-y(t)|/ell(t)) Phi(dist(xi,xi2)/delta2)."""
-    return _ladder_bump(ladder, t, 0, ladder.phi)
+    b, _, _, c = _moving_bump(ladder, t, 0, squared=False)
+    return separable_symbol(1, b, c)
 
 
 def build_psi0(ladder: EscapeLadder, t: float) -> Symbol:
     """Principal symbol of |Op(phi0)|^2: Psi(|x-y(t)|/ell) Psi(dist(xi,xi2)/delta2)."""
-    return _ladder_bump(ladder, t, 0, ladder.phi.psi)
+    b, _, _, c = _moving_bump(ladder, t, 0, squared=True)
+    return separable_symbol(1, b, c)
 
 
 def build_psi_j(ladder: EscapeLadder, j: int, t: float) -> Symbol:
@@ -226,7 +221,9 @@ def build_psi_j(ladder: EscapeLadder, j: int, t: float) -> Symbol:
     """
     if not 1 <= j <= ladder.depth:
         raise ValueError("j out of range")
-    return _ladder_bump(ladder, t, j, ladder.phi.psi, pref=float(ladder.prefactor(j, t)))
+    pref = float(ladder.prefactor(j, t))
+    b, _, _, c = _moving_bump(ladder, t, j, squared=True)
+    return separable_symbol(1, lambda x: pref * b(x), c)
 
 
 # sampling plan of the pointwise transport inequality: times, x and xi
@@ -239,74 +236,16 @@ _TRANSPORT_PAD = 1.3
 
 def _transport_fields(ladder: EscapeLadder, j: int, t: float, x, xi):
     """Analytic (d_t + v d_x) psi_j and the j>=1 lower bound on arrays."""
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    y = ladder.y(t)
-    ellj = ladder.ell(t, j)
-    rj = ladder.xi_radius(j)
-    phi = ladder.phi
-    diff = x - y
-    rho = np.abs(diff) / ellj
-    sgn = np.sign(diff)
-    v = ladder.v(xi)
-    W = np.asarray(phi.psi(angle_diff(xi, ladder.xi2) / rj))
-    dPsi = np.asarray(phi.psi_derivative(rho))
-    # rho_dot along the transport field; Psi'(rho)=0 near rho=0 kills the kink
-    rho_dot = sgn[:, None] * (v[None, :] - ladder.v2) / ellj - (
-        rho[:, None] / (1.0 / ladder.h + t))
-    core = dPsi[:, None] * rho_dot * W[None, :]
+    x = np.asarray(x, dtype=float)[:, None]
+    xi = np.asarray(xi, dtype=float)[:, None]
+    b, b_t, b_x, c = _moving_bump(ladder, t, j, squared=True)
+    W, v = c(xi)[None, :], ladder.v(xi[:, 0])[None, :]
+    # Psi'(rho)=0 near rho=0 kills the kink of |x-y| in d_x
+    core = (b_t(x)[:, None] + v * b_x(x)[:, None]) * W
     if j == 0:
         return core, np.zeros_like(core)
-    U = np.asarray(phi.psi(rho))
-    pref = float(ladder.prefactor(j, t))
-    rate = float(ladder.prefactor_rate(j, t))
-    transport = rate * U[:, None] * W[None, :] + pref * core
-    bound = rate * U[:, None] * W[None, :]
-    return transport, bound
-
-
-def _psi_value(ladder, j, t, x, xi):
-    """psi_j(t) at the paired points (x[k], xi[k]) of two plain arrays."""
-    if j == 0:
-        sym = build_psi0(ladder, t)
-    else:
-        sym = build_psi_j(ladder, j, t)
-    return np.asarray(sym(np.asarray(x)[:, None], np.asarray(xi)[:, None]))
-
-
-def build_phi0_rate(ladder: EscapeLadder, t: float) -> Symbol:
-    """Analytic d/dt of phi0(t,.,.), separable like phi0 itself."""
-    y, ell = ladder.y(t), ladder.ell(t)
-    phi, v2 = ladder.phi, ladder.v2
-    scale = 1.0 / ladder.h + t
-
-    def b(x):
-        diff = np.asarray(x, dtype=float)[..., 0] - y
-        rho = np.abs(diff) / ell
-        rho_t = -np.sign(diff) * v2 / ell - rho / scale
-        return np.asarray(phi.derivative(rho)) * rho_t
-
-    [(_, c)] = build_phi0(ladder, t).terms
-    return separable_symbol(1, b, c)
-
-
-def build_psi_j_rate(ladder: EscapeLadder, j: int, t: float) -> Symbol:
-    """Analytic d/dt of psi_j (product rule through prefactor and bump)."""
-    y = ladder.y(t)
-    ellj = ladder.ell(t, j)
-    pref = float(ladder.prefactor(j, t))
-    rate = float(ladder.prefactor_rate(j, t))
-    phi, v2 = ladder.phi, ladder.v2
-    scale = 1.0 / ladder.h + t
-
-    def b(x):
-        diff = np.asarray(x, dtype=float)[..., 0] - y
-        rho = np.abs(diff) / ellj
-        rho_t = -np.sign(diff) * v2 / ellj - rho / scale
-        return rate * np.asarray(phi.psi(rho)) + pref * np.asarray(phi.psi_derivative(rho)) * rho_t
-
-    [(_, c)] = build_psi_j(ladder, j, t).terms
-    return separable_symbol(1, b, c)
+    bound = float(ladder.prefactor_rate(j, t)) * b(x)[:, None] * W
+    return bound + float(ladder.prefactor(j, t)) * core, bound
 
 
 @dataclass
@@ -352,7 +291,8 @@ def verify_transport(ladder: EscapeLadder, j: int) -> TransportReport:
         vv = ladder.v(xis)
 
         def paired(tt, xv):
-            return np.asarray(_psi_value(ladder, j, tt, xv, xis))
+            sym = build_psi0(ladder, tt) if j == 0 else build_psi_j(ladder, j, tt)
+            return np.asarray(sym(xv[:, None], xis[:, None]))
 
         fd = ((paired(t + eps_t, xs) - paired(t - eps_t, xs)) / (2 * eps_t)
               + vv * (paired(t, xs + eps_x) - paired(t, xs - eps_x)) / (2 * eps_x))
@@ -393,8 +333,6 @@ def _dense_op(symbol: Symbol, box: Box) -> np.ndarray:
     the small escape boxes the Phi/Psi bumps' slow Gevrey tails trip it, and
     the object measured here is the operator of the sampled symbol itself.
     """
-    if box.dim != 1:
-        raise NotImplementedError("dense escape checks are d=1")
     N = box.site_count
     lag = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
     return reduce(np.add, (bv[:, None] * np.fft.ifft(cv)[lag]
@@ -402,14 +340,10 @@ def _dense_op(symbol: Symbol, box: Box) -> np.ndarray:
 
 
 def _escape_F(ladder: EscapeLadder, t: float, box: Box) -> np.ndarray:
-    """F(t) = |Op(phi0)|^2 + sum_j herm(Op(psi_j)). Exactly hermitian, and
-    F(0) = |Op^h(a2)|^2 because every psi_j vanishes at t=0."""
+    """F(t) = |Op(phi0(t))|^2: exactly hermitian, and F(0) = |Op^h(a2)|^2.
+    The ladder rungs psi_j enter only the transport check."""
     Q = _dense_op(build_phi0(ladder, t), box)
-    F = Q.conj().T @ Q
-    for j in range(1, ladder.depth + 1):
-        M = _dense_op(build_psi_j(ladder, j, t), box)
-        F += (M + M.conj().T) / 2.0
-    return F
+    return Q.conj().T @ Q
 
 
 def _escape_F_rate(ladder: EscapeLadder, t: float, box: Box):
@@ -417,13 +351,10 @@ def _escape_F_rate(ladder: EscapeLadder, t: float, box: Box):
     product rule."""
     lo, hi = max(t - 3e-5, 0.0), t + 3e-5
     fd = (_escape_F(ladder, hi, box) - _escape_F(ladder, lo, box)) / (hi - lo)
-    Q = _dense_op(build_phi0(ladder, t), box)
-    Qd = _dense_op(build_phi0_rate(ladder, t), box)
-    an = Qd.conj().T @ Q + Q.conj().T @ Qd
-    for j in range(1, ladder.depth + 1):
-        Md = _dense_op(build_psi_j_rate(ladder, j, t), box)
-        an += (Md + Md.conj().T) / 2.0
-    return fd, an
+    b, b_t, _, c = _moving_bump(ladder, t, 0, squared=False)
+    Q = _dense_op(separable_symbol(1, b, c), box)
+    Qd = _dense_op(separable_symbol(1, b_t, c), box)
+    return fd, Qd.conj().T @ Q + Q.conj().T @ Qd
 
 
 @dataclass
@@ -432,7 +363,6 @@ class EnergyReport:
     defects: dict             # h -> max(0, -min_t lambda_min)
     exponent: float
     amplitude: float          # C with defect ~ C h^exponent
-    threshold: float
 
     def rows(self):
         for (h, t), lm in sorted(self.lambda_min.items()):
@@ -441,14 +371,12 @@ class EnergyReport:
 
 
 def energy_inequality_check(model_cfg: ModelConfig, ladder: EscapeLadder,
-                            t_samples: Sequence[float], N_target: float,
-                            h_list: Sequence[float] = (0.25, 0.125, 0.0625),
-                            box_radius: int = 48) -> EnergyReport:
+                            t_samples: Sequence[float], h_list: Sequence[float],
+                            box_radius: int) -> EnergyReport:
     """Spectral check of d_t F + i[H, F] >= -(defect) on a dense box.
 
     For each h the most negative eigenvalue over t_samples defines the
-    defect D(h); the report fits D ~ C h^alpha and passes iff
-    alpha >= 2 N_target mu - 0.5.
+    defect D(h); the report fits D ~ C h^alpha.
     """
     box = Box(1, box_radius)
     H = periodic_dense_h(model_cfg, box)
@@ -475,9 +403,8 @@ def energy_inequality_check(model_cfg: ModelConfig, ladder: EscapeLadder,
     floor = 1e-15
     ds = np.array([max(defects[h], floor) for h in h_list])
     slope, intercept, _ = lstsq_loglog(np.asarray(h_list), ds)
-    threshold = 2.0 * N_target * ladder.mu - 0.5
     return EnergyReport(lambda_min=lam_table, defects=defects, exponent=slope,
-                        amplitude=10.0**intercept, threshold=threshold)
+                        amplitude=10.0**intercept)
 
 
 @dataclass
@@ -488,8 +415,8 @@ class MonotonicityReport:
 
 def monotonicity_check(model_cfg: ModelConfig, ladder: EscapeLadder,
                        t_list: Sequence[float],
-                       energy_report: Optional[EnergyReport] = None,
-                       box_radius: int = 64) -> MonotonicityReport:
+                       box_radius: int,
+                       energy_report: Optional[EnergyReport] = None) -> MonotonicityReport:
     """Check e^{itH} F(t) e^{-itH} - F(0) >= -(fitted defect bound) densely."""
     box = Box(1, box_radius)
     H = periodic_dense_h(model_cfg, box)

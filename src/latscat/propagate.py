@@ -90,14 +90,14 @@ class ChebyshevPlan:
         return cls(center=c, radius=r, coeffs=np.asarray(co[:k_last]))
 
     @classmethod
-    def for_evolution(cls, H: LatticeHamiltonian, t: float, tol: float = 1e-13) -> "ChebyshevPlan":
+    def for_evolution(cls, H: LatticeHamiltonian, t: float) -> "ChebyshevPlan":
         """Coefficients of e^{-itz}: (2 - delta_k0)(-i)^k J_k(rt) e^{-ict}."""
         c, r = cls.enclosure_for(H)
         rt = r * abs(t)
         k_max = int(1.25 * rt + 80)
         k = np.arange(k_max + 1)
         bes = jv(k, rt)
-        keep = np.nonzero(np.abs(bes) > tol)[0]
+        keep = np.nonzero(np.abs(bes) > 1e-13)[0]
         k_last = int(keep[-1]) + 1 if len(keep) else 1
         k = k[:k_last]
         co = (2.0 - (k == 0)) * (-1j) ** k * bes[:k_last] * np.exp(-1j * c * t)

@@ -169,7 +169,6 @@ h = 0.125
 depth = 2
 mu = 1.0
 t_samples = 0.5,2,8
-n_target = 1.0
 h_list = 0.25,0.125,0.0625
 box_radius = 48
 mono_t_list = 1,5,20

@@ -117,7 +117,7 @@ def test_criterion_7_escape_ladder(free_model, stencil1d):
                               delta1=1.0 / 3.0, delta2=0.28, h=0.125, depth=0,
                               mu=1.0, t_grid=(0.0, 0.5, 2.0, 8.0))
     energy = energy_inequality_check(free_model, energy_lad, t_samples=(0.5, 2.0, 8.0),
-                                     N_target=1.0, h_list=(0.25, 0.125, 0.0625),
+                                     h_list=(0.25, 0.125, 0.0625),
                                      box_radius=48)
     ok &= energy.exponent >= 1.5
     mono = monotonicity_check(free_model, energy_lad, (1.0, 5.0, 20.0),

@@ -41,13 +41,16 @@ def test_parse_minimal_and_resolved_echo():
     ("[model]\ndim = 2\n[probe]\nkind = prop31\nx1 = 4.0\nxi1 = 1.57\nx2 = 3.0\n"
      "xi2 = -1.57", "dim = 1"),
     ("[model]\ndim = 2\n[probe]\nkind = escape", "dim = 1"),
+    # the energy check reports its fitted exponent; criterion_exponent gates it
+    ("[probe]\nkind = escape\nn_target = 1.0", "unknown key"),
     ("[probe]\nkind = local-decay\nbox_radius = 0", "box_radius must be positive"),
     # the box sweeps compare norms across at least two box sizes
     ("[probe]\nkind = one-sided\nl_list = 64", "at least 2 distinct radii"),
     ("[probe]\nkind = ik\nl_list =", "at least 2 distinct radii"),
 ], ids=["unknown-key", "unknown-kind", "empty-kind", "unknown-section",
         "one-sided-s", "ik-gammas", "short-h-list", "free-kernel-dim",
-        "free-kernel-potential", "prop31-dim", "escape-dim", "local-decay-box-radius",
+        "free-kernel-potential", "prop31-dim", "escape-dim", "escape-n-target",
+        "local-decay-box-radius",
         "one-sided-single-box", "ik-empty-l-list"])
 def test_schema_rejections(mutation, match):
     with pytest.raises(ConfigError, match=match):
