@@ -9,11 +9,13 @@ recipe holding manifest.json and results.csv. Values and CSV cells must
 match exactly. Prints one line per recipe and one per difference; a
 difference between two numbers (CSV cells that parse as numbers included)
 shows |a - b| / max(|a|, |b|), and a recipe's line shows the largest. Exits
-1 on any difference or on a recipe present in only one tree.
+1 on any difference or on a recipe present in only one tree. A reader that
+closes early (`| head`) ends it quietly, with exit 1.
 """
 
 import csv
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -97,4 +99,11 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout is closed: point it at devnull so the flush at exit is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

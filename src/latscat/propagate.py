@@ -10,6 +10,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.fft
 import scipy.linalg as sla
+import scipy.sparse as sp
 from scipy.linalg.blas import ztrmm
 from scipy.sparse import _sparsetools
 from scipy.special import jv
@@ -221,19 +222,47 @@ class LocalDecayResult:
     rows: list
 
 
+def _reflection_halves(M: sp.csr_array) -> list:
+    """Orthonormal bases, as sparse N x n_k isometries, of the subspaces the
+    box matrix M is block diagonal on. When M equals J M J entry for entry,
+    with J the reflection n -> -n (index i -> N - 1 - i in the row-major
+    box), these are the even functions {e_0, (e_n + e_-n)/sqrt 2} and the odd
+    ones {(e_n - e_-n)/sqrt 2}, n over the sites after 0 in row-major order;
+    otherwise the identity. A real tridiagonal M gives real tridiagonal
+    halves: the even half's first off-diagonal entry is sqrt 2 times the hop
+    between sites 0 and 1."""
+    N = M.shape[0]
+    rev = np.arange(N)[::-1]
+    if (M != M[rev][:, rev]).nnz:
+        return [sp.identity(N, format="csr")]
+    c = N // 2
+    k = np.arange(1, c + 1)
+    s = np.full(c, np.sqrt(0.5))
+    even = sp.csr_array((np.r_[1.0, s, s], (np.r_[c, c + k, c - k], np.r_[0, k, k])),
+                        shape=(N, c + 1))
+    odd = sp.csr_array((np.r_[s, -s], (np.r_[c + k, c - k], np.r_[k, k] - 1)), shape=(N, c))
+    return [even, odd]
+
+
 def local_decay_probe(model_cfg: ModelConfig, cutoff: EnergyCutoff, nu: float,
                       t_grid: Sequence[float], box_radius: int) -> LocalDecayResult:
     """Weighted propagator norms ||<n>^-nu e^{-itH} f(H) <n>^-nu|| over t_grid.
 
     The grid must stay inside the pre-reflection window 0.8 L / v_max. The
     norms are exact and use only the eigenpairs (lam_j, q_j) of H with
-    f(lam_j) != 0: with W Q_S = Q_A R a thin QR of the weighted eigenvectors,
-    the norm at t is sigma_max(R diag(e^{-it lam} f(lam)) R*), formed with one
-    triangular product. For a real tridiagonal H (d = 1, nearest-neighbour
-    hops) the eigenpairs come from the MRRR tridiagonal eigensolver (LAPACK
-    stemr) restricted to supp f; otherwise from a dense one, so boxes beyond
-    dense()'s site guard raise ValueError. Each row reports the rank |S| and
-    the eigen-residual max_j ||H q_j - lam_j q_j||.
+    f(lam_j) != 0. H and the weight are compressed onto the blocks of
+    _reflection_halves (the even and odd halves when H commutes with the
+    reflection n -> -n, else one block); the weight is even, so it stays
+    diagonal there, and the operator is block diagonal with the larger block
+    norm as its norm. Per block, with W Q_S = Q_A R a thin QR of the weighted
+    eigenvectors, the norm at t is sigma_max(R diag(e^{-it lam} f(lam)) R*),
+    formed with one triangular product. For a real tridiagonal H (d = 1,
+    nearest-neighbour hops) every block is real tridiagonal and its
+    eigenpairs come from the MRRR tridiagonal eigensolver (LAPACK stemr)
+    restricted to supp f; otherwise from a dense one, so boxes beyond
+    dense()'s site guard raise ValueError. Each row reports the rank |S|
+    summed over the blocks and the eigen-residual max_j ||H q_j - lam_j q_j||
+    of the eigenvectors mapped back to the box.
     """
     L = box_radius
     H = model_cfg.assemble(L, with_cap=False)
@@ -242,29 +271,44 @@ def local_decay_probe(model_cfg: ModelConfig, cutoff: EnergyCutoff, nu: float,
     window = 0.8 * L / max(vmax, 1e-12)
     if t_grid[-1] > window:
         raise ValueError(f"t_grid exceeds the reflection window {window:.1f}")
-    if H.box.dim == 1 and H.stencil.bandwidth == 1 and not np.any(np.imag(H.stencil.coeffs)):
-        ab = H.banded().real
-        evals, Q = sla.eigh_tridiagonal(ab[1], ab[0, 1:], select="v",
-                                        select_range=cutoff.support, lapack_driver="stemr")
-    else:
-        evals, Q = sla.eigh(H.dense(), subset_by_value=cutoff.support)
-    f_ev = cutoff.profile(evals)
-    keep = f_ev != 0.0
-    evals, Q, f_ev = evals[keep], Q[:, keep], f_ev[keep]
-    eig_residual = float(np.linalg.norm(H(Q) - Q * evals, axis=0).max(initial=0.0))
+    tridiagonal = (H.box.dim == 1 and H.stencil.bandwidth == 1
+                   and not np.any(np.imag(H.stencil.coeffs)))
+    M = H._matrix(+1)
+    Hd = None if tridiagonal else H.dense()
     wdiag = (1.0 + np.sum(H.box.sites().astype(float) ** 2, axis=1)) ** (-nu / 2.0)
-    R = np.asfortranarray(np.linalg.qr(wdiag[:, None] * Q, mode="r"), dtype=complex)
+    blocks = []
+    eig_residual = 0.0
+    for B in _reflection_halves(M):
+        if tridiagonal:
+            A = B.T @ M @ B
+            evals, Q = sla.eigh_tridiagonal(A.diagonal().real, A.diagonal(1).real, select="v",
+                                            select_range=cutoff.support, lapack_driver="stemr")
+        else:
+            evals, Q = sla.eigh(B.T @ Hd @ B, subset_by_value=cutoff.support)
+        f_ev = cutoff.profile(evals)
+        keep = f_ev != 0.0
+        evals, Q, f_ev = evals[keep], Q[:, keep], f_ev[keep]
+        BQ = B @ Q
+        eig_residual = max(eig_residual, float(np.linalg.norm(H(BQ) - BQ * evals, axis=0)
+                                               .max(initial=0.0)))
+        # each basis vector lives on sites n and -n, where the weight agrees
+        w = B.power(2).T @ wdiag
+        R = np.asfortranarray(np.linalg.qr(w[:, None] * Q, mode="r"), dtype=complex)
+        blocks.append((R, evals, f_ev))
+    rank = sum(len(evals) for _, evals, _ in blocks)
     rows = []
     norms = np.zeros(len(t_grid))
     for i, t in enumerate(t_grid):
         t0 = time.perf_counter()
         # (R D) R* with R triangular is one ztrmm; after a threaded zgemm here
-        # the next svdvals ran 2-3x slower at two OpenBLAS threads
-        M = ztrmm(1.0, R, R * (np.exp(-1j * t * evals) * f_ev), side=1, trans_a=2,
-                  overwrite_b=1)
-        norms[i] = sla.svdvals(M).max(initial=0.0)
+        # the next svdvals ran 2-3x slower at two OpenBLAS threads. Both calls
+        # stay on scipy.linalg: numpy and scipy load separate OpenBLAS builds,
+        # and after the same ztrmm np.linalg.svd took about twice as long
+        norms[i] = max(sla.svdvals(ztrmm(1.0, R, R * (np.exp(-1j * t * evals) * f_ev),
+                                         side=1, trans_a=2, overwrite_b=1)).max(initial=0.0)
+                       for R, evals, f_ev in blocks)
         rows.append({"h": 0.0, "t": t, "norm": norms[i], "chebyshev_terms": 0,
-                     "seconds": time.perf_counter() - t0, "rank": len(evals),
+                     "seconds": time.perf_counter() - t0, "rank": rank,
                      "eig_residual": eig_residual})
     tail = slice(len(t_grid) // 2, None)
     fit = DecayFit.from_values(np.sqrt(1.0 + t_grid[tail] ** 2), norms[tail])

@@ -63,3 +63,18 @@ def test_numeric_differences_show_relative_size(tmp_path):
         "    criteria[0].passed: True != False",
         "    results.csv[1][2]: '0.25' != '0.2500001' (rel 4.0e-07)",
     ]
+
+
+def test_reader_closing_early_exits_quietly(tmp_path):
+    # far more than a pipe buffer of difference lines, so the script is still
+    # writing when its reader goes away after the first line
+    rows = "".join(f"{k},0.01,{k},6,0.01\n" for k in range(8000))
+    a = _tree(tmp_path / "a", csv_text=CSV + rows, names=("one-sided",))
+    b = _tree(tmp_path / "b", csv_text=CSV + rows.replace(",6,", ",7,"), names=("one-sided",))
+    proc = subprocess.Popen([sys.executable, str(SCRIPT), str(a), str(b)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline().startswith("one-sided")
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == ""
+    proc.stderr.close()

@@ -143,6 +143,10 @@ def _full_eigh_local_decay(H, cutoff, nu, t_grid):
 
 D2_LONGRANGE = ModelConfig(stencil=laplacian_stencil(2),
                            potential=Potential(mu=0.5, amplitude=0.5, form="power_law"))
+# an odd potential: H does not commute with n -> -n, so local decay keeps it
+# one block on the tridiagonal (MRRR) route
+D1_DIPOLE = ModelConfig(stencil=laplacian_stencil(1),
+                        potential=Potential(mu=0.5, amplitude=0.5, form="dipole"))
 # three d = 1 models that local decay must send to the dense eigensolver:
 # bandwidth 2 (the p0 = (1 - cos xi) + (1 - cos 2 xi) / 2 stencil); complex
 # hops that stay tridiagonal; and complex hops with a flux (phases 0.3 per
@@ -163,6 +167,7 @@ D1_FLUX = ModelConfig(stencil=Stencil(1, [(0,), (1,), (-1,), (2,), (-2,)],
     (D1_BANDWIDTH2, 96, np.r_[0.0, np.geomspace(1.0, 40.0, 11)]),
     (D1_TWISTED, 96, np.r_[0.0, np.geomspace(1.0, 40.0, 11)]),
     (D1_FLUX, 96, np.r_[0.0, np.geomspace(1.0, 40.0, 11)]),
+    (D1_DIPOLE, 96, np.r_[0.0, np.geomspace(1.0, 60.0, 11)]),
 ])
 def test_local_decay_matches_full_eigh(request, model, radius, t_grid):
     if isinstance(model, str):
@@ -177,19 +182,58 @@ def test_local_decay_matches_full_eigh(request, model, radius, t_grid):
     assert all(r["eig_residual"] <= 1e-12 for r in res.rows)
 
 
-def test_local_decay_mrrr_eigenvector_certificate(longrange_model):
+def _record_eigensolves(monkeypatch):
+    """Wrap the two eigensolvers the local-decay probe may call; the returned
+    list gets (name, evals, eigenvectors) per call."""
+    calls = []
+    for name in ("eigh_tridiagonal", "eigh"):
+        def recorded(*args, _name=name, _solver=getattr(sla, name), **kwargs):
+            evals, Q = _solver(*args, **kwargs)
+            calls.append((_name, evals, Q))
+            return evals, Q
+        monkeypatch.setattr(sla, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("model, radius, solves", [
+    ("free_model", 24, ["eigh_tridiagonal"] * 2),
+    ("longrange_model", 24, ["eigh_tridiagonal"] * 2),
+    (D1_BANDWIDTH2, 24, ["eigh"] * 2),
+    (D2_LONGRANGE, 8, ["eigh"] * 2),
+    (D1_DIPOLE, 24, ["eigh_tridiagonal"]),
+    (D1_TWISTED, 24, ["eigh"]),
+    (D1_FLUX, 24, ["eigh"]),
+], ids=["free", "longrange", "bandwidth2", "d2-longrange", "dipole", "twisted", "flux"])
+def test_local_decay_splits_reflection_symmetric_h(request, monkeypatch, model, radius,
+                                                   solves):
+    # an H equal to J H J (J: n -> -n) is solved as its even and odd halves,
+    # every other H as one block
+    if isinstance(model, str):
+        model = request.getfixturevalue(model)
+    calls = _record_eigensolves(monkeypatch)
+    local_decay_probe(model, EnergyCutoff(lam=1.0, eps_f=0.25), nu=3.0,
+                      t_grid=np.geomspace(0.5, 4.0, 8), box_radius=radius)
+    assert [name for name, _, _ in calls] == solves
+
+
+def test_local_decay_mrrr_eigenvector_certificate(longrange_model, monkeypatch):
     # MRRR (LAPACK stemr) is weaker on clustered spectra than inverse
-    # iteration: certify rank, residual and orthogonality at the recipe box
+    # iteration: certify, at the recipe box, the eigenpairs of the two
+    # halves the probe solved against the dense spectrum of H
     cutoff = EnergyCutoff(lam=1.0, eps_f=0.25)
+    calls = _record_eigensolves(monkeypatch)
     res = local_decay_probe(longrange_model, cutoff, nu=3.0,
                             t_grid=np.geomspace(10.0, 200.0, 8), box_radius=512)
-    H = longrange_model.assemble(512, with_cap=False)
-    assert res.rows[0]["rank"] == np.count_nonzero(cutoff.profile(np.linalg.eigvalsh(H.dense())))
+    assert [name for name, _, _ in calls] == ["eigh_tridiagonal"] * 2
+    for _, _, Q in calls:
+        assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max() <= 1e-12
+    halves = np.sort(np.concatenate([ev for _, ev, _ in calls]))
+    halves = halves[cutoff.profile(halves) != 0.0]
+    dense = np.linalg.eigvalsh(longrange_model.assemble(512, with_cap=False).dense())
+    dense = dense[cutoff.profile(dense) != 0.0]
+    assert res.rows[0]["rank"] == len(halves) == len(dense)
+    assert np.abs(halves - dense).max() <= 1e-12
     assert res.rows[0]["eig_residual"] <= 1e-12
-    ab = H.banded().real
-    _, Q = sla.eigh_tridiagonal(ab[1], ab[0, 1:], select="v", select_range=cutoff.support,
-                                lapack_driver="stemr")
-    assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max() <= 1e-12
 
 
 def test_local_decay_kappa_box_independent(longrange_model):
