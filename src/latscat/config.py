@@ -226,11 +226,11 @@ def _validate_preconditions(cfg: ExperimentConfig):
             raise ConfigError("h_list needs at least 4 entries")
         if p["expect"] not in ("decay", "control"):
             raise ConfigError("expect must be decay or control")
-    if k == "free-kernel" and (cfg.model["potential"] != "none" or cfg.model["dim"] != 1):
-        raise ConfigError("free-kernel probe compares with the closed-form 1-d free kernel: "
-                          "it needs potential = none and dim = 1")
-    if k in ("prop31", "escape") and cfg.model["dim"] != 1:
+    if k in ("wf", "ik", "one-sided", "prop31", "escape", "free-kernel") and cfg.model["dim"] != 1:
         raise ConfigError(f"the {k} probe is implemented for dim = 1 only")
+    if k == "free-kernel" and cfg.model["potential"] != "none":
+        raise ConfigError("free-kernel probe compares with the closed-form free kernel: "
+                          "it needs potential = none")
     if k == "local-decay":
         if p["box_radius"] <= 0:
             raise ConfigError("[probe] box_radius must be positive")

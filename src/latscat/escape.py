@@ -325,7 +325,7 @@ def periodic_dense_h(model_cfg: ModelConfig, box: Box) -> np.ndarray:
 
 
 def _dense_op(symbol: Symbol, box: Box) -> np.ndarray:
-    """Dense left quantization of the grid-sampled separable symbol (d=1).
+    """Dense left quantization of the grid-sampled symbol (d=1).
 
     M[i,j] = (1/N) sum_k a(n_i, xi_k) e^{i(n_i-n_j) xi_k}
            = sum over terms of b(n_i) ifft(c)[(i-j) mod N],

@@ -178,18 +178,20 @@ def make_bump_pair(p1, p2, delta1: float, delta2: float):
 
 def make_cone_symbol(sign: int, gamma: float, energy_window, r0: float,
                      stencil: Stencil, r_out: Optional[float] = None) -> Symbol:
-    """Smooth S^0 symbol supported in the cone
-    {+-x.v(xi)/(|x||v(xi)|) >= +-gamma, p0(xi) in window, |x| >= r0}.
+    """Smooth S^0 symbol supported in the d = 1 cone
+    {+-x v(xi)/(|x||v(xi)|) >= +-gamma, p0(xi) in window, |x| >= r0}.
 
-    The symbol is radial(|x|) energy(p0(xi)) angle(cos), with cos the cosine
-    between x and v(xi). An optional smooth outer cutoff at |x| <= r_out keeps
-    box probes out of the absorbing layer. In d = 1, cos = sign(x) sign(v(xi))
-    and the radial factor vanishes for |x| <= r0, so the symbol is the
-    two-term separable sum over s = +-1 of 1[s x > 0] radial(|x|) times
+    The symbol is radial(|x|) energy(p0(xi)) angle(cos), with
+    cos = sign(x) sign(v(xi)) the cosine between x and v(xi). An optional
+    smooth outer cutoff at |x| <= r_out keeps box probes out of the absorbing
+    layer. The radial factor vanishes for |x| <= r0, so the symbol is the
+    two-term sum over s = +-1 of 1[s x > 0] radial(|x|) times
     energy(p0(xi)) angle(s sign v(xi)), which op_h applies as two Fourier
-    multipliers; for d >= 2 it is a general symbol. Raises if the window
-    touches critical values.
+    multipliers. Raises ValueError for d != 1, where the cone is no short sum
+    of (b, c) terms, and if the window touches critical values.
     """
+    if stencil.dim != 1:
+        raise ValueError(f"cone symbols are built for d = 1 only (got d = {stencil.dim})")
     if not -1.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (-1, 1)")
     if r0 <= 0:
@@ -214,18 +216,6 @@ def make_cone_symbol(sign: int, gamma: float, energy_window, r0: float,
         return np.asarray(DEFAULT_PHI(np.maximum((sgn * gamma + gcut - sgn * cosang) / gcut,
                                                  0.0)))
 
-    def ev(x, xi):
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        v = stencil.gradient(xi)
-        denom = np.linalg.norm(x, axis=-1) * np.linalg.norm(v, axis=-1)
-        dot = np.einsum("...i,...i->...", x, v)
-        cosang = np.where(denom > 0, dot / np.where(denom > 0, denom, 1.0), 0.0)
-        return radial(x) * energy(xi) * angle(cosang)
-
-    if stencil.dim != 1:
-        return Symbol(dim=stencil.dim, eval=ev)
-
     def term(s):
         def b(x):
             return np.where(s * np.asarray(x, dtype=float)[..., 0] > 0.0, radial(x), 0.0)
@@ -236,4 +226,4 @@ def make_cone_symbol(sign: int, gamma: float, energy_window, r0: float,
 
         return b, c
 
-    return Symbol(dim=1, eval=ev, terms=(term(1.0), term(-1.0)))
+    return Symbol(dim=1, terms=(term(1.0), term(-1.0)))

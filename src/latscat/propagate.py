@@ -381,7 +381,7 @@ def _propagation_sup(H: LatticeHamiltonian, a1: Symbol, a2: Symbol, h: float,
                      cutoff: EnergyCutoff, t_grid: np.ndarray):
     """Exact finite-rank norms of Op^h(a1) e^{-itH} f(H) Op^h(a2) on t_grid.
 
-    Both symbols must be one-term separable with finite x-support. With E the
+    Both symbols must be one-term symbols with finite x-support. With E the
     injection of the support S2 of the right symbol and G = Q Lam Q* the
     gram of Op^h(a2) on S2, the norm at t is sigma_max of
     Op^h(a1) e^{-itH} f(H) E Q_k Lam_k^{1/2}, where k keeps the eigenvalues
@@ -389,7 +389,7 @@ def _propagation_sup(H: LatticeHamiltonian, a1: Symbol, a2: Symbol, h: float,
     across the grid.
     """
     if len(a1.terms) != 1 or len(a2.terms) != 1:
-        raise NotImplementedError("the propagation probe needs one-term separable symbols")
+        raise NotImplementedError("the propagation probe needs one-term symbols")
     box = H.box
     [(b1, c1)] = sampled_terms(a1, h, box)
     [(b2, c2)] = sampled_terms(a2, h, box)

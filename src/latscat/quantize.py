@@ -13,9 +13,6 @@ from .model import Box, LinearMap
 from .symbols import Symbol
 from .util import product_grid, rng
 
-# Symbols without terms materialize an N_tot^2 kernel; keep it bounded.
-GENERAL_PATH_MAX_DIM = 4200
-
 XI_TAIL_WARN = 1e-10
 XI_TAIL_ERROR = 1e-6
 
@@ -87,11 +84,12 @@ def position_weight(s: float, box: Box) -> LinearMap:
                      lambda u: w * np.asarray(u), hermitian=True, label=f"<n>^{s}")
 
 
-def _xi_tail_of_row(row: np.ndarray, box: Box) -> float:
-    """Relative high-frequency mass of one x-row of the sampled symbol."""
+def _xi_tail(cv: np.ndarray, box: Box) -> float:
+    """Relative high-frequency mass of a xi factor sampled on the box
+    momentum grid."""
     n1 = box.n_per_axis
     tail_cut = n1 // 3
-    co = np.fft.fftn(np.asarray(row, dtype=complex).reshape(box.shape)) / box.site_count
+    co = np.fft.fftn(np.asarray(cv, dtype=complex).reshape(box.shape)) / box.site_count
     mass = np.sum(np.abs(co))
     if mass == 0.0:
         return 0.0
@@ -99,38 +97,17 @@ def _xi_tail_of_row(row: np.ndarray, box: Box) -> float:
     return float(np.sum(np.abs(co[kinf > tail_cut])) / mass)
 
 
-def _check_xi_tail(ratio: float, stacklevel: int = 3):
+def _check_xi_tail(ratio: float):
     if ratio > XI_TAIL_ERROR:
         raise ResolutionError(
             f"xi Fourier tail mass {ratio:.2e} exceeds {XI_TAIL_ERROR:.0e}; refine the box")
     if ratio > XI_TAIL_WARN:
         warnings.warn(f"op_h: xi Fourier tail mass {ratio:.2e} above {XI_TAIL_WARN:.0e}",
-                      RuntimeWarning, stacklevel=stacklevel)
-
-
-def _sampled_kernel(a: Symbol, h: float, box: Box, check_resolution: bool) -> np.ndarray:
-    """K[i, k] = a(h n_i, xi_k) e^{i n_i.xi_k} e^{i L sum(xi_k)} on the box.
-
-    The phases pair the e^{+i n xi} reconstruction with the e^{-i n' xi}
-    analysis transform: op_h applies K / N to the DFT of u. check_resolution
-    runs the xi-tail guard on the heaviest row of the sampled symbol.
-    """
-    sites = box.sites().astype(float)
-    xi = _xi_grid(box)
-    N = box.site_count
-    vals = _on_grid(a(h * sites[:, None, :], xi[None, :, :]), (N, N), "symbol")
-    if check_resolution:
-        masses = np.sum(np.abs(vals), axis=1)
-        if np.max(masses) > 0.0:
-            # the warning names op_h's caller, one frame further out
-            _check_xi_tail(_xi_tail_of_row(vals[int(np.argmax(masses))], box), stacklevel=4)
-    phase = np.exp(1j * (sites @ xi.T))
-    corr = np.exp(1j * box.radius * np.sum(xi, axis=-1))
-    return vals * phase * corr[None, :]
+                      RuntimeWarning, stacklevel=3)
 
 
 def sampled_terms(a: Symbol, h: float, box: Box) -> list:
-    """The terms of a separable symbol on the box: (b_j(h n), c_j(xi_k)) for
+    """The terms of a symbol on the box: (b_j(h n), c_j(xi_k)) for
     each (b_j, c_j) of a.terms, as complex arrays of shape (N_tot,) over the
     sites and over the momentum grid in FFT bin order."""
     N = box.site_count
@@ -144,14 +121,10 @@ def op_h(a: Symbol, h: float, box: Box, check_resolution: bool = True) -> Linear
     """Left quantization of a(h x, xi) on the box (periodic convolution).
 
     (A u)(n) = (1/N) sum_k a(h n, xi_k) e^{i n.xi_k} u^(xi_k).
-    A separable symbol a = sum_j b_j(x) c_j(xi) applies as
-    sum_j multiply-by-b_j(hn) o c_j(D): one forward FFT and, per term, one
-    inverse FFT and one multiply (the adjoint mirrors it). Only symbols
-    without terms, the d >= 2 cones and general symbols, sample the
-    N_tot x N_tot kernel, capped at GENERAL_PATH_MAX_DIM sites. The symbol
-    sees sites and momenta as (..., d) arrays; a result of any shape other
-    than (N_tot,) per factor, or (N_tot, N_tot) for a general symbol, raises
-    ValueError.
+    The symbol a = sum_j b_j(x) c_j(xi) applies as sum_j multiply-by-b_j(hn)
+    o c_j(D): one forward FFT and, per term, one inverse FFT and one multiply
+    (the adjoint mirrors it). The factors see sites and momenta as (..., d)
+    arrays; a result of any shape other than (N_tot,) raises ValueError.
 
     check_resolution=False quantizes the grid-sampled symbol without the
     xi-tail guard; the fixed-symbol cone probes use it on the small pinned
@@ -163,40 +136,23 @@ def op_h(a: Symbol, h: float, box: Box, check_resolution: bool = True) -> Linear
     if a.dim != box.dim:
         raise ValueError("symbol/box dimension mismatch")
 
-    N = box.site_count
-    if a.separable:
-        terms = sampled_terms(a, h, box)
-        if check_resolution:
-            for bv, cv in terms:
-                if np.max(np.abs(bv)) > 0.0:
-                    _check_xi_tail(_xi_tail_of_row(cv, box))
-        conj = [(np.conj(bv), np.conj(cv)) for bv, cv in terms]
-
-        def fwd(u):
-            U = _fftn_flat(u, box)
-            return reduce(np.add, (bv * _ifftn_flat(cv * U, box) for bv, cv in terms))
-
-        def adj(u):
-            u = np.asarray(u)
-            return _ifftn_flat(reduce(np.add, (cc * _fftn_flat(bc * u, box)
-                                               for bc, cc in conj)), box)
-
-        return LinearMap(N, fwd, adj, label="Op^h(a)")
-
-    if N > GENERAL_PATH_MAX_DIM:
-        raise ValueError(
-            f"general quantization path capped at {GENERAL_PATH_MAX_DIM} sites "
-            f"(got {N}); use a separable symbol or a smaller box")
-    B = _sampled_kernel(a, h, box, check_resolution) / N
-    BH = B.conj().T
+    terms = sampled_terms(a, h, box)
+    if check_resolution:
+        for bv, cv in terms:
+            if np.max(np.abs(bv)) > 0.0:
+                _check_xi_tail(_xi_tail(cv, box))
+    conj = [(np.conj(bv), np.conj(cv)) for bv, cv in terms]
 
     def fwd(u):
-        return B @ _fftn_flat(u, box)
+        U = _fftn_flat(u, box)
+        return reduce(np.add, (bv * _ifftn_flat(cv * U, box) for bv, cv in terms))
 
     def adj(u):
-        return _ifftn_flat(BH @ np.asarray(u), box) * N
+        u = np.asarray(u)
+        return _ifftn_flat(reduce(np.add, (cc * _fftn_flat(bc * u, box)
+                                           for bc, cc in conj)), box)
 
-    return LinearMap(N, fwd, adj, label="Op^h(a)")
+    return LinearMap(box.site_count, fwd, adj, label="Op^h(a)")
 
 
 def operator_norm(A: LinearMap, tol: float = 1e-2, max_iter: int = 600,

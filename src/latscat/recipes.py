@@ -178,8 +178,8 @@ criterion_exponent = 1.5
     },
     "calculus-invariants": {
         "claim": "Quantization identities and resolvent algebra",
-        "description": "Quick identity suite: multipliers, weights, separable "
-                       "quantization, resolvent identity, unitarity.",
+        "description": "Quick identity suite: multipliers, weights, resolvent "
+                       "identity, unitarity, group law.",
         "config": """
 [model]
 potential = none

@@ -5,7 +5,7 @@ import pytest
 
 from latscat.model import ModelConfig, Potential, laplacian_stencil
 from latscat.resolvent import LAPConfig, default_epsilon_sequence
-from latscat.util import SEED
+from latscat.util import SEED, product_grid
 
 
 @pytest.fixture(autouse=True)
@@ -76,5 +76,23 @@ def to_dense():
             e[j] = 1.0
             out[:, j] = A(e)
         return out
+
+    return dense
+
+
+@pytest.fixture(scope="session")
+def dense_kernel():
+    """The oracle (a, h, box) -> the N x N matrix of Op^h(a) for a pointwise
+    symbol a(x, xi) of (..., d) points, sampled on the box momentum grid:
+    M[i, j] = (1/N) sum_k a(h n_i, xi_k) e^{i (n_i - n_j).xi_k} (small boxes
+    only)."""
+
+    def dense(a, h, box):
+        sites = box.sites().astype(float)
+        xi = product_grid(box.xi_axis(), box.dim).reshape(-1, box.dim)
+        vals = np.asarray(a(h * sites[:, None, :], xi[None, :, :]), dtype=complex)
+        assert vals.shape == (box.site_count, box.site_count)
+        phase = np.exp(1j * (sites @ xi.T))
+        return (vals * phase) @ phase.conj().T / box.site_count
 
     return dense

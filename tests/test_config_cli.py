@@ -41,6 +41,11 @@ def test_parse_minimal_and_resolved_echo():
     ("[model]\ndim = 2\n[probe]\nkind = prop31\nx1 = 4.0\nxi1 = 1.57\nx2 = 3.0\n"
      "xi2 = -1.57", "dim = 1"),
     ("[model]\ndim = 2\n[probe]\nkind = escape", "dim = 1"),
+    # so are the wave-front pair and the cone symbols
+    ("[model]\ndim = 2\n[probe]\nkind = wf\nx1 = 4.0\nxi1 = 1.57\nx2 = 3.0\nxi2 = -1.57",
+     "dim = 1"),
+    ("[model]\ndim = 2\n[probe]\nkind = ik", "dim = 1"),
+    ("[model]\ndim = 2\n[probe]\nkind = one-sided", "dim = 1"),
     # the energy check reports its fitted exponent; criterion_exponent gates it
     ("[probe]\nkind = escape\nn_target = 1.0", "unknown key"),
     ("[probe]\nkind = local-decay\nbox_radius = 0", "box_radius must be positive"),
@@ -49,7 +54,8 @@ def test_parse_minimal_and_resolved_echo():
     ("[probe]\nkind = ik\nl_list =", "at least 2 distinct radii"),
 ], ids=["unknown-key", "unknown-kind", "empty-kind", "unknown-section",
         "one-sided-s", "ik-gammas", "short-h-list", "free-kernel-dim",
-        "free-kernel-potential", "prop31-dim", "escape-dim", "escape-n-target",
+        "free-kernel-potential", "prop31-dim", "escape-dim", "wf-dim", "ik-dim",
+        "one-sided-dim", "escape-n-target",
         "local-decay-box-radius",
         "one-sided-single-box", "ik-empty-l-list"])
 def test_schema_rejections(mutation, match):

@@ -317,9 +317,9 @@ def test_propagation_offshell_case(free_model, to_dense):
 def test_propagation_sup_rejects_non_separable(small_H):
     cutoff = EnergyCutoff(lam=1.0, eps_f=0.25)
     a1, a2 = make_bump_pair((2.0, np.pi / 2), (-1.5, -np.pi / 2), 0.5, 0.4)
-    joint = Symbol(dim=1, eval=a2.eval)
-    with pytest.raises(NotImplementedError, match="separable"):
-        _propagation_sup(small_H, a1, joint, 0.25, cutoff, np.array([0.0]))
+    two_term = Symbol(dim=1, terms=a2.terms + a1.terms)
+    with pytest.raises(NotImplementedError, match="one-term"):
+        _propagation_sup(small_H, a1, two_term, 0.25, cutoff, np.array([0.0]))
 
 
 def test_propagation_probe_modes(free_model):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from latscat.model import Box, LatticeHamiltonian, Potential, laplacian_stencil
 from latscat.quantize import fourier_multiplier, op_h, position_weight
 from latscat.resolvent import DecayFit
-from latscat.symbols import Symbol, separable_symbol
+from latscat.symbols import separable_symbol
 from latscat.util import angle_diff, lstsq_loglog, reduce_torus, torus_distance
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -67,7 +67,7 @@ def test_decay_fit_exact_line():
     assert fit.max_residual <= 1e-12
 
 
-def test_quantize_d2_paths_agree(verify_adjoint):
+def test_quantize_d2_paths_agree(verify_adjoint, dense_kernel):
     box = Box(2, 6)
     g = np.random.default_rng(5)
     u = g.standard_normal(box.site_count) + 1j * g.standard_normal(box.site_count)
@@ -80,11 +80,12 @@ def test_quantize_d2_paths_agree(verify_adjoint):
         xi = np.asarray(xi)
         return 1.0 + 0.4 * np.cos(xi[..., 0]) * np.sin(xi[..., 1])
 
-    A_sep = op_h(separable_symbol(2, b, c), 0.5, box)
-    A_gen = op_h(Symbol(dim=2, eval=lambda x, xi: b(x) * c(xi)), 0.5, box)
-    assert np.linalg.norm(A_sep(u) - A_gen(u)) <= 1e-11 * np.linalg.norm(u)
-    assert verify_adjoint(A_sep) <= 1e-11
-    assert verify_adjoint(A_gen) <= 1e-11
+    # the multiplier path against the sampled kernel of the pointwise symbol
+    A = op_h(separable_symbol(2, b, c), 0.5, box)
+    M = dense_kernel(lambda x, xi: b(x) * c(xi), 0.5, box)
+    assert np.linalg.norm(A(u) - M @ u) <= 1e-11 * np.linalg.norm(u)
+    assert np.linalg.norm(A.adjoint_apply(u) - M.conj().T @ u) <= 1e-11 * np.linalg.norm(u)
+    assert verify_adjoint(A) <= 1e-11
 
 
 def test_d2_multiplier_diagonalizes_h0():

@@ -70,12 +70,16 @@ def test_support_check_catches_moved_centre():
     assert not check_support(a, x, xi, (2.0, 0.4), (np.pi, 0.3))
 
 
-def test_separable_flag():
+def test_symbol_is_the_sum_of_its_terms():
     a, _ = make_bump_pair((0.0, 0.0), (1.0, 1.0), 0.5, 0.5)
-    assert a.separable
-    g = Symbol(dim=1, eval=lambda x, xi: np.cos(np.asarray(x)[..., 0])
-               * np.sin(np.asarray(xi)[..., 0]))
-    assert not g.separable
+    assert len(a.terms) == 1
+    x = np.linspace(-1.0, 1.0, 9)[:, None]
+    xi = np.linspace(-0.5, 0.5, 9)[:, None]
+    assert np.max(a(x, xi)) > 0.5
+    assert np.array_equal(Symbol(dim=1, terms=a.terms * 2)(x, xi), 2.0 * a(x, xi))
+    # without terms a symbol would quantize to an empty sum
+    with pytest.raises(ValueError, match="at least one"):
+        Symbol(dim=1, terms=())
 
 
 def test_symbol_rejects_points_without_coordinate_axis():
