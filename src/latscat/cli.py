@@ -144,9 +144,8 @@ def _run_prop31(cfg: ExperimentConfig, jobs, seed):
                             jobs=jobs)
     crit = []
     _fit_criteria(crit, p, res.fit, "sup-norm slope")
-    header = ["h", "t", "norm", "chebyshev_terms", "seconds", "columns"]
-    rows = [[r["h"], r["t"], r["norm"], r["chebyshev_terms"], r["seconds"], r["columns"]]
-            for r in res.rows]
+    header = ["h", "t", "norm", "chebyshev_terms", "seconds", "columns", "rank", "eig_residual"]
+    rows = [[r[k] for k in header] for r in res.rows]
     return header, rows, crit, {"fit": {"slope": res.fit.slope,
                                         "max_residual": res.fit.max_residual},
                                 "sup_norms": {str(k): v for k, v in res.sup_norms.items()}}
@@ -210,7 +209,7 @@ def _run_free_kernel(cfg: ExperimentConfig, jobs, seed):
 def _run_calculus(cfg: ExperimentConfig, jobs, seed):
     lam = cfg.probe["lambda"]
     model = cfg.model_config()
-    box = Box(1, 64)
+    box = Box(model.stencil.dim, 64)
     g = rng(seed)
     u = g.standard_normal(box.site_count) + 1j * g.standard_normal(box.site_count)
     crit = []
@@ -224,8 +223,9 @@ def _run_calculus(cfg: ExperimentConfig, jobs, seed):
     check("unit multiplier is the identity", float(np.linalg.norm(ident(u) - u)
                                                    / np.linalg.norm(u)), 1e-13)
     shift = fourier_multiplier(lambda xi: np.exp(1j * xi[..., 0]), box)
+    shifted = np.roll(u.reshape(box.shape), -1, axis=0).ravel()
     check("e^{i xi} multiplier is the +n cyclic shift",
-          float(np.linalg.norm(shift(u) - np.roll(u, -1)) / np.linalg.norm(u)), 1e-12)
+          float(np.linalg.norm(shift(u) - shifted) / np.linalg.norm(u)), 1e-12)
     wplus = position_weight(1.5, box)
     wminus = position_weight(-1.5, box)
     check("position weights invert", float(np.linalg.norm(wplus(wminus(u)) - u)

@@ -1,5 +1,6 @@
 """Time evolution e^{-itH} by Chebyshev expansion, smooth functional
-calculus f(H), the local-decay probe, and the propagation-estimate probe."""
+calculus f(H), the certified eigenpairs of H inside supp f, and the two
+time-domain probes built on them: local decay and the propagation estimate."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import numpy as np
 import scipy.fft
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg import lapack
 from scipy.linalg.blas import ztrmm
 from scipy.sparse import _sparsetools
 from scipy.special import jv
@@ -176,15 +178,6 @@ def _csr_accumulate(A, data, X: np.ndarray, Y: np.ndarray) -> None:
                              X.reshape(-1), Y.reshape(-1))
 
 
-def _function_plan(H: LatticeHamiltonian, cutoff: EnergyCutoff) -> ChebyshevPlan:
-    """The plan of f(H), cached on H per (lam, eps_f)."""
-    cache = H.__dict__.setdefault("_cheb_plans", {})
-    key = (cutoff.lam, cutoff.eps_f)
-    if key not in cache:
-        cache[key] = ChebyshevPlan.for_function(H, cutoff.profile)
-    return cache[key]
-
-
 def evolve(H: LatticeHamiltonian, u, t: float):
     """e^{-itH} u for hermitian H via the Chebyshev/Bessel expansion.
 
@@ -244,25 +237,91 @@ def _reflection_halves(M: sp.csr_array) -> list:
     return [even, odd]
 
 
+# dstein reorthogonalizes every run of eigenvalues closer than 1e-3 ||A|| as
+# one cluster, at a cost quadratic in the run. On the unsplit dipole box (one
+# block, 683 eigenpairs in supp f at 2049 sites) one call over the whole window
+# took 0.84 s on a 2-vCPU machine and chunks of 32 took 0.22 s; at 4097 sites
+# 8.5 s against 0.93 s
+_WINDOW_CHUNK = 32
+_ORTHOGONALITY_GATE = 1e-8
+
+
+def _window_eigenpairs(H: LatticeHamiltonian, cutoff: EnergyCutoff):
+    """The eigenpairs of the hermitian H with f(lam) != 0, block by block.
+
+    Yields (B, chunks) for each block B of _reflection_halves, where chunks
+    yields (lam, V, res): eigenvalues, orthonormal eigenvectors of A = B^T H B
+    (block coordinates; B V maps them to the box) and the residuals
+    ||A v - lam v|| column by column, which equal those of B v under H
+    because B spans an invariant subspace of H.
+
+    For a real tridiagonal H (d = 1, nearest-neighbour hops) every A is real
+    tridiagonal: its whole spectrum comes from sterf, which needs no N x N
+    workspace, and the eigenvectors of the eigenvalues where f != 0 from
+    inverse iteration (LAPACK dstein), at most _WINDOW_CHUNK per call. Each
+    chunk is certified, else np.linalg.LinAlgError: dstein's info is 0, and
+    2 r_i / gap_i <= _ORTHOGONALITY_GATE, with r_i the residual and gap_i the
+    distance from lam_i to its nearest neighbour in the spectrum of A. That
+    bounds the overlap of v_i with every other eigenvector (Davis-Kahan), so
+    it certifies the orthogonality between chunks, which dstein does not
+    enforce. Any other H gives one chunk per block from a dense eigensolver
+    restricted to supp f, so boxes beyond dense()'s site guard raise
+    ValueError. Chunks are made lazily: a caller that drops each one before
+    asking for the next holds one at a time.
+    """
+    if not H.hermitian:
+        raise ValueError("window eigenpairs need a hermitian (CAP-free) Hamiltonian")
+    tridiagonal = (H.box.dim == 1 and H.stencil.bandwidth == 1
+                   and not np.any(np.imag(H.stencil.coeffs)))
+    M = H._matrix(+1)
+    Hd = None if tridiagonal else H.dense()
+    for B in _reflection_halves(M):
+        if tridiagonal:
+            yield B, _tridiagonal_window((B.T @ M @ B).real, cutoff)
+            continue
+        A = B.T @ Hd @ B
+        lam, V = sla.eigh(A, subset_by_value=cutoff.support)
+        keep = cutoff.profile(lam) != 0.0
+        lam, V = lam[keep], V[:, keep]
+        yield B, [(lam, V, np.linalg.norm(A @ V - V * lam, axis=0))]
+
+
+def _tridiagonal_window(A: sp.csr_array, cutoff: EnergyCutoff):
+    """The certified chunks of _window_eigenpairs for one real tridiagonal A."""
+    d, e = A.diagonal(), A.diagonal(1)
+    n = len(d)
+    lam = sla.eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
+    gap = np.minimum(np.diff(lam, prepend=-np.inf), np.diff(lam, append=np.inf))
+    window = np.nonzero(cutoff.profile(lam) != 0.0)[0]
+    # one unreduced block: every eigenvalue in block 1, which ends at row n
+    iblock, isplit = np.ones(n, dtype=np.int32), np.full(n, n, dtype=np.int32)
+    for start in range(0, len(window), _WINDOW_CHUNK):
+        j = window[start:start + _WINDOW_CHUNK]
+        V, info = lapack.dstein(d, e, lam[j], iblock, isplit)
+        res = np.linalg.norm(A @ V - V * lam[j], axis=0)
+        bound = float(np.max(2.0 * res / gap[j]))
+        if info != 0 or not bound <= _ORTHOGONALITY_GATE:
+            raise np.linalg.LinAlgError(
+                f"dstein chunk of {len(j)} eigenvectors near {lam[j[0]]:.6g} fails its "
+                f"certificate: info = {info}, orthogonality bound {bound:.2e} "
+                f"(gate {_ORTHOGONALITY_GATE:g})")
+        yield lam[j], V, res
+
+
 def local_decay_probe(model_cfg: ModelConfig, cutoff: EnergyCutoff, nu: float,
                       t_grid: Sequence[float], box_radius: int) -> LocalDecayResult:
     """Weighted propagator norms ||<n>^-nu e^{-itH} f(H) <n>^-nu|| over t_grid.
 
     The grid must stay inside the pre-reflection window 0.8 L / v_max. The
     norms are exact and use only the eigenpairs (lam_j, q_j) of H with
-    f(lam_j) != 0. H and the weight are compressed onto the blocks of
+    f(lam_j) != 0, from _window_eigenpairs, on each block of
     _reflection_halves (the even and odd halves when H commutes with the
     reflection n -> -n, else one block); the weight is even, so it stays
     diagonal there, and the operator is block diagonal with the larger block
     norm as its norm. Per block, with W Q_S = Q_A R a thin QR of the weighted
     eigenvectors, the norm at t is sigma_max(R diag(e^{-it lam} f(lam)) R*),
-    formed with one triangular product. For a real tridiagonal H (d = 1,
-    nearest-neighbour hops) every block is real tridiagonal and its
-    eigenpairs come from the MRRR tridiagonal eigensolver (LAPACK stemr)
-    restricted to supp f; otherwise from a dense one, so boxes beyond
-    dense()'s site guard raise ValueError. Each row reports the rank |S|
-    summed over the blocks and the eigen-residual max_j ||H q_j - lam_j q_j||
-    of the eigenvectors mapped back to the box.
+    formed with one triangular product. Each row reports the rank |S| summed
+    over the blocks and the eigen-residual max_j ||H q_j - lam_j q_j||.
     """
     L = box_radius
     H = model_cfg.assemble(L, with_cap=False)
@@ -271,30 +330,19 @@ def local_decay_probe(model_cfg: ModelConfig, cutoff: EnergyCutoff, nu: float,
     window = 0.8 * L / max(vmax, 1e-12)
     if t_grid[-1] > window:
         raise ValueError(f"t_grid exceeds the reflection window {window:.1f}")
-    tridiagonal = (H.box.dim == 1 and H.stencil.bandwidth == 1
-                   and not np.any(np.imag(H.stencil.coeffs)))
-    M = H._matrix(+1)
-    Hd = None if tridiagonal else H.dense()
     wdiag = (1.0 + np.sum(H.box.sites().astype(float) ** 2, axis=1)) ** (-nu / 2.0)
     blocks = []
     eig_residual = 0.0
-    for B in _reflection_halves(M):
-        if tridiagonal:
-            A = B.T @ M @ B
-            evals, Q = sla.eigh_tridiagonal(A.diagonal().real, A.diagonal(1).real, select="v",
-                                            select_range=cutoff.support, lapack_driver="stemr")
-        else:
-            evals, Q = sla.eigh(B.T @ Hd @ B, subset_by_value=cutoff.support)
-        f_ev = cutoff.profile(evals)
-        keep = f_ev != 0.0
-        evals, Q, f_ev = evals[keep], Q[:, keep], f_ev[keep]
-        BQ = B @ Q
-        eig_residual = max(eig_residual, float(np.linalg.norm(H(BQ) - BQ * evals, axis=0)
-                                               .max(initial=0.0)))
+    for B, chunks in _window_eigenpairs(H, cutoff):
+        parts = list(chunks)
+        if not parts:
+            continue
+        evals, Q, res = (np.concatenate(x, axis=-1) for x in zip(*parts))
+        eig_residual = max(eig_residual, float(res.max(initial=0.0)))
         # each basis vector lives on sites n and -n, where the weight agrees
         w = B.power(2).T @ wdiag
         R = np.asfortranarray(np.linalg.qr(w[:, None] * Q, mode="r"), dtype=complex)
-        blocks.append((R, evals, f_ev))
+        blocks.append((R, evals, cutoff.profile(evals)))
     rank = sum(len(evals) for _, evals, _ in blocks)
     rows = []
     norms = np.zeros(len(t_grid))
@@ -304,9 +352,9 @@ def local_decay_probe(model_cfg: ModelConfig, cutoff: EnergyCutoff, nu: float,
         # the next svdvals ran 2-3x slower at two OpenBLAS threads. Both calls
         # stay on scipy.linalg: numpy and scipy load separate OpenBLAS builds,
         # and after the same ztrmm np.linalg.svd took about twice as long
-        norms[i] = max(sla.svdvals(ztrmm(1.0, R, R * (np.exp(-1j * t * evals) * f_ev),
-                                         side=1, trans_a=2, overwrite_b=1)).max(initial=0.0)
-                       for R, evals, f_ev in blocks)
+        norms[i] = max((sla.svdvals(ztrmm(1.0, R, R * (np.exp(-1j * t * evals) * f_ev),
+                                          side=1, trans_a=2, overwrite_b=1)).max(initial=0.0)
+                        for R, evals, f_ev in blocks), default=0.0)
         rows.append({"h": 0.0, "t": t, "norm": norms[i], "chebyshev_terms": 0,
                      "seconds": time.perf_counter() - t0, "rank": rank,
                      "eig_residual": eig_residual})
@@ -384,9 +432,16 @@ def _propagation_sup(H: LatticeHamiltonian, a1: Symbol, a2: Symbol, h: float,
     Both symbols must be one-term symbols with finite x-support. With E the
     injection of the support S2 of the right symbol and G = Q Lam Q* the
     gram of Op^h(a2) on S2, the norm at t is sigma_max of
-    Op^h(a1) e^{-itH} f(H) E Q_k Lam_k^{1/2}, where k keeps the eigenvalues
-    above 1e-13 * max Lam. Only those k columns are evolved, incrementally
-    across the grid.
+    Op^h(a1) e^{-itH} f(H) E Z2, Z2 = Q_k Lam_k^{1/2}, where k keeps the
+    eigenvalues above 1e-13 * max Lam. f(H) has compact support, so with
+    (lam_j, q_j), j = 1..m, the eigenpairs of H where f != 0
+    (_window_eigenpairs) that operator is P diag(e^{-it lam}) W: P has the
+    columns Op^h(a1) q_j on the support S1 of the left symbol, and
+    W = diag(f(lam)) (E* q_j)* Z2. Both factors are built chunk by chunk, so
+    no box-sized array outlives its chunk, and each t costs one
+    |S1| x m by m x k product and a k x k eigenproblem. Each row reports the
+    rank m and the eigen-residual max_j ||H q_j - lam_j q_j||;
+    chebyshev_terms is 0.
     """
     if len(a1.terms) != 1 or len(a2.terms) != 1:
         raise NotImplementedError("the propagation probe needs one-term symbols")
@@ -401,28 +456,32 @@ def _propagation_sup(H: LatticeHamiltonian, a1: Symbol, a2: Symbol, h: float,
     g_vals, Q = np.linalg.eigh((gram + gram.conj().T) / 2.0)
     keep = g_vals > 1e-13 * g_vals.max(initial=0.0)
     k = int(np.count_nonzero(keep))
-    if len(S1) == 0 or k == 0:
-        return 0.0, [{"t": float(t), "norm": 0.0, "chebyshev_terms": 0, "columns": 0,
-                      "seconds": 0.0} for t in t_grid]
-    Z = np.zeros((N, k), dtype=complex)
-    Z[S2, :] = Q[:, keep] * np.sqrt(g_vals[keep])
-    Z = _function_plan(H, cutoff).apply(H, Z)
+    Z2 = Q[:, keep] * np.sqrt(g_vals[keep])
+    # row s of Op^h(a1) = diag(b1) C, with C the circulant of ifft(c1), is
+    # b1[s] ifft(c1)[(s - n) mod N] = b1[s] np.roll(ifft(c1)[::-1], s + 1)[n]
+    reversed_kernel = np.fft.ifft(c1)[::-1]
+    lams, PTs, Ws = [np.empty(0)], [np.empty((0, len(S1)))], [np.empty((0, k))]
+    eig_residual = 0.0
+    for B, chunks in _window_eigenpairs(H, cutoff):
+        # (rows S1 of Op^h(a1) B)^T, one sparse product per row: no N x |S1| array
+        BT, A1BT = B.T, np.empty((B.shape[1], len(S1)), dtype=complex)
+        for i, s in enumerate(S1):
+            A1BT[:, i] = b1[s] * (BT @ np.roll(reversed_kernel, s + 1))
+        B2 = B[S2]
+        for lam, V, res in chunks:
+            lams.append(lam)
+            PTs.append(V.T @ A1BT)
+            Ws.append(cutoff.profile(lam)[:, None] * ((B2 @ V).conj().T @ Z2))
+            eig_residual = max(eig_residual, float(res.max(initial=0.0)))
+    lam, P, W = np.concatenate(lams), np.vstack(PTs).T, np.vstack(Ws)
     sup = 0.0
     rows = []
-    t_prev = 0.0
     for t in t_grid:
         t0 = time.perf_counter()
-        dt = t - t_prev
-        terms = 0
-        if dt > 0:
-            plan = ChebyshevPlan.for_evolution(H, dt)
-            Z = plan.apply(H, Z)
-            terms = plan.n_terms
-        t_prev = t
-        Y = (b1[:, None] * np.fft.ifft(c1[:, None] * np.fft.fft(Z, axis=0), axis=0))[S1, :]
-        val = float(np.sqrt(max(np.linalg.eigvalsh(Y.conj().T @ Y)[-1], 0.0)))
+        Y = P @ (np.exp(-1j * t * lam)[:, None] * W)
+        val = float(np.sqrt(np.linalg.eigvalsh(Y.conj().T @ Y).max(initial=0.0)))
         sup = max(sup, val)
-        rows.append({"t": float(t), "norm": val, "chebyshev_terms": terms, "columns": k,
-                     "seconds": time.perf_counter() - t0})
+        rows.append({"t": float(t), "norm": val, "chebyshev_terms": 0, "columns": k,
+                     "seconds": time.perf_counter() - t0, "rank": len(lam),
+                     "eig_residual": eig_residual})
     return sup, rows
-

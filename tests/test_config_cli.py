@@ -153,6 +153,25 @@ def test_calculus_recipe_runs_green(tmp_path):
     assert len(rows) >= 6
 
 
+def test_calculus_multiplier_checks_follow_model_dim(tmp_path, monkeypatch):
+    # the multiplier and weight checks run on a box of the model's dimension;
+    # in d = 2 the e^{i xi_1} multiplier shifts along the first axis
+    import latscat.cli as cli
+
+    cfg = parse_config("[model]\ndim = 2\npotential = none\n\n"
+                       "[probe]\nkind = calculus\nlambda = 1.0\n")
+    boxes = []
+    for name in ("fourier_multiplier", "position_weight"):
+        def recorded(arg, box, _f=getattr(cli, name)):
+            boxes.append(box)
+            return _f(arg, box)
+        monkeypatch.setattr(cli, name, recorded)
+    assert run(cfg, out_dir=tmp_path, quiet=True) == EXIT_OK
+    assert len(boxes) == 4 and all(box.dim == 2 for box in boxes)
+    rows = list(csv.reader(io.StringIO((tmp_path / "results.csv").read_text())))
+    assert [r[3] for r in rows[1:]] == ["1"] * 6
+
+
 def test_free_kernel_recipe_and_manifest(tmp_path):
     cfg = parse_config(recipe_config("free-resolvent-oracle"))
     code = run(cfg, out_dir=tmp_path, quiet=True)

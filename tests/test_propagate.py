@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
+from latscat.cli import EXIT_NUMERICAL, run
+from latscat.config import parse_config
 from latscat.geometry import KernelPoint, make_bump_pair
 from latscat.model import (LinearMap, ModelConfig, Potential, Stencil, compose_maps,
                            laplacian_stencil)
@@ -9,6 +12,7 @@ from latscat.propagate import (ChebyshevPlan, EnclosureError, EnergyCutoff, evol
                                local_decay_probe, propagation_probe, shell_speed_max,
                                _propagation_sup)
 from latscat.quantize import op_h, operator_norm
+from latscat.recipes import recipe_config
 from latscat.symbols import Symbol
 
 
@@ -18,7 +22,7 @@ def small_H(free_model):
 
 
 def f_of_H(H, cutoff, u):
-    """f(H) u through the plan the propagation probe applies."""
+    """f(H) u through the Chebyshev plan of the cutoff profile."""
     return ChebyshevPlan.for_function(H, cutoff.profile).apply(H, u)
 
 
@@ -144,7 +148,7 @@ def _full_eigh_local_decay(H, cutoff, nu, t_grid):
 D2_LONGRANGE = ModelConfig(stencil=laplacian_stencil(2),
                            potential=Potential(mu=0.5, amplitude=0.5, form="power_law"))
 # an odd potential: H does not commute with n -> -n, so local decay keeps it
-# one block on the tridiagonal (MRRR) route
+# one block on the tridiagonal (sterf + dstein) route
 D1_DIPOLE = ModelConfig(stencil=laplacian_stencil(1),
                         potential=Potential(mu=0.5, amplitude=0.5, form="dipole"))
 # three d = 1 models that local decay must send to the dense eigensolver:
@@ -183,24 +187,30 @@ def test_local_decay_matches_full_eigh(request, model, radius, t_grid):
 
 
 def _record_eigensolves(monkeypatch):
-    """Wrap the two eigensolvers the local-decay probe may call; the returned
-    list gets (name, evals, eigenvectors) per call."""
+    """Wrap the entry points of the window eigensolver: the full tridiagonal
+    spectrum, the dense eigensolver and the inverse iteration. The returned
+    list gets (name, args, result) per call."""
     calls = []
-    for name in ("eigh_tridiagonal", "eigh"):
-        def recorded(*args, _name=name, _solver=getattr(sla, name), **kwargs):
-            evals, Q = _solver(*args, **kwargs)
-            calls.append((_name, evals, Q))
-            return evals, Q
-        monkeypatch.setattr(sla, name, recorded)
+    for module, name in ((sla, "eigvalsh_tridiagonal"), (sla, "eigh"), (lapack, "dstein")):
+        def recorded(*args, _name=name, _solver=getattr(module, name), **kwargs):
+            out = _solver(*args, **kwargs)
+            calls.append((_name, args, out))
+            return out
+        monkeypatch.setattr(module, name, recorded)
     return calls
 
 
+def _eigensolves(calls):
+    """The one spectrum-level call per block, without the dstein chunks."""
+    return [name for name, _, _ in calls if name != "dstein"]
+
+
 @pytest.mark.parametrize("model, radius, solves", [
-    ("free_model", 24, ["eigh_tridiagonal"] * 2),
-    ("longrange_model", 24, ["eigh_tridiagonal"] * 2),
+    ("free_model", 24, ["eigvalsh_tridiagonal"] * 2),
+    ("longrange_model", 24, ["eigvalsh_tridiagonal"] * 2),
     (D1_BANDWIDTH2, 24, ["eigh"] * 2),
     (D2_LONGRANGE, 8, ["eigh"] * 2),
-    (D1_DIPOLE, 24, ["eigh_tridiagonal"]),
+    (D1_DIPOLE, 24, ["eigvalsh_tridiagonal"]),
     (D1_TWISTED, 24, ["eigh"]),
     (D1_FLUX, 24, ["eigh"]),
 ], ids=["free", "longrange", "bandwidth2", "d2-longrange", "dipole", "twisted", "flux"])
@@ -213,21 +223,27 @@ def test_local_decay_splits_reflection_symmetric_h(request, monkeypatch, model, 
     calls = _record_eigensolves(monkeypatch)
     local_decay_probe(model, EnergyCutoff(lam=1.0, eps_f=0.25), nu=3.0,
                       t_grid=np.geomspace(0.5, 4.0, 8), box_radius=radius)
-    assert [name for name, _, _ in calls] == solves
+    assert _eigensolves(calls) == solves
 
 
-def test_local_decay_mrrr_eigenvector_certificate(longrange_model, monkeypatch):
-    # MRRR (LAPACK stemr) is weaker on clustered spectra than inverse
-    # iteration: certify, at the recipe box, the eigenpairs of the two
-    # halves the probe solved against the dense spectrum of H
+def test_local_decay_dstein_eigenvector_certificate(longrange_model, monkeypatch):
+    # inverse iteration in chunks does not reorthogonalize one chunk against
+    # another: certify, at the recipe box, the eigenpairs of the two halves
+    # the probe solved against the dense spectrum of H, with every chunk of
+    # a half orthogonal to every other
     cutoff = EnergyCutoff(lam=1.0, eps_f=0.25)
     calls = _record_eigensolves(monkeypatch)
     res = local_decay_probe(longrange_model, cutoff, nu=3.0,
                             t_grid=np.geomspace(10.0, 200.0, 8), box_radius=512)
-    assert [name for name, _, _ in calls] == ["eigh_tridiagonal"] * 2
-    for _, _, Q in calls:
+    assert _eigensolves(calls) == ["eigvalsh_tridiagonal"] * 2
+    # dstein's arguments start with the diagonal: 513 entries (even half), 512 (odd)
+    chunks = [(len(args[0]), out[0]) for name, args, out in calls if name == "dstein"]
+    for size in (513, 512):
+        Q = np.hstack([z for n, z in chunks if n == size])
+        assert Q.shape[1] > 64
         assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max() <= 1e-12
-    halves = np.sort(np.concatenate([ev for _, ev, _ in calls]))
+    halves = np.sort(np.concatenate([ev for name, _, ev in calls
+                                     if name == "eigvalsh_tridiagonal"]))
     halves = halves[cutoff.profile(halves) != 0.0]
     dense = np.linalg.eigvalsh(longrange_model.assemble(512, with_cap=False).dense())
     dense = dense[cutoff.profile(dense) != 0.0]
@@ -280,6 +296,18 @@ def test_prescaled_recurrence_matches_generic_map(small_H, rng):
             assert np.array_equal(u, before)
 
 
+def _dense_propagation_norms(H, a1, a2, h, cutoff, t_values, to_dense):
+    """Oracle: ||Op^h(a1) e^{-itH} f(H) Op^h(a2)|| per t from every
+    eigenpair of the dense H and one full SVD per t."""
+    A1 = to_dense(op_h(a1, h, H.box, check_resolution=False))
+    A2 = to_dense(op_h(a2, h, H.box, check_resolution=False))
+    Hd = to_dense(H)
+    evals, Q = np.linalg.eigh((Hd + Hd.conj().T) / 2)
+    fH = Q @ (cutoff.profile(evals)[:, None] * Q.conj().T)
+    return np.array([np.linalg.svd(A1 @ (Q * np.exp(-1j * t * evals)) @ Q.conj().T @ fH @ A2,
+                                   compute_uv=False)[0] for t in t_values])
+
+
 def test_propagation_offshell_case(free_model, to_dense):
     # a2 localized off the cutoff support (p0(0) = 0, supp f = [0.5, 1.5]):
     # the functional-calculus sandwich is small and shrinks fast in h.
@@ -292,26 +320,68 @@ def test_propagation_offshell_case(free_model, to_dense):
     tg = np.r_[0.0, 1.0, 4.0, np.geomspace(8.0, 50.0, 12)]
     sup, rows = _propagation_sup(H, a1, a2, 0.125, cutoff, tg)
     assert sup <= 2e-2
-    # dual route: the finite-rank column path equals the dense oracle
-    A1 = to_dense(op_h(a1, 0.125, H.box, check_resolution=False))
-    A2 = to_dense(op_h(a2, 0.125, H.box, check_resolution=False))
-    Hd = to_dense(H)
-    evals, Q = np.linalg.eigh((Hd + Hd.conj().T) / 2)
-    fH = Q @ (cutoff.profile(evals)[:, None] * Q.conj().T)
-    U4 = Q @ (np.exp(-1j * 4.0 * evals)[:, None] * Q.conj().T)
-    oracle_t4 = np.linalg.svd(A1 @ U4 @ fH @ A2, compute_uv=False)[0]
-    got_t4 = [r["norm"] for r in rows if r["t"] == 4.0][0]
-    assert got_t4 == pytest.approx(oracle_t4, rel=1e-9)
-    # every t row, not only t = 4
-    for r in rows:
-        Ut = Q @ (np.exp(-1j * r["t"] * evals)[:, None] * Q.conj().T)
-        oracle = np.linalg.svd(A1 @ Ut @ fH @ A2, compute_uv=False)[0]
-        assert abs(r["norm"] - oracle) <= 1e-11
+    # dual route: the finite-rank path equals the dense oracle at every t row
+    oracle = _dense_propagation_norms(H, a1, a2, 0.125, cutoff, [r["t"] for r in rows],
+                                      to_dense)
+    got = np.array([r["norm"] for r in rows])
+    assert got[tg == 4.0][0] == pytest.approx(oracle[tg == 4.0][0], rel=1e-9)
+    assert np.abs(got - oracle).max() <= 1e-11
     # rapid shrink: two h-halvings gain a factor >= 30 (frozen: 9.7e-3 -> 1.6e-4)
     H32 = free_model.assemble(256, with_cap=False)
     sup32, _ = _propagation_sup(H32, a1, a2, 0.03125, cutoff,
                                 np.r_[0.0, np.geomspace(0.5, 200.0, 15)])
     assert sup32 <= sup / 30.0
+
+
+@pytest.mark.parametrize("model, solves", [
+    (D1_DIPOLE, ["eigvalsh_tridiagonal"]),
+    (D1_TWISTED, ["eigh"]),
+], ids=["dipole-one-block", "twisted-dense"])
+def test_propagation_sup_matches_dense_oracle_on_other_routes(monkeypatch, to_dense, model,
+                                                              solves):
+    # the window eigensolver's other routes: an odd potential keeps H one
+    # tridiagonal block, complex hops send it to the dense eigensolver
+    cutoff = EnergyCutoff(lam=1.0, eps_f=0.25)
+    H = model.assemble(48, with_cap=False)
+    a1, a2 = make_bump_pair((2.0, np.pi / 2), (-1.5, -np.pi / 2), 0.5, 0.4)
+    tg = np.r_[0.0, 1.0, np.geomspace(2.0, 30.0, 8)]
+    calls = _record_eigensolves(monkeypatch)
+    _, rows = _propagation_sup(H, a1, a2, 0.25, cutoff, tg)
+    assert _eigensolves(calls) == solves
+    oracle = _dense_propagation_norms(H, a1, a2, 0.25, cutoff, tg, to_dense)
+    assert oracle.max() >= 1e-3
+    assert np.abs(np.array([r["norm"] for r in rows]) - oracle).max() <= 1e-11
+    assert rows[0]["rank"] == np.count_nonzero(cutoff.profile(np.linalg.eigvalsh(H.dense())))
+    assert rows[0]["eig_residual"] <= 1e-12
+
+
+def _broken_dstein(monkeypatch, fault):
+    """Replace dstein by one whose chunks carry `fault`: a nonzero info, or
+    1e-7 of each eigenvector's neighbour mixed in."""
+    dstein = lapack.dstein
+
+    def broken(*args):
+        z, info = dstein(*args)
+        if fault == "info":
+            return z, 1
+        z = z + 1e-7 * np.roll(z, 1, axis=1)
+        return z / np.linalg.norm(z, axis=0), info
+    monkeypatch.setattr(lapack, "dstein", broken)
+
+
+@pytest.mark.parametrize("fault", ["info", "perturbed"])
+def test_window_eigenpairs_certificate_failures(monkeypatch, tmp_path, free_model, fault):
+    # a chunk that fails its certificate raises LinAlgError: exit 3 from the CLI
+    _broken_dstein(monkeypatch, fault)
+    cutoff = EnergyCutoff(lam=1.0, eps_f=0.25)
+    H = free_model.assemble(48, with_cap=False)
+    a1, a2 = make_bump_pair((2.0, np.pi / 2), (-1.5, -np.pi / 2), 0.5, 0.4)
+    with pytest.raises(np.linalg.LinAlgError, match="certificate"):
+        _propagation_sup(H, a1, a2, 0.25, cutoff, np.array([0.0, 1.0]))
+    with pytest.raises(np.linalg.LinAlgError, match="certificate"):
+        local_decay_probe(free_model, cutoff, nu=3.0, t_grid=[1.0, 2.0], box_radius=48)
+    cfg = parse_config(recipe_config("prop31-offset"))
+    assert run(cfg, out_dir=tmp_path, quiet=True) == EXIT_NUMERICAL
 
 
 def test_propagation_sup_rejects_non_separable(small_H):
@@ -374,7 +444,8 @@ def test_shell_speed(free_model):
 
 def test_f_of_h_rejects_cap(longrange_model, rng):
     # a real-interval Chebyshev series does not enclose a CAP spectrum, so
-    # f(H) and e^{-itH} both refuse a CAP Hamiltonian, at t = 0 too
+    # f(H) and e^{-itH} both refuse a CAP Hamiltonian, at t = 0 too; so does
+    # the propagation probe, whose eigensolvers need a hermitian H
     H = longrange_model.assemble(24)
     cutoff = EnergyCutoff(lam=1.0, eps_f=0.25)
     u = rng.standard_normal(H.dim)
@@ -383,6 +454,9 @@ def test_f_of_h_rejects_cap(longrange_model, rng):
     for t in (0.0, 30.0):
         with pytest.raises(ValueError, match="hermitian"):
             evolve(H, u, t)
+    a1, a2 = make_bump_pair((2.0, np.pi / 2), (-1.5, -np.pi / 2), 0.5, 0.4)
+    with pytest.raises(ValueError, match="hermitian"):
+        _propagation_sup(H, a1, a2, 0.25, cutoff, np.array([0.0]))
 
 
 def test_f_of_h_flat_cutoff_is_identity(small_H, rng):
