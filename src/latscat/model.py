@@ -329,17 +329,14 @@ class LatticeHamiltonian(LinearMap):
     def adjoint_apply(self, u):
         return self._matrix(-1) @ np.asarray(u)
 
-    def _matrix(self, cap_sign: int, center: float = 0.0, scale: float = 1.0) -> sp.csr_array:
-        """scale * (H0 + V - center - i cap_sign W) as CSR, assembled on first
-        use and cached per argument: the d=1 banded solves never need it, and
-        the Chebyshev recurrence applies (2/r)(H - c) in one product."""
+    def _matrix(self, cap_sign: int) -> sp.csr_array:
+        """H0 + V - i cap_sign W as CSR, assembled on first use and cached per
+        CAP sign: the d=1 banded solves never need it."""
         if self.cap is None:
             cap_sign = 0
-        key = (cap_sign, center, scale)
-        if key not in self._csr:
-            M = self._assemble(self._shifted_diag(center, cap_sign, 0.0))
-            self._csr[key] = M if scale == 1.0 else scale * M
-        return self._csr[key]
+        if cap_sign not in self._csr:
+            self._csr[cap_sign] = self._assemble(self._shifted_diag(0.0, cap_sign, 0.0))
+        return self._csr[cap_sign]
 
     def _shifted_diag(self, shift: complex, branch_sign: int, eps: float) -> np.ndarray:
         """Diagonal of H0 + V - shift -/+ i(eps + W): branch_sign=+1 gives

@@ -14,7 +14,6 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg import lapack
 from scipy.linalg.blas import ztrmm
-from scipy.sparse import _sparsetools
 from scipy.special import jv
 
 from .escape import DEFAULT_PHI
@@ -111,75 +110,30 @@ class ChebyshevPlan:
         return len(self.coeffs)
 
     def apply(self, H: LinearMap, u, adjoint: bool = False):
-        """Sum c_k T_k((H-c)/r) u with a divergence monitor on the iterates.
-
-        The recurrence runs on U_k = s_k T_k with s_k = (-1)^floor(k/2), for
-        which T_{k+1} = A T_k - T_{k-1}, A = (2/r)(H - c), becomes
-        U_{k+1} = U_{k-1} + (-1)^k A U_k, and the sum takes s_k c_k U_k. Each
-        term accumulates A U_k in place into the buffer that holds U_{k-1}
-        (a LatticeHamiltonian keeps A as a cached CSR matrix, applied as a
-        real matrix when its entries are real) and adds one scaled iterate to
-        the sum; no term allocates. u is left unchanged.
+        """Sum c_k T_k(A) u, A = (H - c)/r, by T_{k+1} = 2A T_k - T_{k-1}
+        (H* and the conjugate coefficients for the adjoint), through H.apply
+        or H.adjoint_apply. Raises EnclosureError when an iterate grows past
+        50 ||u||, checked every 64th term and at the last. u is left unchanged.
         """
         co = np.conj(self.coeffs) if adjoint else self.coeffs
-        co = co * np.array([1, 1, -1, -1])[np.arange(len(co)) % 4]
-        accumulate = _recurrence_operator(H, self.center, self.radius, adjoint)
-        # a C-contiguous copy: the recurrence overwrites it, and the CSR kernel
-        # reads and writes its buffers as flat arrays
-        U0 = np.array(u, dtype=complex, order="C")
-        acc = co[0] * U0
-        if len(co) == 1:
-            return acc
-        U1 = np.zeros_like(U0)
-        accumulate(U0, U1, +1)
-        U1 *= 0.5
-        scratch = np.empty_like(acc)
-        acc += np.multiply(U1, co[1], out=scratch)
-        cap = 50.0 * np.linalg.norm(U0) + 1e-300
-        for k in range(2, len(co)):
-            accumulate(U1, U0, -1 if k % 2 == 0 else +1)
-            U0, U1 = U1, U0
-            acc += np.multiply(U1, co[k], out=scratch)
-            if k % 64 == 0 and np.linalg.norm(U1) > cap:
+        Hap = H.adjoint_apply if adjoint else H.apply
+        c, r = self.center, self.radius
+        T_prev, T = 0.0, np.asarray(u, dtype=complex)
+        acc = co[0] * T
+        cap = 50.0 * np.linalg.norm(T) + 1e-300
+        for k in range(1, len(co)):
+            # the first step is T_1 = A T_0 (T_prev = 0)
+            T_prev, T = T, (2.0 if k > 1 else 1.0) / r * (Hap(T) - c * T) - T_prev
+            acc += co[k] * T
+            if (k % 64 == 0 or k == len(co) - 1) and np.linalg.norm(T) > cap:
                 raise EnclosureError("Chebyshev iterates grow: enclosure violated")
         return acc
 
 
-def _recurrence_operator(H: LinearMap, c: float, r: float, adjoint: bool) -> Callable:
-    """(X, Y, sign) -> Y += sign (2/r)(H - c) X in place (H* for the adjoint)."""
-    if isinstance(H, LatticeHamiltonian):
-        A = H._matrix(-1 if adjoint else +1, center=c, scale=2.0 / r)
-        data = A.data if np.any(A.data.imag) else A.data.real.copy()
-        signed = {+1: data, -1: -data}
-        return lambda X, Y, sign: _csr_accumulate(A, signed[sign], X, Y)
-    Hap = H.adjoint_apply if adjoint else H
-
-    def accumulate(X, Y, sign):
-        Y += (sign * 2.0 / r) * (Hap(X) - c * X)
-    return accumulate
-
-
-def _csr_accumulate(A, data, X: np.ndarray, Y: np.ndarray) -> None:
-    """Y += A X in place, with `data` standing in for A.data.
-
-    scipy's own A @ X runs this kernel (csr_matvecs) on a freshly zeroed
-    result; calling it directly accumulates into Y and allocates nothing.
-    The kernel reads X and writes Y as flat C-ordered arrays and ignores
-    strides, so both must be C-contiguous complex blocks of N rows. Real
-    data runs on their float64 views, each complex column being two real
-    columns, which halves the arithmetic.
-    """
-    if not (X.flags.c_contiguous and Y.flags.c_contiguous and X.dtype == Y.dtype == complex):
-        raise ValueError("the CSR accumulate needs C-contiguous complex blocks")
-    if data.dtype.kind == "f":
-        X, Y = X.view(np.float64), Y.view(np.float64)
-    n = A.shape[0]
-    _sparsetools.csr_matvecs(n, A.shape[1], X.size // n, A.indptr, A.indices, data,
-                             X.reshape(-1), Y.reshape(-1))
-
-
 def evolve(H: LatticeHamiltonian, u, t: float):
-    """e^{-itH} u for hermitian H via the Chebyshev/Bessel expansion.
+    """e^{-itH} u for hermitian H via the Chebyshev/Bessel expansion: one
+    H.apply per term, and EnclosureError when the iterates outgrow the
+    enclosure (ChebyshevPlan.apply).
 
     t < 0 is rejected (evolve with the adjoint instead), and so is a CAP
     Hamiltonian: its spectrum leaves the real interval the series is built

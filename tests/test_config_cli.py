@@ -109,6 +109,16 @@ convergence_tol = 1e-9
     assert run(cfg, out_dir=tmp_path, quiet=True) == EXIT_NUMERICAL
 
 
+def test_violated_enclosure_exits_numerical(tmp_path, monkeypatch):
+    # an enclosure that misses the spectrum makes the short evolve plans of
+    # the calculus checks diverge: exit 3 names it, not a failed criterion
+    from latscat.model import LatticeHamiltonian
+
+    monkeypatch.setattr(LatticeHamiltonian, "spectral_interval", lambda self: (0.9, 1.1))
+    assert main(["run", "--recipe", "calculus-invariants", "--out", str(tmp_path)]) \
+        == EXIT_NUMERICAL
+
+
 def test_local_decay_outside_the_band_is_a_config_error(tmp_path):
     # supp f = [4.5, 5.5] misses the band [0, 2]: no shell speed, no run
     cfg = tmp_path / "outside.ini"

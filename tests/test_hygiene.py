@@ -1,5 +1,5 @@
-"""Source hygiene: no unused imports, every script still matches the API, and
-the benchmark still binds what it uses.
+"""Source hygiene: no unused imports, no private numpy/scipy modules, every
+script still matches the API, and the benchmark still binds what it uses.
 
 No linter is a dependency, so the checks use `ast` and `importlib`.
 """
@@ -43,6 +43,37 @@ def test_unused_import_scan_flags_a_stray_import(tmp_path):
     src.write_text("from __future__ import annotations\nimport os\nimport numpy as np\n"
                    "from math import pi, tau\nx = np.zeros(1) * pi\n")
     assert _unused_imports(src) == [(2, "os"), (4, "tau")]
+
+
+def _private_imports(path: Path):
+    """(line, dotted name) of each numpy/scipy import with a component that
+    starts with '_', in the module path or in an imported name."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        found += [(node.lineno, n) for n in names if n.split(".")[0] in ("numpy", "scipy")
+                  and any(part.startswith("_") for part in n.split("."))]
+    return found
+
+
+def test_no_private_numpy_scipy_imports():
+    # private modules change without notice between releases
+    private = [f"{p.relative_to(ROOT)}:{line} {name}"
+               for p in sorted((ROOT / "src").rglob("*.py")) for line, name in _private_imports(p)]
+    assert private == []
+
+
+def test_private_import_scan_flags_private_modules(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("from scipy.sparse import _sparsetools\nimport numpy._core as c\n"
+                   "from scipy.linalg import lapack\nfrom scipy.linalg.blas import ztrmm\n"
+                   "from ._helpers import f\nimport numpy.linalg\n")
+    assert _private_imports(src) == [(1, "scipy.sparse._sparsetools"), (2, "numpy._core")]
 
 
 def _load_script(path: Path):

@@ -71,10 +71,13 @@ def test_enclosure_violation_detected(small_H, rng):
     u = rng.standard_normal(small_H.dim) + 1j * rng.standard_normal(small_H.dim)
     bad = LinearMap(small_H.dim, lambda w: 10.0 * small_H(w),
                     lambda w: 10.0 * small_H.adjoint_apply(w), hermitian=True)
-    # borrow the plan of the mild H but apply the scaled operator
-    plan = ChebyshevPlan.for_evolution(small_H, 40.0)
-    with pytest.raises(EnclosureError):
-        plan.apply(bad, u)
+    # borrow the plans of the mild H but apply the scaled operator; the
+    # 13-term plan is caught only by the check on the last iterate
+    for t, n_terms in ((40.0, 73), (1.0, 13)):
+        plan = ChebyshevPlan.for_evolution(small_H, t)
+        assert plan.n_terms == n_terms
+        with pytest.raises(EnclosureError):
+            plan.apply(bad, u)
 
 
 def test_f_of_h_idempotence_and_eigvec(free_model, rng, to_dense):
@@ -267,15 +270,14 @@ def test_local_decay_d2_guard():
         local_decay_probe(D2_LONGRANGE, cutoff, nu=3.0, t_grid=[1.0], box_radius=33)
 
 
-def test_prescaled_recurrence_matches_generic_map(small_H, rng):
-    # the in-place CSR accumulate on the cached (2/r)(H - c) against the same
-    # plan through a plain LinearMap: real entries (free model) and complex
-    # hops (the real and complex views of the kernel), vector and block
-    # inputs in C order, Fortran order and as a strided column slice
+def test_recurrence_matches_dense_oracle(small_H, rng):
+    # every plan against sum_k c_k T_k((lam - c)/r) on the dense eigenpairs:
+    # real entries (free model) and complex hops, vector and block inputs in
+    # C order, Fortran order and as a strided column slice, forward and adjoint
     H_twisted = D1_TWISTED.assemble(24, with_cap=False)
-    assert np.any(H_twisted._matrix(+1).data.imag)
+    assert np.any(H_twisted.dense().imag)
     for H in (small_H, H_twisted):
-        plain = LinearMap(H.dim, H, H.adjoint_apply, hermitian=True)
+        evals, Q = np.linalg.eigh(H.dense())
         wide = rng.standard_normal((H.dim, 6)) + 1j * rng.standard_normal((H.dim, 6))
         block = np.ascontiguousarray(wide[:, :3])
         inputs = (block[:, 0].copy(), block, np.asfortranarray(block), wide[:, ::2])
@@ -288,9 +290,12 @@ def test_prescaled_recurrence_matches_generic_map(small_H, rng):
         for u in inputs:
             before = u.copy()
             for plan in plans:
+                p_lam = np.polynomial.chebyshev.chebval((evals - plan.center) / plan.radius,
+                                                        plan.coeffs)
                 for adjoint in (False, True):
+                    mult = np.conj(p_lam) if adjoint else p_lam
+                    ref = Q @ (mult.reshape(-1, *[1] * (u.ndim - 1)) * (Q.conj().T @ u))
                     got = plan.apply(H, u, adjoint=adjoint)
-                    ref = plan.apply(plain, u, adjoint=adjoint)
                     assert got.shape == u.shape
                     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(u)
             assert np.array_equal(u, before)
