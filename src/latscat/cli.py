@@ -86,7 +86,6 @@ def _run_wf(cfg: ExperimentConfig, jobs, seed):
     model = cfg.model_config()
     kp = KernelPoint(p["x1"], p["xi1"], -p["x2"], p["xi2"])
     res = wf_probe(model, kp, _lap_from(cfg), p["h_list"], p["delta1"], p["delta2"],
-                   norm_tol=cfg.numerics["norm_tol"],
                    classify_grid=cfg.numerics["classify_grid"], jobs=jobs, seed=seed)
     crit = []
     want_decay = p["expect"] == "decay"
@@ -95,6 +94,9 @@ def _run_wf(cfg: ExperimentConfig, jobs, seed):
                f"classify distances {res.report.distances}")
     _fit_criteria(crit, p, res.fit, "fitted slope")
     header, rows = _lap_table("h", res)
+    header.append("columns")
+    for row, r in zip(rows, res.rows):
+        row.append(r.columns)
     extras = {"fit": {"slope": res.fit.slope, "intercept": res.fit.intercept,
                       "max_residual": res.fit.max_residual},
               "box_radius": res.box_radius,

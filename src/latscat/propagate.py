@@ -20,7 +20,7 @@ from .escape import DEFAULT_PHI
 from .geometry import KernelPoint, kernel_point_setup
 from .model import (EmptyShellError, LatticeHamiltonian, LinearMap, ModelConfig,
                     momentum_grid_scan)
-from .quantize import sampled_terms
+from .quantize import sampled_terms, support_gram_factor, support_rows
 from .resolvent import DecayFit, _pmap
 from .symbols import Symbol
 
@@ -384,10 +384,10 @@ def _propagation_sup(H: LatticeHamiltonian, a1: Symbol, a2: Symbol, h: float,
     """Exact finite-rank norms of Op^h(a1) e^{-itH} f(H) Op^h(a2) on t_grid.
 
     Both symbols must be one-term symbols with finite x-support. With E the
-    injection of the support S2 of the right symbol and G = Q Lam Q* the
-    gram of Op^h(a2) on S2, the norm at t is sigma_max of
-    Op^h(a1) e^{-itH} f(H) E Z2, Z2 = Q_k Lam_k^{1/2}, where k keeps the
-    eigenvalues above 1e-13 * max Lam. f(H) has compact support, so with
+    injection of the support S2 of the right symbol and Z2 the k-column
+    gram factor of Op^h(a2) on S2 (quantize.support_gram_factor), the norm
+    at t is sigma_max of Op^h(a1) e^{-itH} f(H) E Z2. f(H) has compact
+    support, so with
     (lam_j, q_j), j = 1..m, the eigenpairs of H where f != 0
     (_window_eigenpairs) that operator is P diag(e^{-it lam}) W: P has the
     columns Op^h(a1) q_j on the support S1 of the left symbol, and
@@ -403,24 +403,13 @@ def _propagation_sup(H: LatticeHamiltonian, a1: Symbol, a2: Symbol, h: float,
     [(b1, c1)] = sampled_terms(a1, h, box)
     [(b2, c2)] = sampled_terms(a2, h, box)
     S1 = np.nonzero(np.abs(b1) > 0.0)[0]
-    S2 = np.nonzero(np.abs(b2) > 0.0)[0]
-    N = box.site_count
-    K2 = np.fft.ifft(np.abs(c2) ** 2)
-    gram = (b2[S2, None] * np.conj(b2[S2][None, :])) * K2[(S2[:, None] - S2[None, :]) % N]
-    g_vals, Q = np.linalg.eigh((gram + gram.conj().T) / 2.0)
-    keep = g_vals > 1e-13 * g_vals.max(initial=0.0)
-    k = int(np.count_nonzero(keep))
-    Z2 = Q[:, keep] * np.sqrt(g_vals[keep])
-    # row s of Op^h(a1) = diag(b1) C, with C the circulant of ifft(c1), is
-    # b1[s] ifft(c1)[(s - n) mod N] = b1[s] np.roll(ifft(c1)[::-1], s + 1)[n]
-    reversed_kernel = np.fft.ifft(c1)[::-1]
+    S2, Z2 = support_gram_factor(b2, c2)
+    k = Z2.shape[1]
     lams, PTs, Ws = [np.empty(0)], [np.empty((0, len(S1)))], [np.empty((0, k))]
     eig_residual = 0.0
     for B, chunks in _window_eigenpairs(H, cutoff):
-        # (rows S1 of Op^h(a1) B)^T, one sparse product per row: no N x |S1| array
-        BT, A1BT = B.T, np.empty((B.shape[1], len(S1)), dtype=complex)
-        for i, s in enumerate(S1):
-            A1BT[:, i] = b1[s] * (BT @ np.roll(reversed_kernel, s + 1))
+        # (rows S1 of Op^h(a1) B)^T, one sparse product per row
+        A1BT = support_rows(b1, c1, S1, B.T)
         B2 = B[S2]
         for lam, V, res in chunks:
             lams.append(lam)

@@ -1,5 +1,6 @@
 """Semiclassical quantization Op^h(a) on the box, Fourier multipliers,
-position weights, and matrix-free operator-norm estimation."""
+position weights, finite-rank factors of one-term d = 1 operators, and
+matrix-free operator-norm estimation."""
 
 from __future__ import annotations
 
@@ -153,6 +154,34 @@ def op_h(a: Symbol, h: float, box: Box, check_resolution: bool = True) -> Linear
                                            for bc, cc in conj)), box)
 
     return LinearMap(box.site_count, fwd, adj, label="Op^h(a)")
+
+
+def support_gram_factor(b: np.ndarray, c: np.ndarray):
+    """(S, Z) for the d = 1 one-term operator A = diag(b) c(D) of sampled
+    factors b, c: S the sites where b != 0, and Z, |S| x k, with Z Z* the
+    gram A A* on S, Z = Q_k Lam_k^{1/2} from its eigenpairs above
+    1e-13 of the largest. So A = E_S Z U* for a partial isometry U, and
+    ||X A|| = ||X E_S Z|| for every X, up to the dropped eigenvalues: a
+    norm below ~1e-7 of ||A|| is not resolved."""
+    S = np.nonzero(np.abs(b) > 0.0)[0]
+    K = np.fft.ifft(np.abs(c) ** 2)
+    gram = (b[S, None] * np.conj(b[S][None, :])) * K[(S[:, None] - S[None, :]) % len(b)]
+    g_vals, Q = np.linalg.eigh((gram + gram.conj().T) / 2.0)
+    keep = g_vals > 1e-13 * g_vals.max(initial=0.0)
+    return S, Q[:, keep] * np.sqrt(g_vals[keep])
+
+
+def support_rows(b: np.ndarray, c: np.ndarray, S: np.ndarray, XT) -> np.ndarray:
+    """(rows S of diag(b) c(D)) X, transposed, from XT = X^T (dense or
+    sparse): shape (XT.shape[0], |S|). Row s of diag(b) c(D) is
+    b[s] ifft(c)[(s - n) mod N], a window of ifft(c) reversed and repeated
+    twice: one product per row, and no N x |S| array is built."""
+    N = len(c)
+    kernel = np.tile(np.fft.ifft(c)[::-1], 2)
+    out = np.empty((XT.shape[0], len(S)), dtype=complex)
+    for i, s in enumerate(S):
+        out[:, i] = b[s] * (XT @ kernel[N - 1 - s:2 * N - 1 - s])
+    return out
 
 
 def operator_norm(A: LinearMap, tol: float = 1e-2, max_iter: int = 600,

@@ -14,7 +14,8 @@ import scipy.sparse.linalg as spla
 from .geometry import KernelPoint, kernel_point_setup, make_cone_symbol
 from .model import (LatticeHamiltonian, LinearMap, ModelConfig, compose_maps,
                     adjoint_map, check_energy_window)
-from .quantize import op_h, operator_norm, position_weight
+from .quantize import (op_h, operator_norm, position_weight, sampled_terms, support_gram_factor,
+                       support_rows)
 from .util import lstsq_loglog, rng
 
 
@@ -83,7 +84,8 @@ class _ShiftedSolver:
     """(H0 + V - lam -/+ i(eps + W))^(-1) and its adjoint.
 
     d = 1: `matrix` is None, and each solve is one LAPACK band
-    factor-plus-solve with partial pivoting.
+    factor-plus-solve with partial pivoting. The band of the adjoint is
+    built from the forward band on the first adjoint solve.
     d >= 2: one sparse LU, factored here, of the complex symmetric CSC
     `matrix`: SuperLU in symmetric mode, a minimum-degree ordering of
     A^T + A, and a diagonal pivot kept unless it is below 0.01 of its
@@ -100,12 +102,18 @@ class _ShiftedSolver:
         self.matrix = None
         if H.box.dim == 1:
             self._ab_f = H.banded(shift=lam, branch_sign=sign, eps=eps)
-            self._ab_a = H.banded(shift=lam, branch_sign=-sign, eps=eps)
+            self._ab_a = None
             self._b = H.stencil.bandwidth
         else:
             self.matrix = H.shifted(lam, sign, eps)
             self._lu = spla.splu(self.matrix, permc_spec="MMD_AT_PLUS_A",
                                  diag_pivot_thresh=0.01, options=dict(SymmetricMode=True))
+
+    def set_diagonal(self, diag):
+        """(d = 1) Replace the band's diagonal: the same solver at another
+        eps of one ladder, whose off-diagonal bands do not depend on eps."""
+        self._ab_f[self._b] = diag
+        self._ab_a = None
 
     def solve(self, rhs):
         rhs = np.asarray(rhs, dtype=complex)
@@ -116,6 +124,14 @@ class _ShiftedSolver:
     def solve_adjoint(self, rhs):
         rhs = np.asarray(rhs, dtype=complex)
         if self.matrix is None:
+            if self._ab_a is None:
+                # M[i, j] sits in ab[b + i - j, j], so with m = i - j
+                # M*[i, j] = conj(M[j, i]) sits in ab*[b + m, j] = conj(ab[b - m, j + m])
+                b, ab, N = self._b, self._ab_f, self._ab_f.shape[1]
+                self._ab_a = np.zeros_like(ab)
+                for m in range(-b, b + 1):
+                    self._ab_a[b + m, max(-m, 0):N - max(m, 0)] = np.conj(
+                        ab[b - m, max(m, 0):N + min(m, 0)])
             return sla.solve_banded((self._b, self._b), self._ab_a, rhs)
         return self._lu.solve(rhs, trans="H")
 
@@ -123,6 +139,8 @@ class _ShiftedSolver:
 def _lap_iterate(H: LatticeHamiltonian, cfg: LAPConfig, rhs):
     """Walk the epsilon ladder until inner-region stabilization.
 
+    d = 1 builds one band per call and rewrites only its diagonal on each
+    later rung; the returned solver holds the converged rung's band.
     Each d >= 2 rung's solve is checked against the matrix it factored:
     ||M u - rhs|| > 1e-10 ||rhs|| raises np.linalg.LinAlgError, the guard
     on the symmetric-mode LU's weak pivoting.
@@ -131,7 +149,10 @@ def _lap_iterate(H: LatticeHamiltonian, cfg: LAPConfig, rhs):
     prev = None
     diffs = []
     for k, eps in enumerate(cfg.epsilon_sequence):
-        sol = _ShiftedSolver(H, cfg.lam, cfg.sign, eps)
+        if k > 0 and H.box.dim == 1:
+            sol.set_diagonal(H._shifted_diag(cfg.lam, cfg.sign, eps))
+        else:
+            sol = _ShiftedSolver(H, cfg.lam, cfg.sign, eps)
         u = sol.solve(rhs)
         if sol.matrix is not None:
             resid, size = np.linalg.norm(sol.matrix @ u - rhs), np.linalg.norm(rhs)
@@ -223,6 +244,7 @@ class ProbeRow:
     norm: float
     iterations: int
     seconds: float
+    columns: int = 0            # k of a finite-rank row
 
 
 def _sandwich_row(key, t0, A_left, H, lap, A_right, norm_tol, seed) -> ProbeRow:
@@ -231,6 +253,37 @@ def _sandwich_row(key, t0, A_left, H, lap, A_right, norm_tol, seed) -> ProbeRow:
                                 seed=seed)
     return ProbeRow(key=key, epsilon=info["epsilon"], norm=sigma,
                     iterations=info["iterations"], seconds=time.perf_counter() - t0)
+
+
+def _finite_rank_row(h, a1, a2, H, lap, seed) -> ProbeRow:
+    """The timed row of ||Op^h(a1) R Op^h(a2)|| at h, exact for one-term
+    d = 1 symbols of finite x-support.
+
+    resolvent_map walks the ladder from the seeded probe Op^h(a2) v, as
+    sandwich_norm does. At the converged eps the norm is sigma_max of
+    K1 R E2 Z2: (S2, Z2) the gram factor of Op^h(a2) (support_gram_factor),
+    so R E2 Z2 is one block solve of k columns, and K1 the rows S1 of
+    Op^h(a1) (support_rows). An empty S1 or k = 0 gives norm 0 at eps None.
+    """
+    t0 = time.perf_counter()
+    op_h(a1, h, H.box)              # for its xi-tail guard
+    A2 = op_h(a2, h, H.box)
+    [(b1, c1)] = sampled_terms(a1, h, H.box)
+    [(b2, c2)] = sampled_terms(a2, h, H.box)
+    S1 = np.nonzero(np.abs(b1) > 0.0)[0]
+    S2, Z2 = support_gram_factor(b2, c2)
+    k = Z2.shape[1]
+    if len(S1) == 0 or k == 0:
+        return ProbeRow(key=h, epsilon=None, norm=0.0, iterations=0,
+                        seconds=time.perf_counter() - t0, columns=k)
+    g = rng(seed)
+    v = g.standard_normal(H.dim) + 1j * g.standard_normal(H.dim)
+    R, eps = resolvent_map(H, lap, probe_rhs=A2(v / np.linalg.norm(v)))
+    E2Z2 = np.zeros((H.dim, k), dtype=complex)
+    E2Z2[S2] = Z2
+    Y = support_rows(b1, c1, S1, R(E2Z2).T)
+    return ProbeRow(key=h, epsilon=eps, norm=float(np.linalg.svd(Y, compute_uv=False)[0]),
+                    iterations=0, seconds=time.perf_counter() - t0, columns=k)
 
 
 @dataclass
@@ -244,16 +297,19 @@ class WfProbeResult:
 
 def wf_probe(model_cfg: ModelConfig, kp: KernelPoint, lap: LAPConfig,
              h_list: Sequence[float], delta1: float, delta2: float,
-             box_radius: Optional[int] = None, norm_tol: float = 1e-2,
-             classify_grid: int = 4096, jobs: int = 1, seed=None) -> WfProbeResult:
+             box_radius: Optional[int] = None, classify_grid: int = 4096, jobs: int = 1,
+             seed=None) -> WfProbeResult:
     """h-decay of ||Op^h(a1) R Op^h(a2)|| at lap.lam for bumps centered on
-    the kernel point: a1 at (x, xi), a2 at (-y, eta).
+    the kernel point: a1 at (x, xi), a2 at (-y, eta); each row's norm is
+    the exact finite-rank norm of _finite_rank_row.
 
     The box radius defaults to max(4 max(|x|,|y|) / min(h), 32); explicit
     boxes below the first term are rejected. classify() at tolerance
     3*delta1 decides whether this is a decay run (point off all singular
     sets of R^lap.sign) or a control run.
     """
+    if model_cfg.stencil.dim != 1:
+        raise NotImplementedError("wf probe implemented for d=1")
     span, report, a1, a2 = kernel_point_setup(kp, model_cfg.stencil, lap.lam, delta1, delta2,
                                               classify_grid)
     h_list = sorted((float(h) for h in h_list), reverse=True)
@@ -264,13 +320,7 @@ def wf_probe(model_cfg: ModelConfig, kp: KernelPoint, lap: LAPConfig,
         raise ValueError(f"box radius {box_radius} below the rule 4*max(|x|,|y|)/h_min = {need}")
     H = model_cfg.assemble(box_radius, with_cap=True)
 
-    def run_h(h):
-        t0 = time.perf_counter()
-        A1 = op_h(a1, h, H.box)
-        A2 = op_h(a2, h, H.box)
-        return _sandwich_row(h, t0, A1, H, lap, A2, norm_tol, seed)
-
-    rows = _pmap(run_h, h_list, jobs)
+    rows = _pmap(lambda h: _finite_rank_row(h, a1, a2, H, lap, seed), h_list, jobs)
     rows.sort(key=lambda r: r.key)
     fit = DecayFit.from_values([r.key for r in rows], [r.norm for r in rows])
     return WfProbeResult(rows=rows, fit=fit, decay_expected=report.outside_all(lap.sign),

@@ -7,10 +7,12 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
+from latscat import quantize
 from latscat.geometry import KernelPoint, make_bump_pair
-from latscat.model import LinearMap, ModelConfig, Potential, laplacian_stencil
+from latscat.model import LinearMap, ModelConfig, Potential, Stencil, laplacian_stencil
 from latscat.quantize import op_h, position_weight
 from latscat.resolvent import (DecayFit, LAPConfig, LAPConvergenceError, _ShiftedSolver,
+                               _finite_rank_row, _lap_iterate,
                                default_epsilon_sequence, free_kernel_1d, ik_probe,
                                lap_solve, one_sided_probe, resolvent_map,
                                sandwich_norm, wf_probe)
@@ -170,6 +172,68 @@ def test_wf_decay_expected_follows_the_branch_sign(free_model, deep_lap):
     assert minus.decay_expected
 
 
+@pytest.fixture()
+def unguarded(monkeypatch):
+    # the finite-rank rows below are checked against a dense oracle of the
+    # same grid-sampled operators, on boxes too small for the delta2 = 0.3
+    # bumps to pass the xi-tail guard; resolution plays no part there
+    monkeypatch.setattr(quantize, "XI_TAIL_ERROR", np.inf)
+
+
+OFFSET_BUMPS = ((4.0, np.pi / 2), (-3.0, -np.pi / 2), 0.6, 0.3)
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("model", ["free_model", "longrange_model"])
+def test_finite_rank_row_matches_dense_svd(request, unguarded, dense_kernel, deep_lap,
+                                           model, sign):
+    # the wf row is sigma_max(A1 M^-1 A2) at the converged eps, M the
+    # shifted matrix of that rung
+    H = request.getfixturevalue(model).assemble(100)
+    lap = dataclasses.replace(deep_lap, sign=sign)
+    a1, a2 = make_bump_pair(*OFFSET_BUMPS)
+    h = 0.125
+    row = _finite_rank_row(h, a1, a2, H, lap, seed=3)
+    M = H.shifted(1.0, sign, row.epsilon).toarray()
+    A1, A2 = dense_kernel(a1, h, H.box), dense_kernel(a2, h, H.box)
+    exact = np.linalg.svd(A1 @ np.linalg.solve(M, A2), compute_uv=False)[0]
+    assert exact >= 1e-4
+    assert row.norm == pytest.approx(exact, rel=1e-10)
+    assert row.iterations == 0 and row.columns == 7
+
+
+def test_finite_rank_row_seed_free(unguarded, free_model, deep_lap):
+    # the seed only picks the ladder's probe: two seeds that converge at
+    # one eps give one norm
+    H = free_model.assemble(100)
+    a1, a2 = make_bump_pair(*OFFSET_BUMPS)
+    r1, r2 = (_finite_rank_row(0.125, a1, a2, H, deep_lap, seed=s) for s in (1, 2))
+    assert r1.epsilon == r2.epsilon is not None
+    assert r1.norm == r2.norm > 0.0
+
+
+def test_wf_and_propagation_share_the_gram_factor(monkeypatch, unguarded, free_model, deep_lap):
+    # one copy of the gram factor serves both finite-rank probes, and the
+    # wf row takes no power iteration
+    from latscat import propagate, resolvent
+    calls = []
+    for mod in (resolvent, propagate):
+        assert mod.support_gram_factor is quantize.support_gram_factor
+        monkeypatch.setattr(mod, "support_gram_factor",
+                            lambda b, c, name=mod.__name__: (calls.append(name),
+                                                            quantize.support_gram_factor(b, c))[1])
+
+    def no_power_iteration(*args, **kwargs):
+        raise AssertionError("operator_norm called")
+
+    monkeypatch.setattr(resolvent, "operator_norm", no_power_iteration)
+    a1, a2 = make_bump_pair(*OFFSET_BUMPS)
+    _finite_rank_row(0.125, a1, a2, free_model.assemble(100), deep_lap, seed=1)
+    propagate._propagation_sup(free_model.assemble(48, with_cap=False), a1, a2, 0.25,
+                               propagate.EnergyCutoff(lam=1.0, eps_f=0.25), np.array([0.0]))
+    assert calls == ["latscat.resolvent", "latscat.propagate"]
+
+
 def test_decay_fit_contract():
     with pytest.raises(ValueError):
         DecayFit.from_values([1, 2, 3], [1, 2, 3])
@@ -236,6 +300,35 @@ def test_shifted_solver_matches_dense(dim, radius, eps, sign):
     g = np.random.default_rng(3)
     b = g.standard_normal(H.dim) + 1j * g.standard_normal(H.dim)
     assert np.linalg.norm(M @ sol.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
+    assert np.linalg.norm(M.conj().T @ sol.solve_adjoint(b) - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_ladder_rewrites_one_band(sign):
+    # d = 1 walks the ladder on one band with a new diagonal per rung: the
+    # same u as a fresh solver at the converged eps, and the same forward
+    # and adjoint bands as H.banded builds there
+    H = _longrange(1).assemble(40)
+    lap = LAPConfig(lam=1.0, sign=sign, convergence_tol=1e-3)
+    g = np.random.default_rng(2)
+    rhs = g.standard_normal(H.dim) + 1j * g.standard_normal(H.dim)
+    u, eps, sol, diffs = _lap_iterate(H, lap, rhs)
+    assert len(diffs) >= 3
+    assert np.array_equal(u, _ShiftedSolver(H, 1.0, sign, eps).solve(rhs))
+    assert np.array_equal(sol._ab_f, H.banded(1.0, sign, eps))
+    sol.solve_adjoint(rhs)
+    assert np.array_equal(sol._ab_a, H.banded(1.0, -sign, eps))
+
+
+def test_band_adjoint_complex_hops():
+    # the adjoint band is the conjugate transpose for complex, wider hops too
+    flux = ModelConfig(stencil=Stencil(1, [(0,), (1,), (-1,), (2,), (-2,)],
+                                       [1.25, -0.5 * np.exp(0.3j), -0.5 * np.exp(-0.3j),
+                                        -0.125 * np.exp(0.2j), -0.125 * np.exp(-0.2j)]))
+    H = flux.assemble(40)
+    sol = _ShiftedSolver(H, 1.0, +1, 1e-2)
+    M = H.shifted(1.0, +1, 1e-2).toarray()
+    b = np.random.default_rng(4).standard_normal(H.dim) + 0j
     assert np.linalg.norm(M.conj().T @ sol.solve_adjoint(b) - b) <= 1e-12 * np.linalg.norm(b)
 
 
