@@ -86,7 +86,7 @@ def _run_wf(cfg: ExperimentConfig, jobs, seed):
     model = cfg.model_config()
     kp = KernelPoint(p["x1"], p["xi1"], -p["x2"], p["xi2"])
     res = wf_probe(model, kp, _lap_from(cfg), p["h_list"], p["delta1"], p["delta2"],
-                   classify_grid=cfg.numerics["classify_grid"], jobs=jobs, seed=seed)
+                   classify_grid=cfg.numerics["classify_grid"], jobs=jobs)
     crit = []
     want_decay = p["expect"] == "decay"
     _criterion(crit, "classification matches expectation",

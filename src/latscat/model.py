@@ -108,15 +108,9 @@ def laplacian_stencil(dim: int = 1) -> Stencil:
     return Stencil(dim=dim, offsets=tuple(offsets), coeffs=tuple(coeffs))
 
 
-def momentum_grid_scan(stencil: Stencil, grid_n: int):
-    """p0 and |v| on the torus grid with `grid_n` points per axis, as two
-    arrays of shape (grid_n,) * d."""
-    xi = product_grid(np.linspace(0.0, 2.0 * np.pi, grid_n, endpoint=False), stencil.dim)
-    return stencil.p0(xi), np.linalg.norm(stencil.gradient(xi), axis=-1)
-
-
 def check_energy_window(stencil: Stencil, window, grid_n: int = 256):
-    """Min of |v(xi)| over the sampled shell {p0(xi) in window}.
+    """(min, max) of |v(xi)| over the sampled shell {p0(xi) in window}, on
+    the torus grid with `grid_n` points per axis.
 
     Raises EmptyShellError when no sampled momentum lands in the window and
     CriticalValueError when the sampled minimum falls below 1e-6.
@@ -126,7 +120,8 @@ def check_energy_window(stencil: Stencil, window, grid_n: int = 256):
     lo, hi = float(window[0]), float(window[1])
     if not lo <= hi:
         raise ValueError("empty interval")
-    p, speeds = momentum_grid_scan(stencil, grid_n)
+    xi = product_grid(np.linspace(0.0, 2.0 * np.pi, grid_n, endpoint=False), stencil.dim)
+    p, speeds = stencil.p0(xi), np.linalg.norm(stencil.gradient(xi), axis=-1)
     mask = (p >= lo) & (p <= hi)
     if not np.any(mask):
         raise EmptyShellError(f"no momenta with p0 in [{lo}, {hi}]")
@@ -134,7 +129,7 @@ def check_energy_window(stencil: Stencil, window, grid_n: int = 256):
     if vmin < 1e-6:
         raise CriticalValueError(
             f"window [{lo}, {hi}] reaches a critical region: min|v| = {vmin:.3e}")
-    return vmin
+    return vmin, float(np.max(speeds[mask]))
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,8 @@ from scipy.special import jv
 
 from .escape import DEFAULT_PHI
 from .geometry import KernelPoint, kernel_point_setup
-from .model import (EmptyShellError, LatticeHamiltonian, LinearMap, ModelConfig,
-                    momentum_grid_scan)
-from .quantize import sampled_terms, support_gram_factor, support_rows
+from .model import LatticeHamiltonian, LinearMap, ModelConfig, check_energy_window
+from .quantize import finite_rank_pair, support_rows
 from .resolvent import DecayFit, _pmap
 from .symbols import Symbol
 
@@ -144,19 +143,6 @@ def evolve(H: LatticeHamiltonian, u, t: float):
     return ChebyshevPlan.for_evolution(H, t).apply(H, u)
 
 
-def shell_speed_max(model_cfg: ModelConfig, cutoff: EnergyCutoff) -> float:
-    """max |v| over momenta with p0 inside supp f (reflection-window speed),
-    sampled on about 4096 momenta: round(4096 ** (1/d)) per axis. Raises
-    EmptyShellError when no sampled momentum has p0 in supp f."""
-    st = model_cfg.stencil
-    p, sp = momentum_grid_scan(st, int(round(4096 ** (1.0 / st.dim))))
-    lo, hi = cutoff.support
-    mask = (p >= lo) & (p <= hi)
-    if not np.any(mask):
-        raise EmptyShellError(f"no momenta with p0 in supp f = [{lo}, {hi}]")
-    return float(np.max(sp[mask]))
-
-
 # ---------------------------------------------------------------------------
 # local decay
 
@@ -266,7 +252,9 @@ def local_decay_probe(model_cfg: ModelConfig, cutoff: EnergyCutoff, nu: float,
                       t_grid: Sequence[float], box_radius: int) -> LocalDecayResult:
     """Weighted propagator norms ||<n>^-nu e^{-itH} f(H) <n>^-nu|| over t_grid.
 
-    The grid must stay inside the pre-reflection window 0.8 L / v_max. The
+    supp f must meet the band and miss every critical value
+    (check_energy_window raises EmptyShellError or CriticalValueError), and
+    the grid must stay inside the pre-reflection window 0.8 L / v_max. The
     norms are exact and use only the eigenpairs (lam_j, q_j) of H with
     f(lam_j) != 0, from _window_eigenpairs, on each block of
     _reflection_halves (the even and odd halves when H commutes with the
@@ -277,9 +265,10 @@ def local_decay_probe(model_cfg: ModelConfig, cutoff: EnergyCutoff, nu: float,
     formed with one triangular product. Each row reports the rank |S| summed
     over the blocks and the eigen-residual max_j ||H q_j - lam_j q_j||.
     """
+    st = model_cfg.stencil
+    _, vmax = check_energy_window(st, cutoff.support, max(64, round(4096 ** (1.0 / st.dim))))
     L = box_radius
     H = model_cfg.assemble(L, with_cap=False)
-    vmax = shell_speed_max(model_cfg, cutoff)
     t_grid = np.asarray(sorted(float(t) for t in t_grid))
     window = 0.8 * L / max(vmax, 1e-12)
     if t_grid[-1] > window:
@@ -338,7 +327,8 @@ def propagation_probe(model_cfg: ModelConfig, kp: KernelPoint, cutoff: EnergyCut
 
     The box radius is L(h) = max(4 max(|x|, |y|) / h, 32) and the horizon
     T(h) = min(h^-2, 0.8 L(h)/v_max). Both momenta must sit on the energy
-    shell, and the fit needs at least 4 h. mode="decay" requires the kernel point off
+    shell, supp f must miss every critical value (check_energy_window), and
+    the fit needs at least 4 h. mode="decay" requires the kernel point off
     Sigma_0 u Sigma_+ u Sigma'_+ and mode="control" on one of those sets;
     either violation raises ValueError.
     """
@@ -359,7 +349,7 @@ def propagation_probe(model_cfg: ModelConfig, kp: KernelPoint, cutoff: EnergyCut
                          f"{[k for k in report.distances if getattr(report, f'in_{k}')]}")
     if mode == "control" and outside:
         raise ValueError("control mode expects an on-set kernel point")
-    vmax = shell_speed_max(model_cfg, cutoff)
+    _, vmax = check_energy_window(model_cfg.stencil, cutoff.support, 4096)
 
     def run_h(h):
         L = max(int(np.ceil(4.0 * span / h)), 32)
@@ -385,7 +375,7 @@ def _propagation_sup(H: LatticeHamiltonian, a1: Symbol, a2: Symbol, h: float,
 
     Both symbols must be one-term symbols with finite x-support. With E the
     injection of the support S2 of the right symbol and Z2 the k-column
-    gram factor of Op^h(a2) on S2 (quantize.support_gram_factor), the norm
+    gram factor of Op^h(a2) on S2 (quantize.finite_rank_pair), the norm
     at t is sigma_max of Op^h(a1) e^{-itH} f(H) E Z2. f(H) has compact
     support, so with
     (lam_j, q_j), j = 1..m, the eigenpairs of H where f != 0
@@ -397,13 +387,7 @@ def _propagation_sup(H: LatticeHamiltonian, a1: Symbol, a2: Symbol, h: float,
     rank m and the eigen-residual max_j ||H q_j - lam_j q_j||;
     chebyshev_terms is 0.
     """
-    if len(a1.terms) != 1 or len(a2.terms) != 1:
-        raise NotImplementedError("the propagation probe needs one-term symbols")
-    box = H.box
-    [(b1, c1)] = sampled_terms(a1, h, box)
-    [(b2, c2)] = sampled_terms(a2, h, box)
-    S1 = np.nonzero(np.abs(b1) > 0.0)[0]
-    S2, Z2 = support_gram_factor(b2, c2)
+    (b1, c1), _, S1, (S2, Z2) = finite_rank_pair(a1, a2, h, H.box)
     k = Z2.shape[1]
     lams, PTs, Ws = [np.empty(0)], [np.empty((0, len(S1)))], [np.empty((0, k))]
     eig_residual = 0.0

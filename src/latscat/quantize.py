@@ -98,13 +98,19 @@ def _xi_tail(cv: np.ndarray, box: Box) -> float:
     return float(np.sum(np.abs(co[kinf > tail_cut])) / mass)
 
 
-def _check_xi_tail(ratio: float):
-    if ratio > XI_TAIL_ERROR:
-        raise ResolutionError(
-            f"xi Fourier tail mass {ratio:.2e} exceeds {XI_TAIL_ERROR:.0e}; refine the box")
-    if ratio > XI_TAIL_WARN:
-        warnings.warn(f"op_h: xi Fourier tail mass {ratio:.2e} above {XI_TAIL_WARN:.0e}",
-                      RuntimeWarning, stacklevel=3)
+def check_xi_tails(terms, box: Box):
+    """The xi-tail guard on sampled terms (b, c) (sampled_terms): for each
+    term with b != 0, ResolutionError when the xi tail mass of c exceeds
+    XI_TAIL_ERROR, else a RuntimeWarning above XI_TAIL_WARN, reported at the
+    caller's caller."""
+    for bv, cv in terms:
+        ratio = _xi_tail(cv, box) if np.max(np.abs(bv)) > 0.0 else 0.0
+        if ratio > XI_TAIL_ERROR:
+            raise ResolutionError(
+                f"xi Fourier tail mass {ratio:.2e} exceeds {XI_TAIL_ERROR:.0e}; refine the box")
+        if ratio > XI_TAIL_WARN:
+            warnings.warn(f"op_h: xi Fourier tail mass {ratio:.2e} above {XI_TAIL_WARN:.0e}",
+                          RuntimeWarning, stacklevel=3)
 
 
 def sampled_terms(a: Symbol, h: float, box: Box) -> list:
@@ -139,9 +145,7 @@ def op_h(a: Symbol, h: float, box: Box, check_resolution: bool = True) -> Linear
 
     terms = sampled_terms(a, h, box)
     if check_resolution:
-        for bv, cv in terms:
-            if np.max(np.abs(bv)) > 0.0:
-                _check_xi_tail(_xi_tail(cv, box))
+        check_xi_tails(terms, box)
     conj = [(np.conj(bv), np.conj(cv)) for bv, cv in terms]
 
     def fwd(u):
@@ -169,6 +173,22 @@ def support_gram_factor(b: np.ndarray, c: np.ndarray):
     g_vals, Q = np.linalg.eigh((gram + gram.conj().T) / 2.0)
     keep = g_vals > 1e-13 * g_vals.max(initial=0.0)
     return S, Q[:, keep] * np.sqrt(g_vals[keep])
+
+
+def finite_rank_pair(a1: Symbol, a2: Symbol, h: float, box: Box):
+    """The front end of the exact finite-rank norms of Op^h(a1) X Op^h(a2)
+    (the wf rows and the propagation estimate): ((b1, c1), (b2, c2), S1,
+    (S2, Z2)), each symbol sampled once (sampled_terms), S1 the sites where
+    b1 != 0 and (S2, Z2) = support_gram_factor(b2, c2). Both symbols must
+    have one term (NotImplementedError otherwise). Runs no xi-tail guard:
+    a caller that needs it passes the pairs to check_xi_tails."""
+    if not (0.0 < h <= 1.0):
+        raise ValueError("h must lie in (0, 1]")
+    if len(a1.terms) != 1 or len(a2.terms) != 1:
+        raise NotImplementedError("finite-rank norms need one-term symbols")
+    [(b1, c1)] = sampled_terms(a1, h, box)
+    [(b2, c2)] = sampled_terms(a2, h, box)
+    return (b1, c1), (b2, c2), np.nonzero(np.abs(b1) > 0.0)[0], support_gram_factor(b2, c2)
 
 
 def support_rows(b: np.ndarray, c: np.ndarray, S: np.ndarray, XT) -> np.ndarray:

@@ -14,7 +14,7 @@ import scipy.sparse.linalg as spla
 from .geometry import KernelPoint, kernel_point_setup, make_cone_symbol
 from .model import (LatticeHamiltonian, LinearMap, ModelConfig, compose_maps,
                     adjoint_map, check_energy_window)
-from .quantize import (op_h, operator_norm, position_weight, sampled_terms, support_gram_factor,
+from .quantize import (check_xi_tails, finite_rank_pair, op_h, operator_norm, position_weight,
                        support_rows)
 from .util import lstsq_loglog, rng
 
@@ -84,8 +84,9 @@ class _ShiftedSolver:
     """(H0 + V - lam -/+ i(eps + W))^(-1) and its adjoint.
 
     d = 1: `matrix` is None, and each solve is one LAPACK band
-    factor-plus-solve with partial pivoting. The band of the adjoint is
-    built from the forward band on the first adjoint solve.
+    factor-plus-solve with partial pivoting. The hops are hermitian, so the
+    band of the adjoint is the forward band with its diagonal conjugated,
+    built on the first adjoint solve.
     d >= 2: one sparse LU, factored here, of the complex symmetric CSC
     `matrix`: SuperLU in symmetric mode, a minimum-degree ordering of
     A^T + A, and a diagonal pivot kept unless it is below 0.01 of its
@@ -125,13 +126,8 @@ class _ShiftedSolver:
         rhs = np.asarray(rhs, dtype=complex)
         if self.matrix is None:
             if self._ab_a is None:
-                # M[i, j] sits in ab[b + i - j, j], so with m = i - j
-                # M*[i, j] = conj(M[j, i]) sits in ab*[b + m, j] = conj(ab[b - m, j + m])
-                b, ab, N = self._b, self._ab_f, self._ab_f.shape[1]
-                self._ab_a = np.zeros_like(ab)
-                for m in range(-b, b + 1):
-                    self._ab_a[b + m, max(-m, 0):N - max(m, 0)] = np.conj(
-                        ab[b - m, max(m, 0):N + min(m, 0)])
+                self._ab_a = self._ab_f.copy()
+                self._ab_a[self._b] = np.conj(self._ab_f[self._b])
             return sla.solve_banded((self._b, self._b), self._ab_a, rhs)
         return self._lu.solve(rhs, trans="H")
 
@@ -255,32 +251,27 @@ def _sandwich_row(key, t0, A_left, H, lap, A_right, norm_tol, seed) -> ProbeRow:
                     iterations=info["iterations"], seconds=time.perf_counter() - t0)
 
 
-def _finite_rank_row(h, a1, a2, H, lap, seed) -> ProbeRow:
+def _finite_rank_row(h, a1, a2, H, lap) -> ProbeRow:
     """The timed row of ||Op^h(a1) R Op^h(a2)|| at h, exact for one-term
     d = 1 symbols of finite x-support.
 
-    resolvent_map walks the ladder from the seeded probe Op^h(a2) v, as
-    sandwich_norm does. At the converged eps the norm is sigma_max of
-    K1 R E2 Z2: (S2, Z2) the gram factor of Op^h(a2) (support_gram_factor),
-    so R E2 Z2 is one block solve of k columns, and K1 the rows S1 of
-    Op^h(a1) (support_rows). An empty S1 or k = 0 gives norm 0 at eps None.
+    Both symbols are sampled once (finite_rank_pair) and pass the xi-tail
+    guard. At the converged eps the norm is sigma_max of K1 R E2 Z2:
+    (S2, Z2) the gram factor of Op^h(a2), so R E2 Z2 is one block solve of
+    k columns, and K1 the rows S1 of Op^h(a1) (support_rows). The ladder
+    walks on E2 Z2 1, the sum of those columns, so no random number is
+    drawn. An empty S1 or k = 0 gives norm 0 at eps None.
     """
     t0 = time.perf_counter()
-    op_h(a1, h, H.box)              # for its xi-tail guard
-    A2 = op_h(a2, h, H.box)
-    [(b1, c1)] = sampled_terms(a1, h, H.box)
-    [(b2, c2)] = sampled_terms(a2, h, H.box)
-    S1 = np.nonzero(np.abs(b1) > 0.0)[0]
-    S2, Z2 = support_gram_factor(b2, c2)
+    (b1, c1), (b2, c2), S1, (S2, Z2) = finite_rank_pair(a1, a2, h, H.box)
+    check_xi_tails([(b1, c1), (b2, c2)], H.box)
     k = Z2.shape[1]
     if len(S1) == 0 or k == 0:
         return ProbeRow(key=h, epsilon=None, norm=0.0, iterations=0,
                         seconds=time.perf_counter() - t0, columns=k)
-    g = rng(seed)
-    v = g.standard_normal(H.dim) + 1j * g.standard_normal(H.dim)
-    R, eps = resolvent_map(H, lap, probe_rhs=A2(v / np.linalg.norm(v)))
     E2Z2 = np.zeros((H.dim, k), dtype=complex)
     E2Z2[S2] = Z2
+    R, eps = resolvent_map(H, lap, probe_rhs=E2Z2.sum(axis=1))
     Y = support_rows(b1, c1, S1, R(E2Z2).T)
     return ProbeRow(key=h, epsilon=eps, norm=float(np.linalg.svd(Y, compute_uv=False)[0]),
                     iterations=0, seconds=time.perf_counter() - t0, columns=k)
@@ -297,8 +288,8 @@ class WfProbeResult:
 
 def wf_probe(model_cfg: ModelConfig, kp: KernelPoint, lap: LAPConfig,
              h_list: Sequence[float], delta1: float, delta2: float,
-             box_radius: Optional[int] = None, classify_grid: int = 4096, jobs: int = 1,
-             seed=None) -> WfProbeResult:
+             box_radius: Optional[int] = None, classify_grid: int = 4096,
+             jobs: int = 1) -> WfProbeResult:
     """h-decay of ||Op^h(a1) R Op^h(a2)|| at lap.lam for bumps centered on
     the kernel point: a1 at (x, xi), a2 at (-y, eta); each row's norm is
     the exact finite-rank norm of _finite_rank_row.
@@ -320,7 +311,7 @@ def wf_probe(model_cfg: ModelConfig, kp: KernelPoint, lap: LAPConfig,
         raise ValueError(f"box radius {box_radius} below the rule 4*max(|x|,|y|)/h_min = {need}")
     H = model_cfg.assemble(box_radius, with_cap=True)
 
-    rows = _pmap(lambda h: _finite_rank_row(h, a1, a2, H, lap, seed), h_list, jobs)
+    rows = _pmap(lambda h: _finite_rank_row(h, a1, a2, H, lap), h_list, jobs)
     rows.sort(key=lambda r: r.key)
     fit = DecayFit.from_values([r.key for r in rows], [r.norm for r in rows])
     return WfProbeResult(rows=rows, fit=fit, decay_expected=report.outside_all(lap.sign),

@@ -129,6 +129,16 @@ def test_local_decay_outside_the_band_is_a_config_error(tmp_path):
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
+def test_local_decay_on_a_threshold_is_a_config_error(tmp_path):
+    # supp f = [1.2, 2.2] holds the threshold 2 of p0 = 1 - cos xi, where
+    # the group velocity vanishes: the hypothesis fails, so the run stops
+    cfg = parse_config(recipe_config("local-decay").replace("lambda = 1.0", "lambda = 1.7"))
+    assert cfg.probe["lambda"] == 1.7
+    with pytest.raises(ConfigError, match="critical"):
+        run(cfg, out_dir=tmp_path, quiet=True)
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_criterion_failure_exit(tmp_path):
     cfg = parse_config(MINIMAL_WF.replace("criterion_slope = 3.0",
                                           "criterion_slope = 99"))

@@ -39,13 +39,15 @@ def test_velocity_examples(stencil1d):
 
 
 def test_energy_window(stencil1d):
-    # oracle: dense sampling of min |sin xi| over 1 - cos xi in [0.9, 1.1]
+    # oracle: dense sampling of min and max |sin xi| over 1 - cos xi in [0.9, 1.1]
     xi = np.linspace(0, 2 * np.pi, 1_000_000, endpoint=False)
     p = 1 - np.cos(xi)
-    oracle = np.min(np.abs(np.sin(xi))[(p >= 0.9) & (p <= 1.1)])
-    got = check_energy_window(stencil1d, (0.9, 1.1), grid_n=1_000_000)
-    assert got == pytest.approx(oracle, rel=1e-9)
-    assert got == pytest.approx(0.994987, abs=1e-4)
+    speeds = np.abs(np.sin(xi))[(p >= 0.9) & (p <= 1.1)]
+    vmin, vmax = check_energy_window(stencil1d, (0.9, 1.1), grid_n=1_000_000)
+    assert vmin == pytest.approx(np.min(speeds), rel=1e-9)
+    assert vmin == pytest.approx(0.994987, abs=1e-4)
+    assert vmax == pytest.approx(np.max(speeds), rel=1e-9)
+    assert vmax == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(CriticalValueError):
         check_energy_window(stencil1d, (-0.1, 0.1), grid_n=4096)
     with pytest.raises(EmptyShellError):

@@ -6,11 +6,10 @@ from scipy.linalg import lapack
 from latscat.cli import EXIT_NUMERICAL, run
 from latscat.config import parse_config
 from latscat.geometry import KernelPoint, make_bump_pair
-from latscat.model import (LinearMap, ModelConfig, Potential, Stencil, compose_maps,
-                           laplacian_stencil)
+from latscat.model import (LinearMap, ModelConfig, Potential, Stencil, check_energy_window,
+                           compose_maps, laplacian_stencil)
 from latscat.propagate import (ChebyshevPlan, EnclosureError, EnergyCutoff, evolve,
-                               local_decay_probe, propagation_probe, shell_speed_max,
-                               _propagation_sup)
+                               local_decay_probe, propagation_probe, _propagation_sup)
 from latscat.quantize import op_h, operator_norm
 from latscat.recipes import recipe_config
 from latscat.symbols import Symbol
@@ -442,8 +441,9 @@ def test_propagation_onset_control_no_decay(free_model):
 
 
 def test_shell_speed(free_model):
+    # the reflection-window speed of the time-domain probes: max |v| on supp f
     cutoff = EnergyCutoff(lam=1.0, eps_f=0.25)
-    v = shell_speed_max(free_model, cutoff)
+    _, v = check_energy_window(free_model.stencil, cutoff.support, 4096)
     assert 0.85 <= v <= 1.0 + 1e-9
 
 

@@ -5,8 +5,8 @@ from latscat.escape import DEFAULT_PHI
 from latscat.geometry import make_bump_pair, make_cone_symbol
 from latscat.model import (Box, LatticeHamiltonian, LinearMap, Potential, compose_maps,
                            laplacian_stencil)
-from latscat.quantize import (NormConvergenceError, ResolutionError, fourier_multiplier, op_h,
-                              operator_norm, position_weight)
+from latscat.quantize import (NormConvergenceError, ResolutionError, finite_rank_pair,
+                              fourier_multiplier, op_h, operator_norm, position_weight)
 from latscat.symbols import separable_symbol
 from latscat.util import lstsq_loglog
 
@@ -164,6 +164,22 @@ def test_op_h_resolution_guard():
     a2, _ = make_bump_pair((0.0, np.pi / 2), (0.0, 0.0), 1.0, 0.3)
     with pytest.warns(RuntimeWarning, match="tail"):
         op_h(a2, 0.5, big)
+
+
+def test_finite_rank_pair_contract():
+    # the front end of the wf rows and prop31: the supports and the gram
+    # factor of the sampled bumps; it refuses h outside (0, 1], as op_h does
+    box = Box(1, 64)
+    a1, a2 = make_bump_pair((2.0, np.pi / 2), (-1.5, -np.pi / 2), 0.5, 0.4)
+    (b1, c1), (b2, c2), S1, (S2, Z2) = finite_rank_pair(a1, a2, 0.25, box)
+    assert np.array_equal(S1, np.nonzero(b1)[0]) and np.array_equal(S2, np.nonzero(b2)[0])
+    A2 = op_h(a2, 0.25, box, check_resolution=False)
+    rows = np.array([A2(e) for e in np.eye(box.site_count)]).T[S2]
+    gram = rows @ rows.conj().T
+    assert np.linalg.norm(Z2 @ Z2.conj().T - gram) <= 1e-10 * np.linalg.norm(gram)
+    for h in (0.0, 1.5):
+        with pytest.raises(ValueError, match="h must"):
+            finite_rank_pair(a1, a2, h, box)
 
 
 def test_operator_norm_examples(box):

@@ -193,7 +193,7 @@ def test_finite_rank_row_matches_dense_svd(request, unguarded, dense_kernel, dee
     lap = dataclasses.replace(deep_lap, sign=sign)
     a1, a2 = make_bump_pair(*OFFSET_BUMPS)
     h = 0.125
-    row = _finite_rank_row(h, a1, a2, H, lap, seed=3)
+    row = _finite_rank_row(h, a1, a2, H, lap)
     M = H.shifted(1.0, sign, row.epsilon).toarray()
     A1, A2 = dense_kernel(a1, h, H.box), dense_kernel(a2, h, H.box)
     exact = np.linalg.svd(A1 @ np.linalg.solve(M, A2), compute_uv=False)[0]
@@ -202,33 +202,37 @@ def test_finite_rank_row_matches_dense_svd(request, unguarded, dense_kernel, dee
     assert row.iterations == 0 and row.columns == 7
 
 
-def test_finite_rank_row_seed_free(unguarded, free_model, deep_lap):
-    # the seed only picks the ladder's probe: two seeds that converge at
-    # one eps give one norm
-    H = free_model.assemble(100)
+def test_wf_rows_draw_no_random_numbers(monkeypatch, unguarded, free_model, deep_lap):
+    # the ladder walks on the columns the norm uses, not on a seeded probe,
+    # and each bump is sampled once, with no op_h built beside it
+    from latscat import resolvent
+    for name in ("rng", "op_h"):
+        monkeypatch.setattr(resolvent, name, lambda *args, name=name, **kwargs: pytest.fail(name))
     a1, a2 = make_bump_pair(*OFFSET_BUMPS)
-    r1, r2 = (_finite_rank_row(0.125, a1, a2, H, deep_lap, seed=s) for s in (1, 2))
-    assert r1.epsilon == r2.epsilon is not None
-    assert r1.norm == r2.norm > 0.0
+    row = _finite_rank_row(0.125, a1, a2, free_model.assemble(100), deep_lap)
+    assert row.epsilon is not None and row.norm > 0.0
+    kp = KernelPoint(4.0, np.pi / 2, -3.0, -np.pi / 2)
+    res = wf_probe(free_model, kp, deep_lap, (0.25, 0.125, 0.0625, 0.03125), 0.6, 0.3)
+    assert all(r.epsilon is not None for r in res.rows)
 
 
 def test_wf_and_propagation_share_the_gram_factor(monkeypatch, unguarded, free_model, deep_lap):
-    # one copy of the gram factor serves both finite-rank probes, and the
-    # wf row takes no power iteration
+    # one front end samples the bump pair and builds the gram factor for both
+    # finite-rank probes, and the wf row takes no power iteration
     from latscat import propagate, resolvent
     calls = []
     for mod in (resolvent, propagate):
-        assert mod.support_gram_factor is quantize.support_gram_factor
-        monkeypatch.setattr(mod, "support_gram_factor",
-                            lambda b, c, name=mod.__name__: (calls.append(name),
-                                                            quantize.support_gram_factor(b, c))[1])
+        assert mod.finite_rank_pair is quantize.finite_rank_pair
+        monkeypatch.setattr(mod, "finite_rank_pair",
+                            lambda *args, name=mod.__name__: (calls.append(name),
+                                                              quantize.finite_rank_pair(*args))[1])
 
     def no_power_iteration(*args, **kwargs):
         raise AssertionError("operator_norm called")
 
     monkeypatch.setattr(resolvent, "operator_norm", no_power_iteration)
     a1, a2 = make_bump_pair(*OFFSET_BUMPS)
-    _finite_rank_row(0.125, a1, a2, free_model.assemble(100), deep_lap, seed=1)
+    _finite_rank_row(0.125, a1, a2, free_model.assemble(100), deep_lap)
     propagate._propagation_sup(free_model.assemble(48, with_cap=False), a1, a2, 0.25,
                                propagate.EnergyCutoff(lam=1.0, eps_f=0.25), np.array([0.0]))
     assert calls == ["latscat.resolvent", "latscat.propagate"]
