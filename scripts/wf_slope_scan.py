@@ -27,7 +27,7 @@ def main():
     print(f"{'delta1':>7} {'delta2':>7} {'slope':>7} {'resid':>7}   norms")
     for d1, d2 in itertools.product((0.4, 0.6, 0.8, 1.0), (0.3, 0.4)):
         res = wf_probe(model, kp, lap, H_LIST, d1, d2, box_radius=2048)
-        norms = " ".join(f"{r.norm:.1e}" for r in res.rows)
+        norms = " ".join(f"{r['norm']:.1e}" for r in res.rows)
         print(f"{d1:7.2f} {d2:7.2f} {res.fit.slope:7.2f} {res.fit.max_residual:7.2f}   {norms}")
     return 0
 

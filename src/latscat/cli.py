@@ -62,23 +62,18 @@ def _fit_criteria(crit, p, fit, what):
                        f"{label} = {value:.3f}")
 
 
-def _lap_table(key, res):
-    """CSV header and rows of a probe whose rows are resolvent ProbeRows."""
-    return ([key, "epsilon_used", "norm", "iterations", "seconds"],
-            [[r.key, r.epsilon or 0.0, r.norm, r.iterations, r.seconds] for r in res.rows])
-
-
-def _box_sweep(p, res):
-    """CSV header, rows and the bounded-factor criterion of an L sweep."""
+def _box_sweep_criteria(p, res):
+    """The bounded-factor criterion of an L sweep."""
     crit = []
     _criterion(crit, f"norms bounded within factor {p['criterion_factor']} across L",
                res.bound_factor <= p["criterion_factor"],
                f"max/min = {res.bound_factor:.3f}")
-    return (*_lap_table("L", res), crit)
+    return crit
 
 
 # --------------------------------------------------------------------------
-# per-kind runners: return (csv_header, csv_rows, criteria, extras)
+# per-kind runners: return (rows, criteria, extras); each row is a dict from
+# results.csv column to value, in column order
 
 
 def _run_wf(cfg: ExperimentConfig, jobs, seed):
@@ -93,15 +88,11 @@ def _run_wf(cfg: ExperimentConfig, jobs, seed):
                res.decay_expected == want_decay,
                f"classify distances {res.report.distances}")
     _fit_criteria(crit, p, res.fit, "fitted slope")
-    header, rows = _lap_table("h", res)
-    header.append("columns")
-    for row, r in zip(rows, res.rows):
-        row.append(r.columns)
     extras = {"fit": {"slope": res.fit.slope, "intercept": res.fit.intercept,
                       "max_residual": res.fit.max_residual},
               "box_radius": res.box_radius,
               "distances": res.report.distances}
-    return header, rows, crit, extras
+    return res.rows, crit, extras
 
 
 def _run_ik(cfg: ExperimentConfig, jobs, seed):
@@ -109,7 +100,7 @@ def _run_ik(cfg: ExperimentConfig, jobs, seed):
     res = ik_probe(cfg.model_config(), _lap_from(cfg), p["gamma_minus"], p["gamma_plus"],
                    p["weight_n"], p["l_list"], norm_tol=cfg.numerics["norm_tol"], jobs=jobs,
                    seed=seed)
-    return (*_box_sweep(p, res),
+    return (res.rows, _box_sweep_criteria(p, res),
             {"bound_factor": res.bound_factor, "control_norm": res.control_norm})
 
 
@@ -117,7 +108,7 @@ def _run_one_sided(cfg: ExperimentConfig, jobs, seed):
     p = cfg.probe
     res = one_sided_probe(cfg.model_config(), _lap_from(cfg), p["gamma"], p["nu"], p["s"],
                           p["l_list"], norm_tol=cfg.numerics["norm_tol"], jobs=jobs, seed=seed)
-    return (*_box_sweep(p, res), {"bound_factor": res.bound_factor})
+    return res.rows, _box_sweep_criteria(p, res), {"bound_factor": res.bound_factor}
 
 
 def _run_local_decay(cfg: ExperimentConfig, jobs, seed):
@@ -131,9 +122,7 @@ def _run_local_decay(cfg: ExperimentConfig, jobs, seed):
         _criterion(crit, f"fitted kappa >= {p['criterion_kappa']}",
                    np.isfinite(res.kappa_hat) and res.kappa_hat >= p["criterion_kappa"],
                    f"kappa_hat = {res.kappa_hat:.3f}")
-    header = ["h", "t", "norm", "chebyshev_terms", "seconds", "rank", "eig_residual"]
-    rows = [[r[k] for k in header] for r in res.rows]
-    return header, rows, crit, {"kappa_hat": res.kappa_hat}
+    return res.rows, crit, {"kappa_hat": res.kappa_hat}
 
 
 def _run_prop31(cfg: ExperimentConfig, jobs, seed):
@@ -146,9 +135,7 @@ def _run_prop31(cfg: ExperimentConfig, jobs, seed):
                             jobs=jobs)
     crit = []
     _fit_criteria(crit, p, res.fit, "sup-norm slope")
-    header = ["h", "t", "norm", "chebyshev_terms", "seconds", "columns", "rank", "eig_residual"]
-    rows = [[r[k] for k in header] for r in res.rows]
-    return header, rows, crit, {"fit": {"slope": res.fit.slope,
+    return res.rows, crit, {"fit": {"slope": res.fit.slope,
                                         "max_residual": res.fit.max_residual},
                                 "sup_norms": {str(k): v for k, v in res.sup_norms.items()}}
 
@@ -178,11 +165,9 @@ def _run_escape(cfg: ExperimentConfig, jobs, seed):
                               box_radius=p["mono_box_radius"])
     _criterion(crit, "monotonicity margins respect the fitted bound", mono.passed,
                f"margins = { {str(t): f'{m:.2e}' for t, m in mono.margins.items()} }")
-    header = ["h", "t", "lambda_min", "margin"]
-    rows = [[r["h"], r["t"], r["lambda_min"], r["margin"]] for r in energy.rows()]
     extras = {"energy_exponent": energy.exponent, "energy_amplitude": energy.amplitude,
               "monotonicity_margins": {str(t): m for t, m in mono.margins.items()}}
-    return header, rows, crit, extras
+    return list(energy.rows()), crit, extras
 
 
 def _run_free_kernel(cfg: ExperimentConfig, jobs, seed):
@@ -203,9 +188,9 @@ def _run_free_kernel(cfg: ExperimentConfig, jobs, seed):
     crit = []
     _criterion(crit, f"free kernel relative error <= {p['criterion_rel_error']}",
                rel <= p["criterion_rel_error"], f"rel err = {rel:.2e}")
-    header = ["L", "epsilon_used", "norm", "iterations", "seconds"]
-    rows = [[L, info["epsilon"], rel, len(info["diffs"]), secs]]
-    return header, rows, crit, {"rel_error": rel, "epsilon": info["epsilon"]}
+    row = {"L": L, "epsilon_used": info["epsilon"], "norm": rel,
+           "iterations": len(info["diffs"]), "seconds": secs}
+    return [row], crit, {"rel_error": rel, "epsilon": info["epsilon"]}
 
 
 def _run_calculus(cfg: ExperimentConfig, jobs, seed):
@@ -219,7 +204,7 @@ def _run_calculus(cfg: ExperimentConfig, jobs, seed):
 
     def check(name, value, tol):
         _criterion(crit, name, value <= tol, f"value = {value:.2e} (tol {tol:g})")
-        rows.append([name, value, tol, int(value <= tol)])
+        rows.append({"check": name, "value": value, "tol": tol, "passed": int(value <= tol)})
 
     ident = fourier_multiplier(lambda xi: np.ones(np.shape(xi)[:-1]), box)
     check("unit multiplier is the identity", float(np.linalg.norm(ident(u) - u)
@@ -248,8 +233,7 @@ def _run_calculus(cfg: ExperimentConfig, jobs, seed):
                                        / np.linalg.norm(w)), 1e-10)
     ev2 = evolve(Hh, evolve(Hh, w, 1.25), 1.75)
     check("group law", float(np.linalg.norm(ev2 - ev) / np.linalg.norm(w)), 1e-9)
-    header = ["check", "value", "tol", "passed"]
-    return header, rows, crit, {}
+    return rows, crit, {}
 
 
 _RUNNERS = {
@@ -275,7 +259,7 @@ def run(cfg: ExperimentConfig, out_dir=None, jobs: int = 1, seed=None, quiet=Fal
     out = Path(out_dir if out_dir is not None else cfg.output["directory"])
     seed = cfg.numerics["seed"] if seed is None else int(seed)
     try:
-        header, rows, criteria, extras = _RUNNERS[cfg.probe_kind](cfg, jobs, seed)
+        rows, criteria, extras = _RUNNERS[cfg.probe_kind](cfg, jobs, seed)
     except ConfigError:
         raise
     except NUMERICAL_ERRORS as exc:
@@ -290,9 +274,9 @@ def run(cfg: ExperimentConfig, out_dir=None, jobs: int = 1, seed=None, quiet=Fal
     if "csv" in formats:
         with open(out / "results.csv", "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
-            w.writerow(header)
+            w.writerow(list(rows[0]))
             for row in rows:
-                w.writerow([_fmt(v) for v in row])
+                w.writerow([_fmt(v) for v in row.values()])
     if "json" in formats:
         manifest = {
             "config": cfg.resolved(),

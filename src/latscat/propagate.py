@@ -325,24 +325,22 @@ def propagation_probe(model_cfg: ModelConfig, kp: KernelPoint, cutoff: EnergyCut
     """sup over t in [0, T(h)] of ||Op^h(a1) e^{-itH} f(H) Op^h(a2)|| per h,
     with f the cutoff at cutoff.lam.
 
-    The box radius is L(h) = max(4 max(|x|, |y|) / h, 32) and the horizon
+    The box radius L(h) is the rule of kernel_point_setup and the horizon
     T(h) = min(h^-2, 0.8 L(h)/v_max). Both momenta must sit on the energy
     shell, supp f must miss every critical value (check_energy_window), and
     the fit needs at least 4 h. mode="decay" requires the kernel point off
     Sigma_0 u Sigma_+ u Sigma'_+ and mode="control" on one of those sets;
     either violation raises ValueError.
     """
-    if model_cfg.stencil.dim != 1:
-        raise NotImplementedError("propagation probe implemented for d=1")
     if mode not in ("decay", "control"):
         raise ValueError(f"unknown mode {mode!r}")
     lam = cutoff.lam
+    hs, radii, report, a1, a2 = kernel_point_setup(kp, model_cfg.stencil, lam, delta1, delta2,
+                                                   classify_grid, h_list)
     p1 = float(model_cfg.stencil.p0(kp.xi))
     p2 = float(model_cfg.stencil.p0(kp.eta))
     if abs(p1 - lam) > 1e-9 or abs(p2 - lam) > 1e-9:
         raise ValueError("both momenta must sit on the energy shell")
-    span, report, a1, a2 = kernel_point_setup(kp, model_cfg.stencil, lam, delta1, delta2,
-                                              classify_grid)
     outside = report.outside_all(+1)
     if mode == "decay" and not outside:
         raise ValueError(f"hypothesis violation: classify puts the point inside "
@@ -351,14 +349,14 @@ def propagation_probe(model_cfg: ModelConfig, kp: KernelPoint, cutoff: EnergyCut
         raise ValueError("control mode expects an on-set kernel point")
     _, vmax = check_energy_window(model_cfg.stencil, cutoff.support, 4096)
 
-    def run_h(h):
-        L = max(int(np.ceil(4.0 * span / h)), 32)
+    def run_h(h_L):
+        h, L = h_L
         H = model_cfg.assemble(L, with_cap=False)
         T = min(h**-2.0, 0.8 * L / max(vmax, 1e-12))
         tg = np.concatenate([[0.0], np.geomspace(max(T / 512.0, 0.25), T, n_t - 1)])
         return h, _propagation_sup(H, a1, a2, h, cutoff, tg)
 
-    results = _pmap(run_h, sorted(float(v) for v in h_list), jobs)
+    results = _pmap(run_h, zip(hs, radii), jobs)
     rows = []
     sups = {}
     for h, (sup_h, h_rows) in results:
@@ -408,7 +406,7 @@ def _propagation_sup(H: LatticeHamiltonian, a1: Symbol, a2: Symbol, h: float,
         Y = P @ (np.exp(-1j * t * lam)[:, None] * W)
         val = float(np.sqrt(np.linalg.eigvalsh(Y.conj().T @ Y).max(initial=0.0)))
         sup = max(sup, val)
-        rows.append({"t": float(t), "norm": val, "chebyshev_terms": 0, "columns": k,
-                     "seconds": time.perf_counter() - t0, "rank": len(lam),
+        rows.append({"t": float(t), "norm": val, "chebyshev_terms": 0,
+                     "seconds": time.perf_counter() - t0, "columns": k, "rank": len(lam),
                      "eig_residual": eig_residual})
     return sup, rows

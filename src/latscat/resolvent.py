@@ -180,12 +180,9 @@ def lap_solve(H: LatticeHamiltonian, cfg: LAPConfig, rhs, return_info: bool = Fa
     return (u, {"epsilon": eps, "diffs": diffs}) if return_info else u
 
 
-def resolvent_map(H: LatticeHamiltonian, cfg: LAPConfig, probe_rhs=None, seed=None):
-    """(R_map, eps) at the converged epsilon; R_map supports adjoints."""
-    if probe_rhs is None:
-        g = rng(seed)
-        probe_rhs = g.standard_normal(H.dim) + 1j * g.standard_normal(H.dim)
-        probe_rhs /= np.linalg.norm(probe_rhs)
+def resolvent_map(H: LatticeHamiltonian, cfg: LAPConfig, probe_rhs):
+    """(R_map, eps) at the epsilon where the ladder converges on probe_rhs;
+    R_map supports adjoints."""
     _, eps, sol, _ = _lap_iterate(H, cfg, probe_rhs)
     R = LinearMap(H.dim, sol.solve, sol.solve_adjoint, label=f"R{'+' if cfg.sign > 0 else '-'}")
     return R, eps
@@ -205,7 +202,7 @@ def sandwich_norm(A_left: LinearMap, H: LatticeHamiltonian, cfg: LAPConfig,
     if np.linalg.norm(probe) < 1e-280:
         info = {"epsilon": None, "iterations": 0, "residual": 0.0}
         return (0.0, info) if return_info else 0.0
-    R, eps = resolvent_map(H, cfg, probe_rhs=probe, seed=seed)
+    R, eps = resolvent_map(H, cfg, probe_rhs=probe)
     M = compose_maps(A_left, R, A_right)
     sigma, ninfo = operator_norm(M, tol=tol, return_info=True, seed=seed)
     info = {"epsilon": eps, **ninfo}
@@ -233,48 +230,40 @@ def free_kernel_1d(lam: float, sign: int, n: int) -> complex:
 # probes
 
 
-@dataclass
-class ProbeRow:
-    key: float                  # h or L
-    epsilon: Optional[float]
-    norm: float
-    iterations: int
-    seconds: float
-    columns: int = 0            # k of a finite-rank row
-
-
-def _sandwich_row(key, t0, A_left, H, lap, A_right, norm_tol, seed) -> ProbeRow:
-    """The row of ||A_left R A_right|| at `key` (h or L), timed from t0."""
+def _sandwich_row(L, t0, A_left, H, lap, A_right, norm_tol, seed) -> dict:
+    """The results.csv row of ||A_left R A_right|| on the box of radius L,
+    timed from t0; epsilon_used is 0 when no ladder ran."""
     sigma, info = sandwich_norm(A_left, H, lap, A_right, tol=norm_tol, return_info=True,
                                 seed=seed)
-    return ProbeRow(key=key, epsilon=info["epsilon"], norm=sigma,
-                    iterations=info["iterations"], seconds=time.perf_counter() - t0)
+    return {"L": L, "epsilon_used": info["epsilon"] or 0.0, "norm": sigma,
+            "iterations": info["iterations"], "seconds": time.perf_counter() - t0}
 
 
-def _finite_rank_row(h, a1, a2, H, lap) -> ProbeRow:
-    """The timed row of ||Op^h(a1) R Op^h(a2)|| at h, exact for one-term
-    d = 1 symbols of finite x-support.
+def _finite_rank_row(h, a1, a2, H, lap) -> dict:
+    """The timed results.csv row of ||Op^h(a1) R Op^h(a2)|| at h, exact for
+    one-term d = 1 symbols of finite x-support.
 
     Both symbols are sampled once (finite_rank_pair) and pass the xi-tail
     guard. At the converged eps the norm is sigma_max of K1 R E2 Z2:
     (S2, Z2) the gram factor of Op^h(a2), so R E2 Z2 is one block solve of
-    k columns, and K1 the rows S1 of Op^h(a1) (support_rows). The ladder
-    walks on E2 Z2 1, the sum of those columns, so no random number is
-    drawn. An empty S1 or k = 0 gives norm 0 at eps None.
+    k columns (the row's "columns"), and K1 the rows S1 of Op^h(a1)
+    (support_rows). The ladder walks on E2 Z2 1, the sum of those columns,
+    so no random number is drawn. An empty S1 or k = 0 gives norm 0, and
+    epsilon_used 0 because no ladder ran.
     """
     t0 = time.perf_counter()
     (b1, c1), (b2, c2), S1, (S2, Z2) = finite_rank_pair(a1, a2, h, H.box)
     check_xi_tails([(b1, c1), (b2, c2)], H.box)
     k = Z2.shape[1]
-    if len(S1) == 0 or k == 0:
-        return ProbeRow(key=h, epsilon=None, norm=0.0, iterations=0,
-                        seconds=time.perf_counter() - t0, columns=k)
-    E2Z2 = np.zeros((H.dim, k), dtype=complex)
-    E2Z2[S2] = Z2
-    R, eps = resolvent_map(H, lap, probe_rhs=E2Z2.sum(axis=1))
-    Y = support_rows(b1, c1, S1, R(E2Z2).T)
-    return ProbeRow(key=h, epsilon=eps, norm=float(np.linalg.svd(Y, compute_uv=False)[0]),
-                    iterations=0, seconds=time.perf_counter() - t0, columns=k)
+    eps, norm = 0.0, 0.0
+    if len(S1) and k:
+        E2Z2 = np.zeros((H.dim, k), dtype=complex)
+        E2Z2[S2] = Z2
+        R, eps = resolvent_map(H, lap, probe_rhs=E2Z2.sum(axis=1))
+        Y = support_rows(b1, c1, S1, R(E2Z2).T)
+        norm = float(np.linalg.svd(Y, compute_uv=False)[0])
+    return {"h": h, "epsilon_used": eps, "norm": norm, "iterations": 0,
+            "seconds": time.perf_counter() - t0, "columns": k}
 
 
 @dataclass
@@ -291,29 +280,25 @@ def wf_probe(model_cfg: ModelConfig, kp: KernelPoint, lap: LAPConfig,
              box_radius: Optional[int] = None, classify_grid: int = 4096,
              jobs: int = 1) -> WfProbeResult:
     """h-decay of ||Op^h(a1) R Op^h(a2)|| at lap.lam for bumps centered on
-    the kernel point: a1 at (x, xi), a2 at (-y, eta); each row's norm is
-    the exact finite-rank norm of _finite_rank_row.
+    the kernel point: a1 at (x, xi), a2 at (-y, eta); each row is the exact
+    finite-rank row of _finite_rank_row, in ascending h.
 
-    The box radius defaults to max(4 max(|x|,|y|) / min(h), 32); explicit
-    boxes below the first term are rejected. classify() at tolerance
-    3*delta1 decides whether this is a decay run (point off all singular
-    sets of R^lap.sign) or a control run.
+    The box radius defaults to the rule of kernel_point_setup at min(h);
+    explicit boxes below it are rejected. classify() at tolerance 3*delta1
+    decides whether this is a decay run (point off all singular sets of
+    R^lap.sign) or a control run.
     """
-    if model_cfg.stencil.dim != 1:
-        raise NotImplementedError("wf probe implemented for d=1")
-    span, report, a1, a2 = kernel_point_setup(kp, model_cfg.stencil, lap.lam, delta1, delta2,
-                                              classify_grid)
-    h_list = sorted((float(h) for h in h_list), reverse=True)
-    need = int(np.ceil(4.0 * span / h_list[-1]))
+    hs, radii, report, a1, a2 = kernel_point_setup(kp, model_cfg.stencil, lap.lam, delta1,
+                                                   delta2, classify_grid, h_list)
     if box_radius is None:
-        box_radius = max(need, 32)
-    elif box_radius < need:
-        raise ValueError(f"box radius {box_radius} below the rule 4*max(|x|,|y|)/h_min = {need}")
+        box_radius = radii[0]
+    elif box_radius < radii[0]:
+        raise ValueError(f"box radius {box_radius} below the rule "
+                         f"max(4*max(|x|,|y|)/h_min, 32) = {radii[0]}")
     H = model_cfg.assemble(box_radius, with_cap=True)
 
-    rows = _pmap(lambda h: _finite_rank_row(h, a1, a2, H, lap), h_list, jobs)
-    rows.sort(key=lambda r: r.key)
-    fit = DecayFit.from_values([r.key for r in rows], [r.norm for r in rows])
+    rows = _pmap(lambda h: _finite_rank_row(h, a1, a2, H, lap), hs, jobs)
+    fit = DecayFit.from_values(hs, [r["norm"] for r in rows])
     return WfProbeResult(rows=rows, fit=fit, decay_expected=report.outside_all(lap.sign),
                          report=report, box_radius=box_radius)
 
@@ -352,7 +337,7 @@ def _cone_sweep(model_cfg: ModelConfig, lap: LAPConfig, cones, weighted,
         return row, ((H, ops) if L == L_sorted[-1] else None)
 
     out = _pmap(run_L, L_sorted, jobs)
-    norms = [row.norm for row, _ in out]
+    norms = [row["norm"] for row, _ in out]
     if max(norms) < 1e-280:
         factor = 1.0
     elif min(norms) <= 0.0:

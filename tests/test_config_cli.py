@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -88,6 +89,17 @@ def test_probe_key_error_is_not_a_config_error(tmp_path, monkeypatch):
     monkeypatch.setitem(cli._RUNNERS, "calculus", broken)
     with pytest.raises(KeyError, match="bug inside the probe"):
         main(["run", "--recipe", "calculus-invariants", "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize("recipe", ["free-wf-offset", "prop31-offset"])
+def test_kernel_point_h_outside_unit_interval_exits_2(tmp_path, capsys, recipe):
+    # h = 0 is refused before any box is sized from 4 span / h
+    text = re.sub(r"(?m)^h_list = .*$", "h_list = 0.125,0.0625,0.03125,0.0",
+                  recipe_config(recipe))
+    path = tmp_path / "h0.ini"
+    path.write_text(text)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
+    assert "every h must lie in (0, 1]" in capsys.readouterr().err
 
 
 def test_numerical_error_exit(tmp_path):
@@ -237,9 +249,24 @@ def test_jobs_flag_same_results(tmp_path):
         assert a == b, name
 
 
+# the README's results.csv columns by probe kind
+CSV_COLUMNS = {
+    "wf": ["h", "epsilon_used", "norm", "iterations", "seconds", "columns"],
+    "ik": ["L", "epsilon_used", "norm", "iterations", "seconds"],
+    "one-sided": ["L", "epsilon_used", "norm", "iterations", "seconds"],
+    "prop31": ["h", "t", "norm", "chebyshev_terms", "seconds", "columns", "rank",
+               "eig_residual"],
+    "local-decay": ["h", "t", "norm", "chebyshev_terms", "seconds", "rank", "eig_residual"],
+    "escape": ["h", "t", "lambda_min", "margin"],
+    "free-kernel": ["L", "epsilon_used", "norm", "iterations", "seconds"],
+    "calculus": ["check", "value", "tol", "passed"],
+}
+
+
 def test_all_recipes_exit_zero(tmp_path, monkeypatch):
-    # every canned recipe reproduces its claim end to end, and its results
-    # pass the benchmark's correctness check: the same numeric leaves as the
+    # every canned recipe reproduces its claim end to end, writes the
+    # documented CSV columns of its kind, and its results pass the
+    # benchmark's correctness check: the same numeric leaves as the
     # benchmark's reference, each within 1e-3
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
     from perfbench import checks
@@ -249,6 +276,7 @@ def test_all_recipes_exit_zero(tmp_path, monkeypatch):
         cfg = parse_config(recipe_config(name))
         code = run(cfg, out_dir=tmp_path / name, quiet=True)
         assert code == EXIT_OK, f"recipe {name} exited {code}"
-        assert (tmp_path / name / "results.csv").exists()
+        with open(tmp_path / name / "results.csv", newline="", encoding="utf-8") as fh:
+            assert next(csv.reader(fh)) == CSV_COLUMNS[cfg.probe_kind], name
         manifest = json.loads((tmp_path / name / "manifest.json").read_text())
         assert checks.check_manifest(manifest, reference[name]) == [], name
