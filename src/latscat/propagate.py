@@ -13,7 +13,6 @@ import scipy.fft
 import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg import lapack
-from scipy.linalg.blas import ztrmm
 from scipy.special import jv
 
 from .escape import DEFAULT_PHI
@@ -248,6 +247,20 @@ def _tridiagonal_window(A: sp.csr_array, cutoff: EnergyCutoff):
         yield lam[j], V, res
 
 
+def _sigma_max(Y: np.ndarray) -> float:
+    """sigma_max(Y) as sqrt(lambda_max(Y* Y)) from numpy's eigvalsh: the
+    per-t dense call of both time-domain probes (local_decay_probe says why)."""
+    return float(np.sqrt(np.linalg.eigvalsh(Y.conj().T @ Y).max(initial=0.0)))
+
+
+def _check_rank(rank: int, cutoff: EnergyCutoff, box_radius: int) -> int:
+    """rank, or ValueError when H has no eigenvalue in supp f (every norm 0)."""
+    if rank == 0:
+        raise ValueError("H has no eigenvalue in supp f = [%.6g, %.6g] at box radius %d"
+                         % (*cutoff.support, box_radius))
+    return rank
+
+
 def local_decay_probe(model_cfg: ModelConfig, cutoff: EnergyCutoff, nu: float,
                       t_grid: Sequence[float], box_radius: int) -> LocalDecayResult:
     """Weighted propagator norms ||<n>^-nu e^{-itH} f(H) <n>^-nu|| over t_grid.
@@ -261,9 +274,19 @@ def local_decay_probe(model_cfg: ModelConfig, cutoff: EnergyCutoff, nu: float,
     reflection n -> -n, else one block); the weight is even, so it stays
     diagonal there, and the operator is block diagonal with the larger block
     norm as its norm. Per block, with W Q_S = Q_A R a thin QR of the weighted
-    eigenvectors, the norm at t is sigma_max(R diag(e^{-it lam} f(lam)) R*),
-    formed with one triangular product. Each row reports the rank |S| summed
-    over the blocks and the eigen-residual max_j ||H q_j - lam_j q_j||.
+    eigenvectors, the norm at t is sigma_max of
+    M = R diag(e^{-it lam} f(lam)) R*, one numpy product, taken as
+    sqrt(lambda_max(M* M)) by _sigma_max, as in _propagation_sup. Squaring
+    costs nothing at the top of the spectrum, where eigvalsh's error is of
+    order machine precision relative to lambda_max. The point is the BLAS
+    library: numpy and scipy load separate OpenBLAS builds, whose thread
+    pools contend at two threads on two cores, so after the window
+    eigensolve every dense call here is numpy's. On a 2-vCPU machine the
+    recipe's probe (L = 512) took 0.39-0.52 s with scipy's ztrmm and
+    svdvals per t after numpy's QR, 0.19-0.24 s this way, and about 0.2 s
+    either way at one thread. H without an eigenvalue in supp f raises
+    ValueError. Each row reports the rank |S| summed over the blocks and the
+    eigen-residual max_j ||H q_j - lam_j q_j||.
     """
     st = model_cfg.stencil
     _, vmax = check_energy_window(st, cutoff.support, max(64, round(4096 ** (1.0 / st.dim))))
@@ -284,20 +307,15 @@ def local_decay_probe(model_cfg: ModelConfig, cutoff: EnergyCutoff, nu: float,
         eig_residual = max(eig_residual, float(res.max(initial=0.0)))
         # each basis vector lives on sites n and -n, where the weight agrees
         w = B.power(2).T @ wdiag
-        R = np.asfortranarray(np.linalg.qr(w[:, None] * Q, mode="r"), dtype=complex)
+        R = np.linalg.qr(w[:, None] * Q, mode="r")
         blocks.append((R, evals, cutoff.profile(evals)))
-    rank = sum(len(evals) for _, evals, _ in blocks)
+    rank = _check_rank(sum(len(evals) for _, evals, _ in blocks), cutoff, L)
     rows = []
     norms = np.zeros(len(t_grid))
     for i, t in enumerate(t_grid):
         t0 = time.perf_counter()
-        # (R D) R* with R triangular is one ztrmm; after a threaded zgemm here
-        # the next svdvals ran 2-3x slower at two OpenBLAS threads. Both calls
-        # stay on scipy.linalg: numpy and scipy load separate OpenBLAS builds,
-        # and after the same ztrmm np.linalg.svd took about twice as long
-        norms[i] = max((sla.svdvals(ztrmm(1.0, R, R * (np.exp(-1j * t * evals) * f_ev),
-                                          side=1, trans_a=2, overwrite_b=1)).max(initial=0.0)
-                        for R, evals, f_ev in blocks), default=0.0)
+        norms[i] = max(_sigma_max((R * (np.exp(-1j * t * evals) * f_ev)) @ R.conj().T)
+                       for R, evals, f_ev in blocks)
         rows.append({"h": 0.0, "t": t, "norm": norms[i], "chebyshev_terms": 0,
                      "seconds": time.perf_counter() - t0, "rank": rank,
                      "eig_residual": eig_residual})
@@ -381,9 +399,9 @@ def _propagation_sup(H: LatticeHamiltonian, a1: Symbol, a2: Symbol, h: float,
     columns Op^h(a1) q_j on the support S1 of the left symbol, and
     W = diag(f(lam)) (E* q_j)* Z2. Both factors are built chunk by chunk, so
     no box-sized array outlives its chunk, and each t costs one
-    |S1| x m by m x k product and a k x k eigenproblem. Each row reports the
-    rank m and the eigen-residual max_j ||H q_j - lam_j q_j||;
-    chebyshev_terms is 0.
+    |S1| x m by m x k product and a k x k eigenproblem (_sigma_max). m = 0
+    raises ValueError. Each row reports the rank m and the eigen-residual
+    max_j ||H q_j - lam_j q_j||; chebyshev_terms is 0.
     """
     (b1, c1), _, S1, (S2, Z2) = finite_rank_pair(a1, a2, h, H.box)
     k = Z2.shape[1]
@@ -399,14 +417,14 @@ def _propagation_sup(H: LatticeHamiltonian, a1: Symbol, a2: Symbol, h: float,
             Ws.append(cutoff.profile(lam)[:, None] * ((B2 @ V).conj().T @ Z2))
             eig_residual = max(eig_residual, float(res.max(initial=0.0)))
     lam, P, W = np.concatenate(lams), np.vstack(PTs).T, np.vstack(Ws)
+    rank = _check_rank(len(lam), cutoff, H.box.radius)
     sup = 0.0
     rows = []
     for t in t_grid:
         t0 = time.perf_counter()
-        Y = P @ (np.exp(-1j * t * lam)[:, None] * W)
-        val = float(np.sqrt(np.linalg.eigvalsh(Y.conj().T @ Y).max(initial=0.0)))
+        val = _sigma_max(P @ (np.exp(-1j * t * lam)[:, None] * W))
         sup = max(sup, val)
         rows.append({"t": float(t), "norm": val, "chebyshev_terms": 0,
-                     "seconds": time.perf_counter() - t0, "columns": k, "rank": len(lam),
+                     "seconds": time.perf_counter() - t0, "columns": k, "rank": rank,
                      "eig_residual": eig_residual})
     return sup, rows

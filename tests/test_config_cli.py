@@ -141,6 +141,26 @@ def test_local_decay_outside_the_band_is_a_config_error(tmp_path):
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
+# supp f meets the band but holds no eigenvalue of the box: without the
+# guard every norm reads 0, the fit is nan and the run exits 1
+@pytest.mark.parametrize("recipe, edits", [
+    ("local-decay", [("eps_f = 0.25", "eps_f = 0.002"), ("box_radius = 512", "box_radius = 8"),
+                     ("t_min = 10", "t_min = 1"), ("t_max = 200", "t_max = 6"),
+                     ("n_t = 16", "n_t = 8")]),
+    ("prop31-offset", [("[probe]\n", "[probe]\neps_f = 0.0005\n")]),
+])
+def test_empty_energy_window_is_a_config_error(tmp_path, capsys, recipe, edits):
+    text = recipe_config(recipe)
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "empty.ini"
+    path.write_text(text)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
+    assert "no eigenvalue in supp f" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 def test_local_decay_on_a_threshold_is_a_config_error(tmp_path):
     # supp f = [1.2, 2.2] holds the threshold 2 of p0 = 1 - cos xi, where
     # the group velocity vanishes: the hypothesis fails, so the run stops

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg as sla
 from scipy.linalg import lapack
 
+from latscat import propagate
 from latscat.cli import EXIT_NUMERICAL, run
 from latscat.config import parse_config
 from latscat.geometry import KernelPoint, make_bump_pair
@@ -186,6 +187,61 @@ def test_local_decay_matches_full_eigh(request, model, radius, t_grid):
     evals = np.linalg.eigvalsh(H.dense())
     assert res.rows[0]["rank"] == np.count_nonzero(cutoff.profile(evals))
     assert all(r["eig_residual"] <= 1e-12 for r in res.rows)
+
+
+def test_local_decay_gram_route_matches_svd(longrange_model, monkeypatch):
+    # sigma_max from the eigenvalues of M* M squares M: at the recipe's box and
+    # times, down to the smallest norm (3e-6 at t = 200), it must agree with
+    # an SVD of the same M = R D R* to 1e-10 relative
+    seen = []
+
+    def recorded(Y, _sigma_max=propagate._sigma_max):
+        seen.append(sla.svdvals(Y)[0])
+        return _sigma_max(Y)
+    monkeypatch.setattr(propagate, "_sigma_max", recorded)
+    res = local_decay_probe(longrange_model, EnergyCutoff(lam=1.0, eps_f=0.25), nu=3.0,
+                            t_grid=np.geomspace(10.0, 200.0, 16), box_radius=512)
+    svd = np.reshape(seen, (16, 2)).max(axis=1)  # two reflection halves per t
+    assert res.norms.min() < 1e-5
+    assert np.max(np.abs(res.norms - svd) / svd) <= 1e-10
+
+
+@pytest.mark.parametrize("model", ["longrange_model", D1_FLUX], ids=["longrange", "flux"])
+def test_local_decay_dense_calls_stay_on_numpy(request, monkeypatch, model):
+    # numpy and scipy load separate OpenBLAS builds, whose thread pools contend
+    # at two threads on two cores: once the window eigensolve is done, every
+    # dense call of the probe is numpy's, and any scipy.linalg call raises
+    if isinstance(model, str):
+        model = request.getfixturevalue(model)
+    done = []
+
+    def window(*args, _window=propagate._window_eigenpairs):
+        yield from _window(*args)
+        done.append(True)
+    monkeypatch.setattr(propagate, "_window_eigenpairs", window)
+    # scipy.linalg's public functions, under their names there and under any
+    # name propagate binds them to
+    public = {id(fn) for module in (sla, sla.blas, sla.lapack)
+              for name, fn in vars(module).items()
+              if callable(fn) and not isinstance(fn, type) and not name.startswith("_")}
+    for module in (sla, sla.blas, sla.lapack, propagate):
+        for name, fn in list(vars(module).items()):
+            if id(fn) in public:
+                def guarded(*args, _name=name, _fn=fn, **kwargs):
+                    assert not done, f"scipy.linalg call {_name} after the window eigensolve"
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(module, name, guarded)
+    numpy_calls = []
+    for name in ("eigvalsh", "qr"):
+        def recorded(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            numpy_calls.append((_name, bool(done)))
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    res = local_decay_probe(model, EnergyCutoff(lam=1.0, eps_f=0.25), nu=3.0,
+                            t_grid=np.geomspace(0.5, 4.0, 8), box_radius=24)
+    assert done and np.all(res.norms > 0.0)
+    blocks = sum(name == "qr" for name, _ in numpy_calls)
+    assert numpy_calls[-8 * blocks:] == [("eigvalsh", True)] * (8 * blocks)
 
 
 def _record_eigensolves(monkeypatch):
