@@ -21,7 +21,8 @@ import scipy
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, parse_config, parse_config_file
-from .escape import EscapeLadder, energy_inequality_check, monotonicity_check, verify_transport
+from .escape import (DerivativeMismatchError, EscapeLadder, HermiticityDriftError,
+                     energy_inequality_check, monotonicity_check, verify_transport)
 from .geometry import KernelPoint
 from .model import Box
 from .quantize import NormConvergenceError, ResolutionError, fourier_multiplier, position_weight
@@ -34,14 +35,15 @@ from .util import rng
 EXIT_OK, EXIT_CRITERION, EXIT_SCHEMA, EXIT_NUMERICAL = 0, 1, 2, 3
 
 NUMERICAL_ERRORS = (LAPConvergenceError, NormConvergenceError, EnclosureError,
-                    ResolutionError, FloatingPointError, np.linalg.LinAlgError)
+                    ResolutionError, HermiticityDriftError, DerivativeMismatchError,
+                    FloatingPointError, np.linalg.LinAlgError)
 
 
 def _lap_from(cfg: ExperimentConfig) -> LAPConfig:
     """The LAP setup at the probe's lambda and, where the kind has one, sign."""
     n = cfg.numerics
     return LAPConfig(lam=cfg.probe["lambda"], sign=cfg.probe.get("sign", +1),
-                     epsilon_sequence=default_epsilon_sequence(n["eps_k_min"], n["eps_k_max"]),
+                     epsilon_sequence=default_epsilon_sequence(3, n["eps_k_max"]),
                      convergence_tol=n["convergence_tol"])
 
 
@@ -80,8 +82,7 @@ def _run_wf(cfg: ExperimentConfig, jobs, seed):
     p = cfg.probe
     model = cfg.model_config()
     kp = KernelPoint(p["x1"], p["xi1"], -p["x2"], p["xi2"])
-    res = wf_probe(model, kp, _lap_from(cfg), p["h_list"], p["delta1"], p["delta2"],
-                   classify_grid=cfg.numerics["classify_grid"], jobs=jobs)
+    res = wf_probe(model, kp, _lap_from(cfg), p["h_list"], p["delta1"], p["delta2"], jobs=jobs)
     crit = []
     want_decay = p["expect"] == "decay"
     _criterion(crit, "classification matches expectation",
@@ -98,8 +99,7 @@ def _run_wf(cfg: ExperimentConfig, jobs, seed):
 def _run_ik(cfg: ExperimentConfig, jobs, seed):
     p = cfg.probe
     res = ik_probe(cfg.model_config(), _lap_from(cfg), p["gamma_minus"], p["gamma_plus"],
-                   p["weight_n"], p["l_list"], norm_tol=cfg.numerics["norm_tol"], jobs=jobs,
-                   seed=seed)
+                   p["weight_n"], p["l_list"], jobs=jobs, seed=seed)
     return (res.rows, _box_sweep_criteria(p, res),
             {"bound_factor": res.bound_factor, "control_norm": res.control_norm})
 
@@ -107,7 +107,7 @@ def _run_ik(cfg: ExperimentConfig, jobs, seed):
 def _run_one_sided(cfg: ExperimentConfig, jobs, seed):
     p = cfg.probe
     res = one_sided_probe(cfg.model_config(), _lap_from(cfg), p["gamma"], p["nu"], p["s"],
-                          p["l_list"], norm_tol=cfg.numerics["norm_tol"], jobs=jobs, seed=seed)
+                          p["l_list"], jobs=jobs, seed=seed)
     return res.rows, _box_sweep_criteria(p, res), {"bound_factor": res.bound_factor}
 
 
@@ -131,8 +131,7 @@ def _run_prop31(cfg: ExperimentConfig, jobs, seed):
     kp = KernelPoint(p["x1"], p["xi1"], -p["x2"], p["xi2"])
     res = propagation_probe(model, kp, EnergyCutoff(lam=p["lambda"], eps_f=p["eps_f"]),
                             p["h_list"], delta1=p["delta1"], delta2=p["delta2"],
-                            mode=p["expect"], classify_grid=cfg.numerics["classify_grid"],
-                            jobs=jobs)
+                            mode=p["expect"], jobs=jobs)
     crit = []
     _fit_criteria(crit, p, res.fit, "sup-norm slope")
     return res.rows, crit, {"fit": {"slope": res.fit.slope,
@@ -270,26 +269,23 @@ def run(cfg: ExperimentConfig, out_dir=None, jobs: int = 1, seed=None, quiet=Fal
         # parameter/hypothesis violations surfaced by the probes
         raise ConfigError(str(exc)) from exc
     out.mkdir(parents=True, exist_ok=True)
-    formats = [f.strip() for f in cfg.output["formats"].split(",") if f.strip()]
-    if "csv" in formats:
-        with open(out / "results.csv", "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(list(rows[0]))
-            for row in rows:
-                w.writerow([_fmt(v) for v in row.values()])
-    if "json" in formats:
-        manifest = {
-            "config": cfg.resolved(),
-            "seed": seed,
-            "jobs": jobs,
-            "versions": {"latscat": __version__, "numpy": np.__version__,
-                         "scipy": scipy.__version__},
-            "results": extras,
-            "criteria": [{"name": n, "passed": ok, "detail": d} for n, ok, d in criteria],
-        }
-        with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
-            fh.write("\n")
+    with open(out / "results.csv", "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(list(rows[0]))
+        for row in rows:
+            w.writerow([_fmt(v) for v in row.values()])
+    manifest = {
+        "config": cfg.resolved(),
+        "seed": seed,
+        "jobs": jobs,
+        "versions": {"latscat": __version__, "numpy": np.__version__,
+                     "scipy": scipy.__version__},
+        "results": extras,
+        "criteria": [{"name": n, "passed": ok, "detail": d} for n, ok, d in criteria],
+    }
+    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
+        fh.write("\n")
     all_ok = True
     for name, ok, detail in criteria:
         all_ok &= ok

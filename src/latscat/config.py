@@ -15,26 +15,19 @@ class ConfigError(ValueError):
 
 _MODEL_KEYS = {
     "dim": (int, 1),
-    "stencil": (str, "laplacian"),
     "potential": (str, "none"),
     "amplitude": (float, 0.5),
     "mu": (float, 0.5),
-    "cap_width_frac": (float, 0.125),
-    "cap_strength": (float, 1.0),
 }
 
 _NUMERICS_KEYS = {
     "seed": (int, SEED),
-    "norm_tol": (float, 1e-2),
     "convergence_tol": (float, 1e-3),
-    "eps_k_min": (int, 3),
     "eps_k_max": (int, 20),
-    "classify_grid": (int, 4096),
 }
 
 _OUTPUT_KEYS = {
     "directory": (str, "out"),
-    "formats": (str, "csv,json"),
 }
 
 _FLOAT_LIST = "float_list"
@@ -132,9 +125,6 @@ class ExperimentConfig:
 
     def model_config(self) -> ModelConfig:
         m = self.model
-        if m["stencil"] != "laplacian":
-            raise ConfigError(f"unknown stencil preset {m['stencil']!r}")
-        stencil = laplacian_stencil(m["dim"])
         form = m["potential"]
         if form == "none":
             pot = Potential()
@@ -142,9 +132,7 @@ class ExperimentConfig:
             pot = Potential(mu=m["mu"], amplitude=m["amplitude"], form=form)
         else:
             raise ConfigError(f"unknown potential form {form!r}")
-        return ModelConfig(stencil=stencil, potential=pot,
-                           cap_width_frac=m["cap_width_frac"],
-                           cap_strength=m["cap_strength"])
+        return ModelConfig(stencil=laplacian_stencil(m["dim"]), potential=pot)
 
 
 def _read_section(cp, name, schema):
@@ -173,22 +161,13 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"unknown section [{sec}]")
     if not cp.has_section("probe"):
         raise ConfigError("missing [probe] section")
-    probe_raw = cp["probe"]
-    kind = probe_raw.get("kind", "").strip()
+    kind = cp["probe"].get("kind", "").strip()
     if not kind:
         raise ConfigError("empty probe block: [probe] kind is required")
     if kind not in _PROBE_KEYS:
         raise ConfigError(f"unknown probe kind {kind!r}")
-    schema = dict(_PROBE_KEYS[kind])
-    for key in probe_raw:
-        if key != "kind" and key not in schema:
-            raise ConfigError(f"unknown key [probe] {key} for kind {kind!r}")
-    probe = {}
-    for key, (pkind, default) in schema.items():
-        if key in probe_raw:
-            probe[key] = _parse_value(pkind, probe_raw[key], f"[probe] {key}")
-        else:
-            probe[key] = default
+    probe = _read_section(cp, "probe", {"kind": (str, kind), **_PROBE_KEYS[kind]})
+    del probe["kind"]
     model = _read_section(cp, "model", _MODEL_KEYS)
     numerics = _read_section(cp, "numerics", _NUMERICS_KEYS)
     output = _read_section(cp, "output", _OUTPUT_KEYS)
@@ -238,5 +217,5 @@ def _validate_preconditions(cfg: ExperimentConfig):
             raise ConfigError("need 0 < t_min < t_max")
         if p["n_t"] < 8:
             raise ConfigError("n_t >= 8 required for the tail fit")
-    if cfg.numerics["eps_k_min"] >= cfg.numerics["eps_k_max"]:
-        raise ConfigError("eps_k_min must be below eps_k_max")
+    if cfg.numerics["eps_k_max"] <= 3:
+        raise ConfigError("eps_k_max must be above 3, the first rung's exponent")

@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import Box, ModelConfig, Stencil
+from .model import DENSE_MAX_SITES, Box, ModelConfig, Stencil
 from .quantize import _xi_grid, sampled_terms
 from .symbols import Symbol, separable_symbol
 from .util import angle_diff, lstsq_loglog, rng
@@ -22,6 +22,10 @@ class LadderInvariantError(ValueError):
 
 class HermiticityDriftError(RuntimeError):
     """Assembled energy-inequality operator drifted from hermitian."""
+
+
+class DerivativeMismatchError(RuntimeError):
+    """An analytic time derivative disagrees with its finite difference."""
 
 
 def _bump_B(r, steepness):
@@ -298,7 +302,8 @@ def verify_transport(ladder: EscapeLadder, j: int) -> TransportReport:
               + vv * (paired(t, xs + eps_x) - paired(t, xs - eps_x)) / (2 * eps_x))
         fd_worst = max(fd_worst, float(np.max(np.abs(an - fd))))
     if fd_worst > 1e-6:
-        raise RuntimeError(f"analytic/finite-difference transport mismatch {fd_worst:.2e}")
+        raise DerivativeMismatchError(
+            f"analytic/finite-difference transport mismatch {fd_worst:.2e}")
     return TransportReport(min_value=best, argmin=arg, fd_agreement=fd_worst,
                            passed=best >= -1e-12)
 
@@ -315,7 +320,7 @@ def periodic_dense_h(model_cfg: ModelConfig, box: Box) -> np.ndarray:
     escape checks use the multiplier form of H0.
     """
     N = box.site_count
-    if N > 4200:
+    if N > DENSE_MAX_SITES:
         raise ValueError("box too large for the dense route")
     p0 = model_cfg.stencil.p0(_xi_grid(box))
     H = np.fft.ifft(p0[:, None] * np.fft.fft(np.eye(N), axis=0), axis=0)
@@ -389,7 +394,7 @@ def energy_inequality_check(model_cfg: ModelConfig, ladder: EscapeLadder,
             dF_fd, dF_an = _escape_F_rate(lad, t, box)
             fd_tol = 1e-8 if t >= 3e-5 else 1e-4
             if np.linalg.norm(dF_fd - dF_an, 2) > fd_tol * max(1.0, np.linalg.norm(dF_fd, 2)):
-                raise RuntimeError("dF/dt finite-difference vs analytic mismatch")
+                raise DerivativeMismatchError("dF/dt finite-difference vs analytic mismatch")
             F = _escape_F(lad, t, box)
             M = dF_fd + 1j * (H @ F - F @ H)
             drift = np.linalg.norm(M - M.conj().T, 2)

@@ -138,7 +138,7 @@ def classify(kp: KernelPoint, stencil: Stencil, lam: float, tol: float,
 
 
 def kernel_point_setup(kp: KernelPoint, stencil: Stencil, lam: float, delta1: float,
-                       delta2: float, grid_n: int, h_list):
+                       delta2: float, h_list):
     """What the wf and propagation probes share for a kernel point:
     (hs, radii, report, a1, a2).
 
@@ -155,7 +155,7 @@ def kernel_point_setup(kp: KernelPoint, stencil: Stencil, lam: float, delta1: fl
         raise ValueError(f"every h must lie in (0, 1] (h_list = {hs})")
     span = max(np.max(np.abs(kp.x)), np.max(np.abs(kp.y)), 0.5)
     radii = [max(int(np.ceil(4.0 * span / h)), 32) for h in hs]
-    report = classify(kp, stencil, lam, tol=3.0 * delta1, grid_n=grid_n)
+    report = classify(kp, stencil, lam, tol=3.0 * delta1)
     a1, a2 = make_bump_pair((kp.x, kp.xi), (-kp.y, kp.eta), delta1, delta2)
     return hs, radii, report, a1, a2
 

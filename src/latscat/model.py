@@ -12,6 +12,11 @@ import scipy.sparse as sp
 
 from .util import product_grid
 
+# the strength of every box's absorbing potential (ModelConfig.cap_for)
+CAP_STRENGTH = 1.0
+# the largest box, in sites, that the dense routes build
+DENSE_MAX_SITES = 4200
+
 
 class EmptyShellError(ValueError):
     """The requested energy window meets no torus momenta."""
@@ -211,7 +216,7 @@ class CAPProfile:
     """Cubic-ramp complex absorbing potential W >= 0 in the outer layer."""
 
     width: int
-    strength: float = 1.0
+    strength: float = CAP_STRENGTH
 
     def __post_init__(self):
         if self.width < 1:
@@ -385,7 +390,7 @@ class LatticeHamiltonian(LinearMap):
 
     def dense(self) -> np.ndarray:
         """Dense matrix of H (small boxes only)."""
-        if self.box.site_count > 4200:
+        if self.box.site_count > DENSE_MAX_SITES:
             raise ValueError("box too large to densify")
         return self._matrix(+1).toarray()
 
@@ -407,12 +412,11 @@ class ModelConfig:
 
     stencil: Stencil = field(default_factory=laplacian_stencil)
     potential: Potential = field(default_factory=Potential)
-    cap_width_frac: float = 0.125
-    cap_strength: float = 1.0
 
     def cap_for(self, box: Box) -> CAPProfile:
-        w = max(int(round(self.cap_width_frac * box.radius)), 4)
-        return CAPProfile(width=w, strength=self.cap_strength)
+        """The CAP of every assembled box: the outer eighth of the radius, at
+        least 4 sites, at strength CAP_STRENGTH."""
+        return CAPProfile(width=max(int(round(0.125 * box.radius)), 4))
 
     def assemble(self, radius: int, with_cap: bool = True) -> LatticeHamiltonian:
         box = Box(self.stencil.dim, radius)

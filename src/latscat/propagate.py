@@ -338,8 +338,7 @@ class PropagationResult:
 
 def propagation_probe(model_cfg: ModelConfig, kp: KernelPoint, cutoff: EnergyCutoff,
                       h_list: Sequence[float], delta1: float = 0.2, delta2: float = 0.2,
-                      n_t: int = 32, mode: str = "decay", classify_grid: int = 4096,
-                      jobs: int = 1) -> PropagationResult:
+                      n_t: int = 32, mode: str = "decay", jobs: int = 1) -> PropagationResult:
     """sup over t in [0, T(h)] of ||Op^h(a1) e^{-itH} f(H) Op^h(a2)|| per h,
     with f the cutoff at cutoff.lam.
 
@@ -354,7 +353,7 @@ def propagation_probe(model_cfg: ModelConfig, kp: KernelPoint, cutoff: EnergyCut
         raise ValueError(f"unknown mode {mode!r}")
     lam = cutoff.lam
     hs, radii, report, a1, a2 = kernel_point_setup(kp, model_cfg.stencil, lam, delta1, delta2,
-                                                   classify_grid, h_list)
+                                                   h_list)
     p1 = float(model_cfg.stencil.p0(kp.xi))
     p2 = float(model_cfg.stencil.p0(kp.eta))
     if abs(p1 - lam) > 1e-9 or abs(p2 - lam) > 1e-9:

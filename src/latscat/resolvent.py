@@ -277,8 +277,7 @@ class WfProbeResult:
 
 def wf_probe(model_cfg: ModelConfig, kp: KernelPoint, lap: LAPConfig,
              h_list: Sequence[float], delta1: float, delta2: float,
-             box_radius: Optional[int] = None, classify_grid: int = 4096,
-             jobs: int = 1) -> WfProbeResult:
+             box_radius: Optional[int] = None, jobs: int = 1) -> WfProbeResult:
     """h-decay of ||Op^h(a1) R Op^h(a2)|| at lap.lam for bumps centered on
     the kernel point: a1 at (x, xi), a2 at (-y, eta); each row is the exact
     finite-rank row of _finite_rank_row, in ascending h.
@@ -289,7 +288,7 @@ def wf_probe(model_cfg: ModelConfig, kp: KernelPoint, lap: LAPConfig,
     R^lap.sign) or a control run.
     """
     hs, radii, report, a1, a2 = kernel_point_setup(kp, model_cfg.stencil, lap.lam, delta1,
-                                                   delta2, classify_grid, h_list)
+                                                   delta2, h_list)
     if box_radius is None:
         box_radius = radii[0]
     elif box_radius < radii[0]:

@@ -4,6 +4,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from latscat.cli import (EXIT_CRITERION, EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA,
@@ -20,9 +21,10 @@ def test_parse_minimal_and_resolved_echo():
     cfg = parse_config(MINIMAL_WF)
     assert cfg.probe_kind == "wf"
     resolved = cfg.resolved()
-    # every numeric default is echoed
-    assert "norm_tol" in resolved["numerics"]
-    assert "cap_strength" in resolved["model"]
+    # every schema key is echoed, and no other
+    assert set(resolved["model"]) == {"dim", "potential", "amplitude", "mu"}
+    assert set(resolved["numerics"]) == {"seed", "convergence_tol", "eps_k_max"}
+    assert set(resolved["output"]) == {"directory"}
     assert resolved["probe"]["expect"] == "decay"
 
 
@@ -53,12 +55,23 @@ def test_parse_minimal_and_resolved_echo():
     # the box sweeps compare norms across at least two box sizes
     ("[probe]\nkind = one-sided\nl_list = 64", "at least 2 distinct radii"),
     ("[probe]\nkind = ik\nl_list =", "at least 2 distinct radii"),
+    # values that no config changed are constants of the code, not keys
+    ("[model]\nstencil = laplacian\n[probe]\nkind = calculus", "unknown key"),
+    ("[model]\ncap_width_frac = 0.125\n[probe]\nkind = calculus", "unknown key"),
+    ("[model]\ncap_strength = 1.0\n[probe]\nkind = calculus", "unknown key"),
+    ("[numerics]\nnorm_tol = 1e-2\n[probe]\nkind = calculus", "unknown key"),
+    ("[numerics]\neps_k_min = 3\n[probe]\nkind = calculus", "unknown key"),
+    ("[numerics]\nclassify_grid = 4096\n[probe]\nkind = calculus", "unknown key"),
+    ("[output]\nformats = csv,json\n[probe]\nkind = calculus", "unknown key"),
 ], ids=["unknown-key", "unknown-kind", "empty-kind", "unknown-section",
         "one-sided-s", "ik-gammas", "short-h-list", "free-kernel-dim",
         "free-kernel-potential", "prop31-dim", "escape-dim", "wf-dim", "ik-dim",
         "one-sided-dim", "escape-n-target",
         "local-decay-box-radius",
-        "one-sided-single-box", "ik-empty-l-list"])
+        "one-sided-single-box", "ik-empty-l-list",
+        "removed-stencil", "removed-cap-width-frac", "removed-cap-strength",
+        "removed-norm-tol", "removed-eps-k-min", "removed-classify-grid",
+        "removed-formats"])
 def test_schema_rejections(mutation, match):
     with pytest.raises(ConfigError, match=match):
         parse_config(mutation)
@@ -114,7 +127,6 @@ lambda = 1.0
 box_radius = 64
 
 [numerics]
-eps_k_min = 3
 eps_k_max = 5
 convergence_tol = 1e-9
 """)
@@ -129,6 +141,21 @@ def test_violated_enclosure_exits_numerical(tmp_path, monkeypatch):
     monkeypatch.setattr(LatticeHamiltonian, "spectral_interval", lambda self: (0.9, 1.1))
     assert main(["run", "--recipe", "calculus-invariants", "--out", str(tmp_path)]) \
         == EXIT_NUMERICAL
+
+
+def test_escape_self_check_failure_exits_numerical(tmp_path, monkeypatch):
+    # a non-hermitian H breaks the energy operator's hermiticity self-check:
+    # exit 3 names it, not a failed criterion or a traceback
+    import latscat.escape as escape
+
+    dense_h = escape.periodic_dense_h
+
+    def skewed(model_cfg, box):
+        # an imaginary position ramp: i[H, F] picks up an anti-hermitian part
+        return dense_h(model_cfg, box) + 0.1j * np.diag(box.sites()[:, 0])
+
+    monkeypatch.setattr(escape, "periodic_dense_h", skewed)
+    assert main(["run", "--recipe", "escape-ladder", "--out", str(tmp_path)]) == EXIT_NUMERICAL
 
 
 def test_local_decay_outside_the_band_is_a_config_error(tmp_path):

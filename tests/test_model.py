@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latscat.model import (Box, CAPProfile, CriticalValueError, EmptyShellError,
+from latscat.model import (CAP_STRENGTH, Box, CAPProfile, CriticalValueError, EmptyShellError,
                            LatticeHamiltonian, ModelConfig, Potential, Stencil,
                            check_energy_window, laplacian_stencil)
 
@@ -176,7 +176,7 @@ def test_model_config_assemble(longrange_model):
     Hh = longrange_model.assemble(32, with_cap=False)
     assert Hh.hermitian
     # the cubic CAP ramp reaches its full strength on the box edge
-    assert np.max(H.cap_diag) == longrange_model.cap_strength
+    assert np.max(H.cap_diag) == CAP_STRENGTH
 
 
 def _slice_loop_apply(H, u, diag):
