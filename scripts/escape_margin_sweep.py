@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Sweep the escape-function energy inequality over h and print the
-spectral defects, the fitted exponent, and the Heisenberg monotonicity
-margins, for the healthy ladder and for a sabotaged ramp (Phi' > 0)."""
+spectral defects, the fitted exponent, the worst self-check residuals, and
+the Heisenberg monotonicity margins, for the healthy ladder and for a
+sabotaged ramp (Phi' > 0)."""
 
 import dataclasses
 import sys
@@ -34,6 +35,8 @@ def main():
     for h, d in sorted(energy.defects.items(), reverse=True):
         print(f"  h = {h:7.4f}: defect = {d:.3e}")
     print(f"fitted exponent {energy.exponent:.2f}")
+    print(f"self-checks (Frobenius, worst over h, t): fd mismatch "
+          f"{energy.fd_mismatch:.2e} (gate 1e-8), drift {energy.drift:.2e} (gate 1e-10)")
     mono = monotonicity_check(model, ladder, (1.0, 5.0, 20.0), energy_report=energy,
                               box_radius=64)
     print("monotonicity margins:", {t: f"{m:.2e}" for t, m in mono.margins.items()})

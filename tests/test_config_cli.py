@@ -158,6 +158,31 @@ def test_escape_self_check_failure_exits_numerical(tmp_path, monkeypatch):
     assert main(["run", "--recipe", "escape-ladder", "--out", str(tmp_path)]) == EXIT_NUMERICAL
 
 
+def test_escape_near_threshold_drift_exits_numerical(tmp_path, monkeypatch):
+    # a skew i s diag(n) adds -2 s [diag(n), F] to M - M*: at s = 4e-10 the
+    # first (h, t) of the recipe drifts by ~1e-9, above the 1e-10 gate and
+    # below 1e-8
+    import latscat.escape as escape
+
+    dense_h = escape.periodic_dense_h
+
+    def skewed(model_cfg, box):
+        return dense_h(model_cfg, box) + 4e-10j * np.diag(box.sites()[:, 0])
+
+    monkeypatch.setattr(escape, "periodic_dense_h", skewed)
+    cfg = parse_config(recipe_config("escape-ladder"))
+    model, p = cfg.model_config(), cfg.probe
+    ladder = escape.EscapeLadder(stencil=model.stencil, x2=p["x2"], xi2=p["xi2"],
+                                 delta1=p["delta1"], delta2=p["delta2"], h=p["h"],
+                                 depth=p["depth"], mu=p["mu"])
+    with pytest.raises(escape.HermiticityDriftError) as err:
+        escape.energy_inequality_check(model, ladder, p["t_samples"], p["h_list"],
+                                       p["box_radius"])
+    drift = float(re.search(r"drift (\S+)", str(err.value)).group(1))
+    assert 1e-10 < drift < 1e-8
+    assert main(["run", "--recipe", "escape-ladder", "--out", str(tmp_path)]) == EXIT_NUMERICAL
+
+
 def test_local_decay_outside_the_band_is_a_config_error(tmp_path):
     # supp f = [4.5, 5.5] misses the band [0, 2]: no shell speed, no run
     cfg = tmp_path / "outside.ini"

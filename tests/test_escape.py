@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from latscat.config import parse_config
-from latscat.escape import (CutoffPhi, EscapeLadder, LadderInvariantError,
-                            build_psi0, build_psi_j, energy_inequality_check, monotonicity_check,
+from latscat.escape import (CutoffPhi, DerivativeMismatchError, EscapeLadder,
+                            LadderInvariantError, build_psi0, build_psi_j,
+                            energy_inequality_check, monotonicity_check,
                             periodic_dense_h, verify_transport, _escape_F)
 from latscat.geometry import make_bump_pair
 from latscat.model import Box
@@ -164,6 +165,54 @@ def test_energy_inequality_and_monotonicity(free_model, energy_ladder):
     mono0 = monotonicity_check(free_model, energy_ladder, (0.0,), energy_report=rep,
                                box_radius=48)
     assert abs(mono0.margins[0.0]) <= 1e-12
+
+
+def test_energy_fd_gate_trips_on_a_perturbed_rate(free_model, energy_ladder, monkeypatch):
+    # the analytic dF/dt agrees with its centered difference to < 1e-9 on
+    # this box; one entry off by 1e-7 must trip the 1e-8 gate, by 1e-10 not
+    import latscat.escape as escape
+
+    rate = escape._escape_F_rate
+
+    def perturbed_by(eps):
+        def perturbed(ladder, t, box):
+            fd, an, F = rate(ladder, t, box)
+            an = an.copy()
+            an[0, 0] += eps
+            return fd, an, F
+        return perturbed
+
+    def check():
+        return energy_inequality_check(free_model, energy_ladder, t_samples=(0.5, 2.0),
+                                       h_list=(0.25, 0.125), box_radius=16)
+
+    monkeypatch.setattr(escape, "_escape_F_rate", perturbed_by(1e-7))
+    with pytest.raises(DerivativeMismatchError):
+        check()
+    monkeypatch.setattr(escape, "_escape_F_rate", perturbed_by(1e-10))
+    rep = check()
+    assert 0.0 < rep.fd_mismatch < 1e-8
+    assert rep.drift < 1e-10
+
+
+def test_energy_lambda_min_pinned_to_the_rebuilt_F(free_model, energy_ladder):
+    # the check takes F(t) from the analytic rate's Op(phi0(t)); rebuilding
+    # each F with _escape_F gives the same table
+    from latscat.escape import _escape_F_rate
+
+    t_samples, h_list, box = (0.0, 0.5, 2.0), (0.25, 0.125), Box(1, 16)
+    rep = energy_inequality_check(free_model, energy_ladder, t_samples, h_list,
+                                  box_radius=16)
+    H = periodic_dense_h(free_model, box)
+    assert set(rep.lambda_min) == {(h, t) for h in h_list for t in t_samples}
+    for h in h_list:
+        lad = dataclasses.replace(energy_ladder, h=h)
+        for t in t_samples:
+            dF_fd = _escape_F_rate(lad, t, box)[0]
+            F = _escape_F(lad, t, box)
+            M = dF_fd + 1j * (H @ F - F @ H)
+            ref = np.linalg.eigvalsh((M + M.conj().T) / 2.0)[0]
+            assert abs(rep.lambda_min[(h, t)] - ref) <= 1e-15 * abs(ref)
 
 
 def test_energy_checks_ignore_the_ladder_rungs():
