@@ -74,15 +74,15 @@ def _box_sweep_criteria(p, res):
 
 
 # --------------------------------------------------------------------------
-# per-kind runners: return (rows, criteria, extras); each row is a dict from
-# results.csv column to value, in column order
+# per-kind runners: take the config alone and return (rows, criteria,
+# extras); each row is a dict from results.csv column to value, in column order
 
 
-def _run_wf(cfg: ExperimentConfig, jobs, seed):
+def _run_wf(cfg: ExperimentConfig):
     p = cfg.probe
     model = cfg.model_config()
     kp = KernelPoint(p["x1"], p["xi1"], -p["x2"], p["xi2"])
-    res = wf_probe(model, kp, _lap_from(cfg), p["h_list"], p["delta1"], p["delta2"], jobs=jobs)
+    res = wf_probe(model, kp, _lap_from(cfg), p["h_list"], p["delta1"], p["delta2"])
     crit = []
     want_decay = p["expect"] == "decay"
     _criterion(crit, "classification matches expectation",
@@ -96,22 +96,22 @@ def _run_wf(cfg: ExperimentConfig, jobs, seed):
     return res.rows, crit, extras
 
 
-def _run_ik(cfg: ExperimentConfig, jobs, seed):
+def _run_ik(cfg: ExperimentConfig):
     p = cfg.probe
     res = ik_probe(cfg.model_config(), _lap_from(cfg), p["gamma_minus"], p["gamma_plus"],
-                   p["weight_n"], p["l_list"], jobs=jobs, seed=seed)
+                   p["weight_n"], p["l_list"], seed=cfg.numerics["seed"])
     return (res.rows, _box_sweep_criteria(p, res),
             {"bound_factor": res.bound_factor, "control_norm": res.control_norm})
 
 
-def _run_one_sided(cfg: ExperimentConfig, jobs, seed):
+def _run_one_sided(cfg: ExperimentConfig):
     p = cfg.probe
     res = one_sided_probe(cfg.model_config(), _lap_from(cfg), p["gamma"], p["nu"], p["s"],
-                          p["l_list"], jobs=jobs, seed=seed)
+                          p["l_list"], seed=cfg.numerics["seed"])
     return res.rows, _box_sweep_criteria(p, res), {"bound_factor": res.bound_factor}
 
 
-def _run_local_decay(cfg: ExperimentConfig, jobs, seed):
+def _run_local_decay(cfg: ExperimentConfig):
     p = cfg.probe
     model = cfg.model_config()
     cutoff = EnergyCutoff(lam=p["lambda"], eps_f=p["eps_f"])
@@ -125,13 +125,13 @@ def _run_local_decay(cfg: ExperimentConfig, jobs, seed):
     return res.rows, crit, {"kappa_hat": res.kappa_hat}
 
 
-def _run_prop31(cfg: ExperimentConfig, jobs, seed):
+def _run_prop31(cfg: ExperimentConfig):
     p = cfg.probe
     model = cfg.model_config()
     kp = KernelPoint(p["x1"], p["xi1"], -p["x2"], p["xi2"])
     res = propagation_probe(model, kp, EnergyCutoff(lam=p["lambda"], eps_f=p["eps_f"]),
                             p["h_list"], delta1=p["delta1"], delta2=p["delta2"],
-                            mode=p["expect"], jobs=jobs)
+                            mode=p["expect"])
     crit = []
     _fit_criteria(crit, p, res.fit, "sup-norm slope")
     return res.rows, crit, {"fit": {"slope": res.fit.slope,
@@ -139,7 +139,7 @@ def _run_prop31(cfg: ExperimentConfig, jobs, seed):
                                 "sup_norms": {str(k): v for k, v in res.sup_norms.items()}}
 
 
-def _run_escape(cfg: ExperimentConfig, jobs, seed):
+def _run_escape(cfg: ExperimentConfig):
     p = cfg.probe
     model = cfg.model_config()
     ladder = EscapeLadder(stencil=model.stencil, x2=p["x2"], xi2=p["xi2"],
@@ -169,7 +169,7 @@ def _run_escape(cfg: ExperimentConfig, jobs, seed):
     return list(energy.rows()), crit, extras
 
 
-def _run_free_kernel(cfg: ExperimentConfig, jobs, seed):
+def _run_free_kernel(cfg: ExperimentConfig):
     p = cfg.probe
     model = cfg.model_config()
     lam = p["lambda"]
@@ -192,11 +192,11 @@ def _run_free_kernel(cfg: ExperimentConfig, jobs, seed):
     return [row], crit, {"rel_error": rel, "epsilon": info["epsilon"]}
 
 
-def _run_calculus(cfg: ExperimentConfig, jobs, seed):
+def _run_calculus(cfg: ExperimentConfig):
     lam = cfg.probe["lambda"]
     model = cfg.model_config()
     box = Box(model.stencil.dim, 64)
-    g = rng(seed)
+    g = rng(cfg.numerics["seed"])
     u = g.standard_normal(box.site_count) + 1j * g.standard_normal(box.site_count)
     crit = []
     rows = []
@@ -254,11 +254,18 @@ def _fmt(value):
 
 
 def run(cfg: ExperimentConfig, out_dir=None, jobs: int = 1, seed=None, quiet=False):
-    """Execute the probe; write results.csv + manifest.json; return exit code."""
+    """Execute the probe; write results.csv + manifest.json; return exit code.
+
+    `seed` overrides numerics.seed, so the config echo holds the seed used.
+    Probes run serially; `jobs` takes 1 only, for perfbench/workloads.py.
+    """
+    if jobs != 1:
+        raise ValueError(f"jobs={jobs!r}: probes run serially, jobs must be 1")
     out = Path(out_dir if out_dir is not None else cfg.output["directory"])
-    seed = cfg.numerics["seed"] if seed is None else int(seed)
+    if seed is not None:
+        cfg = dataclasses.replace(cfg, numerics={**cfg.numerics, "seed": int(seed)})
     try:
-        rows, criteria, extras = _RUNNERS[cfg.probe_kind](cfg, jobs, seed)
+        rows, criteria, extras = _RUNNERS[cfg.probe_kind](cfg)
     except ConfigError:
         raise
     except NUMERICAL_ERRORS as exc:
@@ -276,8 +283,7 @@ def run(cfg: ExperimentConfig, out_dir=None, jobs: int = 1, seed=None, quiet=Fal
             w.writerow([_fmt(v) for v in row.values()])
     manifest = {
         "config": cfg.resolved(),
-        "seed": seed,
-        "jobs": jobs,
+        "seed": cfg.numerics["seed"],
         "versions": {"latscat": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__},
         "results": extras,
@@ -309,7 +315,6 @@ def main(argv=None) -> int:
     runp = sub.add_parser("run", help="run an experiment config")
     runp.add_argument("config", nargs="?", help="path to an INI config")
     runp.add_argument("--recipe", help="run a canned recipe instead of a file")
-    runp.add_argument("--jobs", type=int, default=1, help="probe-level parallelism")
     runp.add_argument("--out", default=None, help="output directory override")
     runp.add_argument("--seed", type=int, default=None, help="seed override")
     sub.add_parser("list-recipes", help="print the canned recipe index")
@@ -337,7 +342,7 @@ def main(argv=None) -> int:
             cfg = parse_config_file(args.config)
         else:
             raise ConfigError("run needs a config path or --recipe")
-        return run(cfg, out_dir=args.out, jobs=args.jobs, seed=args.seed)
+        return run(cfg, out_dir=args.out, seed=args.seed)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"CONFIG ERROR: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -178,9 +178,9 @@ class EscapeLadder:
 
 def _moving_bump(ladder: EscapeLadder, t: float, j: int, squared: bool):
     """Rung j's bump at time t, P(|x-y(t)|/ell_j(t)) P(dist(xi,xi2)/(gamma_j delta2))
-    with P = Psi if squared else Phi, as four functions of d = 1 points of
-    shape (..., 1): the x factor, its analytic d_t and d_x at fixed (x, xi),
-    and the xi factor."""
+    with P = Psi if squared else Phi, as three functions of d = 1 points of
+    shape (..., 1): the x factor, the pair of its analytic d_t and d_x at
+    fixed (x, xi) from one P' evaluation, and the xi factor."""
     phi, v2 = ladder.phi, ladder.v2
     P, dP = (phi.psi, phi.psi_derivative) if squared else (phi, phi.derivative)
     y, ell, r, xi2 = ladder.y(t), ladder.ell(t, j), ladder.xi_radius(j), ladder.xi2
@@ -193,29 +193,26 @@ def _moving_bump(ladder: EscapeLadder, t: float, j: int, squared: bool):
     def b(x):
         return np.asarray(P(diff_rho(x)[1]))
 
-    def b_t(x):
+    def b_tx(x):
         diff, rho = diff_rho(x)
-        return np.asarray(dP(rho)) * (-np.sign(diff) * v2 / ell - rho / scale)
-
-    def b_x(x):
-        diff, rho = diff_rho(x)
-        return np.asarray(dP(rho)) * np.sign(diff) / ell
+        d = np.asarray(dP(rho))
+        return d * (-np.sign(diff) * v2 / ell - rho / scale), d * np.sign(diff) / ell
 
     def c(xi):
         return np.asarray(P(angle_diff(np.asarray(xi, dtype=float)[..., 0], xi2) / r))
 
-    return b, b_t, b_x, c
+    return b, b_tx, c
 
 
 def build_phi0(ladder: EscapeLadder, t: float) -> Symbol:
     """phi0(t,.,.) = Phi(|x-y(t)|/ell(t)) Phi(dist(xi,xi2)/delta2)."""
-    b, _, _, c = _moving_bump(ladder, t, 0, squared=False)
+    b, _, c = _moving_bump(ladder, t, 0, squared=False)
     return separable_symbol(1, b, c)
 
 
 def build_psi0(ladder: EscapeLadder, t: float) -> Symbol:
     """Principal symbol of |Op(phi0)|^2: Psi(|x-y(t)|/ell) Psi(dist(xi,xi2)/delta2)."""
-    b, _, _, c = _moving_bump(ladder, t, 0, squared=True)
+    b, _, c = _moving_bump(ladder, t, 0, squared=True)
     return separable_symbol(1, b, c)
 
 
@@ -227,7 +224,7 @@ def build_psi_j(ladder: EscapeLadder, j: int, t: float) -> Symbol:
     if not 1 <= j <= ladder.depth:
         raise ValueError("j out of range")
     pref = float(ladder.prefactor(j, t))
-    b, _, _, c = _moving_bump(ladder, t, j, squared=True)
+    b, _, c = _moving_bump(ladder, t, j, squared=True)
     return separable_symbol(1, lambda x: pref * b(x), c)
 
 
@@ -241,18 +238,20 @@ _TRANSPORT_PAD = 1.3
 
 def _transport_fields(ladder: EscapeLadder, j: int, t: float, x, xi):
     """Analytic (d_t + v d_x) psi_j and the j>=1 lower bound (0.0 at j=0)
-    on the x by xi grid, built in place in the expression's own order."""
-    x = np.asarray(x, dtype=float)[:, None]
-    xi = np.asarray(xi, dtype=float)[:, None]
-    b, b_t, b_x, c = _moving_bump(ladder, t, j, squared=True)
-    W, v = c(xi)[None, :], ladder.v(xi[:, 0])[None, :]
+    at the points x, xi broadcast together (x[:, None], xi[None, :] for a
+    grid), built in place in the expression's own order."""
+    x = np.asarray(x, dtype=float)[..., None]
+    xi = np.asarray(xi, dtype=float)
+    b, b_tx, c = _moving_bump(ladder, t, j, squared=True)
+    W, v = c(xi[..., None]), ladder.v(xi)
+    bt, bx = b_tx(x)
     # Psi'(rho)=0 near rho=0 kills the kink of |x-y| in d_x
-    core = v * b_x(x)[:, None]
-    core += b_t(x)[:, None]
+    core = v * bx
+    core += bt
     core *= W
     if j == 0:
         return core, 0.0
-    bound = float(ladder.prefactor_rate(j, t)) * b(x)[:, None] * W
+    bound = float(ladder.prefactor_rate(j, t)) * b(x) * W
     core *= float(ladder.prefactor(j, t))
     core += bound
     return core, bound
@@ -284,7 +283,7 @@ def verify_transport(ladder: EscapeLadder, j: int) -> TransportReport:
         x = np.linspace(y - pad * ellj, y + pad * ellj, _TRANSPORT_NX)
         xi = ladder.xi2 + np.linspace(-pad * ladder.xi_radius(j),
                                       pad * ladder.xi_radius(j), _TRANSPORT_NXI)
-        val, bound = _transport_fields(ladder, j, t, x, xi)
+        val, bound = _transport_fields(ladder, j, t, x[:, None], xi[None, :])
         val -= bound
         i = np.unravel_index(np.argmin(val), val.shape)
         if val[i] < best:
@@ -295,8 +294,7 @@ def verify_transport(ladder: EscapeLadder, j: int) -> TransportReport:
         n_spot = 100 // (len(_TRANSPORT_T) - 1)
         xs = y + (g.random(n_spot) * 2 - 1) * pad * ellj
         xis = ladder.xi2 + (g.random(n_spot) * 2 - 1) * pad * ladder.xi_radius(j)
-        tr, _ = _transport_fields(ladder, j, t, xs, xis)
-        an = np.diag(tr)
+        an, _ = _transport_fields(ladder, j, t, xs, xis)
         eps_t, eps_x = 1e-5, 1e-5
         vv = ladder.v(xis)
 
@@ -362,9 +360,9 @@ def _escape_F_rate(ladder: EscapeLadder, t: float, box: Box):
     product rule, and F(t) itself from the product rule's Op(phi0(t))."""
     lo, hi = max(t - 3e-5, 0.0), t + 3e-5
     fd = (_escape_F(ladder, hi, box) - _escape_F(ladder, lo, box)) / (hi - lo)
-    b, b_t, _, c = _moving_bump(ladder, t, 0, squared=False)
+    b, b_tx, c = _moving_bump(ladder, t, 0, squared=False)
     Q = _dense_op(separable_symbol(1, b, c), box)
-    Qd = _dense_op(separable_symbol(1, b_t, c), box)
+    Qd = _dense_op(separable_symbol(1, lambda x: b_tx(x)[0], c), box)
     Qh = Q.conj().T
     return fd, Qd.conj().T @ Q + Qh @ Qd, Qh @ Q
 

@@ -19,7 +19,7 @@ from .escape import DEFAULT_PHI
 from .geometry import KernelPoint, kernel_point_setup
 from .model import LatticeHamiltonian, LinearMap, ModelConfig, check_energy_window
 from .quantize import finite_rank_pair, support_rows
-from .resolvent import DecayFit, _pmap
+from .resolvent import DecayFit
 from .symbols import Symbol
 
 
@@ -338,7 +338,7 @@ class PropagationResult:
 
 def propagation_probe(model_cfg: ModelConfig, kp: KernelPoint, cutoff: EnergyCutoff,
                       h_list: Sequence[float], delta1: float = 0.2, delta2: float = 0.2,
-                      n_t: int = 32, mode: str = "decay", jobs: int = 1) -> PropagationResult:
+                      n_t: int = 32, mode: str = "decay") -> PropagationResult:
     """sup over t in [0, T(h)] of ||Op^h(a1) e^{-itH} f(H) Op^h(a2)|| per h,
     with f the cutoff at cutoff.lam.
 
@@ -366,19 +366,14 @@ def propagation_probe(model_cfg: ModelConfig, kp: KernelPoint, cutoff: EnergyCut
         raise ValueError("control mode expects an on-set kernel point")
     _, vmax = check_energy_window(model_cfg.stencil, cutoff.support, 4096)
 
-    def run_h(h_L):
-        h, L = h_L
+    rows = []
+    sups = {}
+    for h, L in zip(hs, radii):
         H = model_cfg.assemble(L, with_cap=False)
         T = min(h**-2.0, 0.8 * L / max(vmax, 1e-12))
         tg = np.concatenate([[0.0], np.geomspace(max(T / 512.0, 0.25), T, n_t - 1)])
-        return h, _propagation_sup(H, a1, a2, h, cutoff, tg)
-
-    results = _pmap(run_h, zip(hs, radii), jobs)
-    rows = []
-    sups = {}
-    for h, (sup_h, h_rows) in results:
+        sups[h], h_rows = _propagation_sup(H, a1, a2, h, cutoff, tg)
         rows.extend({"h": h, **r} for r in h_rows)
-        sups[h] = sup_h
     hs = sorted(sups)
     fit = DecayFit.from_values(hs, [sups[h] for h in hs])
     return PropagationResult(sup_norms=sups, fit=fit, rows=rows)

@@ -11,7 +11,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .model import Box, LinearMap
-from .symbols import Symbol
+from .symbols import Symbol, separable_symbol
 from .util import product_grid, rng
 
 XI_TAIL_WARN = 1e-10
@@ -56,25 +56,16 @@ def _ifftn_flat(u, box: Box):
 
 
 def fourier_multiplier(c: Callable, box: Box) -> LinearMap:
-    """Multiplier c(D): inverse-DFT . multiply . DFT on the periodic box.
-
-    Exactly diagonal in the discrete plane-wave basis. `c` is evaluated on
-    the box momentum grid of shape (N_tot, d) and must return shape (N_tot,).
+    """Multiplier c(D) on the periodic box: op_h of the one-term symbol
+    1 * c(xi) at h = 1, without the xi-tail guard; exactly diagonal in the
+    discrete plane-wave basis. `c` sees the momentum grid as (N_tot, d)
+    and must return shape (N_tot,).
     """
-    cv = _on_grid(c(_xi_grid(box)), (box.site_count,), "multiplier")
-    cbar = np.conj(cv)
-    herm = bool(np.max(np.abs(cv.imag)) < 1e-15) if cv.size else True
-
     # mode label xi tags the plane wave e^{+i n xi}; a packet filtered at
     # label xi then moves with velocity -v(-xi) = +v(xi) for the even symbols
     # of real symmetric stencils, which is the flow the kernel geometry uses
-    def fwd(u):
-        return _ifftn_flat(cv * _fftn_flat(u, box), box)
-
-    def adj(u):
-        return _ifftn_flat(cbar * _fftn_flat(u, box), box)
-
-    return LinearMap(box.site_count, fwd, adj, hermitian=herm, label="c(D)")
+    return op_h(separable_symbol(box.dim, lambda x: np.ones(np.shape(x)[:-1]), c), 1.0, box,
+                check_resolution=False)
 
 
 def position_weight(s: float, box: Box) -> LinearMap:

@@ -19,15 +19,6 @@ from .quantize import (check_xi_tails, finite_rank_pair, op_h, operator_norm, po
 from .util import lstsq_loglog, rng
 
 
-def _pmap(fn, items, jobs):
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=int(jobs)) as ex:
-        return list(ex.map(fn, items))
-
-
 class LAPConvergenceError(RuntimeError):
     """No epsilon in the sequence stabilized the inner-region solution."""
 
@@ -277,7 +268,7 @@ class WfProbeResult:
 
 def wf_probe(model_cfg: ModelConfig, kp: KernelPoint, lap: LAPConfig,
              h_list: Sequence[float], delta1: float, delta2: float,
-             box_radius: Optional[int] = None, jobs: int = 1) -> WfProbeResult:
+             box_radius: Optional[int] = None) -> WfProbeResult:
     """h-decay of ||Op^h(a1) R Op^h(a2)|| at lap.lam for bumps centered on
     the kernel point: a1 at (x, xi), a2 at (-y, eta); each row is the exact
     finite-rank row of _finite_rank_row, in ascending h.
@@ -296,7 +287,7 @@ def wf_probe(model_cfg: ModelConfig, kp: KernelPoint, lap: LAPConfig,
                          f"max(4*max(|x|,|y|)/h_min, 32) = {radii[0]}")
     H = model_cfg.assemble(box_radius, with_cap=True)
 
-    rows = _pmap(lambda h: _finite_rank_row(h, a1, a2, H, lap), hs, jobs)
+    rows = [_finite_rank_row(h, a1, a2, H, lap) for h in hs]
     fit = DecayFit.from_values(hs, [r["norm"] for r in rows])
     return WfProbeResult(rows=rows, fit=fit, decay_expected=report.outside_all(lap.sign),
                          report=report, box_radius=box_radius)
@@ -310,7 +301,7 @@ class BoxSweepResult:
 
 
 def _cone_sweep(model_cfg: ModelConfig, lap: LAPConfig, cones, weighted,
-                L_list: Sequence[int], norm_tol: float, jobs: int, seed):
+                L_list: Sequence[int], norm_tol: float, seed):
     """||A_left R A_right|| on each box of L_list, (A_left, A_right) =
     weighted(H, *ops), where ops quantize at h = 1 the cone symbols of
     `cones`, (sign, gamma, r0) triples.
@@ -322,9 +313,9 @@ def _cone_sweep(model_cfg: ModelConfig, lap: LAPConfig, cones, weighted,
     """
     window = (lap.lam - 0.3, lap.lam + 0.3)
     check_energy_window(model_cfg.stencil, window)
-    L_sorted = sorted(int(v) for v in L_list)
 
-    def run_L(L):
+    rows = []
+    for L in sorted(int(v) for v in L_list):
         t0 = time.perf_counter()
         H = model_cfg.assemble(L, with_cap=True)
         r_out = 0.85 * (L - model_cfg.cap_for(H.box).width)
@@ -332,22 +323,19 @@ def _cone_sweep(model_cfg: ModelConfig, lap: LAPConfig, cones, weighted,
         ops = [op_h(make_cone_symbol(sign, gamma, window, r0, model_cfg.stencil, r_out=r_out),
                     1.0, H.box, check_resolution=False) for sign, gamma, r0 in cones]
         A_left, A_right = weighted(H, *ops)
-        row = _sandwich_row(L, t0, A_left, H, lap, A_right, norm_tol, seed)
-        return row, ((H, ops) if L == L_sorted[-1] else None)
-
-    out = _pmap(run_L, L_sorted, jobs)
-    norms = [row["norm"] for row, _ in out]
+        rows.append(_sandwich_row(L, t0, A_left, H, lap, A_right, norm_tol, seed))
+    norms = [row["norm"] for row in rows]
     if max(norms) < 1e-280:
         factor = 1.0
     elif min(norms) <= 0.0:
         factor = float("inf")
     else:
         factor = max(norms) / min(norms)
-    return BoxSweepResult(rows=[row for row, _ in out], bound_factor=factor), out[-1][1]
+    return BoxSweepResult(rows=rows, bound_factor=factor), (H, ops)
 
 
 def ik_probe(model_cfg: ModelConfig, lap: LAPConfig, gamma_minus: float, gamma_plus: float,
-             N: float, L_list: Sequence[int], norm_tol: float = 1e-2, jobs: int = 1,
+             N: float, L_list: Sequence[int], norm_tol: float = 1e-2,
              seed=None) -> BoxSweepResult:
     """Two-sided cone estimate: ||<n>^N A_- R A_+^* <n>^N|| across box sizes,
     with r0 = 1 for both cones (cli gates bound_factor on criterion_factor).
@@ -363,14 +351,14 @@ def ik_probe(model_cfg: ModelConfig, lap: LAPConfig, gamma_minus: float, gamma_p
 
     res, (H, (Am, Ap)) = _cone_sweep(model_cfg, lap, ((-1, gamma_minus, 1.0),
                                                       (+1, gamma_plus, 1.0)),
-                                     weighted, L_list, norm_tol, jobs, seed)
+                                     weighted, L_list, norm_tol, seed)
     res.control_norm = sandwich_norm(Ap, H, lap, adjoint_map(Am), tol=norm_tol, seed=seed)
     return res
 
 
 def one_sided_probe(model_cfg: ModelConfig, lap: LAPConfig, gamma: float, nu: float,
                     s: float, L_list: Sequence[int], r0: float = 1.0,
-                    norm_tol: float = 1e-2, jobs: int = 1, seed=None) -> BoxSweepResult:
+                    norm_tol: float = 1e-2, seed=None) -> BoxSweepResult:
     """One-sided estimate: ||<n>^(-nu) R Op(a) <n>^s|| across box sizes, with
     R and the cone a on the side lap.sign."""
     if not nu > 1.0:
@@ -382,5 +370,5 @@ def one_sided_probe(model_cfg: ModelConfig, lap: LAPConfig, gamma: float, nu: fl
         return position_weight(-nu, H.box), compose_maps(A, position_weight(s, H.box))
 
     res, _ = _cone_sweep(model_cfg, lap, ((lap.sign, gamma, r0),), weighted, L_list,
-                         norm_tol, jobs, seed)
+                         norm_tol, seed)
     return res

@@ -123,7 +123,7 @@ def test_transport_vanishes_off_support(ladder):
     t = 1.0
     x = ladder.y(t) + np.linspace(1.1, 3.0, 40) * ladder.ell(t, 0)
     xi = ladder.xi2 + np.linspace(-0.5, 0.5, 41)
-    tr, bound = _transport_fields(ladder, 0, t, x, xi)
+    tr, bound = _transport_fields(ladder, 0, t, x[:, None], xi[None, :])
     assert np.max(np.abs(tr)) == 0.0 and np.max(np.abs(bound)) == 0.0
 
 

@@ -84,13 +84,27 @@ def _load_script(path: Path):
 
 
 def _bad_calls(path: Path, module):
-    """Calls `f(...)` of a module-level callable whose arguments its
-    signature does not accept, as 'line: f(...) -> error'."""
+    """Calls `f(...)` of a module-level callable, and `m.f(...)` of an
+    attribute of a module-level module `m`, whose arguments its signature
+    does not accept (or, for `m.f`, that `m` lacks), as
+    'line: f(...) -> error'."""
     bad = []
+    names = vars(module)
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+        if not isinstance(node, ast.Call):
             continue
-        target = vars(module).get(node.func.id)
+        func = node.func
+        if isinstance(func, ast.Name):
+            label, target = func.id, names.get(func.id)
+        elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
+                and inspect.ismodule(names.get(func.value.id)):
+            label = f"{func.value.id}.{func.attr}"
+            target = getattr(names[func.value.id], func.attr, None)
+            if target is None:
+                bad.append(f"{node.lineno}: {label}(...) -> no such attribute")
+                continue
+        else:
+            continue
         if not callable(target) or any(isinstance(a, ast.Starred) for a in node.args) \
                 or any(k.arg is None for k in node.keywords):
             continue
@@ -101,7 +115,7 @@ def _bad_calls(path: Path, module):
         try:
             sig.bind(*node.args, **{k.arg: k.value for k in node.keywords})
         except TypeError as exc:
-            bad.append(f"{node.lineno}: {node.func.id}(...) -> {exc}")
+            bad.append(f"{node.lineno}: {label}(...) -> {exc}")
     return bad
 
 
@@ -114,11 +128,18 @@ def test_script_imports_and_calls_match_the_api(path):
 
 def test_script_call_check_flags_an_unknown_keyword(tmp_path):
     src = tmp_path / "s.py"
-    src.write_text("from latscat.escape import EscapeLadder\n\n\ndef main():\n"
+    src.write_text("from latscat import escape\nfrom latscat.escape import EscapeLadder\n\n\n"
+                   "def main():\n"
                    "    EscapeLadder(stencil=None, x2=1.0, xi2=0.0, delta1=0.1, delta2=0.1,\n"
-                   "                 h=0.5, no_such_field=1)\n")
+                   "                 h=0.5, no_such_field=1)\n"
+                   "    escape.verify_transport(None, 0)\n"
+                   "    escape.verify_transport(None, 0, jobs=2)\n"
+                   "    escape.no_such_function()\n")
     bad = _bad_calls(src, _load_script(src))
-    assert len(bad) == 1 and "no_such_field" in bad[0]
+    assert len(bad) == 3
+    assert bad[0].startswith("6: EscapeLadder(...)") and "no_such_field" in bad[0]
+    assert bad[1].startswith("9: escape.verify_transport(...)") and "jobs" in bad[1]
+    assert bad[2] == "10: escape.no_such_function(...) -> no such attribute"
 
 
 def test_escape_margin_sweep_detects_the_sabotaged_ramp(capsys):
@@ -134,6 +155,8 @@ def test_benchmark_bindings(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT))
     from perfbench import DEFAULT_SEED, WORKLOADS, checks, instrument, spans, workloads
 
+    # the operations run only in a pass, so their calls are checked from source
+    assert _bad_calls(ROOT / "perfbench" / "workloads.py", workloads) == []
     reference = checks.load_json()
     for name in WORKLOADS:
         ops = workloads.build(name, DEFAULT_SEED, tmp_path, reference)
