@@ -1,8 +1,8 @@
 """latscat: desk-scale experiments on the microlocal structure of resolvents
 of lattice Schrodinger operators."""
 
-from .model import (Box, CAPProfile, LatticeHamiltonian, LinearMap, ModelConfig,
-                    Potential, Stencil, check_energy_window, laplacian_stencil)
+from .model import (Box, LatticeHamiltonian, LinearMap, ModelConfig, Potential, Stencil,
+                    check_energy_window, laplacian_stencil)
 from .symbols import Symbol, separable_symbol
 from .quantize import fourier_multiplier, op_h, operator_norm, position_weight
 from .geometry import (KernelPoint, MembershipReport, classify, kernel_point_setup,

@@ -124,15 +124,12 @@ class ExperimentConfig:
         }
 
     def model_config(self) -> ModelConfig:
+        """The [model] block as a ModelConfig; Stencil and Potential raise
+        ValueError on a bad dim, form or mu."""
         m = self.model
-        form = m["potential"]
-        if form == "none":
-            pot = Potential()
-        elif form in ("power_law", "dipole"):
-            pot = Potential(mu=m["mu"], amplitude=m["amplitude"], form=form)
-        else:
-            raise ConfigError(f"unknown potential form {form!r}")
-        return ModelConfig(stencil=laplacian_stencil(m["dim"]), potential=pot)
+        return ModelConfig(stencil=laplacian_stencil(m["dim"]),
+                           potential=Potential(mu=m["mu"], amplitude=m["amplitude"],
+                                               form=m["potential"]))
 
 
 def _read_section(cp, name, schema):
@@ -183,6 +180,10 @@ def parse_config_file(path) -> ExperimentConfig:
 
 
 def _validate_preconditions(cfg: ExperimentConfig):
+    try:
+        cfg.model_config()
+    except ValueError as exc:
+        raise ConfigError(f"bad [model] block: {exc}") from exc
     p = cfg.probe
     k = cfg.probe_kind
     if k == "one-sided":

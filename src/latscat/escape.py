@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import DENSE_MAX_SITES, Box, ModelConfig, Stencil
-from .quantize import _xi_grid, sampled_terms
+from .quantize import sampled_terms
 from .symbols import Symbol, separable_symbol
 from .util import angle_diff, lstsq_loglog, rng
 
@@ -317,19 +317,19 @@ def verify_transport(ladder: EscapeLadder, j: int) -> TransportReport:
 
 
 def periodic_dense_h(model_cfg: ModelConfig, box: Box) -> np.ndarray:
-    """Dense periodic H = p0(D) + V on a d = 1 box.
+    """Dense periodic H = p0(D) + V on a d = 1 box: the quantized one-term
+    symbol 1 * p0(xi), made exactly hermitian, plus diag V.
 
     The DFT quantization is periodic; pairing it with the Dirichlet-truncated
     H0 leaks an O(1) commutator artifact through the box seam, so the dense
     escape checks use the multiplier form of H0.
     """
-    N = box.site_count
-    if N > DENSE_MAX_SITES:
+    if box.site_count > DENSE_MAX_SITES:
         raise ValueError("box too large for the dense route")
-    p0 = model_cfg.stencil.p0(_xi_grid(box))
-    H = np.fft.ifft(p0[:, None] * np.fft.fft(np.eye(N), axis=0), axis=0)
+    H = _dense_op(separable_symbol(1, lambda x: np.ones(np.shape(x)[:-1]),
+                                   model_cfg.stencil.p0), box)
     H = (H + H.conj().T) / 2.0
-    H[np.diag_indices(N)] += model_cfg.potential.values(box.sites())
+    H[np.diag_indices(box.site_count)] += model_cfg.potential.values(box.sites())
     return H
 
 

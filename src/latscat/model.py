@@ -12,7 +12,7 @@ import scipy.sparse as sp
 
 from .util import product_grid
 
-# the strength of every box's absorbing potential (ModelConfig.cap_for)
+# the strength of every box's absorbing potential (LatticeHamiltonian)
 CAP_STRENGTH = 1.0
 # the largest box, in sites, that the dense routes build
 DENSE_MAX_SITES = 4200
@@ -211,24 +211,10 @@ class Box:
         return np.max(np.abs(self.sites()), axis=1)
 
 
-@dataclass(frozen=True)
-class CAPProfile:
-    """Cubic-ramp complex absorbing potential W >= 0 in the outer layer."""
-
-    width: int
-    strength: float = CAP_STRENGTH
-
-    def __post_init__(self):
-        if self.width < 1:
-            raise ValueError("width must be >= 1")
-        if self.strength <= 0:
-            raise ValueError("strength must be > 0")
-
-    def values(self, box: Box) -> np.ndarray:
-        d = box.inf_norms().astype(float)
-        inner = box.radius - self.width
-        ramp = np.maximum(d - inner, 0.0) / self.width
-        return self.strength * ramp**3
+def cap_width(radius: int) -> int:
+    """Width in sites of the absorbing layer of a box of this radius: the
+    outer eighth of the radius, at least 4 sites."""
+    return max(int(round(radius / 8)), 4)
 
 
 class LinearMap:
@@ -284,25 +270,31 @@ def adjoint_map(A: LinearMap) -> LinearMap:
 
 
 class LatticeHamiltonian(LinearMap):
-    """H = H0 + V (- iW with a CAP), assembled once, on first use, as a sparse
-    CSR matrix.
+    """H = H0 + V (- iW with the CAP), assembled once, on first use, as a
+    sparse CSR matrix.
 
     Hops that leave the box are dropped (Dirichlet truncation). The hop part
     is self-adjoint by the stencil symmetry invariant, so the adjoint differs
     from H only in the sign of the CAP term. Products are complex for real
     input.
+
+    with_cap adds the complex absorbing potential W >= 0: a cubic ramp over
+    the outer cap_width(radius) sites, reaching CAP_STRENGTH on the box edge.
     """
 
     def __init__(self, stencil: Stencil, potential: Potential, box: Box,
-                 cap: Optional[CAPProfile] = None):
-        if cap is not None and box.radius <= stencil.bandwidth + cap.width:
+                 with_cap: bool = False):
+        width = cap_width(box.radius)
+        if with_cap and box.radius <= stencil.bandwidth + width:
             raise ValueError("box radius must exceed stencil bandwidth + cap width")
         self.stencil = stencil
         self.potential = potential
         self.box = box
-        self.cap = cap
         self.v_diag = potential.values(box.sites())
-        self.cap_diag = cap.values(box) if cap is not None else np.zeros(box.site_count)
+        self.cap_diag = np.zeros(box.site_count)
+        if with_cap:
+            ramp = np.maximum(box.inf_norms() - (box.radius - width), 0.0) / width
+            self.cap_diag = CAP_STRENGTH * ramp**3
         onsite = 0.0 + 0.0j
         hops = []
         for o, g in zip(stencil.offsets, stencil.coeffs):
@@ -315,7 +307,7 @@ class LatticeHamiltonian(LinearMap):
         self.onsite = onsite.real
         self.hops = hops
         self._csr = {}
-        super().__init__(box.site_count, None, None, hermitian=cap is None,
+        super().__init__(box.site_count, None, None, hermitian=not with_cap,
                          bandwidth=stencil.bandwidth, label="H")
 
     # Methods, not closures handed to LinearMap: a closure over self is a
@@ -331,8 +323,8 @@ class LatticeHamiltonian(LinearMap):
 
     def _matrix(self, cap_sign: int) -> sp.csr_array:
         """H0 + V - i cap_sign W as CSR, assembled on first use and cached per
-        CAP sign: the d=1 banded solves never need it."""
-        if self.cap is None:
+        CAP sign."""
+        if self.hermitian:
             cap_sign = 0
         if cap_sign not in self._csr:
             self._csr[cap_sign] = self._assemble(self._shifted_diag(0.0, cap_sign, 0.0))
@@ -371,21 +363,17 @@ class LatticeHamiltonian(LinearMap):
         return self._assemble(self._shifted_diag(shift, branch_sign, eps)).tocsc()
 
     def banded(self, shift: complex = 0.0, branch_sign: int = +1, eps: float = 0.0):
-        """(d=1) LAPACK band storage of H0 + V - shift -/+ i(eps + W) per branch."""
+        """(d=1) LAPACK band storage of H0 + V - shift -/+ i(eps + W) per branch:
+        the hops read off the CSR matrix, then the shifted diagonal."""
         if self.box.dim != 1:
             raise ValueError("banded storage only for d=1")
         b = self.stencil.bandwidth
-        N = self.box.site_count
-        ab = np.zeros((2 * b + 1, N), dtype=complex)
-        ab[b, :] = self._shifted_diag(shift, branch_sign, eps)
-        for o, g in self.hops:
-            m = o[0]
-            # entry H[i, j] with j = i - m lives in ab[b + (i - j), j] = ab[b + m, j]
-            row = b + m
-            if m > 0:
-                ab[row, : N - m] = g
-            else:
-                ab[row, -m:] = g
+        dia = self._matrix(+1).todia()
+        ab = np.zeros((2 * b + 1, self.box.site_count), dtype=complex)
+        # DIA holds H[j - k, j] at data[., j] for offset k; LAPACK wants
+        # H[i, j] at ab[b + i - j, j], that is ab[b - k, j]
+        ab[b - dia.offsets] = dia.data
+        ab[b] = self._shifted_diag(shift, branch_sign, eps)
         return ab
 
     def dense(self) -> np.ndarray:
@@ -408,17 +396,11 @@ class LatticeHamiltonian(LinearMap):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Model block shared by the probes: stencil + potential + CAP rule."""
+    """Model block shared by the probes: stencil + potential."""
 
     stencil: Stencil = field(default_factory=laplacian_stencil)
     potential: Potential = field(default_factory=Potential)
 
-    def cap_for(self, box: Box) -> CAPProfile:
-        """The CAP of every assembled box: the outer eighth of the radius, at
-        least 4 sites, at strength CAP_STRENGTH."""
-        return CAPProfile(width=max(int(round(0.125 * box.radius)), 4))
-
     def assemble(self, radius: int, with_cap: bool = True) -> LatticeHamiltonian:
-        box = Box(self.stencil.dim, radius)
-        cap = self.cap_for(box) if with_cap else None
-        return LatticeHamiltonian(self.stencil, self.potential, box, cap)
+        return LatticeHamiltonian(self.stencil, self.potential,
+                                  Box(self.stencil.dim, radius), with_cap)

@@ -13,7 +13,7 @@ import scipy.sparse.linalg as spla
 
 from .geometry import KernelPoint, kernel_point_setup, make_cone_symbol
 from .model import (LatticeHamiltonian, LinearMap, ModelConfig, compose_maps,
-                    adjoint_map, check_energy_window)
+                    adjoint_map, cap_width, check_energy_window)
 from .quantize import (check_xi_tails, finite_rank_pair, op_h, operator_norm, position_weight,
                        support_rows)
 from .util import lstsq_loglog, rng
@@ -318,7 +318,7 @@ def _cone_sweep(model_cfg: ModelConfig, lap: LAPConfig, cones, weighted,
     for L in sorted(int(v) for v in L_list):
         t0 = time.perf_counter()
         H = model_cfg.assemble(L, with_cap=True)
-        r_out = 0.85 * (L - model_cfg.cap_for(H.box).width)
+        r_out = 0.85 * (L - cap_width(L))
         # fixed symbols on pinned small boxes: quantize the sampled symbol
         ops = [op_h(make_cone_symbol(sign, gamma, window, r0, model_cfg.stencil, r_out=r_out),
                     1.0, H.box, check_resolution=False) for sign, gamma, r0 in cones]

@@ -63,6 +63,10 @@ def test_parse_minimal_and_resolved_echo():
     ("[numerics]\neps_k_min = 3\n[probe]\nkind = calculus", "unknown key"),
     ("[numerics]\nclassify_grid = 4096\n[probe]\nkind = calculus", "unknown key"),
     ("[output]\nformats = csv,json\n[probe]\nkind = calculus", "unknown key"),
+    # a [model] block that cannot build its model fails at parse time
+    ("[model]\npotential = table\n[probe]\nkind = calculus", "unknown potential form"),
+    ("[model]\npotential = power_law\nmu = 1.5\n[probe]\nkind = calculus", "mu must lie"),
+    ("[model]\ndim = 0\n[probe]\nkind = calculus", "dim must be >= 1"),
 ], ids=["unknown-key", "unknown-kind", "empty-kind", "unknown-section",
         "one-sided-s", "ik-gammas", "short-h-list", "free-kernel-dim",
         "free-kernel-potential", "prop31-dim", "escape-dim", "wf-dim", "ik-dim",
@@ -71,7 +75,7 @@ def test_parse_minimal_and_resolved_echo():
         "one-sided-single-box", "ik-empty-l-list",
         "removed-stencil", "removed-cap-width-frac", "removed-cap-strength",
         "removed-norm-tol", "removed-eps-k-min", "removed-classify-grid",
-        "removed-formats"])
+        "removed-formats", "model-unknown-potential", "model-mu-range", "model-dim-0"])
 def test_schema_rejections(mutation, match):
     with pytest.raises(ConfigError, match=match):
         parse_config(mutation)
@@ -316,6 +320,18 @@ def test_seed_override_changes_start(tmp_path):
     # the config echo alone reproduces the run: it holds the seed used
     assert manifest["seed"] == 123
     assert manifest["config"]["numerics"]["seed"] == 123
+    # the calculus probe draws its vectors from the seed: --seed reaches it,
+    # as the same seed set in the config does
+    calculus = recipe_config("calculus-invariants")
+    runs = {"default": (parse_config(calculus), None),
+            "override": (parse_config(calculus), 123),
+            "config": (parse_config(calculus + "\n[numerics]\nseed = 123\n"), None)}
+    csvs = {}
+    for name, (cfg, seed) in runs.items():
+        assert run(cfg, out_dir=tmp_path / name, quiet=True, seed=seed) == EXIT_OK
+        csvs[name] = list(csv.reader(io.StringIO((tmp_path / name / "results.csv").read_text())))
+    assert csvs["override"] != csvs["default"]
+    assert csvs["override"] == csvs["config"]
 
 
 # the README's results.csv columns by probe kind

@@ -10,6 +10,7 @@ from latscat.escape import (CutoffPhi, DerivativeMismatchError, EscapeLadder,
                             periodic_dense_h, verify_transport, _escape_F)
 from latscat.geometry import make_bump_pair
 from latscat.model import Box
+from latscat.quantize import fourier_multiplier
 from latscat.recipes import recipe_config
 
 
@@ -316,12 +317,18 @@ def test_zeta_support_disjoint_from_ladder(energy_ladder):
         assert np.max(np.abs(x[zeta > 0])) <= scale / 2 + 1e-9
 
 
-def test_periodic_dense_h_matches_band(free_model):
+def test_periodic_dense_h_matches_band(free_model, longrange_model, to_dense):
     box = Box(1, 32)
     H = periodic_dense_h(free_model, box)
     assert np.linalg.norm(H - H.conj().T, 2) <= 1e-13
     evs = np.linalg.eigvalsh(H)
     assert evs[0] >= -1e-12 and evs[-1] <= 2.0 + 1e-12
+    # with V: the matrix-free multiplier p0(D) on the identity columns, plus diag V
+    H = periodic_dense_h(longrange_model, box)
+    oracle = to_dense(fourier_multiplier(longrange_model.stencil.p0, box))
+    oracle += np.diag(longrange_model.potential.values(box.sites()))
+    assert np.max(np.abs(H - oracle)) <= 1e-14
+    assert np.array_equal(H, H.conj().T)
 
 
 def test_psi0_support_sandwich(energy_ladder):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latscat.model import (CAP_STRENGTH, Box, CAPProfile, CriticalValueError, EmptyShellError,
-                           LatticeHamiltonian, ModelConfig, Potential, Stencil,
+from latscat.model import (CAP_STRENGTH, Box, CriticalValueError, EmptyShellError,
+                           LatticeHamiltonian, ModelConfig, Potential, Stencil, cap_width,
                            check_energy_window, laplacian_stencil)
 
 
@@ -105,11 +105,11 @@ def test_plane_wave_diagonalization(stencil1d):
 
 def test_cap_profile_and_dissipativity(stencil1d, rng):
     box = Box(1, 32)
-    cap = CAPProfile(width=4, strength=1.0)
-    W = cap.values(box)
+    assert cap_width(box.radius) == 4
+    H = LatticeHamiltonian(stencil1d, Potential(), box, with_cap=True)
+    W = H.cap_diag
     assert np.all(W >= 0)
     assert np.all(W[np.abs(box.sites()[:, 0]) <= 28] == 0.0)
-    H = LatticeHamiltonian(stencil1d, Potential(), box, cap)
     for _ in range(10):
         u = rng.standard_normal(H.dim) + 1j * rng.standard_normal(H.dim)
         assert np.imag(np.vdot(u, H(u))) <= 1e-12
@@ -125,8 +125,10 @@ def test_box_index_maps():
 
 
 def test_box_radius_vs_cap():
+    # the narrowest CAP is 4 sites: radius 5 leaves no room beside a hop
     with pytest.raises(ValueError, match="radius"):
-        LatticeHamiltonian(laplacian_stencil(1), Potential(), Box(1, 5), CAPProfile(width=5))
+        LatticeHamiltonian(laplacian_stencil(1), Potential(), Box(1, 5), with_cap=True)
+    LatticeHamiltonian(laplacian_stencil(1), Potential(), Box(1, 5))
 
 
 def test_potential_forms():
@@ -172,9 +174,9 @@ def test_assembled_hermitian_for_symmetric_stencils(verify_adjoint, stn):
 
 def test_model_config_assemble(longrange_model):
     H = longrange_model.assemble(32)
-    assert H.cap is not None and not H.hermitian
+    assert not H.hermitian and np.any(H.cap_diag > 0)
     Hh = longrange_model.assemble(32, with_cap=False)
-    assert Hh.hermitian
+    assert Hh.hermitian and not np.any(Hh.cap_diag)
     # the cubic CAP ramp reaches its full strength on the box edge
     assert np.max(H.cap_diag) == CAP_STRENGTH
 

@@ -335,6 +335,15 @@ def test_band_adjoint_complex_hops():
     M = H.shifted(1.0, +1, 1e-2).toarray()
     b = np.random.default_rng(4).standard_normal(H.dim) + 0j
     assert np.linalg.norm(M.conj().T @ sol.solve_adjoint(b) - b) <= 1e-12 * np.linalg.norm(b)
+    # the band is the LAPACK layout of the shifted matrix: H[i, j] at ab[bw + i - j, j]
+    bw = H.stencil.bandwidth
+    i, j = np.indices((H.dim, H.dim))
+    inside = np.abs(i - j) <= bw
+    for s in (+1, -1):
+        ab = H.banded(1.0, s, 1e-2)
+        unpacked = np.zeros((H.dim, H.dim), dtype=complex)
+        unpacked[inside] = ab[(bw + i - j)[inside], j[inside]]
+        assert np.array_equal(unpacked, H.shifted(1.0, s, 1e-2).toarray())
 
 
 def test_shifted_solver_fill_d2():
