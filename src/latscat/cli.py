@@ -28,8 +28,8 @@ from .model import Box
 from .quantize import NormConvergenceError, ResolutionError, fourier_multiplier, position_weight
 from .propagate import EnclosureError, EnergyCutoff, evolve, local_decay_probe, propagation_probe
 from .recipes import RECIPES, recipe_config, recipe_lines
-from .resolvent import (LAPConfig, LAPConvergenceError, default_epsilon_sequence,
-                        free_kernel_1d, ik_probe, lap_solve, one_sided_probe, wf_probe)
+from .resolvent import (LAPConfig, LAPConvergenceError, _ShiftedSolver, free_kernel_1d,
+                        default_epsilon_sequence, ik_probe, lap_solve, one_sided_probe, wf_probe)
 from .util import rng
 
 EXIT_OK, EXIT_CRITERION, EXIT_SCHEMA, EXIT_NUMERICAL = 0, 1, 2, 3
@@ -218,7 +218,6 @@ def _run_calculus(cfg: ExperimentConfig):
                                            / np.linalg.norm(u)), 1e-13)
     H = model.assemble(48, with_cap=True)
     eps1, eps2 = 1e-2, 2e-2
-    from .resolvent import _ShiftedSolver
     s1 = _ShiftedSolver(H, lam, +1, eps1)
     s2 = _ShiftedSolver(H, lam, +1, eps2)
     v = g.standard_normal(H.dim) + 1j * g.standard_normal(H.dim)

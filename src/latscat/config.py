@@ -5,7 +5,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass
 
-from .model import ModelConfig, Potential, laplacian_stencil
+from .model import ModelConfig, Potential, cap_width, laplacian_stencil
 from .util import SEED
 
 
@@ -195,9 +195,9 @@ def _validate_preconditions(cfg: ExperimentConfig):
             raise ConfigError("sign must be 1 or -1")
     if k == "ik" and not (-1.0 < p["gamma_minus"] < p["gamma_plus"] < 1.0):
         raise ConfigError("ik probe needs -1 < gamma_- < gamma_+ < 1")
-    if k in ("ik", "one-sided") and len(set(p["l_list"])) < 2:
+    if k in ("ik", "one-sided") and not len(set(p["l_list"])) == len(p["l_list"]) >= 2:
         raise ConfigError(f"the {k} probe compares boxes: l_list needs at least 2 "
-                          "distinct radii")
+                          "distinct radii, none repeated")
     if k in ("wf", "prop31"):
         for key in ("x1", "xi1", "x2", "xi2"):
             if p[key] is None:
@@ -208,9 +208,19 @@ def _validate_preconditions(cfg: ExperimentConfig):
             raise ConfigError("expect must be decay or control")
     if k in ("wf", "ik", "one-sided", "prop31", "escape", "free-kernel") and cfg.model["dim"] != 1:
         raise ConfigError(f"the {k} probe is implemented for dim = 1 only")
-    if k == "free-kernel" and cfg.model["potential"] != "none":
-        raise ConfigError("free-kernel probe compares with the closed-form free kernel: "
-                          "it needs potential = none")
+    if k == "free-kernel":
+        if cfg.model["potential"] != "none":
+            raise ConfigError("free-kernel probe compares with the closed-form free kernel: "
+                              "it needs potential = none")
+        L = p["box_radius"]
+        if not 0.0 <= p["inner_frac"] * L <= L - cap_width(L):
+            raise ConfigError(f"free-kernel compares |n| <= inner_frac * L outside the CAP: "
+                              f"need 0 <= inner_frac * {L} <= {L - cap_width(L)}")
+    if k == "escape":
+        # the energy exponent is a fit over h
+        for key, least in (("t_samples", 1), ("mono_t_list", 1), ("h_list", 2)):
+            if len(set(p[key])) < least:
+                raise ConfigError(f"[probe] {key} needs at least {least} distinct value(s)")
     if k == "local-decay":
         if p["box_radius"] <= 0:
             raise ConfigError("[probe] box_radius must be positive")

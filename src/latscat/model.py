@@ -295,17 +295,11 @@ class LatticeHamiltonian(LinearMap):
         if with_cap:
             ramp = np.maximum(box.inf_norms() - (box.radius - width), 0.0) / width
             self.cap_diag = CAP_STRENGTH * ramp**3
-        onsite = 0.0 + 0.0j
-        hops = []
-        for o, g in zip(stencil.offsets, stencil.coeffs):
-            if all(c == 0 for c in o):
-                onsite += g
-            else:
-                hops.append((o, g))
+        table = dict(zip(stencil.offsets, stencil.coeffs))
+        onsite = table.pop((0,) * stencil.dim, 0.0)
         if abs(onsite.imag) > 1e-14:
             raise ValueError("onsite coefficient must be real")
-        self.onsite = onsite.real
-        self.hops = hops
+        self.onsite, self.hops = onsite.real, list(table.items())
         self._csr = {}
         super().__init__(box.site_count, None, None, hermitian=not with_cap,
                          bandwidth=stencil.bandwidth, label="H")
@@ -362,18 +356,23 @@ class LatticeHamiltonian(LinearMap):
         format of the sparse LU the d >= 2 solves use."""
         return self._assemble(self._shifted_diag(shift, branch_sign, eps)).tocsc()
 
+    @cached_property
+    def _hop_band(self) -> np.ndarray:
+        """(d=1) H in LAPACK band storage, read off the CSR matrix once: DIA
+        holds H[j - k, j] at data[., j] for offset k, and LAPACK wants H[i, j]
+        at ab[b + i - j, j], that is ab[b - k, j]."""
+        dia, b = self._matrix(+1).todia(), self.stencil.bandwidth
+        ab = np.zeros((2 * b + 1, self.box.site_count), dtype=complex)
+        ab[b - dia.offsets] = dia.data
+        return ab
+
     def banded(self, shift: complex = 0.0, branch_sign: int = +1, eps: float = 0.0):
         """(d=1) LAPACK band storage of H0 + V - shift -/+ i(eps + W) per branch:
-        the hops read off the CSR matrix, then the shifted diagonal."""
+        a copy of the hop band with the shifted diagonal written in."""
         if self.box.dim != 1:
             raise ValueError("banded storage only for d=1")
-        b = self.stencil.bandwidth
-        dia = self._matrix(+1).todia()
-        ab = np.zeros((2 * b + 1, self.box.site_count), dtype=complex)
-        # DIA holds H[j - k, j] at data[., j] for offset k; LAPACK wants
-        # H[i, j] at ab[b + i - j, j], that is ab[b - k, j]
-        ab[b - dia.offsets] = dia.data
-        ab[b] = self._shifted_diag(shift, branch_sign, eps)
+        ab = self._hop_band.copy()
+        ab[self.stencil.bandwidth] = self._shifted_diag(shift, branch_sign, eps)
         return ab
 
     def dense(self) -> np.ndarray:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -72,7 +73,7 @@ class DecayFit:
 
 
 class _ShiftedSolver:
-    """(H0 + V - lam -/+ i(eps + W))^(-1) and its adjoint.
+    """(H0 + V - lam -/+ i(eps + W))^(-1) and its adjoint, at one eps.
 
     d = 1: `matrix` is None, and each solve is one LAPACK band
     factor-plus-solve with partial pivoting. The hops are hermitian, so the
@@ -101,33 +102,20 @@ class _ShiftedSolver:
             self._lu = spla.splu(self.matrix, permc_spec="MMD_AT_PLUS_A",
                                  diag_pivot_thresh=0.01, options=dict(SymmetricMode=True))
 
-    def set_diagonal(self, diag):
-        """(d = 1) Replace the band's diagonal: the same solver at another
-        eps of one ladder, whose off-diagonal bands do not depend on eps."""
-        self._ab_f[self._b] = diag
-        self._ab_a = None
-
-    def solve(self, rhs):
+    def solve(self, rhs, adjoint: bool = False):
         rhs = np.asarray(rhs, dtype=complex)
-        if self.matrix is None:
-            return sla.solve_banded((self._b, self._b), self._ab_f, rhs)
-        return self._lu.solve(rhs)
-
-    def solve_adjoint(self, rhs):
-        rhs = np.asarray(rhs, dtype=complex)
-        if self.matrix is None:
-            if self._ab_a is None:
-                self._ab_a = self._ab_f.copy()
-                self._ab_a[self._b] = np.conj(self._ab_f[self._b])
-            return sla.solve_banded((self._b, self._b), self._ab_a, rhs)
-        return self._lu.solve(rhs, trans="H")
+        if self.matrix is not None:
+            return self._lu.solve(rhs, trans="H" if adjoint else "N")
+        if adjoint and self._ab_a is None:
+            self._ab_a = self._ab_f.copy()
+            self._ab_a[self._b] = np.conj(self._ab_f[self._b])
+        return sla.solve_banded((self._b, self._b), self._ab_a if adjoint else self._ab_f, rhs)
 
 
 def _lap_iterate(H: LatticeHamiltonian, cfg: LAPConfig, rhs):
-    """Walk the epsilon ladder until inner-region stabilization.
+    """Walk the epsilon ladder until inner-region stabilization, with a
+    fresh solver per rung; returns the converged rung's solver.
 
-    d = 1 builds one band per call and rewrites only its diagonal on each
-    later rung; the returned solver holds the converged rung's band.
     Each d >= 2 rung's solve is checked against the matrix it factored:
     ||M u - rhs|| > 1e-10 ||rhs|| raises np.linalg.LinAlgError, the guard
     on the symmetric-mode LU's weak pivoting.
@@ -135,11 +123,8 @@ def _lap_iterate(H: LatticeHamiltonian, cfg: LAPConfig, rhs):
     inner = H.inner_mask()
     prev = None
     diffs = []
-    for k, eps in enumerate(cfg.epsilon_sequence):
-        if k > 0 and H.box.dim == 1:
-            sol.set_diagonal(H._shifted_diag(cfg.lam, cfg.sign, eps))
-        else:
-            sol = _ShiftedSolver(H, cfg.lam, cfg.sign, eps)
+    for eps in cfg.epsilon_sequence:
+        sol = _ShiftedSolver(H, cfg.lam, cfg.sign, eps)
         u = sol.solve(rhs)
         if sol.matrix is not None:
             resid, size = np.linalg.norm(sol.matrix @ u - rhs), np.linalg.norm(rhs)
@@ -175,7 +160,8 @@ def resolvent_map(H: LatticeHamiltonian, cfg: LAPConfig, probe_rhs):
     """(R_map, eps) at the epsilon where the ladder converges on probe_rhs;
     R_map supports adjoints."""
     _, eps, sol, _ = _lap_iterate(H, cfg, probe_rhs)
-    R = LinearMap(H.dim, sol.solve, sol.solve_adjoint, label=f"R{'+' if cfg.sign > 0 else '-'}")
+    R = LinearMap(H.dim, sol.solve, partial(sol.solve, adjoint=True),
+                  label=f"R{'+' if cfg.sign > 0 else '-'}")
     return R, eps
 
 

@@ -28,6 +28,32 @@ def test_parse_minimal_and_resolved_echo():
     assert resolved["probe"]["expect"] == "decay"
 
 
+# configs that once ran to a vacuous pass, a minimum-norm fit, a crash, an
+# invalid manifest or a duplicate row: (text, message, id)
+_EXIT_2_CASES = [
+    # an empty monotonicity list passes vacuously
+    ("[probe]\nkind = escape\nmono_t_list =", "mono_t_list needs at least 1",
+     "escape-no-mono-t"),
+    # one h is no fit: lstsq gives its minimum-norm exponent
+    ("[probe]\nkind = escape\nh_list = 0.125", "h_list needs at least 2 distinct",
+     "escape-one-h"),
+    ("[probe]\nkind = escape\nh_list = 0.125,0.125", "h_list needs at least 2 distinct",
+     "escape-repeated-h"),
+    # no t sample leaves no CSV row
+    ("[probe]\nkind = escape\nt_samples =", "t_samples needs at least 1",
+     "escape-no-t-samples"),
+    # a negative inner_frac compares no sites; 0.95 reaches into the CAP
+    ("[model]\npotential = none\n[probe]\nkind = free-kernel\ninner_frac = -0.1",
+     "inner_frac", "free-kernel-negative-inner-frac"),
+    ("[model]\npotential = none\n[probe]\nkind = free-kernel\nbox_radius = 64\n"
+     "inner_frac = 0.95", "inner_frac", "free-kernel-inner-frac-in-cap"),
+    # a repeated radius runs the same box twice
+    ("[probe]\nkind = ik\nl_list = 128,128,256", "none repeated", "ik-repeated-l"),
+    ("[probe]\nkind = one-sided\nl_list = 128,256,256", "none repeated",
+     "one-sided-repeated-l"),
+]
+
+
 @pytest.mark.parametrize("mutation,match", [
     ("[probe]\nkind = wf\nbogus_key = 1\nx1=1\nxi1=1\nx2=1\nxi2=1", "unknown key"),
     ("[probe]\nkind = nosuch", "unknown probe kind"),
@@ -67,7 +93,8 @@ def test_parse_minimal_and_resolved_echo():
     ("[model]\npotential = table\n[probe]\nkind = calculus", "unknown potential form"),
     ("[model]\npotential = power_law\nmu = 1.5\n[probe]\nkind = calculus", "mu must lie"),
     ("[model]\ndim = 0\n[probe]\nkind = calculus", "dim must be >= 1"),
-], ids=["unknown-key", "unknown-kind", "empty-kind", "unknown-section",
+] + [(text, match) for text, match, _ in _EXIT_2_CASES],
+    ids=["unknown-key", "unknown-kind", "empty-kind", "unknown-section",
         "one-sided-s", "ik-gammas", "short-h-list", "free-kernel-dim",
         "free-kernel-potential", "prop31-dim", "escape-dim", "wf-dim", "ik-dim",
         "one-sided-dim", "escape-n-target",
@@ -75,10 +102,19 @@ def test_parse_minimal_and_resolved_echo():
         "one-sided-single-box", "ik-empty-l-list",
         "removed-stencil", "removed-cap-width-frac", "removed-cap-strength",
         "removed-norm-tol", "removed-eps-k-min", "removed-classify-grid",
-        "removed-formats", "model-unknown-potential", "model-mu-range", "model-dim-0"])
+        "removed-formats", "model-unknown-potential", "model-mu-range", "model-dim-0"]
+    + [name for _, _, name in _EXIT_2_CASES])
 def test_schema_rejections(mutation, match):
     with pytest.raises(ConfigError, match=match):
         parse_config(mutation)
+
+
+@pytest.mark.parametrize("text", [text for text, _, _ in _EXIT_2_CASES],
+                         ids=[name for _, _, name in _EXIT_2_CASES])
+def test_schema_holes_exit_2(tmp_path, text):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
 
 
 def test_missing_probe_block():

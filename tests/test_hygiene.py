@@ -76,6 +76,31 @@ def test_private_import_scan_flags_private_modules(tmp_path):
     assert _private_imports(src) == [(1, "scipy.sparse._sparsetools"), (2, "numpy._core")]
 
 
+def _function_imports(path: Path):
+    """(line, function name) of each import statement inside a function."""
+    found = []
+    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [(node.lineno, fn.name) for node in ast.walk(fn)
+                      if isinstance(node, (ast.Import, ast.ImportFrom))]
+    return sorted(set(found))
+
+
+def test_no_imports_inside_functions():
+    # a module's dependencies are read off its import list
+    inner = [f"{p.relative_to(ROOT)}:{line} in {name}"
+             for p in sorted((ROOT / "src").rglob("*.py")) for line, name in _function_imports(p)]
+    assert inner == []
+
+
+def test_function_import_scan_flags_an_inner_import(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("import os\n\n\ndef f():\n    from math import pi\n    return pi\n\n\n"
+                   "class C:\n    def g(self):\n        def h():\n            import sys\n"
+                   "        return h\n")
+    assert _function_imports(src) == [(5, "f"), (12, "g"), (12, "h")]
+
+
 def _load_script(path: Path):
     spec = importlib.util.spec_from_file_location(f"_script_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)

@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from latscat import quantize
@@ -252,7 +253,7 @@ def test_resolvent_map_adjoint(free_model, deep_lap, rng):
     u = rng.standard_normal(H.dim) + 1j * rng.standard_normal(H.dim)
     v = rng.standard_normal(H.dim) + 1j * rng.standard_normal(H.dim)
     lhs = np.vdot(v, R(u))
-    rhs = np.vdot(R.solve_adjoint(v) if hasattr(R, "solve_adjoint") else R.adjoint_apply(v), u)
+    rhs = np.vdot(R.adjoint_apply(v), u)
     assert abs(lhs - rhs) <= 1e-9 * abs(lhs)
 
 
@@ -305,14 +306,14 @@ def test_shifted_solver_matches_dense(dim, radius, eps, sign):
     g = np.random.default_rng(3)
     b = g.standard_normal(H.dim) + 1j * g.standard_normal(H.dim)
     assert np.linalg.norm(M @ sol.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
-    assert np.linalg.norm(M.conj().T @ sol.solve_adjoint(b) - b) <= 1e-12 * np.linalg.norm(b)
+    assert np.linalg.norm(M.conj().T @ sol.solve(b, adjoint=True) - b) <= 1e-12 * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("sign", [+1, -1])
-def test_ladder_rewrites_one_band(sign):
-    # d = 1 walks the ladder on one band with a new diagonal per rung: the
-    # same u as a fresh solver at the converged eps, and the same forward
-    # and adjoint bands as H.banded builds there
+def test_ladder_returns_fresh_rung_solver(sign):
+    # each rung builds its own solver: the ladder's converged solver gives
+    # the same u as a fresh one at the converged eps, and holds the forward
+    # and adjoint bands H.banded builds there
     H = _longrange(1).assemble(40)
     lap = LAPConfig(lam=1.0, sign=sign, convergence_tol=1e-3)
     g = np.random.default_rng(2)
@@ -321,8 +322,31 @@ def test_ladder_rewrites_one_band(sign):
     assert len(diffs) >= 3
     assert np.array_equal(u, _ShiftedSolver(H, 1.0, sign, eps).solve(rhs))
     assert np.array_equal(sol._ab_f, H.banded(1.0, sign, eps))
-    sol.solve_adjoint(rhs)
+    sol.solve(rhs, adjoint=True)
     assert np.array_equal(sol._ab_a, H.banded(1.0, -sign, eps))
+
+
+def test_hop_band_read_once_per_hamiltonian(monkeypatch):
+    # the hop band is read off the CSR matrix by one todia() per H, however
+    # many rungs and banded() calls follow
+    calls = []
+    todia = sp.csr_array.todia
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return todia(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp.csr_array, "todia", counting)
+    H = _longrange(1).assemble(40)
+    g = np.random.default_rng(2)
+    rhs = g.standard_normal(H.dim) + 1j * g.standard_normal(H.dim)
+    _, _, _, diffs = _lap_iterate(H, LAPConfig(lam=1.0, convergence_tol=1e-3), rhs)
+    assert len(diffs) >= 3
+    for s in (+1, -1):
+        H.banded(1.0, s, 1e-2)
+    assert len(calls) == 1
+    _longrange(1).assemble(40).banded(1.0, +1, 1e-2)
+    assert len(calls) == 2
 
 
 def test_band_adjoint_complex_hops():
@@ -334,7 +358,7 @@ def test_band_adjoint_complex_hops():
     sol = _ShiftedSolver(H, 1.0, +1, 1e-2)
     M = H.shifted(1.0, +1, 1e-2).toarray()
     b = np.random.default_rng(4).standard_normal(H.dim) + 0j
-    assert np.linalg.norm(M.conj().T @ sol.solve_adjoint(b) - b) <= 1e-12 * np.linalg.norm(b)
+    assert np.linalg.norm(M.conj().T @ sol.solve(b, adjoint=True) - b) <= 1e-12 * np.linalg.norm(b)
     # the band is the LAPACK layout of the shifted matrix: H[i, j] at ab[bw + i - j, j]
     bw = H.stencil.bandwidth
     i, j = np.indices((H.dim, H.dim))
