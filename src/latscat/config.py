@@ -221,6 +221,10 @@ def _validate_preconditions(cfg: ExperimentConfig):
         for key, least in (("t_samples", 1), ("mono_t_list", 1), ("h_list", 2)):
             if len(set(p[key])) < least:
                 raise ConfigError(f"[probe] {key} needs at least {least} distinct value(s)")
+        # the transport and monotonicity checks are statements about t >= 0
+        for key in ("t_samples", "mono_t_list"):
+            if min(p[key]) < 0:
+                raise ConfigError(f"[probe] {key} needs times t >= 0")
     if k == "local-decay":
         if p["box_radius"] <= 0:
             raise ConfigError("[probe] box_radius must be positive")

@@ -9,11 +9,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.fft
 import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg import lapack
-from scipy.special import jv
 
 from .escape import DEFAULT_PHI
 from .geometry import KernelPoint, kernel_point_setup
@@ -76,32 +74,25 @@ class ChebyshevPlan:
         """Interpolant of f at 4096 Chebyshev nodes, cut after the last
         coefficient above 1e-12 max(max|c_k|, 1)."""
         c, r = cls.enclosure_for(H)
-        n_nodes = 4096
-        nodes = np.cos(np.pi * (np.arange(n_nodes) + 0.5) / n_nodes)
-        fv = np.asarray(f(c + r * nodes), dtype=complex)
-        if np.max(np.abs(fv.imag)) == 0.0:
-            fv = fv.real
-        co = scipy.fft.dct(fv, type=2) / n_nodes
-        co[0] *= 0.5
+        co = _interpolant(f, c, r, 4096)
         mags = np.abs(co)
-        top = mags.max() if mags.size else 0.0
-        keep = np.nonzero(mags > 1e-12 * max(top, 1.0))[0]
-        k_last = int(keep[-1]) + 1 if len(keep) else 1
-        return cls(center=c, radius=r, coeffs=np.asarray(co[:k_last]))
+        return cls(center=c, radius=r, coeffs=co[:_last_above(mags, 1e-12 * max(mags.max(), 1.0))])
 
     @classmethod
     def for_evolution(cls, H: LatticeHamiltonian, t: float) -> "ChebyshevPlan":
-        """Coefficients of e^{-itz}: (2 - delta_k0)(-i)^k J_k(rt) e^{-ict}."""
+        """Interpolant of e^{-itz}, for t of either sign, cut after the last
+        coefficient above 2e-13.
+
+        Its coefficients are (2 - delta_k0)(-i)^k J_k(rt) e^{-ict} for t >= 0
+        (i^k for t < 0) up to aliasing: J_k(r|t|) is below 1e-13 beyond
+        k_max = 1.25 r|t| + 80 terms, and the interpolant at n >= 2 k_max
+        nodes aliases only terms past 2n - k_max. Interpolating through
+        numpy's FFT keeps scipy.fft and scipy.special out of every process.
+        """
         c, r = cls.enclosure_for(H)
-        rt = r * abs(t)
-        k_max = int(1.25 * rt + 80)
-        k = np.arange(k_max + 1)
-        bes = jv(k, rt)
-        keep = np.nonzero(np.abs(bes) > 1e-13)[0]
-        k_last = int(keep[-1]) + 1 if len(keep) else 1
-        k = k[:k_last]
-        co = (2.0 - (k == 0)) * (-1j) ** k * bes[:k_last] * np.exp(-1j * c * t)
-        return cls(center=c, radius=r, coeffs=co)
+        k_max = int(1.25 * r * abs(t) + 80)
+        co = _interpolant(lambda z: np.exp(-1j * t * z), c, r, max(4096, 2 * k_max))
+        return cls(center=c, radius=r, coeffs=co[:_last_above(np.abs(co), 2e-13)])
 
     @property
     def n_terms(self) -> int:
@@ -128,10 +119,36 @@ class ChebyshevPlan:
         return acc
 
 
+def _interpolant(f: Callable, c: float, r: float, n_nodes: int) -> np.ndarray:
+    """The n_nodes Chebyshev coefficients of the interpolant of f on
+    [c - r, c + r] at the first-kind nodes; real when f is real there."""
+    nodes = np.cos(np.pi * (np.arange(n_nodes) + 0.5) / n_nodes)
+    fv = np.asarray(f(c + r * nodes), dtype=complex)
+    if np.max(np.abs(fv.imag)) == 0.0:
+        fv = fv.real
+    co = _dct2(fv) / n_nodes
+    co[0] *= 0.5
+    return co
+
+
+def _dct2(f: np.ndarray) -> np.ndarray:
+    """scipy.fft.dct(f, type=2), y_k = 2 sum_j f_j cos(pi k (2j + 1) / 2n), as
+    e^{-i pi k / 2n} times the FFT of the even extension [f, f[::-1]]."""
+    n = len(f)
+    y = np.exp(-0.5j * np.pi * np.arange(n) / n) * np.fft.fft(np.concatenate([f, f[::-1]]))[:n]
+    return y.real if np.isrealobj(f) else y
+
+
+def _last_above(mags: np.ndarray, cut: float) -> int:
+    """1 + the index of the last entry of mags above cut, at least 1."""
+    keep = np.nonzero(mags > cut)[0]
+    return int(keep[-1]) + 1 if len(keep) else 1
+
+
 def evolve(H: LatticeHamiltonian, u, t: float):
-    """e^{-itH} u for hermitian H via the Chebyshev/Bessel expansion: one
-    H.apply per term, and EnclosureError when the iterates outgrow the
-    enclosure (ChebyshevPlan.apply).
+    """e^{-itH} u for hermitian H via the Chebyshev interpolant of e^{-itz}
+    (ChebyshevPlan.for_evolution): one H.apply per term, and EnclosureError
+    when the iterates outgrow the enclosure (ChebyshevPlan.apply).
 
     t < 0 is rejected (evolve with the adjoint instead), and so is a CAP
     Hamiltonian: its spectrum leaves the real interval the series is built

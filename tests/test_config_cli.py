@@ -42,6 +42,11 @@ _EXIT_2_CASES = [
     # no t sample leaves no CSV row
     ("[probe]\nkind = escape\nt_samples =", "t_samples needs at least 1",
      "escape-no-t-samples"),
+    # both escape checks are statements about t >= 0
+    ("[probe]\nkind = escape\nt_samples = -1.0,2.0", "t_samples needs times t >= 0",
+     "escape-negative-t-sample"),
+    ("[probe]\nkind = escape\nmono_t_list = -5.0", "mono_t_list needs times t >= 0",
+     "escape-negative-mono-t"),
     # a negative inner_frac compares no sites; 0.95 reaches into the CAP
     ("[model]\npotential = none\n[probe]\nkind = free-kernel\ninner_frac = -0.1",
      "inner_frac", "free-kernel-negative-inner-frac"),

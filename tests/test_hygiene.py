@@ -7,6 +7,10 @@ No linter is a dependency, so the checks use `ast` and `importlib`.
 import ast
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -99,6 +103,19 @@ def test_function_import_scan_flags_an_inner_import(tmp_path):
                    "class C:\n    def g(self):\n        def h():\n            import sys\n"
                    "        return h\n")
     assert _function_imports(src) == [(5, "f"), (12, "g"), (12, "h")]
+
+
+def test_cli_import_loads_only_the_scipy_it_uses():
+    # `latscat run` and every benchmark worker start by importing latscat.cli;
+    # scipy.fft and scipy.special would add ~0.1 s and ~5 MB to each start-up
+    code = ("import json, sys, latscat.cli; print(json.dumps(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.') and not m.split('.')[1].startswith('_'))))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    loaded = json.loads(out.splitlines()[-1])
+    assert {m.split(".")[1] for m in loaded} == {"linalg", "sparse", "version"}
+    assert "scipy.sparse.linalg" in loaded
 
 
 def _load_script(path: Path):
