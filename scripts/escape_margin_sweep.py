@@ -9,9 +9,9 @@ import sys
 
 import numpy as np
 
-from latscat.escape import (CutoffPhi, EscapeLadder, energy_inequality_check,
-                            monotonicity_check)
+from latscat.escape import EscapeLadder, energy_inequality_check, monotonicity_check
 from latscat.model import ModelConfig, Potential, laplacian_stencil
+from latscat.symbols import CutoffPhi
 
 
 class BumpedPhi(CutoffPhi):

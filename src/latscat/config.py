@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 from .model import ModelConfig, Potential, cap_width, laplacian_stencil
@@ -87,16 +88,24 @@ _PROBE_KEYS = {
 }
 
 
+def _finite(raw):
+    """float(raw), refusing nan and +-inf: no config value is meant to be non-finite."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
 def _parse_value(kind, raw, key):
     try:
         if kind is int:
             return int(raw)
         if kind is float:
-            return float(raw)
+            return _finite(raw)
         if kind is str:
             return str(raw).strip()
         if kind == _FLOAT_LIST:
-            return tuple(float(v) for v in str(raw).split(",") if v.strip())
+            return tuple(_finite(v) for v in str(raw).split(",") if v.strip())
         if kind == _INT_LIST:
             return tuple(int(v) for v in str(raw).split(",") if v.strip())
     except ValueError as exc:
@@ -202,12 +211,16 @@ def _validate_preconditions(cfg: ExperimentConfig):
         for key in ("x1", "xi1", "x2", "xi2"):
             if p[key] is None:
                 raise ConfigError(f"[probe] {key} is required for {k}")
-        if len(p["h_list"]) < 4:
-            raise ConfigError("h_list needs at least 4 entries")
+        if not len(set(p["h_list"])) == len(p["h_list"]) >= 4:
+            raise ConfigError(f"the {k} probe fits a slope over h: h_list needs at least 4 "
+                              "distinct values, none repeated")
         if p["expect"] not in ("decay", "control"):
             raise ConfigError("expect must be decay or control")
     if k in ("wf", "ik", "one-sided", "prop31", "escape", "free-kernel") and cfg.model["dim"] != 1:
         raise ConfigError(f"the {k} probe is implemented for dim = 1 only")
+    if k == "calculus" and cfg.model["dim"] > 2:
+        raise ConfigError("the calculus probe's boxes (radius 64 and 48) are sized for "
+                          "dim <= 2")
     if k == "free-kernel":
         if cfg.model["potential"] != "none":
             raise ConfigError("free-kernel probe compares with the closed-form free kernel: "
@@ -232,5 +245,7 @@ def _validate_preconditions(cfg: ExperimentConfig):
             raise ConfigError("need 0 < t_min < t_max")
         if p["n_t"] < 8:
             raise ConfigError("n_t >= 8 required for the tail fit")
+    if not 0.0 < cfg.numerics["convergence_tol"] < 1.0:
+        raise ConfigError("convergence_tol must lie in (0, 1)")
     if cfg.numerics["eps_k_max"] <= 3:
         raise ConfigError("eps_k_max must be above 3, the first rung's exponent")

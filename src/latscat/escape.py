@@ -1,10 +1,10 @@
-"""Escape-function ladder: the smooth cutoff Phi/Psi, the moving phase-space
-bumps psi_j, pointwise transport inequalities, and dense spectral checks of
-the operator energy inequality on small boxes."""
+"""Escape-function ladder: the moving phase-space bumps psi_j built from the
+cutoff Phi/Psi of `symbols`, pointwise transport inequalities, and dense
+spectral checks of the operator energy inequality on small boxes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 from typing import Optional, Sequence
 
@@ -12,7 +12,7 @@ import numpy as np
 
 from .model import DENSE_MAX_SITES, Box, ModelConfig, Stencil
 from .quantize import sampled_terms
-from .symbols import Symbol, separable_symbol
+from .symbols import DEFAULT_PHI, CutoffPhi, Symbol, separable_symbol
 from .util import angle_diff, lstsq_loglog, rng
 
 
@@ -28,71 +28,6 @@ class DerivativeMismatchError(RuntimeError):
     """An analytic time derivative disagrees with its finite difference."""
 
 
-def _bump_B(r, steepness):
-    out = np.zeros_like(r, dtype=float)
-    m = r > 0
-    with np.errstate(over="ignore", under="ignore"):
-        out[m] = np.exp(-steepness / r[m])
-    return out
-
-
-class CutoffPhi:
-    """Smooth ramp with Phi(s)=1 for s<=1/2, Phi(s)=0 for s>=1, Phi(s)>0 for
-    s<1 and Phi' <= 0. Psi = Phi^2.
-
-    Built from the partition ramp g(r) = B(r)/(B(r)+B(1-r)), B(r)=e^(-k/r),
-    via Phi(s) = g(2(1-s)). `steepness` is k.
-    """
-
-    def __init__(self, steepness: float = 1.0):
-        if steepness <= 0:
-            raise ValueError("steepness must be positive")
-        self.steepness = float(steepness)
-
-    def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        r = 2.0 * (1.0 - s)
-        B = _bump_B(r, self.steepness)
-        Bc = _bump_B(1.0 - r, self.steepness)
-        with np.errstate(invalid="ignore"):
-            out = np.where(B + Bc > 0, B / np.where(B + Bc > 0, B + Bc, 1.0), 0.0)
-        return out if out.ndim else float(out)
-
-    def derivative(self, s):
-        """Analytic Phi'(s) (chain rule through the partition ramp)."""
-        s = np.asarray(s, dtype=float)
-        r = 2.0 * (1.0 - s)
-        k = self.steepness
-        B = _bump_B(r, k)
-        Bc = _bump_B(1.0 - r, k)
-        dB = np.zeros_like(r)
-        dBc = np.zeros_like(r)
-        m = r > 0
-        with np.errstate(over="ignore", under="ignore"):
-            dB[m] = B[m] * k / r[m] ** 2
-        m2 = (1.0 - r) > 0
-        with np.errstate(over="ignore", under="ignore"):
-            dBc[m2] = Bc[m2] * k / (1.0 - r[m2]) ** 2
-        denom = (B + Bc) ** 2
-        gp = np.where(denom > 0, (dB * Bc + B * dBc) / np.where(denom > 0, denom, 1.0), 0.0)
-        out = -2.0 * gp
-        return out if out.ndim else float(out)
-
-    def psi(self, s):
-        return np.asarray(self(s)) ** 2
-
-    def psi_derivative(self, s):
-        return 2.0 * np.asarray(self(s)) * np.asarray(self.derivative(s))
-
-
-DEFAULT_PHI = CutoffPhi()
-
-
-def default_gammas(depth: int) -> tuple:
-    """1 < gamma_1 < ... < gamma_m < 2 with gamma_j = 2 - 2^(-j)."""
-    return tuple(2.0 - 2.0 ** (-j) for j in range(1, depth + 1))
-
-
 @dataclass(frozen=True)
 class EscapeLadder:
     """Geometry of the moving bumps around the orbit y(t) = x2/h + t v(xi2).
@@ -100,7 +35,8 @@ class EscapeLadder:
     Invariants (checked on t_grid unless validate=False):
       separation  |y(t)| >= 3 delta1 (1/h + t),
       pinning     |v(xi) - v(xi2)| < delta1/2 whenever dist(xi, xi2) <= 2 delta2,
-      nesting     gamma_j strictly increasing in (1, 2).
+      nesting     gamma_j strictly increasing in (1, 2),
+    with gamma_j = 2 - 2^(-j) unless given.
     """
 
     stencil: Stencil
@@ -112,13 +48,14 @@ class EscapeLadder:
     depth: int = 0
     gammas: tuple = ()
     mu: float = 1.0
-    phi: CutoffPhi = field(default_factory=CutoffPhi)
+    phi: CutoffPhi = DEFAULT_PHI
     t_grid: tuple = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
     validate: bool = True
 
     def __post_init__(self):
         if not self.gammas and self.depth > 0:
-            object.__setattr__(self, "gammas", default_gammas(self.depth))
+            object.__setattr__(self, "gammas",
+                               tuple(2.0 - 2.0 ** (-j) for j in range(1, self.depth + 1)))
         if self.stencil.dim != 1:
             raise NotImplementedError("escape ladder implemented for d=1")
         if not self.validate:
@@ -204,27 +141,18 @@ def _moving_bump(ladder: EscapeLadder, t: float, j: int, squared: bool):
     return b, b_tx, c
 
 
-def build_phi0(ladder: EscapeLadder, t: float) -> Symbol:
-    """phi0(t,.,.) = Phi(|x-y(t)|/ell(t)) Phi(dist(xi,xi2)/delta2)."""
-    b, _, c = _moving_bump(ladder, t, 0, squared=False)
-    return separable_symbol(1, b, c)
+def build_rung(ladder: EscapeLadder, t: float, j: int = 0, squared: bool = True) -> Symbol:
+    """Rung j at time t, pref P(|x-y(t)|/ell_j(t)) P(dist(xi,xi2)/(gamma_j delta2))
+    with P = Psi if squared else Phi; pref = 1 at j = 0 and prefactor(j, t)
+    for j >= 1, so those rungs vanish identically at t = 0.
 
-
-def build_psi0(ladder: EscapeLadder, t: float) -> Symbol:
-    """Principal symbol of |Op(phi0)|^2: Psi(|x-y(t)|/ell) Psi(dist(xi,xi2)/delta2)."""
-    b, _, c = _moving_bump(ladder, t, 0, squared=True)
-    return separable_symbol(1, b, c)
-
-
-def build_psi_j(ladder: EscapeLadder, j: int, t: float) -> Symbol:
-    """Ladder rung psi_j = prefactor(t) Psi(|x-y|/ (gamma_j ell)) Psi(dxi/(gamma_j delta2)).
-
-    Vanishes identically at t=0 through the prefactor.
+    j = 0 unsquared is phi0, whose |Op(phi0)|^2 is the escape function F;
+    squared it is the principal symbol psi0 of F.
     """
-    if not 1 <= j <= ladder.depth:
+    if not 0 <= j <= ladder.depth:
         raise ValueError("j out of range")
-    pref = float(ladder.prefactor(j, t))
-    b, _, c = _moving_bump(ladder, t, j, squared=True)
+    pref = 1.0 if j == 0 else float(ladder.prefactor(j, t))
+    b, _, c = _moving_bump(ladder, t, j, squared)
     return separable_symbol(1, lambda x: pref * b(x), c)
 
 
@@ -299,8 +227,7 @@ def verify_transport(ladder: EscapeLadder, j: int) -> TransportReport:
         vv = ladder.v(xis)
 
         def paired(tt, xv):
-            sym = build_psi0(ladder, tt) if j == 0 else build_psi_j(ladder, j, tt)
-            return np.asarray(sym(xv[:, None], xis[:, None]))
+            return np.asarray(build_rung(ladder, tt, j)(xv[:, None], xis[:, None]))
 
         fd = ((paired(t + eps_t, xs) - paired(t - eps_t, xs)) / (2 * eps_t)
               + vv * (paired(t, xs + eps_x) - paired(t, xs - eps_x)) / (2 * eps_x))
@@ -351,7 +278,7 @@ def _dense_op(symbol: Symbol, box: Box) -> np.ndarray:
 def _escape_F(ladder: EscapeLadder, t: float, box: Box) -> np.ndarray:
     """F(t) = |Op(phi0(t))|^2: exactly hermitian, and F(0) = |Op^h(a2)|^2.
     The ladder rungs psi_j enter only the transport check."""
-    Q = _dense_op(build_phi0(ladder, t), box)
+    Q = _dense_op(build_rung(ladder, t, squared=False), box)
     return Q.conj().T @ Q
 
 

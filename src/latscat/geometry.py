@@ -9,9 +9,8 @@ from typing import Optional
 
 import numpy as np
 
-from .escape import DEFAULT_PHI
 from .model import CriticalValueError, EmptyShellError, Stencil, check_energy_window
-from .symbols import Symbol, separable_symbol
+from .symbols import DEFAULT_PHI, Symbol, separable_symbol
 from .util import product_grid, reduce_torus, torus_distance
 
 

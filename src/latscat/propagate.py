@@ -13,11 +13,11 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg import lapack
 
-from .escape import DEFAULT_PHI
 from .geometry import KernelPoint, kernel_point_setup
 from .model import LatticeHamiltonian, LinearMap, ModelConfig, check_energy_window
 from .quantize import finite_rank_pair, support_rows
 from .resolvent import DecayFit
+from .symbols import DEFAULT_PHI
 from .symbols import Symbol
 
 

@@ -56,6 +56,23 @@ _EXIT_2_CASES = [
     ("[probe]\nkind = ik\nl_list = 128,128,256", "none repeated", "ik-repeated-l"),
     ("[probe]\nkind = one-sided\nl_list = 128,256,256", "none repeated",
      "one-sided-repeated-l"),
+    # a repeated h computes its row twice and counts twice in the slope fit
+    ("[probe]\nkind = wf\nx1 = 4.0\nxi1 = 1.57\nx2 = 3.0\nxi2 = -1.57\n"
+     "h_list = 0.125,0.0625,0.03125,0.015625,0.015625", "none repeated", "wf-repeated-h"),
+    ("[probe]\nkind = prop31\nx1 = 4.0\nxi1 = 1.57\nx2 = 3.0\nxi2 = -1.57\n"
+     "h_list = 0.125,0.0625,0.0625,0.03125", "none repeated", "prop31-repeated-h"),
+    # a non-finite float overflows the box rule, or fails late with the wrong cause
+    ("[probe]\nkind = wf\nx1 = inf\nxi1 = 1.57\nx2 = 3.0\nxi2 = -1.57", "bad value",
+     "wf-infinite-x1"),
+    ("[probe]\nkind = wf\nlambda = nan\nx1 = 4.0\nxi1 = 1.57\nx2 = 3.0\nxi2 = -1.57",
+     "bad value", "wf-nan-lambda"),
+    ("[probe]\nkind = ik\nweight_n = nan", "bad value", "ik-nan-weight"),
+    ("[probe]\nkind = escape\nt_samples = 0.5,-inf", "bad value", "escape-infinite-t"),
+    # a tolerance <= 0 is never met: the ladder walks every rung and exits 3
+    ("[model]\npotential = none\n[numerics]\nconvergence_tol = 0\n[probe]\n"
+     "kind = free-kernel", "convergence_tol", "zero-convergence-tol"),
+    ("[numerics]\nconvergence_tol = -1\n[probe]\nkind = calculus", "convergence_tol",
+     "negative-convergence-tol"),
 ]
 
 
@@ -98,6 +115,8 @@ _EXIT_2_CASES = [
     ("[model]\npotential = table\n[probe]\nkind = calculus", "unknown potential form"),
     ("[model]\npotential = power_law\nmu = 1.5\n[probe]\nkind = calculus", "mu must lie"),
     ("[model]\ndim = 0\n[probe]\nkind = calculus", "dim must be >= 1"),
+    # the calculus boxes hold 2,146,689 and 912,673 sites at d = 3
+    ("[model]\ndim = 3\n[probe]\nkind = calculus", "dim <= 2"),
 ] + [(text, match) for text, match, _ in _EXIT_2_CASES],
     ids=["unknown-key", "unknown-kind", "empty-kind", "unknown-section",
         "one-sided-s", "ik-gammas", "short-h-list", "free-kernel-dim",
@@ -107,7 +126,8 @@ _EXIT_2_CASES = [
         "one-sided-single-box", "ik-empty-l-list",
         "removed-stencil", "removed-cap-width-frac", "removed-cap-strength",
         "removed-norm-tol", "removed-eps-k-min", "removed-classify-grid",
-        "removed-formats", "model-unknown-potential", "model-mu-range", "model-dim-0"]
+        "removed-formats", "model-unknown-potential", "model-mu-range", "model-dim-0",
+        "calculus-dim-3"]
     + [name for _, _, name in _EXIT_2_CASES])
 def test_schema_rejections(mutation, match):
     with pytest.raises(ConfigError, match=match):

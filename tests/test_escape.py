@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from latscat.config import parse_config
-from latscat.escape import (CutoffPhi, DerivativeMismatchError, EscapeLadder,
-                            LadderInvariantError, build_psi0, build_psi_j,
-                            energy_inequality_check, monotonicity_check,
+from latscat.escape import (DerivativeMismatchError, EscapeLadder, LadderInvariantError,
+                            build_rung, energy_inequality_check, monotonicity_check,
                             periodic_dense_h, verify_transport, _escape_F)
 from latscat.geometry import make_bump_pair
 from latscat.model import Box
 from latscat.quantize import fourier_multiplier
 from latscat.recipes import recipe_config
+from latscat.symbols import CutoffPhi
 
 
 @pytest.fixture()
@@ -79,13 +79,13 @@ def test_ladder_invariants(stencil1d):
 
 def test_psi0_values(ladder):
     t = 2.0
-    sym = build_psi0(ladder, t)
+    sym = build_rung(ladder, t)
     y = ladder.y(t)
     assert sym(np.array([y]), np.array([ladder.xi2])) == pytest.approx(1.0)
     r = ladder.ell(t)
     assert sym(np.array([y + 1.01 * r]), np.array([ladder.xi2])) == 0.0
     # t = 0 equals the squared symbol bump a2(h x, xi)^2 (both use the default ramp)
-    sym0 = build_psi0(ladder, 0.0)
+    sym0 = build_rung(ladder, 0.0)
     _, a2 = make_bump_pair((0.0, 0.0), (ladder.x2, ladder.xi2), ladder.delta1, ladder.delta2)
     x = np.linspace(ladder.y(0.0) - 2 * ladder.ell(0.0), ladder.y(0.0) + 2 * ladder.ell(0.0), 101)
     xi = np.full_like(x, ladder.xi2 - 0.1)
@@ -94,7 +94,7 @@ def test_psi0_values(ladder):
 
 
 def test_psi_j_prefactor_and_support(ladder):
-    sym0 = build_psi_j(ladder, 1, 0.0)
+    sym0 = build_rung(ladder, 0.0, 1)
     x = np.linspace(0, 60, 301)
     assert np.max(np.abs(sym0(x[:, None], np.full_like(x, ladder.xi2)[:, None]))) == 0.0
     # prefactor limit t -> infinity is C_j h^(j mu)
@@ -102,6 +102,24 @@ def test_psi_j_prefactor_and_support(ladder):
     assert big == pytest.approx(1.0 * ladder.h**ladder.mu, rel=1e-6)
     # support radius example: gamma_1 = 1.5, delta1 = 0.2, h = 1/8, t = 8
     assert ladder.ell(8.0, 1) == pytest.approx(1.5 * 0.2 * 16.0)
+
+
+def test_build_rung_range_and_squaring(ladder):
+    # rungs run over j = 0..depth; squared, a rung is Psi where it was Phi,
+    # with the prefactor taken once: unsquared^2 = prefactor * squared
+    for j in (-1, ladder.depth + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            build_rung(ladder, 1.0, j)
+    t = 2.0
+    x = np.linspace(ladder.y(t) - 2 * ladder.ell(t, 2), ladder.y(t) + 2 * ladder.ell(t, 2),
+                    201)[:, None]
+    xi = np.full_like(x, ladder.xi2 + 0.1)
+    for j in range(ladder.depth + 1):
+        pref = 1.0 if j == 0 else float(ladder.prefactor(j, t))
+        squared = np.asarray(build_rung(ladder, t, j)(x, xi))
+        plain = np.asarray(build_rung(ladder, t, j, squared=False)(x, xi))
+        assert np.max(plain) > 0.0
+        assert np.allclose(plain**2, pref * squared, rtol=1e-14, atol=0.0)
 
 
 def test_transport_passes(ladder):
@@ -292,7 +310,7 @@ def test_ladder_sum_class_bounds(energy_ladder, stencil1d):
             tot = np.zeros_like(x)
             grad = np.zeros_like(x)
             for j in range(0, 3):
-                sym = build_psi0(ladh, t) if j == 0 else build_psi_j(ladh, j, t)
+                sym = build_rung(ladh, t, j)
                 tot += np.asarray(sym(x[:, None], xi)).real
                 grad += (np.asarray(sym((x + eps)[:, None], xi)).real
                          - np.asarray(sym((x - eps)[:, None], xi)).real) / (2 * eps)
@@ -311,7 +329,7 @@ def test_zeta_support_disjoint_from_ladder(energy_ladder):
         scale = lad.delta1 * (1.0 / lad.h + t)
         x = np.linspace(-3 * scale, 3 * scale + lad.y(t) + 3 * scale, 801)
         zeta = np.asarray(phi.psi(2.0 * np.abs(x) / scale))
-        psi0 = np.asarray(build_psi0(lad, t)(x[:, None], np.full_like(x, lad.xi2)[:, None]))
+        psi0 = np.asarray(build_rung(lad, t)(x[:, None], np.full_like(x, lad.xi2)[:, None]))
         assert np.max(zeta * psi0) == 0.0
         # supports separated: zeta lives in |x| <= scale/2, tube starts at 3 scale
         assert np.max(np.abs(x[zeta > 0])) <= scale / 2 + 1e-9
@@ -339,7 +357,7 @@ def test_psi0_support_sandwich(energy_ladder):
         scale = 1.0 / lad.h + t
         y, ell = lad.y(t), lad.ell(t)
         x = np.linspace(y - 1.5 * ell, y + 1.5 * ell, 2001)
-        vals = np.asarray(build_psi0(lad, t)(x[:, None], np.full_like(x, lad.xi2)[:, None]))
+        vals = np.asarray(build_rung(lad, t)(x[:, None], np.full_like(x, lad.xi2)[:, None]))
         on = vals > 0
         assert np.min(np.abs(x[on])) >= 2.0 * lad.delta1 * scale - 1e-9
         C_rec = max(C_rec, np.max(np.abs(x[on])) / scale)

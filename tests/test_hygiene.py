@@ -105,6 +105,38 @@ def test_function_import_scan_flags_an_inner_import(tmp_path):
     assert _function_imports(src) == [(5, "f"), (12, "g"), (12, "h")]
 
 
+def _latscat_imports(path: Path):
+    """Names of the latscat modules a module imports, relative or absolute."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["latscat" if node.level else "", node.module]))
+            names = [f"{base}.{a.name}" for a in node.names]
+        else:
+            continue
+        found |= {n.split(".")[1] for n in names if n.startswith("latscat.")}
+    return found
+
+
+def test_only_the_runner_and_the_package_import_escape():
+    # Phi lives in symbols, below every module that builds bumps from it;
+    # the escape ladder sits on top, reached from cli and the package alone
+    importers = sorted(p.name for p in (ROOT / "src" / "latscat").glob("*.py")
+                       if "escape" in _latscat_imports(p))
+    assert importers == ["__init__.py", "cli.py"]
+
+
+def test_latscat_import_scan_finds_every_form(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("import numpy\nimport latscat.model\nfrom latscat import escape\n"
+                   "from latscat.quantize import op_h\nfrom .symbols import Symbol\n"
+                   "from . import geometry, util\nfrom scipy import linalg\n")
+    assert _latscat_imports(src) == {"model", "escape", "quantize", "symbols", "geometry",
+                                     "util"}
+
+
 def test_cli_import_loads_only_the_scipy_it_uses():
     # `latscat run` and every benchmark worker start by importing latscat.cli;
     # scipy.fft and scipy.special would add ~0.1 s and ~5 MB to each start-up

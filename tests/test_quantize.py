@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from latscat.escape import DEFAULT_PHI
 from latscat.geometry import make_bump_pair, make_cone_symbol
 from latscat.model import (Box, LatticeHamiltonian, LinearMap, Potential, compose_maps,
                            laplacian_stencil)
 from latscat.quantize import (NormConvergenceError, ResolutionError, finite_rank_pair,
                               fourier_multiplier, op_h, operator_norm, position_weight)
-from latscat.symbols import separable_symbol
+from latscat.symbols import DEFAULT_PHI, separable_symbol
 from latscat.util import lstsq_loglog
 
 
