@@ -264,10 +264,84 @@ def _tridiagonal_window(A: sp.csr_array, cutoff: EnergyCutoff):
         yield lam[j], V, res
 
 
+# Grams Y* Y at least _LANCZOS_MIN_WIDTH wide go to _lanczos_top. On a
+# j^-1.5 spectrum of singular values (5 or 6 Lanczos steps), one call on a
+# 2-vCPU machine, dense eigvalsh against Lanczos, took 0.06-0.08 against
+# 0.17 ms at width 32, about 0.17 ms both at 48, 0.30-0.43 against 0.22 ms
+# at 64, 0.8-1.1 against 0.27-0.37 ms at 96 and 3.5 against 0.4-0.6 ms at
+# 171. The cutoff sits above the crossover, so that a Gram whose bracket
+# stays open for all _LANCZOS_STEPS before the dense fallback costs little.
+# Every Gram of the recipe's local-decay box (171 and 172 wide) closes its
+# bracket in 3 or 4 steps.
+_LANCZOS_MIN_WIDTH = 64
+_LANCZOS_STEPS = 16
+_LANCZOS_RTOL = 1e-12
+
+
 def _sigma_max(Y: np.ndarray) -> float:
-    """sigma_max(Y) as sqrt(lambda_max(Y* Y)) from numpy's eigvalsh: the
-    per-t dense call of both time-domain probes (local_decay_probe says why)."""
+    """sigma_max(Y) = sqrt(lambda_max(G)), G = Y* Y: the per-t call of both
+    time-domain probes.
+
+    A Gram at least _LANCZOS_MIN_WIDTH wide takes lambda_max from
+    _lanczos_top, which brackets it to _LANCZOS_RTOL relative; where that
+    bracket does not close (a top that does not dominate the trace of G,
+    sigma_1 = sigma_2 among them), and for every narrower Gram, it comes from
+    numpy's eigvalsh of G. Either way only numpy is called (local_decay_probe
+    says why)."""
+    if Y.shape[1] >= _LANCZOS_MIN_WIDTH:
+        lam = _lanczos_top(Y)
+        if lam is not None:
+            return float(np.sqrt(lam))
     return float(np.sqrt(np.linalg.eigvalsh(Y.conj().T @ Y).max(initial=0.0)))
+
+
+def _lanczos_top(Y: np.ndarray) -> float | None:
+    """lambda_max(Y* Y) certified to _LANCZOS_RTOL relative, or None.
+
+    Lanczos on G = Y* Y with full reorthogonalization, from the constant
+    start vector, for at most _LANCZOS_STEPS steps; G is applied as
+    Y* (Y q) and never formed. After each step the top Ritz vector x is
+    checked on its own, not through the recurrence:
+    theta = ||Y x||^2 / ||x||^2 and rho = ||G x - theta x|| / ||x||. G is
+    positive semidefinite, so every eigenvalue below lambda_max is at most
+    trace G - lambda_max <= F - theta with F = ||Y||_F^2. When
+    2 theta > F, lambda_max is thus the only eigenvalue above F - theta, and
+    the Kato-Temple inequality gives
+    theta <= lambda_max <= theta + rho^2 / (2 theta - F); theta is returned
+    once that bracket is within _LANCZOS_RTOL theta. A bad start vector or a
+    top that does not dominate can only leave the bracket open, never close
+    it on a wrong value. Y = 0 gives 0.0; an open bracket after the last
+    step, or an invariant Krylov space, gives None.
+    """
+    fro2 = float(np.vdot(Y, Y).real)
+    if fro2 == 0.0:
+        return 0.0
+    n = Y.shape[1]
+    Q = np.empty((n, _LANCZOS_STEPS), dtype=np.result_type(Y, float))
+    T = np.zeros((_LANCZOS_STEPS + 1, _LANCZOS_STEPS + 1))
+    q = np.full(n, 1.0 / np.sqrt(n))
+    for k in range(_LANCZOS_STEPS):
+        Q[:, k] = q
+        Qk = Q[:, :k + 1]
+        w = ((Y @ q).conj() @ Y).conj()  # G q, with no copy of Y*
+        T[k, k] = np.vdot(q, w).real
+        x = Qk @ np.linalg.eigh(T[:k + 1, :k + 1])[1][:, -1]
+        y = Y @ x
+        xx = np.vdot(x, x).real
+        theta = np.vdot(y, y).real / xx
+        gap = 2.0 * theta - fro2
+        if gap > 0.0:
+            r = (y.conj() @ Y).conj() - theta * x  # G x - theta x
+            if np.vdot(r, r).real / xx <= _LANCZOS_RTOL * theta * gap:
+                return theta
+        for _ in range(2):
+            w -= Qk @ (Qk.conj().T @ w)
+        beta = np.linalg.norm(w)
+        if beta == 0.0:
+            return None
+        T[k, k + 1] = T[k + 1, k] = beta
+        q = w / beta
+    return None
 
 
 def _check_rank(rank: int, cutoff: EnergyCutoff, box_radius: int) -> int:
@@ -292,18 +366,23 @@ def local_decay_probe(model_cfg: ModelConfig, cutoff: EnergyCutoff, nu: float,
     diagonal there, and the operator is block diagonal with the larger block
     norm as its norm. Per block, with W Q_S = Q_A R a thin QR of the weighted
     eigenvectors, the norm at t is sigma_max of
-    M = R diag(e^{-it lam} f(lam)) R*, one numpy product, taken as
-    sqrt(lambda_max(M* M)) by _sigma_max, as in _propagation_sup. Squaring
-    costs nothing at the top of the spectrum, where eigvalsh's error is of
-    order machine precision relative to lambda_max. The point is the BLAS
-    library: numpy and scipy load separate OpenBLAS builds, whose thread
-    pools contend at two threads on two cores, so after the window
-    eigensolve every dense call here is numpy's. On a 2-vCPU machine the
-    recipe's probe (L = 512) took 0.39-0.52 s with scipy's ztrmm and
-    svdvals per t after numpy's QR, 0.19-0.24 s this way, and about 0.2 s
-    either way at one thread. H without an eigenvalue in supp f raises
-    ValueError. Each row reports the rank |S| summed over the blocks and the
-    eigen-residual max_j ||H q_j - lam_j q_j||.
+    M = R diag(e^{-it lam} f(lam)) R*, one numpy product, and _sigma_max
+    takes it as sqrt(lambda_max(M* M)), as in _propagation_sup. Squaring
+    costs nothing at the top of the spectrum. A Gram M* M at least
+    _LANCZOS_MIN_WIDTH wide (at the recipe's L = 512 the halves give 171 and
+    172) gets lambda_max from a few Lanczos steps, bracketed to 1e-12
+    relative by the Kato-Temple inequality; a narrower one, or one whose
+    bracket stays open, from a dense eigvalsh, good to machine precision
+    relative to lambda_max. After the window eigensolve every dense call is
+    numpy's: numpy and scipy load separate OpenBLAS builds, whose thread
+    pools contend at two threads on two cores. On a 2-vCPU machine the
+    recipe's probe took 0.39-0.52 s with scipy's ztrmm and svdvals per t
+    after numpy's QR, 0.19-0.24 s with numpy's eigvalsh per t, and about
+    0.2 s either way at one thread; the whole recipe takes 0.10 s with the
+    Lanczos route against 0.24 s with eigvalsh per t (benchmark medians).
+    H without an eigenvalue in supp f raises ValueError. Each row reports
+    the rank |S| summed over the blocks and the eigen-residual
+    max_j ||H q_j - lam_j q_j||.
     """
     st = model_cfg.stencil
     _, vmax = check_energy_window(st, cutoff.support, max(64, round(4096 ** (1.0 / st.dim))))

@@ -248,11 +248,80 @@ def test_local_decay_gram_route_matches_svd(longrange_model, monkeypatch):
     assert np.max(np.abs(res.norms - svd) / svd) <= 1e-10
 
 
-@pytest.mark.parametrize("model", ["longrange_model", D1_FLUX], ids=["longrange", "flux"])
-def test_local_decay_dense_calls_stay_on_numpy(request, monkeypatch, model):
+def _with_singular_values(s, m, n, seed=0):
+    """An m x n complex matrix with singular values s (len(s) <= min(m, n))."""
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((m, len(s))) + 1j * rng.standard_normal((m, len(s))))[0]
+    V = np.linalg.qr(rng.standard_normal((n, len(s))) + 1j * rng.standard_normal((n, len(s))))[0]
+    return (U * np.asarray(s, dtype=float)) @ V.conj().T
+
+
+_DECAY = np.arange(1, 100) ** -1.5  # 99 values
+
+
+@pytest.mark.parametrize("s, m, n, lanczos", [
+    (np.r_[10.0, _DECAY], 100, 100, True),
+    (np.r_[1.0, 1.0, 0.5 * _DECAY[:98]], 100, 100, False),
+    (np.linspace(1.0, 0.9, 80), 80, 80, False),
+    ([], 80, 80, True),
+    ([3.0], 90, 70, True),
+    (np.r_[10.0, _DECAY[:79]], 200, 80, True),
+    (np.r_[10.0, _DECAY[:79]], 80, 200, True),
+    (np.r_[10.0, _DECAY[:62]], 63, 63, False),
+], ids=["dominant", "double-top", "flat", "zero", "rank-one", "tall", "wide", "narrow"])
+def test_sigma_max_against_svd(monkeypatch, s, m, n, lanczos):
+    # a Gram at least _LANCZOS_MIN_WIDTH wide whose top dominates its trace is
+    # certified by the Kato-Temple bracket with no dense eigvalsh; sigma_1 =
+    # sigma_2, a flat spectrum (2 theta <= ||Y||_F^2) and a narrower Gram take
+    # the dense route. Either way sigma_max agrees with the SVD to 1e-12
+    Y = _with_singular_values(s, m, n)
+    dense = []
+
+    def eigvalsh(*args, _fn=np.linalg.eigvalsh):
+        dense.append(True)
+        return _fn(*args)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    sigma = propagate._sigma_max(Y)
+    assert len(dense) == (not lanczos)
+    svd = np.linalg.svd(Y, compute_uv=False)[0]
+    assert abs(sigma - svd) <= 1e-12 * svd  # sigma == 0.0 for Y = 0
+
+
+def test_local_decay_recipe_box_takes_the_lanczos_route(longrange_model, monkeypatch):
+    # at the recipe's box and times every Gram (171 and 172 wide) is above the
+    # Lanczos cutoff and closes its bracket within the step budget: the probe
+    # makes no dense eigvalsh call, or the per-t cost is back to the dense route
+    tops, dense = [], []
+
+    def top(Y, _top=propagate._lanczos_top):
+        tops.append((Y.shape[1], _top(Y)))
+        return tops[-1][1]
+
+    def eigvalsh(*args, _fn=np.linalg.eigvalsh):
+        dense.append(True)
+        return _fn(*args)
+    monkeypatch.setattr(propagate, "_lanczos_top", top)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    local_decay_probe(longrange_model, EnergyCutoff(lam=1.0, eps_f=0.25), nu=3.0,
+                      t_grid=np.geomspace(10.0, 200.0, 16), box_radius=512)
+    assert sorted({w for w, _ in tops}) == [171, 172] and len(tops) == 32
+    assert all(lam is not None and lam > 0.0 for _, lam in tops)
+    assert not dense
+
+
+@pytest.mark.parametrize("model, radius, route", [
+    ("longrange_model", 24, "eigvalsh"),
+    ("longrange_model", 256, "eigh"),
+    (D1_FLUX, 24, "eigvalsh"),
+    (D1_FLUX, 128, "eigh"),
+], ids=["longrange", "longrange-lanczos", "flux", "flux-lanczos"])
+def test_local_decay_dense_calls_stay_on_numpy(request, monkeypatch, model, radius, route):
     # numpy and scipy load separate OpenBLAS builds, whose thread pools contend
     # at two threads on two cores: once the window eigensolve is done, every
-    # dense call of the probe is numpy's, and any scipy.linalg call raises
+    # dense call of the probe is numpy's, and any scipy.linalg call raises.
+    # At radius 24 the Grams (9 and 14 wide) are below the Lanczos cutoff and
+    # take one eigvalsh per t and block; at the larger boxes (86 and 69 wide)
+    # they take only the small eigh of each Lanczos step
     if isinstance(model, str):
         model = request.getfixturevalue(model)
     done = []
@@ -274,16 +343,20 @@ def test_local_decay_dense_calls_stay_on_numpy(request, monkeypatch, model):
                     return _fn(*args, **kwargs)
                 monkeypatch.setattr(module, name, guarded)
     numpy_calls = []
-    for name in ("eigvalsh", "qr"):
+    for name in ("eigvalsh", "eigh", "qr"):
         def recorded(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
             numpy_calls.append((_name, bool(done)))
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, recorded)
     res = local_decay_probe(model, EnergyCutoff(lam=1.0, eps_f=0.25), nu=3.0,
-                            t_grid=np.geomspace(0.5, 4.0, 8), box_radius=24)
+                            t_grid=np.geomspace(0.5, 4.0, 8), box_radius=radius)
     assert done and np.all(res.norms > 0.0)
     blocks = sum(name == "qr" for name, _ in numpy_calls)
-    assert numpy_calls[-8 * blocks:] == [("eigvalsh", True)] * (8 * blocks)
+    per_t = [name for name, after_window in numpy_calls if after_window]
+    if route == "eigvalsh":
+        assert per_t == ["eigvalsh"] * (8 * blocks)
+    else:
+        assert set(per_t) == {"eigh"} and len(per_t) >= 8 * blocks
 
 
 def _record_eigensolves(monkeypatch):
