@@ -195,6 +195,10 @@ def _validate_preconditions(cfg: ExperimentConfig):
         raise ConfigError(f"bad [model] block: {exc}") from exc
     p = cfg.probe
     k = cfg.probe_kind
+    # bump radii and boxes: checked here, or a later check fails with the wrong cause
+    for key in ("delta1", "delta2", "box_radius", "mono_box_radius"):
+        if key in p and not p[key] > 0:
+            raise ConfigError(f"[probe] {key} must be positive")
     if k == "one-sided":
         if not p["nu"] > 1.0:
             raise ConfigError("one-sided probe needs nu > 1")
@@ -239,8 +243,6 @@ def _validate_preconditions(cfg: ExperimentConfig):
             if min(p[key]) < 0:
                 raise ConfigError(f"[probe] {key} needs times t >= 0")
     if k == "local-decay":
-        if p["box_radius"] <= 0:
-            raise ConfigError("[probe] box_radius must be positive")
         if not 0 < p["t_min"] < p["t_max"]:
             raise ConfigError("need 0 < t_min < t_max")
         if p["n_t"] < 8:

@@ -353,8 +353,22 @@ class LatticeHamiltonian(LinearMap):
 
     def shifted(self, shift: complex, branch_sign: int = +1, eps: float = 0.0) -> sp.csc_array:
         """H0 + V - shift -/+ i(eps + W) per branch as a CSC matrix, the
-        format of the sparse LU the d >= 2 solves use."""
-        return self._assemble(self._shifted_diag(shift, branch_sign, eps)).tocsc()
+        format of the sparse LU the d >= 2 solves use: a copy of _csc_pattern
+        with the shifted diagonal written in."""
+        pattern, slots = self._csc_pattern
+        M = pattern.copy()
+        M.data[slots] = self._shifted_diag(shift, branch_sign, eps)
+        return M
+
+    @cached_property
+    def _csc_pattern(self) -> tuple:
+        """(the hops plus a unit diagonal as CSC, the positions of the diagonal
+        in its data), assembled once per H. The unit diagonal keeps every
+        diagonal entry stored whatever shifted() writes there; the branch
+        enters through the diagonal alone."""
+        M = self._assemble(np.ones(self.box.site_count)).tocsc()
+        col = np.repeat(np.arange(M.shape[1]), np.diff(M.indptr))
+        return M, np.nonzero(M.indices == col)[0]
 
     @cached_property
     def _hop_band(self) -> np.ndarray:

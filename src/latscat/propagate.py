@@ -264,74 +264,130 @@ def _tridiagonal_window(A: sp.csr_array, cutoff: EnergyCutoff):
         yield lam[j], V, res
 
 
-# Grams Y* Y at least _LANCZOS_MIN_WIDTH wide go to _lanczos_top. On a
-# j^-1.5 spectrum of singular values (5 or 6 Lanczos steps), one call on a
-# 2-vCPU machine, dense eigvalsh against Lanczos, took 0.06-0.08 against
-# 0.17 ms at width 32, about 0.17 ms both at 48, 0.30-0.43 against 0.22 ms
-# at 64, 0.8-1.1 against 0.27-0.37 ms at 96 and 3.5 against 0.4-0.6 ms at
-# 171. The cutoff sits above the crossover, so that a Gram whose bracket
-# stays open for all _LANCZOS_STEPS before the dense fallback costs little.
-# Every Gram of the recipe's local-decay box (171 and 172 wide) closes its
-# bracket in 3 or 4 steps.
+# Grams Y* Y at least _LANCZOS_MIN_WIDTH wide go to _lanczos_top. Per call
+# on a 2-vCPU machine (median of 7 local-decay passes on the long-range d = 1
+# model, 16 t and both halves each), forming Y for the dense eigvalsh against
+# the trace form and Lanczos on the factors took 0.10 against 0.19 ms at
+# width 32, 0.33 against 0.28 ms at 49, 0.55 against 0.36 ms at 64, 1.3
+# against 0.36 ms at 96 and 4.1 against 0.32 ms at 171. The cutoff sits
+# above the crossover, so that a Gram whose bracket stays open for all
+# _LANCZOS_STEPS before the dense fallback costs little. Every Gram of the
+# recipe's local-decay box (171 and 172 wide) closes its bracket in 3 or 4
+# steps.
 _LANCZOS_MIN_WIDTH = 64
 _LANCZOS_STEPS = 16
 _LANCZOS_RTOL = 1e-12
 
 
-def _sigma_max(Y: np.ndarray) -> float:
-    """sigma_max(Y) = sqrt(lambda_max(G)), G = Y* Y: the per-t call of both
-    time-domain probes.
+def _sigma_max(L: np.ndarray, Rh: np.ndarray, lam: np.ndarray,
+               f: np.ndarray) -> Callable[[float], float]:
+    """t -> sigma_max(L diag(d) Rh) with d = e^{-it lam} f, f >= 0: the per-t
+    routine of both time-domain probes, built once per factor pair.
 
-    A Gram at least _LANCZOS_MIN_WIDTH wide takes lambda_max from
-    _lanczos_top, which brackets it to _LANCZOS_RTOL relative; where that
-    bracket does not close (a top that does not dominate the trace of G,
-    sigma_1 = sigma_2 among them), and for every narrower Gram, it comes from
-    numpy's eigvalsh of G. Either way only numpy is called (local_decay_probe
-    says why)."""
-    if Y.shape[1] >= _LANCZOS_MIN_WIDTH:
-        lam = _lanczos_top(Y)
-        if lam is not None:
-            return float(np.sqrt(lam))
+    A Gram G = Y* Y, Y = L diag(d) Rh, narrower than _LANCZOS_MIN_WIDTH forms
+    Y = L (d Rh) at each t and takes lambda_max from numpy's eigvalsh of
+    Y* Y. A wider one never forms Y: _lanczos_top applies it through the
+    factors and brackets lambda_max to _LANCZOS_RTOL relative, with the
+    trace of G from _frobenius_bound, whose matrix is built here, once. Where
+    that bracket does not close (a top that does not dominate the trace of
+    G, sigma_1 = sigma_2 among them), Y is formed and takes the dense route.
+    Either way only numpy is called (local_decay_probe says why)."""
+    if Rh.shape[1] < _LANCZOS_MIN_WIDTH:
+        return lambda t: _dense_sigma_max(L, Rh, np.exp(-1j * t * lam) * f)
+    trace = _frobenius_bound(L, Rh, f)
+
+    def sigma(t):
+        d = np.exp(-1j * t * lam) * f
+        top = _lanczos_top(L, Rh, d, trace(d))
+        return _dense_sigma_max(L, Rh, d) if top is None else float(np.sqrt(top))
+    return sigma
+
+
+def _dense_sigma_max(L: np.ndarray, Rh: np.ndarray, d: np.ndarray) -> float:
+    """sigma_max(Y), Y = L diag(d) Rh formed, from numpy's eigvalsh of Y* Y."""
+    Y = L @ (d[:, None] * Rh)
     return float(np.sqrt(np.linalg.eigvalsh(Y.conj().T @ Y).max(initial=0.0)))
 
 
-def _lanczos_top(Y: np.ndarray) -> float | None:
-    """lambda_max(Y* Y) certified to _LANCZOS_RTOL relative, or None.
+def _dot(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x for a vector x; a complex x meets a real A as a real (n, 2) view,
+    so that A is never copied to complex."""
+    if np.iscomplexobj(A) or not np.iscomplexobj(x):
+        return A @ x
+    x = np.ascontiguousarray(x)
+    return (A @ x.view(float).reshape(-1, 2)).view(complex)[:, 0]
 
-    Lanczos on G = Y* Y with full reorthogonalization, from the constant
-    start vector, for at most _LANCZOS_STEPS steps; G is applied as
-    Y* (Y q) and never formed. After each step the top Ritz vector x is
-    checked on its own, not through the recurrence:
-    theta = ||Y x||^2 / ||x||^2 and rho = ||G x - theta x|| / ||x||. G is
-    positive semidefinite, so every eigenvalue below lambda_max is at most
-    trace G - lambda_max <= F - theta with F = ||Y||_F^2. When
-    2 theta > F, lambda_max is thus the only eigenvalue above F - theta, and
-    the Kato-Temple inequality gives
-    theta <= lambda_max <= theta + rho^2 / (2 theta - F); theta is returned
-    once that bracket is within _LANCZOS_RTOL theta. A bad start vector or a
-    top that does not dominate can only leave the bracket open, never close
-    it on a wrong value. Y = 0 gives 0.0; an open bracket after the last
-    step, or an invariant Krylov space, gives None.
+
+def _frobenius_bound(L: np.ndarray, Rh: np.ndarray,
+                     f: np.ndarray) -> Callable[[np.ndarray], float]:
+    """d -> an upper bound of ||L diag(d) Rh||_F^2 = tr G for every d with
+    |d| = f, at O(m^2) per call for m = len(f).
+
+    The trace is the quadratic form d* C d with C = (L* L) o (Rh Rh*)^T
+    (entrywise product), which depends on the factors alone: for local decay,
+    L = R and Rh = R*, it is |R* R|^2 entrywise, real, symmetric and
+    nonnegative. Rounding is bounded from the Cauchy-Schwarz bound
+    |(L* L)_kl|, (|L|^T |L|)_kl <= sqrt((L* L)_kk (L* L)_ll) and its
+    counterpart for Rh Rh*: with L p x m, Rh m x q and eps twice the unit
+    roundoff, computing C moves d* C d by at most
+    (p + q + 6) eps (sum_k f_k sqrt(C_kk))^2, and evaluating the form by at
+    most 2 (m + 2) eps f^T |C| f. Both are added, so the returned trace is
+    never below the exact one, also at late t, where the oscillating terms
+    of d* C d cancel far below f^T |C| f."""
+    C = np.asarray(L.conj().T @ L, dtype=np.result_type(L, Rh))
+    C *= (Rh @ Rh.conj().T).T
+    (p, m), q = L.shape, Rh.shape[1]
+    eps = np.finfo(float).eps
+    slack = ((p + q + 6) * eps * float(f @ np.sqrt(np.abs(np.diagonal(C)))) ** 2
+             + 2 * (m + 2) * eps * float(f @ (np.abs(C) @ f)))
+    return lambda d: float(np.vdot(d, _dot(C, d)).real) + slack
+
+
+def _lanczos_top(L: np.ndarray, Rh: np.ndarray, d: np.ndarray, trace: float) -> float | None:
+    """lambda_max(G), G = Y* Y with Y = L diag(d) Rh, certified to
+    _LANCZOS_RTOL relative, or None. trace is an upper bound of tr G.
+
+    Lanczos on G with full reorthogonalization, from the constant start
+    vector, for at most _LANCZOS_STEPS steps. G is applied as Y* (Y q)
+    through the factors, Y q = L (d (Rh q)) and Y* p = Rh* (conj(d) (L* p)),
+    so each step costs a few matrix-vector products and Y is never formed.
+    After each step the top Ritz vector x is checked on its own, not through
+    the recurrence: theta = ||Y x||^2 / ||x||^2 and
+    rho = ||G x - theta x|| / ||x||. G is positive semidefinite, so every
+    eigenvalue below lambda_max is at most trace - theta. When
+    2 theta > trace, lambda_max is thus the only eigenvalue above
+    trace - theta, and the Kato-Temple inequality gives
+    theta <= lambda_max <= theta + rho^2 / (2 theta - trace); theta is
+    returned once that bracket is within _LANCZOS_RTOL theta. A bad start
+    vector or a top that does not dominate can only leave the bracket open,
+    never close it on a wrong value. trace = 0 (Y = 0) gives 0.0; an open
+    bracket after the last step, or an invariant Krylov space, gives None.
     """
-    fro2 = float(np.vdot(Y, Y).real)
-    if fro2 == 0.0:
+    if trace == 0.0:
         return 0.0
-    n = Y.shape[1]
-    Q = np.empty((n, _LANCZOS_STEPS), dtype=np.result_type(Y, float))
+
+    def apply(q):  # Y q
+        return _dot(L, d * _dot(Rh, q))
+
+    def adjoint(p):  # Y* p
+        return _dot(Rh.T, d * _dot(L.T, p.conj())).conj()
+
+    n = Rh.shape[1]
+    Q = np.empty((n, _LANCZOS_STEPS), dtype=complex)
     T = np.zeros((_LANCZOS_STEPS + 1, _LANCZOS_STEPS + 1))
     q = np.full(n, 1.0 / np.sqrt(n))
     for k in range(_LANCZOS_STEPS):
         Q[:, k] = q
         Qk = Q[:, :k + 1]
-        w = ((Y @ q).conj() @ Y).conj()  # G q, with no copy of Y*
+        w = adjoint(apply(q))
         T[k, k] = np.vdot(q, w).real
         x = Qk @ np.linalg.eigh(T[:k + 1, :k + 1])[1][:, -1]
-        y = Y @ x
+        y = apply(x)
         xx = np.vdot(x, x).real
         theta = np.vdot(y, y).real / xx
-        gap = 2.0 * theta - fro2
+        gap = 2.0 * theta - trace
         if gap > 0.0:
-            r = (y.conj() @ Y).conj() - theta * x  # G x - theta x
+            r = adjoint(y) - theta * x  # G x - theta x
             if np.vdot(r, r).real / xx <= _LANCZOS_RTOL * theta * gap:
                 return theta
         for _ in range(2):
@@ -366,20 +422,22 @@ def local_decay_probe(model_cfg: ModelConfig, cutoff: EnergyCutoff, nu: float,
     diagonal there, and the operator is block diagonal with the larger block
     norm as its norm. Per block, with W Q_S = Q_A R a thin QR of the weighted
     eigenvectors, the norm at t is sigma_max of
-    M = R diag(e^{-it lam} f(lam)) R*, one numpy product, and _sigma_max
-    takes it as sqrt(lambda_max(M* M)), as in _propagation_sup. Squaring
-    costs nothing at the top of the spectrum. A Gram M* M at least
-    _LANCZOS_MIN_WIDTH wide (at the recipe's L = 512 the halves give 171 and
-    172) gets lambda_max from a few Lanczos steps, bracketed to 1e-12
-    relative by the Kato-Temple inequality; a narrower one, or one whose
-    bracket stays open, from a dense eigvalsh, good to machine precision
-    relative to lambda_max. After the window eigensolve every dense call is
-    numpy's: numpy and scipy load separate OpenBLAS builds, whose thread
-    pools contend at two threads on two cores. On a 2-vCPU machine the
-    recipe's probe took 0.39-0.52 s with scipy's ztrmm and svdvals per t
-    after numpy's QR, 0.19-0.24 s with numpy's eigvalsh per t, and about
-    0.2 s either way at one thread; the whole recipe takes 0.10 s with the
-    Lanczos route against 0.24 s with eigvalsh per t (benchmark medians).
+    Y = R diag(e^{-it lam} f(lam)) R*, which _sigma_max takes as
+    sqrt(lambda_max(Y* Y)), as in _propagation_sup. Squaring costs nothing
+    at the top of the spectrum. A Gram Y* Y at least _LANCZOS_MIN_WIDTH wide
+    (at the recipe's L = 512 the halves give 171 and 172) gets lambda_max
+    from a few Lanczos steps applied through R and R*, bracketed to 1e-12
+    relative by the Kato-Temple inequality, with the trace of Y* Y from the
+    form d* |R* R|^2 d, built once per block: no m x m product is formed per
+    t. A narrower Gram, or one whose bracket stays open, forms Y and takes a
+    dense eigvalsh, good to machine precision relative to lambda_max. After
+    the window eigensolve every dense call is numpy's: numpy and scipy load
+    separate OpenBLAS builds, whose thread pools contend at two threads on
+    two cores. On a 2-vCPU machine the recipe's probe took 0.39-0.52 s with
+    scipy's ztrmm and svdvals per t after numpy's QR, 0.19-0.24 s with
+    numpy's eigvalsh per t, and about 0.2 s either way at one thread; its
+    per-t loop takes 10-20 ms on the factors against 50-55 ms with Y formed
+    per t and Lanczos on it.
     H without an eigenvalue in supp f raises ValueError. Each row reports
     the rank |S| summed over the blocks and the eigen-residual
     max_j ||H q_j - lam_j q_j||.
@@ -394,7 +452,7 @@ def local_decay_probe(model_cfg: ModelConfig, cutoff: EnergyCutoff, nu: float,
         raise ValueError(f"t_grid exceeds the reflection window {window:.1f}")
     wdiag = (1.0 + np.sum(H.box.sites().astype(float) ** 2, axis=1)) ** (-nu / 2.0)
     blocks = []
-    eig_residual = 0.0
+    rank, eig_residual = 0, 0.0
     for B, chunks in _window_eigenpairs(H, cutoff):
         parts = list(chunks)
         if not parts:
@@ -404,14 +462,14 @@ def local_decay_probe(model_cfg: ModelConfig, cutoff: EnergyCutoff, nu: float,
         # each basis vector lives on sites n and -n, where the weight agrees
         w = B.power(2).T @ wdiag
         R = np.linalg.qr(w[:, None] * Q, mode="r")
-        blocks.append((R, evals, cutoff.profile(evals)))
-    rank = _check_rank(sum(len(evals) for _, evals, _ in blocks), cutoff, L)
+        blocks.append(_sigma_max(R, R.conj().T, evals, cutoff.profile(evals)))
+        rank += len(evals)
+    _check_rank(rank, cutoff, L)
     rows = []
     norms = np.zeros(len(t_grid))
     for i, t in enumerate(t_grid):
         t0 = time.perf_counter()
-        norms[i] = max(_sigma_max((R * (np.exp(-1j * t * evals) * f_ev)) @ R.conj().T)
-                       for R, evals, f_ev in blocks)
+        norms[i] = max(sigma(t) for sigma in blocks)
         rows.append({"h": 0.0, "t": t, "norm": norms[i], "chebyshev_terms": 0,
                      "seconds": time.perf_counter() - t0, "rank": rank,
                      "eig_residual": eig_residual})
@@ -508,11 +566,12 @@ def _propagation_sup(H: LatticeHamiltonian, a1: Symbol, a2: Symbol, h: float,
             eig_residual = max(eig_residual, float(res.max(initial=0.0)))
     lam, P, W = np.concatenate(lams), np.vstack(PTs).T, np.vstack(Ws)
     rank = _check_rank(len(lam), cutoff, H.box.radius)
+    sigma = _sigma_max(P, W, lam, np.ones(rank))
     sup = 0.0
     rows = []
     for t in t_grid:
         t0 = time.perf_counter()
-        val = _sigma_max(P @ (np.exp(-1j * t * lam)[:, None] * W))
+        val = sigma(t)
         sup = max(sup, val)
         rows.append({"t": float(t), "norm": val, "chebyshev_terms": 0,
                      "seconds": time.perf_counter() - t0, "columns": k, "rank": rank,

@@ -124,6 +124,8 @@ def _lap_iterate(H: LatticeHamiltonian, cfg: LAPConfig, rhs):
     prev = None
     diffs = []
     for eps in cfg.epsilon_sequence:
+        # drop the last rung's LU before factoring this one: only one is alive
+        sol = None
         sol = _ShiftedSolver(H, cfg.lam, cfg.sign, eps)
         u = sol.solve(rhs)
         if sol.matrix is not None:

@@ -73,6 +73,19 @@ _EXIT_2_CASES = [
      "kind = free-kernel", "convergence_tol", "zero-convergence-tol"),
     ("[numerics]\nconvergence_tol = -1\n[probe]\nkind = calculus", "convergence_tol",
      "negative-convergence-tol"),
+    # a bump radius or box radius <= 0 fails later in a check on another key
+    ("[probe]\nkind = wf\nx1 = 4.0\nxi1 = 1.57\nx2 = 3.0\nxi2 = -1.57\ndelta1 = 0",
+     r"\[probe\] delta1 must be positive", "wf-zero-delta1"),
+    ("[probe]\nkind = prop31\nx1 = 4.0\nxi1 = 1.57\nx2 = 3.0\nxi2 = -1.57\ndelta1 = 0",
+     r"\[probe\] delta1 must be positive", "prop31-zero-delta1"),
+    ("[probe]\nkind = prop31\nx1 = 4.0\nxi1 = 1.57\nx2 = 3.0\nxi2 = -1.57\ndelta2 = -0.1",
+     r"\[probe\] delta2 must be positive", "prop31-negative-delta2"),
+    ("[model]\npotential = none\n[probe]\nkind = free-kernel\nbox_radius = 0",
+     r"\[probe\] box_radius must be positive", "free-kernel-zero-box-radius"),
+    ("[probe]\nkind = escape\nbox_radius = 0", r"\[probe\] box_radius must be positive",
+     "escape-zero-box-radius"),
+    ("[probe]\nkind = escape\nmono_box_radius = -1",
+     r"\[probe\] mono_box_radius must be positive", "escape-negative-mono-box-radius"),
 ]
 
 

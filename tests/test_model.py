@@ -224,6 +224,26 @@ def test_sparse_matvec_matches_slice_loop(dim, radius, with_cap, rng, to_dense):
         assert np.max(np.abs(M.toarray() - oracle)) <= 1e-15
 
 
+@pytest.mark.parametrize("dim,radius,with_cap", [(1, 40, True), (2, 9, True), (2, 9, False)])
+def test_shifted_equals_a_fresh_assembly(dim, radius, with_cap):
+    # shifted() writes the diagonal into a copy of one cached CSC pattern: the
+    # same data, indices and indptr as assembling H0 + V - shift -/+ i(eps + W)
+    # anew, on both branches and every eps, with the diagonal always stored
+    H = _longrange(dim).assemble(radius, with_cap=with_cap)
+    for sign in (+1, -1):
+        for shift, eps in ((1.0, 0.25), (1.0, 2.0**-20), (0.0, 0.0), (H.onsite, 0.0)):
+            M = H.shifted(shift, branch_sign=sign, eps=eps)
+            fresh = H._assemble(H._shifted_diag(shift, sign, eps)).tocsc()
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(M, name), getattr(fresh, name))
+            assert np.array_equal(M.diagonal(), H._shifted_diag(shift, sign, eps))
+            assert M.nnz == fresh.nnz >= H.dim
+    # each call hands out its own copy: writing one leaves the next intact
+    M = H.shifted(1.0, +1, 0.25)
+    M.data[:] = 0.0
+    assert np.count_nonzero(H.shifted(1.0, +1, 0.25).data) > H.dim
+
+
 def _norm_bound(H):
     """sum |gamma_m| + max |V| >= ||H0 + V||: a crude bound on the spectrum
     that fixes the scale of the eigensolver's rounding."""

@@ -217,6 +217,10 @@ D1_FLUX = ModelConfig(stencil=Stencil(1, [(0,), (1,), (-1,), (2,), (-2,)],
     (D1_TWISTED, 96, np.r_[0.0, np.geomspace(1.0, 40.0, 11)]),
     (D1_FLUX, 96, np.r_[0.0, np.geomspace(1.0, 40.0, 11)]),
     (D1_DIPOLE, 96, np.r_[0.0, np.geomspace(1.0, 60.0, 11)]),
+    # complex R on the factored Lanczos route: one block, 85 (twisted) and
+    # 69 (flux) wide
+    (D1_TWISTED, 128, np.r_[0.0, np.geomspace(1.0, 60.0, 11)]),
+    (D1_FLUX, 128, np.r_[0.0, np.geomspace(1.0, 60.0, 11)]),
 ])
 def test_local_decay_matches_full_eigh(request, model, radius, t_grid):
     if isinstance(model, str):
@@ -232,14 +236,18 @@ def test_local_decay_matches_full_eigh(request, model, radius, t_grid):
 
 
 def test_local_decay_gram_route_matches_svd(longrange_model, monkeypatch):
-    # sigma_max from the eigenvalues of M* M squares M: at the recipe's box and
-    # times, down to the smallest norm (3e-6 at t = 200), it must agree with
-    # an SVD of the same M = R D R* to 1e-10 relative
+    # sigma_max from the eigenvalues of Y* Y squares Y = R diag(d) R*: at the
+    # recipe's box and times, down to the smallest norm (3e-6 at t = 200), it
+    # must agree with an SVD of the same Y, formed here only, to 1e-10 relative
     seen = []
 
-    def recorded(Y, _sigma_max=propagate._sigma_max):
-        seen.append(sla.svdvals(Y)[0])
-        return _sigma_max(Y)
+    def recorded(L, Rh, lam, f, _sigma_max=propagate._sigma_max):
+        sigma = _sigma_max(L, Rh, lam, f)
+
+        def at(t):
+            seen.append(sla.svdvals(L @ ((np.exp(-1j * t * lam) * f)[:, None] * Rh))[0])
+            return sigma(t)
+        return at
     monkeypatch.setattr(propagate, "_sigma_max", recorded)
     res = local_decay_probe(longrange_model, EnergyCutoff(lam=1.0, eps_f=0.25), nu=3.0,
                             t_grid=np.geomspace(10.0, 200.0, 16), box_radius=512)
@@ -248,12 +256,19 @@ def test_local_decay_gram_route_matches_svd(longrange_model, monkeypatch):
     assert np.max(np.abs(res.norms - svd) / svd) <= 1e-10
 
 
-def _with_singular_values(s, m, n, seed=0):
-    """An m x n complex matrix with singular values s (len(s) <= min(m, n))."""
+def _with_singular_values(s, m, n, t=3.0, seed=0):
+    """Factors (L, Rh, lam, f) of an m x n complex Y = L diag(e^{-it lam} f) Rh
+    with singular values s (len(s) <= min(m, n)), with L and Rh mixed by a
+    random unitary, so that no factor is aligned with the singular vectors."""
     rng = np.random.default_rng(seed)
-    U = np.linalg.qr(rng.standard_normal((m, len(s))) + 1j * rng.standard_normal((m, len(s))))[0]
-    V = np.linalg.qr(rng.standard_normal((n, len(s))) + 1j * rng.standard_normal((n, len(s))))[0]
-    return (U * np.asarray(s, dtype=float)) @ V.conj().T
+    r = len(s)
+
+    def orthonormal(k, j):
+        return np.linalg.qr(rng.standard_normal((k, j)) + 1j * rng.standard_normal((k, j)))[0]
+    U, V, Z = orthonormal(m, r), orthonormal(n, r), orthonormal(r, r)
+    lam, f = rng.uniform(-2.0, 2.0, r), rng.uniform(0.5, 1.0, r)
+    d = np.exp(-1j * t * lam) * f
+    return (U * np.asarray(s, dtype=float)) @ Z, (Z.conj().T / d[:, None]) @ V.conj().T, lam, f
 
 
 _DECAY = np.arange(1, 100) ** -1.5  # 99 values
@@ -271,42 +286,91 @@ _DECAY = np.arange(1, 100) ** -1.5  # 99 values
 ], ids=["dominant", "double-top", "flat", "zero", "rank-one", "tall", "wide", "narrow"])
 def test_sigma_max_against_svd(monkeypatch, s, m, n, lanczos):
     # a Gram at least _LANCZOS_MIN_WIDTH wide whose top dominates its trace is
-    # certified by the Kato-Temple bracket with no dense eigvalsh; sigma_1 =
-    # sigma_2, a flat spectrum (2 theta <= ||Y||_F^2) and a narrower Gram take
-    # the dense route. Either way sigma_max agrees with the SVD to 1e-12
-    Y = _with_singular_values(s, m, n)
-    dense = []
+    # certified by the Kato-Temple bracket through the factors, with Y never
+    # formed and no dense eigvalsh; sigma_1 = sigma_2, a flat spectrum
+    # (2 theta <= ||Y||_F^2) and a narrower Gram form Y and take the dense
+    # route. Either way sigma_max agrees with the SVD to 1e-12
+    L, Rh, lam, f = _with_singular_values(s, m, n)
+    formed, dense = [], []
+
+    def dense_sigma_max(*args, _fn=propagate._dense_sigma_max):
+        formed.append(True)
+        return _fn(*args)
 
     def eigvalsh(*args, _fn=np.linalg.eigvalsh):
         dense.append(True)
         return _fn(*args)
+    monkeypatch.setattr(propagate, "_dense_sigma_max", dense_sigma_max)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-    sigma = propagate._sigma_max(Y)
-    assert len(dense) == (not lanczos)
-    svd = np.linalg.svd(Y, compute_uv=False)[0]
-    assert abs(sigma - svd) <= 1e-12 * svd  # sigma == 0.0 for Y = 0
+    sigma = propagate._sigma_max(L, Rh, lam, f)(3.0)
+    assert len(formed) == len(dense) == (not lanczos)
+    svd = np.linalg.svd(L @ ((np.exp(-3j * lam) * f)[:, None] * Rh), compute_uv=False)
+    assert abs(sigma - svd.max(initial=0.0)) <= 1e-12 * svd.max(initial=0.0)  # 0.0 for Y = 0
+
+
+@pytest.mark.parametrize("model, phases", [
+    (ModelConfig(), False), (D1_FLUX, False), (ModelConfig(), True),
+], ids=["real", "complex", "real-complex"])
+def test_frobenius_bound_is_an_upper_bound(model, phases):
+    # the trace of G = Y* Y, Y = R diag(d) R*, comes from the t-independent
+    # form d* C d plus a rounding bound: never below ||Y||_F^2 (here from Y
+    # formed in extended precision), also at late t, where the terms of the
+    # form cancel to a small part of f^T C f (below 1e-7 of it at t = 100,
+    # inside the reflection window), and above it by at most 1e-12 f^T C f.
+    # R comes from the window eigenvectors of a 301-site box: real for the
+    # free model, complex for the flux model, whose R* R no gauge makes real
+    H = model.assemble(150, with_cap=False)
+    cutoff = EnergyCutoff(lam=1.0, eps_f=0.25)
+    Hd = H.dense()
+    lam, Q = np.linalg.eigh(Hd if np.any(Hd.imag) else Hd.real)
+    keep = cutoff.profile(lam) != 0.0
+    lam, f = lam[keep], cutoff.profile(lam[keep])
+    w = (1.0 + H.box.sites()[:, 0].astype(float) ** 2) ** -1.5
+    R = np.linalg.qr(w[:, None] * Q[:, keep], mode="r")
+    A = R.conj().T @ R
+    assert np.iscomplexobj(R) == (model is D1_FLUX)
+    assert (np.abs(A.imag).max() > 1e-3 * np.abs(A).max()) == (model is D1_FLUX)
+    # a real L with a complex Rh: Y diag(e^{i phi}), the same Frobenius norm
+    Rh = R.conj().T * np.exp(0.7j * np.arange(len(lam))) if phases else R.conj().T
+    trace = propagate._frobenius_bound(R, Rh, f)
+    absolute = trace(f)  # d = f: every term of the form counts positively
+    Rx, Rhx = R.astype(np.clongdouble), Rh.astype(np.clongdouble)
+    fractions = []
+    for t in (0.0, 1.0, 10.0, 100.0, 1000.0):
+        d = np.exp(-1j * t * lam) * f
+        Y = Rx @ (d.astype(np.clongdouble)[:, None] * Rhx)
+        fro2 = float(np.sum(np.abs(Y) ** 2))
+        assert fro2 <= trace(d) <= fro2 + 1e-12 * absolute
+        fractions.append(fro2 / absolute)
+    assert min(fractions) < 1e-7
 
 
 def test_local_decay_recipe_box_takes_the_lanczos_route(longrange_model, monkeypatch):
     # at the recipe's box and times every Gram (171 and 172 wide) is above the
-    # Lanczos cutoff and closes its bracket within the step budget: the probe
-    # makes no dense eigvalsh call, or the per-t cost is back to the dense route
-    tops, dense = [], []
+    # Lanczos cutoff and closes its bracket within the step budget, through
+    # the factors: the probe forms no Y and makes no dense eigvalsh call, or
+    # the per-t cost is back to a cubic product and the dense route
+    tops, formed, dense = [], [], []
 
-    def top(Y, _top=propagate._lanczos_top):
-        tops.append((Y.shape[1], _top(Y)))
+    def top(L, Rh, d, trace, _top=propagate._lanczos_top):
+        tops.append((Rh.shape[1], _top(L, Rh, d, trace)))
         return tops[-1][1]
+
+    def dense_sigma_max(*args, _fn=propagate._dense_sigma_max):
+        formed.append(True)
+        return _fn(*args)
 
     def eigvalsh(*args, _fn=np.linalg.eigvalsh):
         dense.append(True)
         return _fn(*args)
     monkeypatch.setattr(propagate, "_lanczos_top", top)
+    monkeypatch.setattr(propagate, "_dense_sigma_max", dense_sigma_max)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     local_decay_probe(longrange_model, EnergyCutoff(lam=1.0, eps_f=0.25), nu=3.0,
                       t_grid=np.geomspace(10.0, 200.0, 16), box_radius=512)
     assert sorted({w for w, _ in tops}) == [171, 172] and len(tops) == 32
     assert all(lam is not None and lam > 0.0 for _, lam in tops)
-    assert not dense
+    assert not formed and not dense
 
 
 @pytest.mark.parametrize("model, radius, route", [

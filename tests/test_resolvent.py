@@ -425,6 +425,36 @@ def test_hamiltonian_freed_without_cyclic_gc():
         gc.enable()
 
 
+def test_lap_ladder_holds_one_factorization(monkeypatch):
+    # a d = 2 ladder drops each rung's sparse LU before it factors the next,
+    # so no earlier solver is alive when a new one is built; and it assembles
+    # the shifted matrices from one pattern per H, whichever branch it walks
+    H = _longrange(2).assemble(16)
+    live, alive_at_build, assembled = [], [], []
+    init, assemble = _ShiftedSolver.__init__, type(H)._assemble
+
+    def registered(self, *args):
+        alive_at_build.append(sum(ref() is not None for ref in live))
+        init(self, *args)
+        live.append(weakref.ref(self))
+
+    def counted(self, diag):
+        assembled.append(self)
+        return assemble(self, diag)
+    monkeypatch.setattr(_ShiftedSolver, "__init__", registered)
+    monkeypatch.setattr(type(H), "_assemble", counted)
+    g = np.random.default_rng(3)
+    rhs = g.standard_normal(H.dim) + 1j * g.standard_normal(H.dim)
+    rungs = 0
+    for sign in (+1, -1):
+        _, info = lap_solve(H, LAPConfig(lam=1.0, sign=sign, convergence_tol=1e-2), rhs,
+                            return_info=True)
+        rungs += len(info["diffs"]) + 1
+    assert len(alive_at_build) == rungs >= 6
+    assert alive_at_build == [0] * rungs
+    assert assembled == [H]
+
+
 def test_resolvent_identity_d2():
     # R(e1) - R(e2) = i(e1 - e2) R(e1) R(e2) on a 4,225-site box
     H = _longrange(2).assemble(32)
