@@ -229,11 +229,17 @@ def _validate_preconditions(cfg: ExperimentConfig):
         if cfg.model["potential"] != "none":
             raise ConfigError("free-kernel probe compares with the closed-form free kernel: "
                               "it needs potential = none")
+        if not 0.0 < p["lambda"] < 2.0:
+            raise ConfigError("free-kernel compares with the closed-form free kernel, "
+                              "which exists inside the band only: need 0 < lambda < 2")
         L = p["box_radius"]
         if not 0.0 <= p["inner_frac"] * L <= L - cap_width(L):
             raise ConfigError(f"free-kernel compares |n| <= inner_frac * L outside the CAP: "
                               f"need 0 <= inner_frac * {L} <= {L - cap_width(L)}")
     if k == "escape":
+        # at mu <= 0 the rungs j >= 1 vanish or change sign: a vacuous pass or a false fail
+        if not p["mu"] > 0:
+            raise ConfigError("[probe] mu must be positive")
         # the energy exponent is a fit over h
         for key, least in (("t_samples", 1), ("mono_t_list", 1), ("h_list", 2)):
             if len(set(p[key])) < least:

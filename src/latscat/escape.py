@@ -17,7 +17,7 @@ from .util import angle_diff, lstsq_loglog, rng
 
 
 class LadderInvariantError(ValueError):
-    """An EscapeLadder invariant (separation, pinning, nesting) fails."""
+    """An EscapeLadder invariant (separation, pinning, nesting, mu > 0) fails."""
 
 
 class HermiticityDriftError(RuntimeError):
@@ -36,7 +36,8 @@ class EscapeLadder:
       separation  |y(t)| >= 3 delta1 (1/h + t),
       pinning     |v(xi) - v(xi2)| < delta1/2 whenever dist(xi, xi2) <= 2 delta2,
       nesting     gamma_j strictly increasing in (1, 2),
-    with gamma_j = 2 - 2^(-j) unless given.
+    with gamma_j = 2 - 2^(-j) unless given, and mu > 0 (at mu = 0 every rung
+    j >= 1 vanishes identically).
     """
 
     stencil: Stencil
@@ -64,6 +65,9 @@ class EscapeLadder:
             raise LadderInvariantError("h must lie in (0, 1]")
         if self.delta1 <= 0 or self.delta2 <= 0:
             raise LadderInvariantError("delta1, delta2 must be positive")
+        if not self.mu > 0:
+            raise LadderInvariantError("mu must be positive: at mu <= 0 the prefactor "
+                                       "h^mu - (1/h + t)^-mu of rung j >= 1 is not positive")
         gs = self.gammas
         if len(gs) != self.depth:
             raise LadderInvariantError("gamma list length != depth")

@@ -84,21 +84,6 @@ class Stencil:
             acc = acc + g * 1j * phase[..., None] * ov
         return acc.real
 
-    @cached_property
-    def symbol_range(self) -> tuple:
-        """Interval [lo, hi] that contains the range of p0 (computed once).
-
-        The extrema are taken on a momentum grid of step s and padded by
-        s * sum_m |m|_1 |gamma_m|, which bounds how far p0 moves between
-        grid points.
-        """
-        n = max(16, int(round(2.0 ** (14.0 / self.dim))))
-        step = 2.0 * np.pi / n
-        p = self.p0(product_grid(step * np.arange(n), self.dim))
-        pad = step * sum(abs(g) * sum(abs(m) for m in o)
-                         for o, g in zip(self.offsets, self.coeffs))
-        return float(np.min(p) - pad), float(np.max(p) + pad)
-
 
 def laplacian_stencil(dim: int = 1) -> Stencil:
     """Nearest-neighbor stencil with p0(xi) = sum_a (1 - cos xi_a)."""
@@ -271,7 +256,7 @@ def adjoint_map(A: LinearMap) -> LinearMap:
 
 class LatticeHamiltonian(LinearMap):
     """H = H0 + V (- iW with the CAP), assembled once, on first use, as a
-    sparse CSR matrix.
+    sparse CSC matrix.
 
     Hops that leave the box are dropped (Dirichlet truncation). The hop part
     is self-adjoint by the stencil symmetry invariant, so the adjoint differs
@@ -300,7 +285,7 @@ class LatticeHamiltonian(LinearMap):
         if abs(onsite.imag) > 1e-14:
             raise ValueError("onsite coefficient must be real")
         self.onsite, self.hops = onsite.real, list(table.items())
-        self._csr = {}
+        self._matrices = {}
         super().__init__(box.site_count, None, None, hermitian=not with_cap,
                          bandwidth=stencil.bandwidth, label="H")
 
@@ -315,14 +300,13 @@ class LatticeHamiltonian(LinearMap):
     def adjoint_apply(self, u):
         return self._matrix(-1) @ np.asarray(u)
 
-    def _matrix(self, cap_sign: int) -> sp.csr_array:
-        """H0 + V - i cap_sign W as CSR, assembled on first use and cached per
-        CAP sign."""
+    def _matrix(self, cap_sign: int) -> sp.csc_array:
+        """H0 + V - i cap_sign W, shifted() at shift 0, cached per CAP sign."""
         if self.hermitian:
             cap_sign = 0
-        if cap_sign not in self._csr:
-            self._csr[cap_sign] = self._assemble(self._shifted_diag(0.0, cap_sign, 0.0))
-        return self._csr[cap_sign]
+        if cap_sign not in self._matrices:
+            self._matrices[cap_sign] = self.shifted(0.0, cap_sign)
+        return self._matrices[cap_sign]
 
     def _shifted_diag(self, shift: complex, branch_sign: int, eps: float) -> np.ndarray:
         """Diagonal of H0 + V - shift -/+ i(eps + W): branch_sign=+1 gives
@@ -330,13 +314,13 @@ class LatticeHamiltonian(LinearMap):
         s = 1.0 if branch_sign >= 0 else -1.0
         return self.onsite + self.v_diag - shift - 1j * s * (self.cap_diag + eps)
 
-    def _assemble(self, diag) -> sp.csr_array:
-        """The hops plus `diag` on the diagonal, as a complex CSR matrix."""
+    def _assemble(self) -> sp.csc_array:
+        """The hops plus a unit diagonal, as a complex CSC matrix."""
         n = self.box.n_per_axis
         index = np.arange(self.box.site_count).reshape(self.box.shape)
         rows = [index.ravel()]
         cols = [index.ravel()]
-        vals = [np.asarray(diag, dtype=complex)]
+        vals = [np.ones(self.box.site_count, dtype=complex)]
         for o, g in self.hops:
             if any(abs(m) >= n for m in o):
                 continue
@@ -344,7 +328,7 @@ class LatticeHamiltonian(LinearMap):
             rows.append(index[tuple(slice(max(0, m), n + min(0, m)) for m in o)].ravel())
             cols.append(index[tuple(slice(max(0, -m), n + min(0, -m)) for m in o)].ravel())
             vals.append(np.full(rows[-1].size, g, dtype=complex))
-        return sp.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        return sp.csc_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                             shape=(self.box.site_count,) * 2)
 
     def inner_mask(self) -> np.ndarray:
@@ -363,19 +347,20 @@ class LatticeHamiltonian(LinearMap):
     @cached_property
     def _csc_pattern(self) -> tuple:
         """(the hops plus a unit diagonal as CSC, the positions of the diagonal
-        in its data), assembled once per H. The unit diagonal keeps every
-        diagonal entry stored whatever shifted() writes there; the branch
-        enters through the diagonal alone."""
-        M = self._assemble(np.ones(self.box.site_count)).tocsc()
+        in its data), assembled once per H: products, dense(), the hop band,
+        the window eigensolve and the d >= 2 LU all read copies of it. The
+        unit diagonal keeps every diagonal entry stored whatever shifted()
+        writes there; the branch enters through the diagonal alone."""
+        M = self._assemble()
         col = np.repeat(np.arange(M.shape[1]), np.diff(M.indptr))
         return M, np.nonzero(M.indices == col)[0]
 
     @cached_property
     def _hop_band(self) -> np.ndarray:
-        """(d=1) H in LAPACK band storage, read off the CSR matrix once: DIA
-        holds H[j - k, j] at data[., j] for offset k, and LAPACK wants H[i, j]
-        at ab[b + i - j, j], that is ab[b - k, j]."""
-        dia, b = self._matrix(+1).todia(), self.stencil.bandwidth
+        """(d=1) The hops in LAPACK band storage, read off the CSC pattern once:
+        DIA holds H[j - k, j] at data[., j] for offset k, and LAPACK wants
+        H[i, j] at ab[b + i - j, j], that is ab[b - k, j]."""
+        dia, b = self._csc_pattern[0].todia(), self.stencil.bandwidth
         ab = np.zeros((2 * b + 1, self.box.site_count), dtype=complex)
         ab[b - dia.offsets] = dia.data
         return ab
@@ -394,17 +379,6 @@ class LatticeHamiltonian(LinearMap):
         if self.box.site_count > DENSE_MAX_SITES:
             raise ValueError("box too large to densify")
         return self._matrix(+1).toarray()
-
-    def spectral_interval(self) -> tuple:
-        """Interval [lo, hi] that contains the spectrum of H0 + V (the CAP is
-        not included).
-
-        Rigorous: the Dirichlet truncation compresses H0 on l2(Z^d), whose
-        numerical range is the range of p0, and Weyl's inequality adds
-        [min V, max V].
-        """
-        lo, hi = self.stencil.symbol_range
-        return lo + float(np.min(self.v_diag)), hi + float(np.max(self.v_diag))
 
 
 @dataclass(frozen=True)

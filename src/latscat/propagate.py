@@ -52,9 +52,10 @@ class EnergyCutoff:
 class ChebyshevPlan:
     """First-kind Chebyshev series of a function on [center-radius, center+radius].
 
-    The enclosure is H.spectral_interval(), a rigorous interval for the
-    spectrum of the hermitian H0 + V, widened by a relative 1e-9. A CAP
-    spectrum leaves the real axis, so plans refuse non-hermitian H.
+    The enclosure is the Gershgorin interval of H's assembled matrix, which
+    contains the spectrum of any hermitian matrix, widened by a relative
+    1e-9. A CAP spectrum leaves the real axis, so plans refuse non-hermitian
+    H; the adjoint of a plan is the plan with conjugate coefficients.
     """
 
     center: float
@@ -63,10 +64,15 @@ class ChebyshevPlan:
 
     @classmethod
     def enclosure_for(cls, H: LatticeHamiltonian):
-        """(center, radius) of the interval the series is built on."""
+        """(center, radius) of the interval the series is built on: from the
+        rows of H, [min(H_ii - r_i), max(H_ii + r_i)] with r_i the absolute
+        sum of the off-diagonal entries of row i."""
         if not H.hermitian:
             raise ValueError("Chebyshev plans need a hermitian (CAP-free) Hamiltonian")
-        lo, hi = H.spectral_interval()
+        M = H._matrix(+1)
+        diag = M.diagonal()
+        r = abs(M).sum(axis=1) - np.abs(diag)
+        lo, hi = float(np.min(diag.real - r)), float(np.max(diag.real + r))
         return 0.5 * (lo + hi), 0.5 * (hi - lo) * (1.0 + 1e-9) + 1e-12
 
     @classmethod
@@ -98,21 +104,18 @@ class ChebyshevPlan:
     def n_terms(self) -> int:
         return len(self.coeffs)
 
-    def apply(self, H: LinearMap, u, adjoint: bool = False):
+    def apply(self, H: LinearMap, u):
         """Sum c_k T_k(A) u, A = (H - c)/r, by T_{k+1} = 2A T_k - T_{k-1}
-        (H* and the conjugate coefficients for the adjoint), through H.apply
-        or H.adjoint_apply. Raises EnclosureError when an iterate grows past
+        through H.apply. Raises EnclosureError when an iterate grows past
         50 ||u||, checked every 64th term and at the last. u is left unchanged.
         """
-        co = np.conj(self.coeffs) if adjoint else self.coeffs
-        Hap = H.adjoint_apply if adjoint else H.apply
-        c, r = self.center, self.radius
+        co, c, r = self.coeffs, self.center, self.radius
         T_prev, T = 0.0, np.asarray(u, dtype=complex)
         acc = co[0] * T
         cap = 50.0 * np.linalg.norm(T) + 1e-300
         for k in range(1, len(co)):
             # the first step is T_1 = A T_0 (T_prev = 0)
-            T_prev, T = T, (2.0 if k > 1 else 1.0) / r * (Hap(T) - c * T) - T_prev
+            T_prev, T = T, (2.0 if k > 1 else 1.0) / r * (H.apply(T) - c * T) - T_prev
             acc += co[k] * T
             if (k % 64 == 0 or k == len(co) - 1) and np.linalg.norm(T) > cap:
                 raise EnclosureError("Chebyshev iterates grow: enclosure violated")
@@ -171,7 +174,7 @@ class LocalDecayResult:
     rows: list
 
 
-def _reflection_halves(M: sp.csr_array) -> list:
+def _reflection_halves(M: sp.csc_array) -> list:
     """Orthonormal bases, as sparse N x n_k isometries, of the subspaces the
     box matrix M is block diagonal on. When M equals J M J entry for entry,
     with J the reflection n -> -n (index i -> N - 1 - i in the row-major

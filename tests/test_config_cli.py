@@ -86,6 +86,19 @@ _EXIT_2_CASES = [
      "escape-zero-box-radius"),
     ("[probe]\nkind = escape\nmono_box_radius = -1",
      r"\[probe\] mono_box_radius must be positive", "escape-negative-mono-box-radius"),
+    # the closed-form free kernel exists inside the band only: 0 and 2 walk
+    # every rung and exit 3, 2.5 fails only after the LAP solve
+    ("[model]\npotential = none\n[probe]\nkind = free-kernel\nlambda = 0",
+     "0 < lambda < 2", "free-kernel-band-bottom"),
+    ("[model]\npotential = none\n[probe]\nkind = free-kernel\nlambda = 2",
+     "0 < lambda < 2", "free-kernel-band-top"),
+    ("[model]\npotential = none\n[probe]\nkind = free-kernel\nlambda = 2.5",
+     "0 < lambda < 2", "free-kernel-above-band"),
+    # mu = 0 zeroes every rung j >= 1 (a vacuous pass); mu < 0 flips their sign
+    ("[probe]\nkind = escape\ndepth = 2\nmu = 0", r"\[probe\] mu must be positive",
+     "escape-zero-mu"),
+    ("[probe]\nkind = escape\ndepth = 2\nmu = -0.5", r"\[probe\] mu must be positive",
+     "escape-negative-mu"),
 ]
 
 
@@ -220,9 +233,10 @@ convergence_tol = 1e-9
 def test_violated_enclosure_exits_numerical(tmp_path, monkeypatch):
     # an enclosure that misses the spectrum makes the short evolve plans of
     # the calculus checks diverge: exit 3 names it, not a failed criterion
-    from latscat.model import LatticeHamiltonian
+    from latscat.propagate import ChebyshevPlan
 
-    monkeypatch.setattr(LatticeHamiltonian, "spectral_interval", lambda self: (0.9, 1.1))
+    # (center, radius) of the interval [0.9, 1.1]
+    monkeypatch.setattr(ChebyshevPlan, "enclosure_for", classmethod(lambda cls, H: (1.0, 0.1)))
     assert main(["run", "--recipe", "calculus-invariants", "--out", str(tmp_path)]) \
         == EXIT_NUMERICAL
 

@@ -75,6 +75,13 @@ def test_ladder_invariants(stencil1d):
     with pytest.raises(LadderInvariantError, match="gamma"):
         EscapeLadder(stencil=stencil1d, x2=3.0, xi2=np.pi / 2, delta1=0.2,
                      delta2=0.2, h=0.125, depth=2, gammas=(1.7, 1.5))
+    for mu in (0.0, -0.5):
+        with pytest.raises(LadderInvariantError, match="mu must be positive"):
+            EscapeLadder(stencil=stencil1d, x2=3.0, xi2=np.pi / 2, delta1=0.2,
+                         delta2=0.2, h=0.125, depth=2, mu=mu)
+        # the negative control skips every invariant
+        EscapeLadder(stencil=stencil1d, x2=3.0, xi2=np.pi / 2, delta1=0.2,
+                     delta2=0.2, h=0.125, depth=2, mu=mu, validate=False)
 
 
 def test_psi0_values(ladder):

@@ -1,5 +1,6 @@
 """Source hygiene: no unused imports, no private numpy/scipy modules, every
-script still matches the API, and the benchmark still binds what it uses.
+exception maps to an exit code, every script still matches the API, and the
+benchmark still binds what it uses.
 
 No linter is a dependency, so the checks use `ast` and `importlib`.
 """
@@ -14,6 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from latscat.cli import NUMERICAL_ERRORS
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
@@ -148,6 +151,41 @@ def test_cli_import_loads_only_the_scipy_it_uses():
     loaded = json.loads(out.splitlines()[-1])
     assert {m.split(".")[1] for m in loaded} == {"linalg", "sparse", "version"}
     assert "scipy.sparse.linalg" in loaded
+
+
+def _exception_classes(path: Path, module):
+    """The exception classes defined at the top of the module at `path`,
+    taken from `module`, that module loaded."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    classes = [getattr(module, node.name) for node in tree.body
+               if isinstance(node, ast.ClassDef)]
+    return [cls for cls in classes if issubclass(cls, BaseException)]
+
+
+def _unmapped(classes):
+    """Names of the classes cli.run maps to no exit code: neither a
+    ValueError (exit 2) nor a subclass of an entry of NUMERICAL_ERRORS (exit 3)."""
+    return [cls.__name__ for cls in classes
+            if not issubclass(cls, (ValueError, *NUMERICAL_ERRORS))]
+
+
+def test_every_exception_maps_to_an_exit_code():
+    # exit codes name the real cause: 2 for a bad config or a violated
+    # hypothesis, 3 for a numerical failure, never a traceback
+    classes = []
+    for path in sorted((ROOT / "src" / "latscat").glob("*.py")):
+        name = "latscat" if path.stem == "__init__" else f"latscat.{path.stem}"
+        classes += _exception_classes(path, importlib.import_module(name))
+    assert len(classes) >= 10
+    assert _unmapped(classes) == []
+
+
+def test_exception_scan_flags_an_unmapped_class(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("class FooError(RuntimeError):\n    pass\n\n\n"
+                   "class BarError(ValueError):\n    pass\n\n\n"
+                   "class Plain:\n    pass\n")
+    assert _unmapped(_exception_classes(src, _load_script(src))) == ["FooError"]
 
 
 def _load_script(path: Path):

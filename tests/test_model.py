@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latscat.model import (CAP_STRENGTH, Box, CriticalValueError, EmptyShellError,
                            LatticeHamiltonian, ModelConfig, Potential, Stencil, cap_width,
                            check_energy_window, laplacian_stencil)
+from latscat.propagate import ChebyshevPlan
 
 
 def test_p0_examples(stencil1d):
@@ -181,6 +183,29 @@ def test_model_config_assemble(longrange_model):
     assert np.max(H.cap_diag) == CAP_STRENGTH
 
 
+@pytest.mark.parametrize("dim,radius", [(1, 40), (2, 9)])
+def test_one_assembly_per_hamiltonian(dim, radius, monkeypatch):
+    # products on both CAP signs, shifted() on both branches, the d = 1 band
+    # and dense() all read one assembled pattern
+    assembled = []
+    assemble = LatticeHamiltonian._assemble
+
+    def counted(self, *args):
+        assembled.append(self)
+        return assemble(self, *args)
+    monkeypatch.setattr(LatticeHamiltonian, "_assemble", counted)
+    H = _longrange(dim).assemble(radius, with_cap=True)
+    u = np.ones(H.dim)
+    H.apply(u)
+    H.adjoint_apply(u)
+    for sign in (+1, -1):
+        H.shifted(1.0, branch_sign=sign, eps=0.25)
+    if dim == 1:
+        H.banded(1.0)
+    H.dense()
+    assert assembled == [H]
+
+
 def _slice_loop_apply(H, u, diag):
     """Reference matvec: one shifted-slice update per stencil hop."""
     u = np.asarray(u)
@@ -227,13 +252,15 @@ def test_sparse_matvec_matches_slice_loop(dim, radius, with_cap, rng, to_dense):
 @pytest.mark.parametrize("dim,radius,with_cap", [(1, 40, True), (2, 9, True), (2, 9, False)])
 def test_shifted_equals_a_fresh_assembly(dim, radius, with_cap):
     # shifted() writes the diagonal into a copy of one cached CSC pattern: the
-    # same data, indices and indptr as assembling H0 + V - shift -/+ i(eps + W)
-    # anew, on both branches and every eps, with the diagonal always stored
+    # same data, indices and indptr as H0 + V - shift -/+ i(eps + W) built
+    # anew by the slice loop, on both branches and every eps, with the
+    # diagonal always stored
     H = _longrange(dim).assemble(radius, with_cap=with_cap)
     for sign in (+1, -1):
         for shift, eps in ((1.0, 0.25), (1.0, 2.0**-20), (0.0, 0.0), (H.onsite, 0.0)):
             M = H.shifted(shift, branch_sign=sign, eps=eps)
-            fresh = H._assemble(H._shifted_diag(shift, sign, eps)).tocsc()
+            fresh = sp.csc_array(_slice_loop_apply(H, np.eye(H.dim),
+                                                   H._shifted_diag(shift, sign, eps)))
             for name in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(M, name), getattr(fresh, name))
             assert np.array_equal(M.diagonal(), H._shifted_diag(shift, sign, eps))
@@ -257,7 +284,8 @@ def test_spectral_interval_encloses_dense_spectrum(dim, radius, amplitude):
     model = ModelConfig(stencil=laplacian_stencil(dim),
                         potential=Potential(mu=0.5, amplitude=amplitude, form=form))
     H = model.assemble(radius, with_cap=False)
-    lo, hi = H.spectral_interval()
+    c, r = ChebyshevPlan.enclosure_for(H)
+    lo, hi = c - r, c + r
     evals = np.linalg.eigvalsh(H.dense())
     slack = 1e-13 * _norm_bound(H)  # rounding of the dense eigensolver
     assert lo - slack <= evals[0] and evals[-1] <= hi + slack
@@ -269,7 +297,8 @@ def test_spectral_interval_encloses_dense_spectrum(dim, radius, amplitude):
 def test_spectral_interval_encloses_random_stencils(stn, amplitude):
     H = LatticeHamiltonian(stn, Potential(mu=0.5, amplitude=amplitude, form="dipole"),
                            Box(1, 8))
-    lo, hi = H.spectral_interval()
+    c, r = ChebyshevPlan.enclosure_for(H)
+    lo, hi = c - r, c + r
     evals = np.linalg.eigvalsh(H.dense())
     slack = 1e-13 * _norm_bound(H)  # rounding of the dense eigensolver
     assert lo - slack <= evals[0] and evals[-1] <= hi + slack

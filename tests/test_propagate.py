@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.fft
 import scipy.linalg as sla
+import scipy.sparse as sp
 from scipy.linalg import lapack
 from scipy.special import jv
 
@@ -88,6 +89,29 @@ def test_evolution_plan_both_signs_match_expm(longrange_model, rng):
         ref = sla.expm(-1j * t * H.dense()) @ u
         got = ChebyshevPlan.for_evolution(H, t).apply(H, u)
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_enclosure_contains_a_hop_scaled_spectrum(longrange_model, rng):
+    # the enclosure reads H's assembled matrix, so it holds for hops the
+    # stencil does not describe: here each hop scaled by g = 1 + 0.5 <x>^-1/2
+    # at the bond's midpoint x, which lifts the top of the spectrum to 2.746,
+    # above the free symbol's 2 + max V = 2.5. evolve measured 4.6e-14
+    # against expm
+    H = longrange_model.assemble(48, with_cap=False)
+    M = H._matrix(+1).tocoo()
+    x = H.box.sites()[:, 0]
+    mid = 0.5 * (x[M.row] + x[M.col])
+    g = np.where(M.row == M.col, 1.0, 1.0 + 0.5 * (1.0 + mid**2) ** -0.25)
+    scaled = sp.csc_array((M.data * g, (M.row, M.col)), shape=M.shape)
+    H._matrix = lambda cap_sign: scaled
+    dense = scaled.toarray()
+    evals = np.linalg.eigvalsh(dense)
+    assert evals[-1] > 2.7
+    c, r = ChebyshevPlan.enclosure_for(H)
+    assert c - r <= evals[0] and evals[-1] <= c + r
+    u = rng.standard_normal(H.dim) + 1j * rng.standard_normal(H.dim)
+    ref = sla.expm(-3j * dense) @ u
+    assert np.linalg.norm(evolve(H, u, 3.0) - ref) <= 1e-12 * np.linalg.norm(u)
 
 
 def test_evolve_dense_oracle(free_model, rng, to_dense):
@@ -526,10 +550,12 @@ def test_recurrence_matches_dense_oracle(small_H, rng):
             for plan in plans:
                 p_lam = np.polynomial.chebyshev.chebval((evals - plan.center) / plan.radius,
                                                         plan.coeffs)
-                for adjoint in (False, True):
-                    mult = np.conj(p_lam) if adjoint else p_lam
+                # the adjoint of a plan is the plan with conjugate coefficients
+                adjoint = ChebyshevPlan(center=plan.center, radius=plan.radius,
+                                        coeffs=np.conj(plan.coeffs))
+                for p, mult in ((plan, p_lam), (adjoint, np.conj(p_lam))):
                     ref = Q @ (mult.reshape(-1, *[1] * (u.ndim - 1)) * (Q.conj().T @ u))
-                    got = plan.apply(H, u, adjoint=adjoint)
+                    got = p.apply(H, u)
                     assert got.shape == u.shape
                     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(u)
             assert np.array_equal(u, before)
@@ -660,8 +686,9 @@ def test_propagation_t0_matches_static_sandwich(free_model):
     A1 = op_h(a1, 0.25, H.box, check_resolution=False)
     A2 = op_h(a2, 0.25, H.box, check_resolution=False)
     plan = ChebyshevPlan.for_function(H, cutoff.profile)
+    adjoint = ChebyshevPlan(center=plan.center, radius=plan.radius, coeffs=np.conj(plan.coeffs))
     f_map = LinearMap(H.dim, lambda u: plan.apply(H, u),
-                      lambda u: plan.apply(H, u, adjoint=True), hermitian=True)
+                      lambda u: adjoint.apply(H, u), hermitian=True)
     direct = operator_norm(compose_maps(A1, f_map, A2), tol=1e-3, max_iter=3000)
     assert rows[0]["norm"] == pytest.approx(direct, rel=5e-3)
 
