@@ -98,16 +98,16 @@ def _run_wf(cfg: ExperimentConfig):
 
 def _run_ik(cfg: ExperimentConfig):
     p = cfg.probe
-    res = ik_probe(cfg.model_config(), _lap_from(cfg), p["gamma_minus"], p["gamma_plus"],
-                   p["weight_n"], p["l_list"], seed=cfg.numerics["seed"])
+    res = ik_probe(cfg.model_config(), _lap_from(cfg), p["weight_n"], p["l_list"],
+                   seed=cfg.numerics["seed"])
     return (res.rows, _box_sweep_criteria(p, res),
             {"bound_factor": res.bound_factor, "control_norm": res.control_norm})
 
 
 def _run_one_sided(cfg: ExperimentConfig):
     p = cfg.probe
-    res = one_sided_probe(cfg.model_config(), _lap_from(cfg), p["gamma"], p["nu"], p["s"],
-                          p["l_list"], seed=cfg.numerics["seed"])
+    res = one_sided_probe(cfg.model_config(), _lap_from(cfg), p["nu"], p["s"], p["l_list"],
+                          seed=cfg.numerics["seed"])
     return res.rows, _box_sweep_criteria(p, res), {"bound_factor": res.bound_factor}
 
 

@@ -45,13 +45,12 @@ _PROBE_KEYS = {
         "criterion_max_slope": (float, None),
     },
     "ik": {
-        "lambda": (float, 1.0), "gamma_minus": (float, -0.3), "gamma_plus": (float, 0.3),
-        "weight_n": (float, 1.0), "l_list": (_INT_LIST, (128, 256, 512)),
+        "lambda": (float, 1.0), "weight_n": (float, 1.0), "l_list": (_INT_LIST, (128, 256, 512)),
         "criterion_factor": (float, 1.2),
     },
     "one-sided": {
-        "lambda": (float, 1.0), "sign": (int, 1), "gamma": (float, -0.4),
-        "nu": (float, 3.0), "s": (float, 1.0), "l_list": (_INT_LIST, (128, 256, 512)),
+        "lambda": (float, 1.0), "sign": (int, 1), "nu": (float, 3.0), "s": (float, 1.0),
+        "l_list": (_INT_LIST, (128, 256, 512)),
         "criterion_factor": (float, 1.2),
     },
     "local-decay": {
@@ -206,8 +205,6 @@ def _validate_preconditions(cfg: ExperimentConfig):
             raise ConfigError("one-sided probe needs 0 < s < nu - 1")
         if p["sign"] not in (1, -1):
             raise ConfigError("sign must be 1 or -1")
-    if k == "ik" and not (-1.0 < p["gamma_minus"] < p["gamma_plus"] < 1.0):
-        raise ConfigError("ik probe needs -1 < gamma_- < gamma_+ < 1")
     if k in ("ik", "one-sided") and not len(set(p["l_list"])) == len(p["l_list"]) >= 2:
         raise ConfigError(f"the {k} probe compares boxes: l_list needs at least 2 "
                           "distinct radii, none repeated")

@@ -183,31 +183,30 @@ def make_bump_pair(p1, p2, delta1: float, delta2: float):
     return one(p1), one(p2)
 
 
-def make_cone_symbol(sign: int, gamma: float, energy_window, r0: float,
-                     stencil: Stencil, r_out: Optional[float] = None) -> Symbol:
+def make_cone_symbol(sign: int, energy_window, r0: float, stencil: Stencil,
+                     r_out: Optional[float] = None) -> Symbol:
     """Smooth S^0 symbol supported in the d = 1 cone
-    {+-x v(xi)/(|x||v(xi)|) >= +-gamma, p0(xi) in window, |x| >= r0}.
+    {sign x v(xi) > 0, p0(xi) in window, |x| >= r0}.
 
-    The symbol is radial(|x|) energy(p0(xi)) angle(cos), with
-    cos = sign(x) sign(v(xi)) the cosine between x and v(xi). An optional
-    smooth outer cutoff at |x| <= r_out keeps box probes out of the absorbing
-    layer. The radial factor vanishes for |x| <= r0, so the symbol is the
-    two-term sum over s = +-1 of 1[s x > 0] radial(|x|) times
-    energy(p0(xi)) angle(s sign v(xi)), which op_h applies as two Fourier
+    In d = 1 the cosine between x and v(xi) is +-1, so every Isozaki-Kitada
+    cone {cos >= c}, c in (-1, 1), cuts out the same half-line: x on the
+    side sign v(xi) for sign = +1, against it for sign = -1. The
+    symbol is radial(|x|) energy(p0(xi)) on that half-line, zero off it. An
+    optional smooth outer cutoff at |x| <= r_out keeps box probes out of the
+    absorbing layer. The radial factor vanishes for |x| <= r0, so the symbol
+    is the two-term sum over s = +-1 of 1[s x > 0] radial(|x|) times
+    energy(p0(xi)) 1[s sign v(xi) > 0], which op_h applies as two Fourier
     multipliers. Raises ValueError for d != 1, where the cone is no short sum
     of (b, c) terms, and if the window touches critical values.
     """
     if stencil.dim != 1:
         raise ValueError(f"cone symbols are built for d = 1 only (got d = {stencil.dim})")
-    if not -1.0 < gamma < 1.0:
-        raise ValueError("gamma must lie in (-1, 1)")
     if r0 <= 0:
         raise ValueError("r0 must be positive")
     check_energy_window(stencil, energy_window)
     lo, hi = float(energy_window[0]), float(energy_window[1])
     mid, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
     sgn = 1.0 if sign >= 0 else -1.0
-    gcut = 0.5 * (1.0 - sgn * gamma)
 
     def radial(x):
         absx = np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
@@ -216,20 +215,14 @@ def make_cone_symbol(sign: int, gamma: float, energy_window, r0: float,
             rad = rad * np.asarray(DEFAULT_PHI(absx / r_out))
         return rad
 
-    def energy(xi):
-        return np.asarray(DEFAULT_PHI(np.abs(stencil.p0(xi) - mid) / hw))
-
-    def angle(cosang):
-        return np.asarray(DEFAULT_PHI(np.maximum((sgn * gamma + gcut - sgn * cosang) / gcut,
-                                                 0.0)))
-
     def term(s):
         def b(x):
             return np.where(s * np.asarray(x, dtype=float)[..., 0] > 0.0, radial(x), 0.0)
 
         def c(xi):
             xi = np.asarray(xi, dtype=float)
-            return energy(xi) * angle(s * np.sign(stencil.gradient(xi)[..., 0]))
+            energy = np.asarray(DEFAULT_PHI(np.abs(stencil.p0(xi) - mid) / hw))
+            return np.where(s * sgn * stencil.gradient(xi)[..., 0] > 0.0, energy, 0.0)
 
         return b, c
 

@@ -153,12 +153,11 @@ def evolve(H: LatticeHamiltonian, u, t: float):
     (ChebyshevPlan.for_evolution): one H.apply per term, and EnclosureError
     when the iterates outgrow the enclosure (ChebyshevPlan.apply).
 
-    t < 0 is rejected (evolve with the adjoint instead), and so is a CAP
-    Hamiltonian: its spectrum leaves the real interval the series is built
-    on (ValueError from ChebyshevPlan.enclosure_for).
+    Any real t is accepted: the interpolant of e^{-itz} serves t < 0 as it
+    does t > 0, so evolve(H, evolve(H, u, t), -t) returns u. A CAP
+    Hamiltonian is rejected: its spectrum leaves the real interval the series
+    is built on (ValueError from ChebyshevPlan.enclosure_for).
     """
-    if t < 0:
-        raise ValueError("t must be >= 0; use the adjoint for backward evolution")
     return ChebyshevPlan.for_evolution(H, t).apply(H, u)
 
 
@@ -473,9 +472,8 @@ def local_decay_probe(model_cfg: ModelConfig, cutoff: EnergyCutoff, nu: float,
     for i, t in enumerate(t_grid):
         t0 = time.perf_counter()
         norms[i] = max(sigma(t) for sigma in blocks)
-        rows.append({"h": 0.0, "t": t, "norm": norms[i], "chebyshev_terms": 0,
-                     "seconds": time.perf_counter() - t0, "rank": rank,
-                     "eig_residual": eig_residual})
+        rows.append({"t": t, "norm": norms[i], "seconds": time.perf_counter() - t0,
+                     "rank": rank, "eig_residual": eig_residual})
     tail = slice(len(t_grid) // 2, None)
     fit = DecayFit.from_values(np.sqrt(1.0 + t_grid[tail] ** 2), norms[tail])
     kappa = -fit.slope if not fit.degenerate else float("nan")
@@ -552,7 +550,7 @@ def _propagation_sup(H: LatticeHamiltonian, a1: Symbol, a2: Symbol, h: float,
     no box-sized array outlives its chunk, and each t costs one
     |S1| x m by m x k product and a k x k eigenproblem (_sigma_max). m = 0
     raises ValueError. Each row reports the rank m and the eigen-residual
-    max_j ||H q_j - lam_j q_j||; chebyshev_terms is 0.
+    max_j ||H q_j - lam_j q_j||.
     """
     (b1, c1), _, S1, (S2, Z2) = finite_rank_pair(a1, a2, h, H.box)
     k = Z2.shape[1]
@@ -576,7 +574,6 @@ def _propagation_sup(H: LatticeHamiltonian, a1: Symbol, a2: Symbol, h: float,
         t0 = time.perf_counter()
         val = sigma(t)
         sup = max(sup, val)
-        rows.append({"t": float(t), "norm": val, "chebyshev_terms": 0,
-                     "seconds": time.perf_counter() - t0, "columns": k, "rank": rank,
-                     "eig_residual": eig_residual})
+        rows.append({"t": float(t), "norm": val, "seconds": time.perf_counter() - t0,
+                     "columns": k, "rank": rank, "eig_residual": eig_residual})
     return sup, rows

@@ -93,8 +93,6 @@ mu = 0.5
 [probe]
 kind = ik
 lambda = 1.0
-gamma_minus = -0.3
-gamma_plus = 0.3
 weight_n = 1.0
 l_list = 128,256,512
 criterion_factor = 1.2
@@ -132,7 +130,7 @@ criterion_kappa = 1.5
     "one-sided": {
         "claim": "Theorem 5.1 (one-sided microlocal resolvent estimate)",
         "description": "||<n>^-3 R Op(a+) <n>^1|| bounded across box sizes within "
-                       "factor 1.2 for the wide outgoing cone gamma = -0.4.",
+                       "factor 1.2 for the outgoing cone.",
         "config": """
 [model]
 potential = power_law
@@ -143,7 +141,6 @@ mu = 0.5
 kind = one-sided
 lambda = 1.0
 sign = 1
-gamma = -0.4
 nu = 3.0
 s = 1.0
 l_list = 128,256,512

@@ -241,8 +241,8 @@ def _finite_rank_row(h, a1, a2, H, lap) -> dict:
         R, eps = resolvent_map(H, lap, probe_rhs=E2Z2.sum(axis=1))
         Y = support_rows(b1, c1, S1, R(E2Z2).T)
         norm = float(np.linalg.svd(Y, compute_uv=False)[0])
-    return {"h": h, "epsilon_used": eps, "norm": norm, "iterations": 0,
-            "seconds": time.perf_counter() - t0, "columns": k}
+    return {"h": h, "epsilon_used": eps, "norm": norm, "seconds": time.perf_counter() - t0,
+            "columns": k}
 
 
 @dataclass
@@ -291,8 +291,8 @@ class BoxSweepResult:
 def _cone_sweep(model_cfg: ModelConfig, lap: LAPConfig, cones, weighted,
                 L_list: Sequence[int], norm_tol: float, seed):
     """||A_left R A_right|| on each box of L_list, (A_left, A_right) =
-    weighted(H, *ops), where ops quantize at h = 1 the cone symbols of
-    `cones`, (sign, gamma, r0) triples.
+    weighted(H, *ops), where ops quantize at h = 1 the d = 1 cone symbols
+    (make_cone_symbol) of `cones`, (sign, r0) pairs.
 
     The cones take the energy window lap.lam +- 0.3 and an outer cutoff at
     0.85 of the CAP-free radius. Returns the BoxSweepResult, whose
@@ -308,8 +308,8 @@ def _cone_sweep(model_cfg: ModelConfig, lap: LAPConfig, cones, weighted,
         H = model_cfg.assemble(L, with_cap=True)
         r_out = 0.85 * (L - cap_width(L))
         # fixed symbols on pinned small boxes: quantize the sampled symbol
-        ops = [op_h(make_cone_symbol(sign, gamma, window, r0, model_cfg.stencil, r_out=r_out),
-                    1.0, H.box, check_resolution=False) for sign, gamma, r0 in cones]
+        ops = [op_h(make_cone_symbol(sign, window, r0, model_cfg.stencil, r_out=r_out),
+                    1.0, H.box, check_resolution=False) for sign, r0 in cones]
         A_left, A_right = weighted(H, *ops)
         rows.append(_sandwich_row(L, t0, A_left, H, lap, A_right, norm_tol, seed))
     norms = [row["norm"] for row in rows]
@@ -322,31 +322,27 @@ def _cone_sweep(model_cfg: ModelConfig, lap: LAPConfig, cones, weighted,
     return BoxSweepResult(rows=rows, bound_factor=factor), (H, ops)
 
 
-def ik_probe(model_cfg: ModelConfig, lap: LAPConfig, gamma_minus: float, gamma_plus: float,
-             N: float, L_list: Sequence[int], norm_tol: float = 1e-2,
-             seed=None) -> BoxSweepResult:
+def ik_probe(model_cfg: ModelConfig, lap: LAPConfig, N: float, L_list: Sequence[int],
+             norm_tol: float = 1e-2, seed=None) -> BoxSweepResult:
     """Two-sided cone estimate: ||<n>^N A_- R A_+^* <n>^N|| across box sizes,
-    with r0 = 1 for both cones (cli gates bound_factor on criterion_factor).
-    The control norm is the reversed, unweighted order ||A_+ R A_-^*|| at the
-    largest box (no smallness claimed there).
+    A_- the incoming and A_+ the outgoing d = 1 cone (make_cone_symbol), with
+    r0 = 1 for both (cli gates bound_factor on criterion_factor). The control
+    norm is the reversed, unweighted order ||A_+ R A_-^*|| at the largest box
+    (no smallness claimed there).
     """
-    if not -1.0 < gamma_minus < gamma_plus < 1.0:
-        raise ValueError("need -1 < gamma_- < gamma_+ < 1")
-
     def weighted(H, Am, Ap):
         W = position_weight(N, H.box)
         return compose_maps(W, Am), compose_maps(adjoint_map(Ap), W)
 
-    res, (H, (Am, Ap)) = _cone_sweep(model_cfg, lap, ((-1, gamma_minus, 1.0),
-                                                      (+1, gamma_plus, 1.0)),
-                                     weighted, L_list, norm_tol, seed)
+    res, (H, (Am, Ap)) = _cone_sweep(model_cfg, lap, ((-1, 1.0), (+1, 1.0)), weighted,
+                                     L_list, norm_tol, seed)
     res.control_norm = sandwich_norm(Ap, H, lap, adjoint_map(Am), tol=norm_tol, seed=seed)
     return res
 
 
-def one_sided_probe(model_cfg: ModelConfig, lap: LAPConfig, gamma: float, nu: float,
-                    s: float, L_list: Sequence[int], r0: float = 1.0,
-                    norm_tol: float = 1e-2, seed=None) -> BoxSweepResult:
+def one_sided_probe(model_cfg: ModelConfig, lap: LAPConfig, nu: float, s: float,
+                    L_list: Sequence[int], r0: float = 1.0, norm_tol: float = 1e-2,
+                    seed=None) -> BoxSweepResult:
     """One-sided estimate: ||<n>^(-nu) R Op(a) <n>^s|| across box sizes, with
     R and the cone a on the side lap.sign."""
     if not nu > 1.0:
@@ -357,6 +353,5 @@ def one_sided_probe(model_cfg: ModelConfig, lap: LAPConfig, gamma: float, nu: fl
     def weighted(H, A):
         return position_weight(-nu, H.box), compose_maps(A, position_weight(s, H.box))
 
-    res, _ = _cone_sweep(model_cfg, lap, ((lap.sign, gamma, r0),), weighted, L_list,
-                         norm_tol, seed)
+    res, _ = _cone_sweep(model_cfg, lap, ((lap.sign, r0),), weighted, L_list, norm_tol, seed)
     return res

@@ -74,7 +74,7 @@ def test_criterion_4_ik_two_sided(free_model, longrange_model):
     details = []
     ok = True
     for name, model in (("free", free_model), ("mu=0.5", longrange_model)):
-        res = ik_probe(model, LAPConfig(lam=LAM), -0.3, 0.3, 1.0, (128, 256, 512), norm_tol=1e-2)
+        res = ik_probe(model, LAPConfig(lam=LAM), 1.0, (128, 256, 512), norm_tol=1e-2)
         ok &= res.bound_factor <= 1.2
         details.append(f"{name} max/min {res.bound_factor:.3f}")
     report(4, ok, "weighted cone sandwich bounded across L in {128,256,512}: "
@@ -130,8 +130,8 @@ def test_criterion_7_escape_ladder(free_model, stencil1d):
 
 
 def test_criterion_8_one_sided(longrange_model):
-    res = one_sided_probe(longrange_model, LAPConfig(lam=LAM, sign=+1), gamma=-0.5 + 0.1,
-                          nu=3.0, s=1.0, L_list=(128, 256, 512), norm_tol=1e-2)
+    res = one_sided_probe(longrange_model, LAPConfig(lam=LAM, sign=+1), nu=3.0, s=1.0,
+                          L_list=(128, 256, 512), norm_tol=1e-2)
     ok = res.bound_factor <= 1.2
     report(8, ok, f"one-sided weighted norms max/min {res.bound_factor:.3f} "
                   f"(<=1.2) across L in {{128,256,512}}")

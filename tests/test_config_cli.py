@@ -108,7 +108,6 @@ _EXIT_2_CASES = [
     ("[probe]\nkind =", "probe"),
     ("[weird]\nk = 1\n[probe]\nkind = calculus", "unknown section"),
     ("[probe]\nkind = one-sided\nnu = 3.0\ns = 2.5", "s < nu - 1"),
-    ("[probe]\nkind = ik\ngamma_minus = 0.5\ngamma_plus = -0.5", "gamma"),
     ("[probe]\nkind = wf\nx1 = 1.0\nxi1 = 1.0\nx2 = 1.0\nxi2 = 1.0\nh_list = 0.5,0.25",
      "at least 4"),
     # the closed-form free kernel is the 1-d one
@@ -137,6 +136,10 @@ _EXIT_2_CASES = [
     ("[numerics]\neps_k_min = 3\n[probe]\nkind = calculus", "unknown key"),
     ("[numerics]\nclassify_grid = 4096\n[probe]\nkind = calculus", "unknown key"),
     ("[output]\nformats = csv,json\n[probe]\nkind = calculus", "unknown key"),
+    # a d = 1 cone is a half-line: no aperture acts on it
+    ("[probe]\nkind = ik\ngamma_minus = -0.3", "unknown key"),
+    ("[probe]\nkind = ik\ngamma_plus = 0.3", "unknown key"),
+    ("[probe]\nkind = one-sided\ngamma = -0.4", "unknown key"),
     # a [model] block that cannot build its model fails at parse time
     ("[model]\npotential = table\n[probe]\nkind = calculus", "unknown potential form"),
     ("[model]\npotential = power_law\nmu = 1.5\n[probe]\nkind = calculus", "mu must lie"),
@@ -145,14 +148,15 @@ _EXIT_2_CASES = [
     ("[model]\ndim = 3\n[probe]\nkind = calculus", "dim <= 2"),
 ] + [(text, match) for text, match, _ in _EXIT_2_CASES],
     ids=["unknown-key", "unknown-kind", "empty-kind", "unknown-section",
-        "one-sided-s", "ik-gammas", "short-h-list", "free-kernel-dim",
+        "one-sided-s", "short-h-list", "free-kernel-dim",
         "free-kernel-potential", "prop31-dim", "escape-dim", "wf-dim", "ik-dim",
         "one-sided-dim", "escape-n-target",
         "local-decay-box-radius",
         "one-sided-single-box", "ik-empty-l-list",
         "removed-stencil", "removed-cap-width-frac", "removed-cap-strength",
         "removed-norm-tol", "removed-eps-k-min", "removed-classify-grid",
-        "removed-formats", "model-unknown-potential", "model-mu-range", "model-dim-0",
+        "removed-formats", "removed-gamma-minus", "removed-gamma-plus", "removed-gamma",
+        "model-unknown-potential", "model-mu-range", "model-dim-0",
         "calculus-dim-3"]
     + [name for _, _, name in _EXIT_2_CASES])
 def test_schema_rejections(mutation, match):
@@ -424,12 +428,11 @@ def test_seed_override_changes_start(tmp_path):
 
 # the README's results.csv columns by probe kind
 CSV_COLUMNS = {
-    "wf": ["h", "epsilon_used", "norm", "iterations", "seconds", "columns"],
+    "wf": ["h", "epsilon_used", "norm", "seconds", "columns"],
     "ik": ["L", "epsilon_used", "norm", "iterations", "seconds"],
     "one-sided": ["L", "epsilon_used", "norm", "iterations", "seconds"],
-    "prop31": ["h", "t", "norm", "chebyshev_terms", "seconds", "columns", "rank",
-               "eig_residual"],
-    "local-decay": ["h", "t", "norm", "chebyshev_terms", "seconds", "rank", "eig_residual"],
+    "prop31": ["h", "t", "norm", "seconds", "columns", "rank", "eig_residual"],
+    "local-decay": ["t", "norm", "seconds", "rank", "eig_residual"],
     "escape": ["h", "t", "lambda_min", "margin"],
     "free-kernel": ["L", "epsilon_used", "norm", "iterations", "seconds"],
     "calculus": ["check", "value", "tol", "passed"],

@@ -110,12 +110,14 @@ def _cone_by_cosine(sign, gamma, window, r0, r_out, stencil):
     return a
 
 
-# the (sign, gamma) pairs of the ik, one-sided and geometry cones
-@pytest.mark.parametrize("sign, gamma", [(-1, -0.3), (+1, 0.3), (+1, -0.4), (+1, 0.5)])
+# apertures from wide to narrow, on both sides
+@pytest.mark.parametrize("sign, gamma", [(s, g) for s in (+1, -1)
+                                         for g in (-0.95, -0.4, -0.3, 0.0, 0.3, 0.5, 0.95)])
 def test_d1_cone_is_two_multipliers(stencil1d, dense_kernel, sign, gamma):
-    # the two-term form of a d = 1 cone is its cosine formula exactly:
-    # pointwise, and as an operator forward and adjoint
-    a = make_cone_symbol(sign, gamma, (0.7, 1.3), 1.0, stencil1d, r_out=100.0)
+    # in d = 1, cos(x, v(xi)) = +-1, so every aperture gamma gives the same
+    # half-line: the two-term gamma-free symbol is the cosine cone exactly,
+    # pointwise and as an operator, forward and adjoint
+    a = make_cone_symbol(sign, (0.7, 1.3), 1.0, stencil1d, r_out=100.0)
     ref = _cone_by_cosine(sign, gamma, (0.7, 1.3), 1.0, 100.0, stencil1d)
     assert len(a.terms) == 2
     x, xi = np.meshgrid(np.linspace(-120.0, 120.0, 481), np.linspace(0, 2 * np.pi, 257),
@@ -137,7 +139,7 @@ def test_d1_cone_is_two_multipliers(stencil1d, dense_kernel, sign, gamma):
 def test_make_cone_symbol_refuses_d2():
     # a d = 2 cone is no short sum of (b, c) terms, so it has no quantization
     with pytest.raises(ValueError, match="d = 1 only"):
-        make_cone_symbol(+1, 0.3, (0.7, 1.3), 1.0, laplacian_stencil(2), r_out=14.0)
+        make_cone_symbol(+1, (0.7, 1.3), 1.0, laplacian_stencil(2), r_out=14.0)
 
 
 def test_op_h_rejects_scalar_layout_symbols(box):

@@ -200,7 +200,7 @@ def test_finite_rank_row_matches_dense_svd(request, unguarded, dense_kernel, dee
     exact = np.linalg.svd(A1 @ np.linalg.solve(M, A2), compute_uv=False)[0]
     assert exact >= 1e-4
     assert row["norm"] == pytest.approx(exact, rel=1e-10)
-    assert row["iterations"] == 0 and row["columns"] == 7
+    assert row["columns"] == 7
 
 
 def test_wf_rows_draw_no_random_numbers(monkeypatch, unguarded, free_model, deep_lap):
@@ -258,30 +258,28 @@ def test_resolvent_map_adjoint(free_model, deep_lap, rng):
 
 
 def test_ik_probe_small(longrange_model, free_model):
-    res = ik_probe(free_model, LAPConfig(lam=1.0), -0.3, 0.3, 0.0, (48, 64, 96), norm_tol=2e-2)
+    res = ik_probe(free_model, LAPConfig(lam=1.0), 0.0, (48, 64, 96), norm_tol=2e-2)
     assert res.bound_factor <= 1.2
     # a bound factor of vanishing norms would be vacuous
     assert all(r["norm"] > 0.0 for r in res.rows)
     assert res.control_norm is not None and 0.0 < res.control_norm < np.inf
-    with pytest.raises(ValueError):
-        ik_probe(free_model, LAPConfig(lam=1.0), 0.3, -0.3, 0.0, (48, 64))
 
 
 def test_one_sided_preconditions(free_model):
     with pytest.raises(ValueError):
-        one_sided_probe(free_model, LAPConfig(lam=1.0), -0.4, nu=3.0, s=2.5, L_list=(48, 64))
+        one_sided_probe(free_model, LAPConfig(lam=1.0), nu=3.0, s=2.5, L_list=(48, 64))
     with pytest.raises(ValueError):
-        one_sided_probe(free_model, LAPConfig(lam=1.0), -0.4, nu=0.5, s=0.2, L_list=(48, 64))
+        one_sided_probe(free_model, LAPConfig(lam=1.0), nu=0.5, s=0.2, L_list=(48, 64))
 
 
 def test_one_sided_empty_cone(free_model):
     # r0 beyond the box kills the symbol; all norms vanish, where the default
     # r0 gives positive ones
-    res = one_sided_probe(free_model, LAPConfig(lam=1.0), -0.4, nu=3.0, s=1.0,
-                          L_list=(48, 64), r0=1000.0)
+    res = one_sided_probe(free_model, LAPConfig(lam=1.0), nu=3.0, s=1.0, L_list=(48, 64),
+                          r0=1000.0)
     assert res.bound_factor <= 1.2
     assert max(r["norm"] for r in res.rows) <= 1e-280
-    live = one_sided_probe(free_model, LAPConfig(lam=1.0), 0.5, nu=3.0, s=1.0, L_list=(48, 64))
+    live = one_sided_probe(free_model, LAPConfig(lam=1.0), nu=3.0, s=1.0, L_list=(48, 64))
     assert all(r["norm"] > 0.0 for r in live.rows)
 
 
