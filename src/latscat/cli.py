@@ -27,7 +27,7 @@ from .geometry import KernelPoint
 from .model import Box
 from .quantize import NormConvergenceError, ResolutionError, fourier_multiplier, position_weight
 from .propagate import EnclosureError, EnergyCutoff, evolve, local_decay_probe, propagation_probe
-from .recipes import RECIPES, recipe_config, recipe_lines
+from .recipes import RECIPES, recipe_config
 from .resolvent import (LAPConfig, LAPConvergenceError, _ShiftedSolver, free_kernel_1d,
                         default_epsilon_sequence, ik_probe, lap_solve, one_sided_probe, wf_probe)
 from .util import rng
@@ -182,7 +182,7 @@ def _run_free_kernel(cfg: ExperimentConfig):
     secs = time.perf_counter() - t0
     n = H.box.sites()[:, 0]
     inner = np.abs(n) <= int(p["inner_frac"] * L)
-    exact = np.array([free_kernel_1d(lam, +1, k) for k in n[inner]])
+    exact = free_kernel_1d(lam, +1, n[inner])
     rel = float(np.linalg.norm(u[inner] - exact) / np.linalg.norm(exact))
     crit = []
     _criterion(crit, f"free kernel relative error <= {p['criterion_rel_error']}",
@@ -262,6 +262,8 @@ def run(cfg: ExperimentConfig, out_dir=None, jobs: int = 1, seed=None, quiet=Fal
         raise ValueError(f"jobs={jobs!r}: probes run serially, jobs must be 1")
     out = Path(out_dir if out_dir is not None else cfg.output["directory"])
     if seed is not None:
+        if seed < 0:
+            raise ConfigError(f"seed override {seed} must be >= 0")
         cfg = dataclasses.replace(cfg, numerics={**cfg.numerics, "seed": int(seed)})
     try:
         rows, criteria, extras = _RUNNERS[cfg.probe_kind](cfg)
@@ -302,8 +304,9 @@ def run(cfg: ExperimentConfig, out_dir=None, jobs: int = 1, seed=None, quiet=Fal
 
 
 def list_recipes():
-    for line in recipe_lines():
-        print(line)
+    for name in sorted(RECIPES):
+        r = RECIPES[name]
+        print(f"{name:24s} {r['claim']}: {r['description']}")
     print(f"{len(RECIPES)} recipes")
 
 

@@ -234,6 +234,9 @@ def _validate_preconditions(cfg: ExperimentConfig):
             raise ConfigError(f"free-kernel compares |n| <= inner_frac * L outside the CAP: "
                               f"need 0 <= inner_frac * {L} <= {L - cap_width(L)}")
     if k == "escape":
+        # depth < 0 leaves no rung, so no transport criterion: a vacuous pass
+        if p["depth"] < 0:
+            raise ConfigError("[probe] depth must be >= 0")
         # at mu <= 0 the rungs j >= 1 vanish or change sign: a vacuous pass or a false fail
         if not p["mu"] > 0:
             raise ConfigError("[probe] mu must be positive")
@@ -250,6 +253,9 @@ def _validate_preconditions(cfg: ExperimentConfig):
             raise ConfigError("need 0 < t_min < t_max")
         if p["n_t"] < 8:
             raise ConfigError("n_t >= 8 required for the tail fit")
+    # numpy seeds its generators with non-negative integers only
+    if cfg.numerics["seed"] < 0:
+        raise ConfigError("[numerics] seed must be >= 0")
     if not 0.0 < cfg.numerics["convergence_tol"] < 1.0:
         raise ConfigError("convergence_tol must lie in (0, 1)")
     if cfg.numerics["eps_k_max"] <= 3:

@@ -17,7 +17,7 @@ from .util import angle_diff, lstsq_loglog, rng
 
 
 class LadderInvariantError(ValueError):
-    """An EscapeLadder invariant (separation, pinning, nesting, mu > 0) fails."""
+    """An EscapeLadder invariant (depth >= 0, separation, pinning, mu > 0) fails."""
 
 
 class HermiticityDriftError(RuntimeError):
@@ -32,12 +32,12 @@ class DerivativeMismatchError(RuntimeError):
 class EscapeLadder:
     """Geometry of the moving bumps around the orbit y(t) = x2/h + t v(xi2).
 
-    Invariants (checked on t_grid unless validate=False):
+    Rung j, 0 <= j <= depth, has the nesting constant gamma_j = 2 - 2^(-j)
+    (gamma_0 = 1). Invariants (checked on t_grid unless validate=False):
       separation  |y(t)| >= 3 delta1 (1/h + t),
       pinning     |v(xi) - v(xi2)| < delta1/2 whenever dist(xi, xi2) <= 2 delta2,
-      nesting     gamma_j strictly increasing in (1, 2),
-    with gamma_j = 2 - 2^(-j) unless given, and mu > 0 (at mu = 0 every rung
-    j >= 1 vanishes identically).
+    and mu > 0 (at mu = 0 every rung j >= 1 vanishes identically). depth < 0
+    raises LadderInvariantError whatever validate says: it leaves no rung.
     """
 
     stencil: Stencil
@@ -47,18 +47,16 @@ class EscapeLadder:
     delta2: float
     h: float
     depth: int = 0
-    gammas: tuple = ()
     mu: float = 1.0
     phi: CutoffPhi = DEFAULT_PHI
     t_grid: tuple = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
     validate: bool = True
 
     def __post_init__(self):
-        if not self.gammas and self.depth > 0:
-            object.__setattr__(self, "gammas",
-                               tuple(2.0 - 2.0 ** (-j) for j in range(1, self.depth + 1)))
         if self.stencil.dim != 1:
             raise NotImplementedError("escape ladder implemented for d=1")
+        if self.depth < 0:
+            raise LadderInvariantError("depth must be >= 0")
         if not self.validate:
             return
         if not (0.0 < self.h <= 1.0):
@@ -68,11 +66,6 @@ class EscapeLadder:
         if not self.mu > 0:
             raise LadderInvariantError("mu must be positive: at mu <= 0 the prefactor "
                                        "h^mu - (1/h + t)^-mu of rung j >= 1 is not positive")
-        gs = self.gammas
-        if len(gs) != self.depth:
-            raise LadderInvariantError("gamma list length != depth")
-        if any(not (1.0 < g < 2.0) for g in gs) or any(b <= a for a, b in zip(gs, gs[1:])):
-            raise LadderInvariantError("need 1 < gamma_1 < ... < gamma_m < 2")
         for t in self.t_grid:
             if abs(self.y(t)) < 3.0 * self.delta1 * (1.0 / self.h + t) - 1e-12:
                 raise LadderInvariantError(
@@ -97,13 +90,11 @@ class EscapeLadder:
         return self.x2 / self.h + t * self.v2
 
     def ell(self, t: float, j: int = 0) -> float:
-        """x support radius gamma_j delta1 (1/h + t); gamma_0 = 1."""
-        g = 1.0 if j == 0 else self.gammas[j - 1]
-        return g * self.delta1 * (1.0 / self.h + t)
+        """x support radius gamma_j delta1 (1/h + t), gamma_j = 2 - 2^(-j)."""
+        return (2.0 - 2.0 ** -j) * self.delta1 * (1.0 / self.h + t)
 
     def xi_radius(self, j: int = 0) -> float:
-        g = 1.0 if j == 0 else self.gammas[j - 1]
-        return g * self.delta2
+        return (2.0 - 2.0 ** -j) * self.delta2
 
     def prefactor(self, j: int, t):
         """h^((j-1)mu) (h^mu - (1/h + t)^(-mu)) for j >= 1, with C_j = 1."""

@@ -5,7 +5,6 @@ phase-space bumps and cones."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -184,20 +183,21 @@ def make_bump_pair(p1, p2, delta1: float, delta2: float):
 
 
 def make_cone_symbol(sign: int, energy_window, r0: float, stencil: Stencil,
-                     r_out: Optional[float] = None) -> Symbol:
+                     r_out: float) -> Symbol:
     """Smooth S^0 symbol supported in the d = 1 cone
-    {sign x v(xi) > 0, p0(xi) in window, |x| >= r0}.
+    {sign x v(xi) > 0, p0(xi) in window, r0 <= |x| <= r_out}.
 
     In d = 1 the cosine between x and v(xi) is +-1, so every Isozaki-Kitada
     cone {cos >= c}, c in (-1, 1), cuts out the same half-line: x on the
-    side sign v(xi) for sign = +1, against it for sign = -1. The
-    symbol is radial(|x|) energy(p0(xi)) on that half-line, zero off it. An
-    optional smooth outer cutoff at |x| <= r_out keeps box probes out of the
-    absorbing layer. The radial factor vanishes for |x| <= r0, so the symbol
-    is the two-term sum over s = +-1 of 1[s x > 0] radial(|x|) times
-    energy(p0(xi)) 1[s sign v(xi) > 0], which op_h applies as two Fourier
-    multipliers. Raises ValueError for d != 1, where the cone is no short sum
-    of (b, c) terms, and if the window touches critical values.
+    side sign v(xi) for sign = +1, against it for sign = -1. The symbol is
+    radial(|x|) energy(p0(xi)) on that half-line, zero off it, with
+    radial(r) = (1 - Phi(r/(2 r0))) Phi(r/r_out): zero for r <= r0, and an
+    outer cutoff at r_out that keeps box probes out of the absorbing layer.
+    So the symbol is the two-term sum over s = +-1 of 1[s x > 0]
+    radial(|x|) times energy(p0(xi)) 1[s sign v(xi) > 0], which op_h
+    applies as two Fourier multipliers. Raises ValueError for d != 1, where
+    the cone is no short sum of (b, c) terms, and if the window touches
+    critical values.
     """
     if stencil.dim != 1:
         raise ValueError(f"cone symbols are built for d = 1 only (got d = {stencil.dim})")
@@ -210,10 +210,8 @@ def make_cone_symbol(sign: int, energy_window, r0: float, stencil: Stencil,
 
     def radial(x):
         absx = np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
-        rad = 1.0 - np.asarray(DEFAULT_PHI(absx / (2.0 * r0)))
-        if r_out is not None:
-            rad = rad * np.asarray(DEFAULT_PHI(absx / r_out))
-        return rad
+        return ((1.0 - np.asarray(DEFAULT_PHI(absx / (2.0 * r0))))
+                * np.asarray(DEFAULT_PHI(absx / r_out)))
 
     def term(s):
         def b(x):

@@ -41,8 +41,6 @@ class EnergyCutoff:
         return np.asarray(DEFAULT_PHI(np.abs(np.asarray(z, dtype=float) - self.lam)
                                       / (2.0 * self.eps_f)))
 
-    __call__ = profile
-
     @property
     def support(self):
         return (self.lam - 2.0 * self.eps_f, self.lam + 2.0 * self.eps_f)
@@ -492,17 +490,19 @@ class PropagationResult:
 
 
 def propagation_probe(model_cfg: ModelConfig, kp: KernelPoint, cutoff: EnergyCutoff,
-                      h_list: Sequence[float], delta1: float = 0.2, delta2: float = 0.2,
-                      n_t: int = 32, mode: str = "decay") -> PropagationResult:
+                      h_list: Sequence[float], delta1: float, delta2: float,
+                      mode: str = "decay") -> PropagationResult:
     """sup over t in [0, T(h)] of ||Op^h(a1) e^{-itH} f(H) Op^h(a2)|| per h,
-    with f the cutoff at cutoff.lam.
+    with f the cutoff at cutoff.lam and a1, a2 the bumps of radii delta1,
+    delta2 at the kernel point.
 
     The box radius L(h) is the rule of kernel_point_setup and the horizon
-    T(h) = min(h^-2, 0.8 L(h)/v_max). Both momenta must sit on the energy
-    shell, supp f must miss every critical value (check_energy_window), and
-    the fit needs at least 4 h. mode="decay" requires the kernel point off
-    Sigma_0 u Sigma_+ u Sigma'_+ and mode="control" on one of those sets;
-    either violation raises ValueError.
+    T(h) = min(h^-2, 0.8 L(h)/v_max), sampled at 32 times: t = 0 and 31
+    geometric steps from max(T/512, 1/4) to T. Both momenta must sit on the
+    energy shell, supp f must miss every critical value
+    (check_energy_window), and the fit needs at least 4 h. mode="decay"
+    requires the kernel point off Sigma_0 u Sigma_+ u Sigma'_+ and
+    mode="control" on one of those sets; either violation raises ValueError.
     """
     if mode not in ("decay", "control"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -526,7 +526,7 @@ def propagation_probe(model_cfg: ModelConfig, kp: KernelPoint, cutoff: EnergyCut
     for h, L in zip(hs, radii):
         H = model_cfg.assemble(L, with_cap=False)
         T = min(h**-2.0, 0.8 * L / max(vmax, 1e-12))
-        tg = np.concatenate([[0.0], np.geomspace(max(T / 512.0, 0.25), T, n_t - 1)])
+        tg = np.concatenate([[0.0], np.geomspace(max(T / 512.0, 0.25), T, 31)])
         sups[h], h_rows = _propagation_sup(H, a1, a2, h, cutoff, tg)
         rows.extend({"h": h, **r} for r in h_rows)
     hs = sorted(sups)

@@ -23,10 +23,7 @@ class ResolutionError(ValueError):
 
 
 class NormConvergenceError(RuntimeError):
-    def __init__(self, message, last_estimate, residual):
-        super().__init__(message)
-        self.last_estimate = last_estimate
-        self.residual = residual
+    """Power iteration ran out of iterations; the message holds the last estimate."""
 
 
 def _xi_grid(box: Box) -> np.ndarray:
@@ -233,6 +230,5 @@ def operator_norm(A: LinearMap, tol: float = 1e-2, max_iter: int = 600,
         lam_prev = lam
     raise NormConvergenceError(
         f"operator_norm: no convergence in {max_iter} iterations "
-        f"(last sigma ~ {np.sqrt(max(lam, 0.0)):.6e}, residual {resid:.2e})",
-        last_estimate=float(np.sqrt(max(lam, 0.0))), residual=resid)
+        f"(last sigma ~ {np.sqrt(max(lam, 0.0)):.6e}, residual {resid:.2e})")
 

@@ -193,9 +193,3 @@ def recipe_config(name: str) -> str:
     if name not in RECIPES:
         raise KeyError(f"unknown recipe {name!r}; see list-recipes")
     return RECIPES[name]["config"]
-
-
-def recipe_lines():
-    for name in sorted(RECIPES):
-        r = RECIPES[name]
-        yield f"{name:24s} {r['claim']}: {r['description']}"

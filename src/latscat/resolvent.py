@@ -20,6 +20,10 @@ from .quantize import (check_xi_tails, finite_rank_pair, op_h, operator_norm, po
 from .util import lstsq_loglog, rng
 
 
+# relative tolerance of the power iterations in the cone sweeps
+_NORM_TOL = 1e-2
+
+
 class LAPConvergenceError(RuntimeError):
     """No epsilon in the sequence stabilized the inner-region solution."""
 
@@ -188,8 +192,10 @@ def sandwich_norm(A_left: LinearMap, H: LatticeHamiltonian, cfg: LAPConfig,
     return (sigma, info) if return_info else sigma
 
 
-def free_kernel_1d(lam: float, sign: int, n: int) -> complex:
-    """Closed-form column of (H0 - lam -/+ i0)^(-1) delta_0 for p0 = 1 - cos xi.
+def free_kernel_1d(lam: float, sign: int, n):
+    """Closed-form column of (H0 - lam -/+ i0)^(-1) delta_0 for p0 = 1 - cos xi,
+    at the site n (a complex) or at an integer array of sites (an array of
+    its shape).
 
     With theta = arccos(1 - lam) in (0, pi):
         u(n) = e^{ +- i theta |n| } / ( -+ i sin theta ),
@@ -202,17 +208,18 @@ def free_kernel_1d(lam: float, sign: int, n: int) -> complex:
         raise ValueError("sign must be +1 or -1")
     theta = np.arccos(1.0 - lam)
     s = float(sign)
-    return complex(np.exp(s * 1j * theta * abs(int(n))) / (-s * 1j * np.sin(theta)))
+    u = np.exp(s * 1j * theta * np.abs(np.asarray(n, dtype=int))) / (-s * 1j * np.sin(theta))
+    return complex(u) if np.ndim(n) == 0 else u
 
 
 # ---------------------------------------------------------------------------
 # probes
 
 
-def _sandwich_row(L, t0, A_left, H, lap, A_right, norm_tol, seed) -> dict:
+def _sandwich_row(L, t0, A_left, H, lap, A_right, seed) -> dict:
     """The results.csv row of ||A_left R A_right|| on the box of radius L,
     timed from t0; epsilon_used is 0 when no ladder ran."""
-    sigma, info = sandwich_norm(A_left, H, lap, A_right, tol=norm_tol, return_info=True,
+    sigma, info = sandwich_norm(A_left, H, lap, A_right, tol=_NORM_TOL, return_info=True,
                                 seed=seed)
     return {"L": L, "epsilon_used": info["epsilon"] or 0.0, "norm": sigma,
             "iterations": info["iterations"], "seconds": time.perf_counter() - t0}
@@ -289,10 +296,11 @@ class BoxSweepResult:
 
 
 def _cone_sweep(model_cfg: ModelConfig, lap: LAPConfig, cones, weighted,
-                L_list: Sequence[int], norm_tol: float, seed):
+                L_list: Sequence[int], seed):
     """||A_left R A_right|| on each box of L_list, (A_left, A_right) =
     weighted(H, *ops), where ops quantize at h = 1 the d = 1 cone symbols
-    (make_cone_symbol) of `cones`, (sign, r0) pairs.
+    (make_cone_symbol) of `cones`, (sign, r0) pairs; each norm is a power
+    iteration to relative tolerance _NORM_TOL.
 
     The cones take the energy window lap.lam +- 0.3 and an outer cutoff at
     0.85 of the CAP-free radius. Returns the BoxSweepResult, whose
@@ -311,7 +319,7 @@ def _cone_sweep(model_cfg: ModelConfig, lap: LAPConfig, cones, weighted,
         ops = [op_h(make_cone_symbol(sign, window, r0, model_cfg.stencil, r_out=r_out),
                     1.0, H.box, check_resolution=False) for sign, r0 in cones]
         A_left, A_right = weighted(H, *ops)
-        rows.append(_sandwich_row(L, t0, A_left, H, lap, A_right, norm_tol, seed))
+        rows.append(_sandwich_row(L, t0, A_left, H, lap, A_right, seed))
     norms = [row["norm"] for row in rows]
     if max(norms) < 1e-280:
         factor = 1.0
@@ -323,7 +331,7 @@ def _cone_sweep(model_cfg: ModelConfig, lap: LAPConfig, cones, weighted,
 
 
 def ik_probe(model_cfg: ModelConfig, lap: LAPConfig, N: float, L_list: Sequence[int],
-             norm_tol: float = 1e-2, seed=None) -> BoxSweepResult:
+             seed=None) -> BoxSweepResult:
     """Two-sided cone estimate: ||<n>^N A_- R A_+^* <n>^N|| across box sizes,
     A_- the incoming and A_+ the outgoing d = 1 cone (make_cone_symbol), with
     r0 = 1 for both (cli gates bound_factor on criterion_factor). The control
@@ -335,14 +343,13 @@ def ik_probe(model_cfg: ModelConfig, lap: LAPConfig, N: float, L_list: Sequence[
         return compose_maps(W, Am), compose_maps(adjoint_map(Ap), W)
 
     res, (H, (Am, Ap)) = _cone_sweep(model_cfg, lap, ((-1, 1.0), (+1, 1.0)), weighted,
-                                     L_list, norm_tol, seed)
-    res.control_norm = sandwich_norm(Ap, H, lap, adjoint_map(Am), tol=norm_tol, seed=seed)
+                                     L_list, seed)
+    res.control_norm = sandwich_norm(Ap, H, lap, adjoint_map(Am), tol=_NORM_TOL, seed=seed)
     return res
 
 
 def one_sided_probe(model_cfg: ModelConfig, lap: LAPConfig, nu: float, s: float,
-                    L_list: Sequence[int], r0: float = 1.0, norm_tol: float = 1e-2,
-                    seed=None) -> BoxSweepResult:
+                    L_list: Sequence[int], r0: float = 1.0, seed=None) -> BoxSweepResult:
     """One-sided estimate: ||<n>^(-nu) R Op(a) <n>^s|| across box sizes, with
     R and the cone a on the side lap.sign."""
     if not nu > 1.0:
@@ -353,5 +360,5 @@ def one_sided_probe(model_cfg: ModelConfig, lap: LAPConfig, nu: float, s: float,
     def weighted(H, A):
         return position_weight(-nu, H.box), compose_maps(A, position_weight(s, H.box))
 
-    res, _ = _cone_sweep(model_cfg, lap, ((lap.sign, r0),), weighted, L_list, norm_tol, seed)
+    res, _ = _cone_sweep(model_cfg, lap, ((lap.sign, r0),), weighted, L_list, seed)
     return res

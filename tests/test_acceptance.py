@@ -74,7 +74,7 @@ def test_criterion_4_ik_two_sided(free_model, longrange_model):
     details = []
     ok = True
     for name, model in (("free", free_model), ("mu=0.5", longrange_model)):
-        res = ik_probe(model, LAPConfig(lam=LAM), 1.0, (128, 256, 512), norm_tol=1e-2)
+        res = ik_probe(model, LAPConfig(lam=LAM), 1.0, (128, 256, 512))
         ok &= res.bound_factor <= 1.2
         details.append(f"{name} max/min {res.bound_factor:.3f}")
     report(4, ok, "weighted cone sandwich bounded across L in {128,256,512}: "
@@ -109,8 +109,7 @@ def test_criterion_7_escape_ladder(free_model, stencil1d):
         mins[j] = rep.min_value
         ok &= rep.passed
     import dataclasses
-    bad = dataclasses.replace(transport_lad, delta2=2.0, depth=0, gammas=(),
-                              validate=False)
+    bad = dataclasses.replace(transport_lad, delta2=2.0, depth=0, validate=False)
     rep_bad = verify_transport(bad, 0)
     ok &= rep_bad.min_value < -1e-6
     energy_lad = EscapeLadder(stencil=stencil1d, x2=1.2, xi2=np.pi / 2,
@@ -131,7 +130,7 @@ def test_criterion_7_escape_ladder(free_model, stencil1d):
 
 def test_criterion_8_one_sided(longrange_model):
     res = one_sided_probe(longrange_model, LAPConfig(lam=LAM, sign=+1), nu=3.0, s=1.0,
-                          L_list=(128, 256, 512), norm_tol=1e-2)
+                          L_list=(128, 256, 512))
     ok = res.bound_factor <= 1.2
     report(8, ok, f"one-sided weighted norms max/min {res.bound_factor:.3f} "
                   f"(<=1.2) across L in {{128,256,512}}")

@@ -99,6 +99,12 @@ _EXIT_2_CASES = [
      "escape-zero-mu"),
     ("[probe]\nkind = escape\ndepth = 2\nmu = -0.5", r"\[probe\] mu must be positive",
      "escape-negative-mu"),
+    # a negative depth leaves no rung, so no transport criterion: a vacuous pass
+    ("[probe]\nkind = escape\ndepth = -1", r"\[probe\] depth must be >= 0",
+     "escape-negative-depth"),
+    # numpy refuses a negative seed mid-run, or the manifest records it
+    ("[numerics]\nseed = -1\n[probe]\nkind = calculus", r"\[numerics\] seed must be >= 0",
+     "negative-seed"),
 ]
 
 
@@ -424,6 +430,16 @@ def test_seed_override_changes_start(tmp_path):
         csvs[name] = list(csv.reader(io.StringIO((tmp_path / name / "results.csv").read_text())))
     assert csvs["override"] != csvs["default"]
     assert csvs["override"] == csvs["config"]
+
+
+def test_negative_seed_override_exits_2(tmp_path):
+    # the override meets the check the config's own seed meets at parse time
+    out = tmp_path / "out"
+    assert main(["run", "--recipe", "free-wf-offset", "--seed", "-1", "--out", str(out)]) \
+        == EXIT_SCHEMA
+    with pytest.raises(ConfigError, match="seed override -1 must be >= 0"):
+        run(parse_config(recipe_config("calculus-invariants")), out_dir=out, seed=-1)
+    assert not out.exists()
 
 
 # the README's results.csv columns by probe kind

@@ -63,8 +63,10 @@ def test_phi_contract():
 def test_ladder_invariants(stencil1d):
     lad = EscapeLadder(stencil=stencil1d, x2=3.0, xi2=np.pi / 2, delta1=0.2,
                        delta2=0.2, h=0.125, depth=2)
-    assert lad.gammas == (1.5, 1.75)
-    # nesting radii strictly increase with j
+    # gamma_j = 2 - 2^-j: 1, 1.5, 1.75, so the nesting radii strictly increase with j
+    for j, gamma in enumerate((1.0, 1.5, 1.75)):
+        assert lad.ell(1.0, j) == gamma * lad.delta1 * (1.0 / lad.h + 1.0)
+        assert lad.xi_radius(j) == gamma * lad.delta2
     assert lad.ell(1.0, 0) < lad.ell(1.0, 1) < lad.ell(1.0, 2)
     with pytest.raises(LadderInvariantError, match="separation"):
         EscapeLadder(stencil=stencil1d, x2=0.1, xi2=np.pi / 2, delta1=0.2,
@@ -72,9 +74,11 @@ def test_ladder_invariants(stencil1d):
     with pytest.raises(LadderInvariantError, match="pinning"):
         EscapeLadder(stencil=stencil1d, x2=10.0, xi2=np.pi / 2, delta1=0.2,
                      delta2=1.5, h=0.125)
-    with pytest.raises(LadderInvariantError, match="gamma"):
-        EscapeLadder(stencil=stencil1d, x2=3.0, xi2=np.pi / 2, delta1=0.2,
-                     delta2=0.2, h=0.125, depth=2, gammas=(1.7, 1.5))
+    # a negative depth leaves no rung: no transport criterion, a vacuous pass
+    for validate in (True, False):
+        with pytest.raises(LadderInvariantError, match="depth must be >= 0"):
+            EscapeLadder(stencil=stencil1d, x2=3.0, xi2=np.pi / 2, delta1=0.2,
+                         delta2=0.2, h=0.125, depth=-1, validate=validate)
     for mu in (0.0, -0.5):
         with pytest.raises(LadderInvariantError, match="mu must be positive"):
             EscapeLadder(stencil=stencil1d, x2=3.0, xi2=np.pi / 2, delta1=0.2,
@@ -251,7 +255,7 @@ def test_energy_checks_ignore_the_ladder_rungs():
                         depth=p["depth"], mu=p["mu"])
     assert deep.depth == 2
     reports = []
-    for lad in (deep, dataclasses.replace(deep, depth=0, gammas=())):
+    for lad in (deep, dataclasses.replace(deep, depth=0)):
         energy = energy_inequality_check(model, lad, p["t_samples"], p["h_list"],
                                          p["box_radius"])
         mono = monotonicity_check(model, lad, p["mono_t_list"], p["mono_box_radius"],

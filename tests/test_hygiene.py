@@ -36,9 +36,7 @@ def _unused_imports(path: Path):
 
 
 def test_no_unused_imports():
-    # a package __init__ imports to re-export
-    files = [p for d in ("src", "scripts", "tests") for p in sorted((ROOT / d).rglob("*.py"))
-             if p.name != "__init__.py"]
+    files = [p for d in ("src", "scripts", "tests") for p in sorted((ROOT / d).rglob("*.py"))]
     assert len(files) > 20
     unused = [f"{p.relative_to(ROOT)}:{line} {name}"
               for p in files for line, name in _unused_imports(p)]
@@ -123,12 +121,21 @@ def _latscat_imports(path: Path):
     return found
 
 
-def test_only_the_runner_and_the_package_import_escape():
+def test_only_the_runner_imports_escape():
     # Phi lives in symbols, below every module that builds bumps from it;
-    # the escape ladder sits on top, reached from cli and the package alone
+    # the escape ladder sits on top, reached from cli alone
     importers = sorted(p.name for p in (ROOT / "src" / "latscat").glob("*.py")
                        if "escape" in _latscat_imports(p))
-    assert importers == ["__init__.py", "cli.py"]
+    assert importers == ["cli.py"]
+
+
+def test_package_binds_only_its_version():
+    # every caller imports the submodule it uses: the package imports and
+    # re-exports nothing, its body is the docstring and __version__
+    path = ROOT / "src" / "latscat" / "__init__.py"
+    body = ast.parse(path.read_text(encoding="utf-8")).body
+    assert [type(node) for node in body] == [ast.Expr, ast.Assign]
+    assert [t.id for t in body[1].targets] == ["__version__"]
 
 
 def test_latscat_import_scan_finds_every_form(tmp_path):

@@ -31,9 +31,9 @@ def f_of_H(H, cutoff, u):
 
 def test_cutoff_profile():
     f = EnergyCutoff(lam=1.0, eps_f=0.25)
-    assert f(1.0) == pytest.approx(1.0)
+    assert f.profile(1.0) == pytest.approx(1.0)
     z = np.linspace(-1, 3, 801)
-    vals = f(z)
+    vals = f.profile(z)
     assert np.all((0.0 <= vals) & (vals <= 1.0))
     assert np.all(vals[np.abs(z - 1.0) <= 0.25] == 1.0)
     assert np.all(vals[np.abs(z - 1.0) >= 0.5] == 0.0)
@@ -542,7 +542,7 @@ def test_recurrence_matches_dense_oracle(small_H, rng):
         plans = (ChebyshevPlan.for_evolution(H, 0.0),
                  ChebyshevPlan(center=c, radius=r, coeffs=np.array([0.3, 0.7 - 0.2j])),
                  ChebyshevPlan.for_evolution(H, 60.0),
-                 ChebyshevPlan.for_function(H, EnergyCutoff(lam=1.0, eps_f=0.25)))
+                 ChebyshevPlan.for_function(H, EnergyCutoff(lam=1.0, eps_f=0.25).profile))
         assert [p.n_terms for p in plans[:2]] == [1, 2] and plans[2].n_terms > 64
         for u in inputs:
             before = u.copy()
@@ -697,7 +697,7 @@ def test_propagation_onset_control_no_decay(free_model):
     kp_on = KernelPoint(4.0, np.pi / 2, -2.0, np.pi / 2)
     res = propagation_probe(free_model, kp_on, EnergyCutoff(lam=1.0, eps_f=0.25),
                             (0.125, 0.0625, 0.03125, 0.015625),
-                            delta1=0.6, delta2=0.3, mode="control", n_t=16)
+                            delta1=0.6, delta2=0.3, mode="control")
     assert res.fit.slope <= 1.0
 
 

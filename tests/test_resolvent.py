@@ -258,7 +258,7 @@ def test_resolvent_map_adjoint(free_model, deep_lap, rng):
 
 
 def test_ik_probe_small(longrange_model, free_model):
-    res = ik_probe(free_model, LAPConfig(lam=1.0), 0.0, (48, 64, 96), norm_tol=2e-2)
+    res = ik_probe(free_model, LAPConfig(lam=1.0), 0.0, (48, 64, 96))
     assert res.bound_factor <= 1.2
     # a bound factor of vanishing norms would be vacuous
     assert all(r["norm"] > 0.0 for r in res.rows)
