@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Compare two recipe output trees: each recipe's manifest `results` and
-`criteria`, and its results.csv without the `seconds` column.
+"""Compare two recipe output trees: each recipe's manifest `results`,
+`criteria` and resolved `config` echo, and its results.csv without the
+`seconds` column.
 
     python scripts/compare_manifests.py out_a out_b
 
 Each tree is what scripts/run_all_recipes.py writes: one directory per
 recipe holding manifest.json and results.csv. Values and CSV cells must
-match exactly. Prints one line per recipe and one per difference; a
-difference between two numbers (CSV cells that parse as numbers included)
-shows |a - b| / max(|a|, |b|), and a recipe's line shows the largest. Exits
+match exactly, so a recipe-text edit that leaves every resolved value alone
+reads `same`, and one that moves a value shows. Prints one line per recipe
+and one per difference; a difference between two numbers (CSV cells that
+parse as numbers included) shows |a - b| / max(|a|, |b|), and a recipe's
+line shows the largest. Exits
 1 on any difference or on a recipe present in only one tree. A reader that
 closes early (`| head`) ends it quietly, with exit 1.
 """
@@ -19,7 +22,7 @@ import os
 import sys
 from pathlib import Path
 
-KEYS = ("results", "criteria")
+KEYS = ("results", "criteria", "config")
 CSV = "results.csv"
 
 

@@ -34,16 +34,18 @@ _OUTPUT_KEYS = {
 _FLOAT_LIST = "float_list"
 _INT_LIST = "int_list"
 
+# the kernel point, bumps, h list and slope gates that wf and prop31 share
+_KERNEL_POINT_KEYS = {
+    "lambda": (float, 1.0), "x1": (float, None), "xi1": (float, None),
+    "x2": (float, None), "xi2": (float, None),
+    "delta1": (float, 0.2), "delta2": (float, 0.2),
+    "h_list": (_FLOAT_LIST, (0.125, 0.0625, 0.03125, 0.015625)),
+    "expect": (str, "decay"),
+    "criterion_slope": (float, None), "criterion_max_slope": (float, None),
+}
+
 _PROBE_KEYS = {
-    "wf": {
-        "lambda": (float, 1.0), "x1": (float, None), "xi1": (float, None),
-        "x2": (float, None), "xi2": (float, None),
-        "delta1": (float, 0.2), "delta2": (float, 0.2),
-        "h_list": (_FLOAT_LIST, (0.125, 0.0625, 0.03125, 0.015625)),
-        "expect": (str, "decay"),
-        "criterion_slope": (float, None), "criterion_residual": (float, None),
-        "criterion_max_slope": (float, None),
-    },
+    "wf": {**_KERNEL_POINT_KEYS, "criterion_residual": (float, None)},
     "ik": {
         "lambda": (float, 1.0), "weight_n": (float, 1.0), "l_list": (_INT_LIST, (128, 256, 512)),
         "criterion_factor": (float, 1.2),
@@ -58,14 +60,7 @@ _PROBE_KEYS = {
         "t_min": (float, 10.0), "t_max": (float, 200.0), "n_t": (int, 16),
         "box_radius": (int, 512), "criterion_kappa": (float, None),
     },
-    "prop31": {
-        "lambda": (float, 1.0), "x1": (float, None), "xi1": (float, None),
-        "x2": (float, None), "xi2": (float, None),
-        "delta1": (float, 0.2), "delta2": (float, 0.2), "eps_f": (float, 0.25),
-        "h_list": (_FLOAT_LIST, (0.125, 0.0625, 0.03125, 0.015625)),
-        "expect": (str, "decay"),
-        "criterion_slope": (float, None), "criterion_max_slope": (float, None),
-    },
+    "prop31": {**_KERNEL_POINT_KEYS, "eps_f": (float, 0.25)},
     "escape": {
         "x2": (float, 1.2), "xi2": (float, 1.5707963267948966),
         "delta1": (float, 0.333333333333333), "delta2": (float, 0.28), "h": (float, 0.125),

@@ -5,13 +5,12 @@ spectral checks of the operator energy inequality on small boxes."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .model import DENSE_MAX_SITES, Box, ModelConfig, Stencil
-from .quantize import sampled_terms
 from .symbols import DEFAULT_PHI, CutoffPhi, Symbol, separable_symbol
 from .util import angle_diff, lstsq_loglog, rng
 
@@ -136,18 +135,16 @@ def _moving_bump(ladder: EscapeLadder, t: float, j: int, squared: bool):
     return b, b_tx, c
 
 
-def build_rung(ladder: EscapeLadder, t: float, j: int = 0, squared: bool = True) -> Symbol:
-    """Rung j at time t, pref P(|x-y(t)|/ell_j(t)) P(dist(xi,xi2)/(gamma_j delta2))
-    with P = Psi if squared else Phi; pref = 1 at j = 0 and prefactor(j, t)
-    for j >= 1, so those rungs vanish identically at t = 0.
-
-    j = 0 unsquared is phi0, whose |Op(phi0)|^2 is the escape function F;
-    squared it is the principal symbol psi0 of F.
+def build_rung(ladder: EscapeLadder, t: float, j: int = 0) -> Symbol:
+    """Rung j at time t, pref Psi(|x-y(t)|/ell_j(t)) Psi(dist(xi,xi2)/(gamma_j delta2)),
+    pref = 1 at j = 0 and prefactor(j, t) for j >= 1, so those rungs vanish
+    identically at t = 0. Rung 0 is the principal symbol psi0 of the escape
+    function F = |Op(phi0)|^2, phi0 the same bump with Phi for Psi.
     """
     if not 0 <= j <= ladder.depth:
         raise ValueError("j out of range")
     pref = 1.0 if j == 0 else float(ladder.prefactor(j, t))
-    b, _, c = _moving_bump(ladder, t, j, squared)
+    b, _, c = _moving_bump(ladder, t, j, squared=True)
     return separable_symbol(1, lambda x: pref * b(x), c)
 
 
@@ -239,8 +236,8 @@ def verify_transport(ladder: EscapeLadder, j: int) -> TransportReport:
 
 
 def periodic_dense_h(model_cfg: ModelConfig, box: Box) -> np.ndarray:
-    """Dense periodic H = p0(D) + V on a d = 1 box: the quantized one-term
-    symbol 1 * p0(xi), made exactly hermitian, plus diag V.
+    """Dense periodic H = p0(D) + V on a d = 1 box: the multiplier p0(D),
+    made exactly hermitian, plus diag V.
 
     The DFT quantization is periodic; pairing it with the Dirichlet-truncated
     H0 leaks an O(1) commutator artifact through the box seam, so the dense
@@ -248,32 +245,29 @@ def periodic_dense_h(model_cfg: ModelConfig, box: Box) -> np.ndarray:
     """
     if box.site_count > DENSE_MAX_SITES:
         raise ValueError("box too large for the dense route")
-    H = _dense_op(separable_symbol(1, lambda x: np.ones(np.shape(x)[:-1]),
-                                   model_cfg.stencil.p0), box)
+    H = _dense_multiplier(model_cfg.stencil.p0, box)
     H = (H + H.conj().T) / 2.0
     H[np.diag_indices(box.site_count)] += model_cfg.potential.values(box.sites())
     return H
 
 
-def _dense_op(symbol: Symbol, box: Box) -> np.ndarray:
-    """Dense left quantization of the grid-sampled symbol (d=1).
-
-    M[i,j] = (1/N) sum_k a(n_i, xi_k) e^{i(n_i-n_j) xi_k}
-           = sum over terms of b(n_i) ifft(c)[(i-j) mod N],
-    the matrix of quantize.op_h at h = 1 but without the xi-tail guard: on
-    the small escape boxes the Phi/Psi bumps' slow Gevrey tails trip it, and
-    the object measured here is the operator of the sampled symbol itself.
-    """
+def _dense_multiplier(c, box: Box) -> np.ndarray:
+    """Dense matrix of the multiplier c(D) on the periodic d = 1 box,
+    K[i, j] = ifft(c(xi))[(i - j) mod N] on the box momentum grid, with no
+    xi-tail guard: on the small escape boxes the Phi/Psi bumps' slow Gevrey
+    tails would trip it, and the object measured here is the operator of
+    the sampled symbol itself. diag(b(n)) K is the quantized b(x) c(xi)."""
     N = box.site_count
     lag = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
-    return reduce(np.add, (bv[:, None] * np.fft.ifft(cv)[lag]
-                           for bv, cv in sampled_terms(symbol, 1.0, box)))
+    return np.fft.ifft(np.asarray(c(box.xi_axis()[:, None]), dtype=complex))[lag]
 
 
 def _escape_F(ladder: EscapeLadder, t: float, box: Box) -> np.ndarray:
-    """F(t) = |Op(phi0(t))|^2: exactly hermitian, and F(0) = |Op^h(a2)|^2.
+    """F(t) = |Op(phi0(t))|^2, Op(phi0(t)) = diag(b) c(D) from _moving_bump's
+    unsquared j = 0 factors: exactly hermitian, and F(0) = |Op^h(a2)|^2.
     The ladder rungs psi_j enter only the transport check."""
-    Q = _dense_op(build_rung(ladder, t, squared=False), box)
+    b, _, c = _moving_bump(ladder, t, 0, squared=False)
+    Q = b(box.sites().astype(float))[:, None] * _dense_multiplier(c, box)
     return Q.conj().T @ Q
 
 
@@ -283,8 +277,8 @@ def _escape_F_rate(ladder: EscapeLadder, t: float, box: Box):
     lo, hi = max(t - 3e-5, 0.0), t + 3e-5
     fd = (_escape_F(ladder, hi, box) - _escape_F(ladder, lo, box)) / (hi - lo)
     b, b_tx, c = _moving_bump(ladder, t, 0, squared=False)
-    Q = _dense_op(separable_symbol(1, b, c), box)
-    Qd = _dense_op(separable_symbol(1, lambda x: b_tx(x)[0], c), box)
+    x, K = box.sites().astype(float), _dense_multiplier(c, box)
+    Q, Qd = b(x)[:, None] * K, b_tx(x)[0][:, None] * K
     Qh = Q.conj().T
     return fd, Qd.conj().T @ Q + Qh @ Qd, Qh @ Q
 

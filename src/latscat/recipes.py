@@ -6,7 +6,7 @@ import math
 
 _FREE = "potential = none"
 _LONG_RANGE = "potential = power_law\namplitude = 0.5\nmu = 0.5"
-# the deep epsilon ladder the wf resolvent solves need
+# the deep epsilon ladder the wf and free-kernel resolvent solves need
 _NUMERICS = "\n[numerics]\nconvergence_tol = 2.5e-4\neps_k_max = 24\n"
 
 # (x1, xi1, x2, xi2), the centres of the bumps a1 and a2: off Sigma_0,
@@ -64,7 +64,7 @@ RECIPES = {
         "claim": "Limiting absorption principle, closed-form check",
         "description": "lap_solve column for delta_0 against the residue-calculus "
                        "free kernel on the inner half box (rel err <= 1e-3).",
-        "config": """
+        "config": f"""
 [model]
 potential = none
 
@@ -74,21 +74,15 @@ lambda = 1.0
 box_radius = 256
 criterion_rel_error = 1e-3
 inner_frac = 0.5
-
-[numerics]
-convergence_tol = 2.5e-4
-eps_k_max = 24
-""",
+{_NUMERICS}""",
     },
     "ik-two-sided": {
         "claim": "Corollary 2.2 (two-sided cone resolvent estimate)",
         "description": "Weighted incoming/outgoing cone sandwich bounded across "
                        "box sizes within factor 1.2.",
-        "config": """
+        "config": f"""
 [model]
-potential = power_law
-amplitude = 0.5
-mu = 0.5
+{_LONG_RANGE}
 
 [probe]
 kind = ik
@@ -109,11 +103,9 @@ criterion_factor = 1.2
         "claim": "Local decay estimate (3.4)",
         "description": "Weighted propagator norm fits <t>^-kappa with kappa >= 1.5 "
                        "(nu = 3) before boundary reflection.",
-        "config": """
+        "config": f"""
 [model]
-potential = power_law
-amplitude = 0.5
-mu = 0.5
+{_LONG_RANGE}
 
 [probe]
 kind = local-decay
@@ -131,11 +123,9 @@ criterion_kappa = 1.5
         "claim": "Theorem 5.1 (one-sided microlocal resolvent estimate)",
         "description": "||<n>^-3 R Op(a+) <n>^1|| bounded across box sizes within "
                        "factor 1.2 for the outgoing cone.",
-        "config": """
+        "config": f"""
 [model]
-potential = power_law
-amplitude = 0.5
-mu = 0.5
+{_LONG_RANGE}
 
 [probe]
 kind = one-sided

@@ -14,7 +14,7 @@ import scipy.sparse.linalg as spla
 
 from .geometry import KernelPoint, kernel_point_setup, make_cone_symbol
 from .model import (LatticeHamiltonian, LinearMap, ModelConfig, compose_maps,
-                    adjoint_map, cap_width, check_energy_window)
+                    adjoint_map, cap_width)
 from .quantize import (check_xi_tails, finite_rank_pair, op_h, operator_norm, position_weight,
                        support_rows)
 from .util import lstsq_loglog, rng
@@ -302,14 +302,12 @@ def _cone_sweep(model_cfg: ModelConfig, lap: LAPConfig, cones, weighted,
     (make_cone_symbol) of `cones`, (sign, r0) pairs; each norm is a power
     iteration to relative tolerance _NORM_TOL.
 
-    The cones take the energy window lap.lam +- 0.3 and an outer cutoff at
-    0.85 of the CAP-free radius. Returns the BoxSweepResult, whose
-    bound_factor is the largest norm over the smallest, and (H, ops) of the
-    largest box.
+    The cones take the energy window lap.lam +- 0.3, which make_cone_symbol
+    checks, and an outer cutoff at 0.85 of the CAP-free radius. Returns the
+    BoxSweepResult, whose bound_factor is the largest norm over the
+    smallest, and (H, ops) of the largest box.
     """
     window = (lap.lam - 0.3, lap.lam + 0.3)
-    check_energy_window(model_cfg.stencil, window)
-
     rows = []
     for L in sorted(int(v) for v in L_list):
         t0 = time.perf_counter()

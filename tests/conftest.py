@@ -2,8 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from latscat.model import ModelConfig, Potential, laplacian_stencil
+from latscat.model import LatticeHamiltonian, LinearMap, ModelConfig, Potential, laplacian_stencil
 from latscat.resolvent import LAPConfig, default_epsilon_sequence
 from latscat.util import SEED, product_grid
 
@@ -96,3 +97,25 @@ def dense_kernel():
         return (vals * phase) @ phase.conj().T / box.site_count
 
     return dense
+
+
+@pytest.fixture(scope="session")
+def exact_outgoing():
+    """The oracle (box, lam) -> (H0 - lam - i0)^(-1) of the free d = 1
+    Laplacian, p0 = 1 - cos xi, on the box with the exact outgoing boundary,
+    as a LinearMap. One site past either edge the outgoing wave is
+    e^{i theta} times its edge value, theta = arccos(1 - lam), so the hop
+    that Dirichlet truncation drops there folds into the edge diagonal: the
+    CAP-free band of H0 - lam at eps = 0, with -1/2 e^{i theta} added to its
+    first and last diagonal entries. No absorber and no epsilon: the solve
+    is the whole-line outgoing resolvent restricted to the box."""
+
+    def solver(box, lam):
+        ab = LatticeHamiltonian(laplacian_stencil(1), Potential(), box).banded(shift=lam)
+        ab[1, [0, -1]] -= 0.5 * np.exp(1j * np.arccos(1.0 - lam))
+        # H0 - lam is complex symmetric, so the adjoint's band is the conjugate
+        return LinearMap(box.site_count, lambda u: sla.solve_banded((1, 1), ab, u),
+                         lambda u: sla.solve_banded((1, 1), np.conj(ab), u),
+                         label="R+ exact")
+
+    return solver

@@ -43,7 +43,8 @@ def test_identical_trees_and_seconds_only_are_same(tmp_path):
     dict(csv_text=CSV.replace("0.25,", "0.2500001,")),
     dict(csv_text=CSV + "0.0625,0.01,0.01,6,0.02\n"),
     dict(names=("free-wf-offset",)),
-], ids=["manifest-value", "criterion", "csv-cell", "csv-row", "missing-recipe"])
+    dict(manifest={**MANIFEST, "config": {"probe": {"kind": "wf", "delta1": 0.6}}}),
+], ids=["manifest-value", "criterion", "csv-cell", "csv-row", "missing-recipe", "config"])
 def test_any_difference_exits_1(tmp_path, changed):
     code, out = _compare(_tree(tmp_path / "a"), _tree(tmp_path / "b", **changed))
     assert code == 1

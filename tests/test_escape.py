@@ -6,7 +6,7 @@ import pytest
 from latscat.config import parse_config
 from latscat.escape import (DerivativeMismatchError, EscapeLadder, LadderInvariantError,
                             build_rung, energy_inequality_check, monotonicity_check,
-                            periodic_dense_h, verify_transport, _escape_F)
+                            periodic_dense_h, verify_transport, _escape_F, _moving_bump)
 from latscat.geometry import make_bump_pair
 from latscat.model import Box
 from latscat.quantize import fourier_multiplier
@@ -116,8 +116,8 @@ def test_psi_j_prefactor_and_support(ladder):
 
 
 def test_build_rung_range_and_squaring(ladder):
-    # rungs run over j = 0..depth; squared, a rung is Psi where it was Phi,
-    # with the prefactor taken once: unsquared^2 = prefactor * squared
+    # rungs run over j = 0..depth; a rung is Psi where _moving_bump's
+    # unsquared factors are Phi, times the prefactor: rung = prefactor * plain^2
     for j in (-1, ladder.depth + 1):
         with pytest.raises(ValueError, match="out of range"):
             build_rung(ladder, 1.0, j)
@@ -127,10 +127,11 @@ def test_build_rung_range_and_squaring(ladder):
     xi = np.full_like(x, ladder.xi2 + 0.1)
     for j in range(ladder.depth + 1):
         pref = 1.0 if j == 0 else float(ladder.prefactor(j, t))
-        squared = np.asarray(build_rung(ladder, t, j)(x, xi))
-        plain = np.asarray(build_rung(ladder, t, j, squared=False)(x, xi))
+        rung = np.asarray(build_rung(ladder, t, j)(x, xi))
+        b, _, c = _moving_bump(ladder, t, j, squared=False)
+        plain = np.asarray(b(x)) * np.asarray(c(xi))
         assert np.max(plain) > 0.0
-        assert np.allclose(plain**2, pref * squared, rtol=1e-14, atol=0.0)
+        assert np.allclose(pref * plain**2, rung, rtol=1e-14, atol=0.0)
 
 
 def test_transport_passes(ladder):
@@ -166,18 +167,14 @@ def energy_ladder(stencil1d):
                         t_grid=(0.0, 0.5, 2.0, 8.0))
 
 
-def test_energy_f0_is_squared_bump(free_model, energy_ladder):
-    # F(0) = |Op^h(a2)|^2 exactly for the squared-cutoff escape function
+def test_energy_f0_is_squared_bump(free_model, energy_ladder, dense_kernel):
+    # F(0) = |Op^h(a2)|^2 exactly for the squared-cutoff escape function, with
+    # Op^h(a2) from the independent dense oracle
     box = Box(1, 48)
     F0 = _escape_F(energy_ladder, 0.0, box)
-    from latscat.escape import _dense_op
-    from latscat.symbols import separable_symbol
-    h = energy_ladder.h
     _, a2 = make_bump_pair((0.0, 0.0), (energy_ladder.x2, energy_ladder.xi2),
                            energy_ladder.delta1, energy_ladder.delta2)
-    [(b2, c2)] = a2.terms
-    scaled = separable_symbol(1, lambda x: np.asarray(b2(h * np.asarray(x))), c2)
-    Q = _dense_op(scaled, box)
+    Q = dense_kernel(a2, energy_ladder.h, box)
     ref = Q.conj().T @ Q
     assert np.linalg.norm(F0 - ref, 2) <= 1e-12
 
@@ -279,21 +276,17 @@ def test_monotonicity_sabotage_fails(free_model, stencil1d, energy_ladder):
     assert min(good.margins.values()) > -1e-4
 
 
-def test_disjoint_region_operator_smallness(free_model, energy_ladder):
+def test_disjoint_region_operator_smallness(free_model, energy_ladder, dense_kernel):
     # || Op^h(a1) F(t) || is suppressed when a1 sits away from the moving tube
     # and improves as h shrinks. Values frozen from the dense oracle; the
     # slow Phi tails keep the desk-scale trend below the nominal h^2 (see
     # the decisions notes), so the suppression levels are pinned instead.
-    from latscat.escape import _dense_op
-    from latscat.symbols import separable_symbol
+    a1, _ = make_bump_pair((-10.0, np.pi / 2), (0.0, 0.0), 0.5, 0.6)
     norms = {}
     for h in (0.25, 0.125, 0.0625):
         box = Box(1, int(24 / h))
         lad = dataclasses.replace(energy_ladder, h=h)
-        a1, _ = make_bump_pair((-10.0, np.pi / 2), (0.0, 0.0), 0.5, 0.6)
-        [(b1, c1)] = a1.terms
-        scaled = separable_symbol(1, lambda x, h=h: np.asarray(b1(h * np.asarray(x))), c1)
-        A1 = _dense_op(scaled, box)
+        A1 = dense_kernel(a1, h, box)
         worst = 0.0
         for t in (0.5, 2.0):
             F = _escape_F(lad, t, box)

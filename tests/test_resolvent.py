@@ -9,9 +9,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from latscat import quantize
+from latscat.cli import _lap_from
+from latscat.config import parse_config
 from latscat.geometry import KernelPoint, make_bump_pair
-from latscat.model import LinearMap, ModelConfig, Potential, Stencil, laplacian_stencil
+from latscat.model import Box, LinearMap, ModelConfig, Potential, Stencil, laplacian_stencil
 from latscat.quantize import op_h, position_weight
+from latscat.recipes import recipe_config
 from latscat.resolvent import (DecayFit, LAPConfig, LAPConvergenceError, _ShiftedSolver,
                                _finite_rank_row, _lap_iterate,
                                default_epsilon_sequence, free_kernel_1d, ik_probe,
@@ -57,6 +60,54 @@ def test_lap_solve_free_kernel(free_model, deep_lap):
     exact = np.array([free_kernel_1d(1.0, +1, k) for k in n[inner]])
     rel = np.linalg.norm(u[inner] - exact) / np.linalg.norm(exact)
     assert rel <= 1e-3
+
+
+def test_exact_outgoing_boundary_is_the_free_kernel(exact_outgoing):
+    # the oracle's delta_0 column is the closed form on every site of the box,
+    # edges included: measured max relative gap 1.1e-14 to 1.3e-14 at radius
+    # 64, bound 1e-13
+    box = Box(1, 64)
+    n = box.sites()[:, 0]
+    for lam in (0.5, 1.0, 1.37):
+        rhs = np.zeros(box.site_count, dtype=complex)
+        rhs[box.index_of([0])] = 1.0
+        u = exact_outgoing(box, lam)(rhs)
+        exact = free_kernel_1d(lam, +1, n)
+        assert np.max(np.abs(u - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
+def _wf_rows(name):
+    """The wf rows of a recipe, by h, as the CLI computes them."""
+    cfg = parse_config(recipe_config(name))
+    p = cfg.probe
+    kp = KernelPoint(p["x1"], p["xi1"], -p["x2"], p["xi2"])
+    res = wf_probe(cfg.model_config(), kp, _lap_from(cfg), p["h_list"], p["delta1"],
+                   p["delta2"])
+    assert res.box_radius == 1024
+    return {r["h"]: r for r in res.rows}
+
+
+@pytest.mark.parametrize("name", ["free-wf-offset", "wf-onset-control"])
+def test_free_wf_rows_against_the_exact_outgoing_boundary(monkeypatch, exact_outgoing, name):
+    # the recipe's rows (CAP, epsilon ladder) against the same pipeline with
+    # the exact outgoing boundary in place of the ladder's resolvent
+    from latscat import resolvent
+    rows = _wf_rows(name)
+    monkeypatch.setattr(resolvent, "resolvent_map",
+                        lambda H, lap, probe_rhs: (exact_outgoing(H.box, lap.lam), 0.0))
+    exact = _wf_rows(name)
+    gap = {h: abs(rows[h]["norm"] - exact[h]["norm"]) / exact[h]["norm"] for h in rows}
+    assert all(rows[h]["epsilon_used"] > 0.0 and exact[h]["epsilon_used"] == 0.0 for h in rows)
+    if name == "wf-onset-control":
+        # measured <= 6.1e-5 at every h; bound 2e-4
+        assert max(gap.values()) <= 2e-4
+        return
+    # measured 2.6e-5, 6.8e-5 and 1.5e-4 at h = 1/8, 1/16, 1/32; bound 5e-4
+    assert max(gap[h] for h in (0.125, 0.0625, 0.03125)) <= 5e-4
+    # a known gap, measured 4.9e-3: at h = 1/64 the row is down to 4.6e-4
+    # and the cubic CAP's reflection shows. Bracketed on both sides, so an
+    # absorber change that closes or widens the gap fails here
+    assert 1e-3 <= gap[0.015625] <= 1e-2
 
 
 def test_lap_solve_zero_rhs(free_model, deep_lap):
