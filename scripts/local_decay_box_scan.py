@@ -13,7 +13,8 @@ import time
 import numpy as np
 
 from latscat.model import ModelConfig, Potential, laplacian_stencil
-from latscat.propagate import EnergyCutoff, local_decay_probe
+from latscat.propagate import local_decay_probe
+from latscat.symbols import EnergyCutoff
 
 L_LIST = (512, 1024, 2048)
 

@@ -26,10 +26,11 @@ from .escape import (DerivativeMismatchError, EscapeLadder, HermiticityDriftErro
 from .geometry import KernelPoint
 from .model import Box
 from .quantize import NormConvergenceError, ResolutionError, fourier_multiplier, position_weight
-from .propagate import EnclosureError, EnergyCutoff, evolve, local_decay_probe, propagation_probe
+from .propagate import EnclosureError, evolve, local_decay_probe, propagation_probe
 from .recipes import RECIPES, recipe_config
 from .resolvent import (LAPConfig, LAPConvergenceError, _ShiftedSolver, free_kernel_1d,
                         default_epsilon_sequence, ik_probe, lap_solve, one_sided_probe, wf_probe)
+from .symbols import EnergyCutoff
 from .util import rng
 
 EXIT_OK, EXIT_CRITERION, EXIT_SCHEMA, EXIT_NUMERICAL = 0, 1, 2, 3
@@ -290,8 +291,10 @@ def run(cfg: ExperimentConfig, out_dir=None, jobs: int = 1, seed=None, quiet=Fal
         "results": extras,
         "criteria": [{"name": n, "passed": ok, "detail": d} for n, ok, d in criteria],
     }
+    # JSON (RFC 8259) has no NaN or infinity: a non-finite number is written as null
+    manifest = json.loads(json.dumps(manifest, default=str), parse_constant=lambda _: None)
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
+        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     all_ok = True
     for name, ok, detail in criteria:

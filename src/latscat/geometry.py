@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import CriticalValueError, EmptyShellError, Stencil, check_energy_window
-from .symbols import DEFAULT_PHI, Symbol, separable_symbol
+from .symbols import DEFAULT_PHI, EnergyCutoff, Symbol, separable_symbol
 from .util import product_grid, reduce_torus, torus_distance
 
 
@@ -182,30 +182,28 @@ def make_bump_pair(p1, p2, delta1: float, delta2: float):
     return one(p1), one(p2)
 
 
-def make_cone_symbol(sign: int, energy_window, r0: float, stencil: Stencil,
+def make_cone_symbol(sign: int, cutoff: EnergyCutoff, r0: float, stencil: Stencil,
                      r_out: float) -> Symbol:
     """Smooth S^0 symbol supported in the d = 1 cone
-    {sign x v(xi) > 0, p0(xi) in window, r0 <= |x| <= r_out}.
+    {sign x v(xi) > 0, p0(xi) in supp f, r0 <= |x| <= r_out}, f the cutoff.
 
     In d = 1 the cosine between x and v(xi) is +-1, so every Isozaki-Kitada
     cone {cos >= c}, c in (-1, 1), cuts out the same half-line: x on the
     side sign v(xi) for sign = +1, against it for sign = -1. The symbol is
-    radial(|x|) energy(p0(xi)) on that half-line, zero off it, with
+    radial(|x|) f(p0(xi)) on that half-line, zero off it, with
     radial(r) = (1 - Phi(r/(2 r0))) Phi(r/r_out): zero for r <= r0, and an
     outer cutoff at r_out that keeps box probes out of the absorbing layer.
     So the symbol is the two-term sum over s = +-1 of 1[s x > 0]
-    radial(|x|) times energy(p0(xi)) 1[s sign v(xi) > 0], which op_h
-    applies as two Fourier multipliers. Raises ValueError for d != 1, where
-    the cone is no short sum of (b, c) terms, and if the window touches
-    critical values.
+    radial(|x|) times f(p0(xi)) 1[s sign v(xi) > 0], which op_h applies
+    as two Fourier multipliers. Raises ValueError for d != 1, where the
+    cone is no short sum of (b, c) terms, and if supp f touches critical
+    values (check_energy_window).
     """
     if stencil.dim != 1:
         raise ValueError(f"cone symbols are built for d = 1 only (got d = {stencil.dim})")
     if r0 <= 0:
         raise ValueError("r0 must be positive")
-    check_energy_window(stencil, energy_window)
-    lo, hi = float(energy_window[0]), float(energy_window[1])
-    mid, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    check_energy_window(stencil, cutoff.support)
     sgn = 1.0 if sign >= 0 else -1.0
 
     def radial(x):
@@ -219,8 +217,8 @@ def make_cone_symbol(sign: int, energy_window, r0: float, stencil: Stencil,
 
         def c(xi):
             xi = np.asarray(xi, dtype=float)
-            energy = np.asarray(DEFAULT_PHI(np.abs(stencil.p0(xi) - mid) / hw))
-            return np.where(s * sgn * stencil.gradient(xi)[..., 0] > 0.0, energy, 0.0)
+            return np.where(s * sgn * stencil.gradient(xi)[..., 0] > 0.0,
+                            cutoff.profile(stencil.p0(xi)), 0.0)
 
         return b, c
 

@@ -1,6 +1,6 @@
-"""Time evolution e^{-itH} by Chebyshev expansion, smooth functional
-calculus f(H), the certified eigenpairs of H inside supp f, and the two
-time-domain probes built on them: local decay and the propagation estimate."""
+"""Time evolution e^{-itH} by Chebyshev expansion, f(H) for the energy cutoff
+f (symbols.EnergyCutoff), the certified eigenpairs of H inside supp f, and
+the time-domain probes on them: local decay and the propagation estimate."""
 
 from __future__ import annotations
 
@@ -16,34 +16,12 @@ from scipy.linalg import lapack
 from .geometry import KernelPoint, kernel_point_setup
 from .model import LatticeHamiltonian, LinearMap, ModelConfig, check_energy_window
 from .quantize import finite_rank_pair, support_rows
-from .resolvent import DecayFit
-from .symbols import DEFAULT_PHI
-from .symbols import Symbol
+from .symbols import EnergyCutoff, Symbol
+from .util import DecayFit
 
 
 class EnclosureError(RuntimeError):
     """Chebyshev iterates diverged: the spectral enclosure is violated."""
-
-
-@dataclass(frozen=True)
-class EnergyCutoff:
-    """Smooth cutoff f with f = 1 on [lam - eps_f, lam + eps_f] and
-    supp f inside [lam - 2 eps_f, lam + 2 eps_f], built from the Phi ramp."""
-
-    lam: float
-    eps_f: float
-
-    def __post_init__(self):
-        if self.eps_f <= 0:
-            raise ValueError("eps_f must be positive")
-
-    def profile(self, z):
-        return np.asarray(DEFAULT_PHI(np.abs(np.asarray(z, dtype=float) - self.lam)
-                                      / (2.0 * self.eps_f)))
-
-    @property
-    def support(self):
-        return (self.lam - 2.0 * self.eps_f, self.lam + 2.0 * self.eps_f)
 
 
 @dataclass
@@ -279,10 +257,10 @@ _LANCZOS_STEPS = 16
 _LANCZOS_RTOL = 1e-12
 
 
-def _sigma_max(L: np.ndarray, Rh: np.ndarray, lam: np.ndarray,
-               f: np.ndarray) -> Callable[[float], float]:
-    """t -> sigma_max(L diag(d) Rh) with d = e^{-it lam} f, f >= 0: the per-t
-    routine of both time-domain probes, built once per factor pair.
+def _sigma_max(L: np.ndarray, Rh: np.ndarray, lam: np.ndarray) -> Callable[[float], float]:
+    """t -> sigma_max(L diag(d) Rh) with the unit phases d = e^{-it lam}: the
+    per-t routine of both time-domain probes, built once per factor pair.
+    Both fold the cutoff f(lam) into the rows of Rh.
 
     A Gram G = Y* Y, Y = L diag(d) Rh, narrower than _LANCZOS_MIN_WIDTH forms
     Y = L (d Rh) at each t and takes lambda_max from numpy's eigvalsh of
@@ -293,11 +271,11 @@ def _sigma_max(L: np.ndarray, Rh: np.ndarray, lam: np.ndarray,
     G, sigma_1 = sigma_2 among them), Y is formed and takes the dense route.
     Either way only numpy is called (local_decay_probe says why)."""
     if Rh.shape[1] < _LANCZOS_MIN_WIDTH:
-        return lambda t: _dense_sigma_max(L, Rh, np.exp(-1j * t * lam) * f)
-    trace = _frobenius_bound(L, Rh, f)
+        return lambda t: _dense_sigma_max(L, Rh, np.exp(-1j * t * lam))
+    trace = _frobenius_bound(L, Rh)
 
     def sigma(t):
-        d = np.exp(-1j * t * lam) * f
+        d = np.exp(-1j * t * lam)
         top = _lanczos_top(L, Rh, d, trace(d))
         return _dense_sigma_max(L, Rh, d) if top is None else float(np.sqrt(top))
     return sigma
@@ -318,28 +296,27 @@ def _dot(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (A @ x.view(float).reshape(-1, 2)).view(complex)[:, 0]
 
 
-def _frobenius_bound(L: np.ndarray, Rh: np.ndarray,
-                     f: np.ndarray) -> Callable[[np.ndarray], float]:
-    """d -> an upper bound of ||L diag(d) Rh||_F^2 = tr G for every d with
-    |d| = f, at O(m^2) per call for m = len(f).
+def _frobenius_bound(L: np.ndarray, Rh: np.ndarray) -> Callable[[np.ndarray], float]:
+    """d -> an upper bound of ||L diag(d) Rh||_F^2 = tr G for every vector d
+    of unit phases, at O(m^2) per call for m = Rh.shape[0].
 
     The trace is the quadratic form d* C d with C = (L* L) o (Rh Rh*)^T
     (entrywise product), which depends on the factors alone: for local decay,
-    L = R and Rh = R*, it is |R* R|^2 entrywise, real, symmetric and
-    nonnegative. Rounding is bounded from the Cauchy-Schwarz bound
+    L = R and Rh = diag(f) R*, C_kl = f_k f_l |(R* R)_kl|^2, real, symmetric
+    and nonnegative. Rounding is bounded from the Cauchy-Schwarz bound
     |(L* L)_kl|, (|L|^T |L|)_kl <= sqrt((L* L)_kk (L* L)_ll) and its
     counterpart for Rh Rh*: with L p x m, Rh m x q and eps twice the unit
     roundoff, computing C moves d* C d by at most
-    (p + q + 6) eps (sum_k f_k sqrt(C_kk))^2, and evaluating the form by at
-    most 2 (m + 2) eps f^T |C| f. Both are added, so the returned trace is
+    (p + q + 6) eps (sum_k sqrt(C_kk))^2, and evaluating the form by at most
+    2 (m + 2) eps sum_kl |C_kl|. Both are added, so the returned trace is
     never below the exact one, also at late t, where the oscillating terms
-    of d* C d cancel far below f^T |C| f."""
+    of d* C d cancel far below sum_kl |C_kl|."""
     C = np.asarray(L.conj().T @ L, dtype=np.result_type(L, Rh))
     C *= (Rh @ Rh.conj().T).T
     (p, m), q = L.shape, Rh.shape[1]
     eps = np.finfo(float).eps
-    slack = ((p + q + 6) * eps * float(f @ np.sqrt(np.abs(np.diagonal(C)))) ** 2
-             + 2 * (m + 2) * eps * float(f @ (np.abs(C) @ f)))
+    slack = ((p + q + 6) * eps * float(np.sum(np.sqrt(np.abs(np.diagonal(C))))) ** 2
+             + 2 * (m + 2) * eps * float(np.abs(C).sum()))
     return lambda d: float(np.vdot(d, _dot(C, d)).real) + slack
 
 
@@ -421,23 +398,23 @@ def local_decay_probe(model_cfg: ModelConfig, cutoff: EnergyCutoff, nu: float,
     reflection n -> -n, else one block); the weight is even, so it stays
     diagonal there, and the operator is block diagonal with the larger block
     norm as its norm. Per block, with W Q_S = Q_A R a thin QR of the weighted
-    eigenvectors, the norm at t is sigma_max of
-    Y = R diag(e^{-it lam} f(lam)) R*, which _sigma_max takes as
-    sqrt(lambda_max(Y* Y)), as in _propagation_sup. Squaring costs nothing
+    eigenvectors, the norm at t is sigma_max of Y = R diag(e^{-it lam})
+    diag(f(lam)) R*, which _sigma_max takes, with f in the right factor as
+    in _propagation_sup, as sqrt(lambda_max(Y* Y)). Squaring costs nothing
     at the top of the spectrum. A Gram Y* Y at least _LANCZOS_MIN_WIDTH wide
     (at the recipe's L = 512 the halves give 171 and 172) gets lambda_max
-    from a few Lanczos steps applied through R and R*, bracketed to 1e-12
+    from a few Lanczos steps through the factors, bracketed to 1e-12
     relative by the Kato-Temple inequality, with the trace of Y* Y from the
-    form d* |R* R|^2 d, built once per block: no m x m product is formed per
-    t. A narrower Gram, or one whose bracket stays open, forms Y and takes a
-    dense eigvalsh, good to machine precision relative to lambda_max. After
-    the window eigensolve every dense call is numpy's: numpy and scipy load
-    separate OpenBLAS builds, whose thread pools contend at two threads on
-    two cores. On a 2-vCPU machine the recipe's probe took 0.39-0.52 s with
-    scipy's ztrmm and svdvals per t after numpy's QR, 0.19-0.24 s with
-    numpy's eigvalsh per t, and about 0.2 s either way at one thread; its
-    per-t loop takes 10-20 ms on the factors against 50-55 ms with Y formed
-    per t and Lanczos on it.
+    form d* C d, C_kl = f_k f_l |(R* R)_kl|^2, built once per block: no
+    m x m product is formed per t. A narrower Gram, or one whose bracket
+    stays open, forms Y and takes a dense eigvalsh, good to machine
+    precision relative to lambda_max. After the window eigensolve every
+    dense call is numpy's: numpy and scipy load separate OpenBLAS builds,
+    whose thread pools contend at two threads on two cores. On a 2-vCPU
+    machine the recipe's probe took 0.39-0.52 s with scipy's ztrmm and
+    svdvals per t after numpy's QR, 0.19-0.24 s with numpy's eigvalsh per t,
+    and about 0.2 s either way at one thread; its per-t loop takes 10-20 ms
+    on the factors against 50-55 ms with Y formed per t and Lanczos on it.
     H without an eigenvalue in supp f raises ValueError. Each row reports
     the rank |S| summed over the blocks and the eigen-residual
     max_j ||H q_j - lam_j q_j||.
@@ -462,7 +439,7 @@ def local_decay_probe(model_cfg: ModelConfig, cutoff: EnergyCutoff, nu: float,
         # each basis vector lives on sites n and -n, where the weight agrees
         w = B.power(2).T @ wdiag
         R = np.linalg.qr(w[:, None] * Q, mode="r")
-        blocks.append(_sigma_max(R, R.conj().T, evals, cutoff.profile(evals)))
+        blocks.append(_sigma_max(R, cutoff.profile(evals)[:, None] * R.conj().T, evals))
         rank += len(evals)
     _check_rank(rank, cutoff, L)
     rows = []
@@ -567,7 +544,7 @@ def _propagation_sup(H: LatticeHamiltonian, a1: Symbol, a2: Symbol, h: float,
             eig_residual = max(eig_residual, float(res.max(initial=0.0)))
     lam, P, W = np.concatenate(lams), np.vstack(PTs).T, np.vstack(Ws)
     rank = _check_rank(len(lam), cutoff, H.box.radius)
-    sigma = _sigma_max(P, W, lam, np.ones(rank))
+    sigma = _sigma_max(P, W, lam)
     sup = 0.0
     rows = []
     for t in t_grid:

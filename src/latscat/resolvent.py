@@ -17,7 +17,8 @@ from .model import (LatticeHamiltonian, LinearMap, ModelConfig, compose_maps,
                     adjoint_map, cap_width)
 from .quantize import (check_xi_tails, finite_rank_pair, op_h, operator_norm, position_weight,
                        support_rows)
-from .util import lstsq_loglog, rng
+from .symbols import EnergyCutoff
+from .util import DecayFit, rng
 
 
 # relative tolerance of the power iterations in the cone sweeps
@@ -53,27 +54,6 @@ class LAPConfig:
         object.__setattr__(self, "epsilon_sequence", eps)
         if self.sign not in (+1, -1):
             raise ValueError("sign must be +1 or -1")
-
-
-@dataclass
-class DecayFit:
-    """Least-squares fit of log10(norm) against log10(h or t)."""
-
-    slope: float
-    intercept: float
-    max_residual: float
-    degenerate: bool = False
-
-    @classmethod
-    def from_values(cls, xs, ys) -> "DecayFit":
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        if len(xs) < 4:
-            raise ValueError("DecayFit needs at least 4 points")
-        if np.any(ys <= 0.0) or not np.all(np.isfinite(ys)):
-            return cls(slope=float("nan"), intercept=float("nan"),
-                       max_residual=float("nan"), degenerate=True)
-        return cls(*lstsq_loglog(xs, ys))
 
 
 class _ShiftedSolver:
@@ -302,19 +282,19 @@ def _cone_sweep(model_cfg: ModelConfig, lap: LAPConfig, cones, weighted,
     (make_cone_symbol) of `cones`, (sign, r0) pairs; each norm is a power
     iteration to relative tolerance _NORM_TOL.
 
-    The cones take the energy window lap.lam +- 0.3, which make_cone_symbol
-    checks, and an outer cutoff at 0.85 of the CAP-free radius. Returns the
-    BoxSweepResult, whose bound_factor is the largest norm over the
-    smallest, and (H, ops) of the largest box.
+    The cones take f = EnergyCutoff(lap.lam, 0.15), supported in lap.lam +-
+    0.3 and checked by make_cone_symbol, and an outer cutoff at 0.85 of the
+    CAP-free radius. Returns the BoxSweepResult, whose bound_factor is the
+    largest norm over the smallest, and (H, ops) of the largest box.
     """
-    window = (lap.lam - 0.3, lap.lam + 0.3)
+    cutoff = EnergyCutoff(lap.lam, 0.15)
     rows = []
     for L in sorted(int(v) for v in L_list):
         t0 = time.perf_counter()
         H = model_cfg.assemble(L, with_cap=True)
         r_out = 0.85 * (L - cap_width(L))
         # fixed symbols on pinned small boxes: quantize the sampled symbol
-        ops = [op_h(make_cone_symbol(sign, window, r0, model_cfg.stencil, r_out=r_out),
+        ops = [op_h(make_cone_symbol(sign, cutoff, r0, model_cfg.stencil, r_out=r_out),
                     1.0, H.box, check_resolution=False) for sign, r0 in cones]
         A_left, A_right = weighted(H, *ops)
         rows.append(_sandwich_row(L, t0, A_left, H, lap, A_right, seed))

@@ -1,5 +1,5 @@
 """Phase-space symbols a(x, xi) on R^d x T^d, and the smooth cutoff Phi/Psi
-that every bump, cone, energy cutoff and escape symbol is built from."""
+that every bump, cone, escape symbol and EnergyCutoff f is built from."""
 
 from __future__ import annotations
 
@@ -91,3 +91,24 @@ class CutoffPhi:
 
 
 DEFAULT_PHI = CutoffPhi()
+
+
+@dataclass(frozen=True)
+class EnergyCutoff:
+    """Smooth cutoff f with f = 1 on [lam - eps_f, lam + eps_f] and
+    supp f inside [lam - 2 eps_f, lam + 2 eps_f], built from the Phi ramp."""
+
+    lam: float
+    eps_f: float
+
+    def __post_init__(self):
+        if self.eps_f <= 0:
+            raise ValueError("eps_f must be positive")
+
+    def profile(self, z):
+        return np.asarray(DEFAULT_PHI(np.abs(np.asarray(z, dtype=float) - self.lam)
+                                      / (2.0 * self.eps_f)))
+
+    @property
+    def support(self):
+        return (self.lam - 2.0 * self.eps_f, self.lam + 2.0 * self.eps_f)

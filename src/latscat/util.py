@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 # Fixed seed for every stochastic estimator in the package (reproducibility).
@@ -51,3 +53,24 @@ def lstsq_loglog(x, y):
     coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
     resid = np.max(np.abs(A @ coef - ly)) if len(lx) else 0.0
     return float(coef[0]), float(coef[1]), float(resid)
+
+
+@dataclass
+class DecayFit:
+    """Least-squares fit of log10(norm) against log10(h or t)."""
+
+    slope: float
+    intercept: float
+    max_residual: float
+    degenerate: bool = False
+
+    @classmethod
+    def from_values(cls, xs, ys) -> "DecayFit":
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        if len(xs) < 4:
+            raise ValueError("DecayFit needs at least 4 points")
+        if np.any(ys <= 0.0) or not np.all(np.isfinite(ys)):
+            return cls(slope=float("nan"), intercept=float("nan"),
+                       max_residual=float("nan"), degenerate=True)
+        return cls(*lstsq_loglog(xs, ys))

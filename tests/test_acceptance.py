@@ -12,10 +12,11 @@ import numpy as np
 from latscat.escape import EscapeLadder, energy_inequality_check, monotonicity_check, verify_transport
 from latscat.geometry import KernelPoint, make_bump_pair
 from latscat.model import compose_maps
-from latscat.propagate import EnergyCutoff, evolve, local_decay_probe, propagation_probe
+from latscat.propagate import evolve, local_decay_probe, propagation_probe
 from latscat.quantize import op_h, operator_norm, position_weight, fourier_multiplier
 from latscat.resolvent import (LAPConfig, default_epsilon_sequence, free_kernel_1d,
                                ik_probe, lap_solve, one_sided_probe, wf_probe)
+from latscat.symbols import EnergyCutoff
 from latscat.util import lstsq_loglog, rng
 
 LAM = 1.0

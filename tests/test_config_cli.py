@@ -339,6 +339,25 @@ def test_criterion_failure_exit(tmp_path):
     assert any(not c["passed"] for c in manifest["criteria"])
 
 
+def test_degenerate_fit_writes_null_not_nan(tmp_path):
+    # a left bump narrower than every lattice step, between the sites of h Z:
+    # its support S1 is empty, every norm is 0 and the fit is degenerate. JSON
+    # (RFC 8259) has no NaN, so the fit's values must read null
+    text = MINIMAL_WF
+    for old, new in (("x1 = 4.0", "x1 = 4.003"), ("delta1 = 0.6", "delta1 = 0.001")):
+        assert old in text
+        text = text.replace(old, new)
+    assert run(parse_config(text), out_dir=tmp_path, quiet=True) == EXIT_CRITERION
+
+    def refuse(constant):
+        raise ValueError(f"manifest.json holds {constant}, which is not JSON")
+    manifest = json.loads((tmp_path / "manifest.json").read_text(), parse_constant=refuse)
+    assert manifest["results"]["fit"] == {"intercept": None, "max_residual": None,
+                                          "slope": None}
+    assert all(float(r["norm"]) == 0.0
+               for r in csv.DictReader(io.StringIO((tmp_path / "results.csv").read_text())))
+
+
 def test_recipe_index_contents(capsys):
     list_recipes()
     out = capsys.readouterr().out

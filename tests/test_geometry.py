@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from latscat.geometry import KernelPoint, classify, make_bump_pair, make_cone_symbol, shell_points
 from latscat.model import CriticalValueError, EmptyShellError, Stencil, laplacian_stencil
+from latscat.symbols import EnergyCutoff
 
 
 LAM = 1.0
@@ -117,21 +118,21 @@ def test_bump_pair_values():
 
 def test_cone_symbol_support(stencil1d):
     # r_out = 100: Phi(|x|/r_out) = 1 for |x| <= 50, beyond every sampled |x|
-    a = make_cone_symbol(+1, (0.7, 1.3), 1.0, stencil1d, r_out=100.0)
+    a = make_cone_symbol(+1, EnergyCutoff(1.0, 0.15), 1.0, stencil1d, r_out=100.0)
     # x v < 0 region vanishes (xi = pi/2 has v = 1)
     assert a(np.array([-5.0]), np.array([np.pi / 2])) == 0.0
     assert a(np.array([5.0]), np.array([np.pi / 2])) > 0.0
-    a2 = make_cone_symbol(+1, (0.7, 1.3), 1.0, stencil1d, r_out=100.0)
+    a2 = make_cone_symbol(+1, EnergyCutoff(1.0, 0.15), 1.0, stencil1d, r_out=100.0)
     assert a2(np.array([10.0]), np.array([np.pi / 2])) > 0.0
     assert a2(np.array([0.4]), np.array([np.pi / 2])) == 0.0  # |x| < r0/2
     # off-window momenta vanish
     assert a2(np.array([10.0]), np.array([0.1])) == 0.0
     with pytest.raises(CriticalValueError):
-        make_cone_symbol(+1, (-0.1, 0.1), 1.0, stencil1d, r_out=100.0)
+        make_cone_symbol(+1, EnergyCutoff(0.0, 0.05), 1.0, stencil1d, r_out=100.0)
 
 
 def test_cone_symbol_minus_side(stencil1d):
-    a = make_cone_symbol(-1, (0.7, 1.3), 1.0, stencil1d, r_out=100.0)
+    a = make_cone_symbol(-1, EnergyCutoff(1.0, 0.15), 1.0, stencil1d, r_out=100.0)
     # support in the incoming region x v < 0
     assert a(np.array([-5.0]), np.array([np.pi / 2])) > 0.0
     assert a(np.array([5.0]), np.array([np.pi / 2])) == 0.0

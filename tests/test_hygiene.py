@@ -121,11 +121,13 @@ def _latscat_imports(path: Path):
     return found
 
 
-def test_only_the_runner_imports_escape():
-    # Phi lives in symbols, below every module that builds bumps from it;
-    # the escape ladder sits on top, reached from cli alone
+@pytest.mark.parametrize("probe", ["escape", "resolvent", "propagate"])
+def test_only_the_runner_imports_escape(probe):
+    # Phi and the energy cutoff live in symbols, DecayFit in util, below every
+    # module that builds on them; the probe modules sit on top, side by side,
+    # each reached from cli alone
     importers = sorted(p.name for p in (ROOT / "src" / "latscat").glob("*.py")
-                       if "escape" in _latscat_imports(p))
+                       if probe in _latscat_imports(p))
     assert importers == ["cli.py"]
 
 

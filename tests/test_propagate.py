@@ -12,11 +12,11 @@ from latscat.config import parse_config
 from latscat.geometry import KernelPoint, make_bump_pair
 from latscat.model import (LinearMap, ModelConfig, Potential, Stencil, check_energy_window,
                            compose_maps, laplacian_stencil)
-from latscat.propagate import (ChebyshevPlan, EnclosureError, EnergyCutoff, evolve,
-                               local_decay_probe, propagation_probe, _dct2, _propagation_sup)
+from latscat.propagate import (ChebyshevPlan, EnclosureError, evolve, local_decay_probe,
+                               propagation_probe, _dct2, _propagation_sup)
 from latscat.quantize import op_h, operator_norm
 from latscat.recipes import recipe_config
-from latscat.symbols import Symbol
+from latscat.symbols import EnergyCutoff, Symbol
 
 
 @pytest.fixture()
@@ -264,11 +264,11 @@ def test_local_decay_gram_route_matches_svd(longrange_model, monkeypatch):
     # must agree with an SVD of the same Y, formed here only, to 1e-10 relative
     seen = []
 
-    def recorded(L, Rh, lam, f, _sigma_max=propagate._sigma_max):
-        sigma = _sigma_max(L, Rh, lam, f)
+    def recorded(L, Rh, lam, _sigma_max=propagate._sigma_max):
+        sigma = _sigma_max(L, Rh, lam)
 
         def at(t):
-            seen.append(sla.svdvals(L @ ((np.exp(-1j * t * lam) * f)[:, None] * Rh))[0])
+            seen.append(sla.svdvals(L @ (np.exp(-1j * t * lam)[:, None] * Rh))[0])
             return sigma(t)
         return at
     monkeypatch.setattr(propagate, "_sigma_max", recorded)
@@ -280,9 +280,10 @@ def test_local_decay_gram_route_matches_svd(longrange_model, monkeypatch):
 
 
 def _with_singular_values(s, m, n, t=3.0, seed=0):
-    """Factors (L, Rh, lam, f) of an m x n complex Y = L diag(e^{-it lam} f) Rh
+    """Factors (L, Rh, lam) of an m x n complex Y = L diag(e^{-it lam}) Rh
     with singular values s (len(s) <= min(m, n)), with L and Rh mixed by a
-    random unitary, so that no factor is aligned with the singular vectors."""
+    random unitary, so that no factor is aligned with the singular vectors;
+    Rh carries a cutoff f in [0.5, 1] on its rows, as the probes' factors do."""
     rng = np.random.default_rng(seed)
     r = len(s)
 
@@ -291,7 +292,8 @@ def _with_singular_values(s, m, n, t=3.0, seed=0):
     U, V, Z = orthonormal(m, r), orthonormal(n, r), orthonormal(r, r)
     lam, f = rng.uniform(-2.0, 2.0, r), rng.uniform(0.5, 1.0, r)
     d = np.exp(-1j * t * lam) * f
-    return (U * np.asarray(s, dtype=float)) @ Z, (Z.conj().T / d[:, None]) @ V.conj().T, lam, f
+    Rh = f[:, None] * ((Z.conj().T / d[:, None]) @ V.conj().T)
+    return (U * np.asarray(s, dtype=float)) @ Z, Rh, lam
 
 
 _DECAY = np.arange(1, 100) ** -1.5  # 99 values
@@ -313,7 +315,7 @@ def test_sigma_max_against_svd(monkeypatch, s, m, n, lanczos):
     # formed and no dense eigvalsh; sigma_1 = sigma_2, a flat spectrum
     # (2 theta <= ||Y||_F^2) and a narrower Gram form Y and take the dense
     # route. Either way sigma_max agrees with the SVD to 1e-12
-    L, Rh, lam, f = _with_singular_values(s, m, n)
+    L, Rh, lam = _with_singular_values(s, m, n)
     formed, dense = [], []
 
     def dense_sigma_max(*args, _fn=propagate._dense_sigma_max):
@@ -325,9 +327,9 @@ def test_sigma_max_against_svd(monkeypatch, s, m, n, lanczos):
         return _fn(*args)
     monkeypatch.setattr(propagate, "_dense_sigma_max", dense_sigma_max)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-    sigma = propagate._sigma_max(L, Rh, lam, f)(3.0)
+    sigma = propagate._sigma_max(L, Rh, lam)(3.0)
     assert len(formed) == len(dense) == (not lanczos)
-    svd = np.linalg.svd(L @ ((np.exp(-3j * lam) * f)[:, None] * Rh), compute_uv=False)
+    svd = np.linalg.svd(L @ (np.exp(-3j * lam)[:, None] * Rh), compute_uv=False)
     assert abs(sigma - svd.max(initial=0.0)) <= 1e-12 * svd.max(initial=0.0)  # 0.0 for Y = 0
 
 
@@ -335,11 +337,12 @@ def test_sigma_max_against_svd(monkeypatch, s, m, n, lanczos):
     (ModelConfig(), False), (D1_FLUX, False), (ModelConfig(), True),
 ], ids=["real", "complex", "real-complex"])
 def test_frobenius_bound_is_an_upper_bound(model, phases):
-    # the trace of G = Y* Y, Y = R diag(d) R*, comes from the t-independent
-    # form d* C d plus a rounding bound: never below ||Y||_F^2 (here from Y
-    # formed in extended precision), also at late t, where the terms of the
-    # form cancel to a small part of f^T C f (below 1e-7 of it at t = 100,
-    # inside the reflection window), and above it by at most 1e-12 f^T C f.
+    # the trace of G = Y* Y, Y = R diag(d) f R*, d = e^{-it lam}, comes from
+    # the t-independent form d* C d plus a rounding bound: never below
+    # ||Y||_F^2 (here from Y formed in extended precision), also at late t,
+    # where the terms of the form cancel to a small part of sum_kl C_kl
+    # (below 1e-7 of it at t = 100, inside the reflection window), and above
+    # it by at most 1e-12 sum_kl C_kl.
     # R comes from the window eigenvectors of a 301-site box: real for the
     # free model, complex for the flux model, whose R* R no gauge makes real
     H = model.assemble(150, with_cap=False)
@@ -354,13 +357,15 @@ def test_frobenius_bound_is_an_upper_bound(model, phases):
     assert np.iscomplexobj(R) == (model is D1_FLUX)
     assert (np.abs(A.imag).max() > 1e-3 * np.abs(A).max()) == (model is D1_FLUX)
     # a real L with a complex Rh: Y diag(e^{i phi}), the same Frobenius norm
-    Rh = R.conj().T * np.exp(0.7j * np.arange(len(lam))) if phases else R.conj().T
-    trace = propagate._frobenius_bound(R, Rh, f)
-    absolute = trace(f)  # d = f: every term of the form counts positively
+    Rh = f[:, None] * R.conj().T
+    if phases:
+        Rh = Rh * np.exp(0.7j * np.arange(len(lam)))
+    trace = propagate._frobenius_bound(R, Rh)
+    absolute = trace(np.ones(len(lam)))  # d = 1: every term of the form counts positively
     Rx, Rhx = R.astype(np.clongdouble), Rh.astype(np.clongdouble)
     fractions = []
     for t in (0.0, 1.0, 10.0, 100.0, 1000.0):
-        d = np.exp(-1j * t * lam) * f
+        d = np.exp(-1j * t * lam)
         Y = Rx @ (d.astype(np.clongdouble)[:, None] * Rhx)
         fro2 = float(np.sum(np.abs(Y) ** 2))
         assert fro2 <= trace(d) <= fro2 + 1e-12 * absolute

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from latscat.model import Box, LatticeHamiltonian, Potential, laplacian_stencil
 from latscat.quantize import fourier_multiplier, op_h, position_weight
-from latscat.resolvent import DecayFit
 from latscat.symbols import separable_symbol
-from latscat.util import angle_diff, lstsq_loglog, reduce_torus, torus_distance
+from latscat.util import DecayFit, angle_diff, lstsq_loglog, reduce_torus, torus_distance
 
 finite = dict(allow_nan=False, allow_infinity=False)
 

@@ -6,7 +6,7 @@ from latscat.model import (Box, LatticeHamiltonian, LinearMap, Potential, compos
                            laplacian_stencil)
 from latscat.quantize import (NormConvergenceError, ResolutionError, finite_rank_pair,
                               fourier_multiplier, op_h, operator_norm, position_weight)
-from latscat.symbols import DEFAULT_PHI, separable_symbol
+from latscat.symbols import DEFAULT_PHI, EnergyCutoff, separable_symbol
 from latscat.util import lstsq_loglog
 
 
@@ -117,7 +117,7 @@ def test_d1_cone_is_two_multipliers(stencil1d, dense_kernel, sign, gamma):
     # in d = 1, cos(x, v(xi)) = +-1, so every aperture gamma gives the same
     # half-line: the two-term gamma-free symbol is the cosine cone exactly,
     # pointwise and as an operator, forward and adjoint
-    a = make_cone_symbol(sign, (0.7, 1.3), 1.0, stencil1d, r_out=100.0)
+    a = make_cone_symbol(sign, EnergyCutoff(1.0, 0.15), 1.0, stencil1d, r_out=100.0)
     ref = _cone_by_cosine(sign, gamma, (0.7, 1.3), 1.0, 100.0, stencil1d)
     assert len(a.terms) == 2
     x, xi = np.meshgrid(np.linspace(-120.0, 120.0, 481), np.linspace(0, 2 * np.pi, 257),
@@ -139,7 +139,7 @@ def test_d1_cone_is_two_multipliers(stencil1d, dense_kernel, sign, gamma):
 def test_make_cone_symbol_refuses_d2():
     # a d = 2 cone is no short sum of (b, c) terms, so it has no quantization
     with pytest.raises(ValueError, match="d = 1 only"):
-        make_cone_symbol(+1, (0.7, 1.3), 1.0, laplacian_stencil(2), r_out=14.0)
+        make_cone_symbol(+1, EnergyCutoff(1.0, 0.15), 1.0, laplacian_stencil(2), r_out=14.0)
 
 
 def test_op_h_rejects_scalar_layout_symbols(box):

@@ -15,11 +15,13 @@ from latscat.geometry import KernelPoint, make_bump_pair
 from latscat.model import Box, LinearMap, ModelConfig, Potential, Stencil, laplacian_stencil
 from latscat.quantize import op_h, position_weight
 from latscat.recipes import recipe_config
-from latscat.resolvent import (DecayFit, LAPConfig, LAPConvergenceError, _ShiftedSolver,
+from latscat.resolvent import (LAPConfig, LAPConvergenceError, _ShiftedSolver,
                                _finite_rank_row, _lap_iterate,
                                default_epsilon_sequence, free_kernel_1d, ik_probe,
                                lap_solve, one_sided_probe, resolvent_map,
                                sandwich_norm, wf_probe)
+from latscat.symbols import EnergyCutoff
+from latscat.util import DecayFit
 
 
 def delta_at(H, site=0):
@@ -286,7 +288,7 @@ def test_wf_and_propagation_share_the_gram_factor(monkeypatch, unguarded, free_m
     a1, a2 = make_bump_pair(*OFFSET_BUMPS)
     _finite_rank_row(0.125, a1, a2, free_model.assemble(100), deep_lap)
     propagate._propagation_sup(free_model.assemble(48, with_cap=False), a1, a2, 0.25,
-                               propagate.EnergyCutoff(lam=1.0, eps_f=0.25), np.array([0.0]))
+                               EnergyCutoff(lam=1.0, eps_f=0.25), np.array([0.0]))
     assert calls == ["latscat.resolvent", "latscat.propagate"]
 
 
