@@ -23,7 +23,7 @@ from . import __version__
 from .config import ConfigError, ExperimentConfig, parse_config, parse_config_file
 from .escape import (DerivativeMismatchError, EscapeLadder, HermiticityDriftError,
                      energy_inequality_check, monotonicity_check, verify_transport)
-from .geometry import KernelPoint
+from .geometry import KernelPoint, classify
 from .model import Box
 from .quantize import NormConvergenceError, ResolutionError, fourier_multiplier, position_weight
 from .propagate import EnclosureError, evolve, local_decay_probe, propagation_probe
@@ -79,21 +79,31 @@ def _box_sweep_criteria(p, res):
 # extras); each row is a dict from results.csv column to value, in column order
 
 
+def _classified_point(cfg: ExperimentConfig, sign: int):
+    """The kernel point (x1, xi1, -x2, xi2) of a wf or prop31 config and its
+    classify() report at tolerance 3 delta1, judged before any solve: a
+    point on a singular set of R^sign under expect = decay, or off all of
+    them under expect = control, violates the claim's premise (ValueError)."""
+    p = cfg.probe
+    kp = KernelPoint(p["x1"], p["xi1"], -p["x2"], p["xi2"])
+    report = classify(kp, cfg.model_config().stencil, p["lambda"], tol=3.0 * p["delta1"])
+    if report.outside_all(sign) != (p["expect"] == "decay"):
+        raise ValueError(f"expect = {p['expect']} contradicts classify for R^{sign:+d}: "
+                         f"distances {report.distances} against tolerance {3 * p['delta1']:g}")
+    return kp, report
+
+
 def _run_wf(cfg: ExperimentConfig):
     p = cfg.probe
-    model = cfg.model_config()
-    kp = KernelPoint(p["x1"], p["xi1"], -p["x2"], p["xi2"])
-    res = wf_probe(model, kp, _lap_from(cfg), p["h_list"], p["delta1"], p["delta2"])
+    lap = _lap_from(cfg)
+    kp, report = _classified_point(cfg, lap.sign)
+    res = wf_probe(cfg.model_config(), kp, lap, p["h_list"], p["delta1"], p["delta2"])
     crit = []
-    want_decay = p["expect"] == "decay"
-    _criterion(crit, "classification matches expectation",
-               res.decay_expected == want_decay,
-               f"classify distances {res.report.distances}")
     _fit_criteria(crit, p, res.fit, "fitted slope")
     extras = {"fit": {"slope": res.fit.slope, "intercept": res.fit.intercept,
                       "max_residual": res.fit.max_residual},
               "box_radius": res.box_radius,
-              "distances": res.report.distances}
+              "distances": report.distances}
     return res.rows, crit, extras
 
 
@@ -129,10 +139,9 @@ def _run_local_decay(cfg: ExperimentConfig):
 def _run_prop31(cfg: ExperimentConfig):
     p = cfg.probe
     model = cfg.model_config()
-    kp = KernelPoint(p["x1"], p["xi1"], -p["x2"], p["xi2"])
+    kp, _ = _classified_point(cfg, +1)
     res = propagation_probe(model, kp, EnergyCutoff(lam=p["lambda"], eps_f=p["eps_f"]),
-                            p["h_list"], delta1=p["delta1"], delta2=p["delta2"],
-                            mode=p["expect"])
+                            p["h_list"], delta1=p["delta1"], delta2=p["delta2"])
     crit = []
     _fit_criteria(crit, p, res.fit, "sup-norm slope")
     return res.rows, crit, {"fit": {"slope": res.fit.slope,

@@ -135,16 +135,16 @@ def classify(kp: KernelPoint, stencil: Stencil, lam: float, tol: float,
     return MembershipReport(**{f"in_{k}": v <= tol for k, v in dist.items()}, distances=dist)
 
 
-def kernel_point_setup(kp: KernelPoint, stencil: Stencil, lam: float, delta1: float,
-                       delta2: float, h_list):
+def kernel_point_setup(kp: KernelPoint, stencil: Stencil, delta1: float, delta2: float,
+                       h_list):
     """What the wf and propagation probes share for a kernel point:
-    (hs, radii, report, a1, a2).
+    (hs, radii, a1, a2).
 
     Both are built for d = 1 only (NotImplementedError otherwise), and every
     h must lie in (0, 1] (ValueError). hs is h_list sorted ascending, and
     radii[i] = max(ceil(4 span / hs[i]), 32), span = max(|x|, |y|, 1/2), is
-    the box rule at hs[i]; report is classify() at tolerance 3 delta1; a1
-    and a2 are the bumps centred at (x, xi) and (-y, eta).
+    the box rule at hs[i]; a1 and a2 are the bumps centred at (x, xi) and
+    (-y, eta). The caller classifies the point.
     """
     if stencil.dim != 1:
         raise NotImplementedError("kernel-point probes are implemented for d = 1")
@@ -153,9 +153,8 @@ def kernel_point_setup(kp: KernelPoint, stencil: Stencil, lam: float, delta1: fl
         raise ValueError(f"every h must lie in (0, 1] (h_list = {hs})")
     span = max(np.max(np.abs(kp.x)), np.max(np.abs(kp.y)), 0.5)
     radii = [max(int(np.ceil(4.0 * span / h)), 32) for h in hs]
-    report = classify(kp, stencil, lam, tol=3.0 * delta1)
     a1, a2 = make_bump_pair((kp.x, kp.xi), (-kp.y, kp.eta), delta1, delta2)
-    return hs, radii, report, a1, a2
+    return hs, radii, a1, a2
 
 
 def make_bump_pair(p1, p2, delta1: float, delta2: float):

@@ -196,15 +196,6 @@ def free_kernel_1d(lam: float, sign: int, n):
 # probes
 
 
-def _sandwich_row(L, t0, A_left, H, lap, A_right, seed) -> dict:
-    """The results.csv row of ||A_left R A_right|| on the box of radius L,
-    timed from t0; epsilon_used is 0 when no ladder ran."""
-    sigma, info = sandwich_norm(A_left, H, lap, A_right, tol=_NORM_TOL, return_info=True,
-                                seed=seed)
-    return {"L": L, "epsilon_used": info["epsilon"] or 0.0, "norm": sigma,
-            "iterations": info["iterations"], "seconds": time.perf_counter() - t0}
-
-
 def _finite_rank_row(h, a1, a2, H, lap) -> dict:
     """The timed results.csv row of ||Op^h(a1) R Op^h(a2)|| at h, exact for
     one-term d = 1 symbols of finite x-support.
@@ -236,8 +227,6 @@ def _finite_rank_row(h, a1, a2, H, lap) -> dict:
 class WfProbeResult:
     rows: list
     fit: DecayFit
-    decay_expected: bool
-    report: object
     box_radius: int
 
 
@@ -249,12 +238,10 @@ def wf_probe(model_cfg: ModelConfig, kp: KernelPoint, lap: LAPConfig,
     finite-rank row of _finite_rank_row, in ascending h.
 
     The box radius defaults to the rule of kernel_point_setup at min(h);
-    explicit boxes below it are rejected. classify() at tolerance 3*delta1
-    decides whether this is a decay run (point off all singular sets of
-    R^lap.sign) or a control run.
+    explicit boxes below it are rejected. Whether the rows should decay is
+    the caller's to judge, from classify().
     """
-    hs, radii, report, a1, a2 = kernel_point_setup(kp, model_cfg.stencil, lap.lam, delta1,
-                                                   delta2, h_list)
+    hs, radii, a1, a2 = kernel_point_setup(kp, model_cfg.stencil, delta1, delta2, h_list)
     if box_radius is None:
         box_radius = radii[0]
     elif box_radius < radii[0]:
@@ -264,8 +251,7 @@ def wf_probe(model_cfg: ModelConfig, kp: KernelPoint, lap: LAPConfig,
 
     rows = [_finite_rank_row(h, a1, a2, H, lap) for h in hs]
     fit = DecayFit.from_values(hs, [r["norm"] for r in rows])
-    return WfProbeResult(rows=rows, fit=fit, decay_expected=report.outside_all(lap.sign),
-                         report=report, box_radius=box_radius)
+    return WfProbeResult(rows=rows, fit=fit, box_radius=box_radius)
 
 
 @dataclass
@@ -297,7 +283,11 @@ def _cone_sweep(model_cfg: ModelConfig, lap: LAPConfig, cones, weighted,
         ops = [op_h(make_cone_symbol(sign, cutoff, r0, model_cfg.stencil, r_out=r_out),
                     1.0, H.box, check_resolution=False) for sign, r0 in cones]
         A_left, A_right = weighted(H, *ops)
-        rows.append(_sandwich_row(L, t0, A_left, H, lap, A_right, seed))
+        sigma, info = sandwich_norm(A_left, H, lap, A_right, tol=_NORM_TOL, return_info=True,
+                                    seed=seed)
+        # epsilon_used is 0 when no ladder ran
+        rows.append({"L": L, "epsilon_used": info["epsilon"] or 0.0, "norm": sigma,
+                     "iterations": info["iterations"], "seconds": time.perf_counter() - t0})
     norms = [row["norm"] for row in rows]
     if max(norms) < 1e-280:
         factor = 1.0

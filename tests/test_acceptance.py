@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from latscat.escape import EscapeLadder, energy_inequality_check, monotonicity_check, verify_transport
-from latscat.geometry import KernelPoint, make_bump_pair
+from latscat.geometry import KernelPoint, classify, make_bump_pair
 from latscat.model import compose_maps
 from latscat.propagate import evolve, local_decay_probe, propagation_probe
 from latscat.quantize import op_h, operator_norm, position_weight, fourier_multiplier
@@ -32,9 +32,10 @@ def report(num, ok, detail):
 def test_criterion_1_wf_upper_bound(longrange_model, deep_lap):
     t0 = time.time()
     kp = KernelPoint(4.0, np.pi / 2, 3.0, -np.pi / 2)
+    decay_expected = classify(kp, longrange_model.stencil, LAM, tol=3 * DELTA1).outside_all(+1)
     res = wf_probe(longrange_model, kp, deep_lap, H_LIST, DELTA1, DELTA2)
     elapsed = time.time() - t0
-    ok = (res.decay_expected and not res.fit.degenerate
+    ok = (decay_expected and not res.fit.degenerate
           and res.fit.slope >= 3.0 and res.fit.max_residual <= 0.3
           and res.box_radius <= 4096 and elapsed <= 600.0)
     report(1, ok, f"wf slope {res.fit.slope:.2f} (>=3), residual "
@@ -52,7 +53,8 @@ def test_criterion_2_free_dichotomy(free_model, deep_lap):
         kp_off = KernelPoint(4.0, np.pi / 2, 3.0, -np.pi / 2)
         slope_off = wf_probe(free_model, kp_off, deep_lap, H_LIST, DELTA1, DELTA2).fit.slope
     gap = slope_off - res.fit.slope
-    ok = (not res.decay_expected) and res.fit.slope <= 1.0 and gap >= 2.0
+    decay_expected = classify(kp_on, free_model.stencil, LAM, tol=3 * DELTA1).outside_all(+1)
+    ok = (not decay_expected) and res.fit.slope <= 1.0 and gap >= 2.0
     report(2, ok, f"on-set slope {res.fit.slope:.2f} (<=1), gap {gap:.2f} (>=2)")
 
 

@@ -105,6 +105,18 @@ _EXIT_2_CASES = [
     # numpy refuses a negative seed mid-run, or the manifest records it
     ("[numerics]\nseed = -1\n[probe]\nkind = calculus", r"\[numerics\] seed must be >= 0",
      "negative-seed"),
+    # the other precondition checks of the schema
+    ("[probe]\nkind = wf\nx1 = 4.0\nxi1 = 1.57\nx2 = 3.0\nxi2 = -1.57\nexpect = maybe",
+     "expect must be decay or control", "wf-unknown-expect"),
+    ("[probe]\nkind = wf\nxi1 = 1.57\nx2 = 3.0\nxi2 = -1.57",
+     r"\[probe\] x1 is required for wf", "wf-no-x1"),
+    ("[probe]\nkind = one-sided\nsign = 2", "sign must be 1 or -1", "one-sided-sign-2"),
+    ("[probe]\nkind = one-sided\nnu = 1.0", "needs nu > 1", "one-sided-nu-1"),
+    ("[probe]\nkind = local-decay\nt_min = 200\nt_max = 10", "need 0 < t_min < t_max",
+     "local-decay-reversed-t"),
+    ("[probe]\nkind = local-decay\nn_t = 4", "n_t >= 8", "local-decay-n-t-4"),
+    ("[numerics]\neps_k_max = 3\n[probe]\nkind = calculus", "eps_k_max must be above 3",
+     "eps-k-max-3"),
 ]
 
 
@@ -220,6 +232,29 @@ def test_kernel_point_h_outside_unit_interval_exits_2(tmp_path, capsys, recipe):
     path.write_text(text)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
     assert "every h must lie in (0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("recipe, expect, solver", [
+    ("free-wf-offset", "control", "latscat.resolvent._lap_iterate"),
+    ("wf-onset-control", "decay", "latscat.resolvent._lap_iterate"),
+    ("prop31-offset", "control", "latscat.propagate._window_eigenpairs"),
+])
+def test_expect_against_classify_exits_2_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                          recipe, expect, solver):
+    # the runner classifies the kernel point once: an expect that the
+    # classification contradicts is a broken premise, refused before the
+    # first ladder walk or window eigensolve
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{solver} ran")
+
+    monkeypatch.setattr(solver, refuse)
+    text = recipe_config(recipe)
+    assert f"expect = {expect}" not in text
+    path = tmp_path / "expect.ini"
+    path.write_text(re.sub(r"(?m)^expect = .*$", f"expect = {expect}", text))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
+    assert f"expect = {expect} contradicts classify for R^+1" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_numerical_error_exit(tmp_path):

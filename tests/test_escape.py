@@ -14,6 +14,16 @@ from latscat.recipes import recipe_config
 from latscat.symbols import CutoffPhi
 
 
+class BumpedPhi(CutoffPhi):
+    """A broken ramp: a Gaussian bump makes Phi' > 0 somewhere, and the
+    inherited derivative does not see it."""
+
+    def __call__(self, s):
+        s = np.asarray(s, dtype=float)
+        out = np.asarray(super().__call__(s)) + 0.6 * np.exp(-((s - 0.75) / 0.15) ** 2)
+        return out if out.ndim else float(out)
+
+
 @pytest.fixture()
 def ladder(stencil1d):
     return EscapeLadder(stencil=stencil1d, x2=3.0, xi2=np.pi / 2, delta1=0.2,
@@ -149,6 +159,15 @@ def test_transport_negative_control(stencil1d):
     assert not rep.passed
 
 
+def test_transport_fd_gate_trips_on_a_stale_derivative(energy_ladder):
+    # the analytic transport field uses Phi', which BumpedPhi leaves as it
+    # was: its centred difference disagrees by 6.1e-1 against the 1e-6 gate
+    assert verify_transport(energy_ladder, 0).fd_agreement <= 1e-6
+    bad = dataclasses.replace(energy_ladder, phi=BumpedPhi(), validate=False)
+    with pytest.raises(DerivativeMismatchError, match="transport mismatch 6.08e-01"):
+        verify_transport(bad, 0)
+
+
 def test_transport_vanishes_off_support(ladder):
     from latscat.escape import _transport_fields
     t = 1.0
@@ -262,13 +281,7 @@ def test_energy_checks_ignore_the_ladder_rungs():
 
 
 def test_monotonicity_sabotage_fails(free_model, stencil1d, energy_ladder):
-    class PhiBad(CutoffPhi):
-        def __call__(self, s):
-            s = np.asarray(s, dtype=float)
-            out = np.asarray(super().__call__(s)) + 0.6 * np.exp(-((s - 0.75) / 0.15) ** 2)
-            return out if out.ndim else float(out)
-
-    bad = dataclasses.replace(energy_ladder, phi=PhiBad(), validate=False)
+    bad = dataclasses.replace(energy_ladder, phi=BumpedPhi(), validate=False)
     mono = monotonicity_check(free_model, bad, (1.0, 2.0), box_radius=48)
     assert min(mono.margins.values()) < -1e-3
     assert not mono.passed

@@ -35,6 +35,17 @@ def test_classify_diagonal_on_shell(stencil1d):
     assert rep.distances["sigma_plus"] <= 1e-9
 
 
+def test_classify_follows_the_branch_sign(stencil1d):
+    # the wf-onset-control point is on Sigma_+ but off Sigma_0, Sigma_- and
+    # Sigma'_- (distances 2, 2 and 3.14 against the tolerance 3 delta1 = 1.8):
+    # singular for R^+, off every set of R^-
+    rep = classify(KernelPoint(4.0, np.pi / 2, -2.0, np.pi / 2), stencil1d, LAM, tol=1.8)
+    assert [rep.distances[k] for k in ("sigma0", "sigma_minus", "sigma_prime_minus")] \
+        == pytest.approx([2.0, 2.0, np.pi], abs=1e-9)
+    assert not rep.outside_all(+1)
+    assert rep.outside_all(-1)
+
+
 def test_classify_grid_doubling_stable(stencil1d):
     kp = KernelPoint(4.0, np.pi / 2, 3.0, -np.pi / 2)
     r1 = classify(kp, stencil1d, LAM, tol=0.5, grid_n=2048)

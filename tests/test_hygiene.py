@@ -131,6 +131,28 @@ def test_only_the_runner_imports_escape(probe):
     assert importers == ["cli.py"]
 
 
+def _called_names(path: Path):
+    """Names a module calls, as a bare name f(...) or an attribute m.f(...)."""
+    return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+
+def test_only_the_runner_classifies():
+    # whether a kernel point avoids the singular sets is the premise of the
+    # wf and prop31 claims, judged once by cli before any probe runs
+    callers = sorted(p.name for p in (ROOT / "src" / "latscat").glob("*.py")
+                     if "classify" in _called_names(p))
+    assert callers == ["cli.py"]
+
+
+def test_call_scan_finds_both_forms(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("from latscat import geometry\nfrom latscat.geometry import classify\n"
+                   "a = classify(1)\nb = geometry.shell_points(2)\nc = [len][0](3)\n")
+    assert _called_names(src) == {"classify", "shell_points"}
+
+
 def test_package_binds_only_its_version():
     # every caller imports the submodule it uses: the package imports and
     # re-exports nothing, its body is the docstring and __version__

@@ -662,23 +662,13 @@ def test_propagation_sup_rejects_non_separable(small_H):
 
 
 def test_propagation_probe_modes(free_model):
+    # whether the point is on a singular set is the runner's to judge
+    # (test_config_cli); the probe refuses a momentum off the energy shell
     cutoff = EnergyCutoff(lam=1.0, eps_f=0.25)
-    kp_on = KernelPoint(4.0, np.pi / 2, -2.0, np.pi / 2)
-    with pytest.raises(ValueError, match="hypothesis violation"):
-        propagation_probe(free_model, kp_on, cutoff, (0.25, 0.125, 0.0625, 0.03125),
-                          delta1=0.4, delta2=0.3, mode="decay")
-    kp_off = KernelPoint(4.0, np.pi / 2, 3.0, -np.pi / 2)
-    with pytest.raises(ValueError, match="control mode"):
-        propagation_probe(free_model, kp_off, cutoff, (0.25, 0.125, 0.0625, 0.03125),
-                          delta1=0.4, delta2=0.3, mode="control")
     kp_offshell = KernelPoint(4.0, np.pi / 2, 3.0, 0.5)
     with pytest.raises(ValueError, match="energy shell"):
         propagation_probe(free_model, kp_offshell, cutoff, (0.25, 0.125, 0.0625, 0.03125),
-                          delta1=0.4, delta2=0.3, mode="decay")
-    # the off-shell case has no probe mode: _propagation_sup covers it directly
-    with pytest.raises(ValueError, match="unknown mode"):
-        propagation_probe(free_model, kp_offshell, cutoff, (0.25, 0.125, 0.0625, 0.03125),
-                          delta1=0.4, delta2=0.3, mode="offshell")
+                          delta1=0.4, delta2=0.3)
 
 
 def test_propagation_t0_matches_static_sandwich(free_model):
@@ -702,7 +692,7 @@ def test_propagation_onset_control_no_decay(free_model):
     kp_on = KernelPoint(4.0, np.pi / 2, -2.0, np.pi / 2)
     res = propagation_probe(free_model, kp_on, EnergyCutoff(lam=1.0, eps_f=0.25),
                             (0.125, 0.0625, 0.03125, 0.015625),
-                            delta1=0.6, delta2=0.3, mode="control")
+                            delta1=0.6, delta2=0.3)
     assert res.fit.slope <= 1.0
 
 

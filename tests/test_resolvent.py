@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 from latscat import quantize
 from latscat.cli import _lap_from
 from latscat.config import parse_config
-from latscat.geometry import KernelPoint, make_bump_pair
+from latscat.geometry import KernelPoint, classify, make_bump_pair
 from latscat.model import Box, LinearMap, ModelConfig, Potential, Stencil, laplacian_stencil
 from latscat.quantize import op_h, position_weight
 from latscat.recipes import recipe_config
@@ -210,20 +210,10 @@ def test_wf_dichotomy_standard_deltas(free_model, deep_lap):
     off = wf_probe(free_model, kp_off, deep_lap, hs, 0.2, 0.2, box_radius=2048)
     kp_on = KernelPoint(4.0, np.pi / 2, -2.0, np.pi / 2)
     on = wf_probe(free_model, kp_on, deep_lap, hs, 0.2, 0.2, box_radius=2048)
-    assert off.decay_expected and not on.decay_expected
+    st = free_model.stencil
+    assert classify(kp_off, st, 1.0, tol=3 * 0.2).outside_all(+1)
+    assert not classify(kp_on, st, 1.0, tol=3 * 0.2).outside_all(+1)
     assert off.fit.slope - on.fit.slope >= 2.0
-
-
-def test_wf_decay_expected_follows_the_branch_sign(free_model, deep_lap):
-    # the wf-onset-control point is on Sigma_+ but off Sigma_0, Sigma_- and
-    # Sigma'_- (distances 2, 2 and 3.14 against the tolerance 3 delta1 = 1.8):
-    # singular for R^+, off every set of R^-
-    kp = KernelPoint(4.0, np.pi / 2, 2.0, np.pi / 2)
-    hs = (0.125, 0.0625, 0.03125, 0.015625)
-    plus = wf_probe(free_model, kp, deep_lap, hs, 0.6, 0.3)
-    minus = wf_probe(free_model, kp, dataclasses.replace(deep_lap, sign=-1), hs, 0.6, 0.3)
-    assert not plus.decay_expected
-    assert minus.decay_expected
 
 
 @pytest.fixture()
@@ -325,7 +315,7 @@ def test_one_sided_preconditions(free_model):
         one_sided_probe(free_model, LAPConfig(lam=1.0), nu=0.5, s=0.2, L_list=(48, 64))
 
 
-def test_one_sided_empty_cone(free_model):
+def test_one_sided_empty_cone(free_model, longrange_model):
     # r0 beyond the box kills the symbol; all norms vanish, where the default
     # r0 gives positive ones
     res = one_sided_probe(free_model, LAPConfig(lam=1.0), nu=3.0, s=1.0, L_list=(48, 64),
@@ -334,6 +324,12 @@ def test_one_sided_empty_cone(free_model):
     assert max(r["norm"] for r in res.rows) <= 1e-280
     live = one_sided_probe(free_model, LAPConfig(lam=1.0), nu=3.0, s=1.0, L_list=(48, 64))
     assert all(r["norm"] > 0.0 for r in live.rows)
+    # an r0 that empties the cone on the small box only: a zero norm against
+    # a positive one is no bound at all
+    part = one_sided_probe(longrange_model, LAPConfig(lam=1.0), nu=3.0, s=1.0,
+                           L_list=(32, 128), r0=30.0)
+    assert part.rows[0]["norm"] == 0.0 and part.rows[1]["norm"] > 0.0
+    assert part.bound_factor == np.inf
 
 
 def _longrange(dim):
