@@ -1,5 +1,6 @@
 """Experiment runner: parse config, orchestrate probes, emit CSV/JSON, and
-print one pass/fail line per declared criterion.
+print one pass/fail line per declared criterion; a sweep runs a grid of
+config overrides and tabulates the runs.
 
 Exit codes: 0 all criteria pass, 1 criterion failure, 2 schema error,
 3 numerical error.
@@ -10,17 +11,19 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import hashlib
 import json
 import operator
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, parse_config, parse_config_file
+from .config import ConfigError, ExperimentConfig, parse_config
 from .escape import (DerivativeMismatchError, EscapeLadder, HermiticityDriftError,
                      energy_inequality_check, monotonicity_check, verify_transport)
 from .geometry import KernelPoint, classify
@@ -256,6 +259,17 @@ _RUNNERS = {
 }
 
 
+@cache
+def source_sha256() -> str:
+    """sha256 over the sorted names and bytes of latscat's modules: the code
+    a manifest's numbers came from."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def _fmt(value):
     if isinstance(value, float):
         return format(value, ".12g")
@@ -266,6 +280,7 @@ def run(cfg: ExperimentConfig, out_dir=None, jobs: int = 1, seed=None, quiet=Fal
     """Execute the probe; write results.csv + manifest.json; return exit code.
 
     `seed` overrides numerics.seed, so the config echo holds the seed used.
+    `quiet` silences the pass/fail lines; a numerical error always reaches stderr.
     Probes run serially; `jobs` takes 1 only, for perfbench/workloads.py.
     """
     if jobs != 1:
@@ -280,8 +295,7 @@ def run(cfg: ExperimentConfig, out_dir=None, jobs: int = 1, seed=None, quiet=Fal
     except ConfigError:
         raise
     except NUMERICAL_ERRORS as exc:
-        if not quiet:
-            print(f"NUMERICAL ERROR: {exc}", file=sys.stderr)
+        print(f"NUMERICAL ERROR: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
         # parameter/hypothesis violations surfaced by the probes
@@ -295,6 +309,7 @@ def run(cfg: ExperimentConfig, out_dir=None, jobs: int = 1, seed=None, quiet=Fal
     manifest = {
         "config": cfg.resolved(),
         "seed": cfg.numerics["seed"],
+        "source_sha256": source_sha256(),
         "versions": {"latscat": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__},
         "results": extras,
@@ -315,6 +330,65 @@ def run(cfg: ExperimentConfig, out_dir=None, jobs: int = 1, seed=None, quiet=Fal
     return EXIT_OK if all_ok else EXIT_CRITERION
 
 
+def _leaves(obj, prefix: str) -> dict:
+    """The scalar leaves of a JSON value, keyed by dotted path."""
+    if not isinstance(obj, (dict, list)):
+        return {prefix: obj}
+    out = {}
+    for key, value in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+        out.update(_leaves(value, f"{prefix}.{key}"))
+    return out
+
+
+def sweep_points(text: str, axes) -> list:
+    """The grid of a sweep, every point parsed before any runs: one
+    (overrides, config) pair per point of the Cartesian product of the axes
+    `[section.]key=v1,v2,...`, the last axis varying fastest."""
+    if not axes:
+        raise ConfigError("sweep needs at least one axis [section.]key=v1,v2,...")
+    grid = [{}]
+    for axis in axes:
+        key, _, values = axis.partition("=")
+        if not key or not values:
+            raise ConfigError(f"sweep axis {axis!r} is not [section.]key=v1,v2,...")
+        if key in grid[0]:
+            raise ConfigError(f"sweep axis {key} is given twice")
+        grid = [{**point, key: value} for point in grid for value in values.split(",")]
+    return [(point, parse_config(text, point)) for point in grid]
+
+
+def sweep(text: str, axes, out_dir) -> int:
+    """Run each point of the grid into out_dir/<point>/ and write
+    out_dir/sweep.csv: per point the axis values, exit_code, every scalar
+    results leaf and each criterion's passed. A failed criterion is data:
+    the sweep exits 0 when every point wrote a manifest, else with the
+    highest point code."""
+    points = sweep_points(text, axes)
+    out = Path(out_dir)
+    rows = []
+    for point, cfg in points:
+        name = "_".join(f"{key}={value}" for key, value in point.items())
+        try:
+            code = run(cfg, out_dir=out / name, quiet=True)
+        except ConfigError as exc:
+            print(f"CONFIG ERROR: {exc}", file=sys.stderr)
+            code = EXIT_SCHEMA
+        print(f"{name}  exit {code}")
+        row = {**point, "exit_code": code}
+        if code in (EXIT_OK, EXIT_CRITERION):
+            manifest = json.loads((out / name / "manifest.json").read_text(encoding="utf-8"))
+            row.update(_leaves(manifest["results"], "results"))
+            row.update({f"passed: {c['name']}": int(c["passed"]) for c in manifest["criteria"]})
+        rows.append(row)
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
+        w = csv.DictWriter(fh, list(dict.fromkeys(key for row in rows for key in row)))
+        w.writeheader()
+        w.writerows(rows)
+    worst = max(row["exit_code"] for row in rows)
+    return EXIT_OK if worst <= EXIT_CRITERION else worst
+
+
 def list_recipes():
     for name in sorted(RECIPES):
         r = RECIPES[name]
@@ -331,6 +405,11 @@ def main(argv=None) -> int:
     runp.add_argument("--recipe", help="run a canned recipe instead of a file")
     runp.add_argument("--out", default=None, help="output directory override")
     runp.add_argument("--seed", type=int, default=None, help="seed override")
+    sweepp = sub.add_parser("sweep", help="run a grid of config overrides")
+    sweepp.add_argument("args", nargs="+", metavar="[CONFIG] AXIS",
+                        help="a config path unless --recipe, then axes [section.]key=v1,v2,...")
+    sweepp.add_argument("--recipe", help="sweep a canned recipe instead of a file")
+    sweepp.add_argument("--out", required=True, help="output directory")
     sub.add_parser("list-recipes", help="print the canned recipe index")
     showp = sub.add_parser("show-recipe", help="print a canned recipe config")
     showp.add_argument("name")
@@ -345,18 +424,23 @@ def main(argv=None) -> int:
             print(exc, file=sys.stderr)
             return EXIT_SCHEMA
         return EXIT_OK
+    if args.command == "sweep":
+        path, axes = (None, args.args) if args.recipe else (args.args[0], args.args[1:])
+    else:
+        path, axes = args.config, None
     try:
         if args.recipe:
             try:
                 text = recipe_config(args.recipe)
             except KeyError as exc:
                 raise ConfigError(str(exc)) from exc
-            cfg = parse_config(text)
-        elif args.config:
-            cfg = parse_config_file(args.config)
+        elif path:
+            text = Path(path).read_text(encoding="utf-8")
         else:
             raise ConfigError("run needs a config path or --recipe")
-        return run(cfg, out_dir=args.out, seed=args.seed)
+        if axes is None:
+            return run(parse_config(text), out_dir=args.out, seed=args.seed)
+        return sweep(text, axes, args.out)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"CONFIG ERROR: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -31,6 +31,8 @@ _OUTPUT_KEYS = {
     "directory": (str, "out"),
 }
 
+_SHARED_SECTIONS = {"model": _MODEL_KEYS, "numerics": _NUMERICS_KEYS, "output": _OUTPUT_KEYS}
+
 _FLOAT_LIST = "float_list"
 _INT_LIST = "int_list"
 
@@ -149,15 +151,28 @@ def _read_section(cp, name, schema):
     return out
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def _override_section(sections: dict, name: str) -> str:
+    """The section of the override `[section.]key`: the one named, or the
+    one section whose schema holds a bare key."""
+    section, _, key = name.rpartition(".")
+    owners = [section] if section else [s for s, keys in sections.items() if key in keys]
+    if len(owners) > 1:
+        raise ConfigError(f"{key} is a key of [{'] and ['.join(owners)}]: write section.{key}")
+    if not owners or key not in sections.get(owners[0], {}):
+        raise ConfigError(f"unknown key {name}")
+    return owners[0]
+
+
+def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
+    """Parse and validate a config; `overrides` maps `[section.]key` to a raw
+    value that replaces the text's, checked against the probe kind's schema."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"unparsable config: {exc}") from exc
-    known = {"model", "probe", "numerics", "output"}
     for sec in cp.sections():
-        if sec not in known:
+        if sec not in ("probe", *_SHARED_SECTIONS):
             raise ConfigError(f"unknown section [{sec}]")
     if not cp.has_section("probe"):
         raise ConfigError("missing [probe] section")
@@ -166,6 +181,9 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("empty probe block: [probe] kind is required")
     if kind not in _PROBE_KEYS:
         raise ConfigError(f"unknown probe kind {kind!r}")
+    sections = {"probe": _PROBE_KEYS[kind], **_SHARED_SECTIONS}
+    for name, raw in (overrides or {}).items():
+        cp.read_dict({_override_section(sections, name): {name.rpartition(".")[2]: raw}})
     probe = _read_section(cp, "probe", {"kind": (str, kind), **_PROBE_KEYS[kind]})
     del probe["kind"]
     model = _read_section(cp, "model", _MODEL_KEYS)
@@ -175,11 +193,6 @@ def parse_config(text: str) -> ExperimentConfig:
                            numerics=numerics, output=output)
     _validate_preconditions(cfg)
     return cfg
-
-
-def parse_config_file(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
 
 
 def _validate_preconditions(cfg: ExperimentConfig):

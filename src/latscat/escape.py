@@ -289,13 +289,14 @@ class EnergyReport:
     defects: dict             # h -> max(0, -min_t lambda_min)
     exponent: float
     amplitude: float          # C with defect ~ C h^exponent
-    fd_mismatch: float        # worst |dF_fd - dF_an|_F over (h, t)
-    drift: float              # worst |M - M*|_F over (h, t)
+    fd_mismatch: dict         # (h, t) -> |dF_fd - dF_an|_F
+    drift: dict               # (h, t) -> |M - M*|_F
 
     def rows(self):
         for (h, t), lm in sorted(self.lambda_min.items()):
             yield {"h": h, "t": t, "lambda_min": lm,
-                   "margin": lm + self.amplitude * h**self.exponent}
+                   "margin": lm + self.amplitude * h**self.exponent,
+                   "fd_mismatch": self.fd_mismatch[(h, t)], "drift": self.drift[(h, t)]}
 
 
 def energy_inequality_check(model_cfg: ModelConfig, ladder: EscapeLadder,
@@ -312,9 +313,8 @@ def energy_inequality_check(model_cfg: ModelConfig, ladder: EscapeLadder,
     """
     box = Box(1, box_radius)
     H = periodic_dense_h(model_cfg, box)
-    lam_table = {}
+    lam_table, fd_table, drift_table = {}, {}, {}
     defects = {}
-    fd_worst = drift_worst = 0.0
     for h in h_list:
         lad = replace(ladder, h=h)
         worst = 0.0
@@ -330,7 +330,7 @@ def energy_inequality_check(model_cfg: ModelConfig, ladder: EscapeLadder,
             if drift > 1e-10:
                 raise HermiticityDriftError(
                     f"non-hermitian drift {drift:.2e} (symbol realness violated?)")
-            fd_worst, drift_worst = max(fd_worst, mismatch), max(drift_worst, drift)
+            fd_table[(h, t)], drift_table[(h, t)] = mismatch, drift
             lmin = float(np.linalg.eigvalsh((M + M.conj().T) / 2.0)[0])
             lam_table[(h, t)] = lmin
             worst = max(worst, max(0.0, -lmin))
@@ -339,8 +339,8 @@ def energy_inequality_check(model_cfg: ModelConfig, ladder: EscapeLadder,
     ds = np.array([max(defects[h], floor) for h in h_list])
     slope, intercept, _ = lstsq_loglog(np.asarray(h_list), ds)
     return EnergyReport(lambda_min=lam_table, defects=defects, exponent=slope,
-                        amplitude=10.0**intercept, fd_mismatch=fd_worst,
-                        drift=drift_worst)
+                        amplitude=10.0**intercept, fd_mismatch=fd_table,
+                        drift=drift_table)
 
 
 @dataclass

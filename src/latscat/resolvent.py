@@ -231,27 +231,19 @@ class WfProbeResult:
 
 
 def wf_probe(model_cfg: ModelConfig, kp: KernelPoint, lap: LAPConfig,
-             h_list: Sequence[float], delta1: float, delta2: float,
-             box_radius: Optional[int] = None) -> WfProbeResult:
+             h_list: Sequence[float], delta1: float, delta2: float) -> WfProbeResult:
     """h-decay of ||Op^h(a1) R Op^h(a2)|| at lap.lam for bumps centered on
     the kernel point: a1 at (x, xi), a2 at (-y, eta); each row is the exact
-    finite-rank row of _finite_rank_row, in ascending h.
+    finite-rank row of _finite_rank_row, in ascending h, on the box of
+    kernel_point_setup's rule at min(h).
 
-    The box radius defaults to the rule of kernel_point_setup at min(h);
-    explicit boxes below it are rejected. Whether the rows should decay is
-    the caller's to judge, from classify().
+    Whether the rows should decay is the caller's to judge, from classify().
     """
     hs, radii, a1, a2 = kernel_point_setup(kp, model_cfg.stencil, delta1, delta2, h_list)
-    if box_radius is None:
-        box_radius = radii[0]
-    elif box_radius < radii[0]:
-        raise ValueError(f"box radius {box_radius} below the rule "
-                         f"max(4*max(|x|,|y|)/h_min, 32) = {radii[0]}")
-    H = model_cfg.assemble(box_radius, with_cap=True)
-
+    H = model_cfg.assemble(radii[0], with_cap=True)
     rows = [_finite_rank_row(h, a1, a2, H, lap) for h in hs]
     fit = DecayFit.from_values(hs, [r["norm"] for r in rows])
-    return WfProbeResult(rows=rows, fit=fit, box_radius=box_radius)
+    return WfProbeResult(rows=rows, fit=fit, box_radius=radii[0])
 
 
 @dataclass

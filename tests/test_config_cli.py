@@ -1,12 +1,15 @@
 import csv
+import hashlib
 import io
 import json
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from latscat import cli
 from latscat.cli import (EXIT_CRITERION, EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA,
                          list_recipes, main, run)
 from latscat.config import ConfigError, parse_config
@@ -503,7 +506,7 @@ CSV_COLUMNS = {
     "one-sided": ["L", "epsilon_used", "norm", "iterations", "seconds"],
     "prop31": ["h", "t", "norm", "seconds", "columns", "rank", "eig_residual"],
     "local-decay": ["t", "norm", "seconds", "rank", "eig_residual"],
-    "escape": ["h", "t", "lambda_min", "margin"],
+    "escape": ["h", "t", "lambda_min", "margin", "fd_mismatch", "drift"],
     "free-kernel": ["L", "epsilon_used", "norm", "iterations", "seconds"],
     "calculus": ["check", "value", "tol", "passed"],
 }
@@ -526,3 +529,86 @@ def test_all_recipes_exit_zero(tmp_path, monkeypatch):
             assert next(csv.reader(fh)) == CSV_COLUMNS[cfg.probe_kind], name
         manifest = json.loads((tmp_path / name / "manifest.json").read_text())
         assert checks.check_manifest(manifest, reference[name]) == [], name
+
+
+def test_manifest_source_sha256_recomputes(tmp_path):
+    # sha256 over the sorted module names and bytes of src/latscat
+    digest = hashlib.sha256()
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "latscat").glob("*.py")):
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    assert run(parse_config(recipe_config("calculus-invariants")), out_dir=tmp_path,
+               quiet=True) == EXIT_OK
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["source_sha256"] == digest.hexdigest()
+
+
+def _sweep_rows(out):
+    with open(out / "sweep.csv", newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_sweep_rows_equal_lone_runs(tmp_path):
+    # box_radius = 64 fails its criterion (rel err 3.9e-3): a failed
+    # criterion is data, so the sweep still exits 0
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--recipe", "free-resolvent-oracle", "box_radius=64,128",
+                 "--out", str(out)]) == EXIT_OK
+    rows = _sweep_rows(out)
+    assert [row["box_radius"] for row in rows] == ["64", "128"]
+    text = recipe_config("free-resolvent-oracle")
+    for row in rows:
+        config = tmp_path / f"L{row['box_radius']}.ini"
+        config.write_text(text.replace("box_radius = 256", f"box_radius = {row['box_radius']}"))
+        code = main(["run", str(config), "--out", str(tmp_path / config.stem)])
+        manifest = json.loads((tmp_path / config.stem / "manifest.json").read_text())
+        assert manifest["config"]["probe"]["box_radius"] == int(row["box_radius"])
+        expected = {"box_radius": row["box_radius"], "exit_code": str(code),
+                    **{f"results.{k}": str(v) for k, v in manifest["results"].items()},
+                    **{f"passed: {c['name']}": str(int(c["passed"]))
+                       for c in manifest["criteria"]}}
+        assert row == expected
+        assert (out / f"box_radius={row['box_radius']}" / "manifest.json").exists()
+    assert [row["exit_code"] for row in rows] == [str(EXIT_CRITERION), str(EXIT_OK)]
+
+
+@pytest.mark.parametrize("recipe, axis", [
+    ("free-resolvent-oracle", "no_such_key=1,2"),
+    ("free-resolvent-oracle", "probe.kind=calculus"),
+    ("free-resolvent-oracle", "box_radius=128,0"),
+    # mu is a key of [model] and of the escape [probe]
+    ("escape-ladder", "mu=0.5,1.0"),
+])
+def test_sweep_schema_error_exits_2_before_any_point(tmp_path, recipe, axis):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--recipe", recipe, axis, "--out", str(out)]) == EXIT_SCHEMA
+    assert not out.exists()
+
+
+def test_sweep_records_a_numerical_error_and_exits_with_it(tmp_path, capsys):
+    # the ladder stops at 2^-4, far from converged: LAPConvergenceError
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--recipe", "free-resolvent-oracle", "numerics.eps_k_max=4,24",
+                 "numerics.convergence_tol=1e-12,2.5e-4", "--out", str(out)]) \
+        == EXIT_NUMERICAL
+    assert "NUMERICAL ERROR" in capsys.readouterr().err
+    rows = {(row["numerics.eps_k_max"], row["numerics.convergence_tol"]): row
+            for row in _sweep_rows(out)}
+    assert rows["4", "1e-12"]["exit_code"] == str(EXIT_NUMERICAL)
+    assert rows["4", "1e-12"]["results.rel_error"] == ""
+    assert not (out / "numerics.eps_k_max=4_numerics.convergence_tol=1e-12").exists()
+    assert rows["24", "2.5e-4"]["exit_code"] == str(EXIT_OK)
+    assert float(rows["24", "2.5e-4"]["results.rel_error"]) <= 1e-3
+
+
+def test_readme_sweep_commands_plan(monkeypatch):
+    # every sweep quoted in the README parses at every point; none runs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = re.findall(r"^\s*(latscat sweep .*)$", readme, flags=re.M)
+    assert len(commands) >= 2
+    planned = []
+    monkeypatch.setattr(cli, "sweep", lambda text, axes, out: planned.append(
+        len(cli.sweep_points(text, axes))) or EXIT_OK)
+    for command in commands:
+        assert main(shlex.split(command, comments=True)[1:]) == EXIT_OK, command
+    assert len(planned) == len(commands) and min(planned) >= 2

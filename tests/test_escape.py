@@ -237,8 +237,9 @@ def test_energy_fd_gate_trips_on_a_perturbed_rate(free_model, energy_ladder, mon
         check()
     monkeypatch.setattr(escape, "_escape_F_rate", perturbed_by(1e-10))
     rep = check()
-    assert 0.0 < rep.fd_mismatch < 1e-8
-    assert rep.drift < 1e-10
+    assert set(rep.fd_mismatch) == set(rep.drift) == set(rep.lambda_min)
+    assert 0.0 < max(rep.fd_mismatch.values()) < 1e-8
+    assert max(rep.drift.values()) < 1e-10
 
 
 def test_energy_lambda_min_pinned_to_the_rebuilt_F(free_model, energy_ladder):

@@ -285,13 +285,6 @@ def test_script_call_check_flags_an_unknown_keyword(tmp_path):
     assert bad[2] == "10: escape.no_such_function(...) -> no such attribute"
 
 
-def test_escape_margin_sweep_detects_the_sabotaged_ramp(capsys):
-    # _bad_calls checks call arguments only, not attribute reads on results
-    module = _load_script(ROOT / "scripts" / "escape_margin_sweep.py")
-    assert module.main() == 0
-    assert "sabotage detected: True" in capsys.readouterr().out
-
-
 def test_benchmark_bindings(tmp_path, monkeypatch):
     # perfbench/ builds its workloads from latscat's API and wraps its layers
     # by name; a renamed function or method fails here with AttributeError

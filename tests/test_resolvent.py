@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 from latscat import quantize
 from latscat.cli import _lap_from
 from latscat.config import parse_config
-from latscat.geometry import KernelPoint, classify, make_bump_pair
+from latscat.geometry import KernelPoint, classify, kernel_point_setup, make_bump_pair
 from latscat.model import Box, LinearMap, ModelConfig, Potential, Stencil, laplacian_stencil
 from latscat.quantize import op_h, position_weight
 from latscat.recipes import recipe_config
@@ -190,30 +190,28 @@ def test_sandwich_monotone_in_h(free_model, deep_lap):
 def test_wf_probe_degenerate_zero_bump(free_model, deep_lap):
     # bump radii so small no lattice site carries weight: all norms vanish
     kp = KernelPoint(4.0003717, np.pi / 2, 3.0001911, -np.pi / 2)
-    res = wf_probe(free_model, kp, deep_lap, (0.5, 0.4, 0.3, 0.25), delta1=1e-9, delta2=0.3,
-                   box_radius=80)
+    res = wf_probe(free_model, kp, deep_lap, (0.5, 0.4, 0.3, 0.25), delta1=1e-9, delta2=0.3)
     assert res.fit.degenerate
 
 
-def test_wf_probe_box_rule(free_model, deep_lap):
-    kp = KernelPoint(4.0, np.pi / 2, 3.0, -np.pi / 2)
-    with pytest.raises(ValueError, match="box radius"):
-        wf_probe(free_model, kp, deep_lap, (0.125, 0.0625, 0.05, 0.03125), 0.6, 0.3,
-                 box_radius=32)
-
-
 def test_wf_dichotomy_standard_deltas(free_model, deep_lap):
-    # slope gap >= 2 at the standard configuration delta1 = delta2 = 0.2
-    # (box 2048 so the momentum grid resolves the delta2 = 0.2 bumps)
+    # slope gap >= 2 at the standard configuration delta1 = delta2 = 0.2, on
+    # a 2048 box (twice the rule's 1024) so the momentum grid resolves the
+    # delta2 = 0.2 bumps: the rows of wf_probe, on that box
     hs = (0.125, 0.0625, 0.03125, 0.015625)
+    H = free_model.assemble(2048, with_cap=True)
+
+    def slope(kp):
+        hs_sorted, _, a1, a2 = kernel_point_setup(kp, free_model.stencil, 0.2, 0.2, hs)
+        rows = [_finite_rank_row(h, a1, a2, H, deep_lap) for h in hs_sorted]
+        return DecayFit.from_values(hs_sorted, [r["norm"] for r in rows]).slope
+
     kp_off = KernelPoint(4.0, np.pi / 2, 3.0, -np.pi / 2)
-    off = wf_probe(free_model, kp_off, deep_lap, hs, 0.2, 0.2, box_radius=2048)
     kp_on = KernelPoint(4.0, np.pi / 2, -2.0, np.pi / 2)
-    on = wf_probe(free_model, kp_on, deep_lap, hs, 0.2, 0.2, box_radius=2048)
     st = free_model.stencil
     assert classify(kp_off, st, 1.0, tol=3 * 0.2).outside_all(+1)
     assert not classify(kp_on, st, 1.0, tol=3 * 0.2).outside_all(+1)
-    assert off.fit.slope - on.fit.slope >= 2.0
+    assert slope(kp_off) - slope(kp_on) >= 2.0
 
 
 @pytest.fixture()
