@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare two recipe output trees: each recipe's manifest `results`,
-`criteria` and resolved `config` echo, and its results.csv without the
-`seconds` column.
+`criteria` and resolved `config` echo without its `output` section, and its
+results.csv without the `seconds` column.
 
     python scripts/compare_manifests.py out_a out_b
 
@@ -71,6 +71,8 @@ def _recipes(root: Path) -> dict:
     out = {}
     for p in sorted(root.glob("*/manifest.json")):
         manifest = json.loads(p.read_text(encoding="utf-8"))
+        # the echoed output directory names where the tree was written
+        (manifest.get("config") or {}).pop("output", None)
         out[p.parent.name] = {**{k: manifest.get(k) for k in KEYS},
                               CSV: _csv_rows(p.parent / CSV)}
     return out

@@ -1,6 +1,6 @@
 """Experiment runner: parse config, orchestrate probes, emit CSV/JSON, and
-print one pass/fail line per declared criterion; a sweep runs a grid of
-config overrides and tabulates the runs.
+judge every criterion in one place, one pass/fail line each; a sweep runs
+a grid of config overrides and tabulates the runs.
 
 Exit codes: 0 all criteria pass, 1 criterion failure, 2 schema error,
 3 numerical error.
@@ -13,7 +13,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import operator
 import sys
 import time
 from functools import cache
@@ -25,7 +24,8 @@ import scipy
 from . import __version__
 from .config import ConfigError, ExperimentConfig, parse_config
 from .escape import (DerivativeMismatchError, EscapeLadder, HermiticityDriftError,
-                     energy_inequality_check, monotonicity_check, verify_transport)
+                     TRANSPORT_FLOOR, energy_inequality_check, monotonicity_check,
+                     verify_transport)
 from .geometry import KernelPoint, classify
 from .model import Box
 from .quantize import NormConvergenceError, ResolutionError, fourier_multiplier, position_weight
@@ -51,35 +51,34 @@ def _lap_from(cfg: ExperimentConfig) -> LAPConfig:
                      convergence_tol=n["convergence_tol"])
 
 
-def _criterion(lines, name, passed, detail):
-    lines.append((name, bool(passed), detail))
+# each [probe] criterion_* key: the results leaf it gates and the comparison
+# that passes
+GATES = {
+    "criterion_slope": ("fit.slope", ">="),
+    "criterion_max_slope": ("fit.slope", "<="),
+    "criterion_residual": ("fit.max_residual", "<="),
+    "criterion_factor": ("bound_factor", "<="),
+    "criterion_kappa": ("kappa_hat", ">="),
+    "criterion_exponent": ("energy_exponent", ">="),
+    "criterion_rel_error": ("rel_error", "<="),
+}
 
 
-def _fit_criteria(crit, p, fit, what):
-    """One criterion per declared bound on a log-log fit; a degenerate fit
-    fails them all."""
-    for key, name, value, label, compare in (
-            ("criterion_slope", f"{what} >=", fit.slope, "slope", operator.ge),
-            ("criterion_residual", "max log10 residual <=", fit.max_residual, "residual",
-             operator.le),
-            ("criterion_max_slope", f"{what} <=", fit.slope, "slope", operator.le)):
-        if p.get(key) is not None:
-            _criterion(crit, f"{name} {p[key]}", (not fit.degenerate) and compare(value, p[key]),
-                       f"{label} = {value:.3f}")
-
-
-def _box_sweep_criteria(p, res):
-    """The bounded-factor criterion of an L sweep."""
-    crit = []
-    _criterion(crit, f"norms bounded within factor {p['criterion_factor']} across L",
-               res.bound_factor <= p["criterion_factor"],
-               f"max/min = {res.bound_factor:.3f}")
-    return crit
+def _judge(name, value, op, gate) -> dict:
+    """A criterion: value against gate under op (>=, <=, >, <). The margin
+    is signed so that a positive one passes, a zero one only under >= and
+    <=; a nan value fails."""
+    value, gate = float(value), float(gate)
+    margin = value - gate if op[0] == ">" else gate - value
+    passed = margin > 0 or (margin == 0 and op.endswith("="))
+    return {"name": name, "value": value, "gate": gate, "margin": margin,
+            "passed": bool(passed), "detail": f"{value:.6g} {op} {gate:g}"}
 
 
 # --------------------------------------------------------------------------
-# per-kind runners: take the config alone and return (rows, criteria,
-# extras); each row is a dict from results.csv column to value, in column order
+# per-kind runners: take the config alone and return (rows, extras, checks);
+# each row is a dict from results.csv column to value, in column order, and
+# each check a probe's fixed check (name, value, op, gate)
 
 
 def _classified_point(cfg: ExperimentConfig, sign: int):
@@ -101,28 +100,25 @@ def _run_wf(cfg: ExperimentConfig):
     lap = _lap_from(cfg)
     kp, report = _classified_point(cfg, lap.sign)
     res = wf_probe(cfg.model_config(), kp, lap, p["h_list"], p["delta1"], p["delta2"])
-    crit = []
-    _fit_criteria(crit, p, res.fit, "fitted slope")
     extras = {"fit": {"slope": res.fit.slope, "intercept": res.fit.intercept,
                       "max_residual": res.fit.max_residual},
               "box_radius": res.box_radius,
               "distances": report.distances}
-    return res.rows, crit, extras
+    return res.rows, extras, []
 
 
 def _run_ik(cfg: ExperimentConfig):
     p = cfg.probe
     res = ik_probe(cfg.model_config(), _lap_from(cfg), p["weight_n"], p["l_list"],
                    seed=cfg.numerics["seed"])
-    return (res.rows, _box_sweep_criteria(p, res),
-            {"bound_factor": res.bound_factor, "control_norm": res.control_norm})
+    return res.rows, {"bound_factor": res.bound_factor, "control_norm": res.control_norm}, []
 
 
 def _run_one_sided(cfg: ExperimentConfig):
     p = cfg.probe
     res = one_sided_probe(cfg.model_config(), _lap_from(cfg), p["nu"], p["s"], p["l_list"],
                           seed=cfg.numerics["seed"])
-    return res.rows, _box_sweep_criteria(p, res), {"bound_factor": res.bound_factor}
+    return res.rows, {"bound_factor": res.bound_factor}, []
 
 
 def _run_local_decay(cfg: ExperimentConfig):
@@ -131,12 +127,7 @@ def _run_local_decay(cfg: ExperimentConfig):
     cutoff = EnergyCutoff(lam=p["lambda"], eps_f=p["eps_f"])
     tg = np.geomspace(p["t_min"], p["t_max"], p["n_t"])
     res = local_decay_probe(model, cutoff, p["nu"], tg, box_radius=p["box_radius"])
-    crit = []
-    if p["criterion_kappa"] is not None:
-        _criterion(crit, f"fitted kappa >= {p['criterion_kappa']}",
-                   np.isfinite(res.kappa_hat) and res.kappa_hat >= p["criterion_kappa"],
-                   f"kappa_hat = {res.kappa_hat:.3f}")
-    return res.rows, crit, {"kappa_hat": res.kappa_hat}
+    return res.rows, {"kappa_hat": res.kappa_hat}, []
 
 
 def _run_prop31(cfg: ExperimentConfig):
@@ -145,11 +136,8 @@ def _run_prop31(cfg: ExperimentConfig):
     kp, _ = _classified_point(cfg, +1)
     res = propagation_probe(model, kp, EnergyCutoff(lam=p["lambda"], eps_f=p["eps_f"]),
                             p["h_list"], delta1=p["delta1"], delta2=p["delta2"])
-    crit = []
-    _fit_criteria(crit, p, res.fit, "sup-norm slope")
-    return res.rows, crit, {"fit": {"slope": res.fit.slope,
-                                        "max_residual": res.fit.max_residual},
-                                "sup_norms": {str(k): v for k, v in res.sup_norms.items()}}
+    return res.rows, {"fit": {"slope": res.fit.slope, "max_residual": res.fit.max_residual},
+                      "sup_norms": {str(k): v for k, v in res.sup_norms.items()}}, []
 
 
 def _run_escape(cfg: ExperimentConfig):
@@ -158,28 +146,20 @@ def _run_escape(cfg: ExperimentConfig):
     ladder = EscapeLadder(stencil=model.stencil, x2=p["x2"], xi2=p["xi2"],
                           delta1=p["delta1"], delta2=p["delta2"], h=p["h"],
                           depth=p["depth"], mu=p["mu"])
-    crit = []
-    for j in range(0, p["depth"] + 1):
-        rep = verify_transport(ladder, j)
-        _criterion(crit, f"transport inequality j={j} (min >= -1e-12)", rep.passed,
-                   f"min = {rep.min_value:.2e} at {rep.argmin}")
+    checks = [(f"transport min j={j}", verify_transport(ladder, j).min_value, ">=",
+               TRANSPORT_FLOOR) for j in range(0, p["depth"] + 1)]
     bad = dataclasses.replace(ladder, delta2=2.0, validate=False)
-    rep_bad = verify_transport(bad, 0)
-    _criterion(crit, "negative control (oversized delta2) fails", rep_bad.min_value < -1e-6,
-               f"min = {rep_bad.min_value:.2e}")
+    checks.append(("negative control min (oversized delta2)",
+                   verify_transport(bad, 0).min_value, "<", -1e-6))
     energy = energy_inequality_check(model, ladder, p["t_samples"], h_list=p["h_list"],
                                      box_radius=p["box_radius"])
-    if p["criterion_exponent"] is not None:
-        _criterion(crit, f"energy-inequality exponent >= {p['criterion_exponent']}",
-                   energy.exponent >= p["criterion_exponent"],
-                   f"exponent = {energy.exponent:.2f}")
     mono = monotonicity_check(model, ladder, p["mono_t_list"], energy_report=energy,
                               box_radius=p["mono_box_radius"])
-    _criterion(crit, "monotonicity margins respect the fitted bound", mono.passed,
-               f"margins = { {str(t): f'{m:.2e}' for t, m in mono.margins.items()} }")
+    checks.append(("monotonicity min margin", np.min(list(mono.margins.values())), ">=",
+                   mono.floor))
     extras = {"energy_exponent": energy.exponent, "energy_amplitude": energy.amplitude,
               "monotonicity_margins": {str(t): m for t, m in mono.margins.items()}}
-    return list(energy.rows()), crit, extras
+    return list(energy.rows()), extras, checks
 
 
 def _run_free_kernel(cfg: ExperimentConfig):
@@ -197,12 +177,9 @@ def _run_free_kernel(cfg: ExperimentConfig):
     inner = np.abs(n) <= int(p["inner_frac"] * L)
     exact = free_kernel_1d(lam, +1, n[inner])
     rel = float(np.linalg.norm(u[inner] - exact) / np.linalg.norm(exact))
-    crit = []
-    _criterion(crit, f"free kernel relative error <= {p['criterion_rel_error']}",
-               rel <= p["criterion_rel_error"], f"rel err = {rel:.2e}")
     row = {"L": L, "epsilon_used": info["epsilon"], "norm": rel,
            "iterations": len(info["diffs"]), "seconds": secs}
-    return [row], crit, {"rel_error": rel, "epsilon": info["epsilon"]}
+    return [row], {"rel_error": rel, "epsilon": info["epsilon"]}, []
 
 
 def _run_calculus(cfg: ExperimentConfig):
@@ -211,12 +188,10 @@ def _run_calculus(cfg: ExperimentConfig):
     box = Box(model.stencil.dim, 64)
     g = rng(cfg.numerics["seed"])
     u = g.standard_normal(box.site_count) + 1j * g.standard_normal(box.site_count)
-    crit = []
-    rows = []
+    checks = []
 
     def check(name, value, tol):
-        _criterion(crit, name, value <= tol, f"value = {value:.2e} (tol {tol:g})")
-        rows.append({"check": name, "value": value, "tol": tol, "passed": int(value <= tol)})
+        checks.append((name, value, "<=", tol))
 
     ident = fourier_multiplier(lambda xi: np.ones(np.shape(xi)[:-1]), box)
     check("unit multiplier is the identity", float(np.linalg.norm(ident(u) - u)
@@ -244,7 +219,10 @@ def _run_calculus(cfg: ExperimentConfig):
                                        / np.linalg.norm(w)), 1e-10)
     ev2 = evolve(Hh, evolve(Hh, w, 1.25), 1.75)
     check("group law", float(np.linalg.norm(ev2 - ev) / np.linalg.norm(w)), 1e-9)
-    return rows, crit, {}
+    rows = [{"check": name, "value": value, "tol": tol,
+             "passed": int(_judge(name, value, op, tol)["passed"])}
+            for name, value, op, tol in checks]
+    return rows, {}, checks
 
 
 _RUNNERS = {
@@ -279,19 +257,22 @@ def _fmt(value):
 def run(cfg: ExperimentConfig, out_dir=None, jobs: int = 1, seed=None, quiet=False):
     """Execute the probe; write results.csv + manifest.json; return exit code.
 
-    `seed` overrides numerics.seed, so the config echo holds the seed used.
+    `seed` overrides numerics.seed and `out_dir` output.directory, so the
+    config echo holds the seed and directory used. Every criterion is judged
+    here: the runner's fixed checks, then each declared GATES key.
     `quiet` silences the pass/fail lines; a numerical error always reaches stderr.
     Probes run serially; `jobs` takes 1 only, for perfbench/workloads.py.
     """
     if jobs != 1:
         raise ValueError(f"jobs={jobs!r}: probes run serially, jobs must be 1")
     out = Path(out_dir if out_dir is not None else cfg.output["directory"])
+    cfg = dataclasses.replace(cfg, output={**cfg.output, "directory": str(out)})
     if seed is not None:
         if seed < 0:
             raise ConfigError(f"seed override {seed} must be >= 0")
         cfg = dataclasses.replace(cfg, numerics={**cfg.numerics, "seed": int(seed)})
     try:
-        rows, criteria, extras = _RUNNERS[cfg.probe_kind](cfg)
+        rows, extras, checks = _RUNNERS[cfg.probe_kind](cfg)
     except ConfigError:
         raise
     except NUMERICAL_ERRORS as exc:
@@ -300,6 +281,10 @@ def run(cfg: ExperimentConfig, out_dir=None, jobs: int = 1, seed=None, quiet=Fal
     except ValueError as exc:
         # parameter/hypothesis violations surfaced by the probes
         raise ConfigError(str(exc)) from exc
+    leaves = _leaves(extras)
+    criteria = [_judge(*check) for check in checks] + [
+        _judge(key, leaves[leaf], op, cfg.probe[key]) for key, (leaf, op) in GATES.items()
+        if cfg.probe.get(key) is not None]
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "results.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
@@ -313,30 +298,28 @@ def run(cfg: ExperimentConfig, out_dir=None, jobs: int = 1, seed=None, quiet=Fal
         "versions": {"latscat": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__},
         "results": extras,
-        "criteria": [{"name": n, "passed": ok, "detail": d} for n, ok, d in criteria],
+        "criteria": criteria,
     }
     # JSON (RFC 8259) has no NaN or infinity: a non-finite number is written as null
     manifest = json.loads(json.dumps(manifest, default=str), parse_constant=lambda _: None)
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
-    all_ok = True
-    for name, ok, detail in criteria:
-        all_ok &= ok
-        if not quiet:
-            print(f"{'PASS' if ok else 'FAIL'}  {name}  [{detail}]")
-    if not criteria and not quiet:
-        print("no criteria declared; probe artifacts written")
-    return EXIT_OK if all_ok else EXIT_CRITERION
+    if not quiet:
+        for c in criteria:
+            print(f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}  [{c['detail']}]")
+        if not criteria:
+            print("no criteria declared; probe artifacts written")
+    return EXIT_OK if all(c["passed"] for c in criteria) else EXIT_CRITERION
 
 
-def _leaves(obj, prefix: str) -> dict:
+def _leaves(obj, prefix: str = "") -> dict:
     """The scalar leaves of a JSON value, keyed by dotted path."""
     if not isinstance(obj, (dict, list)):
         return {prefix: obj}
     out = {}
     for key, value in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
-        out.update(_leaves(value, f"{prefix}.{key}"))
+        out.update(_leaves(value, f"{prefix}.{key}" if prefix else str(key)))
     return out
 
 

@@ -154,6 +154,8 @@ _TRANSPORT_T = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)
 _TRANSPORT_NX = 401
 _TRANSPORT_NXI = 257
 _TRANSPORT_PAD = 1.3
+# the transport inequality passes when its min over the grid is at least this
+TRANSPORT_FLOOR = -1e-12
 
 
 def _transport_fields(ladder: EscapeLadder, j: int, t: float, x, xi):
@@ -187,7 +189,7 @@ class TransportReport:
 
 def verify_transport(ladder: EscapeLadder, j: int) -> TransportReport:
     """Min over the grid of (d_t psi_j + v d_x psi_j) minus (for j>=1) the
-    stated lower bound. Passes iff the min is >= -1e-12.
+    stated lower bound. Passes iff the min is >= TRANSPORT_FLOOR.
 
     Derivatives are analytic; a centered finite-difference cross-check runs
     at 100 random points and must agree to 1e-6.
@@ -228,7 +230,7 @@ def verify_transport(ladder: EscapeLadder, j: int) -> TransportReport:
         raise DerivativeMismatchError(
             f"analytic/finite-difference transport mismatch {fd_worst:.2e}")
     return TransportReport(min_value=best, argmin=arg, fd_agreement=fd_worst,
-                           passed=best >= -1e-12)
+                           passed=best >= TRANSPORT_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +348,8 @@ def energy_inequality_check(model_cfg: ModelConfig, ladder: EscapeLadder,
 @dataclass
 class MonotonicityReport:
     margins: dict             # t -> lambda_min(G(t) - F(0))
-    passed: bool              # every margin >= -C h^alpha of the energy fit
+    floor: float              # -max(C h^alpha of the energy fit, 1e-12)
+    passed: bool              # every margin >= floor
 
 
 def monotonicity_check(model_cfg: ModelConfig, ladder: EscapeLadder,
@@ -361,10 +364,11 @@ def monotonicity_check(model_cfg: ModelConfig, ladder: EscapeLadder,
     bound = 0.0
     if energy_report is not None:
         bound = energy_report.amplitude * ladder.h**energy_report.exponent
+    floor = -max(bound, 1e-12)
     margins = {}
     for t in t_list:
         U = Q @ (np.exp(-1j * t * evals)[:, None] * Q.conj().T)
         G = U.conj().T @ _escape_F(ladder, t, box) @ U
         margins[t] = float(np.linalg.eigvalsh(G - F0)[0])
-    return MonotonicityReport(margins=margins,
-                              passed=all(m >= -max(bound, 1e-12) for m in margins.values()))
+    return MonotonicityReport(margins=margins, floor=floor,
+                              passed=all(m >= floor for m in margins.values()))

@@ -9,9 +9,10 @@ import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_manifests.py"
 
-MANIFEST = {"results": {"fit": {"slope": 3.08}}, "config": {"probe": {"kind": "wf"}},
-            "criteria": [{"name": "fitted slope >= 3.0", "passed": True,
-                          "detail": "slope = 3.082"}]}
+MANIFEST = {"results": {"fit": {"slope": 3.08}},
+            "config": {"probe": {"kind": "wf"}, "output": {"directory": "out/a"}},
+            "criteria": [{"name": "criterion_slope", "value": 3.08, "gate": 3.0,
+                          "margin": 0.08, "passed": True, "detail": "3.08 >= 3"}]}
 CSV = "h,epsilon_used,norm,iterations,seconds\n0.125,0.01,0.25,6,0.0131\n"
 
 
@@ -37,13 +38,21 @@ def test_identical_trees_and_seconds_only_are_same(tmp_path):
     assert _compare(a, slower)[0] == 0
 
 
+def test_output_directory_only_is_same(tmp_path):
+    # each tree's manifests echo the directory they were written to
+    moved = {**MANIFEST, "config": {**MANIFEST["config"], "output": {"directory": "out/b"}}}
+    assert _compare(_tree(tmp_path / "a"), _tree(tmp_path / "b", manifest=moved)) == (
+        0, "free-wf-offset           same\none-sided                same\n")
+
+
 @pytest.mark.parametrize("changed", [
     dict(manifest={**MANIFEST, "results": {"fit": {"slope": 3.0800001}}}),
     dict(manifest={**MANIFEST, "criteria": [{**MANIFEST["criteria"][0], "passed": False}]}),
     dict(csv_text=CSV.replace("0.25,", "0.2500001,")),
     dict(csv_text=CSV + "0.0625,0.01,0.01,6,0.02\n"),
     dict(names=("free-wf-offset",)),
-    dict(manifest={**MANIFEST, "config": {"probe": {"kind": "wf", "delta1": 0.6}}}),
+    dict(manifest={**MANIFEST, "config": {**MANIFEST["config"],
+                                          "probe": {"kind": "wf", "delta1": 0.6}}}),
 ], ids=["manifest-value", "criterion", "csv-cell", "csv-row", "missing-recipe", "config"])
 def test_any_difference_exits_1(tmp_path, changed):
     code, out = _compare(_tree(tmp_path / "a"), _tree(tmp_path / "b", **changed))

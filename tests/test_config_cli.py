@@ -12,7 +12,7 @@ import pytest
 from latscat import cli
 from latscat.cli import (EXIT_CRITERION, EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA,
                          list_recipes, main, run)
-from latscat.config import ConfigError, parse_config
+from latscat.config import _PROBE_KEYS, ConfigError, parse_config
 from latscat.recipes import RECIPES, recipe_config
 
 
@@ -374,7 +374,47 @@ def test_criterion_failure_exit(tmp_path):
                                           "criterion_slope = 99"))
     assert run(cfg, out_dir=tmp_path, quiet=True) == EXIT_CRITERION
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert any(not c["passed"] for c in manifest["criteria"])
+    slope = next(c for c in manifest["criteria"] if c["name"] == "criterion_slope")
+    assert slope["value"] == manifest["results"]["fit"]["slope"]
+    assert slope["gate"] == 99.0 and slope["margin"] == slope["value"] - 99.0
+    assert not slope["passed"]
+
+
+def test_gate_table_covers_the_schema():
+    # every criterion_* key of any probe kind is judged by the table, and
+    # every table key is a key some probe kind declares
+    schema_keys = {key for keys in _PROBE_KEYS.values() for key in keys
+                   if key.startswith("criterion_")}
+    assert schema_keys == set(cli.GATES)
+
+
+@pytest.mark.parametrize("value, op, gate, margin, passed", [
+    (3.5, ">=", 3.0, 0.5, True),
+    (3.0, ">=", 3.0, 0.0, True),
+    (2.5, ">=", 3.0, -0.5, False),
+    (0.5, "<=", 1.0, 0.5, True),
+    (1.0, "<=", 1.0, 0.0, True),
+    (-1.0, "<", -1.0, 0.0, False),
+    (-2.0, "<", -1.0, 1.0, True),
+    (3.0, ">", 3.0, 0.0, False),
+])
+def test_judge_margin_rule(value, op, gate, margin, passed):
+    # a positive margin passes; a zero one only under a non-strict comparison
+    c = cli._judge("g", value, op, gate)
+    assert (c["value"], c["gate"], c["margin"], c["passed"]) == (value, gate, margin, passed)
+
+
+@pytest.mark.parametrize("op", [">=", "<=", ">", "<"])
+def test_judge_nan_fails(op):
+    c = cli._judge("g", float("nan"), op, 1.0)
+    assert not c["passed"] and np.isnan(c["margin"])
+
+
+def test_manifest_echoes_the_output_directory_used(tmp_path):
+    out = tmp_path / "elsewhere"
+    assert main(["run", "--recipe", "calculus-invariants", "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["output"]["directory"] == str(out)
 
 
 def test_degenerate_fit_writes_null_not_nan(tmp_path):
@@ -529,6 +569,10 @@ def test_all_recipes_exit_zero(tmp_path, monkeypatch):
             assert next(csv.reader(fh)) == CSV_COLUMNS[cfg.probe_kind], name
         manifest = json.loads((tmp_path / name / "manifest.json").read_text())
         assert checks.check_manifest(manifest, reference[name]) == [], name
+        for c in manifest["criteria"]:
+            assert all(type(c[key]) is float for key in ("value", "gate", "margin")), c
+            # a positive margin passes, a negative one fails
+            assert c["passed"] == (c["margin"] > 0) or c["margin"] == 0, c
 
 
 def test_manifest_source_sha256_recomputes(tmp_path):
@@ -568,8 +612,15 @@ def test_sweep_rows_equal_lone_runs(tmp_path):
                     **{f"passed: {c['name']}": str(int(c["passed"]))
                        for c in manifest["criteria"]}}
         assert row == expected
-        assert (out / f"box_radius={row['box_radius']}" / "manifest.json").exists()
+        point = out / f"box_radius={row['box_radius']}"
+        echo = json.loads((point / "manifest.json").read_text())["config"]["output"]
+        assert echo["directory"] == str(point)
     assert [row["exit_code"] for row in rows] == [str(EXIT_CRITERION), str(EXIT_OK)]
+    assert [row["passed: criterion_rel_error"] for row in rows] == ["0", "1"]
+    [rel] = json.loads((out / "box_radius=64" / "manifest.json").read_text())["criteria"]
+    assert rel["name"] == "criterion_rel_error" and rel["gate"] == 1e-3
+    assert rel["value"] == pytest.approx(3.9e-3, rel=0.05)
+    assert rel["margin"] < 0 and not rel["passed"]
 
 
 @pytest.mark.parametrize("recipe, axis", [

@@ -207,6 +207,8 @@ def test_energy_inequality_and_monotonicity(free_model, energy_ladder):
     mono = monotonicity_check(free_model, energy_ladder, (1.0, 5.0, 20.0),
                               energy_report=rep, box_radius=64)
     assert mono.passed
+    # the floor each margin is held to: minus the fitted defect at the ladder's h
+    assert mono.floor == -rep.amplitude * energy_ladder.h**rep.exponent < -1e-12
     # t = 0 is exact equality
     mono0 = monotonicity_check(free_model, energy_ladder, (0.0,), energy_report=rep,
                                box_radius=48)
@@ -286,6 +288,8 @@ def test_monotonicity_sabotage_fails(free_model, stencil1d, energy_ladder):
     mono = monotonicity_check(free_model, bad, (1.0, 2.0), box_radius=48)
     assert min(mono.margins.values()) < -1e-3
     assert not mono.passed
+    # with no energy report the floor is the round-off allowance alone
+    assert mono.floor == -1e-12
     good = monotonicity_check(free_model, energy_ladder, (1.0, 2.0), box_radius=48)
     assert min(good.margins.values()) > -1e-4
 
