@@ -9,7 +9,7 @@ from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg import lapack
 import scipy.sparse.linalg as spla
 
 from .geometry import KernelPoint, kernel_point_setup, make_cone_symbol
@@ -59,16 +59,16 @@ class LAPConfig:
 class _ShiftedSolver:
     """(H0 + V - lam -/+ i(eps + W))^(-1) and its adjoint, at one eps.
 
-    d = 1: `matrix` is None, and each solve is one LAPACK band
-    factor-plus-solve with partial pivoting. The hops are hermitian, so the
-    band of the adjoint is the forward band with its diagonal conjugated,
-    built on the first adjoint solve.
-    d >= 2: one sparse LU, factored here, of the complex symmetric CSC
-    `matrix`: SuperLU in symmetric mode, a minimum-degree ordering of
-    A^T + A, and a diagonal pivot kept unless it is below 0.01 of its
-    column's largest entry. Im M <= -eps (>= +eps on the incoming branch)
-    on the whole numerical range, so no symmetric principal submatrix is
-    singular and no diagonal pivot can vanish. The adjoint is a
+    A tridiagonal H (d = 1, bandwidth 1): one LAPACK gttrf, done here, on
+    the rows of H.banded, partial pivoting; each solve is one gttrs, the
+    adjoint a trans="C" solve on the same factors. A zero pivot raises
+    np.linalg.LinAlgError.
+    Any other H: one sparse LU, factored here, of the CSC `matrix`:
+    SuperLU in symmetric mode, a minimum-degree ordering of A^T + A, and a
+    diagonal pivot kept unless it is below 0.01 of its column's largest
+    entry. Im M <= -eps (>= +eps on the incoming branch) on the whole
+    numerical range, so for a complex symmetric M no symmetric principal
+    submatrix is singular and no diagonal pivot can vanish. The adjoint is a
     conjugate-transpose solve on the same factors.
 
     Holds no reference to H, so a resolvent map built on it does not keep
@@ -76,11 +76,13 @@ class _ShiftedSolver:
     """
 
     def __init__(self, H: LatticeHamiltonian, lam: float, sign: int, eps: float):
-        self.matrix = None
-        if H.box.dim == 1:
-            self._ab_f = H.banded(shift=lam, branch_sign=sign, eps=eps)
-            self._ab_a = None
-            self._b = H.stencil.bandwidth
+        self.eps, self.matrix = eps, None
+        if H.box.dim == 1 and H.stencil.bandwidth == 1:
+            self._ab = H.banded(shift=lam, branch_sign=sign, eps=eps)
+            *self._lu, info = lapack.zgttrf(self._ab[2, :-1], self._ab[1], self._ab[0, 1:])
+            if info > 0:
+                raise np.linalg.LinAlgError(f"zero pivot {info} in the tridiagonal "
+                                            f"factorization at eps = {eps:g}")
         else:
             self.matrix = H.shifted(lam, sign, eps)
             self._lu = spla.splu(self.matrix, permc_spec="MMD_AT_PLUS_A",
@@ -90,43 +92,75 @@ class _ShiftedSolver:
         rhs = np.asarray(rhs, dtype=complex)
         if self.matrix is not None:
             return self._lu.solve(rhs, trans="H" if adjoint else "N")
-        if adjoint and self._ab_a is None:
-            self._ab_a = self._ab_f.copy()
-            self._ab_a[self._b] = np.conj(self._ab_f[self._b])
-        return sla.solve_banded((self._b, self._b), self._ab_a if adjoint else self._ab_f, rhs)
+        return lapack.zgttrs(*self._lu, rhs, trans="C" if adjoint else "N")[0]
+
+    def check_residual(self, u, rhs):
+        """np.linalg.LinAlgError unless ||M u - rhs|| <= 1e-10 ||rhs|| on
+        every column of the (n, m) block u, M u taken from the matrix or
+        the band this solver factored."""
+        if self.matrix is not None:
+            Mu = self.matrix @ u
+        else:
+            ab = self._ab
+            Mu = ab[1, :, None] * u
+            Mu[:-1] += ab[0, 1:, None] * u[1:]
+            Mu[1:] += ab[2, :-1, None] * u[:-1]
+        resid, size = np.linalg.norm(Mu - rhs, axis=0), np.linalg.norm(rhs, axis=0)
+        bad = np.flatnonzero(~(resid <= 1e-10 * size))
+        if len(bad):
+            raise np.linalg.LinAlgError(f"solve at eps = {self.eps:g} left residual "
+                                        f"{resid[bad[0]]:.2e} against |rhs| = {size[bad[0]]:.2e}")
 
 
 def _lap_iterate(H: LatticeHamiltonian, cfg: LAPConfig, rhs):
-    """Walk the epsilon ladder until inner-region stabilization, with a
-    fresh solver per rung; returns the converged rung's solver.
+    """Walk the epsilon ladder on an (n, m) block of right-hand sides, with
+    a fresh solver per rung. Each column stops at the first rung whose
+    inner-region change is below cfg.convergence_tol, and leaves the block.
+    Returns (U, eps, sols, diffs): per column its u, its stopping eps, the
+    solver of that rung and its inner diffs. A column still live below the
+    last eps raises LAPConvergenceError.
 
-    Each d >= 2 rung's solve is checked against the matrix it factored:
-    ||M u - rhs|| > 1e-10 ||rhs|| raises np.linalg.LinAlgError, the guard
-    on the symmetric-mode LU's weak pivoting.
+    Solves are checked against the matrix they factored, ||M u - rhs|| <=
+    1e-10 ||rhs|| per column, else np.linalg.LinAlgError: a sparse LU at
+    every rung, the guard on the symmetric-mode LU's weak pivoting, and a
+    tridiagonal solve at each column's stopping rung.
     """
+    B = np.asarray(rhs, dtype=complex)
+    m = B.shape[1]
     inner = H.inner_mask()
-    prev = None
-    diffs = []
+    U = np.empty_like(B)
+    eps_at, sols, diffs = [None] * m, [None] * m, [[] for _ in range(m)]
+    live, prev = list(range(m)), None
     for eps in cfg.epsilon_sequence:
-        # drop the last rung's LU before factoring this one: only one is alive
+        # drop the last rung's solver before factoring this one, unless a
+        # column stopped there
         sol = None
         sol = _ShiftedSolver(H, cfg.lam, cfg.sign, eps)
-        u = sol.solve(rhs)
+        u = sol.solve(B[:, live])
         if sol.matrix is not None:
-            resid, size = np.linalg.norm(sol.matrix @ u - rhs), np.linalg.norm(rhs)
-            if not resid <= 1e-10 * size:
-                raise np.linalg.LinAlgError(f"sparse LU solve at eps = {eps:g} left residual "
-                                            f"{resid:.2e} against |rhs| = {size:.2e}")
+            sol.check_residual(u, B[:, live])
+        ui = u[inner]
         if prev is not None:
-            denom = np.linalg.norm(prev[inner])
-            diff = np.linalg.norm((u - prev)[inner]) / denom if denom > 0 else 0.0
-            diffs.append(diff)
-            if diff < cfg.convergence_tol:
-                return u, eps, sol, diffs
-        prev = u
+            stop = []
+            for i, j in enumerate(live):
+                denom = np.linalg.norm(prev[:, i])
+                diffs[j].append(np.linalg.norm(ui[:, i] - prev[:, i]) / denom
+                                if denom > 0 else 0.0)
+                if diffs[j][-1] < cfg.convergence_tol:
+                    stop.append(i)
+            if stop:
+                if sol.matrix is None:
+                    sol.check_residual(u[:, stop], B[:, [live[i] for i in stop]])
+                for i in stop:
+                    U[:, live[i]], eps_at[live[i]], sols[live[i]] = u[:, i], eps, sol
+                keep = [i for i in range(len(live)) if i not in stop]
+                live, ui = [live[i] for i in keep], ui[:, keep]
+                if not live:
+                    return U, eps_at, sols, diffs
+        prev = ui
     raise LAPConvergenceError(
         f"no epsilon below {cfg.epsilon_sequence[-1]:g} stabilized the inner region "
-        f"(last diffs {diffs[-3:]}); try a larger box or a stronger CAP")
+        f"(last diffs {diffs[live[0]][-3:]}); try a larger box or a stronger CAP")
 
 
 def lap_solve(H: LatticeHamiltonian, cfg: LAPConfig, rhs, return_info: bool = False):
@@ -138,16 +172,24 @@ def lap_solve(H: LatticeHamiltonian, cfg: LAPConfig, rhs, return_info: bool = Fa
     if np.linalg.norm(rhs) == 0.0:
         u = np.zeros_like(rhs)
         return (u, {"epsilon": None, "diffs": []}) if return_info else u
-    u, eps, _, diffs = _lap_iterate(H, cfg, rhs)
-    return (u, {"epsilon": eps, "diffs": diffs}) if return_info else u
+    U, (eps,), _, (diffs,) = _lap_iterate(H, cfg, rhs[:, None])
+    return (U[:, 0], {"epsilon": eps, "diffs": diffs}) if return_info else U[:, 0]
+
+
+def _resolvent_maps(H: LatticeHamiltonian, cfg: LAPConfig, probes) -> list:
+    """[(R_map, eps)], one per column of the (n, m) block `probes`: one
+    ladder walk, and each column's map on the solver of the rung where that
+    column stopped. The maps support adjoints."""
+    _, eps_at, sols, _ = _lap_iterate(H, cfg, probes)
+    label = f"R{'+' if cfg.sign > 0 else '-'}"
+    return [(LinearMap(H.dim, sol.solve, partial(sol.solve, adjoint=True), label=label), eps)
+            for sol, eps in zip(sols, eps_at)]
 
 
 def resolvent_map(H: LatticeHamiltonian, cfg: LAPConfig, probe_rhs):
     """(R_map, eps) at the epsilon where the ladder converges on probe_rhs;
     R_map supports adjoints."""
-    _, eps, sol, _ = _lap_iterate(H, cfg, probe_rhs)
-    R = LinearMap(H.dim, sol.solve, partial(sol.solve, adjoint=True),
-                  label=f"R{'+' if cfg.sign > 0 else '-'}")
+    [(R, eps)] = _resolvent_maps(H, cfg, np.asarray(probe_rhs)[:, None])
     return R, eps
 
 
@@ -196,31 +238,44 @@ def free_kernel_1d(lam: float, sign: int, n):
 # probes
 
 
-def _finite_rank_row(h, a1, a2, H, lap) -> dict:
-    """The timed results.csv row of ||Op^h(a1) R Op^h(a2)|| at h, exact for
-    one-term d = 1 symbols of finite x-support.
+def _finite_rank_rows(hs, a1, a2, H, lap) -> list:
+    """The timed results.csv rows of ||Op^h(a1) R Op^h(a2)|| at each h of
+    hs, exact for one-term d = 1 symbols of finite x-support.
 
-    Both symbols are sampled once (finite_rank_pair) and pass the xi-tail
-    guard. At the converged eps the norm is sigma_max of K1 R E2 Z2:
-    (S2, Z2) the gram factor of Op^h(a2), so R E2 Z2 is one block solve of
-    k columns (the row's "columns"), and K1 the rows S1 of Op^h(a1)
-    (support_rows). The ladder walks on E2 Z2 1, the sum of those columns,
-    so no random number is drawn. An empty S1 or k = 0 gives norm 0, and
-    epsilon_used 0 because no ladder ran.
+    Each row's symbols are sampled once (finite_rank_pair) and pass the
+    xi-tail guard. At the row's converged eps the norm is sigma_max of
+    K1 R E2 Z2: (S2, Z2) the gram factor of Op^h(a2), so R E2 Z2 is one block
+    solve of k columns (the row's "columns"), and K1 the rows S1 of Op^h(a1)
+    (support_rows). One ladder walk serves every row, on the block of their
+    E2 Z2 1, the sums of those columns, so no random number is drawn; each
+    row stops at its own eps. A row's seconds is its own work plus an equal
+    share of the walk. An empty S1 or k = 0 gives norm 0, and epsilon_used
+    0 because the row took no part in the walk.
     """
+    rows, live = [], []
+    for h in hs:
+        t0 = time.perf_counter()
+        (b1, c1), (b2, c2), S1, (S2, Z2) = finite_rank_pair(a1, a2, h, H.box)
+        check_xi_tails([(b1, c1), (b2, c2)], H.box)
+        k = Z2.shape[1]
+        if len(S1) and k:
+            E2Z2 = np.zeros((H.dim, k), dtype=complex)
+            E2Z2[S2] = Z2
+            live.append((len(rows), b1, c1, S1, E2Z2))
+        rows.append({"h": h, "epsilon_used": 0.0, "norm": 0.0,
+                     "seconds": time.perf_counter() - t0, "columns": k})
+    if not live:
+        return rows
     t0 = time.perf_counter()
-    (b1, c1), (b2, c2), S1, (S2, Z2) = finite_rank_pair(a1, a2, h, H.box)
-    check_xi_tails([(b1, c1), (b2, c2)], H.box)
-    k = Z2.shape[1]
-    eps, norm = 0.0, 0.0
-    if len(S1) and k:
-        E2Z2 = np.zeros((H.dim, k), dtype=complex)
-        E2Z2[S2] = Z2
-        R, eps = resolvent_map(H, lap, probe_rhs=E2Z2.sum(axis=1))
+    maps = _resolvent_maps(H, lap, np.column_stack([E2Z2.sum(axis=1)
+                                                    for *_, E2Z2 in live]))
+    share = (time.perf_counter() - t0) / len(live)
+    for (i, b1, c1, S1, E2Z2), (R, eps) in zip(live, maps):
+        t0 = time.perf_counter()
         Y = support_rows(b1, c1, S1, R(E2Z2).T)
-        norm = float(np.linalg.svd(Y, compute_uv=False)[0])
-    return {"h": h, "epsilon_used": eps, "norm": norm, "seconds": time.perf_counter() - t0,
-            "columns": k}
+        rows[i].update(epsilon_used=eps, norm=float(np.linalg.svd(Y, compute_uv=False)[0]))
+        rows[i]["seconds"] += share + time.perf_counter() - t0
+    return rows
 
 
 @dataclass
@@ -233,15 +288,15 @@ class WfProbeResult:
 def wf_probe(model_cfg: ModelConfig, kp: KernelPoint, lap: LAPConfig,
              h_list: Sequence[float], delta1: float, delta2: float) -> WfProbeResult:
     """h-decay of ||Op^h(a1) R Op^h(a2)|| at lap.lam for bumps centered on
-    the kernel point: a1 at (x, xi), a2 at (-y, eta); each row is the exact
-    finite-rank row of _finite_rank_row, in ascending h, on the box of
+    the kernel point: a1 at (x, xi), a2 at (-y, eta); the rows are the exact
+    finite-rank rows of _finite_rank_rows, in ascending h, on the box of
     kernel_point_setup's rule at min(h).
 
     Whether the rows should decay is the caller's to judge, from classify().
     """
     hs, radii, a1, a2 = kernel_point_setup(kp, model_cfg.stencil, delta1, delta2, h_list)
     H = model_cfg.assemble(radii[0], with_cap=True)
-    rows = [_finite_rank_row(h, a1, a2, H, lap) for h in hs]
+    rows = _finite_rank_rows(hs, a1, a2, H, lap)
     fit = DecayFit.from_values(hs, [r["norm"] for r in rows])
     return WfProbeResult(rows=rows, fit=fit, box_radius=radii[0])
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from latscat.config import parse_config
-from latscat.escape import (DerivativeMismatchError, EscapeLadder, LadderInvariantError,
-                            build_rung, energy_inequality_check, monotonicity_check,
-                            periodic_dense_h, verify_transport, _escape_F, _moving_bump)
+from latscat.escape import (TRANSPORT_FLOOR, DerivativeMismatchError, EscapeLadder,
+                            LadderInvariantError, build_rung, energy_inequality_check,
+                            monotonicity_check, periodic_dense_h, verify_transport, _escape_F,
+                            _moving_bump)
 from latscat.geometry import make_bump_pair
 from latscat.model import Box
 from latscat.quantize import fourier_multiplier
@@ -147,7 +148,7 @@ def test_build_rung_range_and_squaring(ladder):
 def test_transport_passes(ladder):
     for j in (0, 1, 2):
         rep = verify_transport(ladder, j)
-        assert rep.passed, f"j={j}: min {rep.min_value}"
+        assert rep.min_value >= TRANSPORT_FLOOR, f"j={j}: min {rep.min_value}"
         assert rep.fd_agreement <= 1e-6
 
 
@@ -156,7 +157,7 @@ def test_transport_negative_control(stencil1d):
                        delta2=2.0, h=0.125, depth=0, validate=False)
     rep = verify_transport(bad, 0)
     assert rep.min_value < -1e-6
-    assert not rep.passed
+    assert rep.min_value < TRANSPORT_FLOOR
 
 
 def test_transport_fd_gate_trips_on_a_stale_derivative(energy_ladder):
@@ -169,12 +170,15 @@ def test_transport_fd_gate_trips_on_a_stale_derivative(energy_ladder):
 
 
 def test_transport_vanishes_off_support(ladder):
-    from latscat.escape import _transport_fields
+    # the margin and the full field (margin plus the j >= 1 bound) alike
+    from latscat.escape import _transport_field
     t = 1.0
-    x = ladder.y(t) + np.linspace(1.1, 3.0, 40) * ladder.ell(t, 0)
-    xi = ladder.xi2 + np.linspace(-0.5, 0.5, 41)
-    tr, bound = _transport_fields(ladder, 0, t, x[:, None], xi[None, :])
-    assert np.max(np.abs(tr)) == 0.0 and np.max(np.abs(bound)) == 0.0
+    for j in (0, 1):
+        x = ladder.y(t) + np.linspace(1.1, 3.0, 40) * ladder.ell(t, j)
+        xi = ladder.xi2 + np.linspace(-0.5, 0.5, 41)
+        for full in (False, True):
+            tr = _transport_field(ladder, j, t, x[:, None], xi[None, :], full=full)
+            assert tr.shape == (40, 41) and np.max(np.abs(tr)) == 0.0
 
 
 @pytest.fixture()
@@ -206,7 +210,7 @@ def test_energy_inequality_and_monotonicity(free_model, energy_ladder):
     assert all(v >= 0 for v in rep.defects.values())
     mono = monotonicity_check(free_model, energy_ladder, (1.0, 5.0, 20.0),
                               energy_report=rep, box_radius=64)
-    assert mono.passed
+    assert min(mono.margins.values()) >= mono.floor
     # the floor each margin is held to: minus the fitted defect at the ladder's h
     assert mono.floor == -rep.amplitude * energy_ladder.h**rep.exponent < -1e-12
     # t = 0 is exact equality
@@ -287,7 +291,7 @@ def test_monotonicity_sabotage_fails(free_model, stencil1d, energy_ladder):
     bad = dataclasses.replace(energy_ladder, phi=BumpedPhi(), validate=False)
     mono = monotonicity_check(free_model, bad, (1.0, 2.0), box_radius=48)
     assert min(mono.margins.values()) < -1e-3
-    assert not mono.passed
+    assert min(mono.margins.values()) < mono.floor
     # with no energy report the floor is the round-off allowance alone
     assert mono.floor == -1e-12
     good = monotonicity_check(free_model, energy_ladder, (1.0, 2.0), box_radius=48)

@@ -4,9 +4,9 @@ import weakref
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from latscat import quantize
 from latscat.cli import _lap_from
@@ -16,7 +16,7 @@ from latscat.model import Box, LinearMap, ModelConfig, Potential, Stencil, lapla
 from latscat.quantize import op_h, position_weight
 from latscat.recipes import recipe_config
 from latscat.resolvent import (LAPConfig, LAPConvergenceError, _ShiftedSolver,
-                               _finite_rank_row, _lap_iterate,
+                               _finite_rank_rows, _lap_iterate,
                                default_epsilon_sequence, free_kernel_1d, ik_probe,
                                lap_solve, one_sided_probe, resolvent_map,
                                sandwich_norm, wf_probe)
@@ -92,11 +92,11 @@ def _wf_rows(name):
 @pytest.mark.parametrize("name", ["free-wf-offset", "wf-onset-control"])
 def test_free_wf_rows_against_the_exact_outgoing_boundary(monkeypatch, exact_outgoing, name):
     # the recipe's rows (CAP, epsilon ladder) against the same pipeline with
-    # the exact outgoing boundary in place of the ladder's resolvent
+    # the exact outgoing boundary in place of every row's ladder resolvent
     from latscat import resolvent
     rows = _wf_rows(name)
-    monkeypatch.setattr(resolvent, "resolvent_map",
-                        lambda H, lap, probe_rhs: (exact_outgoing(H.box, lap.lam), 0.0))
+    monkeypatch.setattr(resolvent, "_resolvent_maps", lambda H, lap, probes: (
+        [(exact_outgoing(H.box, lap.lam), 0.0)] * probes.shape[1]))
     exact = _wf_rows(name)
     gap = {h: abs(rows[h]["norm"] - exact[h]["norm"]) / exact[h]["norm"] for h in rows}
     assert all(rows[h]["epsilon_used"] > 0.0 and exact[h]["epsilon_used"] == 0.0 for h in rows)
@@ -203,7 +203,7 @@ def test_wf_dichotomy_standard_deltas(free_model, deep_lap):
 
     def slope(kp):
         hs_sorted, _, a1, a2 = kernel_point_setup(kp, free_model.stencil, 0.2, 0.2, hs)
-        rows = [_finite_rank_row(h, a1, a2, H, deep_lap) for h in hs_sorted]
+        rows = _finite_rank_rows(hs_sorted, a1, a2, H, deep_lap)
         return DecayFit.from_values(hs_sorted, [r["norm"] for r in rows]).slope
 
     kp_off = KernelPoint(4.0, np.pi / 2, 3.0, -np.pi / 2)
@@ -235,7 +235,7 @@ def test_finite_rank_row_matches_dense_svd(request, unguarded, dense_kernel, dee
     lap = dataclasses.replace(deep_lap, sign=sign)
     a1, a2 = make_bump_pair(*OFFSET_BUMPS)
     h = 0.125
-    row = _finite_rank_row(h, a1, a2, H, lap)
+    [row] = _finite_rank_rows([h], a1, a2, H, lap)
     M = H.shifted(1.0, sign, row["epsilon_used"]).toarray()
     A1, A2 = dense_kernel(a1, h, H.box), dense_kernel(a2, h, H.box)
     exact = np.linalg.svd(A1 @ np.linalg.solve(M, A2), compute_uv=False)[0]
@@ -251,7 +251,7 @@ def test_wf_rows_draw_no_random_numbers(monkeypatch, unguarded, free_model, deep
     for name in ("rng", "op_h"):
         monkeypatch.setattr(resolvent, name, lambda *args, name=name, **kwargs: pytest.fail(name))
     a1, a2 = make_bump_pair(*OFFSET_BUMPS)
-    row = _finite_rank_row(0.125, a1, a2, free_model.assemble(100), deep_lap)
+    [row] = _finite_rank_rows([0.125], a1, a2, free_model.assemble(100), deep_lap)
     assert row["epsilon_used"] > 0.0 and row["norm"] > 0.0
     kp = KernelPoint(4.0, np.pi / 2, -3.0, -np.pi / 2)
     res = wf_probe(free_model, kp, deep_lap, (0.25, 0.125, 0.0625, 0.03125), 0.6, 0.3)
@@ -274,7 +274,7 @@ def test_wf_and_propagation_share_the_gram_factor(monkeypatch, unguarded, free_m
 
     monkeypatch.setattr(resolvent, "operator_norm", no_power_iteration)
     a1, a2 = make_bump_pair(*OFFSET_BUMPS)
-    _finite_rank_row(0.125, a1, a2, free_model.assemble(100), deep_lap)
+    _finite_rank_rows([0.125], a1, a2, free_model.assemble(100), deep_lap)
     propagate._propagation_sup(free_model.assemble(48, with_cap=False), a1, a2, 0.25,
                                EnergyCutoff(lam=1.0, eps_f=0.25), np.array([0.0]))
     assert calls == ["latscat.resolvent", "latscat.propagate"]
@@ -357,18 +357,63 @@ def test_shifted_solver_matches_dense(dim, radius, eps, sign):
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_ladder_returns_fresh_rung_solver(sign):
     # each rung builds its own solver: the ladder's converged solver gives
-    # the same u as a fresh one at the converged eps, and holds the forward
-    # and adjoint bands H.banded builds there
+    # the same u as a fresh one at the converged eps, and its adjoint solve
+    # inverts the conjugate transpose of the matrix H.shifted builds there
     H = _longrange(1).assemble(40)
     lap = LAPConfig(lam=1.0, sign=sign, convergence_tol=1e-3)
     g = np.random.default_rng(2)
     rhs = g.standard_normal(H.dim) + 1j * g.standard_normal(H.dim)
-    u, eps, sol, diffs = _lap_iterate(H, lap, rhs)
+    U, (eps,), (sol,), (diffs,) = _lap_iterate(H, lap, rhs[:, None])
     assert len(diffs) >= 3
-    assert np.array_equal(u, _ShiftedSolver(H, 1.0, sign, eps).solve(rhs))
-    assert np.array_equal(sol._ab_f, H.banded(1.0, sign, eps))
-    sol.solve(rhs, adjoint=True)
-    assert np.array_equal(sol._ab_a, H.banded(1.0, -sign, eps))
+    assert np.array_equal(U[:, 0], _ShiftedSolver(H, 1.0, sign, eps).solve(rhs))
+    M = H.shifted(1.0, sign, eps).toarray()
+    x = sol.solve(rhs, adjoint=True)
+    assert np.linalg.norm(M.conj().T @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+def test_block_walk_matches_one_column_walks():
+    # a 3-column walk gives each column the eps, the diffs and the u of its
+    # own one-column walk, bit for bit, and the solver of its own stopping
+    # rung: the columns stop at rungs 13, 12 and 11, each leaving the block
+    H = _longrange(1).assemble(40)
+    g = np.random.default_rng(2)
+    x = H.box.sites()[:, 0]
+    B = np.column_stack([g.standard_normal(H.dim) + 1j * g.standard_normal(H.dim),
+                         delta_at(H), np.exp(-x**2 / 20.0) + 0j])
+    lap = LAPConfig(lam=1.0, convergence_tol=1e-3)
+    U, eps, sols, diffs = _lap_iterate(H, lap, B)
+    assert [len(d) for d in diffs] == [13, 12, 11]
+    for j in range(3):
+        u1, (e1,), _, (d1,) = _lap_iterate(H, lap, B[:, [j]])
+        assert eps[j] == e1 and diffs[j] == d1
+        assert np.array_equal(U[:, j], u1[:, 0])
+        assert np.array_equal(sols[j].solve(B[:, j]), U[:, j])
+    # a ladder cut one rung short of the first column's stop: the other two
+    # still converge, and the block with the first one fails
+    short = LAPConfig(lam=1.0, epsilon_sequence=lap.epsilon_sequence[:13], convergence_tol=1e-3)
+    _lap_iterate(H, short, B[:, 1:])
+    with pytest.raises(LAPConvergenceError):
+        _lap_iterate(H, short, B)
+
+
+def test_one_factorization_per_rung(monkeypatch):
+    # a free-wf-offset run factors each rung of its one walk once, and every
+    # row solves on the factors of its stopping rung; a sandwich_norm's power
+    # iteration factors nothing past its walk
+    calls = []
+    zgttrf = lapack.zgttrf
+    monkeypatch.setattr(lapack, "zgttrf", lambda *args: (calls.append(1), zgttrf(*args))[1])
+    rows = _wf_rows("free-wf-offset")
+    ladder = _lap_from(parse_config(recipe_config("free-wf-offset"))).epsilon_sequence
+    deepest = min(r["epsilon_used"] for r in rows.values())
+    assert len(calls) == ladder.index(deepest) + 1 == 19
+    calls.clear()
+    H = _longrange(1).assemble(64)
+    A = position_weight(-2.0, H.box)
+    lap = LAPConfig(lam=1.0)
+    _, info = sandwich_norm(A, H, lap, A, return_info=True)
+    assert info["iterations"] >= 2
+    assert len(calls) == lap.epsilon_sequence.index(info["epsilon"]) + 1
 
 
 def test_hop_band_read_once_per_hamiltonian(monkeypatch):
@@ -385,7 +430,7 @@ def test_hop_band_read_once_per_hamiltonian(monkeypatch):
     H = _longrange(1).assemble(40)
     g = np.random.default_rng(2)
     rhs = g.standard_normal(H.dim) + 1j * g.standard_normal(H.dim)
-    _, _, _, diffs = _lap_iterate(H, LAPConfig(lam=1.0, convergence_tol=1e-3), rhs)
+    _, _, _, (diffs,) = _lap_iterate(H, LAPConfig(lam=1.0, convergence_tol=1e-3), rhs[:, None])
     assert len(diffs) >= 3
     for s in (+1, -1):
         H.banded(1.0, s, 1e-2)
@@ -394,13 +439,32 @@ def test_hop_band_read_once_per_hamiltonian(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_tridiagonal_adjoint_complex_hops(sign):
+    # the tridiagonal route's adjoint, a trans="C" solve on the forward
+    # factors, inverts M^H for complex hops too, where M is not symmetric
+    flux = ModelConfig(stencil=Stencil(1, [(0,), (1,), (-1,)],
+                                       [1.0, -0.5 * np.exp(0.3j), -0.5 * np.exp(-0.3j)]))
+    H = flux.assemble(40)
+    sol = _ShiftedSolver(H, 1.0, sign, 1e-2)
+    assert sol.matrix is None
+    M = H.shifted(1.0, sign, 1e-2).toarray()
+    assert not np.allclose(M, M.T)
+    g = np.random.default_rng(4)
+    b = g.standard_normal(H.dim) + 1j * g.standard_normal(H.dim)
+    assert np.linalg.norm(M @ sol.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
+    assert np.linalg.norm(M.conj().T @ sol.solve(b, adjoint=True) - b) <= 1e-12 * np.linalg.norm(b)
+
+
 def test_band_adjoint_complex_hops():
-    # the adjoint band is the conjugate transpose for complex, wider hops too
+    # a d = 1 band wider than 1 takes the sparse LU, whose adjoint solve is
+    # the conjugate transpose for complex hops too
     flux = ModelConfig(stencil=Stencil(1, [(0,), (1,), (-1,), (2,), (-2,)],
                                        [1.25, -0.5 * np.exp(0.3j), -0.5 * np.exp(-0.3j),
                                         -0.125 * np.exp(0.2j), -0.125 * np.exp(-0.2j)]))
     H = flux.assemble(40)
     sol = _ShiftedSolver(H, 1.0, +1, 1e-2)
+    assert sol.matrix is not None
     M = H.shifted(1.0, +1, 1e-2).toarray()
     b = np.random.default_rng(4).standard_normal(H.dim) + 0j
     assert np.linalg.norm(M.conj().T @ sol.solve(b, adjoint=True) - b) <= 1e-12 * np.linalg.norm(b)
@@ -425,29 +489,29 @@ def test_shifted_solver_fill_d2():
 
 
 def test_rung_residual_check(tmp_path, monkeypatch):
-    # a d >= 2 rung whose solve misses M u = rhs by 1e-8 relative fails the
-    # ladder with LinAlgError, which the CLI reports as a numerical error (no
-    # d >= 2 config walks the ladder, so the CLI half fails a d = 1 band
-    # solve instead)
+    # a solve that misses M u = rhs by 1e-8 relative fails the ladder with
+    # LinAlgError: a d >= 2 walk checks every rung, a d = 1 walk each
+    # column's stopping rung. A zero pivot in the tridiagonal factorization
+    # is a LinAlgError too, which the CLI reports as a numerical error
     from latscat.cli import EXIT_NUMERICAL, run
-    from latscat.config import parse_config
-    H = _longrange(2).assemble(12)
-    g = np.random.default_rng(11)
-    rhs = g.standard_normal(H.dim) + 1j * g.standard_normal(H.dim)
     lap = LAPConfig(lam=1.0, convergence_tol=1e-2)
-    lap_solve(H, lap, rhs)
     exact = _ShiftedSolver.solve
-
-    monkeypatch.setattr(_ShiftedSolver, "solve", lambda self, b: exact(self, b) * (1.0 + 1e-8))
-    with pytest.raises(np.linalg.LinAlgError, match="residual"):
+    for dim, radius in ((2, 12), (1, 40)):
+        H = _longrange(dim).assemble(radius)
+        g = np.random.default_rng(11)
+        rhs = g.standard_normal(H.dim) + 1j * g.standard_normal(H.dim)
         lap_solve(H, lap, rhs)
+        with monkeypatch.context() as patch:
+            patch.setattr(_ShiftedSolver, "solve", lambda self, b: exact(self, b) * (1.0 + 1e-8))
+            with pytest.raises(np.linalg.LinAlgError, match="residual"):
+                lap_solve(H, lap, rhs)
 
-    def singular(*args, **kwargs):
-        raise np.linalg.LinAlgError("singular matrix")
-
-    monkeypatch.setattr(sla, "solve_banded", singular)
+    zgttrf = lapack.zgttrf
+    monkeypatch.setattr(lapack, "zgttrf", lambda *args: (*zgttrf(*args)[:-1], 1))
     cfg = parse_config("[model]\npotential = none\n"
                        "[probe]\nkind = free-kernel\nlambda = 1.0\nbox_radius = 32\n")
+    with pytest.raises(np.linalg.LinAlgError, match="zero pivot"):
+        _ShiftedSolver(cfg.model_config().assemble(32), 1.0, +1, 1e-2)
     assert run(cfg, out_dir=tmp_path, quiet=True) == EXIT_NUMERICAL
 
 
