@@ -400,23 +400,16 @@ def main(argv=None) -> int:
     if args.command == "list-recipes":
         list_recipes()
         return EXIT_OK
-    if args.command == "show-recipe":
-        try:
-            print(recipe_config(args.name))
-        except KeyError as exc:
-            print(exc, file=sys.stderr)
-            return EXIT_SCHEMA
-        return EXIT_OK
-    if args.command == "sweep":
-        path, axes = (None, args.args) if args.recipe else (args.args[0], args.args[1:])
-    else:
-        path, axes = args.config, None
     try:
+        if args.command == "show-recipe":
+            print(recipe_config(args.name))
+            return EXIT_OK
+        if args.command == "sweep":
+            path, axes = (None, args.args) if args.recipe else (args.args[0], args.args[1:])
+        else:
+            path, axes = args.config, None
         if args.recipe:
-            try:
-                text = recipe_config(args.recipe)
-            except KeyError as exc:
-                raise ConfigError(str(exc)) from exc
+            text = recipe_config(args.recipe)
         elif path:
             text = Path(path).read_text(encoding="utf-8")
         else:

@@ -203,9 +203,14 @@ def _validate_preconditions(cfg: ExperimentConfig):
     p = cfg.probe
     k = cfg.probe_kind
     # bump radii and boxes: checked here, or a later check fails with the wrong cause
-    for key in ("delta1", "delta2", "box_radius", "mono_box_radius"):
+    for key in ("delta1", "delta2", "box_radius", "mono_box_radius", "eps_f"):
         if key in p and not p[key] > 0:
             raise ConfigError(f"[probe] {key} must be positive")
+    # kernel-point boxes are sized from 4 span / h, escape ladders scale by 1/h
+    for key in ("h", "h_list"):
+        hs = p.get(key, ())
+        if not all(0.0 < h <= 1.0 for h in (hs if isinstance(hs, tuple) else (hs,))):
+            raise ConfigError(f"[probe] {key}: every h must lie in (0, 1]")
     if k == "one-sided":
         if not p["nu"] > 1.0:
             raise ConfigError("one-sided probe needs nu > 1")

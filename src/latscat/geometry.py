@@ -55,16 +55,21 @@ class MembershipReport:
         return not (self.in_sigma0 or self.in_sigma_minus or self.in_sigma_prime_minus)
 
 
-def shell_points(stencil: Stencil, lam: float, grid_n: int = 4096) -> np.ndarray:
+# shell_points' torus grid per axis: d = 1, and d >= 2, where it is a full grid
+SHELL_GRID_1D, SHELL_GRID_ND = 4096, 256
+
+
+def shell_points(stencil: Stencil, lam: float) -> np.ndarray:
     """Momenta with p0(xi) = lam, for every d: the points of the torus grid
-    with grid_n points per axis that lie within about one grid step of the
-    level set, each polished by 12 Newton steps along v(xi).
+    (SHELL_GRID_1D or SHELL_GRID_ND points per axis) that lie within about
+    one grid step of the level set, each polished by 12 Newton steps along v(xi).
 
     Returns an array of shape (n_pts, d); a point may repeat. Raises
     EmptyShellError when the level set is empty and CriticalValueError when
     |v| < 1e-8 at a shell point.
     """
     d = stencil.dim
+    grid_n = SHELL_GRID_1D if d == 1 else SHELL_GRID_ND
     xi = product_grid(np.linspace(0.0, 2.0 * np.pi, grid_n, endpoint=False), d).reshape(-1, d)
     step = 2.0 * np.pi / grid_n
     gnorm = np.linalg.norm(stencil.gradient(xi), axis=-1)
@@ -94,8 +99,7 @@ def _ray_distance_sq(p: np.ndarray, w: np.ndarray, forward: bool) -> np.ndarray:
     return np.sum(diff * diff, axis=-1)
 
 
-def classify(kp: KernelPoint, stencil: Stencil, lam: float, tol: float,
-             grid_n: int = 4096) -> MembershipReport:
+def classify(kp: KernelPoint, stencil: Stencil, lam: float, tol: float) -> MembershipReport:
     """Membership of kp in Sigma_0, Sigma_pm(lam), Sigma'_pm(lam) by
     parametric distance minimization over the sampled energy shell.
 
@@ -108,9 +112,7 @@ def classify(kp: KernelPoint, stencil: Stencil, lam: float, tol: float,
         raise ValueError("tol must be positive")
     if kp.dim != stencil.dim:
         raise ValueError("kernel point / stencil dimension mismatch")
-    if stencil.dim >= 2:
-        grid_n = min(grid_n, 256)  # the d>=2 scan is a full grid per axis
-    shell = shell_points(stencil, lam, grid_n=grid_n)
+    shell = shell_points(stencil, lam)
     vels = stencil.gradient(shell)
     dxi2 = torus_distance(kp.xi, shell) ** 2
     deta2 = torus_distance(kp.eta, shell) ** 2

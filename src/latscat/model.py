@@ -206,7 +206,8 @@ class LinearMap:
     """Matrix-free linear operator on complex vectors over a finite box.
 
     A subclass that overrides __call__, apply and adjoint_apply passes None
-    for the two callables.
+    for the two callables. hermitian, bandwidth and label only describe
+    the map: latscat reads LatticeHamiltonian's hermitian alone.
     """
 
     def __init__(self, dim: int, apply: Callable, adjoint_apply: Callable,
@@ -246,12 +247,11 @@ def compose_maps(*maps: LinearMap) -> LinearMap:
             u = m.adjoint_apply(u)
         return u
 
-    return LinearMap(dim, fwd, adj, label="∘".join(m.label for m in maps))
+    return LinearMap(dim, fwd, adj)
 
 
 def adjoint_map(A: LinearMap) -> LinearMap:
-    return LinearMap(A.dim, A.adjoint_apply, A.apply, hermitian=A.hermitian,
-                     bandwidth=A.bandwidth, label=A.label + "*")
+    return LinearMap(A.dim, A.adjoint_apply, A.apply)
 
 
 class LatticeHamiltonian(LinearMap):
@@ -286,8 +286,7 @@ class LatticeHamiltonian(LinearMap):
             raise ValueError("onsite coefficient must be real")
         self.onsite, self.hops = onsite.real, list(table.items())
         self._matrices = {}
-        super().__init__(box.site_count, None, None, hermitian=not with_cap,
-                         bandwidth=stencil.bandwidth, label="H")
+        super().__init__(box.site_count, None, None, hermitian=not with_cap)
 
     # Methods, not closures handed to LinearMap: a closure over self is a
     # reference cycle, which would keep H and its caches alive until the

@@ -69,8 +69,7 @@ def position_weight(s: float, box: Box) -> LinearMap:
     """Diagonal map u(n) -> (1+|n|^2)^(s/2) u(n)."""
     r2 = np.sum(box.sites().astype(float) ** 2, axis=1)
     w = (1.0 + r2) ** (s / 2.0)
-    return LinearMap(box.site_count, lambda u: w * np.asarray(u),
-                     lambda u: w * np.asarray(u), hermitian=True, label=f"<n>^{s}")
+    return LinearMap(box.site_count, lambda u: w * np.asarray(u), lambda u: w * np.asarray(u))
 
 
 def _xi_tail(cv: np.ndarray, box: Box) -> float:
@@ -145,7 +144,7 @@ def op_h(a: Symbol, h: float, box: Box, check_resolution: bool = True) -> Linear
         return _ifftn_flat(reduce(np.add, (cc * _fftn_flat(bc * u, box)
                                            for bc, cc in conj)), box)
 
-    return LinearMap(box.site_count, fwd, adj, label="Op^h(a)")
+    return LinearMap(box.site_count, fwd, adj)
 
 
 def support_gram_factor(b: np.ndarray, c: np.ndarray):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+from .config import ConfigError
+
 _FREE = "potential = none"
 _LONG_RANGE = "potential = power_law\namplitude = 0.5\nmu = 0.5"
 # the deep epsilon ladder the wf and free-kernel resolvent solves need
@@ -181,5 +183,5 @@ lambda = 1.0
 
 def recipe_config(name: str) -> str:
     if name not in RECIPES:
-        raise KeyError(f"unknown recipe {name!r}; see list-recipes")
+        raise ConfigError(f"unknown recipe {name!r}; see list-recipes")
     return RECIPES[name]["config"]

@@ -144,7 +144,7 @@ def _lap_iterate(H: LatticeHamiltonian, cfg: LAPConfig, rhs):
             stop = []
             for i, j in enumerate(live):
                 denom = np.linalg.norm(prev[:, i])
-                diffs[j].append(np.linalg.norm(ui[:, i] - prev[:, i]) / denom
+                diffs[j].append(float(np.linalg.norm(ui[:, i] - prev[:, i]) / denom)
                                 if denom > 0 else 0.0)
                 if diffs[j][-1] < cfg.convergence_tol:
                     stop.append(i)
@@ -181,8 +181,7 @@ def _resolvent_maps(H: LatticeHamiltonian, cfg: LAPConfig, probes) -> list:
     ladder walk, and each column's map on the solver of the rung where that
     column stopped. The maps support adjoints."""
     _, eps_at, sols, _ = _lap_iterate(H, cfg, probes)
-    label = f"R{'+' if cfg.sign > 0 else '-'}"
-    return [(LinearMap(H.dim, sol.solve, partial(sol.solve, adjoint=True), label=label), eps)
+    return [(LinearMap(H.dim, sol.solve, partial(sol.solve, adjoint=True)), eps)
             for sol, eps in zip(sols, eps_at)]
 
 

@@ -60,7 +60,8 @@ class CutoffPhi:
     @staticmethod
     def _partition(s):
         """r = 2(1-s), 1-r and the bumps B(r), B(1-r): the one evaluation of
-        the ramp's terms that Phi and Phi' share."""
+        the ramp's terms that Phi and Phi' share. B(r) + B(1-r) >= 2 e^-2
+        for every real s, so both divide by it unguarded."""
         r = 2.0 * (1.0 - np.asarray(s, dtype=float))
         rc = 1.0 - r
         return r, rc, _bump_B(r), _bump_B(rc)
@@ -68,8 +69,7 @@ class CutoffPhi:
     def __call__(self, s):
         # no B' here: every bump, cone and energy cutoff samples Phi alone
         _, _, B, Bc = self._partition(s)
-        with np.errstate(invalid="ignore"):
-            out = np.where(B + Bc > 0, B / np.where(B + Bc > 0, B + Bc, 1.0), 0.0)
+        out = B / (B + Bc)
         return out if out.ndim else float(out)
 
     def derivative(self, s):
@@ -78,9 +78,7 @@ class CutoffPhi:
         with np.errstate(all="ignore"):
             dB = np.where(r > 0, B / r**2, 0.0)
             dBc = np.where(rc > 0, Bc / rc**2, 0.0)
-        denom = (B + Bc) ** 2
-        gp = np.where(denom > 0, (dB * Bc + B * dBc) / np.where(denom > 0, denom, 1.0), 0.0)
-        out = -2.0 * gp
+        out = -2.0 * ((dB * Bc + B * dBc) / (B + Bc) ** 2)
         return out if out.ndim else float(out)
 
     def psi(self, s):

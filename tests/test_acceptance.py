@@ -117,8 +117,7 @@ def test_criterion_7_escape_ladder(free_model, stencil1d):
     rep_bad = verify_transport(bad, 0)
     ok &= rep_bad.min_value < -1e-6
     energy_lad = EscapeLadder(stencil=stencil1d, x2=1.2, xi2=np.pi / 2,
-                              delta1=1.0 / 3.0, delta2=0.28, h=0.125, depth=0,
-                              mu=1.0, t_grid=(0.0, 0.5, 2.0, 8.0))
+                              delta1=1.0 / 3.0, delta2=0.28, h=0.125, depth=0, mu=1.0)
     energy = energy_inequality_check(free_model, energy_lad, t_samples=(0.5, 2.0, 8.0),
                                      h_list=(0.25, 0.125, 0.0625),
                                      box_radius=48)

@@ -89,6 +89,23 @@ _EXIT_2_CASES = [
      "escape-zero-box-radius"),
     ("[probe]\nkind = escape\nmono_box_radius = -1",
      r"\[probe\] mono_box_radius must be positive", "escape-negative-mono-box-radius"),
+    # an energy window of width <= 0, or an h outside (0, 1], was refused
+    # only when its point ran: for wf after classify, in a sweep after the
+    # earlier points
+    ("[probe]\nkind = local-decay\neps_f = 0", r"\[probe\] eps_f must be positive",
+     "local-decay-zero-eps-f"),
+    ("[probe]\nkind = prop31\nx1 = 4.0\nxi1 = 1.57\nx2 = 3.0\nxi2 = -1.57\neps_f = -0.25",
+     r"\[probe\] eps_f must be positive", "prop31-negative-eps-f"),
+    ("[probe]\nkind = wf\nx1 = 4.0\nxi1 = 1.57\nx2 = 3.0\nxi2 = -1.57\n"
+     "h_list = 2.0,0.0625,0.03125,0.015625", r"\[probe\] h_list: every h must lie in \(0, 1\]",
+     "wf-h-above-1"),
+    ("[probe]\nkind = prop31\nx1 = 4.0\nxi1 = 1.57\nx2 = 3.0\nxi2 = -1.57\n"
+     "h_list = 0.125,0.0625,0.03125,0", r"\[probe\] h_list: every h must lie in \(0, 1\]",
+     "prop31-zero-h"),
+    ("[probe]\nkind = escape\nh = 0", r"\[probe\] h: every h must lie in \(0, 1\]",
+     "escape-zero-h"),
+    ("[probe]\nkind = escape\nh_list = 0.25,0.125,1.5",
+     r"\[probe\] h_list: every h must lie in \(0, 1\]", "escape-h-list-above-1"),
     # the closed-form free kernel exists inside the band only: 0 and 2 walk
     # every rung and exit 3, 2.5 fails only after the LAP solve
     ("[model]\npotential = none\n[probe]\nkind = free-kernel\nlambda = 0",
@@ -204,6 +221,9 @@ def test_cli_exit_codes(tmp_path):
     assert main(["run", str(bad)]) == EXIT_SCHEMA
     assert main(["run", str(tmp_path / "missing.ini")]) == EXIT_SCHEMA
     assert main(["run", "--recipe", "no-such-recipe"]) == EXIT_SCHEMA
+    assert main(["show-recipe", "no-such-recipe"]) == EXIT_SCHEMA
+    with pytest.raises(ConfigError, match="unknown recipe"):
+        recipe_config("no-such-recipe")
     assert main(["show-recipe", "calculus-invariants"]) == EXIT_OK
     assert main(["list-recipes"]) == EXIT_OK
     # probes run serially: --jobs is no flag, and run() takes jobs=1 only

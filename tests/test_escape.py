@@ -186,8 +186,7 @@ def energy_ladder(stencil1d):
     # delta1 = 1/3 makes the separation invariant t-uniform (coefficient
     # 1 - 3 delta1 = 0); supports stay inside the L = 48 box at h = 1/16
     return EscapeLadder(stencil=stencil1d, x2=1.2, xi2=np.pi / 2, delta1=1.0 / 3.0,
-                        delta2=0.28, h=0.125, depth=0, mu=1.0,
-                        t_grid=(0.0, 0.5, 2.0, 8.0))
+                        delta2=0.28, h=0.125, depth=0, mu=1.0)
 
 
 def test_energy_f0_is_squared_bump(free_model, energy_ladder, dense_kernel):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latscat import geometry
 from latscat.geometry import KernelPoint, classify, make_bump_pair, make_cone_symbol, shell_points
 from latscat.model import CriticalValueError, EmptyShellError, Stencil, laplacian_stencil
 from latscat.symbols import EnergyCutoff
@@ -46,10 +47,12 @@ def test_classify_follows_the_branch_sign(stencil1d):
     assert rep.outside_all(-1)
 
 
-def test_classify_grid_doubling_stable(stencil1d):
+def test_classify_grid_doubling_stable(stencil1d, monkeypatch):
     kp = KernelPoint(4.0, np.pi / 2, 3.0, -np.pi / 2)
-    r1 = classify(kp, stencil1d, LAM, tol=0.5, grid_n=2048)
-    r2 = classify(kp, stencil1d, LAM, tol=0.5, grid_n=4096)
+    assert geometry.SHELL_GRID_1D == 4096
+    r2 = classify(kp, stencil1d, LAM, tol=0.5)
+    monkeypatch.setattr(geometry, "SHELL_GRID_1D", 2048)
+    r1 = classify(kp, stencil1d, LAM, tol=0.5)
     for k in r1.distances:
         assert r1.distances[k] == pytest.approx(r2.distances[k], abs=1e-3)
 
@@ -60,7 +63,7 @@ def test_diagonal_membership_invariant(x, xi):
     # (x, xi, -x, xi) lies in Sigma_0 for every phase-space point
     st1 = laplacian_stencil(1)
     kp = KernelPoint(x, xi, -x, xi)
-    rep = classify(kp, st1, LAM, tol=1e-8, grid_n=512)
+    rep = classify(kp, st1, LAM, tol=1e-8)
     assert rep.distances["sigma0"] <= 1e-12
     assert rep.in_sigma0
 
@@ -78,12 +81,12 @@ def test_shell_points_errors(stencil1d):
     with pytest.raises(EmptyShellError):
         shell_points(stencil1d, 3.0)
     with pytest.raises(CriticalValueError):
-        shell_points(stencil1d, 2.0, grid_n=4096)
+        shell_points(stencil1d, 2.0)
 
 
 def test_shell_points_d2():
     st2 = laplacian_stencil(2)
-    pts = shell_points(st2, 1.0, grid_n=96)
+    pts = shell_points(st2, 1.0)
     assert len(pts) > 0
     assert np.max(np.abs(st2.p0(pts) - 1.0)) < 1e-8
 

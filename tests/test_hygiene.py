@@ -153,6 +153,104 @@ def test_call_scan_finds_both_forms(tmp_path):
     assert _called_names(src) == {"classify", "shell_points"}
 
 
+def _callee(func):
+    """The name a call calls, bare f(...) or attribute m.f(...), else None."""
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _defaulted_params(path: Path):
+    """(label, callee, parameter, position) of each defaulted parameter of
+    a module's top-level functions and methods: callee is the name a call
+    of it goes by, the class's for __init__, and position counts the call's
+    positional arguments, None for a keyword-only parameter. Dataclass
+    fields are not parameters here: `replace` and assignment also set them."""
+    found = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.FunctionDef):
+            fns = [(node.name, node.name, node, 0)]
+        elif isinstance(node, ast.ClassDef):
+            fns = [(f"{node.name}.{fn.name}", node.name if fn.name == "__init__" else fn.name, fn,
+                    0 if any(_callee(d) == "staticmethod" for d in fn.decorator_list) else 1)
+                   for fn in node.body if isinstance(fn, ast.FunctionDef)]
+        else:
+            continue
+        for label, callee, fn, bound in fns:
+            args = fn.args.posonlyargs + fn.args.args
+            first = len(args) - len(fn.args.defaults)
+            found += [(label, callee, a.arg, i - bound) for i, a in enumerate(args) if i >= first]
+            found += [(label, callee, a.arg, None)
+                      for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    return found
+
+
+def _passed_args(path: Path):
+    """(callee, argument) of each call in a module, functools.partial(f, ...)
+    counted as a call of f and super().__init__(...) as a call of the
+    enclosing class's bases: argument is a keyword's name or a positional
+    index, or '*' for a call with *args or **kwargs, which may pass any."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bases = {id(call): [_callee(b) for b in cls.bases]
+             for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for call in ast.walk(cls) if isinstance(call, ast.Call)
+             and _callee(call.func) == "__init__" and isinstance(call.func.value, ast.Call)
+             and _callee(call.func.value.func) == "super"}
+    passed = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        if _callee(func) == "partial" and args:
+            func, args = args[0], args[1:]
+        star = any(isinstance(a, ast.Starred) for a in args) \
+            or any(k.arg is None for k in node.keywords)
+        for name in bases.get(id(node), [_callee(func)]):
+            passed |= {(name, i) for i in range(len(args))} | {(name, k.arg) for k in node.keywords}
+            if star:
+                passed.add((name, "*"))
+    return passed
+
+
+def _test_only_options(modules, callers):
+    """'module.function.parameter' of each defaulted parameter of `modules`
+    that no call in `callers` passes."""
+    passed = set().union(*(_passed_args(p) for p in callers))
+    return [f"{p.stem}.{label}.{param}" for p in modules
+            for label, callee, param, pos in _defaulted_params(p)
+            if not {(callee, param), (callee, pos), (callee, "*")} & passed]
+
+
+# options that only tests set, each kept for its reason
+_TEST_ONLY_OPTIONS = {
+    # a cap of 4 power steps is the one way a test reaches NormConvergenceError
+    "quantize.operator_norm.max_iter",
+    # the empty-cone tests move the cone's inner radius past the box
+    "resolvent.one_sided_probe.r0",
+}
+
+
+def test_every_option_has_a_caller_outside_tests():
+    # an option that only tests set is a code path no recipe, script or
+    # benchmark reaches
+    modules = sorted((ROOT / "src").rglob("*.py"))
+    callers = modules + SCRIPTS + sorted(p for p in (ROOT / "perfbench").rglob("*.py")
+                                         if "tests" not in p.relative_to(ROOT).parts)
+    assert sorted(_test_only_options(modules, callers)) == sorted(_TEST_ONLY_OPTIONS)
+
+
+def test_option_scan_flags_a_test_only_option(tmp_path):
+    lib, use = tmp_path / "lib.py", tmp_path / "use.py"
+    lib.write_text("def f(a, b=1, c=2, *, d=3):\n    pass\n\n\n"
+                   "def g(u=0, v=0):\n    pass\n\n\n"
+                   "class C:\n    def __init__(self, x, y=0):\n        pass\n\n"
+                   "    def m(self, z=1):\n        pass\n\n"
+                   "    @staticmethod\n    def s(w=1):\n        pass\n\n\n"
+                   "class D(C):\n    def __init__(self, k=0):\n        super().__init__(k, y=k)\n")
+    use.write_text("import functools\nfrom lib import C, f, g\n"
+                   "f(0, 1)\nf(0, d=4)\nC(1)\nC(0).m(*[2])\nC.s(3)\n"
+                   "h = functools.partial(g, v=1)\n")
+    assert _test_only_options([lib], [lib, use]) == ["lib.f.c", "lib.g.u", "lib.D.__init__.k"]
+
+
 def test_package_binds_only_its_version():
     # every caller imports the submodule it uses: the package imports and
     # re-exports nothing, its body is the docstring and __version__

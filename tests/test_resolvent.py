@@ -388,12 +388,15 @@ def test_block_walk_matches_one_column_walks():
         assert eps[j] == e1 and diffs[j] == d1
         assert np.array_equal(U[:, j], u1[:, 0])
         assert np.array_equal(sols[j].solve(B[:, j]), U[:, j])
+    assert all(type(d) is float for col in diffs for d in col)
     # a ladder cut one rung short of the first column's stop: the other two
-    # still converge, and the block with the first one fails
+    # still converge, and the block with the first one fails with a message
+    # of plain numbers, no numpy reprs
     short = LAPConfig(lam=1.0, epsilon_sequence=lap.epsilon_sequence[:13], convergence_tol=1e-3)
     _lap_iterate(H, short, B[:, 1:])
-    with pytest.raises(LAPConvergenceError):
+    with pytest.raises(LAPConvergenceError, match=r"last diffs \[\d") as exc:
         _lap_iterate(H, short, B)
+    assert "np.float64" not in str(exc.value)
 
 
 def test_one_factorization_per_rung(monkeypatch):
@@ -586,7 +589,7 @@ def test_sandwich_d2_smoke():
     from latscat.symbols import separable_symbol
     model = ModelConfig(stencil=laplacian_stencil(2), potential=Potential())
     kp = KernelPoint([2.0, 0.0], [np.pi / 2, 0.0], [1.5, 0.0], [-np.pi / 2, 0.0])
-    rep = classify(kp, model.stencil, 1.0, tol=0.5, grid_n=128)
+    rep = classify(kp, model.stencil, 1.0, tol=0.5)
     assert set(rep.distances) == {"sigma0", "sigma_plus", "sigma_minus",
                                   "sigma_prime_plus", "sigma_prime_minus"}
     H = model.assemble(10)
